@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RealityError, SingularityError
-from .geometry import FourVector
+from .geometry import FourVector, scalar_or_array
 
 _SING_EPS = 1e-12
 
@@ -57,7 +57,16 @@ class ScalarBackground:
         self.m2_antiderivative = m2_antiderivative
         self.params = dict(params or {})
 
-    def m2(self, x: FourVector) -> float:
+    def m2(self, x: FourVector):
+        """m^2 at a point, or an (N,) array for a FourVector with (N,)
+        components.  A batch is evaluated point by point through the family
+        function, so every point raises exactly as it would alone."""
+        if isinstance(x.t, np.ndarray):
+            comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
+            return np.array([self._m2_at(FourVector(*c)) for c in zip(*comps)])
+        return self._m2_at(x)
+
+    def _m2_at(self, x: FourVector) -> float:
         v = float(self._m2(x))
         if v < 0.0:
             raise RealityError(
@@ -68,8 +77,8 @@ class ScalarBackground:
     def grad_m2(self, x: FourVector) -> np.ndarray:
         return np.asarray(self._grad(x), dtype=float)
 
-    def mass(self, x: FourVector) -> float:
-        return float(np.sqrt(self.m2(x)))
+    def mass(self, x: FourVector):
+        return scalar_or_array(np.sqrt(self.m2(x)))
 
     def smooth_at(self, x: FourVector) -> bool:
         return bool(self._smooth(x))
@@ -210,7 +219,7 @@ def plane_wave_tabulated(w_samples, m2_samples, argument: str = "xplus") -> Scal
     i0 = float(ispl(0.0)) if w[0] <= 0.0 <= w[-1] else float(ispl(w[0]))
 
     return plane_wave(lambda s: float(spl(s)), lambda s: float(dspl(s)),
-                      lambda s: float(ispl(s)) - i0, argument=argument,
+                      lambda s: scalar_or_array(ispl(s) - i0), argument=argument,
                       label="plane_wave_tabulated",
                       params={"profile": "tabulated", "n": len(w)})
 

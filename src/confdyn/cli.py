@@ -25,7 +25,6 @@ import argparse
 import configparser
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -383,12 +382,8 @@ def _run_one(run_cfg, index: int, out_dir: Path, fmt: str, tol_rel: float):
 
 def cmd_simulate(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
                  seed: int) -> int:
-    runs = _sweep_configs(cfg)
-    results = []
-    with ThreadPoolExecutor(max_workers=min(4, len(runs))) as pool:
-        futures = [pool.submit(_run_one, rc, i, out_dir, fmt, tol_rel)
-                   for i, rc in enumerate(runs)]
-        results = [f.result() for f in futures]
+    results = [_run_one(rc, i, out_dir, fmt, tol_rel)
+               for i, rc in enumerate(_sweep_configs(cfg))]
     summary = {"command": "simulate", "seed": seed, "tol_rel": tol_rel,
                "runs": results, "pass": all(r["pass"] for r in results)}
     with open(out_dir / "summary.json", "w") as fh:

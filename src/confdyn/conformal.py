@@ -93,12 +93,17 @@ class ConformalGenerator:
 
     # -- field evaluation ----------------------------------------------
     def killing(self, x: FourVector) -> np.ndarray:
-        """Upper-index components xi^mu(x)."""
+        """Upper-index components xi^mu(x): shape (4,) at a point, (4, N)
+        for a FourVector with (N,) components."""
         xu = x.as_array()
         cx = contract(xu, self.c)
         xx = minkowski_dot(x, x)
-        return (self.a + self.omega_mixed @ xu + self.lam * xu
-                + self.c_upper * xx - 2.0 * cx * xu)
+        a, cu = self.a, self.c_upper
+        if xu.ndim > 1:
+            # constant vectors as columns, so they never broadcast along the
+            # point axis of a batch (which for N = 4 would go unnoticed)
+            a, cu = a[:, None], cu[:, None]
+        return a + self.omega_mixed @ xu + self.lam * xu + cu * xx - 2.0 * cx * xu
 
     def jacobian(self, x: FourVector) -> np.ndarray:
         """Mixed Jacobian J[mu, nu] = d_nu xi^mu(x), closed form."""
@@ -372,7 +377,11 @@ def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
 class ConservedQuantity:
     """A scalar phase-space function Q(state; background) with provenance.
 
-    func(state, bg) evaluates the quantity; partials(state, bg), when
+    func(state, bg) evaluates the quantity.  It must also accept a
+    component-first batch state (q, p of shape (n, N), time of shape (N,);
+    see dynamics.Trajectory.batch_state) and then return an array of shape
+    (N,), one value per point: dynamics.monitor calls it once per
+    trajectory.  partials(state, bg), when
     provided, returns closed-form gradients (dQ/dq, dQ/dp) with respect to
     the canonical variables of the state's form, used by Poisson brackets
     and independence ranks.  generator records the conformal origin when the
@@ -390,9 +399,10 @@ class ConservedQuantity:
         return self.func(state, bg)
 
 
-def conserved_from_generator(g: ConformalGenerator, state, bg) -> float:
+def conserved_from_generator(g: ConformalGenerator, state, bg):
     """Charge Q = xi^mu(x) p_mu evaluated on a phase-space state, with the
-    momentum reconstructed on shell where the form requires it."""
+    momentum reconstructed on shell where the form requires it; one value
+    per point for a batch state."""
     x = state.position()
     p = state.four_momentum(bg)
     return contract(g.killing(x), p)

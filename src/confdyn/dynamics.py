@@ -35,7 +35,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import FourVector, lf_gradient, lower_index, raise_index
+from .geometry import (FourVector, contract, lf_gradient, lower_index,
+                       raise_index, scalar_or_array)
 
 _FORMS = ("instant", "front", "extended", "covariant")
 
@@ -43,7 +44,12 @@ _FORMS = ("instant", "front", "extended", "covariant")
 @dataclass(frozen=True)
 class PhaseSpaceState:
     """A point of one of the four phase spaces; see the module docstring for
-    the layout of q and p per form."""
+    the layout of q and p per form.
+
+    A component-first batch of N points of one form has q and p of shape
+    (n, N) and time of shape (N,); positions, momenta and Hamiltonians of a
+    batch come out with one value per point (see Trajectory.batch_state).
+    """
 
     form: str
     time: float
@@ -56,11 +62,16 @@ class PhaseSpaceState:
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
         n = {"instant": 3, "front": 3, "extended": 4, "covariant": 4}[self.form]
-        if q.shape != (n,) or p.shape != (n,):
-            raise ValueError(f"form {self.form!r} needs q, p of shape ({n},)")
+        if q.ndim > 2 or q.shape[:1] != (n,) or p.shape != q.shape:
+            raise ValueError(f"form {self.form!r} needs q, p of shape ({n},) "
+                             f"or ({n}, N)")
+        time = np.asarray(self.time, dtype=float)
+        if time.shape != q.shape[1:]:
+            raise ValueError(f"time of shape {time.shape} does not match q, p "
+                             f"of shape {q.shape}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", scalar_or_array(time))
 
     def position(self) -> FourVector:
         """Spacetime point of the state (upper-index components)."""
@@ -90,7 +101,7 @@ class PhaseSpaceState:
             pplus, pminus = self.p[0], self.p[1]
             return np.array([pplus + pminus, self.p[2], self.p[3], pplus - pminus])
         m = bg.mass(self.position())
-        if m <= 0.0:
+        if _any(m <= 0.0):
             raise ReconstructionError("covariant momentum needs m > 0")
         return m * lower_index(self.p)
 
@@ -142,40 +153,46 @@ def covariant_state(x: FourVector, xdot: FourVector, tau: float = 0.0,
     return PhaseSpaceState("covariant", tau, x.as_array(), xdot.as_array())
 
 
+def _any(cond) -> bool:
+    """True if a condition holds at a point or at any point of a batch
+    (np.any would cost microseconds on the single-point path)."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-def hamiltonian_instant(state: PhaseSpaceState, bg) -> float:
+def hamiltonian_instant(state: PhaseSpaceState, bg):
     """Positive root H = sqrt(p.p + m^2(t, x))."""
     m2 = bg.m2(state.position())
-    return float(np.sqrt(float(state.p @ state.p) + m2))
+    return scalar_or_array(np.sqrt(contract(state.p, state.p) + m2))
 
 
-def hamiltonian_front(state: PhaseSpaceState, bg) -> float:
+def hamiltonian_front(state: PhaseSpaceState, bg):
     """H = p+ on shell = (p_perp.p_perp + m^2)/(4 p-)."""
     pminus = state.p[0]
-    if pminus == 0.0:
+    if _any(pminus == 0.0):
         raise SingularityError("front-form Hamiltonian undefined at p- = 0")
     m2 = bg.m2(state.position())
-    pp = float(state.p[1] ** 2 + state.p[2] ** 2)
-    return float((pp + m2) / (4.0 * pminus))
+    pp = state.p[1] ** 2 + state.p[2] ** 2
+    return scalar_or_array((pp + m2) / (4.0 * pminus))
 
 
-def hamiltonian_extended(state: PhaseSpaceState, bg) -> float:
+def hamiltonian_extended(state: PhaseSpaceState, bg):
     """K = (p_perp.p_perp + m^2(x))/(4 p-) - p+; vanishes on shell."""
     pplus, pminus = state.p[0], state.p[1]
-    if pminus == 0.0:
+    if _any(pminus == 0.0):
         raise SingularityError("extended Hamiltonian undefined at p- = 0")
     m2 = bg.m2(state.position())
-    pp = float(state.p[2] ** 2 + state.p[3] ** 2)
-    return float((pp + m2) / (4.0 * pminus) - pplus)
+    pp = state.p[2] ** 2 + state.p[3] ** 2
+    return scalar_or_array((pp + m2) / (4.0 * pminus) - pplus)
 
 
-def hamiltonian_nonrel(state: PhaseSpaceState, bg) -> float:
+def hamiltonian_nonrel(state: PhaseSpaceState, bg):
     """Nonrelativistic reduction H = p.p/(2 m) + m of the instant form."""
     m = bg.mass(state.position())
-    return float(state.p @ state.p / (2.0 * m) + m)
+    return scalar_or_array(contract(state.p, state.p) / (2.0 * m) + m)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +375,11 @@ class Trajectory:
     def state(self, i: int) -> PhaseSpaceState:
         return PhaseSpaceState(self.form, self.times[i], self.q[i], self.p[i])
 
+    def batch_state(self) -> PhaseSpaceState:
+        """All samples as one component-first batch state (q, p of shape
+        (n, N)); point i holds the same numbers as state(i)."""
+        return PhaseSpaceState(self.form, self.times, self.q.T, self.p.T)
+
     def states(self):
         return [self.state(i) for i in range(len(self))]
 
@@ -376,12 +398,12 @@ class Trajectory:
     def to_csv(self, path):
         tname, qn, pn = self.column_names()
         labels = list(self.quantities)
+        rows = np.column_stack([self.times, self.q, self.p]
+                               + [self.quantities[l] for l in labels])
+        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
         with open(path, "w") as fh:
             fh.write(",".join([tname] + qn + pn + labels) + "\n")
-            for i in range(len(self)):
-                row = ([self.times[i]] + list(self.q[i]) + list(self.p[i])
-                       + [self.quantities[l][i] for l in labels])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write("".join(row_fmt % tuple(row) for row in rows.tolist()))
 
     def to_json(self, path):
         tname, qn, pn = self.column_names()
@@ -404,13 +426,20 @@ class Trajectory:
 def monitor(traj: Trajectory, quantities: Sequence, bg):
     """Evaluate quantities along a trajectory's samples; returns (values,
     drifts) where drift = max_t |Q(t) - Q(0)| / max(1, |Q(0)|).  Pure: the
-    report only depends on the stored samples."""
+    report only depends on the stored samples.
+
+    Each quantity is called once, on the whole trajectory as a batch state
+    (Trajectory.batch_state), and must return one value per sample."""
     values = {}
     drifts = {}
+    batch = traj.batch_state()
     for quant in quantities:
         fn = _value_fn(quant)
         lab = getattr(quant, "label", getattr(quant, "__name__", "Q"))
-        vals = np.array([fn(traj.state(i), bg) for i in range(len(traj))])
+        vals = np.asarray(fn(batch, bg), dtype=float)
+        if vals.shape != (len(traj),):
+            raise ValueError(f"quantity {lab!r} returned shape {vals.shape} "
+                             f"for a batch of {len(traj)} samples")
         values[lab] = vals
         drifts[lab] = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
     return values, drifts

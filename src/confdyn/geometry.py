@@ -12,6 +12,8 @@ Conventions used everywhere in this package:
 * light-front momentum components p+ = (p0 + p3)/2 and p- = (p0 - p3)/2, so
   the invariant pairing is p.x = p+ x+ + p- x- + p_perp . x_perp and the mass
   shell reads p.p = 4 p+ p- - p_perp . p_perp = m^2.
+* component arrays may be batches: the component index comes first, so a
+  (4, N) array holds N points, and a FourVector may carry (N,) components.
 
 A particle whose squared mass m^2(x) varies over spacetime moves on geodesics
 of the conformally flat metric (m^2/m0^2) eta; everything here stays on flat
@@ -113,23 +115,38 @@ def minkowski_dot(a: FourVector, b: FourVector) -> float:
 
 
 def lower_index(v_upper: np.ndarray) -> np.ndarray:
-    """eta_{mu nu} v^nu for a 4-array of upper components."""
-    return METRIC_DIAG * np.asarray(v_upper, dtype=float)
+    """eta_{mu nu} v^nu for a 4-array (or component-first (4, N) batch) of
+    upper components."""
+    # transposing puts the component axis last, where METRIC_DIAG broadcasts
+    return (METRIC_DIAG * np.asarray(v_upper, dtype=float).T).T
 
 
 def raise_index(v_lower: np.ndarray) -> np.ndarray:
     """eta^{mu nu} v_nu; identical arithmetic to lower_index for diag eta."""
-    return METRIC_DIAG * np.asarray(v_lower, dtype=float)
+    return (METRIC_DIAG * np.asarray(v_lower, dtype=float).T).T
 
 
-def contract(v_upper: np.ndarray, w_lower: np.ndarray) -> float:
+def contract(v_upper: np.ndarray, w_lower: np.ndarray):
     """Natural pairing v^mu w_mu of an upper vector with a covector.
 
     No metric factor enters: both arguments must already carry the stated
-    index positions.
+    index positions.  Two vectors give a float; when either is a
+    component-first batch the result is one pairing per point, each summed
+    by the same dot product as a single pair, so a batch reproduces the
+    per-point values bit for bit.
     """
-    return float(np.dot(np.asarray(v_upper, dtype=float),
-                        np.asarray(w_lower, dtype=float)))
+    v = np.asarray(v_upper, dtype=float)
+    w = np.asarray(w_lower, dtype=float)
+    if v.ndim == 1 and w.ndim == 1:
+        return float(np.dot(v, w))
+    # each point's components made contiguous, as a single vector's are: a
+    # strided dot product may sum in another order
+    return np.vecdot(np.ascontiguousarray(v.T), np.ascontiguousarray(w.T))
+
+
+def scalar_or_array(v):
+    """A float for a single point, the array itself for a batch."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def to_lightfront(x: FourVector) -> LightFrontCoords:

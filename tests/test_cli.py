@@ -55,6 +55,21 @@ def test_simulate_gate_failure_exits_one(tmp_path):
     assert summary["pass"] is False
 
 
+def test_simulate_deterministic_output(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    assert main(_args("simulate", "fig1", a)) == 0
+    assert main(_args("simulate", "fig1", b)) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert names == [f"run_{i:03d}.csv" for i in range(4)] + ["summary.json"]
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    runs = json.loads((a / "summary.json").read_text())["runs"]
+    assert [r["index"] for r in runs] == [0, 1, 2, 3]
+    assert [r["file"] for r in runs] == names[:4]
+
+
 def test_simulate_json_format(tmp_path):
     assert main(_args("simulate", "dilation", tmp_path, "--format", "json")) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())

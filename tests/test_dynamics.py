@@ -417,6 +417,15 @@ def test_state_validation():
         PhaseSpaceState("weird", 0.0, np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
         PhaseSpaceState("instant", 0.0, np.zeros(4), np.zeros(3))
+    # component-first batches: q, p of shape (n, N) with N times
+    batch = PhaseSpaceState("front", np.ones(5), np.zeros((3, 5)), np.ones((3, 5)))
+    assert batch.time.shape == (5,)
+    with pytest.raises(ValueError):
+        PhaseSpaceState("front", 1.0, np.zeros((3, 5)), np.ones((3, 5)))
+    with pytest.raises(ValueError):
+        PhaseSpaceState("front", np.ones(5), np.zeros((3, 5)), np.ones((3, 4)))
+    with pytest.raises(ValueError):
+        PhaseSpaceState("front", np.ones(5), np.zeros((5, 3)), np.ones((5, 3)))
     with pytest.raises(SingularityError):
         front_state(0.0, 0.0, (0, 0), 0.0, (0.1, 0.2))
     with pytest.raises(ValueError):
