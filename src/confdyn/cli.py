@@ -94,9 +94,16 @@ def _geti(cfg, sec, key, default=None):
     return int(_getf(cfg, sec, key, default))
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _getb(cfg, sec, key, default=False):
-    raw = str(_get(cfg, sec, key, str(default))).strip().lower()
-    return raw in ("1", "true", "yes", "on")
+    raw = _get(cfg, sec, key, str(default))
+    try:
+        return _BOOLS[str(raw).strip().lower()]
+    except KeyError:
+        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a boolean") from None
 
 
 def _getfs(cfg, sec, key, n=None, default=None):

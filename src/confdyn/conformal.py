@@ -302,10 +302,6 @@ def killing_vector(g: ConformalGenerator, x: FourVector) -> np.ndarray:
     return g.killing(x)
 
 
-def killing_jacobian(g: ConformalGenerator, x: FourVector) -> np.ndarray:
-    return g.jacobian(x)
-
-
 def divergence(g: ConformalGenerator, x: FourVector) -> float:
     return g.divergence(x)
 

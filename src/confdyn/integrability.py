@@ -15,30 +15,39 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import PhaseSpaceState, poisson_bracket, quantity_partials
+# poisson_bracket stays importable from here; perfbench/bench_trace.py wraps it
+# under this name
+from .dynamics import PhaseSpaceState, poisson_bracket, quantity_partials  # noqa: F401
 
 _DOF = {"instant": 3, "front": 3, "extended": 4}
 
 
-def quantity_jacobian(quantities: Sequence, state: PhaseSpaceState, bg) -> np.ndarray:
-    """Rows are (dQ/dq, dQ/dp) of each quantity at the state."""
-    rows = []
-    for quant in quantities:
-        dq, dp = quantity_partials(quant, state, bg)
-        rows.append(np.concatenate([dq, dp]))
-    return np.asarray(rows)
+def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
+                    bg) -> tuple[list, np.ndarray]:
+    """Each quantity's (dQ/dq, dQ/dp) at each state, computed once, state by
+    state in quantity order (so a failing quantity raises at the same state
+    as in a per-state loop).
+
+    Returns the partials pairs per state and the stacked Jacobians J[state],
+    whose rows are (dQ/dq, dQ/dp) per quantity; ranks, brackets and the
+    subset search all read this one table.
+    """
+    if not states:
+        raise ValueError("need at least one state")
+    parts = [[quantity_partials(quant, st, bg) for quant in quantities]
+             for st in states]
+    jacobians = np.asarray([[np.concatenate([dq, dp]) for dq, dp in row]
+                            for row in parts])
+    return parts, jacobians
 
 
-def _svd_rank(mat: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s
-    return int(np.sum(s > tol * s[0])), s
+def _labels(quantities: Sequence) -> list:
+    return [getattr(q, "label", f"Q{i+1}") for i, q in enumerate(quantities)]
 
 
 @dataclass
@@ -59,21 +68,23 @@ class IndependenceReport:
                 "tol": self.tol, "unanimous": self.unanimous}
 
 
+def _rank_vote(jacobians: np.ndarray, labels: list,
+               tol: float) -> IndependenceReport:
+    """Rank of each state's Jacobian (singular values above tol times the
+    largest), majority-voted over the states."""
+    if not labels:
+        raise ValueError("need at least one quantity")
+    sv = np.linalg.svd(jacobians, compute_uv=False)
+    ranks = [0 if s[0] == 0.0 else int(np.sum(s > tol * s[0])) for s in sv]
+    rank = Counter(ranks).most_common(1)[0][0]
+    return IndependenceReport(labels, ranks, rank, sv[0], tol)
+
+
 def independence_rank(quantities: Sequence, states: Sequence[PhaseSpaceState],
                       bg, tol: float = 1e-8) -> IndependenceReport:
     """Numerical rank of the quantity Jacobian, majority-voted over states."""
-    if not states:
-        raise ValueError("need at least one state")
-    ranks = []
-    sv0 = None
-    for st in states:
-        r, s = _svd_rank(quantity_jacobian(quantities, st, bg), tol)
-        ranks.append(r)
-        if sv0 is None:
-            sv0 = s
-    rank = Counter(ranks).most_common(1)[0][0]
-    labels = [getattr(q, "label", f"Q{i+1}") for i, q in enumerate(quantities)]
-    return IndependenceReport(labels, ranks, rank, sv0, tol)
+    _, jacobians = _partials_table(quantities, states, bg)
+    return _rank_vote(jacobians, _labels(quantities), tol)
 
 
 @dataclass
@@ -101,21 +112,33 @@ class InvolutionTable:
                 "brackets": [[float(v) for v in row] for row in self.brackets]}
 
 
-def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
-                     bg, tol: float = 1e-9) -> InvolutionTable:
-    """Pairwise Poisson brackets, maximized in magnitude over the states."""
-    if not states:
-        raise ValueError("need at least one state")
-    n = len(quantities)
+def _bracket_table(parts: Sequence[list], labels: list, tol: float) -> InvolutionTable:
+    # the same expression as dynamics.poisson_bracket, so every bracket keeps
+    # its last bit; a matrix product would reorder the sums
+    n = len(labels)
     out = np.zeros((n, n))
-    for st in states:
+    for row in parts:
         for i, j in itertools.combinations(range(n), 2):
-            b = abs(poisson_bracket(quantities[i], quantities[j], st, bg))
+            (dqf, dpf), (dqg, dpg) = row[i], row[j]
+            b = abs(float(dqf @ dpg - dpf @ dqg))
             if b > out[i, j]:
                 out[i, j] = b
                 out[j, i] = b
-    labels = [getattr(q, "label", f"Q{i+1}") for i, q in enumerate(quantities)]
     return InvolutionTable(labels, out, tol)
+
+
+def _check_canonical(states: Sequence[PhaseSpaceState]) -> None:
+    for st in states:
+        if st.form not in _DOF:
+            raise ValueError(f"no canonical structure for form {st.form!r}")
+
+
+def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
+                     bg, tol: float = 1e-9) -> InvolutionTable:
+    """Pairwise Poisson brackets, maximized in magnitude over the states."""
+    _check_canonical(states)
+    parts, _ = _partials_table(quantities, states, bg)
+    return _bracket_table(parts, _labels(quantities), tol)
 
 
 @dataclass
@@ -147,12 +170,14 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
     mutually in involution and itself of full rank n; the label then follows
     from k = r - n.  Returns "not certified" when either requirement fails.
     """
-    form = states[0].form
-    if form not in _DOF:
-        raise ValueError(f"no canonical structure for form {form!r}")
-    n = _DOF[form]
-    indep = independence_rank(quantities, states, bg, rank_tol)
-    invol = involution_table(quantities, states, bg, bracket_tol)
+    if not states:
+        raise ValueError("need at least one state")
+    _check_canonical(states)
+    n = _DOF[states[0].form]
+    labels = _labels(quantities)
+    parts, jacobians = _partials_table(quantities, states, bg)
+    indep = _rank_vote(jacobians, labels, rank_tol)
+    invol = _bracket_table(parts, labels, bracket_tol)
     r = indep.rank
 
     subset = None
@@ -160,9 +185,9 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
         for idx in itertools.combinations(range(len(quantities)), n):
             if not invol.is_involutive(idx):
                 continue
-            sub = [quantities[i] for i in idx]
-            if independence_rank(sub, states, bg, rank_tol).rank == n:
-                subset = [invol.labels[i] for i in idx]
+            sub = [labels[i] for i in idx]
+            if _rank_vote(jacobians[:, list(idx)], sub, rank_tol).rank == n:
+                subset = sub
                 break
 
     if subset is None:

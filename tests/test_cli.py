@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from confdyn.cli import main
+from confdyn.cli import _getb, main
+from confdyn.errors import ConfigError
 
 
 def _args(command, preset, out, *extra):
@@ -113,6 +114,16 @@ def test_certify_truncated_set(tmp_path):
     assert cert["label"] == "not certified"
 
 
+@pytest.mark.parametrize("preset", ["conformal", "planewave"])
+def test_certify_deterministic_output(tmp_path, preset):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    assert main(_args("certify", preset, a)) == 0
+    assert main(_args("certify", preset, b)) == 0
+    assert ((a / "certification.json").read_bytes()
+            == (b / "certification.json").read_bytes())
+
+
 def test_certify_unexpected_label_fails(tmp_path):
     code = main(_args("certify", "spacelike", tmp_path,
                       "--set", "certify.expect=integrable"))
@@ -199,6 +210,28 @@ def test_bad_override_grammar_exits_two(tmp_path):
 def test_bad_numeric_value_exits_two(tmp_path):
     assert main(_args("simulate", "fig1", tmp_path,
                       "--set", "run.tend=fast")) == 2
+
+
+def test_boolean_typo_exits_two(tmp_path, capsys):
+    # a misspelt boolean must not silently integrate the unswitched field
+    assert main(_args("simulate", "fig1", tmp_path,
+                      "--set", "background.switched=ture")) == 2
+    assert "not a boolean" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("raw, value", [("1", True), (" TRUE ", True),
+                                        ("Yes", True), ("on", True),
+                                        ("0", False), ("False", False),
+                                        (" no", False), ("OFF", False)])
+def test_boolean_spellings(raw, value):
+    assert _getb({"run": {"flag": raw}}, "run", "flag") is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "", "2", "y", "none"])
+def test_boolean_typos_rejected(raw):
+    with pytest.raises(ConfigError):
+        _getb({"run": {"flag": raw}}, "run", "flag")
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

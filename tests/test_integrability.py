@@ -1,9 +1,12 @@
 """Independence ranks, involution tables, and certification labels."""
 
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from confdyn import backgrounds, conformal, integrability
+from confdyn import backgrounds, cli, conformal, dynamics, integrability
 from confdyn.conformal import ConservedQuantity, generator_quantity, quantity_product
 from confdyn.dynamics import extended_state_on_shell
 from confdyn.integrability import (
@@ -208,6 +211,11 @@ def test_empty_state_list_rejected():
         independence_rank(qs, [], bg)
     with pytest.raises(ValueError):
         involution_table(qs, [], bg)
+    with pytest.raises(ValueError, match="need at least one state"):
+        classify(qs, [], bg)
+    _, states = _spacelike_states(count=2)
+    with pytest.raises(ValueError):
+        independence_rank([], states, bg)
 
 
 def test_certification_json_roundtrip(tmp_path):
@@ -221,3 +229,93 @@ def test_certification_json_roundtrip(tmp_path):
     assert blob["rank"] == 5
     assert blob["independence"]["unanimous"] is True
     assert len(blob["involution"]["brackets"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# the shared partials table against the per-call algorithm
+# ---------------------------------------------------------------------------
+
+def _cli_certify_inputs(preset):
+    # the quantities and states `certify --preset NAME` classifies at count 24
+    cfg = cli.preset_config(preset)
+    assert cfg["certify"]["count"] == "24"
+    bg = cli._background(cfg)
+    states = cli._certify_states(cfg, bg, cfg["certify"]["form"], 24,
+                                 np.random.default_rng(20240811))
+    mon_cfg = cli._merge(cfg, {"monitor": {"set": cfg["certify"]["set"],
+                                           "extra": ""}})
+    quantities, _ = cli._monitors(mon_cfg, bg)
+    return quantities, states, bg
+
+
+def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
+    """classify().to_dict() rebuilt the slow way: one poisson_bracket per
+    pair and state, one Jacobian from quantity_partials per subset and state."""
+    labels = [q.label for q in quantities]
+    m = len(quantities)
+    brackets = np.zeros((m, m))
+    for st in states:
+        for i, j in itertools.combinations(range(m), 2):
+            b = abs(dynamics.poisson_bracket(quantities[i], quantities[j], st, bg))
+            if b > brackets[i, j]:
+                brackets[i, j] = brackets[j, i] = b
+
+    def vote(qs):
+        ranks, sv0 = [], None
+        for st in states:
+            jac = np.asarray([np.concatenate(dynamics.quantity_partials(q, st, bg))
+                              for q in qs])
+            s = np.linalg.svd(jac, compute_uv=False)
+            ranks.append(0 if s[0] == 0.0 else int(np.sum(s > rank_tol * s[0])))
+            if sv0 is None:
+                sv0 = s
+        return Counter(ranks).most_common(1)[0][0], ranks, sv0
+
+    n = {"instant": 3, "front": 3, "extended": 4}[states[0].form]
+    rank, ranks, sv0 = vote(quantities)
+    subset = None
+    if rank >= n and m >= n:
+        for idx in itertools.combinations(range(m), n):
+            if any(brackets[i, j] > bracket_tol
+                   for i, j in itertools.combinations(idx, 2)):
+                continue
+            if vote([quantities[i] for i in idx])[0] == n:
+                subset = [labels[i] for i in idx]
+                break
+    k = 0 if subset is None else rank - n
+    if subset is None:
+        label = "not certified"
+    elif k <= 0:
+        label = "integrable"
+    elif k >= n - 1:
+        label = "maximally superintegrable"
+    elif k == 1:
+        label = "minimally superintegrable"
+    else:
+        label = "superintegrable"
+    return {"label": label, "rank": rank, "dof": n, "extra": k,
+            "involutive_subset": subset or [],
+            "independence": {"labels": labels, "rank": rank, "ranks": ranks,
+                             "singular_values": [float(s) for s in sv0],
+                             "tol": rank_tol,
+                             "unanimous": all(r == rank for r in ranks)},
+            "involution": {"labels": labels, "tol": bracket_tol,
+                           "brackets": [[float(v) for v in row]
+                                        for row in brackets]}}
+
+
+@pytest.mark.parametrize("preset", ["planewave", "dilation", "spacelike",
+                                    "conformal", "truncated"])
+def test_classify_equals_per_call_algorithm(preset, monkeypatch):
+    quantities, states, bg = _cli_certify_inputs(preset)
+    expected = _per_call_certification(quantities, states, bg, 1e-8, 1e-9)
+    calls = []
+
+    def counted(quant, state, bgr, *args):
+        calls.append(1)
+        return dynamics.quantity_partials(quant, state, bgr, *args)
+
+    monkeypatch.setattr(integrability, "quantity_partials", counted)
+    got = classify(quantities, states, bg, rank_tol=1e-8, bracket_tol=1e-9)
+    assert got.to_dict() == expected
+    assert len(calls) == len(states) * len(quantities)
