@@ -262,6 +262,19 @@ def special_conformal_mass(f: Callable[[float], float], df: Callable[[float], fl
     )
 
 
+def gaussian_profile(m0sq: float, L: float, k: float):
+    """(f, df) of the Gaussian profile f(u) = m0^2 L^2 exp(-k^2 u^2)."""
+    A = m0sq * L * L
+
+    def f(u):
+        return A * np.exp(-(k * u) ** 2)
+
+    def df(u):
+        return -2.0 * k * k * u * f(u)
+
+    return f, df
+
+
 def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
                                k: float = 1.0) -> ScalarBackground:
     """Constant m0^2 before the light front x+ = L, then the inverse-square
@@ -272,15 +285,7 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
     branch entering at x- = 0 does)."""
     if L <= 0:
         raise ValueError("switch position L must be positive")
-    A = m0sq * L * L
-
-    def f(u):
-        return A * np.exp(-(k * u) ** 2)
-
-    def df(u):
-        return -2.0 * k * k * u * f(u)
-
-    pure = special_conformal_mass(f, df)
+    pure = special_conformal_mass(*gaussian_profile(m0sq, L, k))
 
     def m2(x):
         if x.xplus <= L:
@@ -305,16 +310,8 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
 def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
                                k: float = 1.0) -> ScalarBackground:
     """The unswitched inverse-square Gaussian profile f(u) = m0^2 L^2 e^{-k^2 u^2}."""
-    A = m0sq * L * L
-
-    def f(u):
-        return A * np.exp(-(k * u) ** 2)
-
-    def df(u):
-        return -2.0 * k * k * u * f(u)
-
     return special_conformal_mass(
-        f, df, label="special_conformal_gaussian",
+        *gaussian_profile(m0sq, L, k), label="special_conformal_gaussian",
         params={"profile": "gaussian", "m0sq": m0sq, "L": L, "k": k})
 
 
@@ -366,16 +363,26 @@ def from_callable(m2_fn: Callable[[FourVector], float],
 # config-driven construction (used by the command line layer)
 # ---------------------------------------------------------------------------
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def parse_bool(raw) -> bool:
+    """A bool or any case of 1/0, true/false, yes/no, on/off; else ValueError."""
+    key = str(raw).strip().lower()
+    if key not in _BOOLS:
+        raise ValueError(f"{raw!r} is not a boolean")
+    return _BOOLS[key]
+
+
 def from_params(params: dict) -> ScalarBackground:
     """Build a background from a flat parameter dictionary with a 'family' key."""
     fam = params.get("family")
     if fam == "constant":
         return constant(float(params.get("m0sq", 1.0)))
     if fam == "linear_z":
-        sw = params.get("switched", True)
-        if isinstance(sw, str):
-            sw = sw.strip().lower() in ("1", "true", "yes", "on")
-        return linear_z(float(params["B"]), float(params.get("m0sq", 1.0)), sw)
+        return linear_z(float(params["B"]), float(params.get("m0sq", 1.0)),
+                        parse_bool(params.get("switched", True)))
     if fam == "plane_wave":
         prof = params.get("profile", "sin2")
         arg = params.get("argument", "xplus")

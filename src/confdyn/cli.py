@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,9 +32,9 @@ import numpy as np
 from scipy.special import erf
 
 from . import analytic, backgrounds, conformal, integrability, kgverify
-from .dynamics import (EvolveOptions, PhaseSpaceState, covariant_state, evolve,
-                       extended_state, extended_state_on_shell, front_state,
-                       instant_state)
+from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
+                       evolve, extended_state, extended_state_on_shell,
+                       front_state, instant_state)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, LightFrontCoords, from_lightfront
 
@@ -85,24 +86,23 @@ def _get(cfg, sec, key, default=None):
 def _getf(cfg, sec, key, default=None):
     raw = _get(cfg, sec, key, None if default is None else str(default))
     try:
-        return float(raw)
+        val = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"[{sec}] {key} = {raw!r} is not a number")
+    if not math.isfinite(val):
+        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a finite number")
+    return val
 
 
 def _geti(cfg, sec, key, default=None):
     return int(_getf(cfg, sec, key, default))
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
 def _getb(cfg, sec, key, default=False):
     raw = _get(cfg, sec, key, str(default))
     try:
-        return _BOOLS[str(raw).strip().lower()]
-    except KeyError:
+        return backgrounds.parse_bool(raw)
+    except ValueError:
         raise ConfigError(f"[{sec}] {key} = {raw!r} is not a boolean") from None
 
 
@@ -112,6 +112,8 @@ def _getfs(cfg, sec, key, n=None, default=None):
         vals = [float(v) for v in str(raw).split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"[{sec}] {key} = {raw!r} is not a number list")
+    if not all(math.isfinite(v) for v in vals):
+        raise ConfigError(f"[{sec}] {key} = {raw!r} holds a non-finite number")
     if n is not None and len(vals) != n:
         raise ConfigError(f"[{sec}] {key} needs {n} comma-separated numbers")
     return vals
@@ -285,8 +287,8 @@ def _initial_state(cfg, bg) -> PhaseSpaceState:
         if str(praw).strip().lower() == "shell":
             return extended_state_on_shell(bg, xplus, xminus, xperp, pminus,
                                            pperp, s=s0)
-        return extended_state(xplus, xminus, xperp, float(praw), pminus,
-                              pperp, s=s0)
+        return extended_state(xplus, xminus, xperp, _getf(cfg, "initial", "pplus"),
+                              pminus, pperp, s=s0)
     if form == "covariant":
         x = FourVector(*_getfs(cfg, "initial", "x4", 4))
         u = FourVector(*_getfs(cfg, "initial", "xdot", 4))
@@ -334,7 +336,7 @@ def _monitors(cfg, bg) -> list:
 
 
 def _evolve_options(cfg) -> EvolveOptions:
-    return EvolveOptions(
+    opts = EvolveOptions(
         rtol=_getf(cfg, "run", "rtol", 1e-10),
         atol=_getf(cfg, "run", "atol", 1e-10),
         method=_get(cfg, "run", "method", "rk45"),
@@ -343,6 +345,11 @@ def _evolve_options(cfg) -> EvolveOptions:
         samples=_geti(cfg, "run", "samples", 400),
         nonrelativistic=_getb(cfg, "run", "nonrelativistic", False),
     )
+    if opts.method not in ("rk45", "rk4"):
+        raise ConfigError(f"[run] method = {opts.method!r} is neither rk45 nor rk4")
+    if opts.method == "rk4" and (opts.step is None or opts.step <= 0.0):
+        raise ConfigError("[run] method = rk4 needs a positive [run] step")
+    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +367,22 @@ def _sweep_configs(cfg) -> list:
     return out
 
 
-def _run_one(run_cfg, index: int, out_dir: Path, fmt: str, tol_rel: float):
+def _setup_run(run_cfg) -> tuple:
+    """(bg, state, span, options, quantities, gated), checked before any run."""
     bg = _background(run_cfg)
     state = _initial_state(run_cfg, bg)
     span = (_getf(run_cfg, "run", "tstart", 0.0), _getf(run_cfg, "run", "tend"))
-    quantities, gated = _monitors(run_cfg, bg)
-    traj = evolve(state, bg, span, _evolve_options(run_cfg),
-                  monitors=quantities)
+    if not span[1] > span[0]:
+        raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
+    opts = _evolve_options(run_cfg)
+    if opts.method == "rk4" and bg.events:
+        raise ConfigError(f"[run] method = rk4 cannot cross the switch of {bg.label}")
+    return (bg, state, span, opts) + _monitors(run_cfg, bg)
+
+
+def _run_one(setup, index: int, out_dir: Path, fmt: str, tol_rel: float):
+    bg, state, span, opts, quantities, gated = setup
+    traj = evolve(state, bg, span, opts, monitors=quantities)
     name = f"run_{index:03d}.{ 'json' if fmt == 'json' else 'csv' }"
     path = out_dir / name
     if fmt == "json":
@@ -389,8 +405,9 @@ def _run_one(run_cfg, index: int, out_dir: Path, fmt: str, tol_rel: float):
 
 def cmd_simulate(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
                  seed: int) -> int:
-    results = [_run_one(rc, i, out_dir, fmt, tol_rel)
-               for i, rc in enumerate(_sweep_configs(cfg))]
+    setups = [_setup_run(rc) for rc in _sweep_configs(cfg)]
+    results = [_run_one(setup, i, out_dir, fmt, tol_rel)
+               for i, setup in enumerate(setups)]
     summary = {"command": "simulate", "seed": seed, "tol_rel": tol_rel,
                "runs": results, "pass": all(r["pass"] for r in results)}
     with open(out_dir / "summary.json", "w") as fh:
@@ -432,12 +449,16 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
                 seed: int) -> int:
     bg = _background(cfg)
     form = _get(cfg, "certify", "form", "instant")
+    if form not in FORMS or not FORMS[form].canonical:
+        raise ConfigError(f"[certify] form = {form!r} has no canonical bracket")
     count = _geti(cfg, "certify", "count", 24)
-    rng = np.random.default_rng(seed)
-    states = _certify_states(cfg, bg, form, count, rng)
     mon_cfg = _merge(cfg, {"monitor": {"set": _get(cfg, "certify", "set"),
                                        "extra": ""}})
     quantities, _ = _monitors(mon_cfg, bg)
+    if not quantities:
+        raise ConfigError("[certify] set names no quantities")
+    rng = np.random.default_rng(seed)
+    states = _certify_states(cfg, bg, form, count, rng)
     cert = integrability.classify(quantities, states, bg,
                                   rank_tol=tol_rel, bracket_tol=tol_abs)
     cert.to_json(out_dir / "certification.json")
@@ -471,12 +492,7 @@ def _kg_setup(cfg, rng):
         if "special_conformal" not in p.get("family", ""):
             raise ConfigError("conformal solution needs an inverse-square "
                               "background family")
-        A = _getf(cfg, "background", "m0sq", 1.0) * _getf(
-            cfg, "background", "L", 1.0) ** 2
-        k = _getf(cfg, "background", "k", 1.0)
-
-        def f(u):
-            return A * np.exp(-(k * u) ** 2)
+        f, _ = backgrounds.gaussian_profile(p["m0sq"], p["L"], p["k"])
         qperp = _getfs(cfg, "kg", "qperp", 2, "0.25,-0.15")
         q3 = _getf(cfg, "kg", "q3", 0.8)
         phi = kgverify.make_conformal_solution(qperp, q3, f)
@@ -571,13 +587,9 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     elif fam == "plane_wave":
         orb = analytic.planewave_orbit(bg, state)
     elif fam in ("special_conformal_switched", "special_conformal_gaussian"):
-        A = _getf(cfg, "background", "m0sq", 1.0) * _getf(
-            cfg, "background", "L", 1.0) ** 2
-        k = _getf(cfg, "background", "k", 1.0)
-        orb = analytic.conformal_orbit(
-            lambda u: A * np.exp(-(k * u) ** 2), state,
-            df=lambda u: -2.0 * k * k * u * A * np.exp(-(k * u) ** 2),
-            xplus_max=w1)
+        f, df = backgrounds.gaussian_profile(bg.params["m0sq"], bg.params["L"],
+                                             bg.params["k"])
+        orb = analytic.conformal_orbit(f, state, df=df, xplus_max=w1)
     else:
         raise ConfigError(f"no closed form for family {fam!r}")
     ws = np.linspace(w0, w1, _geti(cfg, "run", "samples", 400))

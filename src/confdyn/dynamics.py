@@ -1,6 +1,8 @@
 """Hamiltonian flows for a relativistic particle in a scalar background.
 
-Forms of dynamics and their canonical variables:
+Forms of dynamics and their canonical variables; the layout of each (time
+and column names, the point of (t, q), the on-shell momentum, the p- slot,
+the bracket) lives in one Form record of FORMS:
 
 instant    time t,  q = (x, y, z),          p = (p1, p2, p3),  H = sqrt(p.p + m^2)
 front      time x+, q = (x-, x1, x2),       p = (p-, p1, p2),  H = (p_perp.p_perp + m^2)/(4 p-)
@@ -36,9 +38,56 @@ from scipy.integrate import solve_ivp
 
 from .errors import ReconstructionError, SingularityError
 from .geometry import (FourVector, contract, lf_gradient, lower_index,
-                       raise_index, scalar_or_array)
+                       momenta_from_lf, raise_index, scalar_or_array)
 
-_FORMS = ("instant", "front", "extended", "covariant")
+
+@dataclass(frozen=True)
+class Form:
+    """Layout of one phase space (see the module docstring)."""
+
+    time_name: str
+    q_names: tuple
+    p_names: tuple
+    position: Callable       # (time, q) -> FourVector; reads only q[:dof]
+    momentum: Callable       # (state, bg) -> lower-index (p0, p1, p2, p3)
+    pminus: Optional[int]    # slot of p- in p, None where it is no coordinate
+    canonical: bool          # carries a Poisson bracket
+
+    @property
+    def dof(self) -> int:
+        return len(self.q_names)
+
+
+def _covariant_momentum(state: PhaseSpaceState, bg) -> np.ndarray:
+    m = bg.mass(state.position())
+    if _any(m <= 0.0):
+        raise ReconstructionError("covariant momentum needs m > 0")
+    return m * lower_index(state.p)
+
+
+FORMS = {
+    "instant": Form(
+        "t", ("x", "y", "z"), ("p1", "p2", "p3"),
+        lambda t, q: FourVector(t, q[0], q[1], q[2]),
+        lambda st, bg: np.array([hamiltonian_instant(st, bg), st.p[0], st.p[1],
+                                 st.p[2]]),
+        None, True),
+    "front": Form(
+        "xplus", ("xminus", "x1", "x2"), ("pminus", "p1", "p2"),
+        lambda t, q: FourVector(0.5 * (t + q[0]), q[1], q[2], 0.5 * (t - q[0])),
+        lambda st, bg: momenta_from_lf(hamiltonian_front(st, bg), *st.p),
+        0, True),
+    "extended": Form(
+        "s", ("xplus", "xminus", "x1", "x2"), ("pplus", "pminus", "p1", "p2"),
+        lambda s, q: FourVector(0.5 * (q[0] + q[1]), q[2], q[3],
+                                0.5 * (q[0] - q[1])),
+        lambda st, bg: momenta_from_lf(*st.p),
+        1, True),
+    "covariant": Form(
+        "tau", ("x0", "x1", "x2", "x3"), ("u0", "u1", "u2", "u3"),
+        lambda tau, q: FourVector(q[0], q[1], q[2], q[3]),
+        _covariant_momentum, None, False),
+}
 
 
 @dataclass(frozen=True)
@@ -57,11 +106,11 @@ class PhaseSpaceState:
     p: np.ndarray
 
     def __post_init__(self):
-        if self.form not in _FORMS:
+        if self.form not in FORMS:
             raise ValueError(f"unknown form {self.form!r}")
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        n = {"instant": 3, "front": 3, "extended": 4, "covariant": 4}[self.form]
+        n = FORMS[self.form].dof
         if q.ndim > 2 or q.shape[:1] != (n,) or p.shape != q.shape:
             raise ValueError(f"form {self.form!r} needs q, p of shape ({n},) "
                              f"or ({n}, N)")
@@ -75,35 +124,12 @@ class PhaseSpaceState:
 
     def position(self) -> FourVector:
         """Spacetime point of the state (upper-index components)."""
-        if self.form == "instant":
-            return FourVector(self.time, self.q[0], self.q[1], self.q[2])
-        if self.form == "front":
-            xplus, xminus = self.time, self.q[0]
-            return FourVector(0.5 * (xplus + xminus), self.q[1], self.q[2],
-                              0.5 * (xplus - xminus))
-        if self.form == "extended":
-            xplus, xminus = self.q[0], self.q[1]
-            return FourVector(0.5 * (xplus + xminus), self.q[2], self.q[3],
-                              0.5 * (xplus - xminus))
-        return FourVector(*self.q)
+        return FORMS[self.form].position(self.time, self.q)
 
     def four_momentum(self, bg) -> np.ndarray:
         """Lower-index (p0, p1, p2, p3), reconstructed on shell where the
         form eliminates a component."""
-        if self.form == "instant":
-            H = hamiltonian_instant(self, bg)
-            return np.array([H, self.p[0], self.p[1], self.p[2]])
-        if self.form == "front":
-            pplus = hamiltonian_front(self, bg)
-            pminus = self.p[0]
-            return np.array([pplus + pminus, self.p[1], self.p[2], pplus - pminus])
-        if self.form == "extended":
-            pplus, pminus = self.p[0], self.p[1]
-            return np.array([pplus + pminus, self.p[2], self.p[3], pplus - pminus])
-        m = bg.mass(self.position())
-        if _any(m <= 0.0):
-            raise ReconstructionError("covariant momentum needs m > 0")
-        return m * lower_index(self.p)
+        return FORMS[self.form].momentum(self, bg)
 
     def xdot(self) -> FourVector:
         if self.form != "covariant":
@@ -236,8 +262,8 @@ def poisson_bracket(f, g, state: PhaseSpaceState, bg, h_scale: float = 1e-6) -> 
     """{f, g} = df/dq.dg/dp - df/dp.dg/dq over the canonical pairs of the
     state's form (pairs are matched by position in q and p; the extended form
     includes the (x+, p+) pair)."""
-    if state.form == "covariant":
-        raise ValueError("the covariant form carries no canonical bracket here")
+    if not FORMS[state.form].canonical:
+        raise ValueError(f"the {state.form} form carries no canonical bracket here")
     dqf, dpf = quantity_partials(f, state, bg, h_scale)
     dqg, dpg = quantity_partials(g, state, bg, h_scale)
     return float(dqf @ dpg - dpf @ dqg)
@@ -248,8 +274,10 @@ def poisson_bracket(f, g, state: PhaseSpaceState, bg, h_scale: float = 1e-6) -> 
 # ---------------------------------------------------------------------------
 
 def _rhs_instant(bg, nonrel: bool):
+    position = FORMS["instant"].position
+
     def rhs(t, y):
-        pos = FourVector(t, y[0], y[1], y[2])
+        pos = position(t, y)
         p = y[3:6]
         m2 = bg.m2(pos)
         g = bg.grad_m2(pos)
@@ -262,49 +290,32 @@ def _rhs_instant(bg, nonrel: bool):
     return rhs
 
 
-def _rhs_front(bg):
+def _rhs_lightfront(bg, extended: bool):
+    """Front and extended flows.  The front form is the extended form with x+
+    as its time: it drops dx+/ds = 1 and the p+ equation, and both end their
+    y with (p-, p1, p2)."""
+    position = FORMS["extended" if extended else "front"].position
+
     def rhs(t, y):
-        pos = FourVector(0.5 * (t + y[0]), y[1], y[2], 0.5 * (t - y[0]))
-        pminus, p1, p2 = y[3], y[4], y[5]
+        pos = position(t, y)
+        pminus, p1, p2 = y[-3], y[-2], y[-1]
         m2 = bg.m2(pos)
         lfg = lf_gradient(bg.grad_m2(pos))
         pp = p1 * p1 + p2 * p2
-        return np.array([
-            (pp + m2) / (4.0 * pminus ** 2),
-            -p1 / (2.0 * pminus),
-            -p2 / (2.0 * pminus),
-            lfg[1] / (4.0 * pminus),
-            lfg[2] / (4.0 * pminus),
-            lfg[3] / (4.0 * pminus),
-        ])
-    return rhs
-
-
-def _rhs_extended(bg):
-    def rhs(s, y):
-        xplus, xminus = y[0], y[1]
-        pos = FourVector(0.5 * (xplus + xminus), y[2], y[3],
-                         0.5 * (xplus - xminus))
-        pminus, p1, p2 = y[5], y[6], y[7]
-        m2 = bg.m2(pos)
-        lfg = lf_gradient(bg.grad_m2(pos))
-        pp = p1 * p1 + p2 * p2
-        return np.array([
-            1.0,
-            (pp + m2) / (4.0 * pminus ** 2),
-            -p1 / (2.0 * pminus),
-            -p2 / (2.0 * pminus),
-            lfg[0] / (4.0 * pminus),
-            lfg[1] / (4.0 * pminus),
-            lfg[2] / (4.0 * pminus),
-            lfg[3] / (4.0 * pminus),
-        ])
+        w = 4.0 * pminus
+        flow = ((pp + m2) / (4.0 * pminus ** 2), -p1 / (2.0 * pminus),
+                -p2 / (2.0 * pminus), lfg[1] / w, lfg[2] / w, lfg[3] / w)
+        if extended:
+            return np.array((1.0, *flow[:3], lfg[0] / w, *flow[3:]))
+        return np.array(flow)
     return rhs
 
 
 def _rhs_covariant(bg):
+    position = FORMS["covariant"].position
+
     def rhs(tau, y):
-        pos = FourVector(*y[0:4])
+        pos = position(tau, y)
         u = y[4:8]
         m2 = bg.m2(pos)
         g = bg.grad_m2(pos)
@@ -319,26 +330,9 @@ def _make_rhs(form: str, bg, nonrel: bool):
         return _rhs_instant(bg, nonrel)
     if nonrel:
         raise ValueError("the nonrelativistic flow applies to the instant form")
-    if form == "front":
-        return _rhs_front(bg)
-    if form == "extended":
-        return _rhs_extended(bg)
-    return _rhs_covariant(bg)
-
-
-def _position_of(form: str, t: float, y: np.ndarray) -> FourVector:
-    if form == "instant":
-        return FourVector(t, y[0], y[1], y[2])
-    if form == "front":
-        return FourVector(0.5 * (t + y[0]), y[1], y[2], 0.5 * (t - y[0]))
-    if form == "extended":
-        return FourVector(0.5 * (y[0] + y[1]), y[2], y[3], 0.5 * (y[0] - y[1]))
-    return FourVector(*y[0:4])
-
-
-def _split(form: str, y: np.ndarray):
-    n = {"instant": 3, "front": 3, "extended": 4, "covariant": 4}[form]
-    return y[:n], y[n:]
+    if form == "covariant":
+        return _rhs_covariant(bg)
+    return _rhs_lightfront(bg, form == "extended")
 
 
 @dataclass
@@ -384,16 +378,8 @@ class Trajectory:
         return [self.state(i) for i in range(len(self))]
 
     def column_names(self):
-        names = {
-            "instant": (["x", "y", "z"], ["p1", "p2", "p3"]),
-            "front": (["xminus", "x1", "x2"], ["pminus", "p1", "p2"]),
-            "extended": (["xplus", "xminus", "x1", "x2"],
-                         ["pplus", "pminus", "p1", "p2"]),
-            "covariant": (["x0", "x1", "x2", "x3"], ["u0", "u1", "u2", "u3"]),
-        }[self.form]
-        tname = {"instant": "t", "front": "xplus", "extended": "s",
-                 "covariant": "tau"}[self.form]
-        return tname, names[0], names[1]
+        form = FORMS[self.form]
+        return form.time_name, list(form.q_names), list(form.p_names)
 
     def to_csv(self, path):
         tname, qn, pn = self.column_names()
@@ -504,13 +490,9 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     else:
         raise ValueError(f"unknown method {opts.method!r}")
 
-    qs, ps = [], []
-    for y in ys:
-        q, p = _split(state0.form, y)
-        qs.append(q)
-        ps.append(p)
+    n = FORMS[state0.form].dof
     traj = Trajectory(form=state0.form, times=np.asarray(times),
-                      q=np.asarray(qs), p=np.asarray(ps),
+                      q=ys[:, :n], p=ys[:, n:],
                       background=bg.label, events_log=elog, stats=stats,
                       nonrelativistic=opts.nonrelativistic)
     if monitors:
@@ -523,19 +505,18 @@ def _evolve_rk45(state0, bg, span, opts, rhs, grid):
     span_len = t1 - t0
     nudge = 1e-12 * span_len
 
+    form = FORMS[state0.form]
     surface_events = []
     if opts.events:
         for name, fn in bg.events:
-            def ev(t, y, _fn=fn, _form=state0.form):
-                return _fn(_position_of(_form, t, y))
+            def ev(t, y, _fn=fn):
+                return _fn(form.position(t, y))
             ev.terminal = True
             surface_events.append((name, ev))
 
     guard_events = []
-    if state0.form in ("front", "extended"):
-        ip = {"front": 3, "extended": 5}[state0.form]
-
-        def pminus_guard(t, y, _i=ip):
+    if form.pminus is not None:
+        def pminus_guard(t, y, _i=form.dof + form.pminus):
             return y[_i]
         pminus_guard.terminal = True
         guard_events.append(("p-=0", pminus_guard))

@@ -22,9 +22,8 @@ import numpy as np
 
 # poisson_bracket stays importable from here; perfbench/bench_trace.py wraps it
 # under this name
-from .dynamics import PhaseSpaceState, poisson_bracket, quantity_partials  # noqa: F401
-
-_DOF = {"instant": 3, "front": 3, "extended": 4}
+from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
+                       quantity_partials)
 
 
 def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
@@ -129,7 +128,7 @@ def _bracket_table(parts: Sequence[list], labels: list, tol: float) -> Involutio
 
 def _check_canonical(states: Sequence[PhaseSpaceState]) -> None:
     for st in states:
-        if st.form not in _DOF:
+        if not FORMS[st.form].canonical:
             raise ValueError(f"no canonical structure for form {st.form!r}")
 
 
@@ -173,7 +172,7 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
     if not states:
         raise ValueError("need at least one state")
     _check_canonical(states)
-    n = _DOF[states[0].form]
+    n = FORMS[states[0].form].dof
     labels = _labels(quantities)
     parts, jacobians = _partials_table(quantities, states, bg)
     indep = _rank_vote(jacobians, labels, rank_tol)

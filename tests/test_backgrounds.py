@@ -166,6 +166,20 @@ def test_from_params_dispatch_and_errors():
         backgrounds.from_params({"family": "nope"})
 
 
+@pytest.mark.parametrize("raw, value", [(" Yes", True), ("ON", True), (True, True),
+                                        ("0", False), ("off ", False), (False, False)])
+def test_from_params_switched_spellings(raw, value):
+    bg = backgrounds.from_params({"family": "linear_z", "B": "1", "switched": raw})
+    assert bg.params["switched"] is value
+
+
+@pytest.mark.parametrize("raw", ["ture", "", "2", "y", "none"])
+def test_from_params_switched_typo_rejected(raw):
+    # a misspelt boolean must not build the unswitched field
+    with pytest.raises(ValueError, match="not a boolean"):
+        backgrounds.from_params({"family": "linear_z", "B": "1", "switched": raw})
+
+
 def test_m2_integral_quadrature_fallback():
     # a family without a stored antiderivative integrates the profile
     user = backgrounds.from_callable(lambda x: 1.0 + 0.2 * x.xplus ** 2)

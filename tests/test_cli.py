@@ -71,6 +71,25 @@ def test_simulate_deterministic_output(tmp_path):
     assert [r["file"] for r in runs] == names[:4]
 
 
+_COVARIANT = ("--set", "run.form=covariant", "--set", "initial.x4=2,0.1,-0.1,0.3",
+              "--set", "initial.xdot=1,0,0,0", "--set", "run.tstart=0",
+              "--set", "run.tend=1.5", "--set", "monitor.extra=")
+
+
+@pytest.mark.parametrize("preset, extra", [("fig2", ()), ("dilation", _COVARIANT)],
+                         ids=["fig2-front", "dilation-covariant"])
+def test_simulate_deterministic_output_other_forms(tmp_path, preset, extra):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    assert main(_args("simulate", preset, a, *extra)) == 0
+    assert main(_args("simulate", preset, b, *extra)) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert len(names) == len(json.loads((a / "summary.json").read_text())["runs"]) + 1
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_simulate_json_format(tmp_path):
     assert main(_args("simulate", "dilation", tmp_path, "--format", "json")) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -232,6 +251,24 @@ def test_boolean_spellings(raw, value):
 def test_boolean_typos_rejected(raw):
     with pytest.raises(ConfigError):
         _getb({"run": {"flag": raw}}, "run", "flag")
+
+
+@pytest.mark.parametrize("command, preset, overrides", [
+    ("certify", "spacelike", ["certify.set=none"]),
+    ("certify", "spacelike", ["certify.form=covariant"]),
+    ("simulate", "dilation", ["run.tend=1"]),
+    ("simulate", "dilation", ["run.method=rk4"]),
+    ("simulate", "dilation", ["initial.p=nan,0,0"]),
+    ("simulate", "dilation", ["run.method=euler"]),
+    # fig1's field switches on at z = 0, which the fixed-step method cannot cross
+    ("simulate", "fig1", ["run.method=rk4", "run.step=0.01"]),
+])
+def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
+                                                   preset, overrides):
+    sets = [a for o in overrides for a in ("--set", o)]
+    assert main(_args(command, preset, tmp_path, *sets)) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

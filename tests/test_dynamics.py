@@ -7,8 +7,11 @@ import pytest
 
 from confdyn import backgrounds, conformal
 from confdyn.dynamics import (
+    FORMS,
     EvolveOptions,
     PhaseSpaceState,
+    Trajectory,
+    _make_rhs,
     covariant_state,
     evolve,
     evolve_covariant,
@@ -25,6 +28,7 @@ from confdyn.dynamics import (
     covariant_to_instant,
     monitor,
     poisson_bracket,
+    quantity_partials,
 )
 from confdyn.errors import SingularityError
 from confdyn.geometry import FourVector, lf_momenta, mass_shell_gap
@@ -430,3 +434,81 @@ def test_state_validation():
         front_state(0.0, 0.0, (0, 0), 0.0, (0.1, 0.2))
     with pytest.raises(ValueError):
         covariant_state(FourVector(0, 0, 0, 0), FourVector(1, 0.5, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the form table
+# ---------------------------------------------------------------------------
+
+_LF_BACKGROUNDS = {
+    "gaussian": backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0),
+    "planewave_xminus": backgrounds.plane_wave_sin2(1.0, 0.5, 1.3, "xminus"),
+    "linear_z": backgrounds.linear_z(0.7, 1.0, switched=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LF_BACKGROUNDS))
+def test_front_kernel_is_extended_kernel_with_xplus_as_time(name):
+    bg = _LF_BACKGROUNDS[name]
+    front = _make_rhs("front", bg, False)
+    extended = _make_rhs("extended", bg, False)
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        xplus, pplus, s = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5), 0.3
+        pminus = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+        y = np.array([*rng.uniform(-1.0, 1.0, 3), pminus, *rng.uniform(-0.5, 0.5, 2)])
+        full = extended(s, np.array([xplus, *y[:3], pplus, *y[3:]]))
+        assert full[0] == 1.0
+        assert (front(xplus, y) == full[[1, 2, 3, 5, 6, 7]]).all()
+        # and both are Hamilton's equations dq/ds = -dK/dp, dp/ds = dK/dq
+        st = PhaseSpaceState("extended", s, np.array([xplus, *y[:3]]),
+                             np.array([pplus, *y[3:]]))
+        dq, dp = quantity_partials(hamiltonian_extended, st, bg)
+        assert np.allclose(full, np.concatenate([-dp, dq]), rtol=1e-6, atol=1e-8)
+
+
+_POSITIONS = {  # form: (time, q, (t, x, y, z))
+    "instant": (5.0, [1.0, 2.0, 3.0], (5.0, 1.0, 2.0, 3.0)),
+    "front": (5.0, [1.0, 2.0, 3.0], (3.0, 2.0, 3.0, 2.0)),
+    "extended": (9.0, [5.0, 1.0, 2.0, 3.0], (3.0, 2.0, 3.0, 2.0)),
+    "covariant": (9.0, [1.0, 2.0, 3.0, 4.0], (1.0, 2.0, 3.0, 4.0)),
+}
+
+_COLUMNS = {
+    "instant": ("t", ["x", "y", "z"], ["p1", "p2", "p3"]),
+    "front": ("xplus", ["xminus", "x1", "x2"], ["pminus", "p1", "p2"]),
+    "extended": ("s", ["xplus", "xminus", "x1", "x2"],
+                 ["pplus", "pminus", "p1", "p2"]),
+    "covariant": ("tau", ["x0", "x1", "x2", "x3"], ["u0", "u1", "u2", "u3"]),
+}
+
+
+def _components(x):
+    return (x.t, x.x, x.y, x.z)
+
+
+@pytest.mark.parametrize("form", sorted(_POSITIONS))
+def test_form_position_pinned_and_batched(form):
+    layout = FORMS[form]
+    time, q, expected = _POSITIONS[form]
+    assert _components(layout.position(time, np.array(q))) == expected
+    # an integrator's flat y = (q, p): only q[:dof] is read
+    assert _components(layout.position(time, np.array(q + [7.0] * len(q)))) == expected
+    rng = np.random.default_rng(5)
+    times, qs = rng.uniform(-1, 1, 9), rng.uniform(-1, 1, (layout.dof, 9))
+    batch = _components(layout.position(times, qs))
+    for i in range(9):
+        point = _components(layout.position(times[i], qs[:, i]))
+        assert tuple(c[i] for c in batch) == point
+
+
+@pytest.mark.parametrize("form", sorted(_COLUMNS))
+def test_form_columns_pminus_slot_and_bracket(form):
+    layout = FORMS[form]
+    n = layout.dof
+    traj = Trajectory(form, np.zeros(2), np.zeros((2, n)), np.zeros((2, n)), "none")
+    assert traj.column_names() == _COLUMNS[form]
+    assert len(layout.p_names) == n
+    slot = "pminus" if form in ("front", "extended") else None
+    assert (None if layout.pminus is None else layout.p_names[layout.pminus]) == slot
+    assert layout.canonical == (form != "covariant")
