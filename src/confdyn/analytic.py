@@ -42,32 +42,34 @@ _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 @dataclass
 class ClosedFormOrbit:
-    """An orbit given by evaluators rather than integration.
+    """An orbit given by an evaluator rather than integration.
 
-    position/momentum map the family's evolution parameter (t for instant-form
+    _point maps the family's evolution parameter (t for instant-form
     families, x+ for front-form ones) to the spacetime point and the
-    lower-index four-momentum.  constants stores the conserved values and
-    derived scales (turning points, exit times, asymptotes)."""
+    lower-index four-momentum together, so work they share (the u(x+)
+    inversion of the conformal family) is done once per parameter value.
+    constants stores the conserved values and derived scales (turning
+    points, exit times, asymptotes)."""
 
     family: str
     time_name: str
     domain: tuple
     constants: dict
-    _position: Callable = field(repr=False)
-    _momentum: Callable = field(repr=False)
+    _point: Callable = field(repr=False)
 
     def position(self, w: float) -> FourVector:
-        return self._position(float(w))
+        return self._point(float(w))[0]
 
     def momentum(self, w: float) -> np.ndarray:
-        return self._momentum(float(w))
+        return self._point(float(w))[1]
 
     def sample(self, ws):
         """Positions and momenta on a grid: arrays (N, 4) of upper-index
-        coordinates and lower-index momenta."""
+        coordinates and lower-index momenta, one evaluation per point."""
         ws = np.atleast_1d(np.asarray(ws, dtype=float))
-        xs = np.array([self.position(w).as_array() for w in ws])
-        ps = np.array([self.momentum(w) for w in ws])
+        points = [self._point(float(w)) for w in ws]
+        xs = np.array([x.as_array() for x, _ in points])
+        ps = np.array([p for _, p in points])
         return xs, ps
 
 
@@ -100,16 +102,11 @@ def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float = 1.0) -> Close
     q4 = 2.0 * p2 * p30 + B * y0
     c = q5 * q5 - p1 * p1 - p2 * p2 - m0sq  # = p3(t)^2 + B z(t)
 
-    def p3(t):
-        return p30 + B * t / (2.0 * q5)
-
-    def pos(t):
-        pt = p3(t)
-        return FourVector(t, (q3 - 2.0 * p1 * pt) / B, (q4 - 2.0 * p2 * pt) / B,
-                          (c - pt * pt) / B)
-
-    def mom(t):
-        return np.array([q5, p1, p2, p3(t)])
+    def point(t):
+        pt = p30 + B * t / (2.0 * q5)
+        return (FourVector(t, (q3 - 2.0 * p1 * pt) / B, (q4 - 2.0 * p2 * pt) / B,
+                           (c - pt * pt) / B),
+                np.array([q5, p1, p2, pt]))
 
     consts = {"Q1": p1, "Q2": p2, "Q3": q3, "Q4": q4, "Q5": q5,
               "p3(0)": p30, "B": B, "m0sq": m0sq,
@@ -123,7 +120,7 @@ def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float = 1.0) -> Close
     else:
         domain = (0.0, np.inf)
 
-    return ClosedFormOrbit("spacelike", "t", domain, consts, pos, mom)
+    return ClosedFormOrbit("spacelike", "t", domain, consts, point)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +145,15 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
             raise RealityError(f"p.p + m^2(t) = {rad:g} <= 0 at t = {s:g}")
         return np.sqrt(rad)
 
-    def pos(t):
+    def point(t):
         I, _ = quad(lambda s: 1.0 / Hval(s), 0.0, t, **_QUAD)
         xyz = x0 - p * I
-        return FourVector(t, xyz[0], xyz[1], xyz[2])
-
-    def mom(t):
-        return np.array([Hval(t), p[0], p[1], p[2]])
+        return (FourVector(t, xyz[0], xyz[1], xyz[2]),
+                np.array([Hval(t), p[0], p[1], p[2]]))
 
     L = np.cross(x0, p)  # constant since x(t) - x(0) is parallel to p
     consts = {"p": p, "L": L, "p.L": float(p @ L), "m0sq": m0sq}
-    return ClosedFormOrbit("timelike", "t", (0.0, np.inf), consts, pos, mom)
+    return ClosedFormOrbit("timelike", "t", (0.0, np.inf), consts, point)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +215,16 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     anti = _m2_antiderivative(bg)
     pp = q1 * q1 + q2 * q2
 
-    def pos(xplus):
+    def point(xplus):
         x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
         x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
         xminus = (q["Q7"] + pp * xplus + float(anti(xplus))) / (4.0 * q3 ** 2)
-        return from_lightfront(LightFrontCoords(xplus, xminus, x1, x2))
-
-    def mom(xplus):
-        m2 = bg.m2(pos(xplus))
-        pplus = (pp + m2) / (4.0 * q3)
-        return momenta_from_lf(pplus, q3, q1, q2)
+        x = from_lightfront(LightFrontCoords(xplus, xminus, x1, x2))
+        pplus = (pp + bg.m2(x)) / (4.0 * q3)
+        return x, momenta_from_lf(pplus, q3, q1, q2)
 
     return ClosedFormOrbit("plane_wave", "xplus", (-np.inf, np.inf), dict(q),
-                           pos, mom)
+                           point)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +284,13 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         return val
 
     four_q3sq = 4.0 * q3 * q3
+    # G at the doubling bracket's edges u0 +- 2^k, the same for every x+
+    edge_G = {}
+
+    def G_edge(u):
+        if u not in edge_G:
+            edge_G[u] = G(u)
+        return edge_G[u]
 
     def u_of_xplus(xp):
         if xp <= 0.0:
@@ -303,7 +302,7 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         lo, hi = (u0, u0 + 1.0) if target > 0 else (u0 - 1.0, u0)
         prev = None
         for _ in range(200):
-            end = G(hi) if target > 0 else G(lo)
+            end = G_edge(hi) if target > 0 else G_edge(lo)
             if (target > 0 and end >= target) or (target < 0 and end <= target):
                 break
             if prev is not None and end == prev:
@@ -361,21 +360,16 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         v = psol.sol(xp)
         return float(v[0]), float(v[1])
 
-    def pos(xp):
+    def point(xp):
         u = u_of_xplus(xp)
         pm = pminus_of_u(u)
         pp1, pp2 = pperp_of(xp)
         x1 = (q1 - xp * pp1) / (2.0 * pm)
         x2 = (q2 - xp * pp2) / (2.0 * pm)
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        return from_lightfront(LightFrontCoords(xp, xminus, x1, x2))
-
-    def mom(xp):
-        u = u_of_xplus(xp)
-        pm = pminus_of_u(u)
-        pp1, pp2 = pperp_of(xp)
         pplus = (pp1 * pp1 + pp2 * pp2 + float(f(u)) / xp ** 2) / (4.0 * pm)
-        return momenta_from_lf(pplus, pm, pp1, pp2)
+        return (from_lightfront(LightFrontCoords(xp, xminus, x1, x2)),
+                momenta_from_lf(pplus, pm, pp1, pp2))
 
     # asymptote: finite limiting x+ when the weight integral converges
     xplus_asym = np.inf
@@ -393,7 +387,7 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
               "u0": u0, "xplus0": xp0, "pminus0": pm0,
               "xplus_asymptote": xplus_asym}
     return ClosedFormOrbit("special_conformal", "xplus", (xp0, hi), consts,
-                           pos, mom)
+                           point)
 
 
 # ---------------------------------------------------------------------------

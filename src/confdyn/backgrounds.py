@@ -312,7 +312,8 @@ def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
     """The unswitched inverse-square Gaussian profile f(u) = m0^2 L^2 e^{-k^2 u^2}."""
     return special_conformal_mass(
         *gaussian_profile(m0sq, L, k), label="special_conformal_gaussian",
-        params={"profile": "gaussian", "m0sq": m0sq, "L": L, "k": k})
+        params={"family": "special_conformal_gaussian", "profile": "gaussian",
+                "m0sq": m0sq, "L": L, "k": k})
 
 
 def dilation_mass(csq: float = 1.0) -> ScalarBackground:

@@ -34,7 +34,7 @@ from scipy.special import erf
 from . import analytic, backgrounds, conformal, integrability, kgverify
 from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        evolve, extended_state, extended_state_on_shell,
-                       front_state, instant_state)
+                       front_state, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, LightFrontCoords, from_lightfront
 
@@ -374,6 +374,9 @@ def _setup_run(run_cfg) -> tuple:
     span = (_getf(run_cfg, "run", "tstart", 0.0), _getf(run_cfg, "run", "tend"))
     if not span[1] > span[0]:
         raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
+    if not starts_at(state, span[0]):
+        raise ConfigError(f"the initial {FORMS[state.form].time_name} = "
+                          f"{state.time:g} must equal [run] tstart = {span[0]:g}")
     opts = _evolve_options(run_cfg)
     if opts.method == "rk4" and bg.events:
         raise ConfigError(f"[run] method = rk4 cannot cross the switch of {bg.label}")

@@ -464,6 +464,11 @@ def _evolve_rk4(state0, bg, span, opts, rhs, grid):
     return ts[idx], ys[idx], {"nfev": 4 * nsteps, "segments": 1}, []
 
 
+def starts_at(state: PhaseSpaceState, t0: float) -> bool:
+    """Whether the state's time is the span start t0, to rounding."""
+    return abs(state.time - t0) <= 1e-12 * max(1.0, abs(t0))
+
+
 def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = None,
            monitors: Sequence = ()) -> Trajectory:
     """Integrate the state's form of dynamics over span = (t0, t1).
@@ -478,7 +483,7 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     t0, t1 = float(span[0]), float(span[1])
     if t1 <= t0:
         raise ValueError("span must run forward")
-    if abs(state0.time - t0) > 1e-12 * max(1.0, abs(t0)):
+    if not starts_at(state0, t0):
         raise ValueError("state0.time must equal span[0]")
     rhs = _make_rhs(state0.form, bg, opts.nonrelativistic)
     grid = np.linspace(t0, t1, opts.samples)

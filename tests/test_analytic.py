@@ -285,3 +285,77 @@ def test_erf_curve_consistent_with_background():
         x = orb.position(xp)
         assert bg.m2(x) == pytest.approx(np.exp(-x.xminus ** 2) / xp ** 2,
                                          rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# joint evaluation: one (position, momentum) point per parameter value
+# ---------------------------------------------------------------------------
+
+def _erf_orbit(kappa=0.5):
+    return conformal_orbit(lambda u: np.exp(-u * u), erf_orbit_entry_state(kappa),
+                           df=lambda u: -2.0 * u * np.exp(-u * u))
+
+
+# x+ on both sides of the entry at x+ = 1, so both bracket directions run
+_ERF_WS = np.concatenate([np.linspace(0.7, 0.95, 6), np.linspace(1.05, 1.95, 19)])
+
+
+def test_conformal_sample_inverts_once_per_point(monkeypatch):
+    orb = _erf_orbit()
+    real_brentq, real_quad = analytic.brentq, analytic.quad
+    brentq_calls = []
+    inside = []
+    edges = []  # upper limits of the quad calls made outside brentq
+
+    def counting_brentq(*args, **kwargs):
+        brentq_calls.append(args[1:3])
+        inside.append(True)
+        try:
+            return real_brentq(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_quad(func, a, b, **kwargs):
+        if not inside:
+            edges.append(b)
+        return real_quad(func, a, b, **kwargs)
+
+    monkeypatch.setattr(analytic, "brentq", counting_brentq)
+    monkeypatch.setattr(analytic, "quad", counting_quad)
+    xs, _ = orb.sample(_ERF_WS)
+    # one u(x+) inversion per sample off the entry point
+    assert len(brentq_calls) == len(_ERF_WS)
+    # each bracket edge G(u0 +- 2^k) is integrated once per orbit
+    assert edges and len(edges) == len(set(edges))
+    assert min(edges) < 0.0 < max(edges)
+    # the orbit still sits on the error-function curve
+    xminus = xs[:, 0] - xs[:, 3]
+    assert np.allclose(erf_orbit_xplus(0.5, xminus), _ERF_WS, rtol=1e-9)
+
+
+@pytest.mark.parametrize("build, ws", [
+    (lambda: spacelike_orbit(1.0, instant_state(0.0, (0.3, -0.2, 0.0),
+                                                (0.1, -0.2, -0.45))),
+     np.linspace(0.0, 2.0, 9)),
+    (lambda: timelike_orbit(lambda t: 0.5 * t,
+                            instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4))),
+     np.linspace(0.0, 2.0, 7)),
+    (lambda: planewave_orbit(backgrounds.plane_wave_sin2(1.0, 0.5, 1.0),
+                             front_state(0.0, 0.1, (0.2, -0.3), 0.7, (0.1, -0.2))),
+     np.linspace(0.0, 6.0, 9)),
+    (_erf_orbit, _ERF_WS),
+    (lambda: conformal_orbit(lambda u: np.exp(-u * u),
+                             front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
+                             df=lambda u: -2.0 * u * np.exp(-u * u),
+                             xplus_max=3.0),
+     np.linspace(1.0, 3.0, 9)),
+], ids=["spacelike", "timelike", "plane_wave", "conformal", "conformal-transverse"])
+def test_sample_rows_equal_pointwise_reads(build, ws):
+    xs, ps = build().sample(ws)
+    assert xs.shape == ps.shape == (len(ws), 4)
+    # a second orbit read point by point in reverse: no row may depend on
+    # which points were evaluated before it
+    other = build()
+    for w, x, p in zip(ws[::-1], xs[::-1], ps[::-1]):
+        assert np.all(other.position(w).as_array() == x)
+        assert np.all(other.momentum(w) == p)

@@ -166,6 +166,27 @@ def test_from_params_dispatch_and_errors():
         backgrounds.from_params({"family": "nope"})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: backgrounds.constant(1.3),
+    lambda: backgrounds.linear_z(0.7, 1.2, switched=True),
+    lambda: backgrounds.linear_z(0.7, 1.2, switched=False),
+    lambda: backgrounds.plane_wave_sin2(1.1, 0.4, 1.5, argument="xminus"),
+    lambda: backgrounds.special_conformal_switched(1.2, 1.5, 0.8),
+    lambda: backgrounds.special_conformal_gaussian(1.2, 1.5, 0.8),
+    lambda: backgrounds.dilation_mass(0.9),
+], ids=["constant", "linear_z-switched", "linear_z", "plane_wave", "sc-switched",
+        "sc-gaussian", "dilation"])
+def test_from_params_round_trip(make):
+    # a background's params rebuild the same field (the CLI dispatches on them)
+    bg = make()
+    again = backgrounds.from_params(bg.params)
+    assert again.label == bg.label
+    assert again.params == bg.params
+    for x in (FourVector(2.0, 0.1, -0.2, 0.3), FourVector(1.7, -0.3, 0.2, -0.1)):
+        assert again.m2(x) == bg.m2(x)
+        assert np.array_equal(again.grad_m2(x), bg.grad_m2(x))
+
+
 @pytest.mark.parametrize("raw, value", [(" Yes", True), ("ON", True), (True, True),
                                         ("0", False), ("off ", False), (False, False)])
 def test_from_params_switched_spellings(raw, value):

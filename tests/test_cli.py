@@ -206,6 +206,25 @@ def test_orbit_fig1_json(tmp_path):
     assert doc["constants"]["Q5"] == pytest.approx(1.1180339887498948482)
 
 
+_GAUSSIAN_ORBIT = ("--set", "run.form=front", "--set", "initial.xplus=1.5",
+                   "--set", "initial.pminus=0.4", "--set", "run.tstart=1.5",
+                   "--set", "run.tend=2")
+
+
+@pytest.mark.parametrize("preset, extra", [
+    ("fig2", ()), ("fig2", ("--format", "json")), ("conformal", _GAUSSIAN_ORBIT),
+], ids=["fig2-csv", "fig2-json", "gaussian-front"])
+def test_orbit_deterministic_output(tmp_path, preset, extra):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir(), b.mkdir()
+    assert main(_args("orbit", preset, a, *extra)) == 0
+    assert main(_args("orbit", preset, b, *extra)) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert names in (["orbit.csv"], ["orbit.json"])
+    assert (a / names[0]).read_bytes() == (b / names[0]).read_bytes()
+
+
 def test_orbit_past_asymptote_exits_three(tmp_path):
     # kappa = 0.9 has its asymptote at x+ = 10; asking for 12 leaves the domain
     code = main(_args("orbit", "fig2", tmp_path,
@@ -262,6 +281,9 @@ def test_boolean_typos_rejected(raw):
     ("simulate", "dilation", ["run.method=euler"]),
     # fig1's field switches on at z = 0, which the fixed-step method cannot cross
     ("simulate", "fig1", ["run.method=rk4", "run.step=0.01"]),
+    # the state's own time (initial.t, initial.xplus) must open the span
+    ("simulate", "dilation", ["run.tstart=1"]),
+    ("simulate", "fig2", ["run.tstart=1.2"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):
