@@ -1,11 +1,12 @@
 """Scalar background fields m^2(x) with analytic lower-index gradients.
 
-Each background packages the squared mass, its gradient d_mu m^2 (the plain
-tuple of coordinate partials, which carries a lower index), a smoothness
-predicate, and the switch surfaces where the field turns on.  Sampling a
-negative squared mass raises RealityError; sampling on a singular surface
-(x+ = 0 for the inverse-square light-front families, the light cone for the
-dilation family) raises SingularityError.
+Each background packages one point kernel that returns the squared mass and
+its gradient d_mu m^2 together (the plain tuple of coordinate partials,
+which carries a lower index), a smoothness predicate, and the switch
+surfaces where the field turns on.  Sampling a negative squared mass raises
+RealityError; sampling on a singular surface (x+ = 0 for the inverse-square
+light-front families, the light cone for the dilation family) raises
+SingularityError.
 
 Families
 --------
@@ -17,6 +18,9 @@ special_conformal   m^2 = f(u)/(x+)^2,  u = x- - x_perp.x_perp/x+
 special_conformal_switched
                     m0^2 for x+ < L, then (m0^2 L^2/(x+)^2) exp(-k^2 u^2)
 dilation            m^2 = csq/(x.x)
+
+On the switch surface of a switched family (z = 0, t = 0, x+ = L) m^2 takes
+the vacuum value and the gradient the field-side slope.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .errors import RealityError, SingularityError
 from .geometry import FourVector, scalar_or_array
 
 _SING_EPS = 1e-12
+_ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
 class ScalarBackground:
@@ -37,21 +42,25 @@ class ScalarBackground:
     Parameters
     ----------
     label : family name
-    m2_fn, grad_fn : callables on FourVector; grad_fn returns the four
-        coordinate partials (lower index)
+    field : the family's kernel, field(x) -> (m^2, (g0, g1, g2, g3)) at one
+        FourVector, the gradient as plain floats (lower index); it raises
+        SingularityError on singular surfaces
+    value_fn : m^2 alone, for a field whose gradient costs far more than its
+        value (default: the kernel's m^2)
     smooth_fn : True away from kinks/singular surfaces (default: everywhere)
     events : list of (name, fn) switch surfaces, fn(FourVector) -> signed value
     m2_antiderivative : for plane-wave x+ profiles, x+ -> int_0^{x+} m^2
     params : family parameters, kept for serialization and dispatch
     """
 
-    def __init__(self, label: str, m2_fn: Callable, grad_fn: Callable,
+    def __init__(self, label: str, field: Callable,
+                 value_fn: Optional[Callable] = None,
                  smooth_fn: Optional[Callable] = None, events=(),
                  m2_antiderivative: Optional[Callable] = None,
                  params: Optional[dict] = None):
         self.label = label
-        self._m2 = m2_fn
-        self._grad = grad_fn
+        self._field = field
+        self._value = value_fn or (lambda x: field(x)[0])
         self._smooth = smooth_fn or (lambda x: True)
         self.events = list(events)
         self.m2_antiderivative = m2_antiderivative
@@ -60,22 +69,31 @@ class ScalarBackground:
     def m2(self, x: FourVector):
         """m^2 at a point, or an (N,) array for a FourVector with (N,)
         components.  A batch is evaluated point by point through the family
-        function, so every point raises exactly as it would alone."""
+        kernel, so every point raises exactly as it would alone."""
         if isinstance(x.t, np.ndarray):
             comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
             return np.array([self._m2_at(FourVector(*c)) for c in zip(*comps)])
         return self._m2_at(x)
 
     def _m2_at(self, x: FourVector) -> float:
-        v = float(self._m2(x))
+        return self._real(self._value(x), x)
+
+    def m2_and_grad(self, x: FourVector):
+        """(m^2, (g0, g1, g2, g3)) at one point from one kernel call; raises
+        as m2 does."""
+        v, g = self._field(x)
+        return self._real(v, x), g
+
+    def grad_m2(self, x: FourVector) -> np.ndarray:
+        return np.array(self._field(x)[1], dtype=float)
+
+    def _real(self, v, x: FourVector) -> float:
+        v = float(v)
         if v < 0.0:
             raise RealityError(
                 f"m^2 = {v:g} < 0 sampled at (t,x,y,z) = "
                 f"({x.t:g}, {x.x:g}, {x.y:g}, {x.z:g}) on background {self.label!r}")
         return v
-
-    def grad_m2(self, x: FourVector) -> np.ndarray:
-        return np.asarray(self._grad(x), dtype=float)
 
     def mass(self, x: FourVector):
         return scalar_or_array(np.sqrt(self.m2(x)))
@@ -105,31 +123,22 @@ class ScalarBackground:
 def constant(m0sq: float = 1.0) -> ScalarBackground:
     if m0sq < 0:
         raise ValueError("m0sq must be nonnegative")
-    return ScalarBackground(
-        "constant",
-        lambda x: m0sq,
-        lambda x: np.zeros(4),
-        params={"family": "constant", "m0sq": m0sq},
-    )
+    return ScalarBackground("constant", lambda x: (m0sq, _ZERO),
+                            params={"family": "constant", "m0sq": m0sq})
 
 
 def linear_z(B: float, m0sq: float = 1.0, switched: bool = True) -> ScalarBackground:
     """m^2 = m0^2 + B z; with switched=True the field occupies z > 0 only and
     matches the constant vacuum value continuously across z = 0 (C0 kink)."""
+    slope = (0.0, 0.0, 0.0, float(B))
 
-    def m2(x):
+    def field(x):
         if switched and x.z <= 0.0:
-            return m0sq
-        return m0sq + B * x.z
-
-    def grad(x):
-        if switched and x.z < 0.0:
-            return np.zeros(4)
-        # on the kink itself, report the field-side slope
-        return np.array([0.0, 0.0, 0.0, B])
+            return m0sq, (_ZERO if x.z < 0.0 else slope)
+        return m0sq + B * x.z, slope
 
     return ScalarBackground(
-        "linear_z", m2, grad,
+        "linear_z", field,
         smooth_fn=(lambda x: abs(x.z) > _SING_EPS) if switched else None,
         events=[("z=0", lambda x: x.z)] if switched else (),
         params={"family": "linear_z", "B": B, "m0sq": m0sq, "switched": switched},
@@ -140,18 +149,14 @@ def timelike(E: Callable[[float], float], dE: Callable[[float], float],
              m0sq: float = 1.0, switched: bool = True) -> ScalarBackground:
     """m^2 = m0^2 + E(t), turned on at t = 0 when switched."""
 
-    def m2(x):
-        if switched and x.t <= 0.0:
-            return m0sq
-        return m0sq + E(x.t)
-
-    def grad(x):
-        if switched and x.t < 0.0:
-            return np.zeros(4)
-        return np.array([dE(x.t), 0.0, 0.0, 0.0])
+    def field(x):
+        t = x.t
+        if switched and t <= 0.0:
+            return m0sq, (_ZERO if t < 0.0 else (dE(t), 0.0, 0.0, 0.0))
+        return m0sq + E(t), (dE(t), 0.0, 0.0, 0.0)
 
     return ScalarBackground(
-        "timelike", m2, grad,
+        "timelike", field,
         smooth_fn=(lambda x: abs(x.t) > _SING_EPS) if switched else None,
         events=[("t=0", lambda x: x.t)] if switched else (),
         params={"family": "timelike", "m0sq": m0sq, "switched": switched},
@@ -168,17 +173,17 @@ def plane_wave(profile: Callable[[float], float], dprofile: Callable[[float], fl
     d_mu x- = (1, 0, 0, -1)."""
     if argument not in ("xplus", "xminus"):
         raise ValueError("argument must be 'xplus' or 'xminus'")
-    direction = (np.array([1.0, 0.0, 0.0, 1.0]) if argument == "xplus"
-                 else np.array([1.0, 0.0, 0.0, -1.0]))
+    sign = 1.0 if argument == "xplus" else -1.0
 
-    def w(x: FourVector) -> float:
-        return x.xplus if argument == "xplus" else x.xminus
+    def field(x):
+        w = x.xplus if argument == "xplus" else x.xminus
+        d = dprofile(w)
+        zero = 0.0 * d        # d * (1, 0, 0, +-1) carries d's sign onto its zeros
+        return profile(w), (d, zero, zero, sign * d)
 
     base = {"family": "plane_wave", "argument": argument}
     return ScalarBackground(
-        label,
-        lambda x: profile(w(x)),
-        lambda x: dprofile(w(x)) * direction,
+        label, field,
         m2_antiderivative=antiderivative if argument == "xplus" else None,
         params=base | (params or {}),
     )
@@ -224,55 +229,57 @@ def plane_wave_tabulated(w_samples, m2_samples, argument: str = "xplus") -> Scal
                       params={"profile": "tabulated", "n": len(w)})
 
 
-def _uvar(x: FourVector) -> float:
-    return x.xminus - float(x.perp @ x.perp) / x.xplus
+def _inverse_square(fdf: Callable, label: str) -> Callable:
+    """Kernel of m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+, from the
+    profile kernel fdf(u) -> (f(u), f'(u))."""
 
+    def field(x):
+        xp = x.xplus
+        if abs(xp) < _SING_EPS:
+            raise SingularityError(f"x+ = {xp:g} on the singular surface of {label}")
+        perp = x.perp
+        r2 = float(perp @ perp)
+        u = x.xminus - r2 / xp
+        fu, dfu = fdf(u)
+        # df(u) d_mu u - 2 f(u) d_mu x+ / x+, over (x+)^2, with d_mu x+- =
+        # (1, 0, 0, +-1); b * 0.0 keeps the sign of zero of the vector form
+        a = dfu / xp ** 2
+        b = 2.0 * fu / xp ** 3
+        s = r2 / xp ** 2
+        return fu / xp ** 2, (a * (1.0 + s) - b, a * (-2.0 * x.x / xp) - b * 0.0,
+                              a * (-2.0 * x.y / xp) - b * 0.0, a * (-1.0 + s) - b)
 
-def _grad_u(x: FourVector) -> np.ndarray:
-    # u = x- - (x1^2 + x2^2)/x+ with d_mu x+- = (1, 0, 0, +-1)
-    xp = x.xplus
-    r2 = float(x.perp @ x.perp)
-    return np.array([1.0 + r2 / xp ** 2, -2.0 * x.x / xp, -2.0 * x.y / xp,
-                     -1.0 + r2 / xp ** 2])
+    return field
 
 
 def special_conformal_mass(f: Callable[[float], float], df: Callable[[float], float],
                            label: str = "special_conformal",
                            params: Optional[dict] = None) -> ScalarBackground:
     """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+; singular at x+ = 0."""
-
-    def check(x):
-        if abs(x.xplus) < _SING_EPS:
-            raise SingularityError(f"x+ = {x.xplus:g} on the singular surface of {label}")
-
-    def m2(x):
-        check(x)
-        return f(_uvar(x)) / x.xplus ** 2
-
-    def grad(x):
-        check(x)
-        xp = x.xplus
-        u = _uvar(x)
-        dxp = np.array([1.0, 0.0, 0.0, 1.0])
-        return df(u) / xp ** 2 * _grad_u(x) - 2.0 * f(u) / xp ** 3 * dxp
-
     return ScalarBackground(
-        label, m2, grad,
+        label, _inverse_square(lambda u: (f(u), df(u)), label),
         params={"family": "special_conformal"} | (params or {}),
     )
 
 
-def gaussian_profile(m0sq: float, L: float, k: float):
-    """(f, df) of the Gaussian profile f(u) = m0^2 L^2 exp(-k^2 u^2)."""
+def _gaussian(m0sq: float, L: float, k: float):
+    """f(u) = m0^2 L^2 exp(-k^2 u^2) and u -> (f, df) with one exponential."""
     A = m0sq * L * L
 
     def f(u):
         return A * np.exp(-(k * u) ** 2)
 
-    def df(u):
-        return -2.0 * k * k * u * f(u)
+    def fdf(u):
+        fu = f(u)
+        return fu, -2.0 * k * k * u * fu
 
-    return f, df
+    return f, fdf
+
+
+def gaussian_profile(m0sq: float, L: float, k: float):
+    """(f, df) of the Gaussian profile f(u) = m0^2 L^2 exp(-k^2 u^2)."""
+    f, fdf = _gaussian(m0sq, L, k)
+    return f, lambda u: fdf(u)[1]
 
 
 def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
@@ -285,23 +292,18 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
     branch entering at x- = 0 does)."""
     if L <= 0:
         raise ValueError("switch position L must be positive")
-    pure = special_conformal_mass(*gaussian_profile(m0sq, L, k))
+    pure = _inverse_square(_gaussian(m0sq, L, k)[1], "special_conformal")
 
-    def m2(x):
-        if x.xplus <= L:
-            return m0sq
-        return pure._m2(x)
-
-    def grad(x):
+    def field(x):
         if x.xplus < L:
-            return np.zeros(4)
-        return pure._grad(x)
+            return m0sq, _ZERO
+        v, g = pure(x)
+        return (m0sq if x.xplus == L else v), g
 
     return ScalarBackground(
-        "special_conformal_switched", m2, grad,
+        "special_conformal_switched", field,
         smooth_fn=lambda x: abs(x.xplus - L) > _SING_EPS,
         events=[("xplus=L", lambda x: x.xplus - L)],
-        m2_antiderivative=None,
         params={"family": "special_conformal_switched", "m0sq": m0sq,
                 "L": L, "k": k},
     )
@@ -310,10 +312,10 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
 def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
                                k: float = 1.0) -> ScalarBackground:
     """The unswitched inverse-square Gaussian profile f(u) = m0^2 L^2 e^{-k^2 u^2}."""
-    return special_conformal_mass(
-        *gaussian_profile(m0sq, L, k), label="special_conformal_gaussian",
-        params={"family": "special_conformal_gaussian", "profile": "gaussian",
-                "m0sq": m0sq, "L": L, "k": k})
+    label = "special_conformal_gaussian"
+    return ScalarBackground(
+        label, _inverse_square(_gaussian(m0sq, L, k)[1], label),
+        params={"family": label, "profile": "gaussian", "m0sq": m0sq, "L": L, "k": k})
 
 
 def dilation_mass(csq: float = 1.0) -> ScalarBackground:
@@ -322,19 +324,14 @@ def dilation_mass(csq: float = 1.0) -> ScalarBackground:
     if csq <= 0:
         raise ValueError("csq must be positive")
 
-    def m2(x):
+    def field(x):
         xx = x.norm2()
         if abs(xx) < _SING_EPS:
             raise SingularityError(f"x.x = {xx:g} on the light cone")
-        return csq / xx
+        c = -2.0 * csq / xx ** 2          # times the lowered x_mu
+        return csq / xx, (c * x.t, c * -x.x, c * -x.y, c * -x.z)
 
-    def grad(x):
-        xx = x.norm2()
-        if abs(xx) < _SING_EPS:
-            raise SingularityError(f"x.x = {xx:g} on the light cone")
-        return -2.0 * csq / xx ** 2 * x.lowered()
-
-    return ScalarBackground("dilation", m2, grad,
+    return ScalarBackground("dilation", field,
                             params={"family": "dilation", "csq": csq})
 
 
@@ -343,7 +340,8 @@ def from_callable(m2_fn: Callable[[FourVector], float],
                   scale: float = 1.0, label: str = "user",
                   params: Optional[dict] = None) -> ScalarBackground:
     """Wrap a user-supplied squared mass.  Without grad_fn the gradient falls
-    back to fourth-order central differences with step 1e-5 * scale."""
+    back to fourth-order central differences with step 1e-5 * scale; m2
+    alone calls m2_fn once and never the gradient."""
     h = 1e-5 * scale
 
     def fd_grad(x):
@@ -356,7 +354,9 @@ def from_callable(m2_fn: Callable[[FourVector], float],
             g[mu] = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
         return g
 
-    return ScalarBackground(label, m2_fn, grad_fn or fd_grad,
+    grad = grad_fn or fd_grad
+    return ScalarBackground(label, lambda x: (m2_fn(x), tuple(map(float, grad(x)))),
+                            value_fn=m2_fn,
                             params={"family": "user"} | (params or {}))
 
 

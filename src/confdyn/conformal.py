@@ -298,14 +298,6 @@ def special_conformal_lf() -> ConformalGenerator:
 # field-level operations
 # ---------------------------------------------------------------------------
 
-def killing_vector(g: ConformalGenerator, x: FourVector) -> np.ndarray:
-    return g.killing(x)
-
-
-def divergence(g: ConformalGenerator, x: FourVector) -> float:
-    return g.divergence(x)
-
-
 def conformal_killing_residual(g: ConformalGenerator, x: FourVector) -> np.ndarray:
     """S_{mu nu} = d_mu xi_nu + d_nu xi_mu - (1/2) eta_{mu nu} d.xi
     from closed-form derivatives; identically zero for every generator."""
@@ -361,8 +353,8 @@ def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
     background's orbits and L = xi.grad + (1/4) d.xi is a wave-operator
     symmetry.  Raises the background's own errors on singular surfaces."""
     xi = g.killing(x)
-    grad = bg.grad_m2(x)
-    return contract(xi, grad) + 0.5 * bg.m2(x) * g.divergence(x)
+    m2, grad = bg.m2_and_grad(x)
+    return contract(xi, grad) + 0.5 * m2 * g.divergence(x)
 
 
 # ---------------------------------------------------------------------------

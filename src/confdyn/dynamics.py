@@ -37,8 +37,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import (FourVector, contract, lf_gradient, lower_index,
-                       momenta_from_lf, raise_index, scalar_or_array)
+from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
+                       raise_index, scalar_or_array)
 
 
 @dataclass(frozen=True)
@@ -279,34 +279,34 @@ def _rhs_instant(bg, nonrel: bool):
     def rhs(t, y):
         pos = position(t, y)
         p = y[3:6]
-        m2 = bg.m2(pos)
-        g = bg.grad_m2(pos)
+        m2, g = bg.m2_and_grad(pos)
+        gs = np.array(g[1:4])
         if nonrel:
             m = np.sqrt(m2)
             fac = (1.0 - (p @ p) / (2.0 * m2)) / (2.0 * m)
-            return np.concatenate([-p / m, g[1:4] * fac])
+            return np.concatenate([-p / m, gs * fac])
         H = np.sqrt(p @ p + m2)
-        return np.concatenate([-p / H, g[1:4] / (2.0 * H)])
+        return np.concatenate([-p / H, gs / (2.0 * H)])
     return rhs
 
 
 def _rhs_lightfront(bg, extended: bool):
     """Front and extended flows.  The front form is the extended form with x+
     as its time: it drops dx+/ds = 1 and the p+ equation, and both end their
-    y with (p-, p1, p2)."""
+    y with (p-, p1, p2).  The light-front partials of m^2 are
+    d/dx+- = (g0 +- g3)/2 and d/dx1,2 = g1,2 (geometry.lf_gradient)."""
     position = FORMS["extended" if extended else "front"].position
 
     def rhs(t, y):
         pos = position(t, y)
         pminus, p1, p2 = y[-3], y[-2], y[-1]
-        m2 = bg.m2(pos)
-        lfg = lf_gradient(bg.grad_m2(pos))
+        m2, (g0, g1, g2, g3) = bg.m2_and_grad(pos)
         pp = p1 * p1 + p2 * p2
         w = 4.0 * pminus
         flow = ((pp + m2) / (4.0 * pminus ** 2), -p1 / (2.0 * pminus),
-                -p2 / (2.0 * pminus), lfg[1] / w, lfg[2] / w, lfg[3] / w)
+                -p2 / (2.0 * pminus), 0.5 * (g0 - g3) / w, g1 / w, g2 / w)
         if extended:
-            return np.array((1.0, *flow[:3], lfg[0] / w, *flow[3:]))
+            return np.array((1.0, *flow[:3], 0.5 * (g0 + g3) / w, *flow[3:]))
         return np.array(flow)
     return rhs
 
@@ -317,8 +317,8 @@ def _rhs_covariant(bg):
     def rhs(tau, y):
         pos = position(tau, y)
         u = y[4:8]
-        m2 = bg.m2(pos)
-        g = bg.grad_m2(pos)
+        m2, g = bg.m2_and_grad(pos)
+        g = np.array(g)
         gu = raise_index(g)
         udot = (gu - u * float(u @ g)) / (2.0 * m2)
         return np.concatenate([u, udot])

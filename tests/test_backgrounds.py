@@ -205,3 +205,218 @@ def test_m2_integral_quadrature_fallback():
     # a family without a stored antiderivative integrates the profile
     user = backgrounds.from_callable(lambda x: 1.0 + 0.2 * x.xplus ** 2)
     assert user.m2_integral(3.0) == pytest.approx(3.0 + 0.2 * 9.0, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel against the per-family formulas, written out
+# ---------------------------------------------------------------------------
+
+E_LIGHT, DE_LIGHT = (lambda t: 0.3 * t * t - 0.2 * t), (lambda t: 0.6 * t - 0.2)
+W_TAB = np.linspace(-3.0, 6.0, 61)
+M2_TAB = 1.0 + 0.4 * np.sin(0.8 * W_TAB) ** 2
+
+
+def _user_m2(x):
+    return 1.0 + 0.1 * np.sin(x.t) * np.cos(x.z) + 0.05 * x.x * x.y
+
+
+def _user_grad(x):
+    return np.array([0.1 * np.cos(x.t) * np.cos(x.z), 0.05 * x.y, 0.05 * x.x,
+                     -0.1 * np.sin(x.t) * np.sin(x.z)])
+
+
+def _ref_user_fd(x, h=1e-5):
+    g = np.zeros(4)
+    for mu in range(4):
+        f2p = _user_m2(x.shifted(mu, 2 * h))
+        f1p = _user_m2(x.shifted(mu, h))
+        f1m = _user_m2(x.shifted(mu, -h))
+        f2m = _user_m2(x.shifted(mu, -2 * h))
+        g[mu] = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
+    return g
+
+
+def _ref_inverse_square(f, df):
+    def m2(x):
+        u = x.xminus - float(x.perp @ x.perp) / x.xplus
+        return f(u) / x.xplus ** 2
+
+    def grad(x):
+        xp = x.xplus
+        r2 = float(x.perp @ x.perp)
+        u = x.xminus - r2 / xp
+        grad_u = np.array([1.0 + r2 / xp ** 2, -2.0 * x.x / xp, -2.0 * x.y / xp,
+                           -1.0 + r2 / xp ** 2])
+        return (df(u) / xp ** 2 * grad_u
+                - 2.0 * f(u) / xp ** 3 * np.array([1.0, 0.0, 0.0, 1.0]))
+    return m2, grad
+
+
+def _ref_gaussian(m0sq, L, k):
+    return (lambda u: m0sq * L * L * np.exp(-(k * u) ** 2),
+            lambda u: -2.0 * k * k * u * (m0sq * L * L * np.exp(-(k * u) ** 2)))
+
+
+def _ref_sin2(m0sq, amp, k, direction):
+    return (lambda w: m0sq * (1.0 + amp * np.sin(k * w) ** 2),
+            lambda w: m0sq * amp * k * np.sin(2.0 * k * w) * direction)
+
+
+def _refs():
+    """name -> (background, m^2 formula, gradient formula, points)."""
+    rng = np.random.default_rng(2024)
+
+    def pts(n, lo=-1.0, hi=1.0, **fixed):
+        out = []
+        for _ in range(n):
+            c = dict(zip("txyz", rng.uniform(lo, hi, 4)))
+            c.update(fixed)
+            out.append(FourVector(c["t"], c["x"], c["y"], c["z"]))
+        return out
+
+    def lf(xplus_lo, xplus_hi, n):
+        # x+ in a range, x- nonzero, x_perp zero at every third point, both
+        # float types
+        out = []
+        for i in range(n):
+            xp, xm = rng.uniform(xplus_lo, xplus_hi), rng.uniform(-0.8, 0.8)
+            x, y = (0.0, 0.0) if i % 3 == 0 else rng.uniform(-0.6, 0.6, 2)
+            c = (0.5 * (xp + xm), x, y, 0.5 * (xp - xm))
+            out.append(FourVector(*(map(np.float64, c) if i % 2 else c)))
+        return out
+
+    on_xplus = [FourVector(1.5 - z, x, y, z) for z, x, y in
+                ((0.25, 0.3, -0.2), (0.5, 0.0, 0.0), (-0.25, -0.1, 0.4))]
+    assert all(x.xplus == 1.5 for x in on_xplus)
+    plus, minus = np.array([1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, -1.0])
+    from scipy.interpolate import CubicSpline
+    spl = CubicSpline(W_TAB, M2_TAB)
+    dspl = spl.derivative()
+    sq_f, sq_df = (lambda u: 1.0 + u * u), (lambda u: 2.0 * u)
+    g_f, g_df = _ref_gaussian(1.2, 1.5, 0.8)
+    sw_m2, sw_grad = _ref_inverse_square(g_f, g_df)
+    zero = np.zeros(4)
+
+    def switched(m2_field, grad_field, coord, m0sq, at):
+        return (lambda x: m0sq if coord(x) <= at else m2_field(x),
+                lambda x: zero if coord(x) < at else grad_field(x))
+
+    lz_m2, lz_grad = switched(lambda x: 1.2 + 0.7 * x.z,
+                              lambda x: np.array([0.0, 0.0, 0.0, 0.7]),
+                              lambda x: x.z, 1.2, 0.0)
+    tl_m2, tl_grad = switched(lambda x: 1.1 + E_LIGHT(x.t),
+                              lambda x: np.array([DE_LIGHT(x.t), 0.0, 0.0, 0.0]),
+                              lambda x: x.t, 1.1, 0.0)
+    scsw_m2, scsw_grad = switched(sw_m2, sw_grad, lambda x: x.xplus, 1.2, 1.5)
+    sinp, dsinp = _ref_sin2(1.1, 0.4, 1.5, plus)
+    sinm, dsinm = _ref_sin2(1.1, 0.4, 1.5, minus)
+    dil_c = 0.9
+    return {
+        "constant": (backgrounds.constant(1.3), lambda x: 1.3, lambda x: zero,
+                     pts(6)),
+        "linear_z-switched": (
+            backgrounds.linear_z(0.7, 1.2, switched=True), lz_m2, lz_grad,
+            pts(6, 0.1, 1.0) + pts(6, -1.0, -0.1) + pts(3, z=0.0) + pts(1, z=-0.0)),
+        "linear_z": (backgrounds.linear_z(0.7, 1.2, switched=False),
+                     lambda x: 1.2 + 0.7 * x.z,
+                     lambda x: np.array([0.0, 0.0, 0.0, 0.7]), pts(6, -1.0, 1.0)),
+        "timelike-switched": (
+            backgrounds.timelike(E_LIGHT, DE_LIGHT, 1.1, switched=True), tl_m2, tl_grad,
+            pts(6, 0.1, 1.0) + pts(6, -1.0, -0.1) + pts(3, t=0.0)),
+        "timelike": (backgrounds.timelike(E_LIGHT, DE_LIGHT, 1.1, switched=False),
+                     lambda x: 1.1 + E_LIGHT(x.t),
+                     lambda x: np.array([DE_LIGHT(x.t), 0.0, 0.0, 0.0]), pts(6)),
+        "plane_wave-xplus": (backgrounds.plane_wave_sin2(1.1, 0.4, 1.5),
+                             lambda x: sinp(x.xplus), lambda x: dsinp(x.xplus),
+                             pts(12, -3.0, 3.0)),
+        "plane_wave-xminus": (
+            backgrounds.plane_wave_sin2(1.1, 0.4, 1.5, argument="xminus"),
+            lambda x: sinm(x.xminus), lambda x: dsinm(x.xminus), pts(12, -3.0, 3.0)),
+        "plane_wave-tabulated": (
+            backgrounds.plane_wave_tabulated(W_TAB, M2_TAB),
+            lambda x: float(spl(x.xplus)),
+            lambda x: float(dspl(x.xplus)) * plus, pts(12, -1.4, 2.9)),
+        "special_conformal": (backgrounds.special_conformal_mass(sq_f, sq_df),
+                              *_ref_inverse_square(sq_f, sq_df),
+                              lf(0.3, 2.0, 8) + lf(-2.0, -0.3, 6)),
+        "sc-switched": (backgrounds.special_conformal_switched(1.2, 1.5, 0.8),
+                        scsw_m2, scsw_grad, lf(0.3, 1.4, 6) + lf(1.6, 3.0, 8) + on_xplus),
+        "sc-gaussian": (backgrounds.special_conformal_gaussian(1.2, 1.5, 0.8),
+                        sw_m2, sw_grad, lf(0.3, 3.0, 8) + lf(-2.0, -0.3, 6) + on_xplus),
+        "dilation": (backgrounds.dilation_mass(dil_c),
+                     lambda x: dil_c / (x.t * x.t - x.x * x.x - x.y * x.y - x.z * x.z),
+                     lambda x: -2.0 * dil_c / (x.t * x.t - x.x * x.x - x.y * x.y
+                                               - x.z * x.z) ** 2 * x.lowered(),
+                     pts(6, -0.5, 0.5, t=2.0) + pts(6, -0.5, 0.5, t=-1.7)),
+        "user-grad": (backgrounds.from_callable(_user_m2, _user_grad), _user_m2,
+                      _user_grad, pts(6)),
+        "user-fd": (backgrounds.from_callable(_user_m2), _user_m2, _ref_user_fd,
+                    pts(6)),
+    }
+
+
+REFS = _refs()
+
+
+def _same(a, b):
+    # equal, with the same sign on every zero (the outputs print signed zeros)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("name", list(REFS))
+def test_kernel_matches_family_formulas(name):
+    bg, m2_ref, grad_ref, points = REFS[name]
+    assert len(points) >= 6
+    for x in points:
+        v, g = bg.m2_and_grad(x)
+        assert type(v) is float and len(g) == 4
+        assert v == float(m2_ref(x)) and bg.m2(x) == v
+        assert _same(g, grad_ref(x)) and _same(bg.grad_m2(x), g)
+    batch = FourVector(*(np.array(c) for c in zip(*[(x.t, x.x, x.y, x.z)
+                                                  for x in points])))
+    assert _same(bg.m2(batch), [bg.m2(x) for x in points])
+
+
+def test_kernel_raises_as_the_separate_formulas():
+    lz = backgrounds.linear_z(1.0, 1.0, switched=False)
+    x = FourVector(0.3, 0.1, 0.2, -2.0)
+    for call in (lz.m2, lz.m2_and_grad):
+        with pytest.raises(RealityError):
+            call(x)
+    assert _same(lz.grad_m2(x), [0.0, 0.0, 0.0, 1.0])   # the gradient alone is real
+    for bg, x in ((backgrounds.special_conformal_gaussian(), FourVector(0.5, 0.2, 0.1, -0.5)),
+                  (backgrounds.special_conformal_mass(lambda u: 1.0, lambda u: 0.0),
+                   FourVector(-0.25, 0.0, 0.0, 0.25)),
+                  (backgrounds.dilation_mass(1.0), FourVector(1.0, 0.6, 0.0, 0.8))):
+        for call in (bg.m2, bg.m2_and_grad, bg.grad_m2):
+            with pytest.raises(SingularityError):
+                call(x)
+
+
+def test_from_callable_m2_calls_user_function_once_per_point():
+    calls = {"m2": 0, "grad": 0}
+
+    def m2_fn(x):
+        calls["m2"] += 1
+        return _user_m2(x)
+
+    def grad_fn(x):
+        calls["grad"] += 1
+        return _user_grad(x)
+
+    fd = backgrounds.from_callable(m2_fn)
+    x = FourVector(0.3, 0.1, -0.2, 0.4)
+    assert fd.m2(x) == _user_m2(x) and calls["m2"] == 1
+    batch = FourVector(np.array([0.3, 0.5, 0.7]), np.array([0.1, 0.0, -0.1]),
+                       np.array([-0.2, 0.2, 0.0]), np.array([0.4, -0.4, 0.1]))
+    fd.m2(batch)
+    assert calls["m2"] == 4                   # never the 16-call fallback gradient
+    fd.m2_and_grad(x)
+    assert calls["m2"] == 4 + 1 + 16          # the value, then the stencil
+    exact = backgrounds.from_callable(m2_fn, grad_fn)
+    exact.m2(x)
+    exact.m2(batch)
+    assert calls["m2"] == 21 + 4 and calls["grad"] == 0
+    exact.m2_and_grad(x)
+    assert calls["m2"] == 26 and calls["grad"] == 1

@@ -30,8 +30,9 @@ from confdyn.dynamics import (
     poisson_bracket,
     quantity_partials,
 )
-from confdyn.errors import SingularityError
-from confdyn.geometry import FourVector, lf_momenta, mass_shell_gap
+from confdyn.errors import RealityError, SingularityError
+from confdyn.geometry import (FourVector, lf_gradient, lf_momenta, mass_shell_gap,
+                              raise_index)
 
 
 def _random_instant_state(rng, bg):
@@ -512,3 +513,129 @@ def test_form_columns_pminus_slot_and_bracket(form):
     slot = "pminus" if form in ("front", "extended") else None
     assert (None if layout.pminus is None else layout.p_names[layout.pminus]) == slot
     assert layout.canonical == (form != "covariant")
+
+
+# ---------------------------------------------------------------------------
+# the flows against their expressions with m^2 and its gradient read apart
+# ---------------------------------------------------------------------------
+
+def _two_call_rhs(form, bg, nonrel=False):
+    """Each flow as written with bg.m2 and bg.grad_m2 as two calls."""
+    position = FORMS[form].position
+
+    def instant(t, y):
+        pos = position(t, y)
+        p = y[3:6]
+        m2 = bg.m2(pos)
+        g = bg.grad_m2(pos)
+        if nonrel:
+            m = np.sqrt(m2)
+            fac = (1.0 - (p @ p) / (2.0 * m2)) / (2.0 * m)
+            return np.concatenate([-p / m, g[1:4] * fac])
+        H = np.sqrt(p @ p + m2)
+        return np.concatenate([-p / H, g[1:4] / (2.0 * H)])
+
+    def lightfront(t, y):
+        pos = position(t, y)
+        pminus, p1, p2 = y[-3], y[-2], y[-1]
+        m2 = bg.m2(pos)
+        lfg = lf_gradient(bg.grad_m2(pos))
+        pp = p1 * p1 + p2 * p2
+        w = 4.0 * pminus
+        flow = ((pp + m2) / (4.0 * pminus ** 2), -p1 / (2.0 * pminus),
+                -p2 / (2.0 * pminus), lfg[1] / w, lfg[2] / w, lfg[3] / w)
+        if form == "extended":
+            return np.array((1.0, *flow[:3], lfg[0] / w, *flow[3:]))
+        return np.array(flow)
+
+    def covariant(tau, y):
+        pos = position(tau, y)
+        u = y[4:8]
+        m2 = bg.m2(pos)
+        g = bg.grad_m2(pos)
+        gu = raise_index(g)
+        udot = (gu - u * float(u @ g)) / (2.0 * m2)
+        return np.concatenate([u, udot])
+
+    return {"instant": instant, "front": lightfront, "extended": lightfront,
+            "covariant": covariant}[form]
+
+
+def _flow_states(form, kind, rng, n=40):
+    """n seeded (time, y) pairs inside the field's real, regular region;
+    every fourth one has x_perp = p_perp = 0 exactly, and the switched
+    light-front field gets states on x+ = L = 1.2."""
+    out = []
+    for i in range(n):
+        perp = np.zeros(2) if i % 4 == 0 else rng.uniform(-0.4, 0.4, 2)
+        pperp = np.zeros(2) if i % 4 == 0 else rng.uniform(-0.3, 0.3, 2)
+        if form == "instant":
+            if kind == "dilation":
+                t, z = rng.uniform(1.5, 2.5), rng.uniform(-0.5, 0.5)
+            else:
+                t, z = rng.uniform(-0.5, 0.5), (0.0 if i % 5 == 1 else rng.uniform(-0.8, 0.8))
+            out.append((t, np.array([*perp, z, *pperp, rng.uniform(-0.5, 0.5)])))
+        elif form == "covariant":
+            x = np.array([rng.uniform(1.5, 2.5), *perp, rng.uniform(-0.5, 0.5)])
+            v = np.array([0.0, *rng.uniform(-0.4, 0.4, 3)])
+            v[0] = np.sqrt(1.0 + v[1:] @ v[1:])
+            out.append((rng.uniform(0.0, 1.0), np.concatenate([x, v])))
+        else:
+            xplus = 1.2 if (kind == "switched" and i % 5 == 1) else rng.uniform(0.4, 2.5)
+            xminus, pminus = rng.uniform(-0.6, 0.6), rng.uniform(0.2, 0.8)
+            if form == "front":
+                out.append((xplus, np.array([xminus, *perp, pminus, *pperp])))
+            else:
+                out.append((rng.uniform(0.0, 2.0),
+                            np.array([xplus, xminus, *perp, rng.uniform(0.1, 1.0),
+                                      pminus, *pperp])))
+    return out
+
+
+_FLOW_FIELDS = {
+    "linear_z": lambda: backgrounds.linear_z(0.8, 1.1, switched=True),
+    "dilation": lambda: backgrounds.dilation_mass(1.3),
+    "switched": lambda: backgrounds.special_conformal_switched(1.1, 1.2, 0.9),
+    "gaussian": lambda: backgrounds.special_conformal_gaussian(1.1, 1.2, 0.9),
+    "plane_wave": lambda: backgrounds.plane_wave_sin2(1.0, 0.5, 1.3),
+}
+
+
+@pytest.mark.parametrize("form, nonrel, kind", [
+    ("instant", False, "linear_z"), ("instant", True, "linear_z"),
+    ("instant", False, "dilation"), ("instant", True, "dilation"),
+    ("front", False, "switched"), ("front", False, "gaussian"),
+    ("front", False, "plane_wave"), ("extended", False, "switched"),
+    ("extended", False, "gaussian"), ("extended", False, "plane_wave"),
+    ("covariant", False, "dilation"),
+])
+def test_rhs_equals_two_call_expressions(form, nonrel, kind):
+    bg = _FLOW_FIELDS[kind]()
+    rhs = _make_rhs(form, bg, nonrel)
+    ref = _two_call_rhs(form, bg, nonrel)
+    rng = np.random.default_rng(606)
+    for t, y in _flow_states(form, kind, rng):
+        got, want = rhs(t, y), ref(t, y)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        # signed zeros too: the output files print them
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("form, bg, t, y, err", [
+    ("instant", backgrounds.linear_z(1.0, 1.0, switched=False), 0.3,
+     [0.1, 0.2, -2.0, 0.1, 0.0, 0.0], RealityError),
+    ("front", backgrounds.special_conformal_gaussian(), 0.0,
+     [0.3, 0.1, 0.2, 0.5, 0.0, 0.0], SingularityError),
+    ("extended", backgrounds.special_conformal_gaussian(), 0.7,
+     [0.0, 0.3, 0.1, 0.2, 0.4, 0.5, 0.0, 0.0], SingularityError),
+    ("covariant", backgrounds.dilation_mass(1.0), 0.0,
+     [1.0, 0.6, 0.0, 0.8, 1.0, 0.0, 0.0, 0.0], SingularityError),
+    ("instant", backgrounds.dilation_mass(1.0), 1.0,
+     [0.6, 0.0, 0.8, 0.1, 0.0, 0.0], SingularityError),
+])
+def test_rhs_raises_as_the_field(form, bg, t, y, err):
+    y = np.array(y)
+    with pytest.raises(err):
+        bg.m2(FORMS[form].position(t, y))
+    with pytest.raises(err):
+        _make_rhs(form, bg, False)(t, y)
