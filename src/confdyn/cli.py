@@ -256,6 +256,8 @@ def _background(cfg) -> backgrounds.ScalarBackground:
     if "background" not in cfg:
         raise ConfigError("missing [background] section")
     params = dict(cfg["background"])
+    params.update({key: _getf(cfg, "background", key) for key in params
+                   if key in ("m0sq", "B", "amp", "k", "L", "csq")})
     if "switched" in params:
         params["switched"] = _getb(cfg, "background", "switched")
     try:
@@ -300,26 +302,35 @@ _EXTRAS = {
     "p3": conformal.momentum_p3_quantity,
     "Lz": conformal.angular_momentum_z_quantity,
 }
+_ANY_FORM = tuple(FORMS)
 
 
-def _monitors(cfg, bg) -> list:
+def _monitors(cfg, bg, form=None) -> tuple:
+    """(quantities, gated labels) of [monitor] set and extra.  Each set names
+    the forms its quantities are written for (generator charges read the
+    on-shell four-momentum, so they serve every form); a form outside them
+    is a ConfigError."""
     name = _get(cfg, "monitor", "set", "none")
     sets = {
-        "none": lambda: [],
-        "spacelike": lambda: conformal.spacelike_set(
-            _getf(cfg, "background", "B", 1.0)),
-        "planewave": lambda: conformal.planewave_extended_set(bg),
-        "conformal": lambda: conformal.conformal_extended_set(bg),
-        "conformal_front": conformal.conformal_front_set,
-        "dilation": conformal.dilation_mass_set,
-        "poincare": conformal.poincare_set,
-        "truncated": lambda: [
+        "none": (_ANY_FORM, lambda: []),
+        "spacelike": (("instant",), lambda: conformal.spacelike_set(
+            _getf(cfg, "background", "B", 1.0))),
+        "planewave": (("extended",), lambda: conformal.planewave_extended_set(bg)),
+        "conformal": (("extended",), lambda: conformal.conformal_extended_set(bg)),
+        "conformal_front": (_ANY_FORM, conformal.conformal_front_set),
+        "dilation": (_ANY_FORM, conformal.dilation_mass_set),
+        "poincare": (_ANY_FORM, conformal.poincare_set),
+        "truncated": (_ANY_FORM, lambda: [
             conformal.generator_quantity(conformal.translation_axis(1), "Q1"),
-            conformal.generator_quantity(conformal.translation_axis(2), "Q2")],
+            conformal.generator_quantity(conformal.translation_axis(2), "Q2")]),
     }
     if name not in sets:
         raise ConfigError(f"unknown quantity set {name!r}")
-    out = sets[name]()
+    forms, build = sets[name]
+    if form is not None and form not in forms:
+        raise ConfigError(f"quantity set {name!r} is written for the "
+                          f"{' or '.join(forms)} form, not {form!r}")
+    out = build()
     gated = [q.label for q in out]
     for extra in str(_get(cfg, "monitor", "extra", "")).split(","):
         extra = extra.strip()
@@ -380,7 +391,7 @@ def _setup_run(run_cfg) -> tuple:
     opts = _evolve_options(run_cfg)
     if opts.method == "rk4" and bg.events:
         raise ConfigError(f"[run] method = rk4 cannot cross the switch of {bg.label}")
-    return (bg, state, span, opts) + _monitors(run_cfg, bg)
+    return (bg, state, span, opts) + _monitors(run_cfg, bg, state.form)
 
 
 def _run_one(setup, index: int, out_dir: Path, fmt: str, tol_rel: float):
@@ -430,15 +441,19 @@ def _certify_states(cfg, bg, form: str, count: int, rng) -> list:
         except (RealityError, SingularityError):
             return False
 
-    if fam == "dilation":
-        def accept_dil(st):
-            x = st.position()
-            return x.norm2() > 0.5 and x.t > 0
-        states = integrability.random_states(
-            form, count, rng, t_range=(1.8, 2.6), q_range=(-0.4, 0.4),
-            accept=accept_dil)
-    else:
-        states = integrability.random_states(form, count, rng, accept=accept)
+    try:
+        if fam == "dilation":
+            def accept_dil(st):
+                x = st.position()
+                return x.norm2() > 0.5 and x.t > 0
+            states = integrability.random_states(
+                form, count, rng, t_range=(1.8, 2.6), q_range=(-0.4, 0.4),
+                accept=accept_dil)
+        else:
+            states = integrability.random_states(form, count, rng, accept=accept)
+    except ValueError as exc:
+        raise ConfigError(f"cannot sample {count} {form} states on {bg.label}: "
+                          f"{exc}") from None
     if form == "extended":
         # involution of the charge algebra is an on-shell statement: put the
         # sampled p+ on the mass shell instead of leaving it arbitrary
@@ -455,9 +470,11 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     if form not in FORMS or not FORMS[form].canonical:
         raise ConfigError(f"[certify] form = {form!r} has no canonical bracket")
     count = _geti(cfg, "certify", "count", 24)
+    if count < 1:
+        raise ConfigError(f"[certify] count = {count} must be at least 1")
     mon_cfg = _merge(cfg, {"monitor": {"set": _get(cfg, "certify", "set"),
                                        "extra": ""}})
-    quantities, _ = _monitors(mon_cfg, bg)
+    quantities, _ = _monitors(mon_cfg, bg, form)
     if not quantities:
         raise ConfigError("[certify] set names no quantities")
     rng = np.random.default_rng(seed)
@@ -544,10 +561,12 @@ def _kg_setup(cfg, rng):
 
 def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
            seed: int) -> int:
-    rng = np.random.default_rng(seed)
-    phi, bg, pool, triples = _kg_setup(cfg, rng)
     npts = _geti(cfg, "kg", "points", 60)
     h = _getf(cfg, "kg", "h", 1e-3)
+    if npts < 1 or not h > 0.0:
+        raise ConfigError(f"[kg] points = {npts} and h = {h:g} must be positive")
+    rng = np.random.default_rng(seed)
+    phi, bg, pool, triples = _kg_setup(cfg, rng)
     points = [x for x in pool if phi.in_domain(x)][:npts]
     if len(points) < npts:
         raise ConfigError("could not draw enough in-domain sample points")
@@ -581,6 +600,8 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     state = _initial_state(cfg, bg)
     w0 = _getf(cfg, "run", "tstart", 0.0)
     w1 = _getf(cfg, "run", "tend")
+    if not w1 > w0:
+        raise ConfigError(f"[run] tend = {w1:g} must exceed tstart = {w0:g}")
     if fam == "linear_z":
         orb = analytic.spacelike_orbit(_getf(cfg, "background", "B"), state,
                                        _getf(cfg, "background", "m0sq", 1.0))

@@ -20,10 +20,10 @@ parameter with dx+/ds = 1, and uses the same bracket over all four pairs.
 The covariant form integrates m (d^2x_mu/dtau^2) = (eta_{mu nu} -
 xdot_mu xdot_nu) d^nu m with xdot.xdot = 1.
 
-The adaptive integrator is an embedded Runge-Kutta 5(4) pair with event
-location for switch surfaces (the integration restarts cleanly on each C0
-kink); a fixed-step classical Runge-Kutta scheme is available for
-convergence studies.
+One stepping loop drives either scipy's embedded Runge-Kutta 5(4) pair or a
+fixed-step classical Runge-Kutta scheme (for convergence studies), locates
+switch surfaces and the p- = 0 guard on each step's dense output, and
+restarts each segment on the far side of a C0 kink from an integrated state.
 """
 
 from __future__ import annotations
@@ -31,10 +31,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolver
+from scipy.optimize import brentq
 
 from .errors import ReconstructionError, SingularityError
 from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
@@ -342,10 +344,7 @@ class EvolveOptions:
     method: str = "rk45"           # "rk45" (adaptive 5(4)) or "rk4" (fixed step)
     step: Optional[float] = None   # fixed step for rk4
     samples: int = 400
-    max_step: float = np.inf
-    events: bool = True
     nonrelativistic: bool = False
-    max_segments: int = 64
 
 
 @dataclass
@@ -431,37 +430,77 @@ def monitor(traj: Trajectory, quantities: Sequence, bg):
     return values, drifts
 
 
-def _rk4_step(rhs, t, y, h):
-    k1 = rhs(t, y)
+MAX_SEGMENTS = 64   # event restarts before a flow counts as stuck on a surface
+_EPS = np.finfo(float).eps
+
+
+def _rk4_step(rhs, t, y, h, k1=None):
+    k1 = rhs(t, y) if k1 is None else k1
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _evolve_rk4(state0, bg, span, opts, rhs, grid):
-    if opts.step is None:
-        raise ValueError("fixed-step integration needs opts.step")
-    if bg.events and opts.events:
-        raise ValueError("the fixed-step integrator does not locate events; "
-                         "disable them or use the adaptive method")
-    t0, t1 = span
-    ts = [t0]
-    ys = [np.asarray(np.concatenate([state0.q, state0.p]), float)]
-    t, y = t0, ys[0]
-    nsteps = int(np.ceil((t1 - t0) / opts.step))
-    h = (t1 - t0) / nsteps
-    for _ in range(nsteps):
-        y = _rk4_step(rhs, t, y, h)
-        t = t + h
-        ts.append(t)
-        ys.append(y)
-    ts = np.asarray(ts)
-    ys = np.asarray(ys)
-    # subsample onto the requested grid by nearest step time
-    idx = np.searchsorted(ts, grid)
-    idx = np.clip(idx, 0, ts.size - 1)
-    return ts[idx], ys[idx], {"nfev": 4 * nsteps, "segments": 1}, []
+class FixedStepRK4(OdeSolver):
+    """Classical Runge-Kutta in equal steps that divide (t0, t_bound), with a
+    cubic Hermite dense output; four RHS calls a step, since the slope at a
+    step's end opens the next one."""
+
+    def __init__(self, fun, t0, y0, t_bound, step):
+        super().__init__(fun, t0, y0, t_bound, vectorized=False)
+        n_steps = int(np.ceil((t_bound - t0) / step))
+        self.ends = iter(np.linspace(t0, t_bound, n_steps + 1)[1:])
+        self.f = self.fun(self.t, self.y)
+
+    def _step_impl(self):
+        t_new = next(self.ends)
+        self.y_old, self.f_old = self.y, self.f
+        self.y = _rk4_step(self.fun, self.t, self.y, t_new - self.t, self.f)
+        self.t = t_new
+        self.f = self.fun(t_new, self.y)
+        return True, None
+
+    def _dense_output_impl(self):
+        # the weights are exactly (1, 0, 0, 0) and (0, 0, 1, 0) at the ends
+        t_old, h = self.t_old, self.t - self.t_old
+        nodes = np.array([self.y_old, h * self.f_old, self.y, h * self.f]).T
+
+        def dense(t):
+            x = (np.asarray(t) - t_old) / h
+            return nodes @ np.array([(1.0 + 2.0 * x) * (1.0 - x) ** 2,
+                                     x * (1.0 - x) ** 2, x * x * (3.0 - 2.0 * x),
+                                     x * x * (x - 1.0)])
+        return dense
+
+
+def _segment(solver, ev_fns, t_eval):
+    """Step a solver to its bound or to its first event, sampling t_eval on
+    each step's dense output, as solve_ivp does with terminal events.
+    Returns (sampled times, list of (n, m) sample blocks, None or (event
+    index, event time))."""
+    g = [fn(solver.t, solver.y) for fn in ev_fns]
+    ys, i_eval, hit = [], 0, None
+    while hit is None and solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise SingularityError(f"integration failed: {message}")
+        t, g_old, dense = solver.t, g, None
+        g = [fn(t, solver.y) for fn in ev_fns]
+        active = [i for i, (a, b) in enumerate(zip(g_old, g))
+                  if a <= 0 <= b or b <= 0 <= a]
+        if active:
+            dense = solver.dense_output()
+            t, i = min((brentq(lambda s, fn=ev_fns[i]: fn(s, dense(s)), solver.t_old,
+                               solver.t, xtol=4 * _EPS, rtol=4 * _EPS), i)
+                       for i in active)
+            hit = (i, t)
+        j = np.searchsorted(t_eval, t, side="right")
+        if j > i_eval:
+            dense = dense or solver.dense_output()
+            ys.append(dense(t_eval[i_eval:j]))
+            i_eval = j
+    return t_eval[:i_eval], ys, hit
 
 
 def starts_at(state: PhaseSpaceState, t0: float) -> bool:
@@ -473,11 +512,13 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
            monitors: Sequence = ()) -> Trajectory:
     """Integrate the state's form of dynamics over span = (t0, t1).
 
-    Switch surfaces declared by the background terminate the step, are located
-    by bisection, and the integration restarts on the far side, so C0 kinks
-    never sit inside an accepted step.  A sign change of p- (front/extended)
-    raises SingularityError; sampling m^2 < 0 raises RealityError from the
-    background itself.
+    A switch surface declared by the background ends the segment at the
+    crossing, located by bisection on the dense output of the step that
+    straddles it; that step is redone up to the crossing and the integration
+    restarts on the far side, so C0 kinks never sit inside an accepted step.
+    The fixed-step method refuses such backgrounds.  A sign change of p-
+    (front/extended) raises SingularityError; sampling m^2 < 0 raises
+    RealityError from the background itself.
     """
     opts = opts or EvolveOptions()
     t0, t1 = float(span[0]), float(span[1])
@@ -488,12 +529,18 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     rhs = _make_rhs(state0.form, bg, opts.nonrelativistic)
     grid = np.linspace(t0, t1, opts.samples)
 
-    if opts.method == "rk4":
-        times, ys, stats, elog = _evolve_rk4(state0, bg, span, opts, rhs, grid)
-    elif opts.method == "rk45":
-        times, ys, stats, elog = _evolve_rk45(state0, bg, (t0, t1), opts, rhs, grid)
+    if opts.method == "rk45":
+        new_solver = partial(RK45, rtol=opts.rtol, atol=opts.atol)
+    elif opts.method == "rk4":
+        if opts.step is None:
+            raise ValueError("fixed-step integration needs opts.step")
+        if bg.events:
+            raise ValueError("the fixed-step integrator does not cross switch "
+                             "surfaces accurately; use the adaptive method")
+        new_solver = partial(FixedStepRK4, step=opts.step)
     else:
         raise ValueError(f"unknown method {opts.method!r}")
+    times, ys, stats, elog = _integrate(state0, bg, (t0, t1), new_solver, rhs, grid)
 
     n = FORMS[state0.form].dof
     traj = Trajectory(form=state0.form, times=np.asarray(times),
@@ -505,82 +552,64 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     return traj
 
 
-def _evolve_rk45(state0, bg, span, opts, rhs, grid):
+def _integrate(state0, bg, span, new_solver, rhs, grid):
+    """The stepping loop of both methods: one solver per segment between
+    switch-surface crossings.  At a crossing the straddling step is redone
+    from its start with a solver bounded at the crossing time, and the next
+    segment starts from that integrated endpoint."""
     t0, t1 = span
     span_len = t1 - t0
     nudge = 1e-12 * span_len
 
     form = FORMS[state0.form]
-    surface_events = []
-    if opts.events:
-        for name, fn in bg.events:
-            def ev(t, y, _fn=fn):
-                return _fn(form.position(t, y))
-            ev.terminal = True
-            surface_events.append((name, ev))
-
-    guard_events = []
+    events = [(name, lambda t, y, _fn=fn: _fn(form.position(t, y)))
+              for name, fn in bg.events]
     if form.pminus is not None:
-        def pminus_guard(t, y, _i=form.dof + form.pminus):
-            return y[_i]
-        pminus_guard.terminal = True
-        guard_events.append(("p-=0", pminus_guard))
-
-    all_events = surface_events + guard_events
-    ev_fns = [e for _, e in all_events]
+        events.append(("p-=0", lambda t, y, _i=form.dof + form.pminus: y[_i]))
+    ev_fns = [fn for _, fn in events]
 
     times = [t0]
     ys = [np.asarray(np.concatenate([state0.q, state0.p]), float)]
     t, y = t0, ys[0]
-    elog = []
-    nfev = 0
-    segments = 0
-
+    elog, nfev, segments = [], 0, 0
     while t < t1 - 1e-14 * span_len:
         # step off a switch surface so the event does not refire at the start
-        on_surface = any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len)
-                         for _, fn in all_events)
-        if on_surface:
+        if any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len) for fn in ev_fns):
             y = _rk4_step(rhs, t, y, nudge)
             t = t + nudge
             nfev += 4
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = np.concatenate([[t], seg_grid]) if seg_grid.size else np.array([t, t1])
-        sol = solve_ivp(rhs, (t, t1), y, method="RK45", rtol=opts.rtol,
-                        atol=opts.atol, max_step=opts.max_step,
-                        t_eval=t_eval, events=ev_fns, dense_output=False)
-        nfev += sol.nfev
+        solver = new_solver(rhs, t, y, t1)
+        seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval)
+        seg_y = np.hstack(seg_y)
+        nfev += solver.nfev
         segments += 1
-        if segments > opts.max_segments:
+        if segments > MAX_SEGMENTS:
             raise SingularityError("too many event restarts; flow appears stuck "
                                    "on a switch surface")
-        keep = sol.t > times[-1] + 1e-14 * max(1.0, span_len)
-        for ti, yi in zip(sol.t[keep], sol.y[:, keep].T):
-            times.append(ti)
-            ys.append(yi)
-        if sol.status == 1:  # terminated by an event
-            hit = [i for i, te in enumerate(sol.t_events) if te.size > 0]
-            i0 = hit[int(np.argmin([sol.t_events[i][0] for i in hit]))]
-            name = all_events[i0][0]
-            te = float(sol.t_events[i0][0])
-            ye = sol.y_events[i0][0]
-            if i0 >= len(surface_events):
-                raise SingularityError(
-                    f"guard {name} crossed at parameter {te:g}; the flow left "
-                    "its regular region")
-            elog.append((name, te))
-            if te > times[-1] + 1e-14 * max(1.0, span_len):
-                times.append(te)
-                ys.append(ye)
-            t, y = te, ye
-        elif sol.status == 0:
-            t = t1
+        keep = seg_t > times[-1] + 1e-14 * max(1.0, span_len)
+        times.extend(seg_t[keep])
+        ys.extend(seg_y[:, keep].T)
+        if hit is None:
             if times[-1] < t1 - 1e-14 * span_len:
-                times.append(sol.t[-1])
-                ys.append(sol.y[:, -1])
+                times.append(seg_t[-1])
+                ys.append(seg_y[:, -1])
             break
-        else:
-            raise SingularityError(f"integration failed: {sol.message}")
+        i, te = hit
+        name = events[i][0]
+        if i >= len(bg.events):
+            raise SingularityError(
+                f"guard {name} crossed at parameter {te:g}; the flow left "
+                "its regular region")
+        redo = new_solver(rhs, solver.t_old, solver.y_old, te)
+        _segment(redo, (), ())   # to te, with neither events nor samples
+        nfev += redo.nfev
+        elog.append((name, te))
+        if te > times[-1] + 1e-14 * max(1.0, span_len):
+            times.append(te)
+            ys.append(redo.y)
+        t, y = te, redo.y
 
     stats = {"nfev": int(nfev), "segments": int(segments),
              "event_crossings": len(elog)}

@@ -284,6 +284,23 @@ def test_boolean_typos_rejected(raw):
     # the state's own time (initial.t, initial.xplus) must open the span
     ("simulate", "dilation", ["run.tstart=1"]),
     ("simulate", "fig2", ["run.tstart=1.2"]),
+    # a quantity set evaluated on a form it is not written for, or a form
+    # the certify sampler cannot fill
+    ("certify", "conformal", ["certify.form=front"]),
+    ("certify", "planewave", ["certify.form=instant"]),
+    ("certify", "spacelike", ["certify.form=extended"]),
+    ("certify", "dilation", ["certify.form=front"]),
+    # non-finite background numbers
+    ("simulate", "dilation", ["background.csq=inf"]),
+    ("simulate", "fig1", ["background.m0sq=nan"]),
+    ("simulate", "fig2", ["background.k=inf"]),
+    ("certify", "spacelike", ["background.m0sq=inf"]),
+    ("kg", "conformal", ["background.L=nan"]),
+    # empty sizes, zero steps and backward windows
+    ("kg", "planewave", ["kg.points=0"]),
+    ("certify", "spacelike", ["certify.count=0"]),
+    ("kg", "conformal", ["kg.h=0"]),
+    ("orbit", "fig1", ["run.tend=-1"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):

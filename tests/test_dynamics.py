@@ -9,6 +9,7 @@ from confdyn import backgrounds, conformal
 from confdyn.dynamics import (
     FORMS,
     EvolveOptions,
+    FixedStepRK4,
     PhaseSpaceState,
     Trajectory,
     _make_rhs,
@@ -245,7 +246,7 @@ def test_event_restart_and_exit():
 def test_events_disabled_skips_log():
     bg = backgrounds.linear_z(1.0, 1.0, switched=False)
     st = instant_state(0.0, (0.0, 0.0, 0.2), (0.0, 0.0, -0.3))
-    traj = evolve(st, bg, (0.0, 1.0), EvolveOptions(events=False))
+    traj = evolve(st, bg, (0.0, 1.0), EvolveOptions())
     assert traj.events_log == []
 
 
@@ -258,7 +259,7 @@ def test_rk4_matches_rk45():
     st = instant_state(0.0, (0.1, 0.2, 0.3), (0.05, -0.1, -0.25))
     ref = evolve(st, bg, (0.0, 2.0), EvolveOptions(rtol=1e-12, atol=1e-12))
     fixed = evolve(st, bg, (0.0, 2.0),
-                   EvolveOptions(method="rk4", step=1e-3, events=False))
+                   EvolveOptions(method="rk4", step=1e-3))
     assert np.max(np.abs(ref.q[-1] - fixed.q[-1])) < 1e-9
     assert np.max(np.abs(ref.p[-1] - fixed.p[-1])) < 1e-9
 
@@ -289,6 +290,88 @@ def test_singularity_past_conformal_asymptote():
     st = erf_orbit_entry_state(0.9)
     with pytest.raises(SingularityError):
         evolve(st, bg, (1.0, 11.0), EvolveOptions(samples=100))
+
+
+def test_bounce_exit_keeps_charges_past_the_kink():
+    # fig. 1 orbit run well past its exit through z = 0: the restart after
+    # the exit crossing comes from an integrated state, so every charge of
+    # the spacelike set stays within the simulate gate afterwards too
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    st = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, -0.54))
+    traj = evolve(st, bg, (0.0, 4.0), EvolveOptions(samples=500),
+                  monitors=conformal.spacelike_set(1.0))
+    t_exit = [t for name, t in traj.events_log if name == "z=0"][-1]
+    assert t_exit < 3.0
+    assert max(traj.drifts.values()) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave"])
+def test_rk45_loop_takes_solve_ivp_steps(case):
+    # without a crossing the loop reproduces solve_ivp's samples bit for bit
+    from scipy.integrate import solve_ivp
+    if case == "instant-dilation":
+        bg = backgrounds.dilation_mass(1.0)
+        st = instant_state(2.0, (0.1, -0.1, 0.3), (0.05, 0.02, -0.04))
+        span = (2.0, 6.0)
+    else:
+        bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+        st = extended_state_on_shell(bg, 0.0, 0.0, (0.0, 0.0), 0.5, (0.1, -0.05))
+        span = (0.0, 10.0)
+    traj = evolve(st, bg, span, EvolveOptions(samples=57))
+    form = FORMS[st.form]
+    events = None
+    if form.pminus is not None:
+        def guard(t, y):
+            return y[form.dof + form.pminus]
+        guard.terminal = True
+        events = [guard]
+    sol = solve_ivp(_make_rhs(st.form, bg, False), span, np.concatenate([st.q, st.p]),
+                    rtol=1e-10, atol=1e-10, t_eval=np.linspace(*span, 57),
+                    events=events)
+    assert np.array_equal(traj.times, sol.t)
+    assert np.array_equal(np.hstack([traj.q, traj.p]), sol.y.T)
+    assert traj.stats == {"nfev": sol.nfev, "segments": 1, "event_crossings": 0}
+
+
+def test_rk4_stops_at_pminus_guard():
+    # past the Gaussian asymptote x+ = 1/(1 - kappa) p- runs through zero;
+    # the fixed-step method stops there as the adaptive one does
+    from confdyn.analytic import erf_orbit_entry_state
+    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+    st = erf_orbit_entry_state(0.9)
+    with pytest.raises(SingularityError, match="p-=0"):
+        evolve(st, bg, (1.0, 11.0),
+               EvolveOptions(method="rk4", step=1e-2, samples=100))
+
+
+def test_rk4_samples_grid_and_reports_stats():
+    bg = backgrounds.linear_z(0.9, 1.1, switched=False)
+    st = instant_state(0.0, (0.1, 0.2, 0.3), (0.05, -0.1, -0.25))
+    traj = evolve(st, bg, (0.0, 2.0),
+                  EvolveOptions(method="rk4", step=0.03, samples=57))
+    assert np.array_equal(traj.times, np.linspace(0.0, 2.0, 57))
+    # 67 equal steps of four RHS calls, and the slope at the start
+    assert traj.stats == {"nfev": 4 * 67 + 1, "segments": 1,
+                          "event_crossings": 0}
+
+
+def test_fixed_step_rk4_is_exact_on_cubics():
+    # classical RK4 and its cubic Hermite interpolant reproduce y = t^3
+    # to rounding; five steps divide the span and end on its bound exactly
+    solver = FixedStepRK4(lambda t, y: np.array([3.0 * t * t]), 0.5,
+                          np.array([0.125]), 1.7, 0.25)
+    steps = 0
+    while solver.status == "running":
+        solver.step()
+        steps += 1
+        assert solver.t - solver.t_old == pytest.approx(0.24, rel=1e-12)
+        ts = np.linspace(solver.t_old, solver.t, 7)
+        dense = solver.dense_output()
+        assert np.allclose(dense(ts)[0], ts ** 3, rtol=1e-14, atol=0.0)
+        assert dense(solver.t_old)[0] == solver.y_old[0]
+        assert dense(solver.t)[0] == solver.y[0]
+    assert (steps, solver.t, solver.nfev) == (5, 1.7, 21)
+    assert solver.y[0] == pytest.approx(1.7 ** 3, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
