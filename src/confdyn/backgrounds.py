@@ -1,12 +1,12 @@
 """Scalar background fields m^2(x) with analytic lower-index gradients.
 
-Each background packages one point kernel that returns the squared mass and
-its gradient d_mu m^2 together (the plain tuple of coordinate partials,
-which carries a lower index), a smoothness predicate, and the switch
-surfaces where the field turns on.  Sampling a negative squared mass raises
-RealityError; sampling on a singular surface (x+ = 0 for the inverse-square
-light-front families, the light cone for the dilation family) raises
-SingularityError.
+Each background packages one point kernel that takes the plain coordinates
+(t, x, y, z) and returns the squared mass and its gradient d_mu m^2 together
+(the plain tuple of coordinate partials, which carries a lower index), a
+smoothness predicate, and the switch surfaces where the field turns on.
+Sampling a negative squared mass raises RealityError; sampling on a singular
+surface (x+ = 0 for the inverse-square light-front families, the light cone
+for the dilation family) raises SingularityError.
 
 Families
 --------
@@ -42,11 +42,11 @@ class ScalarBackground:
     Parameters
     ----------
     label : family name
-    field : the family's kernel, field(x) -> (m^2, (g0, g1, g2, g3)) at one
-        FourVector, the gradient as plain floats (lower index); it raises
+    field : the family's kernel, field(t, x, y, z) -> (m^2, (g0, g1, g2, g3))
+        at one point, the gradient as plain floats (lower index); it raises
         SingularityError on singular surfaces
-    value_fn : m^2 alone, for a field whose gradient costs far more than its
-        value (default: the kernel's m^2)
+    value_fn : value_fn(t, x, y, z) -> m^2 alone, for a field whose gradient
+        costs far more than its value (default: the kernel's m^2)
     smooth_fn : True away from kinks/singular surfaces (default: everywhere)
     events : list of (name, fn) switch surfaces, fn(FourVector) -> signed value
     m2_antiderivative : for plane-wave x+ profiles, x+ -> int_0^{x+} m^2
@@ -60,7 +60,7 @@ class ScalarBackground:
                  params: Optional[dict] = None):
         self.label = label
         self._field = field
-        self._value = value_fn or (lambda x: field(x)[0])
+        self._value = value_fn or (lambda t, x, y, z: field(t, x, y, z)[0])
         self._smooth = smooth_fn or (lambda x: True)
         self.events = list(events)
         self.m2_antiderivative = m2_antiderivative
@@ -72,27 +72,32 @@ class ScalarBackground:
         kernel, so every point raises exactly as it would alone."""
         if isinstance(x.t, np.ndarray):
             comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
-            return np.array([self._m2_at(FourVector(*c)) for c in zip(*comps)])
-        return self._m2_at(x)
+            return np.array([self._m2_at(*c) for c in zip(*comps)])
+        return self._m2_at(x.t, x.x, x.y, x.z)
 
-    def _m2_at(self, x: FourVector) -> float:
-        return self._real(self._value(x), x)
+    def _m2_at(self, t, x, y, z) -> float:
+        return self._real(self._value(t, x, y, z), t, x, y, z)
 
     def m2_and_grad(self, x: FourVector):
         """(m^2, (g0, g1, g2, g3)) at one point from one kernel call; raises
         as m2 does."""
-        v, g = self._field(x)
-        return self._real(v, x), g
+        return self.field_at(x.t, x.x, x.y, x.z)
+
+    def field_at(self, t, x, y, z):
+        """m2_and_grad at the plain coordinates of one point, for callers
+        that hold them unpacked (the flows' right-hand sides)."""
+        v, g = self._field(t, x, y, z)
+        return self._real(v, t, x, y, z), g
 
     def grad_m2(self, x: FourVector) -> np.ndarray:
-        return np.array(self._field(x)[1], dtype=float)
+        return np.array(self._field(x.t, x.x, x.y, x.z)[1], dtype=float)
 
-    def _real(self, v, x: FourVector) -> float:
+    def _real(self, v, t, x, y, z) -> float:
         v = float(v)
         if v < 0.0:
             raise RealityError(
                 f"m^2 = {v:g} < 0 sampled at (t,x,y,z) = "
-                f"({x.t:g}, {x.x:g}, {x.y:g}, {x.z:g}) on background {self.label!r}")
+                f"({t:g}, {x:g}, {y:g}, {z:g}) on background {self.label!r}")
         return v
 
     def mass(self, x: FourVector):
@@ -123,7 +128,7 @@ class ScalarBackground:
 def constant(m0sq: float = 1.0) -> ScalarBackground:
     if m0sq < 0:
         raise ValueError("m0sq must be nonnegative")
-    return ScalarBackground("constant", lambda x: (m0sq, _ZERO),
+    return ScalarBackground("constant", lambda t, x, y, z: (m0sq, _ZERO),
                             params={"family": "constant", "m0sq": m0sq})
 
 
@@ -132,10 +137,10 @@ def linear_z(B: float, m0sq: float = 1.0, switched: bool = True) -> ScalarBackgr
     matches the constant vacuum value continuously across z = 0 (C0 kink)."""
     slope = (0.0, 0.0, 0.0, float(B))
 
-    def field(x):
-        if switched and x.z <= 0.0:
-            return m0sq, (_ZERO if x.z < 0.0 else slope)
-        return m0sq + B * x.z, slope
+    def field(t, x, y, z):
+        if switched and z <= 0.0:
+            return m0sq, (_ZERO if z < 0.0 else slope)
+        return m0sq + B * z, slope
 
     return ScalarBackground(
         "linear_z", field,
@@ -149,8 +154,7 @@ def timelike(E: Callable[[float], float], dE: Callable[[float], float],
              m0sq: float = 1.0, switched: bool = True) -> ScalarBackground:
     """m^2 = m0^2 + E(t), turned on at t = 0 when switched."""
 
-    def field(x):
-        t = x.t
+    def field(t, x, y, z):
         if switched and t <= 0.0:
             return m0sq, (_ZERO if t < 0.0 else (dE(t), 0.0, 0.0, 0.0))
         return m0sq + E(t), (dE(t), 0.0, 0.0, 0.0)
@@ -175,8 +179,8 @@ def plane_wave(profile: Callable[[float], float], dprofile: Callable[[float], fl
         raise ValueError("argument must be 'xplus' or 'xminus'")
     sign = 1.0 if argument == "xplus" else -1.0
 
-    def field(x):
-        w = x.xplus if argument == "xplus" else x.xminus
+    def field(t, x, y, z):
+        w = t + z if argument == "xplus" else t - z
         d = dprofile(w)
         zero = 0.0 * d        # d * (1, 0, 0, +-1) carries d's sign onto its zeros
         return profile(w), (d, zero, zero, sign * d)
@@ -197,10 +201,10 @@ def plane_wave_sin2(m0sq: float = 1.0, amp: float = 0.5, k: float = 1.0,
         raise ValueError("amp must exceed -1 to keep m^2 positive")
 
     def prof(w):
-        return m0sq * (1.0 + amp * np.sin(k * w) ** 2)
+        return m0sq * (1.0 + amp * float(np.sin(k * w)) ** 2)
 
     def dprof(w):
-        return m0sq * amp * k * np.sin(2.0 * k * w)
+        return m0sq * amp * k * float(np.sin(2.0 * k * w))
 
     def anti(w):
         # int_0^w m0^2 (1 + amp sin^2(k s)) ds
@@ -233,21 +237,21 @@ def _inverse_square(fdf: Callable, label: str) -> Callable:
     """Kernel of m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+, from the
     profile kernel fdf(u) -> (f(u), f'(u))."""
 
-    def field(x):
-        xp = x.xplus
+    def field(t, x, y, z):
+        xp = t + z
         if abs(xp) < _SING_EPS:
             raise SingularityError(f"x+ = {xp:g} on the singular surface of {label}")
-        perp = x.perp
-        r2 = float(perp @ perp)
-        u = x.xminus - r2 / xp
+        perp = np.array([x, y])
+        r2 = float(perp @ perp)       # numpy's dot, not x*x + y*y: it rounds apart
+        u = (t - z) - r2 / xp
         fu, dfu = fdf(u)
         # df(u) d_mu u - 2 f(u) d_mu x+ / x+, over (x+)^2, with d_mu x+- =
         # (1, 0, 0, +-1); b * 0.0 keeps the sign of zero of the vector form
         a = dfu / xp ** 2
         b = 2.0 * fu / xp ** 3
         s = r2 / xp ** 2
-        return fu / xp ** 2, (a * (1.0 + s) - b, a * (-2.0 * x.x / xp) - b * 0.0,
-                              a * (-2.0 * x.y / xp) - b * 0.0, a * (-1.0 + s) - b)
+        return fu / xp ** 2, (a * (1.0 + s) - b, a * (-2.0 * x / xp) - b * 0.0,
+                              a * (-2.0 * y / xp) - b * 0.0, a * (-1.0 + s) - b)
 
     return field
 
@@ -267,7 +271,7 @@ def _gaussian(m0sq: float, L: float, k: float):
     A = m0sq * L * L
 
     def f(u):
-        return A * np.exp(-(k * u) ** 2)
+        return A * float(np.exp(-(k * u) ** 2))
 
     def fdf(u):
         fu = f(u)
@@ -294,11 +298,12 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
         raise ValueError("switch position L must be positive")
     pure = _inverse_square(_gaussian(m0sq, L, k)[1], "special_conformal")
 
-    def field(x):
-        if x.xplus < L:
+    def field(t, x, y, z):
+        xp = t + z
+        if xp < L:
             return m0sq, _ZERO
-        v, g = pure(x)
-        return (m0sq if x.xplus == L else v), g
+        v, g = pure(t, x, y, z)
+        return (m0sq if xp == L else v), g
 
     return ScalarBackground(
         "special_conformal_switched", field,
@@ -324,12 +329,12 @@ def dilation_mass(csq: float = 1.0) -> ScalarBackground:
     if csq <= 0:
         raise ValueError("csq must be positive")
 
-    def field(x):
-        xx = x.norm2()
+    def field(t, x, y, z):
+        xx = t * t - x * x - y * y - z * z
         if abs(xx) < _SING_EPS:
             raise SingularityError(f"x.x = {xx:g} on the light cone")
         c = -2.0 * csq / xx ** 2          # times the lowered x_mu
-        return csq / xx, (c * x.t, c * -x.x, c * -x.y, c * -x.z)
+        return csq / xx, (c * t, c * -x, c * -y, c * -z)
 
     return ScalarBackground("dilation", field,
                             params={"family": "dilation", "csq": csq})
@@ -355,8 +360,13 @@ def from_callable(m2_fn: Callable[[FourVector], float],
         return g
 
     grad = grad_fn or fd_grad
-    return ScalarBackground(label, lambda x: (m2_fn(x), tuple(map(float, grad(x)))),
-                            value_fn=m2_fn,
+
+    def field(t, x, y, z):
+        p = FourVector(t, x, y, z)
+        return m2_fn(p), tuple(map(float, grad(p)))
+
+    return ScalarBackground(label, field,
+                            value_fn=lambda t, x, y, z: m2_fn(FourVector(t, x, y, z)),
                             params={"family": "user"} | (params or {}))
 
 

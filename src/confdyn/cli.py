@@ -294,22 +294,27 @@ def _initial_state(cfg, bg) -> PhaseSpaceState:
     if form == "covariant":
         x = FourVector(*_getfs(cfg, "initial", "x4", 4))
         u = FourVector(*_getfs(cfg, "initial", "xdot", 4))
-        return covariant_state(x, u, tau=_getf(cfg, "run", "tstart", 0.0))
+        try:
+            return covariant_state(x, u, tau=_getf(cfg, "run", "tstart", 0.0))
+        except ValueError as exc:
+            raise ConfigError(f"[initial] xdot: {exc}") from None
     raise ConfigError(f"unknown form {form!r}")
 
 
-_EXTRAS = {
-    "p3": conformal.momentum_p3_quantity,
-    "Lz": conformal.angular_momentum_z_quantity,
-}
 _ANY_FORM = tuple(FORMS)
 
 
+def _check_form(kind: str, name: str, forms: tuple, form) -> None:
+    if form is not None and form not in forms:
+        raise ConfigError(f"{kind} {name!r} is written for the "
+                          f"{' or '.join(forms)} form, not {form!r}")
+
+
 def _monitors(cfg, bg, form=None) -> tuple:
-    """(quantities, gated labels) of [monitor] set and extra.  Each set names
-    the forms its quantities are written for (generator charges read the
-    on-shell four-momentum, so they serve every form); a form outside them
-    is a ConfigError."""
+    """(quantities, gated labels) of [monitor] set and extra.  Each set and
+    each extra names the forms its quantities are written for (generator
+    charges read the on-shell four-momentum, so they serve every form); a
+    form outside them is a ConfigError."""
     name = _get(cfg, "monitor", "set", "none")
     sets = {
         "none": (_ANY_FORM, lambda: []),
@@ -327,23 +332,32 @@ def _monitors(cfg, bg, form=None) -> tuple:
     if name not in sets:
         raise ConfigError(f"unknown quantity set {name!r}")
     forms, build = sets[name]
-    if form is not None and form not in forms:
-        raise ConfigError(f"quantity set {name!r} is written for the "
-                          f"{' or '.join(forms)} form, not {form!r}")
+    _check_form("quantity set", name, forms, form)
+    extras = {
+        "p3": (_ANY_FORM, conformal.momentum_p3_quantity),
+        "Lz": (("instant",), conformal.angular_momentum_z_quantity),
+        "BLz": (("instant",), lambda: conformal.angular_momentum_z_quantity(
+            _getf(cfg, "background", "B", 1.0))),
+    }
     out = build()
     gated = [q.label for q in out]
     for extra in str(_get(cfg, "monitor", "extra", "")).split(","):
         extra = extra.strip()
         if not extra:
             continue
-        if extra == "BLz":
-            out.append(conformal.angular_momentum_z_quantity(
-                _getf(cfg, "background", "B", 1.0)))
-        elif extra in _EXTRAS:
-            out.append(_EXTRAS[extra]())
-        else:
+        if extra not in extras:
             raise ConfigError(f"unknown extra quantity {extra!r}")
+        forms, build = extras[extra]
+        _check_form("extra quantity", extra, forms, form)
+        out.append(build())
     return out, gated
+
+
+def _samples(cfg) -> int:
+    n = _geti(cfg, "run", "samples", 400)
+    if n < 2:
+        raise ConfigError(f"[run] samples = {n} must be at least 2")
+    return n
 
 
 def _evolve_options(cfg) -> EvolveOptions:
@@ -353,7 +367,7 @@ def _evolve_options(cfg) -> EvolveOptions:
         method=_get(cfg, "run", "method", "rk45"),
         step=(None if "step" not in cfg.get("run", {})
               else _getf(cfg, "run", "step")),
-        samples=_geti(cfg, "run", "samples", 400),
+        samples=_samples(cfg),
         nonrelativistic=_getb(cfg, "run", "nonrelativistic", False),
     )
     if opts.method not in ("rk45", "rk4"):
@@ -602,6 +616,7 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     w1 = _getf(cfg, "run", "tend")
     if not w1 > w0:
         raise ConfigError(f"[run] tend = {w1:g} must exceed tstart = {w0:g}")
+    samples = _samples(cfg)
     if fam == "linear_z":
         orb = analytic.spacelike_orbit(_getf(cfg, "background", "B"), state,
                                        _getf(cfg, "background", "m0sq", 1.0))
@@ -616,7 +631,7 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
         orb = analytic.conformal_orbit(f, state, df=df, xplus_max=w1)
     else:
         raise ConfigError(f"no closed form for family {fam!r}")
-    ws = np.linspace(w0, w1, _geti(cfg, "run", "samples", 400))
+    ws = np.linspace(w0, w1, samples)
     xs, ps = orb.sample(ws)
     path = out_dir / ("orbit.json" if fmt == "json" else "orbit.csv")
     if fmt == "json":

@@ -373,8 +373,9 @@ class ConservedQuantity:
     provided, returns closed-form gradients (dQ/dq, dQ/dp) with respect to
     the canonical variables of the state's form, used by Poisson brackets
     and independence ranks.  generator records the conformal origin when the
-    quantity is a charge xi.p; hidden (polynomial-in-momenta) quantities set
-    it to None.
+    quantity is a charge xi.p (dynamics.monitor then evaluates xi.p from it
+    directly, as conserved_from_generator does); hidden
+    (polynomial-in-momenta) quantities set it to None.
     """
 
     label: str

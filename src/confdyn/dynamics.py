@@ -50,7 +50,7 @@ class Form:
     time_name: str
     q_names: tuple
     p_names: tuple
-    position: Callable       # (time, q) -> FourVector; reads only q[:dof]
+    coords: Callable         # (time, q) -> (t, x, y, z); reads only q[:dof]
     momentum: Callable       # (state, bg) -> lower-index (p0, p1, p2, p3)
     pminus: Optional[int]    # slot of p- in p, None where it is no coordinate
     canonical: bool          # carries a Poisson bracket
@@ -58,6 +58,10 @@ class Form:
     @property
     def dof(self) -> int:
         return len(self.q_names)
+
+    def position(self, time, q) -> FourVector:
+        """The spacetime point of (time, q) as a FourVector."""
+        return FourVector(*self.coords(time, q))
 
 
 def _covariant_momentum(state: PhaseSpaceState, bg) -> np.ndarray:
@@ -70,24 +74,23 @@ def _covariant_momentum(state: PhaseSpaceState, bg) -> np.ndarray:
 FORMS = {
     "instant": Form(
         "t", ("x", "y", "z"), ("p1", "p2", "p3"),
-        lambda t, q: FourVector(t, q[0], q[1], q[2]),
+        lambda t, q: (t, q[0], q[1], q[2]),
         lambda st, bg: np.array([hamiltonian_instant(st, bg), st.p[0], st.p[1],
                                  st.p[2]]),
         None, True),
     "front": Form(
         "xplus", ("xminus", "x1", "x2"), ("pminus", "p1", "p2"),
-        lambda t, q: FourVector(0.5 * (t + q[0]), q[1], q[2], 0.5 * (t - q[0])),
+        lambda t, q: (0.5 * (t + q[0]), q[1], q[2], 0.5 * (t - q[0])),
         lambda st, bg: momenta_from_lf(hamiltonian_front(st, bg), *st.p),
         0, True),
     "extended": Form(
         "s", ("xplus", "xminus", "x1", "x2"), ("pplus", "pminus", "p1", "p2"),
-        lambda s, q: FourVector(0.5 * (q[0] + q[1]), q[2], q[3],
-                                0.5 * (q[0] - q[1])),
+        lambda s, q: (0.5 * (q[0] + q[1]), q[2], q[3], 0.5 * (q[0] - q[1])),
         lambda st, bg: momenta_from_lf(*st.p),
         1, True),
     "covariant": Form(
         "tau", ("x0", "x1", "x2", "x3"), ("u0", "u1", "u2", "u3"),
-        lambda tau, q: FourVector(q[0], q[1], q[2], q[3]),
+        lambda tau, q: (q[0], q[1], q[2], q[3]),
         _covariant_momentum, None, False),
 }
 
@@ -274,21 +277,28 @@ def poisson_bracket(f, g, state: PhaseSpaceState, bg, h_scale: float = 1e-6) -> 
 # ---------------------------------------------------------------------------
 # flows
 # ---------------------------------------------------------------------------
+# Each RHS unpacks y into plain floats once and reads the field at the form's
+# coordinates through ScalarBackground.field_at, building no FourVector.  The
+# dot products stay numpy dots (they round apart from a written-out sum), and
+# every division by a quantity that can vanish (p-, H, m, m^2) has a numpy
+# scalar operand, so it gives inf/nan with a RuntimeWarning, not an exception.
 
 def _rhs_instant(bg, nonrel: bool):
-    position = FORMS["instant"].position
+    coords = FORMS["instant"].coords
 
     def rhs(t, y):
-        pos = position(t, y)
+        v = y.tolist()
         p = y[3:6]
-        m2, g = bg.m2_and_grad(pos)
-        gs = np.array(g[1:4])
+        pp = p @ p
+        m2, (_, g1, g2, g3) = bg.field_at(*coords(t, v))
         if nonrel:
             m = np.sqrt(m2)
-            fac = (1.0 - (p @ p) / (2.0 * m2)) / (2.0 * m)
-            return np.concatenate([-p / m, gs * fac])
-        H = np.sqrt(p @ p + m2)
-        return np.concatenate([-p / H, gs / (2.0 * H)])
+            fac = (1.0 - pp / (2.0 * m2)) / (2.0 * m)
+            return np.array((-v[3] / m, -v[4] / m, -v[5] / m,
+                             g1 * fac, g2 * fac, g3 * fac))
+        H = np.sqrt(pp + m2)
+        w = 2.0 * H
+        return np.array((-v[3] / H, -v[4] / H, -v[5] / H, g1 / w, g2 / w, g3 / w))
     return rhs
 
 
@@ -297,12 +307,12 @@ def _rhs_lightfront(bg, extended: bool):
     as its time: it drops dx+/ds = 1 and the p+ equation, and both end their
     y with (p-, p1, p2).  The light-front partials of m^2 are
     d/dx+- = (g0 +- g3)/2 and d/dx1,2 = g1,2 (geometry.lf_gradient)."""
-    position = FORMS["extended" if extended else "front"].position
+    coords = FORMS["extended" if extended else "front"].coords
 
     def rhs(t, y):
-        pos = position(t, y)
-        pminus, p1, p2 = y[-3], y[-2], y[-1]
-        m2, (g0, g1, g2, g3) = bg.m2_and_grad(pos)
+        v = y.tolist()
+        pminus, p1, p2 = y[-3], v[-2], v[-1]
+        m2, (g0, g1, g2, g3) = bg.field_at(*coords(t, v))
         pp = p1 * p1 + p2 * p2
         w = 4.0 * pminus
         flow = ((pp + m2) / (4.0 * pminus ** 2), -p1 / (2.0 * pminus),
@@ -314,16 +324,18 @@ def _rhs_lightfront(bg, extended: bool):
 
 
 def _rhs_covariant(bg):
-    position = FORMS["covariant"].position
+    coords = FORMS["covariant"].coords
 
     def rhs(tau, y):
-        pos = position(tau, y)
-        u = y[4:8]
-        m2, g = bg.m2_and_grad(pos)
-        g = np.array(g)
-        gu = raise_index(g)
-        udot = (gu - u * float(u @ g)) / (2.0 * m2)
-        return np.concatenate([u, udot])
+        v = y.tolist()
+        m2, g = bg.field_at(*coords(tau, v))
+        g0, g1, g2, g3 = g
+        u0, u1, u2, u3 = v[4:8]
+        ug = y[4:8] @ np.array(g)
+        w = 2.0 * m2
+        # d^mu m^2 = (g0, -g1, -g2, -g3)
+        return np.array((u0, u1, u2, u3, (g0 - u0 * ug) / w, (-g1 - u1 * ug) / w,
+                         (-g2 - u2 * ug) / w, (-g3 - u3 * ug) / w))
     return rhs
 
 
@@ -414,14 +426,23 @@ def monitor(traj: Trajectory, quantities: Sequence, bg):
     report only depends on the stored samples.
 
     Each quantity is called once, on the whole trajectory as a batch state
-    (Trajectory.batch_state), and must return one value per sample."""
+    (Trajectory.batch_state), and must return one value per sample.  A
+    generator charge xi.p (a quantity whose generator is set) is evaluated
+    as conformal.conserved_from_generator does, on a position and on-shell
+    four-momentum built once per trajectory."""
     values = {}
     drifts = {}
     batch = traj.batch_state()
+    x = p4 = None
     for quant in quantities:
-        fn = _value_fn(quant)
         lab = getattr(quant, "label", getattr(quant, "__name__", "Q"))
-        vals = np.asarray(fn(batch, bg), dtype=float)
+        gen = getattr(quant, "generator", None)
+        if gen is not None:
+            if p4 is None:
+                x, p4 = batch.position(), batch.four_momentum(bg)
+            vals = contract(gen.killing(x), p4)
+        else:
+            vals = np.asarray(_value_fn(quant)(batch, bg), dtype=float)
         if vals.shape != (len(traj),):
             raise ValueError(f"quantity {lab!r} returned shape {vals.shape} "
                              f"for a batch of {len(traj)} samples")

@@ -420,3 +420,38 @@ def test_from_callable_m2_calls_user_function_once_per_point():
     assert calls["m2"] == 21 + 4 and calls["grad"] == 0
     exact.m2_and_grad(x)
     assert calls["m2"] == 26 and calls["grad"] == 1
+
+
+_GAUSS = backgrounds.special_conformal_gaussian()
+_DIL = backgrounds.dilation_mass(1.0)
+
+
+# |x+| < 1e-12 and |x.x| < 1e-12 are singular; the values on and just
+# outside the thresholds are pinned to the FourVector kernels' output
+@pytest.mark.parametrize("bg, point, expected", [
+    (_GAUSS, (1e-12, 0.0, 0.0, 0.0), (1.0000000000000001e+24, (-2e+36, 0.0, 0.0, -2e+36))),
+    (_GAUSS, (-1e-12, 0.0, 0.0, 0.0), (1.0000000000000001e+24, (2e+36, 0.0, 0.0, 2e+36))),
+    (_GAUSS, (0.0, 0.0, 0.0, 1e-12), (1.0000000000000001e+24, (-2e+36, -0.0, -0.0, -2e+36))),
+    (_GAUSS, (9.99e-13, 0.0, 0.0, 0.0),
+     "x+ = 9.99e-13 on the singular surface of special_conformal_gaussian"),
+    (_GAUSS, (-9.99e-13, 0.0, 0.0, 0.0),
+     "x+ = -9.99e-13 on the singular surface of special_conformal_gaussian"),
+    (_DIL, (1e-06, 0.0, 0.0, 0.0), (1000000000000.0, (-2.0000000000000003e+18, 0.0, 0.0, 0.0))),
+    (_DIL, (1.0000001e-06, 0.0, 0.0, 0.0),
+     (999999800000.0298, (-1.9999994000001196e+18, 0.0, 0.0, 0.0))),
+    (_DIL, (9.99999e-07, 0.0, 0.0, 0.0), "x.x = 9.99998e-13 on the light cone"),
+    (_DIL, (1.0, 0.5, 0.5, 0.7071067811866476), "x.x = -1.41553e-13 on the light cone"),
+], ids=["x+=1e-12", "x+=-1e-12", "z=1e-12", "x+<1e-12", "x+>-1e-12", "x.x=1e-12",
+        "x.x>1e-12", "x.x<1e-12", "x.x>-1e-12"])
+def test_kernel_thresholds_as_pinned(bg, point, expected):
+    x = FourVector(*point)
+    if isinstance(expected, str):
+        for call in (lambda: bg.m2(x), lambda: bg.m2_and_grad(x), lambda: bg.grad_m2(x),
+                     lambda: bg.field_at(*point)):
+            with pytest.raises(SingularityError) as err:
+                call()
+            assert str(err.value) == expected
+        return
+    for v, g in (bg.m2_and_grad(x), bg.field_at(*point)):
+        assert v == expected[0] and _same(g, expected[1])
+    assert bg.m2(x) == expected[0] and _same(bg.grad_m2(x), expected[1])

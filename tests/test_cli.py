@@ -272,6 +272,10 @@ def test_boolean_typos_rejected(raw):
         _getb({"run": {"flag": raw}}, "run", "flag")
 
 
+_COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
+                       "initial.x4=2,0.1,-0.2,0.05"]
+
+
 @pytest.mark.parametrize("command, preset, overrides", [
     ("certify", "spacelike", ["certify.set=none"]),
     ("certify", "spacelike", ["certify.form=covariant"]),
@@ -301,6 +305,17 @@ def test_boolean_typos_rejected(raw):
     ("certify", "spacelike", ["certify.count=0"]),
     ("kg", "conformal", ["kg.h=0"]),
     ("orbit", "fig1", ["run.tend=-1"]),
+    # a covariant start velocity off the unit shell
+    ("simulate", "dilation", _COVARIANT_DILATION + ["initial.xdot=1.0198039027185568,0.1,0.1,-0.1"]),
+    # extras written for the instant layout on another form
+    ("simulate", "dilation", _COVARIANT_DILATION + ["initial.xdot=1,0,0,0"]),
+    ("simulate", "fig2", ["monitor.extra=BLz"]),
+    # fewer than two samples
+    ("orbit", "fig1", ["run.samples=0"]),
+    ("orbit", "fig1", ["run.samples=-3"]),
+    ("simulate", "dilation", ["run.samples=0"]),
+    ("simulate", "dilation", ["run.samples=-3"]),
+    ("simulate", "dilation", ["run.samples=1"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):

@@ -722,3 +722,35 @@ def test_rhs_raises_as_the_field(form, bg, t, y, err):
         bg.m2(FORMS[form].position(t, y))
     with pytest.raises(err):
         _make_rhs(form, bg, False)(t, y)
+
+
+# the RHS at p- = 0 exactly, pinned to the values of the FourVector kernels:
+# numpy's division (inf/nan with a RuntimeWarning), no exception
+@pytest.mark.parametrize("form, y, expected", [
+    ("front", [0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
+     [np.inf, np.nan, np.nan, -np.inf, np.nan, np.nan]),
+    ("extended", [1.5, 0.3, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+     [1.0, np.inf, np.nan, np.nan, -np.inf, -np.inf, np.nan, np.nan]),
+    ("front", [0.3, 0.1, -0.2, -0.0, 0.2, -0.1],
+     [np.inf, np.inf, -np.inf, np.inf, -np.inf, np.inf]),
+])
+def test_lightfront_rhs_at_pminus_zero_as_pinned(form, y, expected):
+    bg = backgrounds.special_conformal_gaussian()
+    with pytest.warns(RuntimeWarning):
+        out = _make_rhs(form, bg, False)(1.5, np.array(y))
+    assert out.shape == (len(expected),)
+    assert np.array_equal(out, expected, equal_nan=True)
+
+
+# a massless field at rest: H = 0, m = 0 and m^2 = 0 divide as numpy does
+@pytest.mark.parametrize("form, nonrel, y, expected", [
+    ("instant", False, [0.1, 0.2, 0.3, 0.0, 0.0, 0.0], [np.nan] * 6),
+    ("instant", True, [0.1, 0.2, 0.3, 0.0, 0.1, 0.0],
+     [np.nan, -np.inf, np.nan, np.nan, np.nan, np.nan]),
+    ("covariant", False, [2.0, 0.1, 0.2, 0.1, 1.0, 0.0, 0.0, 0.0],
+     [1.0, 0.0, 0.0, 0.0, np.nan, np.nan, np.nan, np.nan]),
+])
+def test_rhs_at_zero_mass_as_pinned(form, nonrel, y, expected):
+    with pytest.warns(RuntimeWarning):
+        out = _make_rhs(form, backgrounds.constant(0.0), nonrel)(0.5, np.array(y))
+    assert np.array_equal(out, expected, equal_nan=True)

@@ -131,3 +131,18 @@ def test_to_csv_matches_per_value_formatting(tmp_path):
     path = tmp_path / "run.csv"
     traj.to_csv(path)
     assert path.read_text() == _reference_csv(traj)
+
+
+@pytest.mark.parametrize("preset", ["fig1", "fig2"])
+def test_monitor_evaluates_the_value_kernel_once_per_sample(preset, monkeypatch):
+    # fig1: spacelike set with p3 and BLz (Q1, Q2, Q5 and p3 are generator
+    # charges); fig2: conformal_front (four generator charges).  They share
+    # one on-shell four-momentum, so one m^2 per sample
+    traj, quantities, bg = _cli_run(preset, [], samples=50)
+    assert sum(q.generator is not None for q in quantities) == 4
+    calls = []
+    kernel = bg._value
+    monkeypatch.setattr(bg, "_value", lambda *c: calls.append(c) or kernel(*c))
+    values, _ = monitor(traj, quantities, bg)
+    assert len(calls) == len(traj)    # the grid plus the event crossings
+    assert list(values) == [q.label for q in quantities]
