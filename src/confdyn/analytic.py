@@ -35,7 +35,8 @@ from scipy.special import erf
 
 from .dynamics import PhaseSpaceState, front_state, front_to_extended
 from .errors import DomainError, RealityError
-from .geometry import FourVector, LightFrontCoords, from_lightfront, momenta_from_lf
+from .geometry import (FourVector, LightFrontCoords, central_difference,
+                       from_lightfront, momenta_from_lf)
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
@@ -160,10 +161,6 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
 # plane wave: m^2 = m^2(x+)
 # ---------------------------------------------------------------------------
 
-def _m2_antiderivative(bg) -> Callable[[float], float]:
-    return bg.m2_integral
-
-
 def _as_extended(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     if state.form == "extended":
         return state
@@ -186,7 +183,6 @@ def planewave_quantities(state: PhaseSpaceState, bg) -> dict:
     xplus, xminus, x1, x2 = s.q
     pplus, pminus, p1, p2 = s.p
     pp = p1 * p1 + p2 * p2
-    anti = _m2_antiderivative(bg)
     return {
         "Q1": p1,
         "Q2": p2,
@@ -194,16 +190,15 @@ def planewave_quantities(state: PhaseSpaceState, bg) -> dict:
         "Q4": 2.0 * x1 * pminus + xplus * p1,
         "Q5": 2.0 * x2 * pminus + xplus * p2,
         "Q6": 4.0 * pplus * pminus - pp - bg.m2(s.position()),
-        "Q7": 4.0 * pminus ** 2 * xminus - pp * xplus - float(anti(xplus)),
+        "Q7": 4.0 * pminus ** 2 * xminus - pp * xplus - bg.m2_integral(xplus),
     }
 
 
 def planewave_xminus(bg, xplus: float, q: dict) -> float:
     """x-(x+) solved from the cubic constant:
     x- = (Q7 + (Q1^2 + Q2^2) x+ + int_0^{x+} m^2)/(4 Q3^2)."""
-    anti = _m2_antiderivative(bg)
-    pp = q["Q1"] ** 2 + q["Q2"] ** 2
-    return (q["Q7"] + pp * xplus + float(anti(xplus))) / (4.0 * q["Q3"] ** 2)
+    pp = q["Q1"] * q["Q1"] + q["Q2"] * q["Q2"]
+    return (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * q["Q3"] ** 2)
 
 
 def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
@@ -212,13 +207,12 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     rotation charges, x- from Q7."""
     q = planewave_quantities(init, bg)
     q1, q2, q3 = q["Q1"], q["Q2"], q["Q3"]
-    anti = _m2_antiderivative(bg)
     pp = q1 * q1 + q2 * q2
 
     def point(xplus):
         x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
         x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
-        xminus = (q["Q7"] + pp * xplus + float(anti(xplus))) / (4.0 * q3 ** 2)
+        xminus = planewave_xminus(bg, xplus, q)
         x = from_lightfront(LightFrontCoords(xplus, xminus, x1, x2))
         pplus = (pp + bg.m2(x)) / (4.0 * q3)
         return x, momenta_from_lf(pplus, q3, q1, q2)
@@ -330,12 +324,8 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
     trivial = (qperp2 == 0.0 and p10 == 0.0 and p20 == 0.0)
     psol = None
     if not trivial:
-        if df is None:
-            def df_fd(u, h=1e-6):
-                return (float(f(u + h)) - float(f(u - h))) / (2.0 * h)
-            dfv = df_fd
-        else:
-            dfv = df
+        dfv = df if df is not None else (
+            lambda u: central_difference(lambda s: float(f(u + s)), 1e-6, 1, 2))
         if xplus_max is None:
             raise DomainError("transverse data present: pass xplus_max so the "
                               "transverse ODE can be integrated once")

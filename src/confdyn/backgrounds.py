@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import RealityError, SingularityError
-from .geometry import FourVector, scalar_or_array
+from .geometry import FourVector, central_difference, scalar_or_array
 
 _SING_EPS = 1e-12
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -48,7 +48,7 @@ class ScalarBackground:
     value_fn : value_fn(t, x, y, z) -> m^2 alone, for a field whose gradient
         costs far more than its value (default: the kernel's m^2)
     smooth_fn : True away from kinks/singular surfaces (default: everywhere)
-    events : list of (name, fn) switch surfaces, fn(FourVector) -> signed value
+    events : list of (name, fn) switch surfaces, fn(t, x, y, z) -> signed value
     m2_antiderivative : for plane-wave x+ profiles, x+ -> int_0^{x+} m^2
     params : family parameters, kept for serialization and dispatch
     """
@@ -145,7 +145,7 @@ def linear_z(B: float, m0sq: float = 1.0, switched: bool = True) -> ScalarBackgr
     return ScalarBackground(
         "linear_z", field,
         smooth_fn=(lambda x: abs(x.z) > _SING_EPS) if switched else None,
-        events=[("z=0", lambda x: x.z)] if switched else (),
+        events=[("z=0", lambda t, x, y, z: z)] if switched else (),
         params={"family": "linear_z", "B": B, "m0sq": m0sq, "switched": switched},
     )
 
@@ -162,7 +162,7 @@ def timelike(E: Callable[[float], float], dE: Callable[[float], float],
     return ScalarBackground(
         "timelike", field,
         smooth_fn=(lambda x: abs(x.t) > _SING_EPS) if switched else None,
-        events=[("t=0", lambda x: x.t)] if switched else (),
+        events=[("t=0", lambda t, x, y, z: t)] if switched else (),
         params={"family": "timelike", "m0sq": m0sq, "switched": switched},
     )
 
@@ -308,7 +308,7 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
     return ScalarBackground(
         "special_conformal_switched", field,
         smooth_fn=lambda x: abs(x.xplus - L) > _SING_EPS,
-        events=[("xplus=L", lambda x: x.xplus - L)],
+        events=[("xplus=L", lambda t, x, y, z: t + z - L)],
         params={"family": "special_conformal_switched", "m0sq": m0sq,
                 "L": L, "k": k},
     )
@@ -350,14 +350,8 @@ def from_callable(m2_fn: Callable[[FourVector], float],
     h = 1e-5 * scale
 
     def fd_grad(x):
-        g = np.zeros(4)
-        for mu in range(4):
-            f2p = m2_fn(x.shifted(mu, 2 * h))
-            f1p = m2_fn(x.shifted(mu, h))
-            f1m = m2_fn(x.shifted(mu, -h))
-            f2m = m2_fn(x.shifted(mu, -2 * h))
-            g[mu] = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
-        return g
+        return [central_difference(lambda s: m2_fn(x.shifted(mu, s)), h, 1, 4)
+                for mu in range(4)]
 
     grad = grad_fn or fd_grad
 

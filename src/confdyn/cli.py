@@ -95,7 +95,10 @@ def _getf(cfg, sec, key, default=None):
 
 
 def _geti(cfg, sec, key, default=None):
-    return int(_getf(cfg, sec, key, default))
+    val = _getf(cfg, sec, key, default)
+    if not val.is_integer():
+        raise ConfigError(f"[{sec}] {key} = {val:g} is not an integer")
+    return int(val)
 
 
 def _getb(cfg, sec, key, default=False):

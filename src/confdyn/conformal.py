@@ -42,8 +42,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
-                       lower_index, minkowski_dot, raise_index)
+from .geometry import (METRIC, METRIC_DIAG, FourVector, central_difference,
+                       contract, lf_gradient, lower_index, minkowski_dot,
+                       raise_index)
 
 _ANTISYM_TOL = 1e-12
 
@@ -152,8 +153,6 @@ class ConformalGenerator:
         om = np.asarray(d["omega"], dtype=float)
         if om.shape != (4, 4):
             raise ValueError(f"omega must be 4x4, got {om.shape}")
-        if np.max(np.abs(om + om.T)) > _ANTISYM_TOL * max(1.0, np.max(np.abs(om))):
-            raise ValueError("omega in serialized generator is not antisymmetric")
         return ConformalGenerator(np.asarray(d["a"], dtype=float), om,
                                   float(d["lambda"]),
                                   np.asarray(d["c"], dtype=float),
@@ -313,9 +312,8 @@ def killing_residual_fd(field: Callable[[FourVector], np.ndarray], x: FourVector
     the conformal family produce a nonzero residual."""
     jl = np.zeros((4, 4))                # jl[mu, nu] = d_nu xi_mu
     for nu in range(4):
-        fp = lower_index(field(x.shifted(nu, +h)))
-        fm = lower_index(field(x.shifted(nu, -h)))
-        jl[:, nu] = (fp - fm) / (2.0 * h)
+        jl[:, nu] = central_difference(
+            lambda s: lower_index(field(x.shifted(nu, s))), h, 1, 2)
     # d_mu xi^mu = eta^{mu mu} d_mu xi_mu for the diagonal metric
     div = float(np.sum(METRIC_DIAG * np.diag(jl)))
     return jl + jl.T - 0.5 * METRIC * div

@@ -39,8 +39,8 @@ from scipy.integrate import RK45, OdeSolver
 from scipy.optimize import brentq
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
-                       raise_index, scalar_or_array)
+from .geometry import (FourVector, central_difference, contract, lower_index,
+                       momenta_from_lf, raise_index, scalar_or_array)
 
 
 @dataclass(frozen=True)
@@ -236,22 +236,18 @@ def _value_fn(f) -> Callable:
 
 def _fd_partials(f, state: PhaseSpaceState, bg, h_scale: float):
     fn = _value_fn(f)
-    nq, npp = state.q.size, state.p.size
-    dq = np.zeros(nq)
-    dp = np.zeros(npp)
-    for k in range(nq):
-        h = h_scale * max(1.0, abs(state.q[k]))
-        qp, qm = state.q.copy(), state.q.copy()
-        qp[k] += h
-        qm[k] -= h
-        dq[k] = (fn(state.replace(q=qp), bg) - fn(state.replace(q=qm), bg)) / (2 * h)
-    for k in range(npp):
-        h = h_scale * max(1.0, abs(state.p[k]))
-        pp_, pm = state.p.copy(), state.p.copy()
-        pp_[k] += h
-        pm[k] -= h
-        dp[k] = (fn(state.replace(p=pp_), bg) - fn(state.replace(p=pm), bg)) / (2 * h)
-    return dq, dp
+    out = []
+    for block in ("q", "p"):
+        base = getattr(state, block)
+        d = np.zeros(base.size)
+        for k in range(base.size):
+            def at(s):
+                v = base.copy()
+                v[k] += s
+                return fn(state.replace(**{block: v}), bg)
+            d[k] = central_difference(at, h_scale * max(1.0, abs(base[k])), 1, 2)
+        out.append(d)
+    return tuple(out)
 
 
 def quantity_partials(f, state: PhaseSpaceState, bg, h_scale: float = 1e-6):
@@ -583,7 +579,7 @@ def _integrate(state0, bg, span, new_solver, rhs, grid):
     nudge = 1e-12 * span_len
 
     form = FORMS[state0.form]
-    events = [(name, lambda t, y, _fn=fn: _fn(form.position(t, y)))
+    events = [(name, lambda t, y, _fn=fn: _fn(*form.coords(t, y)))
               for name, fn in bg.events]
     if form.pminus is not None:
         events.append(("p-=0", lambda t, y, _i=form.dof + form.pminus: y[_i]))

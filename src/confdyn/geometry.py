@@ -92,6 +92,31 @@ class FourVector:
     __rmul__ = __mul__
 
 
+# Every central difference the package takes, keyed by (derivative, order):
+# the (offset in units of h, weight) pairs and the denominator of
+# d^n f/ds^n = sum_k w_k f(k h) / (den h^n) + O(h^order).
+_STENCILS = {
+    (1, 2): (((1, 1), (-1, -1)), 2),
+    (1, 4): (((2, -1), (1, 8), (-1, -8), (-2, 1)), 12),
+    (2, 2): (((1, 1), (0, -2), (-1, 1)), 1),
+    (2, 4): (((2, -1), (1, 16), (0, -30), (-1, 16), (-2, -1)), 12),
+}
+
+
+def central_difference(f, h, deriv: int, order: int, f0=None):
+    """d^deriv f/ds^deriv at s = 0 from f(s), the value at displacement s;
+    f0, when given, stands in for f(0).  The terms add left to right from
+    the first, so a real result is bit for bit the written-out formula (w v
+    is its product up to sign, a + (-b) is a - b); a complex one may differ
+    from it only in the sign of a zero component."""
+    terms, den = _STENCILS[deriv, order]
+    total = None
+    for k, w in terms:
+        v = w * (f0 if k == 0 and f0 is not None else f(k * h))
+        total = v if total is None else total + v
+    return total / (den * h ** deriv)
+
+
 @dataclass(frozen=True)
 class LightFrontCoords:
     """Coordinates (x+, x-, x1, x2) of a spacetime point."""

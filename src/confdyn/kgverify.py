@@ -32,7 +32,7 @@ from scipy.special import jv, yv
 
 from .conformal import ConformalGenerator, symmetry_defect
 from .errors import DomainError, SingularityError
-from .geometry import FourVector
+from .geometry import FourVector, central_difference
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _EPS = 1e-30
@@ -87,13 +87,8 @@ def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float = 1e-3,
     f0 = phi(x)
     box = 0.0 + 0.0j
     for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0)):
-        if order == 2:
-            d2 = (phi(x.shifted(mu, h)) - 2.0 * f0 + phi(x.shifted(mu, -h))) / h ** 2
-        else:
-            d2 = (-phi(x.shifted(mu, 2 * h)) + 16.0 * phi(x.shifted(mu, h))
-                  - 30.0 * f0 + 16.0 * phi(x.shifted(mu, -h))
-                  - phi(x.shifted(mu, -2 * h))) / (12.0 * h ** 2)
-        box += sign * d2
+        box += sign * central_difference(lambda s: phi(x.shifted(mu, s)), h,
+                                         2, order, f0)
     return box + bg.m2(x) * f0
 
 
@@ -105,8 +100,7 @@ def symmetry_apply(gen: ConformalGenerator, phi: Wavefunction, x: FourVector,
     xi = gen.killing(x)
     out = 0.25 * gen.divergence(x) * phi(x)
     for mu in range(4):
-        dphi = (phi(x.shifted(mu, h)) - phi(x.shifted(mu, -h))) / (2.0 * h)
-        out += xi[mu] * dphi
+        out += xi[mu] * central_difference(lambda s: phi(x.shifted(mu, s)), h, 1, 2)
     return complex(out)
 
 
@@ -263,22 +257,30 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex = 1.0,
 # reduced-ODE residuals (dimensional-reduction checks)
 # ---------------------------------------------------------------------------
 
+def _ode_residual(prof, qperp, q: float, source, grid, h: float,
+                  sign: float) -> float:
+    """max_w |4i q prof'(w) + sign (Q_perp^2 + source(w)) prof(w)| / max_w
+    |prof(w)| with prof' by central differences."""
+    q1, q2 = float(qperp[0]), float(qperp[1])
+    qp2 = q1 * q1 + q2 * q2
+    num = 0.0
+    den = _EPS
+    for w in np.atleast_1d(grid):
+        v = prof(w)
+        drift = 4j * float(q) * central_difference(lambda s: prof(w + s), h, 1, 2)
+        src = (qp2 + float(source(w))) * v
+        num = max(num, abs(drift + sign * src))
+        den = max(den, abs(v))
+    return num / den
+
+
 def ode_residual_conformal(g: Callable[[float], complex], qperp, q3: float,
                            f: Callable[[float], float], u_grid,
                            h: float = 1e-5) -> float:
     """max_u |4i Q3 g'(u) + (Q_perp^2 + f(u)) g(u)| / max_u |g(u)| with g'
     by central differences: the reduced equation any conformal eigenmode's
     longitudinal profile must satisfy."""
-    q1, q2 = float(qperp[0]), float(qperp[1])
-    qp2 = q1 * q1 + q2 * q2
-    num = 0.0
-    den = _EPS
-    for u in np.atleast_1d(u_grid):
-        gp = (g(u + h) - g(u - h)) / (2.0 * h)
-        r = 4j * float(q3) * gp + (qp2 + float(f(u))) * g(u)
-        num = max(num, abs(r))
-        den = max(den, abs(g(u)))
-    return num / den
+    return _ode_residual(g, qperp, q3, f, u_grid, h, 1.0)
 
 
 def ode_residual_planewave(chi: Callable[[float], complex], qperp,
@@ -286,16 +288,7 @@ def ode_residual_planewave(chi: Callable[[float], complex], qperp,
                            xplus_grid, h: float = 1e-5) -> float:
     """max |4i Q- chi'(x+) - (Q_perp^2 + m^2(x+)) chi| / max |chi|: the
     reduced plane-wave equation."""
-    q1, q2 = float(qperp[0]), float(qperp[1])
-    qp2 = q1 * q1 + q2 * q2
-    num = 0.0
-    den = _EPS
-    for w in np.atleast_1d(xplus_grid):
-        cp = (chi(w + h) - chi(w - h)) / (2.0 * h)
-        r = 4j * float(qminus) * cp - (qp2 + float(m2_of_xplus(w))) * chi(w)
-        num = max(num, abs(r))
-        den = max(den, abs(chi(w)))
-    return num / den
+    return _ode_residual(chi, qperp, qminus, m2_of_xplus, xplus_grid, h, -1.0)
 
 
 def commutator_identity_defect(gen: ConformalGenerator, bg, phi: Wavefunction,

@@ -35,7 +35,7 @@ def test_linear_z_switch_surface():
     bg = backgrounds.linear_z(1.0, 1.0, switched=True)
     assert len(bg.events) == 1
     name, fn = bg.events[0]
-    assert fn(FourVector(0, 0, 0, 0.5)) * fn(FourVector(0, 0, 0, -0.5)) < 0
+    assert fn(0, 0, 0, 0.5) * fn(0, 0, 0, -0.5) < 0
     assert not bg.smooth_at(FourVector(0, 0, 0, 0.0))
     assert bg.smooth_at(FourVector(0, 0, 0, 0.3))
 

@@ -316,6 +316,11 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("simulate", "dilation", ["run.samples=0"]),
     ("simulate", "dilation", ["run.samples=-3"]),
     ("simulate", "dilation", ["run.samples=1"]),
+    # counts that are not integers
+    ("orbit", "fig1", ["run.samples=2.9"]),
+    ("simulate", "fig1", ["sweep.count=2.5"]),
+    ("certify", "spacelike", ["certify.count=23.5"]),
+    ("kg", "planewave", ["kg.points=2.5"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):

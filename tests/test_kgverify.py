@@ -4,10 +4,25 @@ import numpy as np
 import pytest
 
 from confdyn import backgrounds, conformal
-from confdyn.analytic import planewave_orbit
-from confdyn.dynamics import front_state
+from confdyn.analytic import conformal_orbit, planewave_orbit
+from confdyn.conformal import killing_residual_fd
+from confdyn.dynamics import (
+    _fd_partials,
+    extended_state,
+    front_state,
+    hamiltonian_extended,
+    hamiltonian_front,
+    instant_state,
+)
 from confdyn.errors import DomainError, SingularityError
-from confdyn.geometry import FourVector, LightFrontCoords, from_lightfront
+from confdyn.geometry import (
+    METRIC,
+    METRIC_DIAG,
+    FourVector,
+    LightFrontCoords,
+    from_lightfront,
+    lower_index,
+)
 from confdyn.kgverify import (
     Wavefunction,
     commutator_identity_defect,
@@ -304,3 +319,186 @@ def test_convergence_csv_roundtrip(tmp_path):
     assert int(first[0]) == 0
     assert float(first[1]) == _H
     assert float(first[4]) == pytest.approx(rows[0][2] / rows[0][3], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# central-difference sites against their written-out formulas
+# ---------------------------------------------------------------------------
+# Frozen copies of the formulas each site wrote out before the stencil table.
+
+def _written_kg_residual(phi, bg, x, h, order):
+    f0 = phi(x)
+    box = 0.0 + 0.0j
+    for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0)):
+        if order == 2:
+            d2 = (phi(x.shifted(mu, h)) - 2.0 * f0 + phi(x.shifted(mu, -h))) / h ** 2
+        else:
+            d2 = (-phi(x.shifted(mu, 2 * h)) + 16.0 * phi(x.shifted(mu, h))
+                  - 30.0 * f0 + 16.0 * phi(x.shifted(mu, -h))
+                  - phi(x.shifted(mu, -2 * h))) / (12.0 * h ** 2)
+        box += sign * d2
+    return box + bg.m2(x) * f0
+
+
+def _written_symmetry_apply(gen, phi, x, h):
+    xi = gen.killing(x)
+    out = 0.25 * gen.divergence(x) * phi(x)
+    for mu in range(4):
+        dphi = (phi(x.shifted(mu, h)) - phi(x.shifted(mu, -h))) / (2.0 * h)
+        out += xi[mu] * dphi
+    return complex(out)
+
+
+def _written_ode_residual_conformal(g, qperp, q3, f, u_grid, h=1e-5):
+    q1, q2 = float(qperp[0]), float(qperp[1])
+    qp2 = q1 * q1 + q2 * q2
+    num, den = 0.0, 1e-30
+    for u in np.atleast_1d(u_grid):
+        gp = (g(u + h) - g(u - h)) / (2.0 * h)
+        r = 4j * float(q3) * gp + (qp2 + float(f(u))) * g(u)
+        num = max(num, abs(r))
+        den = max(den, abs(g(u)))
+    return num / den
+
+
+def _written_ode_residual_planewave(chi, qperp, qminus, m2_of_xplus, xplus_grid,
+                                    h=1e-5):
+    q1, q2 = float(qperp[0]), float(qperp[1])
+    qp2 = q1 * q1 + q2 * q2
+    num, den = 0.0, 1e-30
+    for w in np.atleast_1d(xplus_grid):
+        cp = (chi(w + h) - chi(w - h)) / (2.0 * h)
+        r = 4j * float(qminus) * cp - (qp2 + float(m2_of_xplus(w))) * chi(w)
+        num = max(num, abs(r))
+        den = max(den, abs(chi(w)))
+    return num / den
+
+
+def _written_killing_residual_fd(field, x, h=1e-5):
+    jl = np.zeros((4, 4))
+    for nu in range(4):
+        fp = lower_index(field(x.shifted(nu, +h)))
+        fm = lower_index(field(x.shifted(nu, -h)))
+        jl[:, nu] = (fp - fm) / (2.0 * h)
+    div = float(np.sum(METRIC_DIAG * np.diag(jl)))
+    return jl + jl.T - 0.5 * METRIC * div
+
+
+def _written_fd_partials(fn, state, bg, h_scale):
+    dq = np.zeros(state.q.size)
+    dp = np.zeros(state.p.size)
+    for k in range(state.q.size):
+        h = h_scale * max(1.0, abs(state.q[k]))
+        qp, qm = state.q.copy(), state.q.copy()
+        qp[k] += h
+        qm[k] -= h
+        dq[k] = (fn(state.replace(q=qp), bg) - fn(state.replace(q=qm), bg)) / (2 * h)
+    for k in range(state.p.size):
+        h = h_scale * max(1.0, abs(state.p[k]))
+        pp_, pm = state.p.copy(), state.p.copy()
+        pp_[k] += h
+        pm[k] -= h
+        dp[k] = (fn(state.replace(p=pp_), bg) - fn(state.replace(p=pm), bg)) / (2 * h)
+    return dq, dp
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs of every zero (real results)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _kg_cases():
+    rng = np.random.default_rng(61)
+    gauss = lambda u: np.exp(-u * u)
+    wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    return [
+        (make_planewave_solution((0.25, -0.15), 0.6, wave), wave,
+         _cartesian_points(rng, 5)),
+        (make_conformal_solution((0.25, -0.15), 0.8, gauss),
+         backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0),
+         _conformal_points(rng, 5)),
+        (make_dilation_solution((0.25, -0.15), 0.8, 1.0),
+         backgrounds.dilation_mass(1.0), _cone_points(rng, 5)),
+    ]
+
+
+def test_central_difference_sites_equal_written_formulas():
+    gens = [conformal.translation_xminus(), conformal.boost_z(),
+            conformal.dilation(), conformal.special_conformal_lf()]
+    for phi, bg, pts in _kg_cases():
+        for x in pts:
+            for h in (_H, 1e-3):
+                for order in (2, 4):
+                    assert (kg_residual(phi, bg, x, h, order)
+                            == _written_kg_residual(phi, bg, x, h, order))
+                for gen in gens:
+                    assert (symmetry_apply(gen, phi, x, h)
+                            == _written_symmetry_apply(gen, phi, x, h))
+
+    wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    chi = make_planewave_solution((0.25, -0.15), 0.6, wave).params["chi"]
+    m2 = lambda w: 1.0 * (1.0 + 0.5 * np.sin(w) ** 2)
+    gauss = lambda u: np.exp(-u * u)
+    g = make_conformal_solution((0.25, -0.15), 0.8, gauss).params["g"]
+    rng = np.random.default_rng(62)
+    for h in (1e-5, 1e-3):
+        grid = rng.uniform(-1.0, 1.0, 7)
+        assert _same_bits(
+            ode_residual_planewave(chi, (0.25, -0.15), 0.6, m2, grid, h),
+            _written_ode_residual_planewave(chi, (0.25, -0.15), 0.6, m2, grid, h))
+        assert _same_bits(
+            ode_residual_conformal(g, (0.25, -0.15), 0.8, gauss, grid, h),
+            _written_ode_residual_conformal(g, (0.25, -0.15), 0.8, gauss, grid, h))
+
+    # a conformal generator and a field outside the family, with zero slots
+    fields = [conformal.special_conformal_lf().killing,
+              lambda x: np.array([0.0, x.x * x.y, -x.t * x.t, np.sin(x.z)])]
+    for x in _cartesian_points(np.random.default_rng(63), 6):
+        for field in fields:
+            for h in (1e-5, 1e-3):
+                assert _same_bits(killing_residual_fd(field, x, h),
+                                  _written_killing_residual_fd(field, x, h))
+
+    states = [instant_state(0.2, [0.3, -0.5, 0.0], [0.2, 0.0, -0.3]),
+              front_state(1.2, 0.1, [0.2, -0.1], 0.8, [0.0, 0.4]),
+              extended_state(1.0, 0.3, [-0.2, 0.0], 0.9, 0.6, [0.2, -0.3])]
+    quantities = [conformal.generator_quantity(gen).func
+                  for gen in gens + [conformal.translation_axis(2),
+                                     conformal.null_rotation_t(1)]]
+    for st in states:
+        for fn in quantities:
+            for h_scale in (1e-6, 1e-4):
+                got = _fd_partials(fn, st, wave, h_scale)
+                want = _written_fd_partials(fn, st, wave, h_scale)
+                assert all(_same_bits(a, b) for a, b in zip(got, want))
+    for fn in (hamiltonian_front, hamiltonian_extended):
+        st = states[1] if fn is hamiltonian_front else states[2]
+        got = _fd_partials(fn, st, wave, 1e-6)
+        want = _written_fd_partials(fn, st, wave, 1e-6)
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+    # the conformal orbit's df fallback, against the written-out df passed in
+    st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
+    written_df = lambda u, h=1e-6: (float(gauss(u + h)) - float(gauss(u - h))) / (2.0 * h)
+    fallback = conformal_orbit(gauss, st, xplus_max=3.0)
+    written = conformal_orbit(gauss, st, df=written_df, xplus_max=3.0)
+    for xp in (1.0, 1.4, 2.2, 3.0):
+        assert fallback.position(xp) == written.position(xp)
+        assert _same_bits(fallback.momentum(xp), written.momentum(xp))
+
+
+def test_stencils_evaluate_phi_once_at_the_centre():
+    bg = backgrounds.constant(1.0)
+    mode = make_planewave_solution((0.1, 0.2), 0.6, bg)
+    calls = []
+    phi = Wavefunction("counted", lambda x: calls.append(x) or mode(x))
+    x = FourVector(0.3, -0.2, 0.4, 0.1)
+    for order, n in ((2, 1 + 8), (4, 1 + 16)):
+        calls.clear()
+        kg_residual(phi, bg, x, _H, order)
+        assert len(calls) == n
+    calls.clear()
+    symmetry_apply(conformal.boost_z(), phi, x, _H)
+    assert len(calls) == 1 + 8
