@@ -29,9 +29,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
-from . import analytic, backgrounds, conformal, integrability, kgverify
+from . import backgrounds, conformal, integrability
 from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        evolve, extended_state, extended_state_on_shell,
                        front_state, instant_state, starts_at)
@@ -39,8 +38,13 @@ from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, LightFrontCoords, from_lightfront
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
-_FIG2_KAPPA = (0.3, 0.5, 0.7, 0.9)
-_FIG2_WINDOW = 3.75  # dimensionless k x- extent of the plotted window
+# (kappa, entry p-, end x+) of fig. 2: p- = analytic.pminus_for_kappa(kappa),
+# and x+ = 1/(1 - kappa erf(3.75)) where L/x+ = 1 - kappa erf(k x-) leaves the
+# plotted window k x- <= 3.75; written out so that no run needs scipy's erf
+_FIG2_RUNS = ((0.3, "0.29090967246237009", "1.4285713589424993"),
+              (0.5, "0.37556277223247125", "1.9999997725455128"),
+              (0.7, "0.44437186481787383", "3.3333324487882381"),
+              (0.9, "0.50387033311804574", "9.9999897645573821"))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +155,10 @@ def _fig2_preset() -> dict:
         "initial": {"xplus": "1", "xminus": "0", "xperp": "0,0",
                     "pminus": "0.4", "pperp": "0,0"},
         "monitor": {"set": "conformal_front"},
-        "sweep": {"count": str(len(_FIG2_KAPPA))},
+        "sweep": {"count": str(len(_FIG2_RUNS))},
     }
-    for i, kappa in enumerate(_FIG2_KAPPA):
-        pminus = float(analytic.pminus_for_kappa(kappa))
-        tend = float(1.0 / (1.0 - kappa * erf(_FIG2_WINDOW)))
-        cfg["sweep"][f"override_{i}"] = (
-            f"initial.pminus={pminus:.17g};run.tend={tend:.17g}")
+    for i, (_, pminus, tend) in enumerate(_FIG2_RUNS):
+        cfg["sweep"][f"override_{i}"] = f"initial.pminus={pminus};run.tend={tend}"
     return cfg
 
 
@@ -364,20 +365,16 @@ def _samples(cfg) -> int:
 
 
 def _evolve_options(cfg) -> EvolveOptions:
-    opts = EvolveOptions(
+    method = _get(cfg, "run", "method", "rk45")
+    if method != "rk45":
+        raise ConfigError(f"[run] method = {method!r} is not rk45, the only "
+                          "integrator")
+    return EvolveOptions(
         rtol=_getf(cfg, "run", "rtol", 1e-10),
         atol=_getf(cfg, "run", "atol", 1e-10),
-        method=_get(cfg, "run", "method", "rk45"),
-        step=(None if "step" not in cfg.get("run", {})
-              else _getf(cfg, "run", "step")),
         samples=_samples(cfg),
         nonrelativistic=_getb(cfg, "run", "nonrelativistic", False),
     )
-    if opts.method not in ("rk45", "rk4"):
-        raise ConfigError(f"[run] method = {opts.method!r} is neither rk45 nor rk4")
-    if opts.method == "rk4" and (opts.step is None or opts.step <= 0.0):
-        raise ConfigError("[run] method = rk4 needs a positive [run] step")
-    return opts
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +403,6 @@ def _setup_run(run_cfg) -> tuple:
         raise ConfigError(f"the initial {FORMS[state.form].time_name} = "
                           f"{state.time:g} must equal [run] tstart = {span[0]:g}")
     opts = _evolve_options(run_cfg)
-    if opts.method == "rk4" and bg.events:
-        raise ConfigError(f"[run] method = rk4 cannot cross the switch of {bg.label}")
     return (bg, state, span, opts) + _monitors(run_cfg, bg, state.form)
 
 
@@ -512,6 +507,7 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
 
 def _kg_setup(cfg, rng):
     """Returns (phi, bg, points, eigen_triples) for the configured family."""
+    from . import kgverify
     sol = _get(cfg, "kg", "solution")
     if sol == "planewave":
         bg = _background(cfg)
@@ -578,6 +574,7 @@ def _kg_setup(cfg, rng):
 
 def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
            seed: int) -> int:
+    from . import kgverify   # scipy's quad and Bessel functions, kg only
     npts = _geti(cfg, "kg", "points", 60)
     h = _getf(cfg, "kg", "h", 1e-3)
     if npts < 1 or not h > 0.0:
@@ -612,6 +609,7 @@ def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
 
 def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
               seed: int) -> int:
+    from . import analytic   # scipy's quad and brentq, orbit only
     bg = _background(cfg)
     fam = bg.params.get("family")
     state = _initial_state(cfg, bg)

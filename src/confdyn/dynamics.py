@@ -20,10 +20,10 @@ parameter with dx+/ds = 1, and uses the same bracket over all four pairs.
 The covariant form integrates m (d^2x_mu/dtau^2) = (eta_{mu nu} -
 xdot_mu xdot_nu) d^nu m with xdot.xdot = 1.
 
-One stepping loop drives either scipy's embedded Runge-Kutta 5(4) pair or a
-fixed-step classical Runge-Kutta scheme (for convergence studies), locates
-switch surfaces and the p- = 0 guard on each step's dense output, and
-restarts each segment on the far side of a C0 kink from an integrated state.
+One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
+locates switch surfaces and the p- = 0 guard on each step's dense output with
+ode.brentq, and restarts each segment on the far side of a C0 kink from an
+integrated state.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolver
-from scipy.optimize import brentq
 
 from .errors import ReconstructionError, SingularityError
 from .geometry import (FourVector, central_difference, contract, lower_index,
                        momenta_from_lf, raise_index, scalar_or_array)
+from .ode import EPS, RK45, brentq
 
 
 @dataclass(frozen=True)
@@ -349,8 +348,6 @@ def _make_rhs(form: str, bg, nonrel: bool):
 class EvolveOptions:
     rtol: float = 1e-10
     atol: float = 1e-10
-    method: str = "rk45"           # "rk45" (adaptive 5(4)) or "rk4" (fixed step)
-    step: Optional[float] = None   # fixed step for rk4
     samples: int = 400
     nonrelativistic: bool = False
 
@@ -448,47 +445,15 @@ def monitor(traj: Trajectory, quantities: Sequence, bg):
 
 
 MAX_SEGMENTS = 64   # event restarts before a flow counts as stuck on a surface
-_EPS = np.finfo(float).eps
 
 
-def _rk4_step(rhs, t, y, h, k1=None):
-    k1 = rhs(t, y) if k1 is None else k1
+def _rk4_step(rhs, t, y, h):
+    """One classical Runge-Kutta step; moves a segment's start off a surface."""
+    k1 = rhs(t, y)
     k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = rhs(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-class FixedStepRK4(OdeSolver):
-    """Classical Runge-Kutta in equal steps that divide (t0, t_bound), with a
-    cubic Hermite dense output; four RHS calls a step, since the slope at a
-    step's end opens the next one."""
-
-    def __init__(self, fun, t0, y0, t_bound, step):
-        super().__init__(fun, t0, y0, t_bound, vectorized=False)
-        n_steps = int(np.ceil((t_bound - t0) / step))
-        self.ends = iter(np.linspace(t0, t_bound, n_steps + 1)[1:])
-        self.f = self.fun(self.t, self.y)
-
-    def _step_impl(self):
-        t_new = next(self.ends)
-        self.y_old, self.f_old = self.y, self.f
-        self.y = _rk4_step(self.fun, self.t, self.y, t_new - self.t, self.f)
-        self.t = t_new
-        self.f = self.fun(t_new, self.y)
-        return True, None
-
-    def _dense_output_impl(self):
-        # the weights are exactly (1, 0, 0, 0) and (0, 0, 1, 0) at the ends
-        t_old, h = self.t_old, self.t - self.t_old
-        nodes = np.array([self.y_old, h * self.f_old, self.y, h * self.f]).T
-
-        def dense(t):
-            x = (np.asarray(t) - t_old) / h
-            return nodes @ np.array([(1.0 + 2.0 * x) * (1.0 - x) ** 2,
-                                     x * (1.0 - x) ** 2, x * x * (3.0 - 2.0 * x),
-                                     x * x * (x - 1.0)])
-        return dense
 
 
 def _segment(solver, ev_fns, t_eval):
@@ -509,7 +474,7 @@ def _segment(solver, ev_fns, t_eval):
         if active:
             dense = solver.dense_output()
             t, i = min((brentq(lambda s, fn=ev_fns[i]: fn(s, dense(s)), solver.t_old,
-                               solver.t, xtol=4 * _EPS, rtol=4 * _EPS), i)
+                               solver.t, xtol=4 * EPS, rtol=4 * EPS), i)
                        for i in active)
             hit = (i, t)
         j = np.searchsorted(t_eval, t, side="right")
@@ -530,12 +495,11 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     """Integrate the state's form of dynamics over span = (t0, t1).
 
     A switch surface declared by the background ends the segment at the
-    crossing, located by bisection on the dense output of the step that
+    crossing, located by Brent's method on the dense output of the step that
     straddles it; that step is redone up to the crossing and the integration
     restarts on the far side, so C0 kinks never sit inside an accepted step.
-    The fixed-step method refuses such backgrounds.  A sign change of p-
-    (front/extended) raises SingularityError; sampling m^2 < 0 raises
-    RealityError from the background itself.
+    A sign change of p- (front/extended) raises SingularityError; sampling
+    m^2 < 0 raises RealityError from the background itself.
     """
     opts = opts or EvolveOptions()
     t0, t1 = float(span[0]), float(span[1])
@@ -545,18 +509,7 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
         raise ValueError("state0.time must equal span[0]")
     rhs = _make_rhs(state0.form, bg, opts.nonrelativistic)
     grid = np.linspace(t0, t1, opts.samples)
-
-    if opts.method == "rk45":
-        new_solver = partial(RK45, rtol=opts.rtol, atol=opts.atol)
-    elif opts.method == "rk4":
-        if opts.step is None:
-            raise ValueError("fixed-step integration needs opts.step")
-        if bg.events:
-            raise ValueError("the fixed-step integrator does not cross switch "
-                             "surfaces accurately; use the adaptive method")
-        new_solver = partial(FixedStepRK4, step=opts.step)
-    else:
-        raise ValueError(f"unknown method {opts.method!r}")
+    new_solver = partial(RK45, rtol=opts.rtol, atol=opts.atol)
     times, ys, stats, elog = _integrate(state0, bg, (t0, t1), new_solver, rhs, grid)
 
     n = FORMS[state0.form].dof
@@ -570,8 +523,8 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
 
 
 def _integrate(state0, bg, span, new_solver, rhs, grid):
-    """The stepping loop of both methods: one solver per segment between
-    switch-surface crossings.  At a crossing the straddling step is redone
+    """The stepping loop: one RK45 solver per segment between switch-surface
+    crossings.  At a crossing the straddling step is redone
     from its start with a solver bounded at the crossing time, and the next
     segment starts from that integrated endpoint."""
     t0, t1 = span

@@ -1,9 +1,15 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import confdyn
+from confdyn import cli
 from confdyn.cli import _getb, main
 from confdyn.errors import ConfigError
 
@@ -283,7 +289,7 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("simulate", "dilation", ["run.method=rk4"]),
     ("simulate", "dilation", ["initial.p=nan,0,0"]),
     ("simulate", "dilation", ["run.method=euler"]),
-    # fig1's field switches on at z = 0, which the fixed-step method cannot cross
+    # rk45 is the only method, with or without a step
     ("simulate", "fig1", ["run.method=rk4", "run.step=0.01"]),
     # the state's own time (initial.t, initial.xplus) must open the span
     ("simulate", "dilation", ["run.tstart=1"]),
@@ -366,3 +372,82 @@ def test_override_wins_over_preset(tmp_path):
                       "--set", "sweep.count=1", "--set", "run.tend=1.0")) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["runs"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# imports
+# ---------------------------------------------------------------------------
+
+def _python(*args, cwd):
+    """A fresh interpreter that imports confdyn from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(confdyn.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=cwd, env=env, timeout=300)
+
+
+_NO_SCIPY = """
+import math, sys
+import confdyn, confdyn.cli
+runs = [("simulate", p, []) for p in ("fig1", "fig2", "planewave", "dilation")]
+runs.append(("simulate", "dilation", [
+    "--set", "run.form=covariant", "--set", "run.tstart=0", "--set", "run.tend=3",
+    "--set", "initial.x4=2,0.1,-0.2,0.05", "--set", "monitor.extra=",
+    "--set", f"initial.xdot={math.sqrt(1.03):.17g},0.1,0.1,-0.1"]))
+runs += [("certify", p, []) for p in
+         ("spacelike", "conformal", "truncated", "planewave", "dilation")]
+for i, (command, preset, extra) in enumerate(runs):
+    rc = confdyn.cli.main([command, "--preset", preset, "--out-dir", f"out{i}",
+                           *extra])
+    assert rc == 0, (command, preset, rc)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_simulate_and_certify_load_no_scipy(tmp_path):
+    proc = _python("-c", _NO_SCIPY, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_run_as_module_writes_nothing_to_stderr(tmp_path):
+    proc = _python("-m", "confdyn.cli", "simulate", "--preset", "dilation",
+                   "--out-dir", str(tmp_path), cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+_LAZY = """
+import sys
+import confdyn
+lazy = ("analytic", "cli", "kgverify")
+print(sorted(m for m in sys.modules if m.startswith("confdyn.") and m[8:] in lazy))
+print([getattr(confdyn, name).__name__ for name in lazy])
+from confdyn import *
+print([globals()[name].__name__ for name in lazy])
+try:
+    confdyn.no_such_module
+except AttributeError as exc:
+    print(exc)
+"""
+
+
+def test_package_serves_lazy_modules_on_first_access(tmp_path):
+    proc = _python("-c", _LAZY, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    names = "['confdyn.analytic', 'confdyn.cli', 'confdyn.kgverify']"
+    assert proc.stdout.splitlines() == [
+        "[]", names, names,
+        "module 'confdyn' has no attribute 'no_such_module'"]
+
+
+def test_fig2_literals_are_the_erf_window():
+    from scipy.special import erf
+    from confdyn.analytic import pminus_for_kappa
+    for kappa, pminus, tend in cli._FIG2_RUNS:
+        assert pminus == f"{pminus_for_kappa(kappa):.17g}"
+        assert tend == f"{1.0 / (1.0 - kappa * erf(3.75)):.17g}"
+    overrides = cli.preset_config("fig2")["sweep"]
+    assert [overrides[f"override_{i}"] for i in range(4)] == [
+        "initial.pminus=0.29090967246237009;run.tend=1.4285713589424993",
+        "initial.pminus=0.37556277223247125;run.tend=1.9999997725455128",
+        "initial.pminus=0.44437186481787383;run.tend=3.3333324487882381",
+        "initial.pminus=0.50387033311804574;run.tend=9.9999897645573821"]

@@ -5,11 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from confdyn import backgrounds, conformal
+from confdyn import backgrounds, conformal, ode
 from confdyn.dynamics import (
     FORMS,
     EvolveOptions,
-    FixedStepRK4,
     PhaseSpaceState,
     Trajectory,
     _make_rhs,
@@ -254,25 +253,6 @@ def test_events_disabled_skips_log():
 # integrators
 # ---------------------------------------------------------------------------
 
-def test_rk4_matches_rk45():
-    bg = backgrounds.linear_z(0.9, 1.1, switched=False)
-    st = instant_state(0.0, (0.1, 0.2, 0.3), (0.05, -0.1, -0.25))
-    ref = evolve(st, bg, (0.0, 2.0), EvolveOptions(rtol=1e-12, atol=1e-12))
-    fixed = evolve(st, bg, (0.0, 2.0),
-                   EvolveOptions(method="rk4", step=1e-3))
-    assert np.max(np.abs(ref.q[-1] - fixed.q[-1])) < 1e-9
-    assert np.max(np.abs(ref.p[-1] - fixed.p[-1])) < 1e-9
-
-
-def test_rk4_validation():
-    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
-    st = instant_state(0.0, (0.0, 0.0, 0.1), (0.0, 0.0, -0.2))
-    with pytest.raises(ValueError):
-        evolve(st, bg, (0.0, 1.0), EvolveOptions(method="rk4"))
-    with pytest.raises(ValueError):
-        evolve(st, bg, (0.0, 1.0), EvolveOptions(method="rk4", step=1e-3))
-
-
 def test_evolve_validation():
     bg = backgrounds.constant(1.0)
     st = instant_state(0.0, (0, 0, 0), (0.1, 0, 0))
@@ -280,8 +260,6 @@ def test_evolve_validation():
         evolve(st, bg, (1.0, 0.0))
     with pytest.raises(ValueError):
         evolve(st, bg, (0.5, 1.0))  # state carries time 0
-    with pytest.raises(ValueError):
-        evolve(st, bg, (0.0, 1.0), EvolveOptions(method="euler"))
 
 
 def test_singularity_past_conformal_asymptote():
@@ -333,45 +311,165 @@ def test_rk45_loop_takes_solve_ivp_steps(case):
     assert traj.stats == {"nfev": sol.nfev, "segments": 1, "event_crossings": 0}
 
 
-def test_rk4_stops_at_pminus_guard():
-    # past the Gaussian asymptote x+ = 1/(1 - kappa) p- runs through zero;
-    # the fixed-step method stops there as the adaptive one does
+def _bump_rhs(t, y):
+    # the step grows along the flat start and is rejected at the bump
+    return np.array([1.0 / (1.0 + 1e4 * (t - 0.5) ** 2), -y[0]])
+
+
+def _oracle_flow(case):
+    """(rhs, t0, y0, t1) of a flow for comparing RK45 with scipy's."""
+    if case == "instant-dilation":
+        bg = backgrounds.dilation_mass(1.0)
+        st = instant_state(2.0, (0.1, -0.1, 0.3), (0.05, 0.02, -0.04))
+        return _make_rhs("instant", bg, False), 2.0, np.concatenate([st.q, st.p]), 6.0
+    if case == "extended-planewave":
+        bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+        st = extended_state_on_shell(bg, 0.0, 0.0, (0.0, 0.0), 0.5, (0.1, -0.05))
+        return _make_rhs("extended", bg, False), 0.0, np.concatenate([st.q, st.p]), 10.0
+    return _bump_rhs, 0.0, np.array([0.0, 1.0]), 1.0
+
+
+@pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave", "bump"])
+def test_rk45_port_steps_as_scipy(case):
+    import scipy.integrate
+    rhs, t0, y0, t1 = _oracle_flow(case)
+    ours = ode.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
+    ref = scipy.integrate.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
+    assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev)
+    steps = 0
+    while ref.status == "running":
+        assert ours.step() == ref.step()
+        steps += 1
+        assert (ours.status, ours.t, ours.t_old, ours.h_abs, ours.nfev) == (
+            ref.status, ref.t, ref.t_old, ref.h_abs, ref.nfev)
+        assert np.array_equal(ours.y, ref.y)
+        a, b = ours.dense_output(), ref.dense_output()
+        mid = ours.t_old + 0.37 * (ours.t - ours.t_old)
+        ts = np.linspace(ours.t_old, ours.t, 5)
+        assert np.array_equal(a(mid), b(mid))
+        assert np.array_equal(a(ts), b(ts))
+    if case == "bump":
+        # two calls to start, six an accepted step: the rest are rejections
+        assert ours.nfev > 2 + 6 * steps
+
+
+def test_rk45_port_fails_as_scipy_on_a_blow_up():
+    # y' = y^2 from y = 1 blows up at t = 1: both give up at the same point
+    import scipy.integrate
+    rhs = lambda t, y: y * y
+    ours = ode.RK45(rhs, 0.0, [1.0], 2.0, rtol=1e-10, atol=1e-10)
+    ref = scipy.integrate.RK45(rhs, 0.0, [1.0], 2.0, rtol=1e-10, atol=1e-10)
+    while ref.status == "running":
+        assert ours.step() == ref.step()
+    assert ours.status == "failed"
+    assert (ours.t, ours.nfev) == (ref.t, ref.nfev)
+    assert ode.RK45.TOO_SMALL_STEP == scipy.integrate.OdeSolver.TOO_SMALL_STEP
+    with pytest.raises(RuntimeError):
+        ours.step()
+    # the message reaches the flow's error text
     from confdyn.analytic import erf_orbit_entry_state
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    st = erf_orbit_entry_state(0.9)
-    with pytest.raises(SingularityError, match="p-=0"):
-        evolve(st, bg, (1.0, 11.0),
-               EvolveOptions(method="rk4", step=1e-2, samples=100))
+    with pytest.raises(SingularityError, match="integration failed: Required "
+                       "step size is less than spacing between numbers"):
+        evolve(erf_orbit_entry_state(0.9), bg, (1.0, 11.0))
 
 
-def test_rk4_samples_grid_and_reports_stats():
-    bg = backgrounds.linear_z(0.9, 1.1, switched=False)
-    st = instant_state(0.0, (0.1, 0.2, 0.3), (0.05, -0.1, -0.25))
-    traj = evolve(st, bg, (0.0, 2.0),
-                  EvolveOptions(method="rk4", step=0.03, samples=57))
-    assert np.array_equal(traj.times, np.linspace(0.0, 2.0, 57))
-    # 67 equal steps of four RHS calls, and the slope at the start
-    assert traj.stats == {"nfev": 4 * 67 + 1, "segments": 1,
-                          "event_crossings": 0}
+def _scipy_brentq(f, a, b):
+    from scipy.optimize import brentq
+    return brentq(f, a, b, xtol=4 * ode.EPS, rtol=4 * ode.EPS)
 
 
-def test_fixed_step_rk4_is_exact_on_cubics():
-    # classical RK4 and its cubic Hermite interpolant reproduce y = t^3
-    # to rounding; five steps divide the span and end on its bound exactly
-    solver = FixedStepRK4(lambda t, y: np.array([3.0 * t * t]), 0.5,
-                          np.array([0.125]), 1.7, 0.25)
-    steps = 0
+def _ode_brentq(f, a, b):
+    return ode.brentq(f, a, b, 4 * ode.EPS, 4 * ode.EPS)
+
+
+def test_brentq_port_matches_scipy_on_random_brackets():
+    rng = np.random.default_rng(11)
+    families = [
+        lambda c: (lambda x: ((c[0] * x + c[1]) * x + c[2]) * x + c[3]),
+        lambda c: (lambda x: np.sin(3.0 * c[0] * x + c[1]) - 0.5 * c[2]),
+        lambda c: (lambda x: np.exp(c[0] * x) - 1.0 - c[1] * x - 0.3 * c[2]),
+    ]
+    compared = 0
+    for i in range(600):
+        f = families[i % 3](rng.uniform(-2.0, 2.0, size=4))
+        if i % 5 == 0:
+            # values so small that the extrapolation's denominator underflows
+            f = (lambda g: lambda x: 1e-150 * g(x))(f)
+        a, b = np.sort(rng.uniform(-3.0, 3.0, size=2)).tolist()
+        if np.sign(f(a)) == np.sign(f(b)):
+            continue
+        assert _ode_brentq(f, a, b) == _scipy_brentq(f, a, b)
+        compared += 1
+    assert compared > 150
+
+
+def _straddling_step(rhs, t0, y0, t1, g, tol):
+    """The first RK45 step over which g(t, y) changes sign."""
+    solver = ode.RK45(rhs, t0, y0, t1, rtol=tol, atol=tol)
+    g_old = g(t0, solver.y)
     while solver.status == "running":
         solver.step()
-        steps += 1
-        assert solver.t - solver.t_old == pytest.approx(0.24, rel=1e-12)
-        ts = np.linspace(solver.t_old, solver.t, 7)
-        dense = solver.dense_output()
-        assert np.allclose(dense(ts)[0], ts ** 3, rtol=1e-14, atol=0.0)
-        assert dense(solver.t_old)[0] == solver.y_old[0]
-        assert dense(solver.t)[0] == solver.y[0]
-    assert (steps, solver.t, solver.nfev) == (5, 1.7, 21)
-    assert solver.y[0] == pytest.approx(1.7 ** 3, rel=1e-14)
+        g_new = g(solver.t, solver.y)
+        if (g_old <= 0 <= g_new) or (g_new <= 0 <= g_old):
+            return solver
+        g_old = g_new
+    raise AssertionError("no crossing")
+
+
+@pytest.mark.parametrize("case", ["fig1-z", "fig2-xplus", "pminus-guard"])
+def test_brentq_port_matches_scipy_on_surfaces(case):
+    from confdyn.analytic import erf_orbit_entry_state
+    if case == "fig1-z":
+        # fig. 1's orbit exits the linear field through z = 0
+        bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+        st = instant_state(0.0, (0.0, 0.0, 0.01), (0.0, 0.0, -0.5))
+        span, (_, fn), tol = (0.0, 4.0), bg.events[0], 1e-10
+    elif case == "fig2-xplus":
+        # a front-form orbit from x+ = 1/2 enters the field at x+ = L
+        bg = backgrounds.special_conformal_switched(1.0, 1.0, 1.0)
+        st = front_state(0.5, 0.0, (0.0, 0.0), 0.4, (0.0, 0.0))
+        span, (_, fn), tol = (0.5, 2.0), bg.events[0], 1e-10
+    else:
+        # past the Gaussian asymptote p- runs to zero like a square root;
+        # at tight tolerances the steps shrink to nothing before it, at
+        # loose ones a step jumps across and the guard fires
+        bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+        st = erf_orbit_entry_state(0.9)
+        span, fn, tol = (1.0, 11.0), None, 1e-3
+        with pytest.raises(SingularityError, match="p-=0"):
+            evolve(st, bg, span, EvolveOptions(rtol=tol, atol=tol, samples=100))
+    form = FORMS[st.form]
+    if fn is None:
+        def g(t, y):
+            return y[form.dof + form.pminus]
+    else:
+        def g(t, y):
+            return fn(*form.coords(t, y))
+    rhs = _make_rhs(st.form, bg, False)
+    solver = _straddling_step(rhs, span[0], np.concatenate([st.q, st.p]),
+                              span[1], g, tol)
+    dense = solver.dense_output()
+
+    def f(s):
+        return g(s, dense(s))
+    root = _ode_brentq(f, solver.t_old, solver.t)
+    assert root == _scipy_brentq(f, solver.t_old, solver.t)
+    assert solver.t_old < root < solver.t
+
+
+def test_brentq_port_edge_cases():
+    f = lambda x: x - 1.0
+    assert _ode_brentq(f, 1.0, 3.0) == _scipy_brentq(f, 1.0, 3.0) == 1.0
+    assert _ode_brentq(f, -2.0, 1.0) == _scipy_brentq(f, -2.0, 1.0) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        _ode_brentq(f, 2.0, 3.0)
+    nan_past_half = lambda x: float("nan") if x > 0.5 else -1.0
+    with pytest.raises(ValueError, match="NaN"):
+        _ode_brentq(nan_past_half, 0.0, 2.0)
+    with pytest.raises(RuntimeError):
+        ode.brentq(lambda x: x * x - 2.0, 0.0, 2.0, 4 * ode.EPS, 4 * ode.EPS,
+                   maxiter=2)
 
 
 # ---------------------------------------------------------------------------
