@@ -12,8 +12,12 @@ orbit      sample a closed-form orbit (no integration)
 
 Configuration is INI-style (sections of key = value), assembled from an
 optional built-in preset (--preset), an optional file (--config) merged over
-it, and --set section.key=value overrides applied last.  Identical
-configuration and seed produce byte-identical outputs.
+it, and --set section.key=value overrides applied last.  One table,
+_SCHEMA, declares every section and key with the parser of its type; the
+merged config (and each run of a simulate sweep) is parsed through it
+before any work, so an unknown section or key, or a value its type refuses,
+exits 2 with nothing written.  Identical configuration and seed produce
+byte-identical outputs.
 
 Exit codes: 0 pass, 1 check failed, 2 configuration error, 3 runtime
 singularity or reality violation.
@@ -78,7 +82,91 @@ def apply_overrides(cfg: dict, assignments) -> dict:
     return out
 
 
+# parsers of the schema: each turns one raw string into a typed value or
+# raises ValueError saying what the string is not
+
+def _number(raw, above=-math.inf) -> float:
+    try:
+        val = float(raw)
+    except ValueError:
+        raise ValueError(f"{raw!r} is not a number") from None
+    if not math.isfinite(val):
+        raise ValueError(f"{raw!r} is not a finite number")
+    if not val > above:
+        raise ValueError(f"{raw!r} is not above {above:g}")
+    return val
+
+
+def _count(least: int):
+    def parse(raw) -> int:
+        val = _number(raw)
+        if not (val.is_integer() and val >= least):
+            raise ValueError(f"{raw!r} is not an integer of at least {least}")
+        return int(val)
+    return parse
+
+
+def _numbers(n: int):
+    def parse(raw) -> list:
+        vals = [_number(v) for v in raw.split(",") if v.strip() != ""]
+        if len(vals) != n:
+            raise ValueError(f"{raw!r} is not {n} comma-separated numbers")
+        return vals
+    return parse
+
+
+def _names(raw) -> list:
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
+# every section and key that a command, form or family reads, with its parser;
+# sweep.override_<i> (any i >= 0) holds ';'-separated section.key=value overrides
+_SCHEMA = {
+    "run": {"form": str, "tstart": _number, "tend": _number,
+            "samples": _count(2), "rtol": _number, "atol": _number,
+            "nonrelativistic": backgrounds.parse_bool},
+    "background": {"family": str, "profile": str, "argument": str, "path": str,
+                   "m0sq": _number, "B": _number, "amp": _number, "k": _number,
+                   "L": _number, "csq": _number,
+                   "switched": backgrounds.parse_bool},
+    "initial": {"t": _number, "x": _numbers(3), "p": _numbers(3),
+                "xplus": _number, "xminus": _number, "xperp": _numbers(2),
+                "pminus": _number, "pperp": _numbers(2), "x4": _numbers(4),
+                "xdot": _numbers(4), "pplus": lambda raw: (
+                    "shell" if raw.strip().lower() == "shell" else _number(raw))},
+    "monitor": {"set": str, "extra": _names},
+    "sweep": {"count": _count(1),
+              "override_<i>": lambda raw: [a for a in raw.split(";") if a]},
+    "certify": {"set": str, "form": str, "count": _count(1), "expect": _names},
+    "kg": {"solution": str, "qperp": _numbers(2), "qminus": _number,
+           "q3": _number, "c1": _number, "c2": _number, "points": _count(1),
+           "h": lambda raw: _number(raw, above=0.0), "p": _numbers(4)},
+}
+
+
+def _parse(cfg: dict) -> dict:
+    """The typed config: every value of the raw (string) config through its
+    key's parser.  An unknown section or key, or a value its parser refuses,
+    is a ConfigError."""
+    out = {}
+    for sec, kv in cfg.items():
+        if sec not in _SCHEMA:
+            raise ConfigError(f"unknown section [{sec}]")
+        out[sec] = {}
+        for key, raw in kv.items():
+            pattern = sec == "sweep" and key[:9] == "override_" and key[9:].isdigit()
+            name = "override_<i>" if pattern else key
+            if name not in _SCHEMA[sec]:
+                raise ConfigError(f"unknown key [{sec}] {key}")
+            try:
+                out[sec][key] = _SCHEMA[sec][name](raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{sec}] {key}: {exc}") from None
+    return out
+
+
 def _get(cfg, sec, key, default=None):
+    """A typed value of the config, or default when the key is absent."""
     try:
         return cfg[sec][key]
     except KeyError:
@@ -87,67 +175,26 @@ def _get(cfg, sec, key, default=None):
         raise ConfigError(f"missing configuration key [{sec}] {key}")
 
 
-def _getf(cfg, sec, key, default=None):
-    raw = _get(cfg, sec, key, None if default is None else str(default))
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a number")
-    if not math.isfinite(val):
-        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a finite number")
-    return val
-
-
-def _geti(cfg, sec, key, default=None):
-    val = _getf(cfg, sec, key, default)
-    if not val.is_integer():
-        raise ConfigError(f"[{sec}] {key} = {val:g} is not an integer")
-    return int(val)
-
-
-def _getb(cfg, sec, key, default=False):
-    raw = _get(cfg, sec, key, str(default))
-    try:
-        return backgrounds.parse_bool(raw)
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a boolean") from None
-
-
-def _getfs(cfg, sec, key, n=None, default=None):
-    raw = _get(cfg, sec, key, default)
-    try:
-        vals = [float(v) for v in str(raw).split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"[{sec}] {key} = {raw!r} is not a number list")
-    if not all(math.isfinite(v) for v in vals):
-        raise ConfigError(f"[{sec}] {key} = {raw!r} holds a non-finite number")
-    if n is not None and len(vals) != n:
-        raise ConfigError(f"[{sec}] {key} needs {n} comma-separated numbers")
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
 
 def _fig1_preset() -> dict:
     runs = [f"initial.p=0,0,{p3:g}" for p3 in _FIG1_P3]
-    cfg = {
+    return {
         "run": {"form": "instant", "tstart": "0", "tend": "4",
                 "samples": "500"},
         "background": {"family": "linear_z", "B": "1.0", "m0sq": "1.0",
                        "switched": "true"},
         "initial": {"t": "0", "x": "0,0,0", "p": "0,0,-0.5"},
         "monitor": {"set": "spacelike", "extra": "p3,BLz"},
-        "sweep": {"count": str(len(runs))},
+        "sweep": {"count": str(len(runs))}
+                 | {f"override_{i}": ov for i, ov in enumerate(runs)},
     }
-    for i, ov in enumerate(runs):
-        cfg["sweep"][f"override_{i}"] = ov
-    return cfg
 
 
 def _fig2_preset() -> dict:
-    cfg = {
+    return {
         "run": {"form": "front", "tstart": "1", "tend": "2",
                 "samples": "500", "rtol": "1e-12", "atol": "1e-12"},
         "background": {"family": "special_conformal_switched", "m0sq": "1.0",
@@ -155,11 +202,10 @@ def _fig2_preset() -> dict:
         "initial": {"xplus": "1", "xminus": "0", "xperp": "0,0",
                     "pminus": "0.4", "pperp": "0,0"},
         "monitor": {"set": "conformal_front"},
-        "sweep": {"count": str(len(_FIG2_RUNS))},
+        "sweep": {"count": str(len(_FIG2_RUNS))}
+                 | {f"override_{i}": f"initial.pminus={pminus};run.tend={tend}"
+                    for i, (_, pminus, tend) in enumerate(_FIG2_RUNS)},
     }
-    for i, (_, pminus, tend) in enumerate(_FIG2_RUNS):
-        cfg["sweep"][f"override_{i}"] = f"initial.pminus={pminus};run.tend={tend}"
-    return cfg
 
 
 def _planewave_preset() -> dict:
@@ -189,17 +235,17 @@ def _dilation_preset() -> dict:
         "certify": {"set": "dilation", "form": "instant", "count": "24",
                     "expect": "integrable"},
         "kg": {"solution": "dilation", "qperp": "0.4,0.1", "q3": "0.6",
-               "csq": "1.0", "c1": "1", "c2": "0.3", "points": "60",
-               "h": "5e-3"},
+               "c1": "1", "c2": "0.3", "points": "60", "h": "5e-3"},
     }
 
 
-def _spacelike_certify_preset() -> dict:
-    return {
+def _linear_z_certify_preset(qset: str, expect: str):
+    """The certify preset of quantity set qset on unswitched m^2 = 1 + z."""
+    return lambda: {
         "background": {"family": "linear_z", "B": "1.0", "m0sq": "1.0",
                        "switched": "false"},
-        "certify": {"set": "spacelike", "form": "instant", "count": "24",
-                    "expect": "maximally superintegrable"},
+        "certify": {"set": qset, "form": "instant", "count": "24",
+                    "expect": expect},
     }
 
 
@@ -212,15 +258,6 @@ def _conformal_certify_preset() -> dict:
                                "maximally superintegrable")},
         "kg": {"solution": "conformal", "qperp": "0.25,-0.15", "q3": "0.8",
                "points": "60", "h": "5e-3"},
-    }
-
-
-def _truncated_certify_preset() -> dict:
-    return {
-        "background": {"family": "linear_z", "B": "1.0", "m0sq": "1.0",
-                       "switched": "false"},
-        "certify": {"set": "truncated", "form": "instant", "count": "24",
-                    "expect": "not certified"},
     }
 
 
@@ -237,9 +274,9 @@ _PRESETS = {
     "fig2": _fig2_preset,
     "planewave": _planewave_preset,
     "dilation": _dilation_preset,
-    "spacelike": _spacelike_certify_preset,
+    "spacelike": _linear_z_certify_preset("spacelike", "maximally superintegrable"),
     "conformal": _conformal_certify_preset,
-    "truncated": _truncated_certify_preset,
+    "truncated": _linear_z_certify_preset("truncated", "not certified"),
     "kgcontrol": _kg_control_preset,
 }
 
@@ -259,13 +296,8 @@ def preset_config(name: str) -> dict:
 def _background(cfg) -> backgrounds.ScalarBackground:
     if "background" not in cfg:
         raise ConfigError("missing [background] section")
-    params = dict(cfg["background"])
-    params.update({key: _getf(cfg, "background", key) for key in params
-                   if key in ("m0sq", "B", "amp", "k", "L", "csq")})
-    if "switched" in params:
-        params["switched"] = _getb(cfg, "background", "switched")
     try:
-        return backgrounds.from_params(params)
+        return backgrounds.from_params(cfg["background"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad background: {exc}")
 
@@ -273,33 +305,29 @@ def _background(cfg) -> backgrounds.ScalarBackground:
 def _initial_state(cfg, bg) -> PhaseSpaceState:
     form = _get(cfg, "run", "form", "instant")
     if form == "instant":
-        return instant_state(_getf(cfg, "initial", "t", 0.0),
-                             _getfs(cfg, "initial", "x", 3, "0,0,0"),
-                             _getfs(cfg, "initial", "p", 3))
+        return instant_state(_get(cfg, "initial", "t", 0.0),
+                             _get(cfg, "initial", "x", [0.0, 0.0, 0.0]),
+                             _get(cfg, "initial", "p"))
+    if form in ("front", "extended"):
+        xplus = _get(cfg, "initial", "xplus")
+        xminus = _get(cfg, "initial", "xminus", 0.0)
+        xperp = _get(cfg, "initial", "xperp", [0.0, 0.0])
+        pminus = _get(cfg, "initial", "pminus")
+        pperp = _get(cfg, "initial", "pperp", [0.0, 0.0])
     if form == "front":
-        return front_state(_getf(cfg, "initial", "xplus"),
-                           _getf(cfg, "initial", "xminus", 0.0),
-                           _getfs(cfg, "initial", "xperp", 2, "0,0"),
-                           _getf(cfg, "initial", "pminus"),
-                           _getfs(cfg, "initial", "pperp", 2, "0,0"))
+        return front_state(xplus, xminus, xperp, pminus, pperp)
     if form == "extended":
-        xplus = _getf(cfg, "initial", "xplus")
-        xminus = _getf(cfg, "initial", "xminus", 0.0)
-        xperp = _getfs(cfg, "initial", "xperp", 2, "0,0")
-        pminus = _getf(cfg, "initial", "pminus")
-        pperp = _getfs(cfg, "initial", "pperp", 2, "0,0")
-        s0 = _getf(cfg, "run", "tstart", 0.0)
-        praw = _get(cfg, "initial", "pplus", "shell")
-        if str(praw).strip().lower() == "shell":
+        s0 = _get(cfg, "run", "tstart", 0.0)
+        pplus = _get(cfg, "initial", "pplus", "shell")
+        if pplus == "shell":
             return extended_state_on_shell(bg, xplus, xminus, xperp, pminus,
                                            pperp, s=s0)
-        return extended_state(xplus, xminus, xperp, _getf(cfg, "initial", "pplus"),
-                              pminus, pperp, s=s0)
+        return extended_state(xplus, xminus, xperp, pplus, pminus, pperp, s=s0)
     if form == "covariant":
-        x = FourVector(*_getfs(cfg, "initial", "x4", 4))
-        u = FourVector(*_getfs(cfg, "initial", "xdot", 4))
+        x = FourVector(*_get(cfg, "initial", "x4"))
+        u = FourVector(*_get(cfg, "initial", "xdot"))
         try:
-            return covariant_state(x, u, tau=_getf(cfg, "run", "tstart", 0.0))
+            return covariant_state(x, u, tau=_get(cfg, "run", "tstart", 0.0))
         except ValueError as exc:
             raise ConfigError(f"[initial] xdot: {exc}") from None
     raise ConfigError(f"unknown form {form!r}")
@@ -323,7 +351,7 @@ def _monitors(cfg, bg, form=None) -> tuple:
     sets = {
         "none": (_ANY_FORM, lambda: []),
         "spacelike": (("instant",), lambda: conformal.spacelike_set(
-            _getf(cfg, "background", "B", 1.0))),
+            bg.params.get("B", 1.0))),
         "planewave": (("extended",), lambda: conformal.planewave_extended_set(bg)),
         "conformal": (("extended",), lambda: conformal.conformal_extended_set(bg)),
         "conformal_front": (_ANY_FORM, conformal.conformal_front_set),
@@ -341,14 +369,11 @@ def _monitors(cfg, bg, form=None) -> tuple:
         "p3": (_ANY_FORM, conformal.momentum_p3_quantity),
         "Lz": (("instant",), conformal.angular_momentum_z_quantity),
         "BLz": (("instant",), lambda: conformal.angular_momentum_z_quantity(
-            _getf(cfg, "background", "B", 1.0))),
+            bg.params.get("B", 1.0))),
     }
     out = build()
     gated = [q.label for q in out]
-    for extra in str(_get(cfg, "monitor", "extra", "")).split(","):
-        extra = extra.strip()
-        if not extra:
-            continue
+    for extra in _get(cfg, "monitor", "extra", []):
         if extra not in extras:
             raise ConfigError(f"unknown extra quantity {extra!r}")
         forms, build = extras[extra]
@@ -357,23 +382,12 @@ def _monitors(cfg, bg, form=None) -> tuple:
     return out, gated
 
 
-def _samples(cfg) -> int:
-    n = _geti(cfg, "run", "samples", 400)
-    if n < 2:
-        raise ConfigError(f"[run] samples = {n} must be at least 2")
-    return n
-
-
 def _evolve_options(cfg) -> EvolveOptions:
-    method = _get(cfg, "run", "method", "rk45")
-    if method != "rk45":
-        raise ConfigError(f"[run] method = {method!r} is not rk45, the only "
-                          "integrator")
     return EvolveOptions(
-        rtol=_getf(cfg, "run", "rtol", 1e-10),
-        atol=_getf(cfg, "run", "atol", 1e-10),
-        samples=_samples(cfg),
-        nonrelativistic=_getb(cfg, "run", "nonrelativistic", False),
+        rtol=_get(cfg, "run", "rtol", 1e-10),
+        atol=_get(cfg, "run", "atol", 1e-10),
+        samples=_get(cfg, "run", "samples", 400),
+        nonrelativistic=_get(cfg, "run", "nonrelativistic", False),
     )
 
 
@@ -382,21 +396,20 @@ def _evolve_options(cfg) -> EvolveOptions:
 # ---------------------------------------------------------------------------
 
 def _sweep_configs(cfg) -> list:
-    if "sweep" not in cfg:
-        return [cfg]
-    count = _geti(cfg, "sweep", "count")
-    out = []
-    for i in range(count):
-        ov = _get(cfg, "sweep", f"override_{i}")
-        out.append(apply_overrides(cfg, [a for a in ov.split(";") if a]))
-    return out
+    """The typed config of each run of the raw config's [sweep], or of its
+    one run without a sweep."""
+    typed = _parse(cfg)
+    if "sweep" not in typed:
+        return [typed]
+    return [_parse(apply_overrides(cfg, _get(typed, "sweep", f"override_{i}")))
+            for i in range(_get(typed, "sweep", "count"))]
 
 
 def _setup_run(run_cfg) -> tuple:
     """(bg, state, span, options, quantities, gated), checked before any run."""
     bg = _background(run_cfg)
     state = _initial_state(run_cfg, bg)
-    span = (_getf(run_cfg, "run", "tstart", 0.0), _getf(run_cfg, "run", "tend"))
+    span = (_get(run_cfg, "run", "tstart", 0.0), _get(run_cfg, "run", "tend"))
     if not span[1] > span[0]:
         raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
     if not starts_at(state, span[0]):
@@ -409,12 +422,8 @@ def _setup_run(run_cfg) -> tuple:
 def _run_one(setup, index: int, out_dir: Path, fmt: str, tol_rel: float):
     bg, state, span, opts, quantities, gated = setup
     traj = evolve(state, bg, span, opts, monitors=quantities)
-    name = f"run_{index:03d}.{ 'json' if fmt == 'json' else 'csv' }"
-    path = out_dir / name
-    if fmt == "json":
-        traj.to_json(path)
-    else:
-        traj.to_csv(path)
+    name = f"run_{index:03d}.{fmt}"
+    (traj.to_json if fmt == "json" else traj.to_csv)(out_dir / name)
     # only the declared conserved set is gated; extras are diagnostics
     worst = max((v for k, v in traj.drifts.items() if k in gated), default=0.0)
     return {
@@ -429,9 +438,9 @@ def _run_one(setup, index: int, out_dir: Path, fmt: str, tol_rel: float):
     }
 
 
-def cmd_simulate(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
-                 seed: int) -> int:
-    setups = [_setup_run(rc) for rc in _sweep_configs(cfg)]
+def cmd_simulate(run_cfgs: list, out_dir: Path, fmt: str, tol_abs: float,
+                 tol_rel: float, seed: int) -> int:
+    setups = [_setup_run(rc) for rc in run_cfgs]
     results = [_run_one(setup, i, out_dir, fmt, tol_rel)
                for i, setup in enumerate(setups)]
     summary = {"command": "simulate", "seed": seed, "tol_rel": tol_rel,
@@ -481,12 +490,9 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     form = _get(cfg, "certify", "form", "instant")
     if form not in FORMS or not FORMS[form].canonical:
         raise ConfigError(f"[certify] form = {form!r} has no canonical bracket")
-    count = _geti(cfg, "certify", "count", 24)
-    if count < 1:
-        raise ConfigError(f"[certify] count = {count} must be at least 1")
-    mon_cfg = _merge(cfg, {"monitor": {"set": _get(cfg, "certify", "set"),
-                                       "extra": ""}})
-    quantities, _ = _monitors(mon_cfg, bg, form)
+    count = _get(cfg, "certify", "count", 24)
+    qset = {"monitor": {"set": _get(cfg, "certify", "set")}}
+    quantities, _ = _monitors(qset, bg, form)
     if not quantities:
         raise ConfigError("[certify] set names no quantities")
     rng = np.random.default_rng(seed)
@@ -498,8 +504,7 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
           f"{len(states)} states; involutive subset: "
           f"{', '.join(cert.involutive_subset) or 'none'}")
     print(f"classification: {cert.label}")
-    expect = [e.strip() for e in
-              str(_get(cfg, "certify", "expect", "")).split(",") if e.strip()]
+    expect = _get(cfg, "certify", "expect", [])
     if expect:
         return 0 if cert.label in expect else 1
     return 0 if cert.label != "not certified" else 1
@@ -509,10 +514,10 @@ def _kg_setup(cfg, rng):
     """Returns (phi, bg, points, eigen_triples) for the configured family."""
     from . import kgverify
     sol = _get(cfg, "kg", "solution")
+    bg = _background(cfg)
     if sol == "planewave":
-        bg = _background(cfg)
-        qperp = _getfs(cfg, "kg", "qperp", 2, "0.3,-0.2")
-        qminus = _getf(cfg, "kg", "qminus", 0.7)
+        qperp = _get(cfg, "kg", "qperp", [0.3, -0.2])
+        qminus = _get(cfg, "kg", "qminus", 0.7)
         phi = kgverify.make_planewave_solution(qperp, qminus, bg)
         pts = [FourVector(*rng.uniform(-1.0, 1.0, size=4)) for _ in range(1000)]
         triples = [(conformal.translation_axis(1), qperp[0], "P1"),
@@ -520,47 +525,38 @@ def _kg_setup(cfg, rng):
                    (conformal.translation_xminus(), qminus, "P-")]
         return phi, bg, pts, triples
     if sol == "conformal":
-        bg = _background(cfg)
         p = bg.params
         if "special_conformal" not in p.get("family", ""):
             raise ConfigError("conformal solution needs an inverse-square "
                               "background family")
         f, _ = backgrounds.gaussian_profile(p["m0sq"], p["L"], p["k"])
-        qperp = _getfs(cfg, "kg", "qperp", 2, "0.25,-0.15")
-        q3 = _getf(cfg, "kg", "q3", 0.8)
+        qperp = _get(cfg, "kg", "qperp", [0.25, -0.15])
+        q3 = _get(cfg, "kg", "q3", 0.8)
         phi = kgverify.make_conformal_solution(qperp, q3, f)
-
-        def pt(_):
-            lf = LightFrontCoords(rng.uniform(0.7, 1.6),
-                                  rng.uniform(-0.5, 0.5),
-                                  rng.uniform(-0.4, 0.4),
-                                  rng.uniform(-0.4, 0.4))
-            return from_lightfront(lf)
-        pts = [pt(i) for i in range(1000)]
+        pts = [from_lightfront(LightFrontCoords(
+                   rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
+                   rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)))
+               for _ in range(1000)]
         triples = [(conformal.special_conformal_lf(), q3, "C-"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
         return phi, bg, pts, triples
     if sol == "dilation":
-        bg = _background(cfg)
-        qperp = _getfs(cfg, "kg", "qperp", 2, "0.4,0.1")
-        q3 = _getf(cfg, "kg", "q3", 0.6)
-        csq = _getf(cfg, "background", "csq", 1.0)
-        c1 = _getf(cfg, "kg", "c1", 1.0)
-        c2 = _getf(cfg, "kg", "c2", 0.0)
+        qperp = _get(cfg, "kg", "qperp", [0.4, 0.1])
+        q3 = _get(cfg, "kg", "q3", 0.6)
+        csq = _get(cfg, "background", "csq", 1.0)
+        c1 = _get(cfg, "kg", "c1", 1.0)
+        c2 = _get(cfg, "kg", "c2", 0.0)
         phi = kgverify.make_dilation_solution(qperp, q3, csq, c1, c2)
-
-        def pt(_):
-            return FourVector(rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
-                              rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        pts = [pt(i) for i in range(1000)]
+        pts = [FourVector(rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
+                          rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+               for _ in range(1000)]
         triples = [(conformal.dilation(), q3, "D"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
         return phi, bg, pts, triples
     if sol == "offshell":
-        bg = _background(cfg)
-        p = np.asarray(_getfs(cfg, "kg", "p", 4, "1.3,0.2,-0.1,0.3"))
+        p = np.asarray(_get(cfg, "kg", "p", [1.3, 0.2, -0.1, 0.3]))
 
         def ev(x):
             return np.exp(-1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y
@@ -575,10 +571,8 @@ def _kg_setup(cfg, rng):
 def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
            seed: int) -> int:
     from . import kgverify   # scipy's quad and Bessel functions, kg only
-    npts = _geti(cfg, "kg", "points", 60)
-    h = _getf(cfg, "kg", "h", 1e-3)
-    if npts < 1 or not h > 0.0:
-        raise ConfigError(f"[kg] points = {npts} and h = {h:g} must be positive")
+    npts = _get(cfg, "kg", "points", 60)
+    h = _get(cfg, "kg", "h", 1e-3)
     rng = np.random.default_rng(seed)
     phi, bg, pool, triples = _kg_setup(cfg, rng)
     points = [x for x in pool if phi.in_domain(x)][:npts]
@@ -613,17 +607,15 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     bg = _background(cfg)
     fam = bg.params.get("family")
     state = _initial_state(cfg, bg)
-    w0 = _getf(cfg, "run", "tstart", 0.0)
-    w1 = _getf(cfg, "run", "tend")
+    w0 = _get(cfg, "run", "tstart", 0.0)
+    w1 = _get(cfg, "run", "tend")
     if not w1 > w0:
         raise ConfigError(f"[run] tend = {w1:g} must exceed tstart = {w0:g}")
-    samples = _samples(cfg)
+    samples = _get(cfg, "run", "samples", 400)
     if fam == "linear_z":
-        orb = analytic.spacelike_orbit(_getf(cfg, "background", "B"), state,
-                                       _getf(cfg, "background", "m0sq", 1.0))
+        orb = analytic.spacelike_orbit(bg.params["B"], state, bg.params["m0sq"])
     elif fam == "constant":
-        orb = analytic.timelike_orbit(lambda t: 0.0, state,
-                                      _getf(cfg, "background", "m0sq", 1.0))
+        orb = analytic.timelike_orbit(lambda t: 0.0, state, bg.params["m0sq"])
     elif fam == "plane_wave":
         orb = analytic.planewave_orbit(bg, state)
     elif fam in ("special_conformal_switched", "special_conformal_gaussian"):
@@ -682,8 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_COMMANDS = {"simulate": cmd_simulate, "certify": cmd_certify,
-             "kg": cmd_kg, "orbit": cmd_orbit}
+# command -> (raw config -> typed config, command)
+_COMMANDS = {"simulate": (_sweep_configs, cmd_simulate),
+             "certify": (_parse, cmd_certify), "kg": (_parse, cmd_kg),
+             "orbit": (_parse, cmd_orbit)}
 
 
 def main(argv=None) -> int:
@@ -697,10 +691,12 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, args.overrides)
         if not cfg:
             raise ConfigError("no configuration: pass --preset and/or --config")
+        parse, command = _COMMANDS[args.command]
+        cfg = parse(cfg)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir, args.format,
-                                       args.tol_abs, args.tol_rel, args.seed)
+        return command(cfg, out_dir, args.format, args.tol_abs, args.tol_rel,
+                       args.seed)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

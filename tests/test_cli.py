@@ -10,7 +10,7 @@ import pytest
 
 import confdyn
 from confdyn import cli
-from confdyn.cli import _getb, main
+from confdyn.cli import _get, _parse, main
 from confdyn.errors import ConfigError
 
 
@@ -269,13 +269,14 @@ def test_boolean_typo_exits_two(tmp_path, capsys):
                                         ("0", False), ("False", False),
                                         (" no", False), ("OFF", False)])
 def test_boolean_spellings(raw, value):
-    assert _getb({"run": {"flag": raw}}, "run", "flag") is value
+    cfg = _parse({"run": {"nonrelativistic": raw}})
+    assert _get(cfg, "run", "nonrelativistic") is value
 
 
 @pytest.mark.parametrize("raw", ["ture", "", "2", "y", "none"])
 def test_boolean_typos_rejected(raw):
     with pytest.raises(ConfigError):
-        _getb({"run": {"flag": raw}}, "run", "flag")
+        _get(_parse({"run": {"nonrelativistic": raw}}), "run", "nonrelativistic")
 
 
 _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
@@ -334,6 +335,69 @@ def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
     assert main(_args(command, preset, tmp_path, *sets)) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def _typed_keys():
+    """(section, key) of every schema key whose parser refuses free text."""
+    return [(sec, key) for sec, keys in cli._SCHEMA.items()
+            for key, parse in keys.items()
+            if parse not in (str, cli._names) and key != "override_<i>"]
+
+
+def _reader_free(sec, key):
+    """A (command, preset) whose command never reads [sec] key."""
+    if sec == "certify":
+        return "simulate", "dilation"
+    if (sec, key) == ("background", "csq"):
+        return "certify", "spacelike"      # linear_z reads no csq
+    return "certify", "dilation"           # reads only certify and csq
+
+
+@pytest.mark.parametrize("sec, key", _typed_keys(),
+                         ids=[f"{s}.{k}" for s, k in _typed_keys()])
+def test_every_typed_key_is_checked_before_any_work(tmp_path, capsys, sec, key):
+    command, preset = _reader_free(sec, key)
+    out = tmp_path / "out"
+    assert main(_args(command, preset, out, "--set", f"{sec}.{key}=abc")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"[{sec}] {key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, preset, overrides", [
+    ("simulate", "dilation", ["run.rtoll=1e-3"]),
+    ("simulate", "dilation", ["runn.tend=1"]),
+    ("kg", "dilation", ["kg.csq=2"]),
+    ("simulate", "dilation", ["run.method=rk45"]),
+    ("simulate", "fig1", ["sweep.override_0=initial.pp=0,0,-0.3"]),
+], ids=["typo-key", "typo-section", "kg-csq", "run-method", "sweep-override"])
+def test_unknown_key_exits_two_and_writes_nothing(tmp_path, capsys, command,
+                                                  preset, overrides):
+    sets = [a for o in overrides for a in ("--set", o)]
+    out = tmp_path / "out"
+    assert main(_args(command, preset, out, *sets)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown ")
+    assert not out.exists()
+
+
+def test_ini_unknown_key_exits_two(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nrtoll = 1e-3\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--preset", "dilation", "--config", str(ini),
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == ("configuration error: unknown key "
+                                       "[run] rtoll\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", sorted(cli._PRESETS))
+def test_presets_parse_with_no_unknown_key(preset):
+    cfg = cli.preset_config(preset)
+    assert cli._parse(cfg).keys() == cfg.keys()
+    assert len(cli._sweep_configs(cfg)) == int(cfg.get("sweep", {}).get("count", 1))
 
 
 def test_missing_config_exits_two(tmp_path, capsys):

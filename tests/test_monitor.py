@@ -36,7 +36,7 @@ def _cli_run(preset, overrides, samples=60):
     quantities, _ = cli._monitors(cfg, bg)
     opts = cli._evolve_options(cfg)
     opts.samples = samples
-    span = (cli._getf(cfg, "run", "tstart", 0.0), cli._getf(cfg, "run", "tend"))
+    span = (cli._get(cfg, "run", "tstart", 0.0), cli._get(cfg, "run", "tend"))
     return evolve(state, bg, span, opts), quantities, bg
 
 
