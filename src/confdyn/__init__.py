@@ -2,8 +2,9 @@
 background fields: conformal symmetry charges, superintegrability
 certification, closed-form orbits, and Klein-Gordon exact-solution checks.
 
-analytic, kgverify and cli are imported on first access: the first two load
-scipy, and importing cli here would make ``python -m confdyn.cli`` warn."""
+analytic, kgverify and cli are imported on first access: only the orbit and
+kg commands need the first two, and importing cli here would make
+``python -m confdyn.cli`` warn."""
 
 import importlib
 

@@ -26,19 +26,17 @@ reduces to 2 sqrt(pi) (p-/m0)^2 in the k = L = 1 units used by the checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
-from scipy.special import erf
 
+from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_state, front_to_extended
 from .errors import DomainError, RealityError
 from .geometry import (FourVector, LightFrontCoords, central_difference,
                        from_lightfront, momenta_from_lf)
-
-_QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+from .ode import EPS, RK45, brentq, quad
 
 
 @dataclass
@@ -147,7 +145,7 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
         return np.sqrt(rad)
 
     def point(t):
-        I, _ = quad(lambda s: 1.0 / Hval(s), 0.0, t, **_QUAD)
+        I = quad(lambda s: 1.0 / Hval(s), 0.0, t)
         xyz = x0 - p * I
         return (FourVector(t, xyz[0], xyz[1], xyz[2]),
                 np.array([Hval(t), p[0], p[1], p[2]]))
@@ -161,37 +159,19 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
 # plane wave: m^2 = m^2(x+)
 # ---------------------------------------------------------------------------
 
-def _as_extended(state: PhaseSpaceState, bg) -> PhaseSpaceState:
-    if state.form == "extended":
-        return state
-    if state.form == "front":
-        return front_to_extended(state, bg)
-    raise ValueError("expected a front-form or extended state")
-
-
 def planewave_quantities(state: PhaseSpaceState, bg) -> dict:
-    """The seven extended-phase-space constants of m^2 = m^2(x+):
+    """The seven constants of m^2 = m^2(x+), conformal.planewave_extended_set
+    evaluated on the state (a front-form state lifted on shell):
 
     Q1 = p1, Q2 = p2, Q3 = p-, Q4 = 2 x1 p- + x+ p1, Q5 = 2 x2 p- + x+ p2,
     Q6 = 4 p+ p- - p_perp.p_perp - m^2(x+),
     Q7 = 4 p-^2 x- - p_perp.p_perp x+ - int_0^{x+} m^2.
     """
-    if bg.params.get("family") == "plane_wave" and \
-            bg.params.get("argument") != "xplus":
-        raise DomainError("the seven-constant set belongs to x+-dependent waves")
-    s = _as_extended(state, bg)
-    xplus, xminus, x1, x2 = s.q
-    pplus, pminus, p1, p2 = s.p
-    pp = p1 * p1 + p2 * p2
-    return {
-        "Q1": p1,
-        "Q2": p2,
-        "Q3": pminus,
-        "Q4": 2.0 * x1 * pminus + xplus * p1,
-        "Q5": 2.0 * x2 * pminus + xplus * p2,
-        "Q6": 4.0 * pplus * pminus - pp - bg.m2(s.position()),
-        "Q7": 4.0 * pminus ** 2 * xminus - pp * xplus - bg.m2_integral(xplus),
-    }
+    if bg.m2_antiderivative is None:
+        raise DomainError("the seven-constant set needs a wave in x+, one "
+                          "with an x+ antiderivative of m^2")
+    s = state if state.form == "extended" else front_to_extended(state, bg)
+    return {q.label: q(s, bg) for q in planewave_extended_set(bg)}
 
 
 def planewave_xminus(bg, xplus: float, q: dict) -> float:
@@ -238,8 +218,8 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
 
     by bracketed root finding; p-(u) = -(Q_perp^2 + f(u))/(4 Q3).  When the
     transverse charges do not vanish, p_perp(x+) integrates a linear ODE
-    driven by the inverted u(x+) (pass xplus_max to set its range); the
-    x_perp = p_perp = 0 branch needs no extra input.
+    driven by the inverted u(x+) (pass xplus_max > x0+ to set its range);
+    the x_perp = p_perp = 0 branch needs no extra input.
     """
     if init.form != "front":
         raise ValueError("initial data must be a front-form state")
@@ -274,17 +254,11 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         return w
 
     def G(u):
-        val, _ = quad(weight, u0, u, **_QUAD)
-        return val
+        return quad(weight, u0, u)
 
     four_q3sq = 4.0 * q3 * q3
     # G at the doubling bracket's edges u0 +- 2^k, the same for every x+
-    edge_G = {}
-
-    def G_edge(u):
-        if u not in edge_G:
-            edge_G[u] = G(u)
-        return edge_G[u]
+    G_edge = cache(G)
 
     def u_of_xplus(xp):
         if xp <= 0.0:
@@ -311,7 +285,8 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         else:
             raise DomainError("failed to bracket u(x+); x+ may lie beyond "
                               "the orbit's asymptote")
-        return brentq(lambda u: G(u) - target, lo, hi, xtol=root_tol)
+        return brentq(lambda u: G(u) - target, lo, hi, xtol=root_tol,
+                      rtol=4 * EPS)
 
     def pminus_of_u(u):
         w = qperp2 + float(f(u))
@@ -322,13 +297,15 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
 
     # transverse sector
     trivial = (qperp2 == 0.0 and p10 == 0.0 and p20 == 0.0)
-    psol = None
     if not trivial:
         dfv = df if df is not None else (
             lambda u: central_difference(lambda s: float(f(u + s)), 1e-6, 1, 2))
         if xplus_max is None:
             raise DomainError("transverse data present: pass xplus_max so the "
                               "transverse ODE can be integrated once")
+        if not xplus_max > xp0:
+            raise DomainError(f"xplus_max = {xplus_max:g} must exceed the "
+                              f"initial x+ = {xp0:g}")
 
         def perp_rhs(xp, pvec):
             u = u_of_xplus(xp)
@@ -338,16 +315,24 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
             fac = -float(dfv(u)) / (2.0 * pm * xp ** 3)
             return [fac * x1, fac * x2]
 
-        psol = solve_ivp(perp_rhs, (xp0, xplus_max), [p10, p20],
-                         method="RK45", rtol=1e-11, atol=1e-13,
-                         dense_output=True)
-        if not psol.success:
-            raise DomainError(f"transverse integration failed: {psol.message}")
+        solver = RK45(perp_rhs, xp0, [p10, p20], float(xplus_max),
+                      rtol=1e-11, atol=1e-13)
+        ends, steps = [xp0], []
+        while solver.status == "running":
+            message = solver.step()
+            if solver.status == "failed":
+                raise DomainError(f"transverse integration failed: {message}")
+            ends.append(solver.t)
+            steps.append(solver.dense_output())
+        ends = np.array(ends)
 
     def pperp_of(xp):
         if trivial:
             return 0.0, 0.0
-        v = psol.sol(xp)
+        # the step holding xp, the earlier one at a shared end, the first or
+        # last outside the range: the step scipy's OdeSolution picks
+        i = np.searchsorted(ends, xp, side="left") - 1
+        v = steps[min(max(i, 0), len(steps) - 1)](xp)
         return float(v[0]), float(v[1])
 
     def point(xp):
@@ -365,7 +350,7 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
     xplus_asym = np.inf
     if trivial:
         try:
-            Ginf, err = quad(weight, u0, np.inf, **_QUAD)
+            Ginf = quad(weight, u0, np.inf)
             recip = 1.0 / xp0 - Ginf / four_q3sq
             if recip > 0.0 and np.isfinite(Ginf):
                 xplus_asym = 1.0 / recip
@@ -403,6 +388,7 @@ def pminus_for_kappa(kappa: float, m0sq: float = 1.0, L: float = 1.0,
 def erf_orbit_reciprocal(kappa: float, xminus_scaled) -> np.ndarray:
     """L/x+ = 1 - kappa Erf(k x-) for the Gaussian branch; arguments are the
     dimensionless k x- values."""
+    from scipy.special import erf
     return 1.0 - kappa * erf(np.asarray(xminus_scaled, dtype=float))
 
 

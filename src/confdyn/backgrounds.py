@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import RealityError, SingularityError
 from .geometry import FourVector, central_difference, scalar_or_array
+from .ode import quad
 
 _SING_EPS = 1e-12
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -49,7 +50,8 @@ class ScalarBackground:
         costs far more than its value (default: the kernel's m^2)
     smooth_fn : True away from kinks/singular surfaces (default: everywhere)
     events : list of (name, fn) switch surfaces, fn(t, x, y, z) -> signed value
-    m2_antiderivative : for plane-wave x+ profiles, x+ -> int_0^{x+} m^2
+    m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
+        x+ -> int_0^{x+} m^2
     params : family parameters, kept for serialization and dispatch
     """
 
@@ -112,10 +114,8 @@ class ScalarBackground:
         Meaningful for fields depending on x+ only."""
         if self.m2_antiderivative is not None:
             return float(self.m2_antiderivative(w))
-        from scipy.integrate import quad
-        val, _ = quad(lambda s: self.m2(FourVector(0.5 * s, 0.0, 0.0, 0.5 * s)),
-                      0.0, w, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return float(val)
+        return quad(lambda s: self.m2(FourVector(0.5 * s, 0.0, 0.0, 0.5 * s)),
+                    0.0, w)
 
     def __repr__(self):
         return f"ScalarBackground({self.label!r}, params={self.params})"
@@ -129,6 +129,7 @@ def constant(m0sq: float = 1.0) -> ScalarBackground:
     if m0sq < 0:
         raise ValueError("m0sq must be nonnegative")
     return ScalarBackground("constant", lambda t, x, y, z: (m0sq, _ZERO),
+                            m2_antiderivative=lambda w: m0sq * w,
                             params={"family": "constant", "m0sq": m0sq})
 
 

@@ -77,7 +77,7 @@ def apply_overrides(cfg: dict, assignments) -> dict:
         key, _, value = a.partition("=")
         sec, _, name = key.partition(".")
         if not (sec and name and _):
-            raise ConfigError(f"--set needs section.key=value, got {a!r}")
+            raise ConfigError(f"{a!r} is not section.key=value")
         out.setdefault(sec.strip(), {})[name.strip()] = value.strip()
     return out
 
@@ -106,6 +106,10 @@ def _count(least: int):
     return parse
 
 
+def _positive(raw) -> float:
+    return _number(raw, above=0.0)
+
+
 def _numbers(n: int):
     def parse(raw) -> list:
         vals = [_number(v) for v in raw.split(",") if v.strip() != ""]
@@ -123,7 +127,7 @@ def _names(raw) -> list:
 # sweep.override_<i> (any i >= 0) holds ';'-separated section.key=value overrides
 _SCHEMA = {
     "run": {"form": str, "tstart": _number, "tend": _number,
-            "samples": _count(2), "rtol": _number, "atol": _number,
+            "samples": _count(2), "rtol": _positive, "atol": _positive,
             "nonrelativistic": backgrounds.parse_bool},
     "background": {"family": str, "profile": str, "argument": str, "path": str,
                    "m0sq": _number, "B": _number, "amp": _number, "k": _number,
@@ -140,7 +144,7 @@ _SCHEMA = {
     "certify": {"set": str, "form": str, "count": _count(1), "expect": _names},
     "kg": {"solution": str, "qperp": _numbers(2), "qminus": _number,
            "q3": _number, "c1": _number, "c2": _number, "points": _count(1),
-           "h": lambda raw: _number(raw, above=0.0), "p": _numbers(4)},
+           "h": _positive, "p": _numbers(4)},
 }
 
 
@@ -302,6 +306,14 @@ def _background(cfg) -> backgrounds.ScalarBackground:
         raise ConfigError(f"bad background: {exc}")
 
 
+def _xplus_wave(bg, what: str):
+    """bg, if it has an x+ antiderivative of m^2 (an x- wave has none)."""
+    if bg.m2_antiderivative is None:
+        raise ConfigError(f"{what} needs m^2 of x+ alone; {bg!r} has no x+ "
+                          "antiderivative of m^2")
+    return bg
+
+
 def _initial_state(cfg, bg) -> PhaseSpaceState:
     form = _get(cfg, "run", "form", "instant")
     if form == "instant":
@@ -352,7 +364,8 @@ def _monitors(cfg, bg, form=None) -> tuple:
         "none": (_ANY_FORM, lambda: []),
         "spacelike": (("instant",), lambda: conformal.spacelike_set(
             bg.params.get("B", 1.0))),
-        "planewave": (("extended",), lambda: conformal.planewave_extended_set(bg)),
+        "planewave": (("extended",), lambda: conformal.planewave_extended_set(
+            _xplus_wave(bg, "quantity set 'planewave'"))),
         "conformal": (("extended",), lambda: conformal.conformal_extended_set(bg)),
         "conformal_front": (_ANY_FORM, conformal.conformal_front_set),
         "dilation": (_ANY_FORM, conformal.dilation_mass_set),
@@ -401,20 +414,33 @@ def _sweep_configs(cfg) -> list:
     typed = _parse(cfg)
     if "sweep" not in typed:
         return [typed]
-    return [_parse(apply_overrides(cfg, _get(typed, "sweep", f"override_{i}")))
-            for i in range(_get(typed, "sweep", "count"))]
+    runs = []
+    for i in range(_get(typed, "sweep", "count")):
+        overrides = _get(typed, "sweep", f"override_{i}")
+        try:
+            runs.append(_parse(apply_overrides(cfg, overrides)))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (in [sweep] override_{i})") from None
+    return runs
+
+
+def _span(cfg, state) -> tuple:
+    """([run] tstart, [run] tend), checked against each other and against
+    the initial state's own time."""
+    span = (_get(cfg, "run", "tstart", 0.0), _get(cfg, "run", "tend"))
+    if not span[1] > span[0]:
+        raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
+    if not starts_at(state, span[0]):
+        raise ConfigError(f"the initial {FORMS[state.form].time_name} = "
+                          f"{state.time:g} must equal [run] tstart = {span[0]:g}")
+    return span
 
 
 def _setup_run(run_cfg) -> tuple:
     """(bg, state, span, options, quantities, gated), checked before any run."""
     bg = _background(run_cfg)
     state = _initial_state(run_cfg, bg)
-    span = (_get(run_cfg, "run", "tstart", 0.0), _get(run_cfg, "run", "tend"))
-    if not span[1] > span[0]:
-        raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
-    if not starts_at(state, span[0]):
-        raise ConfigError(f"the initial {FORMS[state.form].time_name} = "
-                          f"{state.time:g} must equal [run] tstart = {span[0]:g}")
+    span = _span(run_cfg, state)
     opts = _evolve_options(run_cfg)
     return (bg, state, span, opts) + _monitors(run_cfg, bg, state.form)
 
@@ -518,7 +544,8 @@ def _kg_setup(cfg, rng):
     if sol == "planewave":
         qperp = _get(cfg, "kg", "qperp", [0.3, -0.2])
         qminus = _get(cfg, "kg", "qminus", 0.7)
-        phi = kgverify.make_planewave_solution(qperp, qminus, bg)
+        phi = kgverify.make_planewave_solution(
+            qperp, qminus, _xplus_wave(bg, "the planewave mode"))
         pts = [FourVector(*rng.uniform(-1.0, 1.0, size=4)) for _ in range(1000)]
         triples = [(conformal.translation_axis(1), qperp[0], "P1"),
                    (conformal.translation_axis(2), qperp[1], "P2"),
@@ -570,7 +597,7 @@ def _kg_setup(cfg, rng):
 
 def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
            seed: int) -> int:
-    from . import kgverify   # scipy's quad and Bessel functions, kg only
+    from . import kgverify   # kg only
     npts = _get(cfg, "kg", "points", 60)
     h = _get(cfg, "kg", "h", 1e-3)
     rng = np.random.default_rng(seed)
@@ -603,21 +630,19 @@ def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
 
 def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
               seed: int) -> int:
-    from . import analytic   # scipy's quad and brentq, orbit only
+    from . import analytic   # orbit only
     bg = _background(cfg)
     fam = bg.params.get("family")
     state = _initial_state(cfg, bg)
-    w0 = _get(cfg, "run", "tstart", 0.0)
-    w1 = _get(cfg, "run", "tend")
-    if not w1 > w0:
-        raise ConfigError(f"[run] tend = {w1:g} must exceed tstart = {w0:g}")
+    w0, w1 = _span(cfg, state)
     samples = _get(cfg, "run", "samples", 400)
     if fam == "linear_z":
         orb = analytic.spacelike_orbit(bg.params["B"], state, bg.params["m0sq"])
     elif fam == "constant":
         orb = analytic.timelike_orbit(lambda t: 0.0, state, bg.params["m0sq"])
     elif fam == "plane_wave":
-        orb = analytic.planewave_orbit(bg, state)
+        orb = analytic.planewave_orbit(_xplus_wave(bg, "the plane-wave orbit"),
+                                       state)
     elif fam in ("special_conformal_switched", "special_conformal_gaussian"):
         f, df = backgrounds.gaussian_profile(bg.params["m0sq"], bg.params["L"],
                                              bg.params["k"])

@@ -614,15 +614,9 @@ def planewave_extended_set(bg) -> list[ConservedQuantity]:
 
 def conformal_extended_set(bg) -> list[ConservedQuantity]:
     """The five constants of inverse-square light-front masses f(u)/(x+)^2 on
-    the extended phase space: the two null-rotation charges, the special
-    conformal charge, Lz, and the extended Hamiltonian K."""
-    return [
-        generator_quantity(null_rotation_t(1), "Q1"),
-        generator_quantity(null_rotation_t(2), "Q2"),
-        generator_quantity(special_conformal_lf(), "Q3"),
-        generator_quantity(rotation_z(), "Q4"),
-        extended_hamiltonian_quantity(bg),
-    ]
+    the extended phase space: the generator charges of conformal_front_set
+    and the extended Hamiltonian K."""
+    return conformal_front_set() + [extended_hamiltonian_quantity(bg)]
 
 
 def conformal_front_set() -> list[ConservedQuantity]:

@@ -27,14 +27,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import jv, yv
 
 from .conformal import ConformalGenerator, symmetry_defect
 from .errors import DomainError, SingularityError
 from .geometry import FourVector, central_difference
+from .ode import quad
 
-_QUAD = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _EPS = 1e-30
 
 
@@ -174,7 +172,7 @@ def make_conformal_solution(qperp, q3: float, f: Callable[[float], float],
 
     def g(u: float) -> complex:
         # solves 4i Q3 g' + (Q_perp^2 + f) g = 0
-        I, _ = quad(lambda s: qp2 + float(f(s)), 0.0, u, **_QUAD)
+        I = quad(lambda s: qp2 + float(f(s)), 0.0, u)
         return np.exp(1j * I / (4.0 * qc))
 
     def ev(x: FourVector) -> complex:
@@ -194,6 +192,7 @@ def _bessel_pair(alpha: complex, z: complex):
     scipy (which evaluates imaginary arguments via the modified-Bessel
     connection), complex orders through mpmath."""
     if abs(np.imag(alpha)) == 0.0:
+        from scipy.special import jv, yv
         a = float(np.real(alpha))
         return complex(jv(a, z)), complex(yv(a, z))
     import mpmath

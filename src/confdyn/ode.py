@@ -1,16 +1,15 @@
-"""The Dormand-Prince 5(4) pair and Brent's root finder behind dynamics.
-
-Both are ports of scipy 1.17.1, operation for operation, so that a flow and
-its switch-surface crossings come out in the same bits as with scipy:
+"""The package's numerical routines: the Dormand-Prince 5(4) pair and Brent's
+root finder, ports of scipy 1.17.1 operation for operation so that flows and
+orbits come out in the same bits as with scipy, and adaptive quadrature:
 
 RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
         max_step = inf, no first_step, no vectorized fun, a real y0 and a
         scalar atol;
         J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)
-brentq  the C routine behind scipy.optimize.brentq, with its NaN check;
+brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
-
-Owning them keeps scipy, and its import time, off the simulate path.
+quad    scipy.integrate.quad at the package's one tolerance set; scipy is
+        imported on its first call, and so stays off every other path
 """
 
 from __future__ import annotations
@@ -307,3 +306,15 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+_quadpack = None   # scipy.integrate.quad, once quad has been called
+
+
+def quad(f, a, b):
+    """int_a^b f(s) ds, a or b possibly infinite, by scipy.integrate.quad to
+    within max(1e-12, 1e-12 |int|) on at most 200 subintervals."""
+    global _quadpack
+    if _quadpack is None:
+        from scipy.integrate import quad as _quadpack
+    return _quadpack(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]

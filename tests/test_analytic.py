@@ -256,6 +256,62 @@ def test_conformal_orbit_transverse_needs_range():
     st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
     with pytest.raises(DomainError):
         conformal_orbit(lambda u: np.exp(-u * u), st)
+    # the transverse ODE runs forward from x0+ = 1: its domain is empty here
+    for xplus_max in (1.0, 0.5):
+        with pytest.raises(DomainError):
+            conformal_orbit(lambda u: np.exp(-u * u), st, xplus_max=xplus_max)
+
+
+class _SolveIvpSteps:
+    """Stands in for ode.RK45 in analytic: runs scipy's solve_ivp once, at
+    the transverse sector's tolerances, and replays its steps, each step's
+    dense output being the whole solution, so that every read of the orbit
+    goes through scipy's own segment choice."""
+
+    ends = []
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+        from scipy.integrate import solve_ivp
+        res = solve_ivp(fun, (t0, t_bound), y0, method="RK45", rtol=1e-11,
+                        atol=1e-13, dense_output=True)
+        assert res.success
+        self.sol = res.sol
+        self._ends = iter(res.t[1:])
+        self.status = "running"
+        _SolveIvpSteps.ends = list(res.t)
+
+    def step(self):
+        self.t = next(self._ends)
+        if self.t == _SolveIvpSteps.ends[-1]:
+            self.status = "finished"
+
+    def dense_output(self):
+        return self.sol
+
+
+def test_conformal_transverse_orbit_equals_solve_ivp_and_brentq(monkeypatch):
+    from scipy.optimize import brentq as scipy_brentq
+
+    def build():
+        return conformal_orbit(lambda u: np.exp(-u * u),
+                               front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
+                               df=lambda u: -2.0 * u * np.exp(-u * u),
+                               xplus_max=3.0)
+
+    orb = build()
+    with monkeypatch.context() as m:
+        m.setattr(analytic, "RK45", _SolveIvpSteps)
+        # scipy's default rtol
+        m.setattr(analytic, "brentq", lambda f, a, b, xtol, rtol:
+                  scipy_brentq(f, a, b, xtol=xtol))
+        ref = build()
+        ends = np.array(_SolveIvpSteps.ends)
+        assert ends[0] == 1.0 and ends[-1] == 3.0 and len(ends) > 5
+        # x0+, every step end and the middle of every step
+        ws = np.sort(np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])]))
+        rxs, rps = ref.sample(ws)
+    xs, ps = orb.sample(ws)
+    assert np.array_equal(xs, rxs) and np.array_equal(ps, rps)
 
 
 def test_conformal_orbit_validation():

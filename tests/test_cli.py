@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -328,6 +329,18 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("simulate", "fig1", ["sweep.count=2.5"]),
     ("certify", "spacelike", ["certify.count=23.5"]),
     ("kg", "planewave", ["kg.points=2.5"]),
+    # integration tolerances at or below zero
+    ("simulate", "dilation", ["run.atol=-1"]),
+    ("simulate", "dilation", ["run.rtol=-1"]),
+    ("simulate", "fig1", ["run.rtol=0"]),
+    # an orbit sampled from another time than its initial state's own
+    ("orbit", "fig1", ["run.tstart=-1"]),
+    ("orbit", "fig2", ["run.tstart=0.5"]),
+    # an x- wave where m^2 of x+ alone is needed
+    ("simulate", "planewave", ["background.argument=xminus"]),
+    ("certify", "planewave", ["background.argument=xminus"]),
+    ("kg", "planewave", ["background.argument=xminus"]),
+    ("orbit", "planewave", ["background.argument=xminus"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):
@@ -380,6 +393,28 @@ def test_unknown_key_exits_two_and_writes_nothing(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("configuration error: unknown ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, err", [
+    ("sweep.override_0=initial.pp=0",
+     "unknown key [initial] pp (in [sweep] override_0)"),
+    ("sweep.override_1=nodot",
+     "'nodot' is not section.key=value (in [sweep] override_1)"),
+    ("sweep.override_2=run.tend=abc",
+     "[run] tend: 'abc' is not a number (in [sweep] override_2)"),
+    ("nodot", "'nodot' is not section.key=value"),
+], ids=["key", "grammar", "value", "set-grammar"])
+def test_override_errors_name_their_source(tmp_path, capsys, override, err):
+    out = tmp_path / "out"
+    assert main(_args("simulate", "fig1", out, "--set", override)) == 2
+    assert capsys.readouterr().err == f"configuration error: {err}\n"
+    assert not out.exists()
+
+
+def test_planewave_mode_still_runs_on_a_constant_mass(tmp_path):
+    # a constant m^2 is a function of x+ alone: it has an x+ antiderivative
+    assert main(_args("kg", "kgcontrol", tmp_path,
+                      "--set", "kg.solution=planewave")) == 0
 
 
 def test_ini_unknown_key_exits_two(tmp_path, capsys):
@@ -449,28 +484,45 @@ def _python(*args, cwd):
                           text=True, cwd=cwd, env=env, timeout=300)
 
 
+# runs each group of (command, preset, --set list, exit code) in argv[1] and
+# then prints the scipy modules loaded so far
 _NO_SCIPY = """
-import math, sys
+import json, sys
 import confdyn, confdyn.cli
-runs = [("simulate", p, []) for p in ("fig1", "fig2", "planewave", "dilation")]
-runs.append(("simulate", "dilation", [
-    "--set", "run.form=covariant", "--set", "run.tstart=0", "--set", "run.tend=3",
-    "--set", "initial.x4=2,0.1,-0.2,0.05", "--set", "monitor.extra=",
-    "--set", f"initial.xdot={math.sqrt(1.03):.17g},0.1,0.1,-0.1"]))
-runs += [("certify", p, []) for p in
-         ("spacelike", "conformal", "truncated", "planewave", "dilation")]
-for i, (command, preset, extra) in enumerate(runs):
-    rc = confdyn.cli.main([command, "--preset", preset, "--out-dir", f"out{i}",
-                           *extra])
-    assert rc == 0, (command, preset, rc)
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+for group in json.loads(sys.argv[1]):
+    for command, preset, sets, rc in group:
+        argv = [command, "--preset", preset, "--out-dir", "out"]
+        argv += [a for s in sets for a in ("--set", s)]
+        assert confdyn.cli.main(argv) == rc, (command, preset)
+    print("scipy:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_simulate_and_certify_load_no_scipy(tmp_path):
-    proc = _python("-c", _NO_SCIPY, cwd=tmp_path)
+def _scipy_after(tmp_path, *groups):
+    proc = _python("-c", _NO_SCIPY, json.dumps(groups), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return [line[7:] for line in proc.stdout.splitlines()
+            if line.startswith("scipy: ")]
+
+
+def test_simulate_and_certify_load_no_scipy(tmp_path):
+    runs = [("simulate", p, [], 0) for p in ("fig1", "fig2", "planewave", "dilation")]
+    runs.append(("simulate", "dilation", [
+        "run.form=covariant", "run.tstart=0", "run.tend=3",
+        "initial.x4=2,0.1,-0.2,0.05", "monitor.extra=",
+        f"initial.xdot={math.sqrt(1.03):.17g},0.1,0.1,-0.1"], 0))
+    runs += [("certify", p, [], 0) for p in
+             ("spacelike", "conformal", "truncated", "planewave", "dilation")]
+    assert _scipy_after(tmp_path, runs) == ["[]"]
+
+
+def test_kg_and_orbit_without_quadrature_load_no_scipy(tmp_path):
+    runs = [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
+            ("kg", "planewave", [], 0), ("kg", "kgcontrol", [], 1)]
+    # a conformal orbit takes quadratures: the listing sees scipy load
+    control = [("orbit", "fig2", ["run.samples=3"], 0)]
+    after = _scipy_after(tmp_path, runs, control)
+    assert after[0] == "[]" and "'scipy.integrate'" in after[1]
 
 
 def test_run_as_module_writes_nothing_to_stderr(tmp_path):

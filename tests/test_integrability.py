@@ -237,14 +237,14 @@ def test_certification_json_roundtrip(tmp_path):
 
 def _cli_certify_inputs(preset):
     # the quantities and states `certify --preset NAME` classifies at count 24
-    cfg = cli.preset_config(preset)
-    assert cfg["certify"]["count"] == "24"
+    cfg = cli._parse(cli.preset_config(preset))
+    assert cfg["certify"]["count"] == 24
     bg = cli._background(cfg)
-    states = cli._certify_states(cfg, bg, cfg["certify"]["form"], 24,
+    form = cfg["certify"]["form"]
+    states = cli._certify_states(cfg, bg, form, 24,
                                  np.random.default_rng(20240811))
-    mon_cfg = cli._merge(cfg, {"monitor": {"set": cfg["certify"]["set"],
-                                           "extra": ""}})
-    quantities, _ = cli._monitors(mon_cfg, bg)
+    quantities, _ = cli._monitors({"monitor": {"set": cfg["certify"]["set"]}},
+                                  bg, form)
     return quantities, states, bg
 
 
