@@ -207,8 +207,7 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
 
 def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
                     df: Optional[Callable[[float], float]] = None,
-                    xplus_max: Optional[float] = None,
-                    root_tol: float = 1e-12) -> ClosedFormOrbit:
+                    xplus_max: Optional[float] = None) -> ClosedFormOrbit:
     """Orbit of the inverse-square light-front mass from front-form initial
     data at x+ = x0+ > 0.
 
@@ -285,7 +284,7 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         else:
             raise DomainError("failed to bracket u(x+); x+ may lie beyond "
                               "the orbit's asymptote")
-        return brentq(lambda u: G(u) - target, lo, hi, xtol=root_tol,
+        return brentq(lambda u: G(u) - target, lo, hi, xtol=1e-12,
                       rtol=4 * EPS)
 
     def pminus_of_u(u):

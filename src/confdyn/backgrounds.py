@@ -2,8 +2,8 @@
 
 Each background packages one point kernel that takes the plain coordinates
 (t, x, y, z) and returns the squared mass and its gradient d_mu m^2 together
-(the plain tuple of coordinate partials, which carries a lower index), a
-smoothness predicate, and the switch surfaces where the field turns on.
+(the plain tuple of coordinate partials, which carries a lower index), and
+the switch surfaces where the field turns on; a point is smooth off them.
 Sampling a negative squared mass raises RealityError; sampling on a singular
 surface (x+ = 0 for the inverse-square light-front families, the light cone
 for the dilation family) raises SingularityError.
@@ -48,22 +48,21 @@ class ScalarBackground:
         SingularityError on singular surfaces
     value_fn : value_fn(t, x, y, z) -> m^2 alone, for a field whose gradient
         costs far more than its value (default: the kernel's m^2)
-    smooth_fn : True away from kinks/singular surfaces (default: everywhere)
-    events : list of (name, fn) switch surfaces, fn(t, x, y, z) -> signed value
+    events : list of (name, fn) switch surfaces, fn(t, x, y, z) -> signed value;
+        the flows stop at their sign changes, and smooth_at is False where
+        any of them is within _SING_EPS of zero
     m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
         x+ -> int_0^{x+} m^2
     params : family parameters, kept for serialization and dispatch
     """
 
     def __init__(self, label: str, field: Callable,
-                 value_fn: Optional[Callable] = None,
-                 smooth_fn: Optional[Callable] = None, events=(),
+                 value_fn: Optional[Callable] = None, events=(),
                  m2_antiderivative: Optional[Callable] = None,
                  params: Optional[dict] = None):
         self.label = label
         self._field = field
         self._value = value_fn or (lambda t, x, y, z: field(t, x, y, z)[0])
-        self._smooth = smooth_fn or (lambda x: True)
         self.events = list(events)
         self.m2_antiderivative = m2_antiderivative
         self.params = dict(params or {})
@@ -106,7 +105,8 @@ class ScalarBackground:
         return scalar_or_array(np.sqrt(self.m2(x)))
 
     def smooth_at(self, x: FourVector) -> bool:
-        return bool(self._smooth(x))
+        """False within _SING_EPS of a switch surface (a C0 kink)."""
+        return all(abs(fn(x.t, x.x, x.y, x.z)) > _SING_EPS for _, fn in self.events)
 
     def m2_integral(self, w: float) -> float:
         """int_0^w m^2 along the x+ axis: the stored antiderivative when the
@@ -145,7 +145,6 @@ def linear_z(B: float, m0sq: float = 1.0, switched: bool = True) -> ScalarBackgr
 
     return ScalarBackground(
         "linear_z", field,
-        smooth_fn=(lambda x: abs(x.z) > _SING_EPS) if switched else None,
         events=[("z=0", lambda t, x, y, z: z)] if switched else (),
         params={"family": "linear_z", "B": B, "m0sq": m0sq, "switched": switched},
     )
@@ -162,7 +161,6 @@ def timelike(E: Callable[[float], float], dE: Callable[[float], float],
 
     return ScalarBackground(
         "timelike", field,
-        smooth_fn=(lambda x: abs(x.t) > _SING_EPS) if switched else None,
         events=[("t=0", lambda t, x, y, z: t)] if switched else (),
         params={"family": "timelike", "m0sq": m0sq, "switched": switched},
     )
@@ -257,14 +255,12 @@ def _inverse_square(fdf: Callable, label: str) -> Callable:
     return field
 
 
-def special_conformal_mass(f: Callable[[float], float], df: Callable[[float], float],
-                           label: str = "special_conformal",
-                           params: Optional[dict] = None) -> ScalarBackground:
+def special_conformal_mass(f: Callable[[float], float],
+                           df: Callable[[float], float]) -> ScalarBackground:
     """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+; singular at x+ = 0."""
-    return ScalarBackground(
-        label, _inverse_square(lambda u: (f(u), df(u)), label),
-        params={"family": "special_conformal"} | (params or {}),
-    )
+    label = "special_conformal"
+    return ScalarBackground(label, _inverse_square(lambda u: (f(u), df(u)), label),
+                            params={"family": label})
 
 
 def _gaussian(m0sq: float, L: float, k: float):
@@ -308,7 +304,6 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
 
     return ScalarBackground(
         "special_conformal_switched", field,
-        smooth_fn=lambda x: abs(x.xplus - L) > _SING_EPS,
         events=[("xplus=L", lambda t, x, y, z: t + z - L)],
         params={"family": "special_conformal_switched", "m0sq": m0sq,
                 "L": L, "k": k},

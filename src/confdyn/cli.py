@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -396,12 +398,11 @@ def _monitors(cfg, bg, form=None) -> tuple:
 
 
 def _evolve_options(cfg) -> EvolveOptions:
-    return EvolveOptions(
-        rtol=_get(cfg, "run", "rtol", 1e-10),
-        atol=_get(cfg, "run", "atol", 1e-10),
-        samples=_get(cfg, "run", "samples", 400),
-        nonrelativistic=_get(cfg, "run", "nonrelativistic", False),
-    )
+    """EvolveOptions from the [run] keys that are set; the others keep the
+    dataclass defaults."""
+    run = cfg.get("run", {})
+    return EvolveOptions(**{f.name: run[f.name]
+                            for f in dataclasses.fields(EvolveOptions) if f.name in run})
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +538,24 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
 
 
 def _kg_setup(cfg, rng):
-    """Returns (phi, bg, points, eigen_triples) for the configured family."""
+    """Returns (phi, bg, draw, eigen_triples) for the configured family;
+    draw() is one sample point read from rng."""
     from . import kgverify
     sol = _get(cfg, "kg", "solution")
     bg = _background(cfg)
+
+    def box():
+        return FourVector(*rng.uniform(-1.0, 1.0, size=4))
+
     if sol == "planewave":
         qperp = _get(cfg, "kg", "qperp", [0.3, -0.2])
         qminus = _get(cfg, "kg", "qminus", 0.7)
         phi = kgverify.make_planewave_solution(
             qperp, qminus, _xplus_wave(bg, "the planewave mode"))
-        pts = [FourVector(*rng.uniform(-1.0, 1.0, size=4)) for _ in range(1000)]
         triples = [(conformal.translation_axis(1), qperp[0], "P1"),
                    (conformal.translation_axis(2), qperp[1], "P2"),
                    (conformal.translation_xminus(), qminus, "P-")]
-        return phi, bg, pts, triples
+        return phi, bg, box, triples
     if sol == "conformal":
         p = bg.params
         if "special_conformal" not in p.get("family", ""):
@@ -560,14 +565,12 @@ def _kg_setup(cfg, rng):
         qperp = _get(cfg, "kg", "qperp", [0.25, -0.15])
         q3 = _get(cfg, "kg", "q3", 0.8)
         phi = kgverify.make_conformal_solution(qperp, q3, f)
-        pts = [from_lightfront(LightFrontCoords(
-                   rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
-                   rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)))
-               for _ in range(1000)]
         triples = [(conformal.special_conformal_lf(), q3, "C-"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
-        return phi, bg, pts, triples
+        return phi, bg, lambda: from_lightfront(LightFrontCoords(
+            rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
+            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))), triples
     if sol == "dilation":
         qperp = _get(cfg, "kg", "qperp", [0.4, 0.1])
         q3 = _get(cfg, "kg", "q3", 0.6)
@@ -575,13 +578,12 @@ def _kg_setup(cfg, rng):
         c1 = _get(cfg, "kg", "c1", 1.0)
         c2 = _get(cfg, "kg", "c2", 0.0)
         phi = kgverify.make_dilation_solution(qperp, q3, csq, c1, c2)
-        pts = [FourVector(rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
-                          rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-               for _ in range(1000)]
         triples = [(conformal.dilation(), q3, "D"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
-        return phi, bg, pts, triples
+        return phi, bg, lambda: FourVector(
+            rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
+            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)), triples
     if sol == "offshell":
         p = np.asarray(_get(cfg, "kg", "p", [1.3, 0.2, -0.1, 0.3]))
 
@@ -590,8 +592,7 @@ def _kg_setup(cfg, rng):
                                  + p[3] * x.z))
         phi = kgverify.Wavefunction("offshell_control", ev,
                                     params={"p": list(p)})
-        pts = [FourVector(*rng.uniform(-1.0, 1.0, size=4)) for _ in range(1000)]
-        return phi, bg, pts, []
+        return phi, bg, box, []
     raise ConfigError(f"unknown kg solution {sol!r}")
 
 
@@ -601,8 +602,13 @@ def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     npts = _get(cfg, "kg", "points", 60)
     h = _get(cfg, "kg", "h", 1e-3)
     rng = np.random.default_rng(seed)
-    phi, bg, pool, triples = _kg_setup(cfg, rng)
-    points = [x for x in pool if phi.in_domain(x)][:npts]
+    try:
+        phi, bg, draw, triples = _kg_setup(cfg, rng)
+    except ValueError as exc:       # a mode constructor refusing its constants
+        raise ConfigError(f"kg solution: {exc}") from None
+    # the first npts in-domain points of at most 1000 draws
+    drawn = (draw() for _ in range(1000))
+    points = list(itertools.islice(filter(phi.in_domain, drawn), npts))
     if len(points) < npts:
         raise ConfigError("could not draw enough in-domain sample points")
     rows = kgverify.residual_convergence(phi, bg, points, h=h)
@@ -632,24 +638,34 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
               seed: int) -> int:
     from . import analytic   # orbit only
     bg = _background(cfg)
-    fam = bg.params.get("family")
+    p, fam = bg.params, bg.params.get("family")
     state = _initial_state(cfg, bg)
     w0, w1 = _span(cfg, state)
-    samples = _get(cfg, "run", "samples", 400)
-    if fam == "linear_z":
-        orb = analytic.spacelike_orbit(bg.params["B"], state, bg.params["m0sq"])
-    elif fam == "constant":
-        orb = analytic.timelike_orbit(lambda t: 0.0, state, bg.params["m0sq"])
-    elif fam == "plane_wave":
-        orb = analytic.planewave_orbit(_xplus_wave(bg, "the plane-wave orbit"),
-                                       state)
-    elif fam in ("special_conformal_switched", "special_conformal_gaussian"):
-        f, df = backgrounds.gaussian_profile(bg.params["m0sq"], bg.params["L"],
-                                             bg.params["k"])
-        orb = analytic.conformal_orbit(f, state, df=df, xplus_max=w1)
-    else:
+
+    def conformal_orbit():
+        f, df = backgrounds.gaussian_profile(p["m0sq"], p["L"], p["k"])
+        return analytic.conformal_orbit(f, state, df=df, xplus_max=w1)
+
+    # family -> (forms the closed form starts from, build)
+    orbits = {
+        "linear_z": (("instant",), lambda: analytic.spacelike_orbit(
+            p["B"], state, p["m0sq"])),
+        "constant": (("instant",), lambda: analytic.timelike_orbit(
+            lambda t: 0.0, state, p["m0sq"])),
+        "plane_wave": (("front", "extended"), lambda: analytic.planewave_orbit(
+            _xplus_wave(bg, "the plane-wave orbit"), state)),
+        "special_conformal_switched": (("front",), conformal_orbit),
+        "special_conformal_gaussian": (("front",), conformal_orbit),
+    }
+    if fam not in orbits:
         raise ConfigError(f"no closed form for family {fam!r}")
-    ws = np.linspace(w0, w1, samples)
+    forms, build = orbits[fam]
+    _check_form("the closed-form orbit of", fam, forms, state.form)
+    try:
+        orb = build()
+    except ValueError as exc:
+        raise ConfigError(f"the {fam} orbit: {exc}") from None
+    ws = np.linspace(w0, w1, _evolve_options(cfg).samples)
     xs, ps = orb.sample(ws)
     path = out_dir / ("orbit.json" if fmt == "json" else "orbit.csv")
     if fmt == "json":

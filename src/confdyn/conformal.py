@@ -42,6 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dynamics import hamiltonian_extended, hamiltonian_instant
 from .geometry import (METRIC, METRIC_DIAG, FourVector, central_difference,
                        contract, lf_gradient, lower_index, minkowski_dot,
                        raise_index)
@@ -82,7 +83,7 @@ class ConformalGenerator:
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "c", c)
 
-    # -- cached raised-index views -------------------------------------
+    # -- raised-index views, recomputed on each call --------------------
     @property
     def omega_mixed(self) -> np.ndarray:
         """omega^mu_nu = eta^{mu alpha} omega_{alpha nu}."""
@@ -361,7 +362,7 @@ def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
 
 @dataclass(frozen=True)
 class ConservedQuantity:
-    """A scalar phase-space function Q(state; background) with provenance.
+    """A scalar phase-space function Q(state; background).
 
     func(state, bg) evaluates the quantity.  It must also accept a
     component-first batch state (q, p of shape (n, N), time of shape (N,);
@@ -380,7 +381,6 @@ class ConservedQuantity:
     func: Callable
     partials: Optional[Callable] = None
     generator: Optional[ConformalGenerator] = None
-    provenance: str = "phase-space"
 
     def __call__(self, state, bg=None) -> float:
         return self.func(state, bg)
@@ -411,7 +411,6 @@ def _generator_partials(g: ConformalGenerator, state, bg):
     jac = g.jacobian(x)                        # jac[mu, nu] = d_nu xi^mu
 
     if state.form == "instant":
-        from .dynamics import hamiltonian_instant
         H = hamiltonian_instant(state, bg)
         grad = bg.grad_m2(x)
         dq = np.empty(3)
@@ -463,7 +462,6 @@ def generator_quantity(g: ConformalGenerator, label: str = "") -> ConservedQuant
         func=lambda state, bg, _g=g: conserved_from_generator(_g, state, bg),
         partials=lambda state, bg, _g=g: _generator_partials(_g, state, bg),
         generator=g,
-        provenance="generator",
     )
 
 
@@ -489,8 +487,7 @@ def spacelike_hidden_quantity(which: int, B: float) -> ConservedQuantity:
         dp[2] = 2.0 * state.p[i]
         return dq, dp
 
-    return ConservedQuantity(label=f"Q{which}", func=val, partials=parts,
-                             provenance="hidden")
+    return ConservedQuantity(label=f"Q{which}", func=val, partials=parts)
 
 
 def spacelike_set(B: float) -> list[ConservedQuantity]:
@@ -524,7 +521,7 @@ def angular_momentum_z_quantity(scale: float = 1.0) -> ConservedQuantity:
         return dq, dp
 
     return ConservedQuantity(label="B.Lz" if scale != 1.0 else "Lz",
-                             func=val, partials=parts, provenance="hidden")
+                             func=val, partials=parts)
 
 
 def mass_shell_quantity(bg) -> ConservedQuantity:
@@ -544,8 +541,7 @@ def mass_shell_quantity(bg) -> ConservedQuantity:
         dp = np.array([4.0 * pminus, 4.0 * pplus, -2.0 * p1, -2.0 * p2])
         return dq, dp
 
-    return ConservedQuantity(label="Q6", func=val, partials=parts,
-                             provenance="hidden")
+    return ConservedQuantity(label="Q6", func=val, partials=parts)
 
 
 def planewave_cubic_quantity(bg) -> ConservedQuantity:
@@ -571,15 +567,13 @@ def planewave_cubic_quantity(bg) -> ConservedQuantity:
                        -2.0 * p2 * xplus])
         return dq, dp
 
-    return ConservedQuantity(label="Q7", func=val, partials=parts,
-                             provenance="hidden")
+    return ConservedQuantity(label="Q7", func=val, partials=parts)
 
 
 def extended_hamiltonian_quantity(bg) -> ConservedQuantity:
     """K = (p_perp.p_perp + m^2(x))/(4 p-) - p+ on the extended phase space."""
 
     def val(state, _bg=None):
-        from .dynamics import hamiltonian_extended
         return hamiltonian_extended(state, _bg or bg)
 
     def parts(state, _bg=None):
@@ -593,8 +587,7 @@ def extended_hamiltonian_quantity(bg) -> ConservedQuantity:
                        p1 / (2.0 * pminus), p2 / (2.0 * pminus)])
         return dq, dp
 
-    return ConservedQuantity(label="K", func=val, partials=parts,
-                             provenance="hidden")
+    return ConservedQuantity(label="K", func=val, partials=parts)
 
 
 def planewave_extended_set(bg) -> list[ConservedQuantity]:
@@ -679,5 +672,4 @@ def quantity_product(qa: ConservedQuantity, qb: ConservedQuantity,
             dqb, dpb = qb.partials(state, bg)
             return va * dqb + vb * dqa, va * dpb + vb * dpa
 
-    return ConservedQuantity(label=label, func=val, partials=parts,
-                             provenance="composite")
+    return ConservedQuantity(label=label, func=val, partials=parts)

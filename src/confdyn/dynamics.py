@@ -31,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -135,11 +134,6 @@ class PhaseSpaceState:
         form eliminates a component."""
         return FORMS[self.form].momentum(self, bg)
 
-    def xdot(self) -> FourVector:
-        if self.form != "covariant":
-            raise ValueError("xdot is defined for the covariant form only")
-        return FourVector(*self.p)
-
     def replace(self, **kw) -> "PhaseSpaceState":
         return dataclasses.replace(self, **kw)
 
@@ -175,10 +169,10 @@ def extended_state_on_shell(bg, xplus: float, xminus: float, xperp,
                           pminus, pperp, s=s)
 
 
-def covariant_state(x: FourVector, xdot: FourVector, tau: float = 0.0,
-                    require_unit: bool = True) -> PhaseSpaceState:
+def covariant_state(x: FourVector, xdot: FourVector,
+                    tau: float = 0.0) -> PhaseSpaceState:
     n2 = xdot.norm2()
-    if require_unit and abs(n2 - 1.0) > 1e-8:
+    if abs(n2 - 1.0) > 1e-8:
         raise ValueError(f"xdot.xdot = {n2:.3e} must equal 1 for a covariant state")
     return PhaseSpaceState("covariant", tau, x.as_array(), xdot.as_array())
 
@@ -249,23 +243,23 @@ def _fd_partials(f, state: PhaseSpaceState, bg, h_scale: float):
     return tuple(out)
 
 
-def quantity_partials(f, state: PhaseSpaceState, bg, h_scale: float = 1e-6):
+def quantity_partials(f, state: PhaseSpaceState, bg):
     """(dQ/dq, dQ/dp) of a quantity at a state: closed form when the quantity
     provides it, second-order central differences otherwise."""
     pf = getattr(f, "partials", None)
     if pf is not None:
         return pf(state, bg)
-    return _fd_partials(f, state, bg, h_scale)
+    return _fd_partials(f, state, bg, 1e-6)
 
 
-def poisson_bracket(f, g, state: PhaseSpaceState, bg, h_scale: float = 1e-6) -> float:
+def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:
     """{f, g} = df/dq.dg/dp - df/dp.dg/dq over the canonical pairs of the
     state's form (pairs are matched by position in q and p; the extended form
     includes the (x+, p+) pair)."""
     if not FORMS[state.form].canonical:
         raise ValueError(f"the {state.form} form carries no canonical bracket here")
-    dqf, dpf = quantity_partials(f, state, bg, h_scale)
-    dqg, dpg = quantity_partials(g, state, bg, h_scale)
+    dqf, dpf = quantity_partials(f, state, bg)
+    dqg, dpg = quantity_partials(g, state, bg)
     return float(dqf @ dpg - dpf @ dqg)
 
 
@@ -509,8 +503,8 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
         raise ValueError("state0.time must equal span[0]")
     rhs = _make_rhs(state0.form, bg, opts.nonrelativistic)
     grid = np.linspace(t0, t1, opts.samples)
-    new_solver = partial(RK45, rtol=opts.rtol, atol=opts.atol)
-    times, ys, stats, elog = _integrate(state0, bg, (t0, t1), new_solver, rhs, grid)
+    times, ys, stats, elog = _integrate(state0, bg, (t0, t1), rhs, grid,
+                                        opts.rtol, opts.atol)
 
     n = FORMS[state0.form].dof
     traj = Trajectory(form=state0.form, times=np.asarray(times),
@@ -522,7 +516,7 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     return traj
 
 
-def _integrate(state0, bg, span, new_solver, rhs, grid):
+def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     """The stepping loop: one RK45 solver per segment between switch-surface
     crossings.  At a crossing the straddling step is redone
     from its start with a solver bounded at the crossing time, and the next
@@ -550,7 +544,7 @@ def _integrate(state0, bg, span, new_solver, rhs, grid):
             nfev += 4
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = np.concatenate([[t], seg_grid]) if seg_grid.size else np.array([t, t1])
-        solver = new_solver(rhs, t, y, t1)
+        solver = RK45(rhs, t, y, t1, rtol=rtol, atol=atol)
         seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval)
         seg_y = np.hstack(seg_y)
         nfev += solver.nfev
@@ -572,7 +566,7 @@ def _integrate(state0, bg, span, new_solver, rhs, grid):
             raise SingularityError(
                 f"guard {name} crossed at parameter {te:g}; the flow left "
                 "its regular region")
-        redo = new_solver(rhs, solver.t_old, solver.y_old, te)
+        redo = RK45(rhs, solver.t_old, solver.y_old, te, rtol=rtol, atol=atol)
         _segment(redo, (), ())   # to te, with neither events nor samples
         nfev += redo.nfev
         elog.append((name, te))
@@ -620,8 +614,8 @@ def instant_to_front(state: PhaseSpaceState, bg) -> PhaseSpaceState:
         raise ValueError("expected an instant-form state")
     x = state.position()
     p4 = state.four_momentum(bg)
-    pplus, pminus = 0.5 * (p4[0] + p4[3]), 0.5 * (p4[0] - p4[3])
-    return front_state(x.xplus, x.xminus, [x.x, x.y], pminus, p4[1:3])
+    return front_state(x.xplus, x.xminus, [x.x, x.y], 0.5 * (p4[0] - p4[3]),
+                       p4[1:3])
 
 
 def front_to_extended(state: PhaseSpaceState, bg, s: float = 0.0) -> PhaseSpaceState:

@@ -207,10 +207,7 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
 
 
 def random_states(form: str, count: int, rng: np.random.Generator,
-                  q_range: tuple = (-1.0, 1.0), p_range: tuple = (-0.5, 0.5),
-                  pminus_range: tuple = (0.2, 1.0),
-                  xplus_range: tuple = (0.5, 1.5),
-                  t_range: tuple = (-1.0, 1.0),
+                  q_range: tuple = (-1.0, 1.0), t_range: tuple = (-1.0, 1.0),
                   accept=None, max_tries: int = 1000) -> list:
     """Seeded sample of non-degenerate states for rank/involution voting.
 
@@ -228,18 +225,18 @@ def random_states(form: str, count: int, rng: np.random.Generator,
         if form == "instant":
             st = PhaseSpaceState("instant", rng.uniform(*t_range),
                                  rng.uniform(*q_range, size=3),
-                                 rng.uniform(*p_range, size=3))
+                                 rng.uniform(-0.5, 0.5, size=3))
         elif form == "front":
             q = rng.uniform(*q_range, size=3)
-            p = np.concatenate([[rng.uniform(*pminus_range)],
-                                rng.uniform(*p_range, size=2)])
-            st = PhaseSpaceState("front", rng.uniform(*xplus_range), q, p)
+            p = np.concatenate([[rng.uniform(0.2, 1.0)],
+                                rng.uniform(-0.5, 0.5, size=2)])
+            st = PhaseSpaceState("front", rng.uniform(0.5, 1.5), q, p)
         elif form == "extended":
-            q = np.concatenate([[rng.uniform(*xplus_range)],
+            q = np.concatenate([[rng.uniform(0.5, 1.5)],
                                 rng.uniform(*q_range, size=3)])
-            p = np.concatenate([rng.uniform(*p_range, size=1),
-                                [rng.uniform(*pminus_range)],
-                                rng.uniform(*p_range, size=2)])
+            p = np.concatenate([rng.uniform(-0.5, 0.5, size=1),
+                                [rng.uniform(0.2, 1.0)],
+                                rng.uniform(-0.5, 0.5, size=2)])
             st = PhaseSpaceState("extended", 0.0, q, p)
         else:
             raise ValueError(f"no sampler for form {form!r}")

@@ -156,8 +156,8 @@ def make_planewave_solution(qperp, qminus: float, bg) -> Wavefunction:
                         params={"Qperp": (q1, q2), "Qminus": qm, "chi": chi})
 
 
-def make_conformal_solution(qperp, q3: float, f: Callable[[float], float],
-                            xplus_min: float = 1e-6) -> Wavefunction:
+def make_conformal_solution(qperp, q3: float,
+                            f: Callable[[float], float]) -> Wavefunction:
     """Eigenmode of the special conformal charge on m^2 = f(u)/(x+)^2:
 
         phi = (1/x+) exp(-i (Q3 + Q_perp.x_perp)/x+
@@ -183,7 +183,7 @@ def make_conformal_solution(qperp, q3: float, f: Callable[[float], float],
         return np.exp(-1j * (qc + q1 * x.x + q2 * x.y) / xp) / xp * g(u)
 
     return Wavefunction("conformal_mode", ev,
-                        domain=lambda x: x.xplus > xplus_min,
+                        domain=lambda x: x.xplus > 1e-6,
                         params={"Qperp": (q1, q2), "Q3": qc, "g": g})
 
 
@@ -202,7 +202,7 @@ def _bessel_pair(alpha: complex, z: complex):
 
 
 def make_dilation_solution(qperp, q3: float, csq: float, c1: complex = 1.0,
-                           c2: complex = 0.0, margin: float = 1e-8) -> Wavefunction:
+                           c2: complex = 0.0) -> Wavefunction:
     """Dilation eigenmode on m^2 = csq/(x.x), inside the forward light cone:
 
         phi = (x+)^{-(1+i Q3)} v^{-i Q3} exp(-i Q_perp.x_perp / x+) y(v),
@@ -245,7 +245,7 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex = 1.0,
                 * np.exp(-1j * (q1 * x.x + q2 * x.y) / xp) * y_of(v))
 
     def dom(x: FourVector) -> bool:
-        return x.norm2() > margin and x.xplus > margin
+        return x.norm2() > 1e-8 and x.xplus > 1e-8
 
     return Wavefunction("dilation_mode", ev, domain=dom,
                         params={"Qperp": (q1, q2), "Q3": qc, "csq": csq,
@@ -311,17 +311,18 @@ def commutator_identity_defect(gen: ConformalGenerator, bg, phi: Wavefunction,
 # ---------------------------------------------------------------------------
 
 def residual_convergence(phi: Wavefunction, bg, points: Sequence[FourVector],
-                         h: float = 1e-3, order: int = 2):
-    """Normalized KG residuals at h and h/2 per point, with their ratio.
+                         h: float = 1e-3):
+    """Normalized second-order KG residuals at h and h/2 per point, with
+    their ratio.
 
     Returns a list of rows (index, h, |res(h)|, |res(h/2)|, ratio), residuals
-    normalized by max(|phi(x)|, eps).  The expected ratio is 2**order for a
-    true solution and ~1 for an off-shell control."""
+    normalized by max(|phi(x)|, eps).  The expected ratio is 4 for a true
+    solution and ~1 for an off-shell control."""
     rows = []
     for i, x in enumerate(points):
         scale = max(abs(phi(x)), _EPS)
-        r1 = abs(kg_residual(phi, bg, x, h, order)) / scale
-        r2 = abs(kg_residual(phi, bg, x, h / 2.0, order)) / scale
+        r1 = abs(kg_residual(phi, bg, x, h)) / scale
+        r2 = abs(kg_residual(phi, bg, x, h / 2.0)) / scale
         rows.append((i, h, r1, r2, r1 / max(r2, _EPS)))
     return rows
 

@@ -378,6 +378,28 @@ def test_kernel_matches_family_formulas(name):
     assert _same(bg.m2(batch), [bg.m2(x) for x in points])
 
 
+# the point at signed distance s from the switch surface of each switched
+# family of REFS (z = 0, t = 0, x+ = 1.5)
+_SURFACE = {"linear_z-switched": lambda s: FourVector(0.3, 0.1, -0.2, s),
+            "timelike-switched": lambda s: FourVector(s, 0.1, -0.2, 0.3),
+            "sc-switched": lambda s: FourVector(1.25 + s, 0.3, -0.2, 0.25)}
+
+
+@pytest.mark.parametrize("name", list(REFS))
+def test_smooth_at_is_false_only_near_switch_surfaces(name):
+    bg, _, _, points = REFS[name]
+    assert bool(bg.events) == (name in _SURFACE)
+    if name in _SURFACE:
+        at = _SURFACE[name]
+        for s in (0.0, -0.0, 1e-13, -1e-13):
+            assert not bg.smooth_at(at(s))
+        for s in (1e-6, -1e-6):
+            assert bg.smooth_at(at(s))
+    else:
+        for x in points + [at(0.0) for at in _SURFACE.values()]:
+            assert bg.smooth_at(x)
+
+
 def test_kernel_raises_as_the_separate_formulas():
     lz = backgrounds.linear_z(1.0, 1.0, switched=False)
     x = FourVector(0.3, 0.1, 0.2, -2.0)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
+import hashlib
 import json
 import math
 import os
@@ -341,6 +342,15 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("certify", "planewave", ["background.argument=xminus"]),
     ("kg", "planewave", ["background.argument=xminus"]),
     ("orbit", "planewave", ["background.argument=xminus"]),
+    # a closed-form orbit started off its entry surface, on B = 0 or from a
+    # form it is not written for; a mode with a vanishing eigenvalue
+    ("orbit", "fig1", ["initial.x=0,0,0.5"]),
+    ("orbit", "fig1", ["initial.t=1", "run.tstart=1"]),
+    ("orbit", "fig1", ["background.B=0"]),
+    ("orbit", "fig1", ["run.form=front", "initial.xplus=0", "initial.pminus=0.5"]),
+    ("orbit", "fig2", ["run.form=instant", "initial.p=0,0,0.1", "run.tstart=0"]),
+    ("kg", "planewave", ["kg.qminus=0"]),
+    ("kg", "conformal", ["kg.q3=0"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):
@@ -567,3 +577,26 @@ def test_fig2_literals_are_the_erf_window():
         "initial.pminus=0.37556277223247125;run.tend=1.9999997725455128",
         "initial.pminus=0.44437186481787383;run.tend=3.3333324487882381",
         "initial.pminus=0.50387033311804574;run.tend=9.9999897645573821"]
+
+
+# ---------------------------------------------------------------------------
+# tools/output_digests.py
+# ---------------------------------------------------------------------------
+
+def test_output_digests_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    proc = _python(str(script), "--preset", "planewave", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert [line[:4] for line in lines] == [
+        [command, "planewave", fmt, "exit=0"]
+        for command in ("simulate", "certify", "kg", "orbit")
+        for fmt in ("csv", "json")]
+    assert list(tmp_path.iterdir()) == []         # runs write into temp dirs
+    # the kg csv line digests what a direct run at the same seed writes
+    out = tmp_path / "kg"
+    assert main(_args("kg", "planewave", out, "--seed", "7")) == 0
+    want = [f"{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()}"
+            for p in sorted(out.iterdir())]
+    assert [w.split("=")[0] for w in want] == ["convergence.csv", "kg_summary.json"]
+    assert lines[4][5:] == want
