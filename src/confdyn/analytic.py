@@ -171,7 +171,7 @@ def planewave_quantities(state: PhaseSpaceState, bg) -> dict:
         raise DomainError("the seven-constant set needs a wave in x+, one "
                           "with an x+ antiderivative of m^2")
     s = state if state.form == "extended" else front_to_extended(state, bg)
-    return {q.label: q(s, bg) for q in planewave_extended_set(bg)}
+    return {q.label: q(s, bg) for q in planewave_extended_set()}
 
 
 def planewave_xminus(bg, xplus: float, q: dict) -> float:

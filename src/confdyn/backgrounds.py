@@ -53,18 +53,22 @@ class ScalarBackground:
         any of them is within _SING_EPS of zero
     m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
         x+ -> int_0^{x+} m^2
+    profile : for the inverse-square families m^2 = f(u)/(x+)^2, the pair
+        (f, f') of callables of u
     params : family parameters, kept for serialization and dispatch
     """
 
     def __init__(self, label: str, field: Callable,
                  value_fn: Optional[Callable] = None, events=(),
                  m2_antiderivative: Optional[Callable] = None,
+                 profile: Optional[tuple] = None,
                  params: Optional[dict] = None):
         self.label = label
         self._field = field
         self._value = value_fn or (lambda t, x, y, z: field(t, x, y, z)[0])
         self.events = list(events)
         self.m2_antiderivative = m2_antiderivative
+        self.profile = profile
         self.params = dict(params or {})
 
     def m2(self, x: FourVector):
@@ -260,11 +264,11 @@ def special_conformal_mass(f: Callable[[float], float],
     """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+; singular at x+ = 0."""
     label = "special_conformal"
     return ScalarBackground(label, _inverse_square(lambda u: (f(u), df(u)), label),
-                            params={"family": label})
+                            profile=(f, df), params={"family": label})
 
 
 def _gaussian(m0sq: float, L: float, k: float):
-    """f(u) = m0^2 L^2 exp(-k^2 u^2) and u -> (f, df) with one exponential."""
+    """(f, df) of f(u) = m0^2 L^2 exp(-k^2 u^2), and u -> (f, df) in one exp."""
     A = m0sq * L * L
 
     def f(u):
@@ -274,13 +278,7 @@ def _gaussian(m0sq: float, L: float, k: float):
         fu = f(u)
         return fu, -2.0 * k * k * u * fu
 
-    return f, fdf
-
-
-def gaussian_profile(m0sq: float, L: float, k: float):
-    """(f, df) of the Gaussian profile f(u) = m0^2 L^2 exp(-k^2 u^2)."""
-    f, fdf = _gaussian(m0sq, L, k)
-    return f, lambda u: fdf(u)[1]
+    return (f, lambda u: fdf(u)[1]), fdf
 
 
 def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
@@ -293,7 +291,8 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
     branch entering at x- = 0 does)."""
     if L <= 0:
         raise ValueError("switch position L must be positive")
-    pure = _inverse_square(_gaussian(m0sq, L, k)[1], "special_conformal")
+    profile, fdf = _gaussian(m0sq, L, k)
+    pure = _inverse_square(fdf, "special_conformal")
 
     def field(t, x, y, z):
         xp = t + z
@@ -304,7 +303,7 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
 
     return ScalarBackground(
         "special_conformal_switched", field,
-        events=[("xplus=L", lambda t, x, y, z: t + z - L)],
+        events=[("xplus=L", lambda t, x, y, z: t + z - L)], profile=profile,
         params={"family": "special_conformal_switched", "m0sq": m0sq,
                 "L": L, "k": k},
     )
@@ -314,9 +313,10 @@ def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
                                k: float = 1.0) -> ScalarBackground:
     """The unswitched inverse-square Gaussian profile f(u) = m0^2 L^2 e^{-k^2 u^2}."""
     label = "special_conformal_gaussian"
+    profile, fdf = _gaussian(m0sq, L, k)
     return ScalarBackground(
-        label, _inverse_square(_gaussian(m0sq, L, k)[1], label),
-        params={"family": label, "profile": "gaussian", "m0sq": m0sq, "L": L, "k": k})
+        label, _inverse_square(fdf, label), profile=profile,
+        params={"family": label, "m0sq": m0sq, "L": L, "k": k})
 
 
 def dilation_mass(csq: float = 1.0) -> ScalarBackground:
@@ -337,16 +337,13 @@ def dilation_mass(csq: float = 1.0) -> ScalarBackground:
 
 
 def from_callable(m2_fn: Callable[[FourVector], float],
-                  grad_fn: Optional[Callable] = None,
-                  scale: float = 1.0, label: str = "user",
-                  params: Optional[dict] = None) -> ScalarBackground:
+                  grad_fn: Optional[Callable] = None) -> ScalarBackground:
     """Wrap a user-supplied squared mass.  Without grad_fn the gradient falls
-    back to fourth-order central differences with step 1e-5 * scale; m2
-    alone calls m2_fn once and never the gradient."""
-    h = 1e-5 * scale
+    back to fourth-order central differences with step 1e-5; m2 alone calls
+    m2_fn once and never the gradient."""
 
     def fd_grad(x):
-        return [central_difference(lambda s: m2_fn(x.shifted(mu, s)), h, 1, 4)
+        return [central_difference(lambda s: m2_fn(x.shifted(mu, s)), 1e-5, 1, 4)
                 for mu in range(4)]
 
     grad = grad_fn or fd_grad
@@ -355,9 +352,9 @@ def from_callable(m2_fn: Callable[[FourVector], float],
         p = FourVector(t, x, y, z)
         return m2_fn(p), tuple(map(float, grad(p)))
 
-    return ScalarBackground(label, field,
+    return ScalarBackground("user", field,
                             value_fn=lambda t, x, y, z: m2_fn(FourVector(t, x, y, z)),
-                            params={"family": "user"} | (params or {}))
+                            params={"family": "user"})
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,13 @@ def _xplus_wave(bg, what: str):
     return bg
 
 
+def _family_param(bg, family: str, key: str, what: str) -> float:
+    if bg.params["family"] != family:
+        raise ConfigError(f"{what} needs the {family} background family, "
+                          f"not {bg.label!r}")
+    return bg.params[key]
+
+
 def _initial_state(cfg, bg) -> PhaseSpaceState:
     form = _get(cfg, "run", "form", "instant")
     if form == "instant":
@@ -365,10 +372,9 @@ def _monitors(cfg, bg, form=None) -> tuple:
     sets = {
         "none": (_ANY_FORM, lambda: []),
         "spacelike": (("instant",), lambda: conformal.spacelike_set(
-            bg.params.get("B", 1.0))),
-        "planewave": (("extended",), lambda: conformal.planewave_extended_set(
-            _xplus_wave(bg, "quantity set 'planewave'"))),
-        "conformal": (("extended",), lambda: conformal.conformal_extended_set(bg)),
+            _family_param(bg, "linear_z", "B", "quantity set 'spacelike'"))),
+        "planewave": (("extended",), conformal.planewave_extended_set),
+        "conformal": (("extended",), conformal.conformal_extended_set),
         "conformal_front": (_ANY_FORM, conformal.conformal_front_set),
         "dilation": (_ANY_FORM, conformal.dilation_mass_set),
         "poincare": (_ANY_FORM, conformal.poincare_set),
@@ -380,11 +386,13 @@ def _monitors(cfg, bg, form=None) -> tuple:
         raise ConfigError(f"unknown quantity set {name!r}")
     forms, build = sets[name]
     _check_form("quantity set", name, forms, form)
+    if name == "planewave":
+        _xplus_wave(bg, "quantity set 'planewave'")
     extras = {
         "p3": (_ANY_FORM, conformal.momentum_p3_quantity),
         "Lz": (("instant",), conformal.angular_momentum_z_quantity),
         "BLz": (("instant",), lambda: conformal.angular_momentum_z_quantity(
-            bg.params.get("B", 1.0))),
+            _family_param(bg, "linear_z", "B", "extra quantity 'BLz'"))),
     }
     out = build()
     gated = [q.label for q in out]
@@ -557,14 +565,12 @@ def _kg_setup(cfg, rng):
                    (conformal.translation_xminus(), qminus, "P-")]
         return phi, bg, box, triples
     if sol == "conformal":
-        p = bg.params
-        if "special_conformal" not in p.get("family", ""):
+        if bg.profile is None:
             raise ConfigError("conformal solution needs an inverse-square "
                               "background family")
-        f, _ = backgrounds.gaussian_profile(p["m0sq"], p["L"], p["k"])
         qperp = _get(cfg, "kg", "qperp", [0.25, -0.15])
         q3 = _get(cfg, "kg", "q3", 0.8)
-        phi = kgverify.make_conformal_solution(qperp, q3, f)
+        phi = kgverify.make_conformal_solution(qperp, q3, bg.profile[0])
         triples = [(conformal.special_conformal_lf(), q3, "C-"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
@@ -574,7 +580,7 @@ def _kg_setup(cfg, rng):
     if sol == "dilation":
         qperp = _get(cfg, "kg", "qperp", [0.4, 0.1])
         q3 = _get(cfg, "kg", "q3", 0.6)
-        csq = _get(cfg, "background", "csq", 1.0)
+        csq = _family_param(bg, "dilation", "csq", "the dilation mode")
         c1 = _get(cfg, "kg", "c1", 1.0)
         c2 = _get(cfg, "kg", "c2", 0.0)
         phi = kgverify.make_dilation_solution(qperp, q3, csq, c1, c2)
@@ -643,7 +649,7 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     w0, w1 = _span(cfg, state)
 
     def conformal_orbit():
-        f, df = backgrounds.gaussian_profile(p["m0sq"], p["L"], p["k"])
+        f, df = bg.profile
         return analytic.conformal_orbit(f, state, df=df, xplus_max=w1)
 
     # family -> (forms the closed form starts from, build)

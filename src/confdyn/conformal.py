@@ -364,7 +364,8 @@ def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
 class ConservedQuantity:
     """A scalar phase-space function Q(state; background).
 
-    func(state, bg) evaluates the quantity.  It must also accept a
+    func(state, bg) evaluates the quantity on the background bg of the
+    call, the only field data it reads.  It must also accept a
     component-first batch state (q, p of shape (n, N), time of shape (N,);
     see dynamics.Trajectory.batch_state) and then return an array of shape
     (N,), one value per point: dynamics.monitor calls it once per
@@ -382,7 +383,7 @@ class ConservedQuantity:
     partials: Optional[Callable] = None
     generator: Optional[ConformalGenerator] = None
 
-    def __call__(self, state, bg=None) -> float:
+    def __call__(self, state, bg) -> float:
         return self.func(state, bg)
 
 
@@ -474,12 +475,12 @@ def spacelike_hidden_quantity(which: int, B: float) -> ConservedQuantity:
         raise ValueError("which must be 3 or 4")
     i = which - 3   # transverse index 0 or 1
 
-    def val(state, bg=None):
+    def val(state, bg):
         if state.form != "instant":
             raise ValueError("spacelike hidden quantities live in the instant form")
         return 2.0 * state.p[i] * state.p[2] + B * state.q[i]
 
-    def parts(state, bg=None):
+    def parts(state, bg):
         dq = np.zeros(3)
         dq[i] = B
         dp = np.zeros(3)
@@ -512,10 +513,10 @@ def angular_momentum_z_quantity(scale: float = 1.0) -> ConservedQuantity:
     the combination Q3 Q2 - Q4 Q1 of the spacelike hidden quantities, and it
     is conserved by both the relativistic and the nonrelativistic flows."""
 
-    def val(state, bg=None):
+    def val(state, bg):
         return scale * (state.q[0] * state.p[1] - state.q[1] * state.p[0])
 
-    def parts(state, bg=None):
+    def parts(state, bg):
         dq = scale * np.array([state.p[1], -state.p[0], 0.0])
         dp = scale * np.array([-state.q[1], state.q[0], 0.0])
         return dq, dp
@@ -524,18 +525,16 @@ def angular_momentum_z_quantity(scale: float = 1.0) -> ConservedQuantity:
                              func=val, partials=parts)
 
 
-def mass_shell_quantity(bg) -> ConservedQuantity:
+def mass_shell_quantity() -> ConservedQuantity:
     """Extended-form Q = 4 p+ p- - p_perp.p_perp - m^2(x); vanishes on shell
     and is conserved because the extended Hamiltonian is K = H - p+."""
 
-    def val(state, _bg=None):
-        b = _bg or bg
+    def val(state, bg):
         pplus, pminus, p1, p2 = state.p
-        return 4.0 * pplus * pminus - p1 * p1 - p2 * p2 - b.m2(state.position())
+        return 4.0 * pplus * pminus - p1 * p1 - p2 * p2 - bg.m2(state.position())
 
-    def parts(state, _bg=None):
-        b = _bg or bg
-        lfg = lf_gradient(b.grad_m2(state.position()))
+    def parts(state, bg):
+        lfg = lf_gradient(bg.grad_m2(state.position()))
         dq = np.array([-lfg[0], -lfg[1], -lfg[2], -lfg[3]])
         pplus, pminus, p1, p2 = state.p
         dp = np.array([4.0 * pminus, 4.0 * pplus, -2.0 * p1, -2.0 * p2])
@@ -544,24 +543,21 @@ def mass_shell_quantity(bg) -> ConservedQuantity:
     return ConservedQuantity(label="Q6", func=val, partials=parts)
 
 
-def planewave_cubic_quantity(bg) -> ConservedQuantity:
+def planewave_cubic_quantity() -> ConservedQuantity:
     """Extended-form Q = 4 p-^2 x- - p_perp.p_perp x+ - int_0^{x+} m^2, the
-    cubic constant of plane-wave backgrounds m^2(x+)."""
-    if bg.m2_antiderivative is None:
-        raise ValueError("background must provide an antiderivative of m^2 along x+")
+    cubic constant of plane-wave backgrounds m^2(x+); the background it is
+    evaluated on must provide m2_antiderivative."""
 
-    def val(state, _bg=None):
-        b = _bg or bg
+    def val(state, bg):
         xplus, xminus = state.q[0], state.q[1]
         pplus, pminus, p1, p2 = state.p
         return (4.0 * pminus ** 2 * xminus - (p1 * p1 + p2 * p2) * xplus
-                - b.m2_antiderivative(xplus))
+                - bg.m2_antiderivative(xplus))
 
-    def parts(state, _bg=None):
-        b = _bg or bg
+    def parts(state, bg):
         xplus, xminus = state.q[0], state.q[1]
         pplus, pminus, p1, p2 = state.p
-        m2 = b.m2(state.position())
+        m2 = bg.m2(state.position())
         dq = np.array([-(p1 * p1 + p2 * p2) - m2, 4.0 * pminus ** 2, 0.0, 0.0])
         dp = np.array([0.0, 8.0 * pminus * xminus, -2.0 * p1 * xplus,
                        -2.0 * p2 * xplus])
@@ -570,27 +566,23 @@ def planewave_cubic_quantity(bg) -> ConservedQuantity:
     return ConservedQuantity(label="Q7", func=val, partials=parts)
 
 
-def extended_hamiltonian_quantity(bg) -> ConservedQuantity:
+def extended_hamiltonian_quantity() -> ConservedQuantity:
     """K = (p_perp.p_perp + m^2(x))/(4 p-) - p+ on the extended phase space."""
 
-    def val(state, _bg=None):
-        return hamiltonian_extended(state, _bg or bg)
-
-    def parts(state, _bg=None):
-        b = _bg or bg
+    def parts(state, bg):
         pplus, pminus, p1, p2 = state.p
-        m2 = b.m2(state.position())
-        lfg = lf_gradient(b.grad_m2(state.position()))
+        m2 = bg.m2(state.position())
+        lfg = lf_gradient(bg.grad_m2(state.position()))
         dq = lfg / (4.0 * pminus)
         pp = p1 * p1 + p2 * p2
         dp = np.array([-1.0, -(pp + m2) / (4.0 * pminus ** 2),
                        p1 / (2.0 * pminus), p2 / (2.0 * pminus)])
         return dq, dp
 
-    return ConservedQuantity(label="K", func=val, partials=parts)
+    return ConservedQuantity(label="K", func=hamiltonian_extended, partials=parts)
 
 
-def planewave_extended_set(bg) -> list[ConservedQuantity]:
+def planewave_extended_set() -> list[ConservedQuantity]:
     """The seven constants of plane-wave backgrounds m^2(x+) on the extended
     front-form phase space: p1, p2, p-, the two null-rotation charges
     2 x_perp p- + x+ p_perp, the mass-shell quantity and the cubic one."""
@@ -600,16 +592,16 @@ def planewave_extended_set(bg) -> list[ConservedQuantity]:
         generator_quantity(translation_xminus(), "Q3"),
         generator_quantity(null_rotation_t(1), "Q4"),
         generator_quantity(null_rotation_t(2), "Q5"),
-        mass_shell_quantity(bg),
-        planewave_cubic_quantity(bg),
+        mass_shell_quantity(),
+        planewave_cubic_quantity(),
     ]
 
 
-def conformal_extended_set(bg) -> list[ConservedQuantity]:
+def conformal_extended_set() -> list[ConservedQuantity]:
     """The five constants of inverse-square light-front masses f(u)/(x+)^2 on
     the extended phase space: the generator charges of conformal_front_set
     and the extended Hamiltonian K."""
-    return conformal_front_set() + [extended_hamiltonian_quantity(bg)]
+    return conformal_front_set() + [extended_hamiltonian_quantity()]
 
 
 def conformal_front_set() -> list[ConservedQuantity]:
@@ -661,12 +653,12 @@ def quantity_product(qa: ConservedQuantity, qb: ConservedQuantity,
     """Pointwise product of two quantities, with product-rule partials when
     both factors provide them."""
 
-    def val(state, bg=None):
+    def val(state, bg):
         return qa.func(state, bg) * qb.func(state, bg)
 
     parts = None
     if qa.partials is not None and qb.partials is not None:
-        def parts(state, bg=None):
+        def parts(state, bg):
             va, vb = qa.func(state, bg), qb.func(state, bg)
             dqa, dpa = qa.partials(state, bg)
             dqb, dpb = qb.partials(state, bg)

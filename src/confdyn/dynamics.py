@@ -450,17 +450,20 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _segment(solver, ev_fns, t_eval):
+def _segment(solver, ev_fns, t_eval, form: Form):
     """Step a solver to its bound or to its first event, sampling t_eval on
     each step's dense output, as solve_ivp does with terminal events.
     Returns (sampled times, list of (n, m) sample blocks, None or (event
-    index, event time))."""
+    index, event time)).  A failed step's error names the time and p- reached."""
     g = [fn(solver.t, solver.y) for fn in ev_fns]
     ys, i_eval, hit = [], 0, None
     while hit is None and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
-            raise SingularityError(f"integration failed: {message}")
+            where = f"{form.time_name} = {solver.t:.12g}"
+            if form.pminus is not None:
+                where += f", p- = {solver.y[form.dof + form.pminus]:.2g}"
+            raise SingularityError(f"integration failed: {message} ({where})")
         t, g_old, dense = solver.t, g, None
         g = [fn(t, solver.y) for fn in ev_fns]
         active = [i for i, (a, b) in enumerate(zip(g_old, g))
@@ -545,7 +548,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = np.concatenate([[t], seg_grid]) if seg_grid.size else np.array([t, t1])
         solver = RK45(rhs, t, y, t1, rtol=rtol, atol=atol)
-        seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval)
+        seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval, form)
         seg_y = np.hstack(seg_y)
         nfev += solver.nfev
         segments += 1
@@ -567,7 +570,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
                 f"guard {name} crossed at parameter {te:g}; the flow left "
                 "its regular region")
         redo = RK45(rhs, solver.t_old, solver.y_old, te, rtol=rtol, atol=atol)
-        _segment(redo, (), ())   # to te, with neither events nor samples
+        _segment(redo, (), (), form)   # to te, with neither events nor samples
         nfev += redo.nfev
         elog.append((name, te))
         if te > times[-1] + 1e-14 * max(1.0, span_len):

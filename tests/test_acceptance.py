@@ -126,7 +126,7 @@ def test_criterion_03_spacelike_maximal_superintegrability():
 
 def test_criterion_04_planewave_seven_constants():
     bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
-    qs = conformal.planewave_extended_set(bg)
+    qs = conformal.planewave_extended_set()
     st = extended_state_on_shell(bg, 0.0, 0.0, (0.0, 0.0), 0.5, (0.1, -0.05))
     traj = evolve(st, bg, (0.0, 10.0), _TIGHT, monitors=qs)
     drift = max(traj.drifts.values())
@@ -174,7 +174,7 @@ def test_criterion_05_error_function_orbit():
 
 def test_criterion_06_conformal_charge_algebra():
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    qs = conformal.conformal_extended_set(bg)
+    qs = conformal.conformal_extended_set()
     states = _reshell(bg, random_states("extended", 20,
                                         np.random.default_rng(103)))
     tab = involution_table(qs, states, bg, tol=1e-9)

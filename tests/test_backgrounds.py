@@ -400,6 +400,20 @@ def test_smooth_at_is_false_only_near_switch_surfaces(name):
             assert bg.smooth_at(x)
 
 
+def test_profile_is_set_by_the_inverse_square_families_alone():
+    ref_f, ref_df = _ref_gaussian(1.2, 1.5, 0.8)
+    for bg in (backgrounds.special_conformal_switched(1.2, 1.5, 0.8),
+               backgrounds.special_conformal_gaussian(1.2, 1.5, 0.8)):
+        f, df = bg.profile
+        for u in np.linspace(-2.5, 2.5, 41).tolist() + [-0.0, 1e-3]:
+            assert _same(f(u), ref_f(u)) and _same(df(u), ref_df(u))
+    f, df = (lambda u: 1.0 + u * u), (lambda u: 2.0 * u)
+    assert backgrounds.special_conformal_mass(f, df).profile == (f, df)
+    for name, (bg, *_) in REFS.items():
+        if name not in ("special_conformal", "sc-switched", "sc-gaussian"):
+            assert bg.profile is None, name
+
+
 def test_kernel_raises_as_the_separate_formulas():
     lz = backgrounds.linear_z(1.0, 1.0, switched=False)
     x = FourVector(0.3, 0.1, 0.2, -2.0)

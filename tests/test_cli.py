@@ -351,6 +351,13 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("orbit", "fig2", ["run.form=instant", "initial.p=0,0,0.1", "run.tstart=0"]),
     ("kg", "planewave", ["kg.qminus=0"]),
     ("kg", "conformal", ["kg.q3=0"]),
+    # a kg mode, quantity set or extra on a family that lacks the constant
+    # or the profile it reads from the background
+    ("kg", "kgcontrol", ["kg.solution=dilation"]),
+    ("kg", "dilation", ["background.family=constant"]),
+    ("kg", "kgcontrol", ["kg.solution=conformal"]),
+    ("certify", "dilation", ["certify.set=spacelike"]),
+    ("simulate", "dilation", ["monitor.extra=BLz"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):
@@ -580,7 +587,7 @@ def test_fig2_literals_are_the_erf_window():
 
 
 # ---------------------------------------------------------------------------
-# tools/output_digests.py
+# tools/output_digests.py and tools/settable_values.py
 # ---------------------------------------------------------------------------
 
 def test_output_digests_smoke(tmp_path):
@@ -600,3 +607,15 @@ def test_output_digests_smoke(tmp_path):
             for p in sorted(out.iterdir())]
     assert [w.split("=")[0] for w in want] == ["convergence.csv", "kg_summary.json"]
     assert lines[4][5:] == want
+
+
+def test_settable_values_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "tools" / "settable_values.py"
+    proc = _python(str(script), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split() for line in proc.stdout.splitlines())
+    assert list(counts) == ["defaults", "fields", "schema", "total"]
+    counts = {k: int(v) for k, v in counts.items()}
+    assert min(counts.values()) > 0
+    assert counts["total"] == counts["defaults"] + counts["fields"] + counts["schema"]
+    assert counts["schema"] == sum(len(keys) for keys in cli._SCHEMA.values())

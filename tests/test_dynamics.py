@@ -370,8 +370,13 @@ def test_rk45_port_fails_as_scipy_on_a_blow_up():
     from confdyn.analytic import erf_orbit_entry_state
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     with pytest.raises(SingularityError, match="integration failed: Required "
-                       "step size is less than spacing between numbers"):
+                       "step size is less than spacing between numbers") as err:
         evolve(erf_orbit_entry_state(0.9), bg, (1.0, 11.0))
+    # it names where the flow stopped: the front form's time, just past the
+    # asymptote at x+ = 10, and p- all but zero
+    msg = str(err.value)
+    assert "(xplus = 10.0000000" in msg
+    assert 0.0 < float(msg.rpartition(", p- = ")[2].rstrip(")")) < 1e-12
 
 
 def _scipy_brentq(f, a, b):

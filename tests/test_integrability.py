@@ -128,7 +128,7 @@ def test_planewave_extended_rank_seven():
     rng = np.random.default_rng(12)
     bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
     states = _reshelled(bg, random_states("extended", 20, rng))
-    cert = classify(conformal.planewave_extended_set(bg), states, bg)
+    cert = classify(conformal.planewave_extended_set(), states, bg)
     assert cert.rank == 7
     assert cert.dof == 4
     assert cert.extra == 3
@@ -139,7 +139,7 @@ def test_planewave_extended_rank_seven():
 def test_planewave_mass_shell_vanishes_on_shell():
     rng = np.random.default_rng(13)
     bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
-    q6 = conformal.planewave_extended_set(bg)[5]
+    q6 = conformal.planewave_extended_set()[5]
     for st in _reshelled(bg, random_states("extended", 10, rng)):
         assert abs(q6(st, bg)) < 1e-10
 
@@ -152,7 +152,7 @@ def test_conformal_extended_minimally_superintegrable():
     rng = np.random.default_rng(14)
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     states = _reshelled(bg, random_states("extended", 20, rng))
-    cert = classify(conformal.conformal_extended_set(bg), states, bg)
+    cert = classify(conformal.conformal_extended_set(), states, bg)
     assert cert.rank == 5
     assert cert.dof == 4
     assert cert.extra == 1
@@ -165,7 +165,7 @@ def test_conformal_involution_needs_mass_shell():
     rng = np.random.default_rng(15)
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     raw = random_states("extended", 6, rng)
-    qs = conformal.conformal_extended_set(bg)
+    qs = conformal.conformal_extended_set()
     off = involution_table(qs, raw, bg, tol=1e-9)
     assert off.pair(2, 4) > 1e-3  # {Q3, K} before projection
     on = involution_table(qs, _reshelled(bg, raw), bg, tol=1e-9)

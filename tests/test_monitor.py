@@ -99,7 +99,7 @@ def test_monitor_raises_like_the_scalar_call(name):
             "extended", [0.0, 0.1, 0.2],
             [[0.5, 0, 0, 0], [0.0, 0, 0, 0], [0.7, 0, 0, 0]],
             [[1.0, 0.4, 0, 0]] * 3, bg.label)
-        quantity, expected = conformal.extended_hamiltonian_quantity(bg), SingularityError
+        quantity, expected = conformal.extended_hamiltonian_quantity(), SingularityError
     with pytest.raises(expected) as scalar:
         quantity.func(traj.state(1), bg)
     with pytest.raises(scalar.type):
