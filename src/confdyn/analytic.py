@@ -18,9 +18,10 @@ conformal   m^2 = f(u)/(x+)^2, u = x- - x_perp.x_perp/x+: u(x+) inverts a
 
 For the Gaussian conformal profile with vanishing transverse data the orbit
 collapses to the error-function relation 1/x+ = 1 - kappa Erf(x-) in units
-where x+ is measured in L and x- in 1/k; the dimensionless kappa is computed
-here from first principles as kappa = 2 sqrt(pi) p-^2/(k m0^2 L), which
-reduces to 2 sqrt(pi) (p-/m0)^2 in the k = L = 1 units used by the checks.
+where x+ is measured in L and x- in 1/k, with the dimensionless
+kappa = 2 sqrt(pi) p-^2/(k m0^2 L), which reduces to 2 sqrt(pi) (p-/m0)^2 in
+the k = L = 1 units used by the checks.  That relation is a test oracle
+(tests/oracles.py), checked against conformal_orbit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conformal import planewave_extended_set
-from .dynamics import PhaseSpaceState, front_state, front_to_extended
+from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
 from .geometry import (FourVector, LightFrontCoords, central_difference,
                        from_lightfront, momenta_from_lf)
@@ -362,54 +363,3 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
               "xplus_asymptote": xplus_asym}
     return ClosedFormOrbit("special_conformal", "xplus", (xp0, hi), consts,
                            point)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-profile nondimensionalization (error-function orbit)
-# ---------------------------------------------------------------------------
-
-def gaussian_kappa(pminus: float, m0sq: float = 1.0, L: float = 1.0,
-                   k: float = 1.0) -> float:
-    """Dimensionless steepness of the error-function orbit,
-    kappa = 2 sqrt(pi) p-^2 / (k m0^2 L), for entry at x+ = L, u = 0 with
-    f(u) = m0^2 L^2 exp(-k^2 u^2) and vanishing transverse data."""
-    return 2.0 * np.sqrt(np.pi) * pminus ** 2 / (k * m0sq * L)
-
-
-def pminus_for_kappa(kappa: float, m0sq: float = 1.0, L: float = 1.0,
-                     k: float = 1.0) -> float:
-    """Entry p- > 0 that realizes a given kappa."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-    return float(np.sqrt(kappa * k * m0sq * L / (2.0 * np.sqrt(np.pi))))
-
-
-def erf_orbit_reciprocal(kappa: float, xminus_scaled) -> np.ndarray:
-    """L/x+ = 1 - kappa Erf(k x-) for the Gaussian branch; arguments are the
-    dimensionless k x- values."""
-    from scipy.special import erf
-    return 1.0 - kappa * erf(np.asarray(xminus_scaled, dtype=float))
-
-
-def erf_orbit_xplus(kappa: float, xminus_scaled) -> np.ndarray:
-    """x+/L as a function of k x-; infinite past the orbit's asymptote."""
-    recip = erf_orbit_reciprocal(kappa, xminus_scaled)
-    out = np.full_like(np.atleast_1d(recip), np.inf, dtype=float)
-    pos = np.atleast_1d(recip) > 0.0
-    out[pos] = 1.0 / np.atleast_1d(recip)[pos]
-    return out if np.ndim(recip) else float(out[0])
-
-
-def erf_orbit_asymptote(kappa: float) -> float:
-    """Limiting x+/L as x- -> infinity: 1/(1 - kappa) for kappa < 1."""
-    if kappa >= 1.0:
-        return np.inf
-    return 1.0 / (1.0 - kappa)
-
-
-def erf_orbit_entry_state(kappa: float, m0sq: float = 1.0, L: float = 1.0,
-                          k: float = 1.0) -> PhaseSpaceState:
-    """Front-form entry data (x+ = L, x- = 0, vanishing transverse sector)
-    realizing the error-function orbit with the given kappa."""
-    return front_state(L, 0.0, [0.0, 0.0], pminus_for_kappa(kappa, m0sq, L, k),
-                       [0.0, 0.0])

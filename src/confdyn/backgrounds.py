@@ -259,6 +259,8 @@ def _inverse_square(fdf: Callable, label: str) -> Callable:
     return field
 
 
+# the paper's general f(u)/(x+)^2 family; no command builds it, but exact
+# checks with a generic profile f need it
 def special_conformal_mass(f: Callable[[float], float],
                            df: Callable[[float], float]) -> ScalarBackground:
     """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+; singular at x+ = 0."""
@@ -336,6 +338,8 @@ def dilation_mass(csq: float = 1.0) -> ScalarBackground:
                             params={"family": "dilation", "csq": csq})
 
 
+# no command builds it yet: a field given only as a function has no hand-written
+# charge set, and finding its symmetry algebra from the field will certify one
 def from_callable(m2_fn: Callable[[FourVector], float],
                   grad_fn: Optional[Callable] = None) -> ScalarBackground:
     """Wrap a user-supplied squared mass.  Without grad_fn the gradient falls

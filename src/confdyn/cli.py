@@ -44,8 +44,9 @@ from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, LightFrontCoords, from_lightfront
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
-# (kappa, entry p-, end x+) of fig. 2: p- = analytic.pminus_for_kappa(kappa),
-# and x+ = 1/(1 - kappa erf(3.75)) where L/x+ = 1 - kappa erf(k x-) leaves the
+# (kappa, entry p-, end x+) of fig. 2: p- = sqrt(kappa/(2 sqrt(pi))), which
+# inverts kappa = 2 sqrt(pi) p-^2/(k m0^2 L) at m0 = k = L = 1, and
+# x+ = 1/(1 - kappa erf(3.75)) where L/x+ = 1 - kappa erf(k x-) leaves the
 # plotted window k x- <= 3.75; written out so that no run needs scipy's erf
 _FIG2_RUNS = ((0.3, "0.29090967246237009", "1.4285713589424993"),
               (0.5, "0.37556277223247125", "1.9999997725455128"),
@@ -488,7 +489,7 @@ def cmd_simulate(run_cfgs: list, out_dir: Path, fmt: str, tol_abs: float,
     return 0 if summary["pass"] else 1
 
 
-def _certify_states(cfg, bg, form: str, count: int, rng) -> list:
+def _certify_states(bg, form: str, count: int, rng) -> list:
     fam = bg.params.get("family", "")
 
     def accept(st):
@@ -531,7 +532,7 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     if not quantities:
         raise ConfigError("[certify] set names no quantities")
     rng = np.random.default_rng(seed)
-    states = _certify_states(cfg, bg, form, count, rng)
+    states = _certify_states(bg, form, count, rng)
     cert = integrability.classify(quantities, states, bg,
                                   rank_tol=tol_rel, bracket_tol=tol_abs)
     cert.to_json(out_dir / "certification.json")
@@ -652,6 +653,14 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
         f, df = bg.profile
         return analytic.conformal_orbit(f, state, df=df, xplus_max=w1)
 
+    def switched_orbit():
+        # the closed form follows f(u)/(x+)^2 alone, not the constant m0^2
+        # before the switch-on
+        if state.time < p["L"]:
+            raise ConfigError(f"the {fam} orbit starts at x+ >= L = {p['L']:g}, "
+                              f"not at x+ = {state.time:g}")
+        return conformal_orbit()
+
     # family -> (forms the closed form starts from, build)
     orbits = {
         "linear_z": (("instant",), lambda: analytic.spacelike_orbit(
@@ -660,7 +669,7 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
             lambda t: 0.0, state, p["m0sq"])),
         "plane_wave": (("front", "extended"), lambda: analytic.planewave_orbit(
             _xplus_wave(bg, "the plane-wave orbit"), state)),
-        "special_conformal_switched": (("front",), conformal_orbit),
+        "special_conformal_switched": (("front",), switched_orbit),
         "special_conformal_gaussian": (("front",), conformal_orbit),
     }
     if fam not in orbits:
@@ -730,6 +739,12 @@ _COMMANDS = {"simulate": (_sweep_configs, cmd_simulate),
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, tol in (("--tol-abs", args.tol_abs),
+                          ("--tol-rel", args.tol_rel)):
+            try:
+                _positive(tol)
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
         cfg: dict = {}
         if args.preset:
             cfg = preset_config(args.preset)

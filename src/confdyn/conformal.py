@@ -36,16 +36,14 @@ indices lower):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .dynamics import hamiltonian_extended, hamiltonian_instant
-from .geometry import (METRIC, METRIC_DIAG, FourVector, central_difference,
-                       contract, lf_gradient, lower_index, minkowski_dot,
-                       raise_index)
+from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
+                       lower_index, minkowski_dot, raise_index)
 
 _ANTISYM_TOL = 1e-12
 
@@ -121,10 +119,6 @@ class ConformalGenerator:
         """d.xi = 4 lam - 8 c.x, exact."""
         return 4.0 * self.lam - 8.0 * contract(x.as_array(), self.c)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return (np.all(np.abs(self.a) <= tol) and np.all(np.abs(self.omega) <= tol)
-                and abs(self.lam) <= tol and np.all(np.abs(self.c) <= tol))
-
     # -- linear structure ------------------------------------------------
     def __add__(self, other: "ConformalGenerator") -> "ConformalGenerator":
         return ConformalGenerator(self.a + other.a, self.omega + other.omega,
@@ -139,33 +133,6 @@ class ConformalGenerator:
     def __sub__(self, other: "ConformalGenerator") -> "ConformalGenerator":
         return self + (-1.0) * other
 
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a.tolist(),
-            "omega": self.omega.tolist(),
-            "lambda": self.lam,
-            "c": self.c.tolist(),
-            "label": self.label,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ConformalGenerator":
-        om = np.asarray(d["omega"], dtype=float)
-        if om.shape != (4, 4):
-            raise ValueError(f"omega must be 4x4, got {om.shape}")
-        return ConformalGenerator(np.asarray(d["a"], dtype=float), om,
-                                  float(d["lambda"]),
-                                  np.asarray(d["c"], dtype=float),
-                                  label=d.get("label", ""))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def from_json(s: str) -> "ConformalGenerator":
-        return ConformalGenerator.from_dict(json.loads(s))
-
 
 # ---------------------------------------------------------------------------
 # named constructors
@@ -173,10 +140,6 @@ class ConformalGenerator:
 
 def _zeros_gen(**kw):
     return dict(a=np.zeros(4), omega=np.zeros((4, 4)), lam=0.0, c=np.zeros(4)) | kw
-
-
-def zero_generator() -> ConformalGenerator:
-    return ConformalGenerator(**_zeros_gen(label="zero"))
 
 
 def translation(a, label: str = "translation") -> ConformalGenerator:
@@ -245,10 +208,6 @@ def boost_axis(j: int) -> ConformalGenerator:
     return _lorentz(om, f"K{j}")
 
 
-def boost_z() -> ConformalGenerator:
-    return boost_axis(3)
-
-
 def null_rotation_t(j: int) -> ConformalGenerator:
     """Null rotation fixing the x+ direction, transverse axis j in {1,2};
     charge T_j = 2 x^j p- + x+ p_j."""
@@ -297,28 +256,6 @@ def special_conformal_lf() -> ConformalGenerator:
 # ---------------------------------------------------------------------------
 # field-level operations
 # ---------------------------------------------------------------------------
-
-def conformal_killing_residual(g: ConformalGenerator, x: FourVector) -> np.ndarray:
-    """S_{mu nu} = d_mu xi_nu + d_nu xi_mu - (1/2) eta_{mu nu} d.xi
-    from closed-form derivatives; identically zero for every generator."""
-    jl = METRIC @ g.jacobian(x)       # jl[mu, nu] = d_nu xi_mu
-    sym = jl.T + jl
-    return sym - 0.5 * METRIC * g.divergence(x)
-
-
-def killing_residual_fd(field: Callable[[FourVector], np.ndarray], x: FourVector,
-                        h: float = 1e-5) -> np.ndarray:
-    """Finite-difference conformal Killing residual of an arbitrary vector
-    field (upper-index components).  Exists for negative tests: fields outside
-    the conformal family produce a nonzero residual."""
-    jl = np.zeros((4, 4))                # jl[mu, nu] = d_nu xi_mu
-    for nu in range(4):
-        jl[:, nu] = central_difference(
-            lambda s: lower_index(field(x.shifted(nu, s))), h, 1, 2)
-    # d_mu xi^mu = eta^{mu mu} d_mu xi_mu for the diagonal metric
-    div = float(np.sum(METRIC_DIAG * np.diag(jl)))
-    return jl + jl.T - 0.5 * METRIC * div
-
 
 def lie_bracket(g1: ConformalGenerator, g2: ConformalGenerator) -> ConformalGenerator:
     """Vector-field commutator [xi1, xi2] = xi1.grad xi2 - xi2.grad xi1,
@@ -617,18 +554,6 @@ def conformal_front_set() -> list[ConservedQuantity]:
     ]
 
 
-def planewave_front_set_xminus() -> list[ConservedQuantity]:
-    """Five front-form constants of m^2(x-): p1, p2, the Hamiltonian p+, and
-    the null-rotation charges 2 x_perp p+ + x- p_perp."""
-    return [
-        generator_quantity(translation_axis(1), "Q1"),
-        generator_quantity(translation_axis(2), "Q2"),
-        generator_quantity(translation_xplus(), "H"),
-        generator_quantity(null_rotation_u(1), "Q4"),
-        generator_quantity(null_rotation_u(2), "Q5"),
-    ]
-
-
 def poincare_set() -> list[ConservedQuantity]:
     """The ten free-particle charges: four translations, three rotations,
     three boosts."""
@@ -646,22 +571,3 @@ def dilation_mass_set() -> list[ConservedQuantity]:
         generator_quantity(null_rotation_t(2), "T2.p"),
         generator_quantity(dilation(), "D.p"),
     ]
-
-
-def quantity_product(qa: ConservedQuantity, qb: ConservedQuantity,
-                     label: str) -> ConservedQuantity:
-    """Pointwise product of two quantities, with product-rule partials when
-    both factors provide them."""
-
-    def val(state, bg):
-        return qa.func(state, bg) * qb.func(state, bg)
-
-    parts = None
-    if qa.partials is not None and qb.partials is not None:
-        def parts(state, bg):
-            va, vb = qa.func(state, bg), qb.func(state, bg)
-            dqa, dpa = qa.partials(state, bg)
-            dqb, dpb = qb.partials(state, bg)
-            return va * dqb + vb * dqa, va * dpb + vb * dpa
-
-    return ConservedQuantity(label=label, func=val, partials=parts)

@@ -213,12 +213,6 @@ def hamiltonian_extended(state: PhaseSpaceState, bg):
     return scalar_or_array((pp + m2) / (4.0 * pminus) - pplus)
 
 
-def hamiltonian_nonrel(state: PhaseSpaceState, bg):
-    """Nonrelativistic reduction H = p.p/(2 m) + m of the instant form."""
-    m = bg.mass(state.position())
-    return scalar_or_array(contract(state.p, state.p) / (2.0 * m) + m)
-
-
 # ---------------------------------------------------------------------------
 # Poisson brackets
 # ---------------------------------------------------------------------------
@@ -583,17 +577,12 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     return np.asarray(times), np.asarray(ys), stats, elog
 
 
-def evolve_covariant(x0: FourVector, xdot0: FourVector, bg, span,
-                     opts: Optional[EvolveOptions] = None,
-                     monitors: Sequence = ()) -> Trajectory:
-    """Covariant flow from initial position and unit four-velocity."""
-    st = covariant_state(x0, xdot0, tau=float(span[0]))
-    return evolve(st, bg, span, opts, monitors)
-
-
 # ---------------------------------------------------------------------------
 # form conversions
 # ---------------------------------------------------------------------------
+
+# no command converts a state between forms (front_to_extended aside); tests
+# do, and the form round-trip property tests will
 
 def instant_to_covariant(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     if state.form != "instant":

@@ -174,6 +174,8 @@ def scalar_or_array(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
+# no command calls to_lightfront or lf_momenta; tests use them, and the form
+# round-trip property tests will
 def to_lightfront(x: FourVector) -> LightFrontCoords:
     return LightFrontCoords(x.t + x.z, x.t - x.z, x.x, x.y)
 
@@ -203,9 +205,3 @@ def lf_gradient(grad_lower: np.ndarray) -> np.ndarray:
     """
     g = np.asarray(grad_lower, dtype=float)
     return np.array([0.5 * (g[0] + g[3]), 0.5 * (g[0] - g[3]), g[1], g[2]])
-
-
-def mass_shell_gap(p_lower: np.ndarray, m2: float) -> float:
-    """p.p - m^2 for a lower-index momentum; zero on shell."""
-    p = np.asarray(p_lower, dtype=float)
-    return float(p[0] ** 2 - p[1] ** 2 - p[2] ** 2 - p[3] ** 2 - m2)

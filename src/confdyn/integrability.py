@@ -79,6 +79,8 @@ def _rank_vote(jacobians: np.ndarray, labels: list,
     return IndependenceReport(labels, ranks, rank, sv[0], tol)
 
 
+# no command calls this (classify reads the shared table); tests do, and
+# perfbench/bench_trace.py wraps it as the span integrability.rank
 def independence_rank(quantities: Sequence, states: Sequence[PhaseSpaceState],
                       bg, tol: float = 1e-8) -> IndependenceReport:
     """Numerical rank of the quantity Jacobian, majority-voted over states."""
@@ -92,19 +94,10 @@ class InvolutionTable:
     brackets: np.ndarray  # max |{Qi, Qj}| over the sampled states
     tol: float
 
-    def pair(self, i: int, j: int) -> float:
-        return float(self.brackets[i, j])
-
     def is_involutive(self, idx: Sequence[int]) -> bool:
         idx = list(idx)
         return all(self.brackets[i, j] <= self.tol
                    for i, j in itertools.combinations(idx, 2))
-
-    def involutive_pairs(self):
-        n = len(self.labels)
-        return [(self.labels[i], self.labels[j])
-                for i, j in itertools.combinations(range(n), 2)
-                if self.brackets[i, j] <= self.tol]
 
     def to_dict(self):
         return {"labels": self.labels, "tol": self.tol,
@@ -132,6 +125,8 @@ def _check_canonical(states: Sequence[PhaseSpaceState]) -> None:
             raise ValueError(f"no canonical structure for form {st.form!r}")
 
 
+# no command calls this (classify reads the shared table); tests do, and
+# perfbench/bench_trace.py wraps it as the span integrability.involution
 def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
                      bg, tol: float = 1e-9) -> InvolutionTable:
     """Pairwise Poisson brackets, maximized in magnitude over the states."""

@@ -24,11 +24,11 @@ the wave equation cannot see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .conformal import ConformalGenerator, symmetry_defect
+from .conformal import ConformalGenerator
 from .errors import DomainError, SingularityError
 from .geometry import FourVector, central_difference
 from .ode import quad
@@ -115,6 +115,8 @@ def eigen_defect(gen: ConformalGenerator, phi: Wavefunction, Q: complex,
     return num / den
 
 
+# no command calls this yet; tests do, and checking each mode's phase against
+# the classical orbit's momenta (Hamilton-Jacobi) along the orbit will
 def phase_gradient(phi: Wavefunction, x: FourVector, h: float = 1e-3) -> np.ndarray:
     """d_mu S for phi = exp(-i S): the lower-index phase gradient, computed
     from the argument of phi(x+h)/phi(x-h).  Valid while |S| varies by less
@@ -250,60 +252,6 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex = 1.0,
     return Wavefunction("dilation_mode", ev, domain=dom,
                         params={"Qperp": (q1, q2), "Q3": qc, "csq": csq,
                                 "alpha": alpha, "c1": c1, "c2": c2})
-
-
-# ---------------------------------------------------------------------------
-# reduced-ODE residuals (dimensional-reduction checks)
-# ---------------------------------------------------------------------------
-
-def _ode_residual(prof, qperp, q: float, source, grid, h: float,
-                  sign: float) -> float:
-    """max_w |4i q prof'(w) + sign (Q_perp^2 + source(w)) prof(w)| / max_w
-    |prof(w)| with prof' by central differences."""
-    q1, q2 = float(qperp[0]), float(qperp[1])
-    qp2 = q1 * q1 + q2 * q2
-    num = 0.0
-    den = _EPS
-    for w in np.atleast_1d(grid):
-        v = prof(w)
-        drift = 4j * float(q) * central_difference(lambda s: prof(w + s), h, 1, 2)
-        src = (qp2 + float(source(w))) * v
-        num = max(num, abs(drift + sign * src))
-        den = max(den, abs(v))
-    return num / den
-
-
-def ode_residual_conformal(g: Callable[[float], complex], qperp, q3: float,
-                           f: Callable[[float], float], u_grid,
-                           h: float = 1e-5) -> float:
-    """max_u |4i Q3 g'(u) + (Q_perp^2 + f(u)) g(u)| / max_u |g(u)| with g'
-    by central differences: the reduced equation any conformal eigenmode's
-    longitudinal profile must satisfy."""
-    return _ode_residual(g, qperp, q3, f, u_grid, h, 1.0)
-
-
-def ode_residual_planewave(chi: Callable[[float], complex], qperp,
-                           qminus: float, m2_of_xplus: Callable[[float], float],
-                           xplus_grid, h: float = 1e-5) -> float:
-    """max |4i Q- chi'(x+) - (Q_perp^2 + m^2(x+)) chi| / max |chi|: the
-    reduced plane-wave equation."""
-    return _ode_residual(chi, qperp, qminus, m2_of_xplus, xplus_grid, h, -1.0)
-
-
-def commutator_identity_defect(gen: ConformalGenerator, bg, phi: Wavefunction,
-                               x: FourVector, h: float = 1e-3) -> float:
-    """|[d^2+m^2, L] phi - (1/2)(div xi)(d^2+m^2) phi + (defect) phi| at x,
-    with defect = xi.grad m^2 + (1/2) m^2 div xi: the operator identity that
-    makes L a wave-equation symmetry exactly when the defect vanishes.
-    All operators are applied by nested central differences."""
-    Aphi = Wavefunction("A.phi", lambda y: kg_residual(phi, bg, y, h),
-                        domain=phi.domain)
-    Lphi = Wavefunction("L.phi", lambda y: symmetry_apply(gen, phi, y, h),
-                        domain=phi.domain)
-    lhs = (kg_residual(Lphi, bg, x, h) - symmetry_apply(gen, Aphi, x, h))
-    rhs = (0.5 * gen.divergence(x) * Aphi(x)
-           - symmetry_defect(gen, bg, x) * phi(x))
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import erf
 
 from confdyn import backgrounds, conformal, kgverify
-from confdyn.analytic import (
-    conformal_orbit,
-    erf_orbit_asymptote,
-    erf_orbit_entry_state,
-    spacelike_orbit,
-)
+from confdyn.analytic import conformal_orbit, spacelike_orbit
 from confdyn.dynamics import (
     EvolveOptions,
     evolve,
@@ -33,6 +28,7 @@ from confdyn.kgverify import (
     make_planewave_solution,
     residual_convergence,
 )
+from oracles import erf_orbit_asymptote, erf_orbit_entry_state
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
 
@@ -138,7 +134,7 @@ def test_criterion_04_planewave_seven_constants():
                                         np.random.default_rng(102)))
     tab = involution_table(qs, states, bg, tol=1e-9)
     sub = [0, 1, 2, 5]  # Q1, Q2, Q3, Q6
-    br = max(tab.pair(i, j) for i in sub for j in sub if i < j)
+    br = max(tab.brackets[i, j] for i in sub for j in sub if i < j)
     ok &= br <= 1e-9
     cert = classify(qs, states, bg)
     ok &= cert.rank == 7
@@ -179,7 +175,7 @@ def test_criterion_06_conformal_charge_algebra():
                                         np.random.default_rng(103)))
     tab = involution_table(qs, states, bg, tol=1e-9)
     sub = [0, 1, 2, 4]  # Q1, Q2, Q3, K
-    br = max(tab.pair(i, j) for i in sub for j in sub if i < j)
+    br = max(tab.brackets[i, j] for i in sub for j in sub if i < j)
     cert = classify(qs, states, bg)
     ok = (br <= 1e-9 and cert.rank == 5
           and cert.label.endswith("superintegrable"))

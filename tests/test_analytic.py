@@ -7,15 +7,9 @@ from scipy.special import erf
 from confdyn import analytic, backgrounds, conformal
 from confdyn.analytic import (
     conformal_orbit,
-    erf_orbit_asymptote,
-    erf_orbit_entry_state,
-    erf_orbit_reciprocal,
-    erf_orbit_xplus,
-    gaussian_kappa,
     planewave_orbit,
     planewave_quantities,
     planewave_xminus,
-    pminus_for_kappa,
     spacelike_orbit,
     timelike_orbit,
 )
@@ -27,6 +21,14 @@ from confdyn.dynamics import (
     instant_state,
 )
 from confdyn.errors import DomainError
+from oracles import (
+    erf_orbit_asymptote,
+    erf_orbit_entry_state,
+    erf_orbit_reciprocal,
+    erf_orbit_xplus,
+    gaussian_kappa,
+    pminus_for_kappa,
+)
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
 

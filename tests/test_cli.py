@@ -358,10 +358,19 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("kg", "kgcontrol", ["kg.solution=conformal"]),
     ("certify", "dilation", ["certify.set=spacelike"]),
     ("simulate", "dilation", ["monitor.extra=BLz"]),
+    # a fig. 2 orbit started before the switch-on at x+ = L
+    ("orbit", "fig2", ["initial.xplus=0.5", "run.tstart=0.5", "run.tend=1.5"]),
+    # tolerance flags, given as (flag, value), that are not finite and above 0
+    ("simulate", "dilation", [("--tol-rel", "nan")]),
+    ("simulate", "dilation", [("--tol-rel", "-1")]),
+    ("certify", "spacelike", [("--tol-rel", "inf")]),
+    ("certify", "spacelike", [("--tol-abs", "nan")]),
+    ("certify", "spacelike", [("--tol-abs", "0")]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):
-    sets = [a for o in overrides for a in ("--set", o)]
+    sets = [a for o in overrides
+            for a in (o if isinstance(o, tuple) else ("--set", o))]
     assert main(_args(command, preset, tmp_path, *sets)) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert list(tmp_path.iterdir()) == []
@@ -574,7 +583,7 @@ def test_package_serves_lazy_modules_on_first_access(tmp_path):
 
 def test_fig2_literals_are_the_erf_window():
     from scipy.special import erf
-    from confdyn.analytic import pminus_for_kappa
+    from oracles import pminus_for_kappa
     for kappa, pminus, tend in cli._FIG2_RUNS:
         assert pminus == f"{pminus_for_kappa(kappa):.17g}"
         assert tend == f"{1.0 / (1.0 - kappa * erf(3.75)):.17g}"

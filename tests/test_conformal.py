@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from confdyn import backgrounds
-from confdyn.conformal import (ConformalGenerator, boost_z,
-                               conformal_killing_residual,
+from confdyn.conformal import (ConformalGenerator, boost_axis,
                                conserved_from_generator, dilation,
-                               generator_quantity, killing_residual_fd,
-                               lie_bracket, null_rotation_t,
-                               null_rotation_u, rotation_z, special_conformal,
-                               special_conformal_lf, symmetry_defect,
-                               time_translation, translation,
-                               translation_axis, translation_xminus,
-                               zero_generator)
+                               generator_quantity, lie_bracket,
+                               null_rotation_t, null_rotation_u, rotation_z,
+                               special_conformal, special_conformal_lf,
+                               symmetry_defect, time_translation, translation,
+                               translation_axis, translation_xminus)
 from confdyn.dynamics import (extended_state, front_state, instant_state,
                               poisson_bracket)
 from confdyn.geometry import FourVector
+from oracles import conformal_killing_residual, killing_residual_fd
 
 
 def random_generator(rng):
@@ -27,6 +25,11 @@ def random_generator(rng):
 
 def random_point(rng, scale=2.0):
     return FourVector(*rng.uniform(-scale, scale, size=4))
+
+
+def parameters(g):
+    """All 15 parameters (a, omega, lam, c) of a generator in one array."""
+    return np.concatenate([g.a, g.omega.ravel(), [g.lam], g.c])
 
 
 # -------------------------------------------------------------- fields
@@ -68,7 +71,7 @@ def test_divergence_values():
     x = FourVector(1.0, 0.0, 0.0, 0.0)
     assert translation([1, 0, 0, 0]).divergence(x) == 0.0
     assert rotation_z().divergence(x) == 0.0
-    assert boost_z().divergence(x) == 0.0
+    assert boost_axis(3).divergence(x) == 0.0
     assert dilation(1.0).divergence(x) == 4.0
     # c_mu = (1,0,0,0): d.xi = -8 c.x = -8 at x = (1,0,0,0)
     assert special_conformal([1.0, 0.0, 0.0, 0.0]).divergence(x) == -8.0
@@ -109,7 +112,7 @@ def test_killing_residual_nonsolution_field():
 
 def test_bracket_translations_commute():
     b = lie_bracket(translation([1, 0, 0, 0]), translation([0, 1.0, 2.0, 0]))
-    assert b.is_zero(tol=0.0)
+    assert np.all(parameters(b) == 0.0)
 
 
 def test_bracket_dilation_translation():
@@ -120,7 +123,8 @@ def test_bracket_dilation_translation():
 
 
 def test_bracket_null_rotations_commute():
-    assert lie_bracket(null_rotation_t(1), null_rotation_t(2)).is_zero(1e-15)
+    b = lie_bracket(null_rotation_t(1), null_rotation_t(2))
+    assert np.max(np.abs(parameters(b))) <= 1e-15
 
 
 def test_bracket_matches_fd_commutator():
@@ -161,7 +165,7 @@ def test_charge_bracket_identity_extended():
     # identity is exact for every generator pair, symmetry or not
     rng = np.random.default_rng(31)
     bg = backgrounds.constant(1.0)
-    gens = [translation_axis(1), rotation_z(), boost_z(), null_rotation_t(2),
+    gens = [translation_axis(1), rotation_z(), boost_axis(3), null_rotation_t(2),
             dilation(1.0), special_conformal_lf()]
     st = extended_state(1.1, -0.2, [0.3, 0.4], 0.8, 0.7, [0.05, -0.1])
     for _ in range(12):
@@ -176,7 +180,7 @@ def test_charge_bracket_identity_reduced_forms():
     # closure survives only for generators that are symmetries of the
     # background: the Poincare charges of a constant mass
     bg = backgrounds.constant(1.0)
-    gens = [translation_axis(1), time_translation(), rotation_z(), boost_z(),
+    gens = [translation_axis(1), time_translation(), rotation_z(), boost_axis(3),
             null_rotation_t(1), null_rotation_t(2), null_rotation_u(2)]
     states = [instant_state(0.3, [0.4, -0.2, 0.7], [0.1, 0.3, -0.5]),
               front_state(0.9, 0.2, [0.1, -0.3], 0.6, [0.2, 0.1])]
@@ -250,7 +254,7 @@ def test_charge_boost_z_front_form():
     bg = backgrounds.constant(1.0)
     pplus = (st.p[1] ** 2 + st.p[2] ** 2 + 1.0) / (4.0 * st.p[0])
     expect = st.time * pplus - st.q[0] * st.p[0]
-    assert conserved_from_generator(boost_z(), st, bg) == pytest.approx(expect, rel=1e-12)
+    assert conserved_from_generator(boost_axis(3), st, bg) == pytest.approx(expect, rel=1e-12)
 
 
 def test_charge_u_null_rotation():
@@ -270,7 +274,7 @@ def test_quantity_partials_match_fd():
     states = [instant_state(0.2, [0.3, -0.5, 0.4], [0.2, 0.1, -0.3]),
               front_state(1.2, 0.1, [0.2, -0.1], 0.8, [0.1, 0.4]),
               extended_state(1.0, 0.3, [-0.2, 0.2], 0.9, 0.6, [0.2, -0.3])]
-    gens = [translation_axis(2), rotation_z(), boost_z(), null_rotation_t(1),
+    gens = [translation_axis(2), rotation_z(), boost_axis(3), null_rotation_t(1),
             dilation(1.0), special_conformal_lf()]
     for st in states:
         for g in gens:
@@ -281,21 +285,13 @@ def test_quantity_partials_match_fd():
             assert np.allclose(dp, fdp, rtol=1e-5, atol=1e-7)
 
 
-def test_generator_serialization_roundtrip():
-    g = special_conformal_lf()
-    back = ConformalGenerator.from_json(g.to_json())
-    assert np.allclose(back.c, g.c, atol=0.0)
-    assert back.label == g.label
-    x = FourVector(0.4, 1.0, -0.7, 0.9)
-    assert np.allclose(back.killing(x), g.killing(x), atol=0.0)
-
-
 def test_generator_deserialization_rejects_nonantisymmetric():
-    bad = '{"a": [0,0,0,0], "omega": [[0,1,0,0],[1,0,0,0],[0,0,0,0],[0,0,0,0]], "lambda": 0.0, "c": [0,0,0,0]}'
+    bad = np.zeros((4, 4))
+    bad[0, 1] = bad[1, 0] = 1.0
     with pytest.raises(ValueError):
-        ConformalGenerator.from_json(bad)
+        ConformalGenerator(np.zeros(4), bad, 0.0, np.zeros(4))
 
 
 def test_zero_generator_field():
-    g = zero_generator()
+    g = ConformalGenerator(np.zeros(4), np.zeros((4, 4)), 0.0, np.zeros(4))
     assert np.all(g.killing(FourVector(1.0, 2.0, 3.0, 4.0)) == 0.0)

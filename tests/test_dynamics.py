@@ -14,14 +14,12 @@ from confdyn.dynamics import (
     _make_rhs,
     covariant_state,
     evolve,
-    evolve_covariant,
     extended_state_on_shell,
     front_state,
     front_to_extended,
     hamiltonian_extended,
     hamiltonian_front,
     hamiltonian_instant,
-    hamiltonian_nonrel,
     instant_state,
     instant_to_covariant,
     instant_to_front,
@@ -31,8 +29,8 @@ from confdyn.dynamics import (
     quantity_partials,
 )
 from confdyn.errors import RealityError, SingularityError
-from confdyn.geometry import (FourVector, lf_gradient, lf_momenta, mass_shell_gap,
-                              raise_index)
+from confdyn.geometry import FourVector, lf_gradient, lf_momenta, raise_index
+from oracles import erf_orbit_entry_state
 
 
 def _random_instant_state(rng, bg):
@@ -89,17 +87,6 @@ def test_hamiltonian_extended_is_constraint():
     st = extended_state_on_shell(bg, 0.3, -0.2, (0.1, 0.4), 0.6, (0.05, -0.1))
     # K = H_front - p+ vanishes on shell by construction
     assert abs(hamiltonian_extended(st, bg)) < 1e-14
-
-
-def test_hamiltonian_nonrel_limit():
-    bg = backgrounds.constant(1.0)
-    rest = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-    assert hamiltonian_nonrel(rest, bg) == pytest.approx(1.0, abs=1e-15)
-    st = instant_state(0.0, (0.0, 0.0, 0.0), (0.06, 0.0, 0.08))  # |p|/m = 0.1
-    gap = abs(hamiltonian_nonrel(st, bg) - hamiltonian_instant(st, bg))
-    # relativistic correction enters at (|p|/m)^4 / 8
-    assert gap < 0.13 * 0.1 ** 4
-    assert gap > 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +168,15 @@ def test_front_hamiltonian_conserved_xminus_profile():
     # m^2(x-) has no x+ dependence, so the front Hamiltonian p+ is constant
     bg = backgrounds.plane_wave_sin2(1.0, 0.6, 1.2, argument="xminus")
     st = front_state(0.0, 0.2, (0.1, -0.1), 0.6, (0.1, 0.2))
+    # p1, p2, the Hamiltonian p+ and the null-rotation charges
+    # 2 x_perp p+ + x- p_perp
+    gens = [conformal.translation_axis(1), conformal.translation_axis(2),
+            conformal.translation_xplus(), conformal.null_rotation_u(1),
+            conformal.null_rotation_u(2)]
+    quantities = [conformal.generator_quantity(g, label)
+                  for g, label in zip(gens, ("Q1", "Q2", "H", "Q4", "Q5"))]
     traj = evolve(st, bg, (0.0, 5.0), EvolveOptions(rtol=1e-12, atol=1e-12),
-                  monitors=conformal.planewave_front_set_xminus())
+                  monitors=quantities)
     h = np.array([hamiltonian_front(s, bg) for s in traj.states()])
     assert np.max(np.abs(h - h[0])) < 1e-10
     for label, d in traj.drifts.items():
@@ -195,8 +189,9 @@ def test_on_shell_closure_along_flow():
     traj = evolve(st, bg, (0.0, 4.0), EvolveOptions(rtol=1e-12, atol=1e-12))
     for s in traj.states():
         h = hamiltonian_instant(s, bg)
-        p_lower = np.array([h, s.p[0], s.p[1], s.p[2]])
-        gap = mass_shell_gap(p_lower, bg.m2(s.position()))
+        # p.p - m^2 with lower-index p = (H, p1, p2, p3)
+        gap = (h ** 2 - s.p[0] ** 2 - s.p[1] ** 2 - s.p[2] ** 2
+               - bg.m2(s.position()))
         assert abs(gap) < 1e-8
 
 
@@ -263,7 +258,6 @@ def test_evolve_validation():
 
 
 def test_singularity_past_conformal_asymptote():
-    from confdyn.analytic import erf_orbit_entry_state
     bg = backgrounds.special_conformal_switched(1.0, 1.0, 1.0)
     st = erf_orbit_entry_state(0.9)
     with pytest.raises(SingularityError):
@@ -367,7 +361,6 @@ def test_rk45_port_fails_as_scipy_on_a_blow_up():
     with pytest.raises(RuntimeError):
         ours.step()
     # the message reaches the flow's error text
-    from confdyn.analytic import erf_orbit_entry_state
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     with pytest.raises(SingularityError, match="integration failed: Required "
                        "step size is less than spacing between numbers") as err:
@@ -424,7 +417,6 @@ def _straddling_step(rhs, t0, y0, t1, g, tol):
 
 @pytest.mark.parametrize("case", ["fig1-z", "fig2-xplus", "pminus-guard"])
 def test_brentq_port_matches_scipy_on_surfaces(case):
-    from confdyn.analytic import erf_orbit_entry_state
     if case == "fig1-z":
         # fig. 1's orbit exits the linear field through z = 0
         bg = backgrounds.linear_z(1.0, 1.0, switched=True)
@@ -484,8 +476,8 @@ def test_brentq_port_edge_cases():
 def test_covariant_free_motion():
     bg = backgrounds.constant(1.0)
     u = np.array([np.sqrt(1.29), 0.2, -0.3, 0.4])
-    traj = evolve_covariant(FourVector(0, 0, 0, 0), FourVector(*u), bg,
-                            (0.0, 3.0), EvolveOptions(rtol=1e-12, atol=1e-12))
+    traj = evolve(covariant_state(FourVector(0, 0, 0, 0), FourVector(*u)), bg,
+                  (0.0, 3.0), EvolveOptions(rtol=1e-12, atol=1e-12))
     expect = traj.times[:, None] * u[None, :]
     assert np.max(np.abs(traj.q - expect)) < 1e-10
     assert np.max(np.abs(traj.p - u[None, :])) < 1e-12

@@ -5,7 +5,7 @@ import pytest
 
 from confdyn.geometry import (METRIC, FourVector, LightFrontCoords,
                               from_lightfront, lf_gradient, lf_momenta,
-                              lower_index, mass_shell_gap, minkowski_dot,
+                              lower_index, minkowski_dot,
                               momenta_from_lf, raise_index, to_lightfront)
 
 
@@ -75,17 +75,6 @@ def test_lf_pairing_matches_cartesian():
         pairing = pplus * lf.xplus + pminus * lf.xminus + p1 * lf.x1 + p2 * lf.x2
         direct = p @ np.array([x.t, x.x, x.y, x.z])
         assert pairing == pytest.approx(direct, rel=1e-12, abs=1e-12)
-
-
-def test_mass_shell_gap():
-    # p.p - m^2 = 4 p+ p- - pperp.pperp - m^2 vanishes exactly on shell
-    p1, p2, pminus, msq = 0.2, -0.4, 0.7, 1.3
-    pplus = (p1 ** 2 + p2 ** 2 + msq) / (4.0 * pminus)
-    p = momenta_from_lf(pplus, pminus, p1, p2)
-    assert mass_shell_gap(p, msq) == pytest.approx(0.0, abs=1e-14)
-    # shifting p+ by d opens the gap by 4 d p-
-    off = momenta_from_lf(pplus + 0.25, pminus, p1, p2)
-    assert mass_shell_gap(off, msq) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_lf_gradient_pairing():
