@@ -25,6 +25,7 @@ the vacuum value and the gradient the field-side slope.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -92,7 +93,10 @@ class ScalarBackground:
         """m2_and_grad at the plain coordinates of one point, for callers
         that hold them unpacked (the flows' right-hand sides)."""
         v, g = self._field(t, x, y, z)
-        return self._real(v, t, x, y, z), g
+        v = float(v)
+        if v < 0.0:
+            self._real(v, t, x, y, z)     # raises RealityError
+        return v, g
 
     def grad_m2(self, x: FourVector) -> np.ndarray:
         return np.array(self._field(x.t, x.x, x.y, x.z)[1], dtype=float)
@@ -236,12 +240,17 @@ def plane_wave_tabulated(w_samples, m2_samples, argument: str = "xplus") -> Scal
                       params={"profile": "tabulated", "n": len(w)})
 
 
-def _inverse_square(fdf: Callable, label: str) -> Callable:
+def _inverse_square(fdf: Callable, label: str, L: float, m0sq: float) -> Callable:
     """Kernel of m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+, from the
-    profile kernel fdf(u) -> (f(u), f'(u))."""
+    profile kernel fdf(u) -> (f(u), f'(u)), switched on at x+ = L: before
+    x+ = L, m^2 is the constant m0sq and its gradient zero; on x+ = L, m^2 is
+    m0sq and the gradient the field side's.  With _NO_SWITCH, L is nan, every
+    comparison with it is false and the field covers all x+."""
 
     def field(t, x, y, z):
         xp = t + z
+        if xp < L:
+            return m0sq, _ZERO
         if abs(xp) < _SING_EPS:
             raise SingularityError(f"x+ = {xp:g} on the singular surface of {label}")
         perp = np.array([x, y])
@@ -250,13 +259,18 @@ def _inverse_square(fdf: Callable, label: str) -> Callable:
         fu, dfu = fdf(u)
         # df(u) d_mu u - 2 f(u) d_mu x+ / x+, over (x+)^2, with d_mu x+- =
         # (1, 0, 0, +-1); b * 0.0 keeps the sign of zero of the vector form
-        a = dfu / xp ** 2
+        xp2 = xp ** 2
+        a = dfu / xp2
         b = 2.0 * fu / xp ** 3
-        s = r2 / xp ** 2
-        return fu / xp ** 2, (a * (1.0 + s) - b, a * (-2.0 * x / xp) - b * 0.0,
-                              a * (-2.0 * y / xp) - b * 0.0, a * (-1.0 + s) - b)
+        s = r2 / xp2
+        return (m0sq if xp == L else fu / xp2), (
+            a * (1.0 + s) - b, a * (-2.0 * x / xp) - b * 0.0,
+            a * (-2.0 * y / xp) - b * 0.0, a * (-1.0 + s) - b)
 
     return field
+
+
+_NO_SWITCH = (math.nan, math.nan)   # (L, m0sq) of an inverse-square field on all x+
 
 
 # the paper's general f(u)/(x+)^2 family; no command builds it, but exact
@@ -265,19 +279,21 @@ def special_conformal_mass(f: Callable[[float], float],
                            df: Callable[[float], float]) -> ScalarBackground:
     """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+; singular at x+ = 0."""
     label = "special_conformal"
-    return ScalarBackground(label, _inverse_square(lambda u: (f(u), df(u)), label),
-                            profile=(f, df), params={"family": label})
+    return ScalarBackground(
+        label, _inverse_square(lambda u: (f(u), df(u)), label, *_NO_SWITCH),
+        profile=(f, df), params={"family": label})
 
 
 def _gaussian(m0sq: float, L: float, k: float):
-    """(f, df) of f(u) = m0^2 L^2 exp(-k^2 u^2), and u -> (f, df) in one exp."""
+    """(f, df) of f(u) = m0^2 L^2 exp(-k^2 u^2), and the profile kernel
+    u -> (f, df), which evaluates the exponential once and calls no f."""
     A = m0sq * L * L
 
     def f(u):
         return A * float(np.exp(-(k * u) ** 2))
 
     def fdf(u):
-        fu = f(u)
+        fu = A * float(np.exp(-(k * u) ** 2))
         return fu, -2.0 * k * k * u * fu
 
     return (f, lambda u: fdf(u)[1]), fdf
@@ -290,21 +306,15 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
 
     The two pieces join continuously only on the u = 0 slice; orbits used for
     quantitative checks should cross x+ = L there (the x_perp = p_perp = 0
-    branch entering at x- = 0 does)."""
-    if L <= 0:
-        raise ValueError("switch position L must be positive")
+    branch entering at x- = 0 does).  L must be at least _SING_EPS, so that
+    the switch surface lies off the singular one at x+ = 0."""
+    if not L >= _SING_EPS:
+        raise ValueError(f"switch position L must be at least {_SING_EPS:g}, "
+                         "off the singular surface x+ = 0")
     profile, fdf = _gaussian(m0sq, L, k)
-    pure = _inverse_square(fdf, "special_conformal")
-
-    def field(t, x, y, z):
-        xp = t + z
-        if xp < L:
-            return m0sq, _ZERO
-        v, g = pure(t, x, y, z)
-        return (m0sq if xp == L else v), g
-
     return ScalarBackground(
-        "special_conformal_switched", field,
+        "special_conformal_switched",
+        _inverse_square(fdf, "special_conformal", L, m0sq),
         events=[("xplus=L", lambda t, x, y, z: t + z - L)], profile=profile,
         params={"family": "special_conformal_switched", "m0sq": m0sq,
                 "L": L, "k": k},
@@ -317,7 +327,7 @@ def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
     label = "special_conformal_gaussian"
     profile, fdf = _gaussian(m0sq, L, k)
     return ScalarBackground(
-        label, _inverse_square(fdf, label), profile=profile,
+        label, _inverse_square(fdf, label, *_NO_SWITCH), profile=profile,
         params={"family": label, "m0sq": m0sq, "L": L, "k": k})
 
 

@@ -189,14 +189,20 @@ def make_conformal_solution(qperp, q3: float,
                         params={"Qperp": (q1, q2), "Q3": qc, "g": g})
 
 
+_jv = _yv = None   # scipy.special's jv and yv, once _bessel_pair has needed them
+
+
 def _bessel_pair(alpha: complex, z: complex):
     """J_alpha(z), Y_alpha(z) for complex argument; real orders go through
     scipy (which evaluates imaginary arguments via the modified-Bessel
-    connection), complex orders through mpmath."""
+    connection), complex orders through mpmath.  scipy.special is imported
+    on the first real order, and so stays off every other path."""
+    global _jv, _yv
     if abs(np.imag(alpha)) == 0.0:
-        from scipy.special import jv, yv
+        if _jv is None:
+            from scipy.special import jv as _jv, yv as _yv
         a = float(np.real(alpha))
-        return complex(jv(a, z)), complex(yv(a, z))
+        return complex(_jv(a, z)), complex(_yv(a, z))
     import mpmath
     zz = mpmath.mpc(z)
     aa = mpmath.mpc(alpha)

@@ -26,8 +26,9 @@ MAX_FACTOR = 10   # largest factor a step may grow by
 
 
 def norm(x):
-    """RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm of a 1-D real array: sqrt(x.x) / sqrt(n), the float
+    np.linalg.norm(x) / sqrt(n) gives, without its dispatch."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def validate_tol(rtol, atol):
@@ -62,19 +63,6 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
     return min(100 * h0, h1, interval_length)
-
-
-def rk_step(fun, t, y, f, h, A, B, C, K):
-    """One explicit Runge-Kutta step; fills the stages into K's rows, the
-    last row with fun(t + h, y_new)."""
-    K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
 
 
 class RK45:
@@ -135,8 +123,14 @@ class RK45:
         self.h_abs = select_initial_step(
             self.fun, self.t, self.y, t_bound, self.f, self.direction,
             self.error_estimator_order, self.rtol, self.atol)
-        self.K = np.empty((self.n_stages + 1, self.n), dtype=self.y.dtype)
+        self.K = K = np.empty((self.n_stages + 1, self.n), dtype=self.y.dtype)
         self.error_exponent = -1 / (self.error_estimator_order + 1)
+        # the operands of scipy's rk_step, as views of K made once: stage s
+        # reads (K[:s].T, A[s, :s], C[s]) and fills K[s]
+        self._stages = [(K[:s].T, self.A[s, :s], float(self.C[s]), K[s])
+                        for s in range(1, self.n_stages)]
+        self._KT = K.T
+        self._K_head_T = K[:-1].T
 
     def fun(self, t, y):
         self.nfev += 1
@@ -165,8 +159,9 @@ class RK45:
         y = self.y
         rtol = self.rtol
         atol = self.atol
+        fun, K, stages = self.fun, self.K, self._stages
 
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
         else:
@@ -182,12 +177,19 @@ class RK45:
             if self.direction * (t_new - self.t_bound) > 0:
                 t_new = self.t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
-            y_new, f_new = rk_step(self.fun, t, y, self.f, h, self.A,
-                                   self.B, self.C, self.K)
+            # scipy's rk_step: the stages into K's rows, the last with
+            # fun(t + h, y_new)
+            K[0] = self.f
+            for KsT, a, c, Ks in stages:
+                dy = np.dot(KsT, a) * h
+                Ks[:] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(self._K_head_T, self.B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = norm(np.dot(self.K.T, self.E) * h / scale)
+            error_norm = norm(np.dot(self._KT, self.E) * h / scale)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -218,19 +220,15 @@ class RK45:
             raise RuntimeError("Dense output is available after a successful "
                                "step was made.")
         t_old, h, y_old = self.t_old, self.t - self.t_old, self.y_old
-        Q = self.K.T.dot(self.P)
-        order = Q.shape[1] - 1
+        Q = self._KT.dot(self.P)
 
         def dense(t):
             t = np.asarray(t)
             x = (t - t_old) / h
-            if t.ndim == 0:
-                p = np.tile(x, order + 1)
-                p = np.cumprod(p)
-            else:
-                p = np.tile(x, (order + 1, 1))
-                p = np.cumprod(p, axis=0)
-            y = h * np.dot(Q, p)
+            # x, x^2, x^3, x^4: the products np.cumprod makes, in its order
+            x2 = x * x
+            x3 = x2 * x
+            y = h * np.dot(Q, [x, x2, x3, x3 * x])
             if y.ndim == 2:
                 y += y_old[:, None]
             else:

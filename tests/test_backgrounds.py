@@ -95,6 +95,25 @@ def test_special_conformal_switched_region():
     assert bg.m2(x) == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("L", [1e-13, 0.0, -1.0, float("nan")])
+def test_special_conformal_switched_refuses_a_switch_near_x_plus_zero(L):
+    # x+ = L within _SING_EPS of x+ = 0 would put the switch surface on the
+    # singular one, where the kernel raises SingularityError
+    with pytest.raises(ValueError, match="switch position L must be at least 1e-12"):
+        backgrounds.special_conformal_switched(1.0, L, 1.0)
+    with pytest.raises(ValueError, match="switch position L"):
+        backgrounds.from_params({"family": "special_conformal_switched", "L": L})
+
+
+def test_special_conformal_switched_smallest_switch():
+    # at L = _SING_EPS the switch surface holds the vacuum value, with the
+    # field side's gradient, and just before it the constant field
+    bg = backgrounds.special_conformal_switched(1.0, 1e-12, 1.0)
+    v, g = bg.field_at(0.5e-12, 0.0, 0.0, 0.5e-12)
+    assert v == 1.0 and g == (-2e+12, 0.0, 0.0, -2e+12)
+    assert bg.field_at(0.49e-12, 0.0, 0.0, 0.5e-12) == (1.0, (0.0, 0.0, 0.0, 0.0))
+
+
 def test_special_conformal_gaussian_value():
     bg = backgrounds.special_conformal_gaussian(m0sq=1.0, L=1.0, k=1.0)
     x = FourVector(1.0, 0.0, 0.0, 1.0)           # x+ = 2, u = 0

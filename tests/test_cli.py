@@ -366,6 +366,8 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("certify", "spacelike", [("--tol-rel", "inf")]),
     ("certify", "spacelike", [("--tol-abs", "nan")]),
     ("certify", "spacelike", [("--tol-abs", "0")]),
+    # a switch position within 1e-12 of the singular surface x+ = 0
+    ("simulate", "fig2", ["background.L=1e-13"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):
@@ -628,3 +630,19 @@ def test_settable_values_smoke(tmp_path):
     assert min(counts.values()) > 0
     assert counts["total"] == counts["defaults"] + counts["fields"] + counts["schema"]
     assert counts["schema"] == sum(len(keys) for keys in cli._SCHEMA.values())
+
+
+def test_paired_jobs_smoke(tmp_path):
+    # both sides on one checkout: every pair runs the same job on the same
+    # code, so the outputs agree and every kind of the stream is reported
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(confdyn.__file__).parents[1])
+    proc = _python(str(root / "tools" / "paired_jobs.py"), "--a", src, "--b", src,
+                   "--workload", "flow", "--seed", "1", "--jobs", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "paired_jobs:", "total", "p50", "p90", "b/a", "failed"]
+    assert lines[4].startswith("b/a per kind: fig1 ") and "(n=2), fig2 " in lines[4]
+    assert lines[5].endswith("outputs differ in 0 of 3 jobs")
+    assert list(tmp_path.iterdir()) == []

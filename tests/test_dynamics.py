@@ -320,10 +320,23 @@ def _oracle_flow(case):
         bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
         st = extended_state_on_shell(bg, 0.0, 0.0, (0.0, 0.0), 0.5, (0.1, -0.05))
         return _make_rhs("extended", bg, False), 0.0, np.concatenate([st.q, st.p]), 10.0
+    if case == "front-fig2-switched":
+        # fig. 2's flow, started in the vacuum so that it meets x+ = L = 1 at
+        # x- = 0 and steps across the switch without an event stop
+        bg = backgrounds.special_conformal_switched(1.0, 1.0, 1.0)
+        st = front_state(0.5, -0.78125, (0.0, 0.0), 0.4, (0.0, 0.0))
+        return _make_rhs("front", bg, False), 0.5, np.concatenate([st.q, st.p]), 2.0
+    if case == "instant-fig1-switched":
+        # fig. 1's flow: into the switched linear_z field at z = 0, the bounce
+        # and the exit across z = 0 again
+        bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+        st = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, -0.5))
+        return _make_rhs("instant", bg, False), 0.0, np.concatenate([st.q, st.p]), 4.0
     return _bump_rhs, 0.0, np.array([0.0, 1.0]), 1.0
 
 
-@pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave", "bump"])
+@pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave",
+                                  "front-fig2-switched", "instant-fig1-switched", "bump"])
 def test_rk45_port_steps_as_scipy(case):
     import scipy.integrate
     rhs, t0, y0, t1 = _oracle_flow(case)
@@ -345,6 +358,40 @@ def test_rk45_port_steps_as_scipy(case):
     if case == "bump":
         # two calls to start, six an accepted step: the rest are rejections
         assert ours.nfev > 2 + 6 * steps
+
+
+def test_dense_output_takes_scipys_powers():
+    # y' = 4 t^3 from y = 0: the first step's dense output is h Q (x, x^2,
+    # x^3, x^4) with the x^4 term dominant, so another product for x^4
+    # (x^2 x^2, say) shows in the last bit
+    import scipy.integrate
+    rhs = lambda t, y: np.array([4.0 * t ** 3])
+    ours = ode.RK45(rhs, 0.0, [0.0], 1.0, rtol=1e-10, atol=1e-10)
+    ref = scipy.integrate.RK45(rhs, 0.0, [0.0], 1.0, rtol=1e-10, atol=1e-10)
+    ours.step()
+    ref.step()
+    a, b = ours.dense_output(), ref.dense_output()
+    ts = np.linspace(ours.t_old, ours.t, 1001)
+    assert np.array_equal(a(ts), b(ts))
+    assert all(np.array_equal(a(t), b(t)) for t in ts)
+
+
+def test_rms_norm_equals_numpys():
+    # sqrt(x.x) / sqrt(n) is what np.linalg.norm computes for a 1-D real
+    # array: equal on lengths 1-8, magnitudes 1e-300 to 1e300 (so squares
+    # that underflow and overflow) and zeros of both signs
+    rng = np.random.default_rng(20261018)
+    cases = [np.array(x) for x in ([0.0], [-0.0], [0.0, -0.0], [1e300, 1e300],
+                                   [1e-300, -1e-300])]
+    for _ in range(4000):
+        n = int(rng.integers(1, 9))
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n)
+        x[rng.random(n) < 0.15] = 0.0
+        x[rng.random(n) < 0.15] = -0.0
+        cases.append(x)
+    with np.errstate(over="ignore"):
+        for x in cases:
+            assert ode.norm(x) == np.linalg.norm(x) / x.size ** 0.5
 
 
 def test_rk45_port_fails_as_scipy_on_a_blow_up():

@@ -229,6 +229,20 @@ def test_dilation_mode_complex_order():
         assert 3.5 < ratio < 4.5
 
 
+def test_bessel_pair_binds_scipy_once(monkeypatch):
+    # jv and yv are bound on the first real order and serve every later call
+    from scipy.special import jv, yv
+    from confdyn import kgverify
+    monkeypatch.setattr(kgverify, "_jv", None)
+    monkeypatch.setattr(kgverify, "_yv", None)
+    z = -0.3j
+    assert kgverify._bessel_pair(0.6 + 0j, z) == (complex(jv(0.6, z)), complex(yv(0.6, z)))
+    assert (kgverify._jv, kgverify._yv) == (jv, yv)
+    monkeypatch.setattr(kgverify, "_jv", lambda a, z: 2.0)
+    monkeypatch.setattr(kgverify, "_yv", lambda a, z: 3.0)
+    assert kgverify._bessel_pair(0.6, z) == (2.0, 3.0)
+
+
 def test_dilation_mode_euler_limit():
     # Q_perp = 0 collapses the radial equation to an Euler power law
     phi = make_dilation_solution((0.0, 0.0), 0.8, 1.0)
