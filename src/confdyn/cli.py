@@ -29,7 +29,6 @@ import argparse
 import configparser
 import dataclasses
 import itertools
-import json
 import math
 import sys
 from pathlib import Path
@@ -42,6 +41,7 @@ from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        front_state, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, LightFrontCoords, from_lightfront
+from .jsonio import write_json
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
 # (kappa, entry p-, end x+) of fig. 2: p- = sqrt(kappa/(2 sqrt(pi))), which
@@ -113,6 +113,14 @@ def _positive(raw) -> float:
     return _number(raw, above=0.0)
 
 
+def _stencil_step(raw) -> float:
+    """A positive step h whose h^2, the stencils' divisor, does not underflow."""
+    val = _positive(raw)
+    if val * val < sys.float_info.min:
+        raise ValueError(f"{raw!r} is too small: h^2 underflows")
+    return val
+
+
 def _numbers(n: int):
     def parse(raw) -> list:
         vals = [_number(v) for v in raw.split(",") if v.strip() != ""]
@@ -147,7 +155,7 @@ _SCHEMA = {
     "certify": {"set": str, "form": str, "count": _count(1), "expect": _names},
     "kg": {"solution": str, "qperp": _numbers(2), "qminus": _number,
            "q3": _number, "c1": _number, "c2": _number, "points": _count(1),
-           "h": _positive, "p": _numbers(4)},
+           "h": _stencil_step, "p": _numbers(4)},
 }
 
 
@@ -481,8 +489,7 @@ def cmd_simulate(run_cfgs: list, out_dir: Path, fmt: str, tol_abs: float,
                for i, setup in enumerate(setups)]
     summary = {"command": "simulate", "seed": seed, "tol_rel": tol_rel,
                "runs": results, "pass": all(r["pass"] for r in results)}
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+    write_json(out_dir / "summary.json", summary, sort_keys=True)
     for r in results:
         print(f"run {r['index']:3d}: max drift {r['max_drift']:.3e} "
               f"{'PASS' if r['pass'] else 'FAIL'}  -> {r['file']}")
@@ -633,8 +640,7 @@ def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
                "points": len(points), "h": h,
                "ratio_min": float(min(ratios)), "ratio_max": float(max(ratios)),
                "eigen_defects": defects, "pass": bool(ok)}
-    with open(out_dir / "kg_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+    write_json(out_dir / "kg_summary.json", summary, sort_keys=True)
     print(f"{phi.label}: {len(points)} points, h-halving ratios in "
           f"[{min(ratios):.2f}, {max(ratios):.2f}] -> "
           f"{'PASS' if ok else 'FAIL'}")
@@ -690,10 +696,8 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
                              for k, v in orb.constants.items()},
                "columns": [orb.time_name, "x0", "x1", "x2", "x3",
                            "p0", "p1", "p2", "p3"],
-               "samples": [[float(w)] + list(map(float, x)) + list(map(float, p))
-                           for w, x, p in zip(ws, xs, ps)]}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
+               "samples": np.column_stack([ws, xs, ps]).tolist()}
+        write_json(path, doc, sort_keys=True)
     else:
         with open(path, "w") as fh:
             fh.write(f"{orb.time_name},x0,x1,x2,x3,p0,p1,p2,p3\n")

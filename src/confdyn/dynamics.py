@@ -29,7 +29,6 @@ integrated state.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import ReconstructionError, SingularityError
 from .geometry import (FourVector, central_difference, contract, lower_index,
                        momenta_from_lf, raise_index, scalar_or_array)
+from .jsonio import write_json
 from .ode import EPS, RK45, brentq
 
 
@@ -390,15 +390,13 @@ class Trajectory:
             "background": self.background,
             "nonrelativistic": self.nonrelativistic,
             "columns": [tname] + qn + pn,
-            "samples": [[self.times[i]] + list(map(float, self.q[i]))
-                        + list(map(float, self.p[i])) for i in range(len(self))],
-            "quantities": {k: list(map(float, v)) for k, v in self.quantities.items()},
+            "samples": np.column_stack([self.times, self.q, self.p]).tolist(),
+            "quantities": {k: v.tolist() for k, v in self.quantities.items()},
             "drifts": {k: float(v) for k, v in self.drifts.items()},
             "events": [[name, float(t)] for name, t in self.events_log],
             "stats": self.stats,
         }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+        write_json(path, doc, sort_keys=False)
 
 
 def monitor(traj: Trajectory, quantities: Sequence, bg):
@@ -444,6 +442,25 @@ def _rk4_step(rhs, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _where(form: Form, t, y) -> str:
+    """The time, and p- where the form has one, of a flow's state."""
+    where = f"{form.time_name} = {t:.12g}"
+    if form.pminus is not None:
+        where += f", p- = {y[form.dof + form.pminus]:.2g}"
+    return where
+
+
+def _solver(rhs, t, y, t_bound, rtol, atol, form: Form) -> RK45:
+    """An RK45 solver from (t, y), once the state and the RHS there are
+    finite; a non-finite start raises SingularityError naming its time and
+    p-, where a solver would refuse the state or divide by a zero first
+    step."""
+    if not (np.isfinite(y).all() and np.isfinite(rhs(t, y)).all()):
+        raise SingularityError(f"the flow is not finite at its start "
+                               f"({_where(form, t, y)})")
+    return RK45(rhs, t, y, t_bound, rtol=rtol, atol=atol)
+
+
 def _segment(solver, ev_fns, t_eval, form: Form):
     """Step a solver to its bound or to its first event, sampling t_eval on
     each step's dense output, as solve_ivp does with terminal events.
@@ -454,10 +471,8 @@ def _segment(solver, ev_fns, t_eval, form: Form):
     while hit is None and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
-            where = f"{form.time_name} = {solver.t:.12g}"
-            if form.pminus is not None:
-                where += f", p- = {solver.y[form.dof + form.pminus]:.2g}"
-            raise SingularityError(f"integration failed: {message} ({where})")
+            raise SingularityError(f"integration failed: {message} "
+                                   f"({_where(form, solver.t, solver.y)})")
         t, g_old, dense = solver.t, g, None
         g = [fn(t, solver.y) for fn in ev_fns]
         active = [i for i, (a, b) in enumerate(zip(g_old, g))
@@ -536,12 +551,15 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     while t < t1 - 1e-14 * span_len:
         # step off a switch surface so the event does not refire at the start
         if any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len) for fn in ev_fns):
-            y = _rk4_step(rhs, t, y, nudge)
-            t = t + nudge
+            y_off = _rk4_step(rhs, t, y, nudge)
+            if not np.isfinite(y_off).all():
+                raise SingularityError(f"the step off a surface at "
+                                       f"{_where(form, t, y)} is not finite")
+            y, t = y_off, t + nudge
             nfev += 4
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = np.concatenate([[t], seg_grid]) if seg_grid.size else np.array([t, t1])
-        solver = RK45(rhs, t, y, t1, rtol=rtol, atol=atol)
+        solver = _solver(rhs, t, y, t1, rtol, atol, form)
         seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval, form)
         seg_y = np.hstack(seg_y)
         nfev += solver.nfev
@@ -563,7 +581,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
             raise SingularityError(
                 f"guard {name} crossed at parameter {te:g}; the flow left "
                 "its regular region")
-        redo = RK45(rhs, solver.t_old, solver.y_old, te, rtol=rtol, atol=atol)
+        redo = _solver(rhs, solver.t_old, solver.y_old, te, rtol, atol, form)
         _segment(redo, (), (), form)   # to te, with neither events nor samples
         nfev += redo.nfev
         elog.append((name, te))

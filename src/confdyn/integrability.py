@@ -13,7 +13,6 @@ bracket over the same states.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +23,7 @@ import numpy as np
 # under this name
 from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
                        quantity_partials)
+from .jsonio import write_json
 
 
 def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
@@ -152,8 +152,7 @@ class Certification:
                 "involution": self.involution.to_dict()}
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        write_json(path, self.to_dict(), sort_keys=False)
 
 
 def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,

@@ -15,11 +15,12 @@ quad    scipy.integrate.quad at the package's one tolerance set; scipy is
 from __future__ import annotations
 
 import math
+import sys
 from warnings import warn
 
 import numpy as np
 
-EPS = np.finfo(float).eps
+EPS = sys.float_info.epsilon   # a float, so that brentq's arithmetic stays in floats
 SAFETY = 0.9      # multiplies steps computed from the asymptotic error
 MIN_FACTOR = 0.2  # least factor a step may shrink by
 MAX_FACTOR = 10   # largest factor a step may grow by
@@ -57,7 +58,9 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
     f1 = fun(t0 + h0 * direction, y1)
-    d2 = norm((f1 - f0) / scale) / h0
+    # h0 = 0 only where d1 = inf; numpy's division gives d2 = inf or nan
+    # there, and h1 = 0 either way
+    d2 = norm((f1 - f0) / scale) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -114,7 +117,9 @@ class RK45:
         self.y = y0
         self.y_old = None
         self.t_bound = t_bound
-        self.direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+        # a float, not np.sign's np.float64: every h, t and stage time is
+        # then a float, and the RHS runs float arithmetic on them
+        self.direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
         self.n = y0.size
         self.status = "running"
         self.nfev = 0
@@ -159,7 +164,7 @@ class RK45:
         y = self.y
         rtol = self.rtol
         atol = self.atol
-        fun, K, stages = self.fun, self.K, self._stages
+        fun, K, stages = self._fun, self.K, self._stages
 
         min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
         if self.h_abs < min_step:
@@ -180,7 +185,8 @@ class RK45:
             h_abs = abs(h)
 
             # scipy's rk_step: the stages into K's rows, the last with
-            # fun(t + h, y_new)
+            # fun(t + h, y_new); six calls of the RHS itself, counted at once
+            self.nfev += 6
             K[0] = self.f
             for KsT, a, c, Ks in stages:
                 dy = np.dot(KsT, a) * h

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import confdyn
@@ -240,6 +241,31 @@ def test_orbit_past_asymptote_exits_three(tmp_path):
     assert code == 3
 
 
+# a start a solver cannot take: the step off the p- = 0 guard overflows as
+# p-^2 underflows, or the flow is inf or nan at the start itself
+@pytest.mark.parametrize("preset, sets, err", [
+    ("planewave", ["initial.pminus=1e-300"],
+     "the step off a surface at s = 0, p- = 1e-300 is not finite"),
+    ("planewave", ["initial.pminus=1e-170"],
+     "the step off a surface at s = 0, p- = 1e-170 is not finite"),
+    ("planewave", ["initial.pminus=-1e-300"],
+     "the step off a surface at s = 0, p- = -1e-300 is not finite"),
+    # (p_perp^2 + m^2)/(4 p-^2) = inf: a zero first step
+    ("fig2", ["background.m0sq=1e300", "run.tstart=1.5", "initial.xplus=1.5",
+              "sweep.count=1", "sweep.override_0=initial.pminus=2e-13;run.tend=2"],
+     "the flow is not finite at its start (xplus = 1.5, p- = 2e-13)"),
+    # massless, p.p = 0 in floats: H = 0 and a nan flow
+    ("dilation", ["background.family=constant", "background.m0sq=0",
+                  "initial.p=0,0,1e-200", "monitor.set=poincare"],
+     "the flow is not finite at its start (t = 2)"),
+])
+def test_non_finite_start_exits_three(tmp_path, capsys, preset, sets, err):
+    argv = _args("simulate", preset, tmp_path, *[a for s in sets for a in ("--set", s)])
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    assert capsys.readouterr().err == f"runtime domain error: {err}\n"
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
@@ -368,6 +394,10 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     ("certify", "spacelike", [("--tol-abs", "0")]),
     # a switch position within 1e-12 of the singular surface x+ = 0
     ("simulate", "fig2", ["background.L=1e-13"]),
+    # a kg step whose square, the stencils' divisor, underflows to 0
+    ("kg", "planewave", ["kg.h=1e-200"]),
+    ("kg", "conformal", ["kg.h=1e-200"]),
+    ("kg", "dilation", ["kg.h=1e-200"]),
 ])
 def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
                                                    preset, overrides):

@@ -419,6 +419,61 @@ def test_rk45_port_fails_as_scipy_on_a_blow_up():
     assert 0.0 < float(msg.rpartition(", p- = ")[2].rstrip(")")) < 1e-12
 
 
+@pytest.mark.parametrize("case", ["fig1", "fig2"])
+def test_rhs_takes_python_float_times(case, monkeypatch):
+    # every time the flow hands the RHS is a float, not an np.float64: the
+    # stage times of every step, the nudge off a surface, the redo solver up
+    # to a crossing and the restart from it (a brentq root)
+    from confdyn import dynamics
+    seen = []
+
+    def recording(form, bg, nonrel):
+        rhs = _make_rhs(form, bg, nonrel)
+
+        def wrapped(t, y):
+            seen.append(type(t))
+            return rhs(t, y)
+        return wrapped
+
+    monkeypatch.setattr(dynamics, "_make_rhs", recording)
+    if case == "fig1":
+        # starts on z = 0 (a nudge), crosses it on the way out (a redo); the
+        # last step of this crossing's brentq is a tolerance step
+        bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+        st, span = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, -0.6)), (0.0, 4.0)
+    else:
+        # crosses x+ = L = 1 (a redo), then restarts on it (a nudge)
+        bg = backgrounds.special_conformal_switched(1.0, 1.0, 1.0)
+        st, span = front_state(0.5, -0.78125, (0.0, 0.0), 0.4, (0.0, 0.0)), (0.5, 2.0)
+    traj = evolve(st, bg, span, EvolveOptions(samples=50))
+    assert traj.stats["event_crossings"] >= 1 and traj.stats["segments"] >= 2
+    assert all(type(te) is float for _, te in traj.events_log)
+    # nfev calls, and one more per solver: its start is checked to be finite
+    stats = traj.stats
+    assert len(seen) == stats["nfev"] + stats["segments"] + stats["event_crossings"]
+    assert set(seen) == {float}
+    # a root whose last step is the tolerance itself
+    assert type(ode.brentq(lambda x: x * x - 0.08, np.float64(0.0), np.float64(1.0),
+                           4 * ode.EPS, 4 * ode.EPS)) is float
+
+
+def test_rk45_port_starts_as_scipy_when_the_first_norm_overflows():
+    # a finite RHS of 1e300 over the scale 2e-10 of y = 1 overflows the
+    # starting norm d1 to inf, so the first guess h0 = 0.01 d0/d1 is 0:
+    # scipy divides by it in numpy (d2 = nan) and starts from h = 0, and so
+    # does the port, without a ZeroDivisionError
+    import scipy.integrate
+    rhs = lambda t, y: np.array([1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours = ode.RK45(rhs, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-10)
+        ref = scipy.integrate.RK45(rhs, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-10)
+    assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev) == (0.0, 2)
+    for _ in range(3):
+        assert ours.step() == ref.step()
+        assert (ours.t, ours.h_abs, ours.nfev) == (ref.t, ref.h_abs, ref.nfev)
+        assert np.array_equal(ours.y, ref.y)
+
+
 def _scipy_brentq(f, a, b):
     from scipy.optimize import brentq
     return brentq(f, a, b, xtol=4 * ode.EPS, rtol=4 * ode.EPS)
