@@ -37,7 +37,8 @@ from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
 from .geometry import (FourVector, LightFrontCoords, central_difference,
                        from_lightfront, momenta_from_lf)
-from .ode import EPS, RK45, brentq, quad
+# brentq stays importable from here; perfbench/bench_trace.py wraps it
+from .ode import EPS, RK45, brentq, newton, quad  # noqa: F401
 
 
 @dataclass
@@ -285,8 +286,10 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         else:
             raise DomainError("failed to bracket u(x+); x+ may lie beyond "
                               "the orbit's asymptote")
-        return brentq(lambda u: G(u) - target, lo, hi, xtol=1e-12,
-                      rtol=4 * EPS)
+        # Newton from the edge just integrated, G' being the weight
+        edge = hi if target > 0 else lo
+        return newton(lambda u: G(u) - target, weight, edge, end - target,
+                      lo, hi, 1e-12, 4 * EPS)
 
     def pminus_of_u(u):
         w = qperp2 + float(f(u))

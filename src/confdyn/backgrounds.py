@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import RealityError, SingularityError
+from .errors import DomainError, RealityError, SingularityError
 from .geometry import FourVector, central_difference, scalar_or_array
 from .ode import quad
 
@@ -259,9 +259,13 @@ def _inverse_square(fdf: Callable, label: str, L: float, m0sq: float) -> Callabl
         fu, dfu = fdf(u)
         # df(u) d_mu u - 2 f(u) d_mu x+ / x+, over (x+)^2, with d_mu x+- =
         # (1, 0, 0, +-1); b * 0.0 keeps the sign of zero of the vector form
-        xp2 = xp ** 2
+        try:
+            xp2 = xp ** 2
+            b = 2.0 * fu / xp ** 3
+        except OverflowError:         # float ** raises where numpy gives inf
+            raise DomainError(f"x+ = {xp:g} is too large: (x+)^3 overflows "
+                              f"in {label}") from None
         a = dfu / xp2
-        b = 2.0 * fu / xp ** 3
         s = r2 / xp2
         return (m0sq if xp == L else fu / xp2), (
             a * (1.0 + s) - b, a * (-2.0 * x / xp) - b * 0.0,
@@ -341,7 +345,11 @@ def dilation_mass(csq: float = 1.0) -> ScalarBackground:
         xx = t * t - x * x - y * y - z * z
         if abs(xx) < _SING_EPS:
             raise SingularityError(f"x.x = {xx:g} on the light cone")
-        c = -2.0 * csq / xx ** 2          # times the lowered x_mu
+        try:
+            c = -2.0 * csq / xx ** 2      # times the lowered x_mu
+        except OverflowError:         # float ** raises where numpy gives inf
+            raise DomainError(f"x.x = {xx:g} is too large: (x.x)^2 overflows "
+                              "in dilation") from None
         return csq / xx, (c * t, c * -x, c * -y, c * -z)
 
     return ScalarBackground("dilation", field,

@@ -46,6 +46,7 @@ from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
                        lower_index, minkowski_dot, raise_index)
 
 _ANTISYM_TOL = 1e-12
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -76,20 +77,18 @@ class ConformalGenerator:
             raise ValueError(f"omega is not antisymmetric (defect {asym:g})")
         # exact antisymmetrisation; a no-op for already antisymmetric input
         om = 0.5 * (om - om.T)
+        lam = float(self.lam)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "c", c)
-
-    # -- raised-index views, recomputed on each call --------------------
-    @property
-    def omega_mixed(self) -> np.ndarray:
-        """omega^mu_nu = eta^{mu alpha} omega_{alpha nu}."""
-        return METRIC_DIAG[:, None] * self.omega
-
-    @property
-    def c_upper(self) -> np.ndarray:
-        return raise_index(self.c)
+        # constants of killing and jacobian, built once per generator:
+        # omega^mu_nu = eta^{mu alpha} omega_{alpha nu}, c^mu, and the
+        # x-independent part omega^mu_nu + lam delta^mu_nu of d_nu xi^mu
+        omega_mixed = METRIC_DIAG[:, None] * om
+        object.__setattr__(self, "omega_mixed", omega_mixed)
+        object.__setattr__(self, "c_upper", raise_index(c))
+        object.__setattr__(self, "jacobian_at_origin", omega_mixed + lam * _EYE4)
 
     # -- field evaluation ----------------------------------------------
     def killing(self, x: FourVector) -> np.ndarray:
@@ -110,10 +109,11 @@ class ConformalGenerator:
         xu = x.as_array()
         xl = x.lowered()
         cx = contract(xu, self.c)
-        return (self.omega_mixed + self.lam * np.eye(4)
-                + 2.0 * np.outer(self.c_upper, xl)
-                - 2.0 * np.outer(xu, self.c)
-                - 2.0 * cx * np.eye(4))
+        # c[:, None] * x is np.outer's own product
+        return (self.jacobian_at_origin
+                + 2.0 * (self.c_upper[:, None] * xl)
+                - 2.0 * (xu[:, None] * self.c)
+                - 2.0 * cx * _EYE4)
 
     def divergence(self, x: FourVector) -> float:
         """d.xi = 4 lam - 8 c.x, exact."""
@@ -265,8 +265,8 @@ def lie_bracket(g1: ConformalGenerator, g2: ConformalGenerator) -> ConformalGene
     translation by -a.  For the induced charges the matching identity is
     {xi1.p, xi2.p} = -[xi1, xi2].p in every canonical form.
     """
-    j1 = g1.omega_mixed + g1.lam * np.eye(4)     # d_nu xi1^mu at the origin
-    j2 = g2.omega_mixed + g2.lam * np.eye(4)
+    j1 = g1.jacobian_at_origin
+    j2 = g2.jacobian_at_origin
 
     def hess_contract(g: ConformalGenerator, avec: np.ndarray) -> np.ndarray:
         # a^alpha d_nu d_alpha xi^mu, constant in x for quadratic fields

@@ -23,6 +23,7 @@ the wave equation cannot see.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,6 +35,7 @@ from .geometry import FourVector, central_difference
 from .ode import quad
 
 _EPS = 1e-30
+_PACK = struct.Struct("4d").pack   # a point's coordinates as their bit patterns
 
 
 @dataclass
@@ -42,15 +44,28 @@ class Wavefunction:
 
     evaluator: FourVector -> complex; domain: FourVector -> bool (True on the
     open set where the evaluator is finite and smooth); params records the
-    eigenvalues and constants that built the solution."""
+    eigenvalues and constants that built the solution.
+
+    A call evaluates each point once: the stencils of kg_residual and
+    eigen_defect share their points, so the value is kept, keyed by the bit
+    patterns of the point's coordinates (0.0 and -0.0, equal as floats, are
+    different points to the evaluator).  The evaluator must be a pure
+    function of the point."""
 
     label: str
     evaluator: Callable = field(repr=False)
     domain: Callable = field(default=lambda x: True, repr=False)
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._values = {}
+
     def __call__(self, x: FourVector) -> complex:
-        return complex(self.evaluator(x))
+        key = _PACK(x.t, x.x, x.y, x.z)
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = complex(self.evaluator(x))
+        return value
 
     def in_domain(self, x: FourVector) -> bool:
         return bool(self.domain(x))

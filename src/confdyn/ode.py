@@ -1,6 +1,7 @@
 """The package's numerical routines: the Dormand-Prince 5(4) pair and Brent's
-root finder, ports of scipy 1.17.1 operation for operation so that flows and
-orbits come out in the same bits as with scipy, and adaptive quadrature:
+root finder, ports of scipy 1.17.1 operation for operation so that flows
+come out in the same bits as with scipy, a bracketed Newton iteration, and
+adaptive quadrature:
 
 RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
         max_step = inf, no first_step, no vectorized fun, a real y0 and a
@@ -8,6 +9,9 @@ RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
         J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)
 brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
+newton  Newton's method on a nondecreasing function, bisecting whenever a
+        step would leave the bracket (rtsafe in Press et al., Numerical
+        Recipes, 3rd ed., sec. 9.4, without its step-halving test)
 quad    scipy.integrate.quad at the package's one tolerance set; scipy is
         imported on its first call, and so stays off every other path
 """
@@ -310,6 +314,40 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def newton(f, fprime, x, fx, lo, hi, xtol, rtol):
+    """A root of the nondecreasing f in [lo, hi] by Newton's method from x,
+    an end of the bracket where f(x) = fx is already known, to within
+    xtol + rtol |x|.
+
+    Each value of f narrows the bracket to the side that holds the root; a
+    step that would leave it, or a zero slope fprime, bisects instead.  A
+    NaN value of f raises ValueError and no convergence in 100 iterations
+    RuntimeError, as brentq does.  f and fprime are called with floats.
+    """
+    for _ in range(100):
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = fprime(x)
+        xnew = x - fx / slope if slope else math.nan
+        done = abs(xnew - x) <= xtol + rtol * abs(xnew)
+        # a converged step may end on or just past the bracket: near the
+        # root, rounding in f can put x on the wrong side of it
+        if not (done or lo < xnew < hi):
+            xnew = lo + 0.5 * (hi - lo)
+            done = abs(xnew - x) <= xtol + rtol * abs(xnew)
+        if done:
+            return xnew
+        x, fx = xnew, float(f(xnew))
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 _quadpack = None   # scipy.integrate.quad, once quad has been called

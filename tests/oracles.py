@@ -9,7 +9,12 @@ computes another way:
 * the conformal Killing residual, closed-form and by finite differences;
 * the reduced ODE residuals of the plane-wave and conformal modes, and the
   commutator identity that makes L = xi.grad + (1/4) d.xi a wave-operator
-  symmetry.
+  symmetry;
+* the conformal orbit's u(x+) inversion by Brent's method, against the
+  Newton inversion of analytic.conformal_orbit;
+* a generator's Killing vector and Jacobian written out from its
+  parameters on every call, against the constants ConformalGenerator
+  builds once.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ import numpy as np
 from confdyn.conformal import ConformalGenerator, symmetry_defect
 from confdyn.dynamics import PhaseSpaceState, front_state
 from confdyn.geometry import (METRIC, METRIC_DIAG, FourVector,
-                              central_difference, lower_index)
+                              central_difference, contract, lower_index,
+                              minkowski_dot, raise_index)
 from confdyn.kgverify import Wavefunction, kg_residual, symmetry_apply
+from confdyn.ode import brentq
 
 _EPS = 1e-30
 
@@ -78,9 +85,43 @@ def erf_orbit_entry_state(kappa: float, m0sq: float = 1.0, L: float = 1.0,
                        [0.0, 0.0])
 
 
+def brentq_inversion(f, fprime, x, fx, lo, hi, xtol, rtol):
+    """The u(x+) inversion analytic.conformal_orbit made before Newton's
+    method: Brent's method on the doubling bracket [lo, hi], every value of
+    f = G(u) - target a quadrature from u0.  It takes ode.newton's
+    arguments, so a test can put it in newton's place; the start x, its
+    value fx and the slope fprime go unused."""
+    return brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+
+
 # ---------------------------------------------------------------------------
-# conformal Killing residuals
+# conformal Killing vectors and residuals
 # ---------------------------------------------------------------------------
+
+def killing_written_out(g: ConformalGenerator, x: FourVector) -> np.ndarray:
+    """xi^mu(x) with omega^mu_nu and c^mu raised from g's parameters on the
+    call: (4,) at a point, (4, N) for (N,) components."""
+    xu = x.as_array()
+    cx = contract(xu, g.c)
+    xx = minkowski_dot(x, x)
+    omega_mixed = METRIC_DIAG[:, None] * g.omega
+    a, cu = g.a, raise_index(g.c)
+    if xu.ndim > 1:
+        a, cu = a[:, None], cu[:, None]
+    return a + omega_mixed @ xu + g.lam * xu + cu * xx - 2.0 * cx * xu
+
+
+def jacobian_written_out(g: ConformalGenerator, x: FourVector) -> np.ndarray:
+    """d_nu xi^mu(x) with omega^mu_nu and c^mu raised from g's parameters
+    on the call, and np.eye/np.outer built on the call."""
+    xu = x.as_array()
+    xl = x.lowered()
+    cx = contract(xu, g.c)
+    return (METRIC_DIAG[:, None] * g.omega + g.lam * np.eye(4)
+            + 2.0 * np.outer(raise_index(g.c), xl)
+            - 2.0 * np.outer(xu, g.c)
+            - 2.0 * cx * np.eye(4))
+
 
 def conformal_killing_residual(g: ConformalGenerator, x: FourVector) -> np.ndarray:
     """S_{mu nu} = d_mu xi_nu + d_nu xi_mu - (1/2) eta_{mu nu} d.xi

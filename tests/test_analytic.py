@@ -22,6 +22,7 @@ from confdyn.dynamics import (
 )
 from confdyn.errors import DomainError
 from oracles import (
+    brentq_inversion,
     erf_orbit_asymptote,
     erf_orbit_entry_state,
     erf_orbit_reciprocal,
@@ -291,9 +292,7 @@ class _SolveIvpSteps:
         return self.sol
 
 
-def test_conformal_transverse_orbit_equals_solve_ivp_and_brentq(monkeypatch):
-    from scipy.optimize import brentq as scipy_brentq
-
+def test_conformal_transverse_orbit_equals_solve_ivp(monkeypatch):
     def build():
         return conformal_orbit(lambda u: np.exp(-u * u),
                                front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
@@ -303,9 +302,6 @@ def test_conformal_transverse_orbit_equals_solve_ivp_and_brentq(monkeypatch):
     orb = build()
     with monkeypatch.context() as m:
         m.setattr(analytic, "RK45", _SolveIvpSteps)
-        # scipy's default rtol
-        m.setattr(analytic, "brentq", lambda f, a, b, xtol, rtol:
-                  scipy_brentq(f, a, b, xtol=xtol))
         ref = build()
         ends = np.array(_SolveIvpSteps.ends)
         assert ends[0] == 1.0 and ends[-1] == 3.0 and len(ends) > 5
@@ -360,35 +356,61 @@ _ERF_WS = np.concatenate([np.linspace(0.7, 0.95, 6), np.linspace(1.05, 1.95, 19)
 
 def test_conformal_sample_inverts_once_per_point(monkeypatch):
     orb = _erf_orbit()
-    real_brentq, real_quad = analytic.brentq, analytic.quad
-    brentq_calls = []
-    inside = []
-    edges = []  # upper limits of the quad calls made outside brentq
+    real_newton, real_quad = analytic.newton, analytic.quad
+    newton_calls = []   # (start, lo, hi, upper limits of the quads it made)
+    edges = []  # upper limits of the quad calls made outside newton
+    inner = None
 
-    def counting_brentq(*args, **kwargs):
-        brentq_calls.append(args[1:3])
-        inside.append(True)
+    def counting_newton(f, fprime, x, fx, lo, hi, xtol, rtol):
+        nonlocal inner
+        inner = []
+        newton_calls.append((x, lo, hi, inner))
         try:
-            return real_brentq(*args, **kwargs)
+            return real_newton(f, fprime, x, fx, lo, hi, xtol, rtol)
         finally:
-            inside.pop()
+            inner = None
 
     def counting_quad(func, a, b, **kwargs):
-        if not inside:
-            edges.append(b)
+        (edges if inner is None else inner).append(b)
         return real_quad(func, a, b, **kwargs)
 
-    monkeypatch.setattr(analytic, "brentq", counting_brentq)
+    monkeypatch.setattr(analytic, "newton", counting_newton)
     monkeypatch.setattr(analytic, "quad", counting_quad)
     xs, _ = orb.sample(_ERF_WS)
     # one u(x+) inversion per sample off the entry point
-    assert len(brentq_calls) == len(_ERF_WS)
+    assert len(newton_calls) == len(_ERF_WS)
+    # each starts from a bracket edge already integrated, and does not
+    # integrate up to it again
+    for x, lo, hi, quads in newton_calls:
+        assert x in (lo, hi) and x in edges and x not in quads
     # each bracket edge G(u0 +- 2^k) is integrated once per orbit
     assert edges and len(edges) == len(set(edges))
     assert min(edges) < 0.0 < max(edges)
     # the orbit still sits on the error-function curve
     xminus = xs[:, 0] - xs[:, 3]
     assert np.allclose(erf_orbit_xplus(0.5, xminus), _ERF_WS, rtol=1e-9)
+
+
+# fig. 2's window: from the entry at x+ = 1 to k x- = 3.75
+@pytest.mark.parametrize("build, ws", [
+    *[((lambda k=kappa: _erf_orbit(k)),
+       np.linspace(1.0, 1.0 / (1.0 - kappa * erf(3.75)), 101))
+      for kappa in (0.3, 0.5, 0.7, 0.9)],
+    (lambda: conformal_orbit(lambda u: np.exp(-u * u),
+                             front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
+                             df=lambda u: -2.0 * u * np.exp(-u * u),
+                             xplus_max=3.0),
+     np.linspace(1.0, 3.0, 41)),
+], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse"])
+def test_newton_inversion_matches_brentq(monkeypatch, build, ws):
+    xs, ps = build().sample(ws)
+    monkeypatch.setattr(analytic, "newton", brentq_inversion)
+    rxs, rps = build().sample(ws)
+    # x- = t - z; toward k x- = 3.75 the weight falls to ~1e-6, which
+    # magnifies the rounding of G(u) into u
+    assert np.max(np.abs((xs[:, 0] - xs[:, 3]) - (rxs[:, 0] - rxs[:, 3]))) <= 1e-9
+    assert np.all(np.linalg.norm(ps - rps, axis=1)
+                  <= 1e-12 * np.linalg.norm(rps, axis=1))
 
 
 @pytest.mark.parametrize("build, ws", [

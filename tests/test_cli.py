@@ -266,6 +266,22 @@ def test_non_finite_start_exits_three(tmp_path, capsys, preset, sets, err):
     assert capsys.readouterr().err == f"runtime domain error: {err}\n"
 
 
+# coordinates whose powers overflow in the field kernel: float ** raises
+# OverflowError there, which must exit 3, not escape as a traceback
+@pytest.mark.parametrize("preset, sets, err", [
+    ("fig2", ["run.tstart=1e110", "initial.xplus=1e110", "sweep.count=1",
+              "sweep.override_0=run.tend=2e110"],
+     "x+ = 1e+110 is too large: (x+)^3 overflows in special_conformal"),
+    ("dilation", ["run.tstart=1e80", "initial.t=1e80", "run.tend=2e80"],
+     "x.x = 1e+160 is too large: (x.x)^2 overflows in dilation"),
+])
+def test_huge_coordinate_exits_three(tmp_path, capsys, preset, sets, err):
+    argv = _args("simulate", preset, tmp_path, *[a for s in sets for a in ("--set", s)])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"runtime domain error: {err}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------

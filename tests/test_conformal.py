@@ -14,7 +14,8 @@ from confdyn.conformal import (ConformalGenerator, boost_axis,
 from confdyn.dynamics import (extended_state, front_state, instant_state,
                               poisson_bracket)
 from confdyn.geometry import FourVector
-from oracles import conformal_killing_residual, killing_residual_fd
+from oracles import (conformal_killing_residual, jacobian_written_out,
+                     killing_residual_fd, killing_written_out)
 
 
 def random_generator(rng):
@@ -38,6 +39,33 @@ def test_killing_translation_constant():
     g = translation([1.0, 0.0, 0.0, 0.0])
     for x in (FourVector(0, 0, 0, 0), FourVector(1.0, -2.0, 0.3, 4.0)):
         assert np.allclose(g.killing(x), [1.0, 0.0, 0.0, 0.0], atol=0.0)
+
+
+def _generators_and_combinations(rng):
+    named = [translation([0.3, -1.0, 2.0, 0.5]), time_translation(),
+             translation_axis(1), translation_xminus(), rotation_z(),
+             boost_axis(3), null_rotation_t(1), null_rotation_u(2),
+             dilation(0.7), dilation(-0.5),
+             special_conformal([0.2, -0.4, 1.1, 0.3]), special_conformal_lf()]
+    drawn = [random_generator(rng) for _ in range(6)]
+    return (named + drawn + [drawn[0] + drawn[1], 0.3 * drawn[2],
+                             drawn[3] * -1.7, drawn[4] - drawn[5],
+                             named[4] + named[10], named[8] - drawn[0]])
+
+
+def test_killing_and_jacobian_equal_the_written_out_formulas():
+    # the constants built once per generator give the floats of raising
+    # omega and c, and of np.eye/np.outer, on every call
+    def bits(a):
+        return a.shape, a.tobytes()     # signed zeros included
+
+    rng = np.random.default_rng(21)
+    batch = FourVector(*rng.uniform(-2.0, 2.0, size=(4, 7)))
+    for g in _generators_and_combinations(rng):
+        for x in [random_point(rng) for _ in range(5)] + [FourVector(0.0, -0.0, 0.0, 0.0)]:
+            assert bits(g.killing(x)) == bits(killing_written_out(g, x))
+            assert bits(g.jacobian(x)) == bits(jacobian_written_out(g, x))
+        assert bits(g.killing(batch)) == bits(killing_written_out(g, batch))
 
 
 def test_killing_dilation_is_x():

@@ -571,6 +571,56 @@ def test_brentq_port_edge_cases():
                    maxiter=2)
 
 
+def _newton(f, fprime, x, lo, hi):
+    return ode.newton(f, fprime, x, f(x), lo, hi, 1e-12, 4 * ode.EPS)
+
+
+def test_newton_finds_brentqs_root_on_random_brackets():
+    rng = np.random.default_rng(12)
+    families = [   # nondecreasing, with their slopes
+        lambda c: (lambda x: x ** 3 + c[0] ** 2 * x - c[1], lambda x: 3 * x * x + c[0] ** 2),
+        lambda c: (lambda x: np.arctan(4.0 * x) - c[1], lambda x: 4.0 / (1 + 16 * x * x)),
+        lambda c: (lambda x: np.exp(c[0] * x) - 1.0 - c[1],
+                   lambda x: c[0] * np.exp(c[0] * x)),
+    ]
+    compared = 0
+    for i in range(300):
+        c = rng.uniform(0.1, 1.5, size=2) * (1, rng.choice((-1, 1)))
+        f, fprime = families[i % 3](c)
+        lo, hi = np.sort(rng.uniform(-3.0, 3.0, size=2)).tolist()
+        if not f(lo) < 0.0 < f(hi):
+            continue
+        ref = ode.brentq(f, lo, hi, 1e-12, 4 * ode.EPS)
+        tol = 1e-12 + 4 * ode.EPS * abs(ref)
+        for start in (lo, hi):
+            assert abs(_newton(f, fprime, start, lo, hi) - ref) <= 2 * tol
+        compared += 1
+    assert compared > 100
+
+
+def test_newton_safeguards():
+    # a step that leaves the bracket, and a zero slope, bisect
+    assert abs(_newton(lambda x: np.arctan(x) - 0.2, lambda x: 1 / (1 + x * x),
+                       10.0, -1.0, 10.0) - np.tan(0.2)) <= 1e-12
+    assert abs(_newton(lambda x: x ** 3 - 0.5, lambda x: 3 * x * x,
+                       0.0, 0.0, 2.0) - 0.5 ** (1 / 3)) <= 1e-12
+    assert _newton(lambda x: x - 1.0, lambda x: 1.0, 1.0, 0.0, 1.0) == 1.0
+    # rounding that puts f on the wrong side within a tolerance of the root:
+    # the converged step is taken, not a bisection of the whole bracket
+    calls = []
+
+    def biased(x):
+        calls.append(x)
+        return 1e-18 if abs(x - 0.3) < 1e-13 else x - 0.3
+    assert abs(_newton(biased, lambda x: 1.0, 0.0, 0.0, 2.0) - 0.3) < 1e-13
+    assert len(calls) <= 4
+    with pytest.raises(ValueError, match="NaN"):
+        _newton(lambda x: float("nan") if x > 0.5 else x - 1.0,
+                lambda x: 1.0, 0.0, 0.0, 2.0)
+    with pytest.raises(RuntimeError):   # halving from 1e300 down to x = 1
+        _newton(lambda x: x - 1.0, lambda x: 0.0, 1e300, -1e300, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # covariant and nonrelativistic flows
 # ---------------------------------------------------------------------------

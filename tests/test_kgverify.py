@@ -1,5 +1,7 @@
 """Wave-equation residuals, symmetry eigenmodes, and convergence ratios."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -509,12 +511,53 @@ def test_stencils_evaluate_phi_once_at_the_centre():
     bg = backgrounds.constant(1.0)
     mode = make_planewave_solution((0.1, 0.2), 0.6, bg)
     calls = []
-    phi = Wavefunction("counted", lambda x: calls.append(x) or mode(x))
     x = FourVector(0.3, -0.2, 0.4, 0.1)
     for order, n in ((2, 1 + 8), (4, 1 + 16)):
         calls.clear()
+        # a fresh wavefunction, so no point is kept from the stencil before
+        phi = Wavefunction("counted", lambda x: calls.append(x) or mode(x))
         kg_residual(phi, bg, x, _H, order)
         assert len(calls) == n
     calls.clear()
+    phi = Wavefunction("counted", lambda x: calls.append(x) or mode(x))
     symmetry_apply(conformal.boost_axis(3), phi, x, _H)
     assert len(calls) == 1 + 8
+
+
+def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
+    from confdyn import kgverify
+    from confdyn.cli import main
+    made, runs, calls = kgverify.make_planewave_solution, [], []
+
+    def counted_mode(*args):
+        mode = made(*args)
+        return Wavefunction(mode.label, lambda x: runs.append(x) or mode.evaluator(x),
+                            mode.domain, mode.params)
+
+    real_call = Wavefunction.__call__
+    monkeypatch.setattr(kgverify, "make_planewave_solution", counted_mode)
+    monkeypatch.setattr(Wavefunction, "__call__",
+                        lambda self, x: calls.append(x) or real_call(self, x))
+    assert main(["kg", "--preset", "planewave", "--out-dir", str(tmp_path)]) == 0
+    # 60 points: 1 + 8 + 8 distinct points each at h and h/2, read 19 times
+    # by residual_convergence; eigen_defect's 3 generators at h and h/2 on
+    # the first 10 points read 600 more, all of them points already seen
+    assert (len(runs), len(calls)) == (60 * 17, 60 * 19 + 600)
+
+
+def test_kept_value_is_the_evaluators():
+    def ev(x):
+        # signed zeros and a sign that follows the sign of zero of x.t
+        return complex(-0.0, math.copysign(0.0, x.t)) + math.copysign(1.0, x.t) * x.x
+    runs = []
+    phi = Wavefunction("signed", lambda x: runs.append(x) or ev(x))
+    points = [FourVector(0.0, 0.25, 0.0, 1.0), FourVector(-0.0, 0.25, 0.0, 1.0),
+              FourVector(0.0, 0.25, -0.0, 1.0)]
+    first = [phi(x) for x in points]
+    again = [phi(x) for x in points]
+    assert len(runs) == 3      # 0.0 and -0.0 are different points
+    for x, a, b in zip(points, first, again):
+        want = complex(ev(x))
+        assert a is b
+        assert (math.copysign(1.0, a.real), math.copysign(1.0, a.imag), a) == (
+            math.copysign(1.0, want.real), math.copysign(1.0, want.imag), want)
