@@ -19,6 +19,9 @@ before any work, so an unknown section or key, or a value its type refuses,
 exits 2 with nothing written.  Identical configuration and seed produce
 byte-identical outputs.
 
+Each command returns (files, lines, ok): files as (name, writer, *data),
+written by writer(out_dir / name, *data).  main alone writes the files,
+prints the lines and exits, so a command that raises writes nothing.
 Exit codes: 0 pass, 1 check failed, 2 configuration error, 3 runtime
 singularity or reality violation.
 """
@@ -41,7 +44,7 @@ from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        front_state, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, LightFrontCoords, from_lightfront
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
 # (kappa, entry p-, end x+) of fig. 2: p- = sqrt(kappa/(2 sqrt(pi))), which
@@ -68,10 +71,13 @@ def _merge(base: dict, extra: dict) -> dict:
 def config_from_ini(path) -> dict:
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keys like "B" are case-sensitive
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    return {sec: dict(cp.items(sec)) for sec in cp.sections()}
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        return {sec: dict(cp.items(sec)) for sec in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # no section header, a duplicated key, a bad % or undecodable bytes
+        raise ConfigError(f"config file {path}: {exc}") from None
 
 
 def apply_overrides(cfg: dict, assignments) -> dict:
@@ -463,11 +469,10 @@ def _setup_run(run_cfg) -> tuple:
     return (bg, state, span, opts) + _monitors(run_cfg, bg, state.form)
 
 
-def _run_one(setup, index: int, out_dir: Path, fmt: str, tol_rel: float):
+def _run_one(setup, index: int, fmt: str, tol_rel: float) -> tuple:
     bg, state, span, opts, quantities, gated = setup
     traj = evolve(state, bg, span, opts, monitors=quantities)
     name = f"run_{index:03d}.{fmt}"
-    (traj.to_json if fmt == "json" else traj.to_csv)(out_dir / name)
     # only the declared conserved set is gated; extras are diagnostics
     worst = max((v for k, v in traj.drifts.items() if k in gated), default=0.0)
     return {
@@ -479,21 +484,18 @@ def _run_one(setup, index: int, out_dir: Path, fmt: str, tol_rel: float):
         "events": [[n, float(t)] for n, t in traj.events_log],
         "stats": traj.stats,
         "pass": bool(worst <= tol_rel),
-    }
+    }, (name, traj.to_json if fmt == "json" else traj.to_csv)
 
 
-def cmd_simulate(run_cfgs: list, out_dir: Path, fmt: str, tol_abs: float,
-                 tol_rel: float, seed: int) -> int:
+def cmd_simulate(run_cfgs: list, fmt: str, tol_rel: float, seed: int) -> tuple:
     setups = [_setup_run(rc) for rc in run_cfgs]
-    results = [_run_one(setup, i, out_dir, fmt, tol_rel)
-               for i, setup in enumerate(setups)]
+    results, files = zip(*(_run_one(setup, i, fmt, tol_rel)
+                           for i, setup in enumerate(setups)))
     summary = {"command": "simulate", "seed": seed, "tol_rel": tol_rel,
-               "runs": results, "pass": all(r["pass"] for r in results)}
-    write_json(out_dir / "summary.json", summary, sort_keys=True)
-    for r in results:
-        print(f"run {r['index']:3d}: max drift {r['max_drift']:.3e} "
-              f"{'PASS' if r['pass'] else 'FAIL'}  -> {r['file']}")
-    return 0 if summary["pass"] else 1
+               "runs": list(results), "pass": all(r["pass"] for r in results)}
+    lines = [f"run {r['index']:3d}: max drift {r['max_drift']:.3e} "
+             f"{'PASS' if r['pass'] else 'FAIL'}  -> {r['file']}" for r in results]
+    return [*files, ("summary.json", write_json, summary, True)], lines, summary["pass"]
 
 
 def _certify_states(bg, form: str, count: int, rng) -> list:
@@ -527,8 +529,7 @@ def _certify_states(bg, form: str, count: int, rng) -> list:
     return states
 
 
-def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
-                seed: int) -> int:
+def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
     bg = _background(cfg)
     form = _get(cfg, "certify", "form", "instant")
     if form not in FORMS or not FORMS[form].canonical:
@@ -542,15 +543,13 @@ def cmd_certify(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     states = _certify_states(bg, form, count, rng)
     cert = integrability.classify(quantities, states, bg,
                                   rank_tol=tol_rel, bracket_tol=tol_abs)
-    cert.to_json(out_dir / "certification.json")
-    print(f"rank {cert.rank} of {len(quantities)} quantities on "
-          f"{len(states)} states; involutive subset: "
-          f"{', '.join(cert.involutive_subset) or 'none'}")
-    print(f"classification: {cert.label}")
+    lines = [f"rank {cert.rank} of {len(quantities)} quantities on "
+             f"{len(states)} states; involutive subset: "
+             f"{', '.join(cert.involutive_subset) or 'none'}",
+             f"classification: {cert.label}"]
     expect = _get(cfg, "certify", "expect", [])
-    if expect:
-        return 0 if cert.label in expect else 1
-    return 0 if cert.label != "not certified" else 1
+    ok = cert.label in expect if expect else cert.label != "not certified"
+    return [("certification.json", write_json, cert.to_dict(), False)], lines, ok
 
 
 def _kg_setup(cfg, rng):
@@ -610,8 +609,7 @@ def _kg_setup(cfg, rng):
     raise ConfigError(f"unknown kg solution {sol!r}")
 
 
-def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
-           seed: int) -> int:
+def cmd_kg(cfg, seed: int) -> tuple:
     from . import kgverify   # kg only
     npts = _get(cfg, "kg", "points", 60)
     h = _get(cfg, "kg", "h", 1e-3)
@@ -626,7 +624,6 @@ def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
     if len(points) < npts:
         raise ConfigError("could not draw enough in-domain sample points")
     rows = kgverify.residual_convergence(phi, bg, points, h=h)
-    kgverify.write_convergence_csv(out_dir / "convergence.csv", rows)
     ratios = [r[4] for r in rows]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
 
@@ -640,15 +637,14 @@ def cmd_kg(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
                "points": len(points), "h": h,
                "ratio_min": float(min(ratios)), "ratio_max": float(max(ratios)),
                "eigen_defects": defects, "pass": bool(ok)}
-    write_json(out_dir / "kg_summary.json", summary, sort_keys=True)
-    print(f"{phi.label}: {len(points)} points, h-halving ratios in "
-          f"[{min(ratios):.2f}, {max(ratios):.2f}] -> "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    files = [("convergence.csv", kgverify.write_convergence_csv, rows),
+             ("kg_summary.json", write_json, summary, True)]
+    return files, [f"{phi.label}: {len(points)} points, h-halving ratios in "
+                   f"[{min(ratios):.2f}, {max(ratios):.2f}] -> "
+                   f"{'PASS' if ok else 'FAIL'}"], ok
 
 
-def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
-              seed: int) -> int:
+def cmd_orbit(cfg, fmt: str) -> tuple:
     from . import analytic   # orbit only
     bg = _background(cfg)
     p, fam = bg.params, bg.params.get("family")
@@ -688,24 +684,17 @@ def cmd_orbit(cfg, out_dir: Path, fmt: str, tol_abs: float, tol_rel: float,
         raise ConfigError(f"the {fam} orbit: {exc}") from None
     ws = np.linspace(w0, w1, _evolve_options(cfg).samples)
     xs, ps = orb.sample(ws)
-    path = out_dir / ("orbit.json" if fmt == "json" else "orbit.csv")
+    columns = [orb.time_name, "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3"]
+    samples = np.column_stack([ws, xs, ps]).tolist()
+    file = ("orbit.csv", write_csv, columns, samples)
     if fmt == "json":
-        doc = {"family": orb.family, "time": orb.time_name,
-               "constants": {k: (list(map(float, np.atleast_1d(v)))
-                                 if np.ndim(v) else float(v))
-                             for k, v in orb.constants.items()},
-               "columns": [orb.time_name, "x0", "x1", "x2", "x3",
-                           "p0", "p1", "p2", "p3"],
-               "samples": np.column_stack([ws, xs, ps]).tolist()}
-        write_json(path, doc, sort_keys=True)
-    else:
-        with open(path, "w") as fh:
-            fh.write(f"{orb.time_name},x0,x1,x2,x3,p0,p1,p2,p3\n")
-            for w, x, p in zip(ws, xs, ps):
-                row = [w] + list(x) + list(p)
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    print(f"{orb.family} closed-form orbit -> {path.name}")
-    return 0
+        file = ("orbit.json", write_json, {
+            "family": orb.family, "time": orb.time_name,
+            "constants": {k: (list(map(float, np.atleast_1d(v)))
+                              if np.ndim(v) else float(v))
+                          for k, v in orb.constants.items()},
+            "columns": columns, "samples": samples}, True)
+    return [file], [f"{orb.family} closed-form orbit -> {file[0]}"], True
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +714,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--set", action="append", dest="overrides",
                     metavar="SECTION.KEY=VALUE", help="config override")
     ap.add_argument("--out-dir", default="out")
-    ap.add_argument("--format", choices=["csv", "json"], default="csv")
+    ap.add_argument("--format", choices=["csv", "json"], default="csv",
+                    help="format of the run_<i> and orbit files; summary.json "
+                         "and the certify and kg files keep theirs")
     ap.add_argument("--tol-abs", type=float, default=1e-9,
                     help="absolute tolerance (involution brackets)")
     ap.add_argument("--tol-rel", type=float, default=1e-8,
@@ -734,21 +725,22 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# command -> (raw config -> typed config, command)
-_COMMANDS = {"simulate": (_sweep_configs, cmd_simulate),
-             "certify": (_parse, cmd_certify), "kg": (_parse, cmd_kg),
-             "orbit": (_parse, cmd_orbit)}
+# command -> (raw config -> typed config, command, the options it reads, in order)
+_COMMANDS = {"simulate": (_sweep_configs, cmd_simulate, ("format", "tol_rel", "seed")),
+             "certify": (_parse, cmd_certify, ("tol_abs", "tol_rel", "seed")),
+             "kg": (_parse, cmd_kg, ("seed",)), "orbit": (_parse, cmd_orbit, ("format",))}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag, tol in (("--tol-abs", args.tol_abs),
-                          ("--tol-rel", args.tol_rel)):
+        for flag, tol in (("--tol-abs", args.tol_abs), ("--tol-rel", args.tol_rel)):
             try:
                 _positive(tol)
             except ValueError as exc:
                 raise ConfigError(f"{flag}: {exc}") from None
+        if args.seed < 0:
+            raise ConfigError(f"--seed: {args.seed} is negative")
         cfg: dict = {}
         if args.preset:
             cfg = preset_config(args.preset)
@@ -757,18 +749,25 @@ def main(argv=None) -> int:
         cfg = apply_overrides(cfg, args.overrides)
         if not cfg:
             raise ConfigError("no configuration: pass --preset and/or --config")
-        parse, command = _COMMANDS[args.command]
+        parse, command, options = _COMMANDS[args.command]
         cfg = parse(cfg)
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return command(cfg, out_dir, args.format, args.tol_abs, args.tol_rel,
-                       args.seed)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out-dir {out_dir}: {exc.strerror}") from None
+        files, lines, ok = command(cfg, *(getattr(args, o) for o in options))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SingularityError, RealityError, DomainError) as exc:
         print(f"runtime domain error: {exc}", file=sys.stderr)
         return 3
+    for name, write, *data in files:
+        write(out_dir / name, *data)
+    for line in lines:
+        print(line)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

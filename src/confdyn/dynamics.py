@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ReconstructionError, SingularityError
 from .geometry import (FourVector, central_difference, contract, lower_index,
                        momenta_from_lf, raise_index, scalar_or_array)
-from .jsonio import write_json
+from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq
 
 
@@ -375,13 +375,8 @@ class Trajectory:
 
     def to_csv(self, path):
         tname, qn, pn = self.column_names()
-        labels = list(self.quantities)
-        rows = np.column_stack([self.times, self.q, self.p]
-                               + [self.quantities[l] for l in labels])
-        row_fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-        with open(path, "w") as fh:
-            fh.write(",".join([tname] + qn + pn + labels) + "\n")
-            fh.write("".join(row_fmt % tuple(row) for row in rows.tolist()))
+        rows = np.column_stack([self.times, self.q, self.p, *self.quantities.values()])
+        write_csv(path, [tname, *qn, *pn, *self.quantities], rows.tolist())
 
     def to_json(self, path):
         tname, qn, pn = self.column_names()
@@ -543,6 +538,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     if form.pminus is not None:
         events.append(("p-=0", lambda t, y, _i=form.dof + form.pminus: y[_i]))
     ev_fns = [fn for _, fn in events]
+    surface_fns = ev_fns[:len(bg.events)]   # the p- = 0 guard is no surface
 
     times = [t0]
     ys = [np.asarray(np.concatenate([state0.q, state0.p]), float)]
@@ -550,7 +546,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     elog, nfev, segments = [], 0, 0
     while t < t1 - 1e-14 * span_len:
         # step off a switch surface so the event does not refire at the start
-        if any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len) for fn in ev_fns):
+        if any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len) for fn in surface_fns):
             y_off = _rk4_step(rhs, t, y, nudge)
             if not np.isfinite(y_off).all():
                 raise SingularityError(f"the step off a surface at "

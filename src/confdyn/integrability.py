@@ -23,7 +23,6 @@ import numpy as np
 # under this name
 from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
                        quantity_partials)
-from .jsonio import write_json
 
 
 def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
@@ -150,9 +149,6 @@ class Certification:
                 "extra": self.extra, "involutive_subset": self.involutive_subset,
                 "independence": self.independence.to_dict(),
                 "involution": self.involution.to_dict()}
-
-    def to_json(self, path):
-        write_json(path, self.to_dict(), sort_keys=False)
 
 
 def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,

@@ -1,5 +1,6 @@
-"""The package's one JSON writer: the bytes of json.dump(doc, fh, indent=1,
-sort_keys=sort_keys), with number lists formatted by json's C encoder.
+"""The package's output writers: write_json, the bytes of json.dump(doc, fh,
+indent=1, sort_keys=sort_keys) with number lists formatted by json's C
+encoder, and write_csv, one line of %.17g numbers per row.
 
 json.dump with an indent runs json's pure-Python encoder, about 1.8 us per
 float against 1.0 us in the C encoder (4 200 floats, Python 3.11), and the
@@ -53,8 +54,16 @@ def _dumps(v, ind: str, sort_keys: bool) -> str:
     return _encode(v)       # a scalar or an empty container, as json writes it
 
 
-def write_json(path, doc, *, sort_keys: bool) -> None:
+def write_json(path, doc, sort_keys: bool) -> None:
     """Write doc to path as json.dump(doc, fh, indent=1, sort_keys=sort_keys)
     does, byte for byte."""
     with open(path, "w") as fh:
         fh.write(_dumps(doc, "", sort_keys))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header line, then one line of %.17g numbers per row."""
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write("".join(row_fmt % tuple(row) for row in rows))

@@ -32,6 +32,7 @@ import numpy as np
 from .conformal import ConformalGenerator
 from .errors import DomainError, SingularityError
 from .geometry import FourVector, central_difference
+from .jsonio import write_csv
 from .ode import quad
 
 _EPS = 1e-30
@@ -296,8 +297,6 @@ def residual_convergence(phi: Wavefunction, bg, points: Sequence[FourVector],
     return rows
 
 
+# perfbench/bench_trace.py wraps it as the span kgverify.write
 def write_convergence_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("point,h,residual_h,residual_h2,ratio\n")
-        for i, h, r1, r2, ratio in rows:
-            fh.write(f"{i},{h:.17g},{r1:.17g},{r2:.17g},{ratio:.17g}\n")
+    write_csv(path, ("point", "h", "residual_h", "residual_h2", "ratio"), rows)

@@ -241,15 +241,16 @@ def test_orbit_past_asymptote_exits_three(tmp_path):
     assert code == 3
 
 
-# a start a solver cannot take: the step off the p- = 0 guard overflows as
-# p-^2 underflows, or the flow is inf or nan at the start itself
+# a start a solver cannot take: the flow is inf or nan at the start itself
+# (p-^2 underflows, and no step is taken off the p- = 0 guard), or the step
+# off a switch surface overflows
 @pytest.mark.parametrize("preset, sets, err", [
     ("planewave", ["initial.pminus=1e-300"],
-     "the step off a surface at s = 0, p- = 1e-300 is not finite"),
+     "the flow is not finite at its start (s = 0, p- = 1e-300)"),
     ("planewave", ["initial.pminus=1e-170"],
-     "the step off a surface at s = 0, p- = 1e-170 is not finite"),
+     "the flow is not finite at its start (s = 0, p- = 1e-170)"),
     ("planewave", ["initial.pminus=-1e-300"],
-     "the step off a surface at s = 0, p- = -1e-300 is not finite"),
+     "the flow is not finite at its start (s = 0, p- = -1e-300)"),
     # (p_perp^2 + m^2)/(4 p-^2) = inf: a zero first step
     ("fig2", ["background.m0sq=1e300", "run.tstart=1.5", "initial.xplus=1.5",
               "sweep.count=1", "sweep.override_0=initial.pminus=2e-13;run.tend=2"],
@@ -258,6 +259,9 @@ def test_orbit_past_asymptote_exits_three(tmp_path):
     ("dilation", ["background.family=constant", "background.m0sq=0",
                   "initial.p=0,0,1e-200", "monitor.set=poincare"],
      "the flow is not finite at its start (t = 2)"),
+    # fig. 2 starts on its switch surface x+ = L
+    ("fig2", ["sweep.count=1", "sweep.override_0=initial.pminus=1e-300;run.tend=2"],
+     "the step off a surface at xplus = 1, p- = 1e-300 is not finite"),
 ])
 def test_non_finite_start_exits_three(tmp_path, capsys, preset, sets, err):
     argv = _args("simulate", preset, tmp_path, *[a for s in sets for a in ("--set", s)])
@@ -545,6 +549,111 @@ def test_override_wins_over_preset(tmp_path):
                       "--set", "sweep.count=1", "--set", "run.tend=1.0")) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["runs"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# commands compute; main writes, prints and exits
+# ---------------------------------------------------------------------------
+
+def test_sweep_that_raises_writes_no_file(tmp_path, capsys):
+    # run 1 raises after run 0 has its trajectory: no file of either is written
+    out = tmp_path / "out"
+    assert main(_args("simulate", "fig2", out, "--set", "sweep.count=2", "--set",
+                      "sweep.override_1=run.tstart=1e110;initial.xplus=1e110;"
+                      "run.tend=2e110")) == 3
+    assert capsys.readouterr().err.startswith("runtime domain error: ")
+    assert list(out.iterdir()) == []
+
+
+_DIRECT = {
+    "simulate": lambda: cli.cmd_simulate(
+        cli._sweep_configs(cli.preset_config("fig1")), "csv", 1e-8, 7),
+    "certify": lambda: cli.cmd_certify(
+        cli._parse(cli.preset_config("spacelike")), 1e-9, 1e-8, 7),
+    "kg": lambda: cli.cmd_kg(cli._parse(cli.preset_config("kgcontrol")), 7),
+    "orbit": lambda: cli.cmd_orbit(cli._parse(cli.preset_config("fig1")), "json"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIRECT))
+def test_command_returns_files_lines_and_verdict(tmp_path, monkeypatch, capsys,
+                                                 command):
+    monkeypatch.chdir(tmp_path)
+    files, lines, ok = _DIRECT[command]()
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+    # each file is (name, writer, *data), written as writer(path, *data)
+    assert files and all(isinstance(name, str) and callable(write)
+                         for name, write, *_ in files)
+    assert lines and all(isinstance(line, str) for line in lines)
+    assert ok is (command != "kg")          # kgcontrol is the failing control
+
+
+@pytest.mark.parametrize("command, preset, fmt", [
+    ("simulate", "fig1", "csv"), ("simulate", "planewave", "json"),
+    ("certify", "truncated", "csv"), ("kg", "kgcontrol", "csv"),
+    ("orbit", "fig1", "csv"), ("orbit", "fig1", "json")])
+def test_main_writes_exactly_the_returned_files(tmp_path, monkeypatch, capsys,
+                                                command, preset, fmt):
+    returned = []
+    parse, cmd, options = cli._COMMANDS[command]
+
+    def record(*args):
+        result = cmd(*args)
+        returned.append(result)
+        return result
+
+    monkeypatch.setitem(cli._COMMANDS, command, (parse, record, options))
+    code = main(_args(command, preset, tmp_path, "--format", fmt))
+    (files, lines, ok), = returned
+    assert code == (0 if ok else 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f[0] for f in files)
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("data", [
+    b"family = constant\n",                                  # no section header
+    b"[background]\nfamily = constant\nfamily = dilation\n",  # duplicate key
+    b"[background]\nfamily = 100%\n",                        # bad interpolation
+    b"[background]\nfamily = \xff\xfe\n",                    # not UTF-8
+], ids=["no-header", "duplicate", "interpolation", "not-utf8"])
+def test_malformed_config_file_exits_two(tmp_path, capsys, data):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["orbit", "--preset", "fig1", "--config", str(ini),
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: config file {ini}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a-file", "under-a-file"])
+def test_unusable_out_dir_exits_two_before_any_work(tmp_path, monkeypatch, capsys,
+                                                    under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    out = blocker / under if under else blocker
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("a flow was integrated")
+
+    monkeypatch.setattr(cli, "evolve", no_flow)
+    assert main(_args("simulate", "dilation", out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: --out-dir {out}: ")
+    assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("simulate", "dilation"), ("certify", "spacelike"), ("kg", "planewave"),
+    ("orbit", "fig1")])
+def test_negative_seed_exits_two(tmp_path, capsys, command, preset):
+    out = tmp_path / "out"
+    assert main(_args(command, preset, out, "--seed", "-1")) == 2
+    assert capsys.readouterr().err == "configuration error: --seed: -1 is negative\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

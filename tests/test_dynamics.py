@@ -305,6 +305,19 @@ def test_rk45_loop_takes_solve_ivp_steps(case):
     assert traj.stats == {"nfev": sol.nfev, "segments": 1, "event_crossings": 0}
 
 
+def test_start_near_the_pminus_guard_is_not_stepped_off():
+    # p- = 0.4 lies within 1e-13 * span of the p- = 0 guard, which is no
+    # switch surface: the flow is one plain RK45 solve from its start
+    bg = backgrounds.constant(1.0)
+    st = front_state(0.0, 0.0, (0.0, 0.0), 0.4, (0.0, 0.0))
+    traj = evolve(st, bg, (0.0, 5e12))
+    solver = ode.RK45(_make_rhs("front", bg, False), 0.0,
+                      np.concatenate([st.q, st.p]), 5e12, rtol=1e-10, atol=1e-10)
+    while solver.status == "running":
+        solver.step()
+    assert traj.stats == {"nfev": solver.nfev, "segments": 1, "event_crossings": 0}
+
+
 def _bump_rhs(t, y):
     # the step grows along the flat start and is rejected at the bump
     return np.array([1.0 / (1.0 + 1e4 * (t - 0.5) ** 2), -y[0]])

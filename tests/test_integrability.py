@@ -227,10 +227,12 @@ def test_empty_state_list_rejected():
 
 def test_certification_json_roundtrip(tmp_path):
     import json
+
+    from confdyn.jsonio import write_json
     bg, states = _spacelike_states(count=8, seed=30)
     cert = classify(conformal.spacelike_set(1.0), states, bg)
     path = tmp_path / "cert.json"
-    cert.to_json(path)
+    write_json(path, cert.to_dict(), sort_keys=False)
     blob = json.loads(path.read_text())
     assert blob["label"] == cert.label
     assert blob["rank"] == 5

@@ -10,10 +10,10 @@ counted from the source text alone (nothing is imported):
 
 and the script prints one line per kind and their total:
 
-    defaults 102
-    fields 66
-    schema 46
-    total 214
+    defaults <count>
+    fields <count>
+    schema <count>
+    total <count>
 
 Usage:
 
