@@ -34,7 +34,7 @@ import numpy as np
 
 from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_to_extended
-from .errors import DomainError, RealityError
+from .errors import DivergentIntegral, DomainError, RealityError
 from .geometry import (FourVector, LightFrontCoords, central_difference,
                        from_lightfront, momenta_from_lf)
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
@@ -209,7 +209,8 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
 
 def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
                     df: Optional[Callable[[float], float]] = None,
-                    xplus_max: Optional[float] = None) -> ClosedFormOrbit:
+                    xplus_max: Optional[float] = None,
+                    F: Optional[Callable[[float], float]] = None) -> ClosedFormOrbit:
     """Orbit of the inverse-square light-front mass from front-form initial
     data at x+ = x0+ > 0.
 
@@ -217,7 +218,9 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
 
         int_{u0}^{u} ds (Q_perp^2 + f(s))/(4 Q3^2) = 1/x0+ - 1/x+
 
-    by bracketed root finding; p-(u) = -(Q_perp^2 + f(u))/(4 Q3).  When the
+    by bracketed root finding; p-(u) = -(Q_perp^2 + f(u))/(4 Q3).  The
+    integral is Q_perp^2 (u - u0) + F(u) - F(u0) when an antiderivative F of
+    f is given, and one adaptive quadrature per value otherwise.  When the
     transverse charges do not vanish, p_perp(x+) integrates a linear ODE
     driven by the inverted u(x+) (pass xplus_max > x0+ to set its range);
     the x_perp = p_perp = 0 branch needs no extra input.
@@ -254,8 +257,14 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
                               "non-monotone inversion")
         return w
 
-    def G(u):
-        return quad(weight, u0, u)
+    if F is None:
+        def G(u):
+            return quad(weight, u0, u)
+    else:
+        F_u0 = F(u0)
+
+        def G(u):
+            return qperp2 * (u - u0) + (F(u) - F_u0)
 
     four_q3sq = 4.0 * q3 * q3
     # G at the doubling bracket's edges u0 +- 2^k, the same for every x+
@@ -352,13 +361,16 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
     # asymptote: finite limiting x+ when the weight integral converges
     xplus_asym = np.inf
     if trivial:
-        try:
-            Ginf = quad(weight, u0, np.inf)
-            recip = 1.0 / xp0 - Ginf / four_q3sq
-            if recip > 0.0 and np.isfinite(Ginf):
-                xplus_asym = 1.0 / recip
-        except Exception:
-            pass
+        if F is not None:
+            Ginf = F(np.inf) - F_u0
+        else:
+            try:
+                Ginf = quad(weight, u0, np.inf)
+            except DivergentIntegral:
+                Ginf = np.inf
+        recip = 1.0 / xp0 - Ginf / four_q3sq
+        if recip > 0.0 and np.isfinite(Ginf):
+            xplus_asym = 1.0 / recip
 
     hi = xplus_asym if xplus_max is None else min(xplus_max, xplus_asym)
     consts = {"Q1": q1, "Q2": q2, "Q3": q3, "Lz": x10 * p20 - x20 * p10,

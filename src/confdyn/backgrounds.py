@@ -54,8 +54,9 @@ class ScalarBackground:
         any of them is within _SING_EPS of zero
     m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
         x+ -> int_0^{x+} m^2
-    profile : for the inverse-square families m^2 = f(u)/(x+)^2, the pair
-        (f, f') of callables of u
+    profile : for the inverse-square families m^2 = f(u)/(x+)^2, the triple
+        (f, f', F) of callables of u, F(u) = int_0^u f the antiderivative,
+        or None where f has no closed form
     params : family parameters, kept for serialization and dispatch
     """
 
@@ -285,22 +286,43 @@ def special_conformal_mass(f: Callable[[float], float],
     label = "special_conformal"
     return ScalarBackground(
         label, _inverse_square(lambda u: (f(u), df(u)), label, *_NO_SWITCH),
-        profile=(f, df), params={"family": label})
+        profile=(f, df, None), params={"family": label})
 
 
 def _gaussian(m0sq: float, L: float, k: float):
-    """(f, df) of f(u) = m0^2 L^2 exp(-k^2 u^2), and the profile kernel
-    u -> (f, df), which evaluates the exponential once and calls no f."""
+    """(f, df, F) of f(u) = m0^2 L^2 exp(-k^2 u^2), F(u) = int_0^u f =
+    m0^2 L^2 sqrt(pi)/(2k) erf(k u) (m0^2 L^2 u at k = 0), and the profile
+    kernel u -> (f, df), which evaluates the exponential once and calls no f.
+    A (k u)^2 that overflows raises DomainError."""
     A = m0sq * L * L
 
+    def too_steep(u):
+        return DomainError(f"k = {k:g}, u = {u:g}: (k u)^2 overflows in the "
+                           "Gaussian profile")
+
     def f(u):
-        return A * float(np.exp(-(k * u) ** 2))
+        try:
+            return A * float(np.exp(-(k * u) ** 2))
+        except OverflowError:         # float ** raises where numpy gives inf
+            raise too_steep(u) from None
 
     def fdf(u):
-        fu = A * float(np.exp(-(k * u) ** 2))
+        try:
+            fu = A * float(np.exp(-(k * u) ** 2))
+        except OverflowError:
+            raise too_steep(u) from None
         return fu, -2.0 * k * k * u * fu
 
-    return (f, lambda u: fdf(u)[1]), fdf
+    if k == 0.0:
+        def F(u):
+            return A * u
+    else:
+        c = A * math.sqrt(math.pi) / (2.0 * k)
+
+        def F(u):
+            return c * math.erf(k * u)
+
+    return (f, lambda u: fdf(u)[1], F), fdf
 
 
 def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -174,14 +174,16 @@ def make_planewave_solution(qperp, qminus: float, bg) -> Wavefunction:
                         params={"Qperp": (q1, q2), "Qminus": qm, "chi": chi})
 
 
-def make_conformal_solution(qperp, q3: float,
-                            f: Callable[[float], float]) -> Wavefunction:
+def make_conformal_solution(qperp, q3: float, f: Callable[[float], float],
+                            F: Optional[Callable[[float], float]] = None) -> Wavefunction:
     """Eigenmode of the special conformal charge on m^2 = f(u)/(x+)^2:
 
         phi = (1/x+) exp(-i (Q3 + Q_perp.x_perp)/x+
                          + i int_0^u ds (Q_perp^2 + f(s))/(4 Q3)),
 
-    with u = x- - x_perp.x_perp/x+, on the branch x+ > 0."""
+    with u = x- - x_perp.x_perp/x+, on the branch x+ > 0.  The integral is
+    Q_perp^2 u + F(u) when the antiderivative F(u) = int_0^u f is given, and
+    one adaptive quadrature per value otherwise."""
     q1, q2 = float(qperp[0]), float(qperp[1])
     qc = float(q3)
     if qc == 0.0:
@@ -190,7 +192,10 @@ def make_conformal_solution(qperp, q3: float,
 
     def g(u: float) -> complex:
         # solves 4i Q3 g' + (Q_perp^2 + f) g = 0
-        I = quad(lambda s: qp2 + float(f(s)), 0.0, u)
+        if F is None:
+            I = quad(lambda s: qp2 + float(f(s)), 0.0, u)
+        else:
+            I = qp2 * u + F(u)
         return np.exp(1j * I / (4.0 * qc))
 
     def ev(x: FourVector) -> complex:

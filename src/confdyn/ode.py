@@ -12,8 +12,9 @@ brentq  the C routine behind scipy's brentq, with its NaN check;
 newton  Newton's method on a nondecreasing function, bisecting whenever a
         step would leave the bracket (rtsafe in Press et al., Numerical
         Recipes, 3rd ed., sec. 9.4, without its step-halving test)
-quad    scipy.integrate.quad at the package's one tolerance set; scipy is
-        imported on its first call, and so stays off every other path
+quad    scipy.integrate.quad at the package's one tolerance set, for the
+        integrals with no closed form; scipy is imported on its first call,
+        and so stays off every other path
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import sys
 from warnings import warn
 
 import numpy as np
+
+from .errors import DivergentIntegral
 
 EPS = sys.float_info.epsilon   # a float, so that brentq's arithmetic stays in floats
 SAFETY = 0.9      # multiplies steps computed from the asymptotic error
@@ -350,13 +353,26 @@ def newton(f, fprime, x, fx, lo, hi, xtol, rtol):
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-_quadpack = None   # scipy.integrate.quad, once quad has been called
+_quadpack = None   # scipy.integrate's quad and IntegrationWarning, once quad has been called
 
 
 def quad(f, a, b):
     """int_a^b f(s) ds, a or b possibly infinite, by scipy.integrate.quad to
-    within max(1e-12, 1e-12 |int|) on at most 200 subintervals."""
+    within max(1e-12, 1e-12 |int|) on at most 200 subintervals.
+
+    An integral QUADPACK judges divergent (its ier = 5) raises
+    DivergentIntegral; its other failures warn, as scipy's quad does.
+    Callers: the conformal orbit and mode of a profile without an
+    antiderivative, timelike_orbit, and m2_integral of a field without one."""
     global _quadpack
     if _quadpack is None:
-        from scipy.integrate import quad as _quadpack
-    return _quadpack(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+        from scipy.integrate import IntegrationWarning, quad as scipy_quad
+        _quadpack = scipy_quad, IntegrationWarning
+    scipy_quad, IntegrationWarning = _quadpack
+    value, _, _, *message = scipy_quad(f, a, b, epsabs=1e-12, epsrel=1e-12,
+                                       limit=200, full_output=1)
+    if message:
+        if message[0].startswith("The integral is probably divergent"):
+            raise DivergentIntegral(f"int_{a:g}^{b:g}: {message[0]}")
+        warn(message[0], IntegrationWarning, stacklevel=2)
+    return value

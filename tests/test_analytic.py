@@ -1,5 +1,7 @@
 """Closed-form orbits against frozen quadrature values and the integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -439,3 +441,65 @@ def test_sample_rows_equal_pointwise_reads(build, ws):
     for w, x, p in zip(ws[::-1], xs[::-1], ps[::-1]):
         assert np.all(other.position(w).as_array() == x)
         assert np.all(other.momentum(w) == p)
+
+
+# ---------------------------------------------------------------------------
+# the Gaussian profile's integral in closed form
+# ---------------------------------------------------------------------------
+
+_UNIT_GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0).profile
+
+
+def _gauss_orbit(state, closed, **kwargs):
+    f, df, F = _UNIT_GAUSS
+    return conformal_orbit(f, state, df=df, F=F if closed else None, **kwargs)
+
+
+# fig. 2's window and the transverse start, as in the Newton-vs-brentq check
+@pytest.mark.parametrize("state, kwargs, ws", [
+    *[(erf_orbit_entry_state(kappa), {},
+       np.linspace(1.0, 1.0 / (1.0 - kappa * erf(3.75)), 101))
+      for kappa in (0.3, 0.5, 0.7, 0.9)],
+    (front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)), {"xplus_max": 3.0},
+     np.linspace(1.0, 3.0, 101)),
+    # entry off u = 0, so F(u0) != 0; the asymptote lies at x+ = 3.31
+    (front_state(1.0, 0.4, (0, 0), 0.5, (0, 0)), {}, np.linspace(0.8, 3.2, 101)),
+], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse", "offset"])
+def test_closed_form_integral_matches_quadrature(state, kwargs, ws):
+    closed, quadrature = (_gauss_orbit(state, c, **kwargs) for c in (True, False))
+    xs, ps = closed.sample(ws)
+    rxs, rps = quadrature.sample(ws)
+    assert np.max(np.abs((xs[:, 0] - xs[:, 3]) - (rxs[:, 0] - rxs[:, 3]))) <= 1e-9
+    assert np.all(np.linalg.norm(ps - rps, axis=1)
+                  <= 1e-12 * np.linalg.norm(rps, axis=1))
+    assert closed.constants["xplus_asymptote"] == pytest.approx(
+        quadrature.constants["xplus_asymptote"], rel=1e-12)
+
+
+def test_closed_form_orbit_takes_no_quadrature(monkeypatch):
+    def no_quad(*args):
+        raise AssertionError("quad called")
+
+    monkeypatch.setattr(analytic, "quad", no_quad)
+    xs, _ = _gauss_orbit(erf_orbit_entry_state(0.5), True).sample(_ERF_WS)
+    assert np.allclose(erf_orbit_xplus(0.5, xs[:, 0] - xs[:, 3]), _ERF_WS, rtol=1e-9)
+
+
+def test_weight_negative_beyond_the_entry_raises():
+    # Q_perp^2 + f = 1 - u turns negative past u = 1: the asymptote's
+    # quadrature meets it, and the error is not swallowed
+    with pytest.raises(DomainError, match="non-monotone"):
+        conformal_orbit(lambda u: 1.0 - u, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
+
+
+def test_divergent_weight_integral_has_no_asymptote():
+    # f = 1: int_0^inf f diverges, on the quadrature path without a warning
+    flat = backgrounds.special_conformal_gaussian(1.0, 1.0, 0.0).profile
+    state = front_state(1.0, 0.0, (0, 0), 0.5, (0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for F in (None, flat[2]):
+            orb = conformal_orbit(flat[0], state, df=flat[1], F=F)
+            assert orb.constants["xplus_asymptote"] == np.inf
+            # 4 Q3^2 = 1 at p- = 0.5, f = 1: 1/x+ = 1 - u
+            assert orb.position(4.0).xminus == pytest.approx(0.75, rel=1e-12)

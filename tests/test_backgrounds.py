@@ -1,11 +1,14 @@
 """Squared-mass families: values, analytic gradients, switch surfaces."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from confdyn import backgrounds
-from confdyn.errors import RealityError, SingularityError
+from confdyn import backgrounds, ode
+from confdyn.errors import DomainError, RealityError, SingularityError
 from confdyn.geometry import FourVector
 
 
@@ -421,16 +424,47 @@ def test_smooth_at_is_false_only_near_switch_surfaces(name):
 
 def test_profile_is_set_by_the_inverse_square_families_alone():
     ref_f, ref_df = _ref_gaussian(1.2, 1.5, 0.8)
+    # int_0^u m0^2 L^2 exp(-k^2 s^2) ds, written out
+    ref_F = lambda u: 1.2 * 1.5 * 1.5 * math.sqrt(math.pi) / (2.0 * 0.8) * math.erf(0.8 * u)
     for bg in (backgrounds.special_conformal_switched(1.2, 1.5, 0.8),
                backgrounds.special_conformal_gaussian(1.2, 1.5, 0.8)):
-        f, df = bg.profile
+        f, df, F = bg.profile
         for u in np.linspace(-2.5, 2.5, 41).tolist() + [-0.0, 1e-3]:
             assert _same(f(u), ref_f(u)) and _same(df(u), ref_df(u))
+            assert F(u) == pytest.approx(ref_F(u), rel=1e-15, abs=1e-300)
     f, df = (lambda u: 1.0 + u * u), (lambda u: 2.0 * u)
-    assert backgrounds.special_conformal_mass(f, df).profile == (f, df)
+    assert backgrounds.special_conformal_mass(f, df).profile == (f, df, None)
     for name, (bg, *_) in REFS.items():
         if name not in ("special_conformal", "sc-switched", "sc-gaussian"):
             assert bg.profile is None, name
+
+
+_COEF = st.floats(-3.0, 3.0, allow_nan=False)
+_ENDS = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(m0sq=st.floats(0.0, 4.0), L=st.floats(0.1, 2.0),
+       k=st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -0.7]), _COEF), a=_ENDS, b=_ENDS)
+def test_gaussian_antiderivative_matches_quadrature(m0sq, L, k, a, b):
+    f, _, F = backgrounds.special_conformal_gaussian(m0sq, L, k).profile
+    ref = ode.quad(f, a, b)
+    assert abs((F(b) - F(a)) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_steep_gaussian_raises_domain_error_naming_k_and_u():
+    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1e200)
+    f, df, F = bg.profile
+    msg = "k = 1e+200, u = 0.5: (k u)^2 overflows in the Gaussian profile"
+    for call in (lambda: f(0.5), lambda: df(0.5),
+                 lambda: bg.m2(FourVector(1.0, 0.0, 0.0, 0.5)),
+                 lambda: bg.field_at(1.0, 0.0, 0.0, 0.5)):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == msg
+    # on u = 0 (k u)^2 does not overflow, and the antiderivative saturates
+    assert f(0.0) == 1.0
+    assert F(0.5) == F(np.inf) == math.sqrt(math.pi) / 2e200
 
 
 def test_kernel_raises_as_the_separate_formulas():

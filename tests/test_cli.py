@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import confdyn
-from confdyn import cli
+from confdyn import cli, kgverify
 from confdyn.cli import _get, _parse, main
 from confdyn.errors import ConfigError
 
@@ -179,6 +179,28 @@ def test_kg_conformal(tmp_path):
     assert summary["pass"] is True
 
 
+def test_kg_conformal_same_verdict_without_the_antiderivative(tmp_path, monkeypatch):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(_args("kg", "conformal", a)) == 0
+    real = kgverify.make_conformal_solution
+    monkeypatch.setattr(kgverify, "make_conformal_solution",
+                        lambda qperp, q3, f, F: real(qperp, q3, f))
+    assert main(_args("kg", "conformal", b)) == 0
+    ratios = [np.loadtxt(d / "convergence.csv", delimiter=",", skiprows=1)[:, 4]
+              for d in (a, b)]
+    assert np.max(np.abs(ratios[0] - ratios[1])) <= 1e-3
+    summaries = [json.loads((d / "kg_summary.json").read_text()) for d in (a, b)]
+    assert summaries[0]["pass"] is summaries[1]["pass"] is True
+
+
+@pytest.mark.parametrize("k", ["0", "-0.7"])
+@pytest.mark.parametrize("command, preset, out", [
+    ("orbit", "fig2", "orbit.csv"), ("kg", "conformal", "kg_summary.json")])
+def test_gaussian_flat_and_negative_steepness(tmp_path, command, preset, out, k):
+    assert main(_args(command, preset, tmp_path, "--set", f"background.k={k}")) == 0
+    assert (tmp_path / out).exists()
+
+
 def test_kg_offshell_control_fails(tmp_path):
     assert main(_args("kg", "kgcontrol", tmp_path)) == 1
     lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
@@ -281,6 +303,24 @@ def test_non_finite_start_exits_three(tmp_path, capsys, preset, sets, err):
 ])
 def test_huge_coordinate_exits_three(tmp_path, capsys, preset, sets, err):
     argv = _args("simulate", preset, tmp_path, *[a for s in sets for a in ("--set", s)])
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"runtime domain error: {err}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# a Gaussian so steep that (k u)^2 overflows off u = 0: a domain error naming
+# k and u (the orbit's x+ lies past an asymptote at x+ = 1 + 1e-200)
+@pytest.mark.parametrize("command, preset, sets, err", [
+    ("simulate", "fig2", ["sweep.count=1"],
+     "k = 1e+200, u = 6.33049e-13: (k u)^2 overflows in the Gaussian profile"),
+    ("kg", "conformal", [],
+     "k = 1e+200, u = -0.486261: (k u)^2 overflows in the Gaussian profile"),
+    ("orbit", "fig2", [],
+     "u(x+) bracketing stalled: x+ lies beyond the orbit's asymptote"),
+])
+def test_steep_gaussian_exits_three(tmp_path, capsys, command, preset, sets, err):
+    sets = [*sets, "background.k=1e200"]
+    argv = _args(command, preset, tmp_path, *[a for s in sets for a in ("--set", s)])
     assert main(argv) == 3
     assert capsys.readouterr().err == f"runtime domain error: {err}\n"
     assert list(tmp_path.iterdir()) == []
@@ -700,18 +740,31 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
 
 
 def test_kg_and_orbit_without_quadrature_load_no_scipy(tmp_path):
+    # the Gaussian profile's integral is an error function: the conformal
+    # orbit and mode take no quadrature
     runs = [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
-            ("kg", "planewave", [], 0), ("kg", "kgcontrol", [], 1)]
-    # a conformal orbit takes quadratures: the listing sees scipy load
-    control = [("orbit", "fig2", ["run.samples=3"], 0)]
+            ("orbit", "fig2", [], 0), ("kg", "planewave", [], 0),
+            ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0)]
+    # the dilation mode takes Bessel functions: the listing sees scipy load
+    control = [("kg", "dilation", ["kg.points=2"], 0)]
     after = _scipy_after(tmp_path, runs, control)
-    assert after[0] == "[]" and "'scipy.integrate'" in after[1]
+    assert after[0] == "[]" and "'scipy.special'" in after[1]
 
 
 def test_run_as_module_writes_nothing_to_stderr(tmp_path):
     proc = _python("-m", "confdyn.cli", "simulate", "--preset", "dilation",
                    "--out-dir", str(tmp_path), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_flat_gaussian_orbit_writes_nothing_to_stderr(tmp_path):
+    # k = 0 makes the weight integral diverge: no asymptote and no warning
+    proc = _python("-m", "confdyn.cli", "orbit", "--preset", "fig2", "--set",
+                   "background.k=0", "--format", "json", "--out-dir", str(tmp_path),
+                   cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads((tmp_path / "orbit.json").read_text())
+    assert doc["constants"]["xplus_asymptote"] == math.inf
 
 
 _LAZY = """
