@@ -292,25 +292,27 @@ def special_conformal_mass(f: Callable[[float], float],
 def _gaussian(m0sq: float, L: float, k: float):
     """(f, df, F) of f(u) = m0^2 L^2 exp(-k^2 u^2), F(u) = int_0^u f =
     m0^2 L^2 sqrt(pi)/(2k) erf(k u) (m0^2 L^2 u at k = 0), and the profile
-    kernel u -> (f, df), which evaluates the exponential once and calls no f.
-    A (k u)^2 that overflows raises DomainError."""
+    kernel u -> (f, df), which evaluates the exponential once; f and df are
+    read from it.  A k u or (k u)^2 that overflows raises DomainError."""
     A = m0sq * L * L
 
     def too_steep(u):
         return DomainError(f"k = {k:g}, u = {u:g}: (k u)^2 overflows in the "
                            "Gaussian profile")
 
-    def f(u):
-        try:
-            return A * float(np.exp(-(k * u) ** 2))
-        except OverflowError:         # float ** raises where numpy gives inf
-            raise too_steep(u) from None
+    # once 4 k^2 overflows, -2 k ((k u) f) keeps the slope finite (|x e^-x^2| < 0.43)
+    steep = not math.isfinite(4.0 * k * k)
 
     def fdf(u):
+        ku = k * u
+        if math.isinf(ku):            # inf ** 2 raises nothing
+            raise too_steep(u)
         try:
-            fu = A * float(np.exp(-(k * u) ** 2))
-        except OverflowError:
+            fu = A * float(np.exp(-ku ** 2))
+        except OverflowError:         # float ** raises where numpy gives inf
             raise too_steep(u) from None
+        if steep:
+            return fu, -2.0 * k * (ku * fu)
         return fu, -2.0 * k * k * u * fu
 
     if k == 0.0:
@@ -322,7 +324,7 @@ def _gaussian(m0sq: float, L: float, k: float):
         def F(u):
             return c * math.erf(k * u)
 
-    return (f, lambda u: fdf(u)[1], F), fdf
+    return (lambda u: fdf(u)[0], lambda u: fdf(u)[1], F), fdf
 
 
 def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,

@@ -32,6 +32,10 @@ indices lower):
     null rotations U_perp   2 x_perp p+ + x- p_perp
     dilation                x.p
     special conformal       (c x.x - 2 (c.x) x).p
+
+In every form with a bracket their partials are one chain rule, through the
+form's constant data and its Hamiltonian's partials (dynamics.Form and
+dynamics.hamiltonian_partials), in _generator_partials.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import hamiltonian_extended, hamiltonian_instant
+from .dynamics import FORMS, hamiltonian_extended, hamiltonian_partials
 from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
                        lower_index, minkowski_dot, raise_index)
 
@@ -333,63 +337,29 @@ def conserved_from_generator(g: ConformalGenerator, state, bg):
     return contract(g.killing(x), p)
 
 
-def _lf_components(v_upper: np.ndarray):
-    """(v^+, v^-, v^1, v^2) of an upper-index vector."""
-    return (v_upper[0] + v_upper[3], v_upper[0] - v_upper[3],
-            v_upper[1], v_upper[2])
-
-
 def _generator_partials(g: ConformalGenerator, state, bg):
     """Closed-form (dQ/dq, dQ/dp) of Q = xi.p in the state's canonical
-    variables; uses the chain rule through the on-shell Hamiltonian where
-    the form eliminates a momentum component."""
+    variables, by the chain rule through the form's constant data
+    (dynamics.Form): with x(q) linear, E = dx/dq, and p4 = S^T p + H n,
+
+        dQ/dq = (p4.J) E + (xi.n) dH/dq,   dQ/dp = S xi + (xi.n) dH/dp,
+
+    J the generator's Jacobian d_nu xi^mu.  The H terms vanish where the
+    form eliminates no momentum (n = 0)."""
+    form = FORMS[state.form]
+    if not form.canonical:
+        raise ValueError(f"no canonical partials for form {state.form!r}")
+    S, n = form.split
     x = state.position()
-    p = state.four_momentum(bg)
     xi = g.killing(x)
-    jac = g.jacobian(x)                        # jac[mu, nu] = d_nu xi^mu
-
-    if state.form == "instant":
-        H = hamiltonian_instant(state, bg)
-        grad = bg.grad_m2(x)
-        dq = np.empty(3)
-        for k in range(3):
-            dHdx = grad[k + 1] / (2.0 * H)
-            dq[k] = contract(jac[:, k + 1], p) + xi[0] * dHdx
-        dp = xi[1:4] + xi[0] * state.p / H
+    # row k of dx_dq J^T is d xi/d q_k
+    dq = (form.dx_dq @ g.jacobian(x).T) @ state.four_momentum(bg)
+    dp = S @ xi
+    if not n.any():
         return dq, dp
-
-    if state.form == "front":
-        pminus = state.p[0]
-        pperp = state.p[1:3]
-        Hval = p[0] - pminus                       # p+ on shell
-        lfg = lf_gradient(bg.grad_m2(x))           # (d+, d-, d1, d2) of m^2
-        xip, xim, xi1, xi2 = _lf_components(xi)
-        # coordinate derivatives of xi^mu along (x-, x1, x2)
-        dm = 0.5 * (jac[:, 0] - jac[:, 3])
-        d1 = jac[:, 1]
-        d2 = jac[:, 2]
-        dH_dxm = lfg[1] / (4.0 * pminus)
-        dH_d1 = lfg[2] / (4.0 * pminus)
-        dH_d2 = lfg[3] / (4.0 * pminus)
-        dq = np.array([contract(dm, p) + xip * dH_dxm,
-                       contract(d1, p) + xip * dH_d1,
-                       contract(d2, p) + xip * dH_d2])
-        dH_dpm = -Hval / pminus
-        dp = np.array([xip * dH_dpm + xim,
-                       xip * pperp[0] / (2.0 * pminus) + xi1,
-                       xip * pperp[1] / (2.0 * pminus) + xi2])
-        return dq, dp
-
-    if state.form == "extended":
-        xip, xim, xi1, xi2 = _lf_components(xi)
-        dpl = 0.5 * (jac[:, 0] + jac[:, 3])
-        dm = 0.5 * (jac[:, 0] - jac[:, 3])
-        dq = np.array([contract(dpl, p), contract(dm, p),
-                       contract(jac[:, 1], p), contract(jac[:, 2], p)])
-        dp = np.array([xip, xim, xi1, xi2])
-        return dq, dp
-
-    raise ValueError(f"no canonical partials for form {state.form!r}")
+    xin = contract(xi, n)
+    dHq, dHp = hamiltonian_partials(state, bg)
+    return dq + xin * dHq, dp + xin * dHp
 
 
 def generator_quantity(g: ConformalGenerator, label: str = "") -> ConservedQuantity:
@@ -505,18 +475,8 @@ def planewave_cubic_quantity() -> ConservedQuantity:
 
 def extended_hamiltonian_quantity() -> ConservedQuantity:
     """K = (p_perp.p_perp + m^2(x))/(4 p-) - p+ on the extended phase space."""
-
-    def parts(state, bg):
-        pplus, pminus, p1, p2 = state.p
-        m2 = bg.m2(state.position())
-        lfg = lf_gradient(bg.grad_m2(state.position()))
-        dq = lfg / (4.0 * pminus)
-        pp = p1 * p1 + p2 * p2
-        dp = np.array([-1.0, -(pp + m2) / (4.0 * pminus ** 2),
-                       p1 / (2.0 * pminus), p2 / (2.0 * pminus)])
-        return dq, dp
-
-    return ConservedQuantity(label="K", func=hamiltonian_extended, partials=parts)
+    return ConservedQuantity(label="K", func=hamiltonian_extended,
+                             partials=hamiltonian_partials)
 
 
 def planewave_extended_set() -> list[ConservedQuantity]:

@@ -2,7 +2,7 @@
 
 Forms of dynamics and their canonical variables; the layout of each (time
 and column names, the point of (t, q), the on-shell momentum, the p- slot,
-the bracket) lives in one Form record of FORMS:
+the bracket and its chain rule) lives in one Form record of FORMS:
 
 instant    time t,  q = (x, y, z),          p = (p1, p2, p3),  H = sqrt(p.p + m^2)
 front      time x+, q = (x-, x1, x2),       p = (p-, p1, p2),  H = (p_perp.p_perp + m^2)/(4 p-)
@@ -35,15 +35,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import (FourVector, central_difference, contract, lower_index,
-                       momenta_from_lf, raise_index, scalar_or_array)
+from .geometry import (FourVector, central_difference, contract, lf_gradient,
+                       lower_index, momenta_from_lf, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq
 
 
 @dataclass(frozen=True)
 class Form:
-    """Layout of one phase space (see the module docstring)."""
+    """Layout of one phase space (see the module docstring).  A form with a
+    bracket has a constant chain rule: coords is linear in q, so dx_dq[k] =
+    dx^mu/dq_k is one matrix, and the on-shell momentum is p4 = S^T p + H n,
+    H the form's own Hamiltonian (hamiltonian_partials); n is zero in the
+    extended form, which eliminates no momentum."""
 
     time_name: str
     q_names: tuple
@@ -51,11 +55,20 @@ class Form:
     coords: Callable         # (time, q) -> (t, x, y, z); reads only q[:dof]
     momentum: Callable       # (state, bg) -> lower-index (p0, p1, p2, p3)
     pminus: Optional[int]    # slot of p- in p, None where it is no coordinate
-    canonical: bool          # carries a Poisson bracket
+    split: Optional[tuple]   # (S, n) of a form with a Poisson bracket, else None
+
+    def __post_init__(self):
+        eye = np.eye(self.dof)
+        object.__setattr__(self, "dx_dq", np.array([self.coords(0.0, e) for e in eye]))
 
     @property
     def dof(self) -> int:
         return len(self.q_names)
+
+    @property
+    def canonical(self) -> bool:
+        """Whether the form carries a Poisson bracket."""
+        return self.split is not None
 
     def position(self, time, q) -> FourVector:
         """The spacetime point of (time, q) as a FourVector."""
@@ -75,21 +88,22 @@ FORMS = {
         lambda t, q: (t, q[0], q[1], q[2]),
         lambda st, bg: np.array([hamiltonian_instant(st, bg), st.p[0], st.p[1],
                                  st.p[2]]),
-        None, True),
+        None, (np.eye(4)[1:], np.array([1.0, 0.0, 0.0, 0.0]))),
     "front": Form(
         "xplus", ("xminus", "x1", "x2"), ("pminus", "p1", "p2"),
         lambda t, q: (0.5 * (t + q[0]), q[1], q[2], 0.5 * (t - q[0])),
         lambda st, bg: momenta_from_lf(hamiltonian_front(st, bg), *st.p),
-        0, True),
+        0, (np.array([momenta_from_lf(0.0, *e) for e in np.eye(3)]),
+            momenta_from_lf(1.0, 0.0, 0.0, 0.0))),
     "extended": Form(
         "s", ("xplus", "xminus", "x1", "x2"), ("pplus", "pminus", "p1", "p2"),
         lambda s, q: (0.5 * (q[0] + q[1]), q[2], q[3], 0.5 * (q[0] - q[1])),
         lambda st, bg: momenta_from_lf(*st.p),
-        1, True),
+        1, (np.array([momenta_from_lf(*e) for e in np.eye(4)]), np.zeros(4))),
     "covariant": Form(
         "tau", ("x0", "x1", "x2", "x3"), ("u0", "u1", "u2", "u3"),
         lambda tau, q: (q[0], q[1], q[2], q[3]),
-        _covariant_momentum, None, False),
+        _covariant_momentum, None, None),
 }
 
 
@@ -211,6 +225,26 @@ def hamiltonian_extended(state: PhaseSpaceState, bg):
     m2 = bg.m2(state.position())
     pp = state.p[2] ** 2 + state.p[3] ** 2
     return scalar_or_array((pp + m2) / (4.0 * pminus) - pplus)
+
+
+def hamiltonian_partials(state: PhaseSpaceState, bg):
+    """(dH/dq, dH/dp) of the state's own Hamiltonian: H in the instant form,
+    p+ on shell in the front form, K in the extended form.  The flows'
+    right-hand sides are (-dH/dp, dH/dq), written out per form below."""
+    x = state.position()
+    if state.form == "instant":
+        H = hamiltonian_instant(state, bg)
+        return bg.grad_m2(x)[1:] / (2.0 * H), state.p / H
+    if state.form not in ("front", "extended"):
+        raise ValueError(f"the {state.form} form has no Hamiltonian partials")
+    # (p_perp.p_perp + m^2)/(4 p-) over the light-front coordinates that end
+    # q; K adds -p+, whose slot leads the extended p
+    pminus, p1, p2 = state.p[-3:]
+    m2, g = bg.m2_and_grad(x)
+    dq = lf_gradient(g)[-state.q.size:] / (4.0 * pminus)
+    pp = p1 * p1 + p2 * p2
+    dp = [-(pp + m2) / (4.0 * pminus ** 2), p1 / (2.0 * pminus), p2 / (2.0 * pminus)]
+    return dq, np.array(dp if state.form == "front" else [-1.0, *dp])
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,30 @@ def test_steep_gaussian_raises_domain_error_naming_k_and_u():
     assert F(0.5) == F(np.inf) == math.sqrt(math.pi) / 2e200
 
 
+def test_steep_gaussian_slope_is_finite():
+    # once k^2 overflows, k * k * u * f is nan on u = 0 and -inf near it
+    bg = backgrounds.special_conformal_switched(1.0, 1.0, 1e200)
+    f, df, _ = bg.profile
+    assert df(0.0) == 0.0
+    assert df(1e-250) == pytest.approx(-2e150, rel=1e-15)
+    assert df(-1e-250) == pytest.approx(2e150, rel=1e-15)
+    assert df(1e-100) == 0.0                   # f(u) underflows to 0
+    for call in (f, df):                       # k u itself overflows
+        with pytest.raises(DomainError, match=r"k = 1e\+200, u = 1e\+110: \(k u\)\^2"):
+            call(1e110)
+    # the kernel on u = 0, the slice every fig. 2 orbit rides, at x+ = L
+    m2, grad = bg.field_at(0.5, 0.0, 0.0, 0.5)
+    assert m2 == 1.0 and grad == (-2.0, 0.0, 0.0, -2.0)
+    m2, grad = backgrounds.special_conformal_gaussian(1.0, 1.0, 1e200).field_at(
+        1.0, 0.0, 0.0, 1.0)
+    assert m2 == 0.25 and grad == (-0.25, 0.0, 0.0, -0.25)
+    # wherever 4 k^2 is finite, the slope is -2 k k u f to the bit
+    for k in (1.0, -0.7, 3.0, 6e153):
+        f, df, _ = backgrounds.special_conformal_gaussian(1.3, 0.8, k).profile
+        for u in (0.0, -0.0, 1e-160, 0.37, -1.9):
+            assert _same(df(u), -2.0 * k * k * u * f(u))
+
+
 def test_kernel_raises_as_the_separate_formulas():
     lz = backgrounds.linear_z(1.0, 1.0, switched=False)
     x = FourVector(0.3, 0.1, 0.2, -2.0)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -826,6 +827,26 @@ def test_output_digests_smoke(tmp_path):
             for p in sorted(out.iterdir())]
     assert [w.split("=")[0] for w in want] == ["convergence.csv", "kg_summary.json"]
     assert lines[4][5:] == want
+
+
+def test_output_digests_against_itself(tmp_path, capsys, monkeypatch):
+    # a checkout against itself differs in no line; the comparison pairs the
+    # numbers of two outputs in order and sets the text around them apart
+    script = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    src = str(Path(confdyn.__file__).parents[1])
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))    # main puts src first
+    assert tool.main(["--src", src, "--preset", "spacelike", "--against", src]) == 0
+    assert capsys.readouterr().out == "differing lines: 0 of 8\n"
+    assert list(tmp_path.iterdir()) == []
+    assert tool.compare_text('{"Q1": [1.0, -0.0, 4e-08]}', '{"Q1": [1.5, 0.0, 2e-08]}') \
+        == "max_abs=0.5 max_rel=0.5 text=equal"
+    assert tool.compare_text("x,p3\n1,2\n", "x,p2\n1,2\n") \
+        == "max_abs=0 max_rel=0 text=differs"
+    assert tool.compare_text("rank 3", "rank 3 of 5") == "numbers=1/2 text=differs"
 
 
 def test_settable_values_smoke(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from confdyn import backgrounds
 from confdyn.conformal import (ConformalGenerator, boost_axis,
@@ -11,8 +13,8 @@ from confdyn.conformal import (ConformalGenerator, boost_axis,
                                special_conformal, special_conformal_lf,
                                symmetry_defect, time_translation, translation,
                                translation_axis, translation_xminus)
-from confdyn.dynamics import (extended_state, front_state, instant_state,
-                              poisson_bracket)
+from confdyn.dynamics import (_fd_partials, extended_state, front_state,
+                              instant_state, poisson_bracket, quantity_partials)
 from confdyn.geometry import FourVector
 from oracles import (conformal_killing_residual, jacobian_written_out,
                      killing_residual_fd, killing_written_out)
@@ -311,6 +313,66 @@ def test_quantity_partials_match_fd():
             fdq, fdp = _fd_partials(q.func, st, bg, 1e-6)
             assert np.allclose(dq, fdq, rtol=1e-5, atol=1e-7)
             assert np.allclose(dp, fdp, rtol=1e-5, atol=1e-7)
+
+
+# -------------------------------------------------------------- properties
+
+_BACKGROUNDS = {"plane_wave_sin2": backgrounds.plane_wave_sin2(1.0, 0.4, 0.9),
+                "special_conformal_gaussian": backgrounds.special_conformal_gaussian()}
+_UNITS = arrays(np.float64, 15, elements=st.floats(-1.0, 1.0))
+_STATES = arrays(np.float64, 8, elements=st.floats(-1.0, 1.0))
+
+
+def _generator(v):
+    """The generator with the 15 parameters a = v[:4], omega's upper
+    triangle v[4:10], lam = v[10] and c = v[11:]."""
+    om = np.zeros((4, 4))
+    om[np.triu_indices(4, 1)] = v[4:10]
+    return ConformalGenerator(v[:4], om - om.T, v[10], v[11:])
+
+
+def _canonical_state(form, v):
+    """A state of the form with x+ in [0.5, 2], clear of the inverse-square
+    fields' singular x+ = 0, and p- in [0.3, 1.5]."""
+    xplus, xminus = 1.25 + 0.75 * v[0], 0.5 * v[1]
+    xperp, pperp, pminus = 0.5 * v[2:4], 0.5 * v[4:6], 0.9 + 0.6 * v[6]
+    if form == "instant":
+        return instant_state(0.5 * (xplus + xminus), [*xperp, 0.5 * (xplus - xminus)],
+                             [*pperp, v[7]])
+    if form == "front":
+        return front_state(xplus, xminus, xperp, pminus, pperp)
+    return extended_state(xplus, xminus, xperp, v[7], pminus, pperp)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(form=st.sampled_from(["instant", "front", "extended"]),
+       bg=st.sampled_from(sorted(_BACKGROUNDS)), g=_UNITS, v=_STATES)
+def test_generator_partials_match_fd_everywhere(form, bg, g, v):
+    # the one chain rule against finite differences of xi.p, for any of the
+    # 15 parameters at any state; the front form is reached by no certify
+    # preset, so this is its guard
+    bg, state = _BACKGROUNDS[bg], _canonical_state(form, v)
+    q = generator_quantity(_generator(g))
+    dq, dp = quantity_partials(q, state, bg)
+    fdq, fdp = _fd_partials(q.func, state, bg, 1e-6)
+    scale = max(1.0, np.abs(np.concatenate([dq, dp])).max())
+    assert np.allclose(dq, fdq, rtol=1e-6, atol=1e-7 * scale)
+    assert np.allclose(dp, fdp, rtol=1e-6, atol=1e-7 * scale)
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(bg=st.sampled_from(sorted(_BACKGROUNDS)), g1=_UNITS, g2=_UNITS, v=_STATES)
+def test_charge_bracket_identity_any_pair(bg, g1, g2, v):
+    # {xi1.p, xi2.p} = -[xi1, xi2].p holds for every pair on the extended
+    # phase space, where no momentum is eliminated
+    bg, state = _BACKGROUNDS[bg], _canonical_state("extended", v)
+    g1, g2 = _generator(g1), _generator(g2)
+    q1, q2 = generator_quantity(g1), generator_quantity(g2)
+    lhs = poisson_bracket(q1, q2, state, bg)
+    rhs = -conserved_from_generator(lie_bracket(g1, g2), state, bg)
+    (dq1, dp1), (dq2, dp2) = (quantity_partials(q, state, bg) for q in (q1, q2))
+    scale = max(1.0, np.abs(dq1) @ np.abs(dp2) + np.abs(dp1) @ np.abs(dq2))
+    assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_generator_deserialization_rejects_nonantisymmetric():

@@ -20,6 +20,7 @@ from confdyn.dynamics import (
     hamiltonian_extended,
     hamiltonian_front,
     hamiltonian_instant,
+    hamiltonian_partials,
     instant_state,
     instant_to_covariant,
     instant_to_front,
@@ -962,6 +963,24 @@ def test_rhs_equals_two_call_expressions(form, nonrel, kind):
         assert got.shape == want.shape and np.array_equal(got, want)
         # signed zeros too: the output files print them
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("form, kind", [
+    ("instant", "linear_z"), ("instant", "dilation"), ("front", "switched"),
+    ("front", "gaussian"), ("front", "plane_wave"), ("extended", "switched"),
+    ("extended", "gaussian"), ("extended", "plane_wave"),
+])
+def test_rhs_is_the_hamiltonian_partials(form, kind):
+    # the flows write each form's chain rule out by hand; they must be, to
+    # the bit, (-dH/dp, dH/dq) of hamiltonian_partials, the extended
+    # dx+/ds = 1 being -dK/dp+
+    bg = _FLOW_FIELDS[kind]()
+    rhs = _make_rhs(form, bg, False)
+    n = FORMS[form].dof
+    for t, y in _flow_states(form, kind, np.random.default_rng(707)):
+        dHq, dHp = hamiltonian_partials(PhaseSpaceState(form, t, y[:n], y[n:]), bg)
+        want = np.concatenate([-dHp, dHq])
+        assert np.array_equal(rhs(t, y), want)
 
 
 @pytest.mark.parametrize("form, bg, t, y, err", [
