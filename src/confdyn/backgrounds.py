@@ -26,6 +26,7 @@ the vacuum value and the gradient the field-side slope.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -435,7 +436,15 @@ def from_params(params: dict) -> ScalarBackground:
                                    float(params.get("amp", 0.5)),
                                    float(params.get("k", 1.0)), argument=arg)
         if prof == "tabulated":
-            table = np.loadtxt(params["path"], delimiter=",")
+            path = params["path"]
+            try:
+                with warnings.catch_warnings():   # an empty file warns, then fails below
+                    warnings.simplefilter("ignore", UserWarning)
+                    table = np.loadtxt(path, delimiter=",", ndmin=2)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read the table {path!r}: {exc}") from None
+            if table.shape[1] < 2 or not table.size:
+                raise ValueError(f"the table {path!r} of shape {table.shape} has no (w, m^2)")
             return plane_wave_tabulated(table[:, 0], table[:, 1], argument=arg)
         raise ValueError(f"unknown plane-wave profile {prof!r}")
     if fam == "special_conformal_switched":

@@ -148,8 +148,6 @@ def _zeros_gen(**kw):
 
 def translation(a, label: str = "translation") -> ConformalGenerator:
     """Translation along the upper-index four-vector a; charge Q = a^mu p_mu."""
-    if isinstance(a, FourVector):
-        a = a.as_array()
     return ConformalGenerator(**_zeros_gen() | {"a": np.asarray(a, dtype=float)},
                               label=label)
 
@@ -423,13 +421,7 @@ def angular_momentum_z_quantity(scale: float = 1.0) -> ConservedQuantity:
     def val(state, bg):
         return scale * (state.q[0] * state.p[1] - state.q[1] * state.p[0])
 
-    def parts(state, bg):
-        dq = scale * np.array([state.p[1], -state.p[0], 0.0])
-        dp = scale * np.array([-state.q[1], state.q[0], 0.0])
-        return dq, dp
-
-    return ConservedQuantity(label="B.Lz" if scale != 1.0 else "Lz",
-                             func=val, partials=parts)
+    return ConservedQuantity(label="B.Lz" if scale != 1.0 else "Lz", func=val)
 
 
 def mass_shell_quantity() -> ConservedQuantity:

@@ -13,8 +13,9 @@ All momenta carry lower indices.  Evolution follows the convention
 
     dQ/dt = dQ/dt|_explicit - {Q, H},   {A, B} = dA/dq.dB/dp - dA/dp.dB/dq,
 
-so coordinates obey dq/dt = -dH/dp and momenta dp/dt = +dH/dq; for the
-instant form this is the familiar dx^j/dt = -p_j/H with lower-index p_j.
+so coordinates obey dq/dt = -dH/dp and momenta dp/dt = +dH/dq (each form's
+flow is the one place these partials are written out; hamiltonian_partials
+reads them back); in the instant form dx^j/dt = -p_j/H, p_j lower-index.
 The extended form adds (x+, p+) as a canonical pair, evolves in an affine
 parameter with dx+/ds = 1, and uses the same bracket over all four pairs.
 The covariant form integrates m (d^2x_mu/dtau^2) = (eta_{mu nu} -
@@ -35,8 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import (FourVector, central_difference, contract, lf_gradient,
-                       lower_index, momenta_from_lf, raise_index, scalar_or_array)
+from .geometry import (FourVector, central_difference, contract, lower_index,
+                       momenta_from_lf, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq
 
@@ -46,8 +47,8 @@ class Form:
     """Layout of one phase space (see the module docstring).  A form with a
     bracket has a constant chain rule: coords is linear in q, so dx_dq[k] =
     dx^mu/dq_k is one matrix, and the on-shell momentum is p4 = S^T p + H n,
-    H the form's own Hamiltonian (hamiltonian_partials); n is zero in the
-    extended form, which eliminates no momentum."""
+    H the form's own Hamiltonian, whose partials its flow writes out; n is
+    zero in the extended form, which eliminates no momentum."""
 
     time_name: str
     q_names: tuple
@@ -208,43 +209,29 @@ def hamiltonian_instant(state: PhaseSpaceState, bg):
 
 
 def hamiltonian_front(state: PhaseSpaceState, bg):
-    """H = p+ on shell = (p_perp.p_perp + m^2)/(4 p-)."""
-    pminus = state.p[0]
+    """p+ on shell = (p_perp.p_perp + m^2)/(4 p-), from the (p-, p1, p2) that
+    end p in the front and extended forms: the front form's H."""
+    pminus, p1, p2 = state.p[-3:]
     if _any(pminus == 0.0):
-        raise SingularityError("front-form Hamiltonian undefined at p- = 0")
+        raise SingularityError(f"{state.form} Hamiltonian undefined at p- = 0")
     m2 = bg.m2(state.position())
-    pp = state.p[1] ** 2 + state.p[2] ** 2
-    return scalar_or_array((pp + m2) / (4.0 * pminus))
+    return scalar_or_array((p1 ** 2 + p2 ** 2 + m2) / (4.0 * pminus))
 
 
 def hamiltonian_extended(state: PhaseSpaceState, bg):
-    """K = (p_perp.p_perp + m^2(x))/(4 p-) - p+; vanishes on shell."""
-    pplus, pminus = state.p[0], state.p[1]
-    if _any(pminus == 0.0):
-        raise SingularityError("extended Hamiltonian undefined at p- = 0")
-    m2 = bg.m2(state.position())
-    pp = state.p[2] ** 2 + state.p[3] ** 2
-    return scalar_or_array((pp + m2) / (4.0 * pminus) - pplus)
+    """K = p+ on shell - p+; vanishes on shell."""
+    return scalar_or_array(hamiltonian_front(state, bg) - state.p[0])
 
 
 def hamiltonian_partials(state: PhaseSpaceState, bg):
-    """(dH/dq, dH/dp) of the state's own Hamiltonian: H in the instant form,
-    p+ on shell in the front form, K in the extended form.  The flows'
-    right-hand sides are (-dH/dp, dH/dq), written out per form below."""
-    x = state.position()
-    if state.form == "instant":
-        H = hamiltonian_instant(state, bg)
-        return bg.grad_m2(x)[1:] / (2.0 * H), state.p / H
-    if state.form not in ("front", "extended"):
+    """(dH/dq, dH/dp) of the state's own Hamiltonian (H, p+ on shell, K in
+    the instant, front, extended form), read back from the form's flow, the
+    one place they are written out, as (-dH/dp, dH/dq)."""
+    if not FORMS[state.form].canonical:
         raise ValueError(f"the {state.form} form has no Hamiltonian partials")
-    # (p_perp.p_perp + m^2)/(4 p-) over the light-front coordinates that end
-    # q; K adds -p+, whose slot leads the extended p
-    pminus, p1, p2 = state.p[-3:]
-    m2, g = bg.m2_and_grad(x)
-    dq = lf_gradient(g)[-state.q.size:] / (4.0 * pminus)
-    pp = p1 * p1 + p2 * p2
-    dp = [-(pp + m2) / (4.0 * pminus ** 2), p1 / (2.0 * pminus), p2 / (2.0 * pminus)]
-    return dq, np.array(dp if state.form == "front" else [-1.0, *dp])
+    n = state.q.size
+    f = _make_rhs(state.form, bg, False)(state.time, np.concatenate([state.q, state.p]))
+    return f[n:], -f[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,6 @@ class FourVector:
         """Covariant components eta_{mu nu} v^nu."""
         return np.array([self.t, -self.x, -self.y, -self.z])
 
-    def dot(self, other: "FourVector") -> float:
-        return minkowski_dot(self, other)
-
     def norm2(self) -> float:
         """Invariant square v.v."""
         return minkowski_dot(self, self)
@@ -77,19 +74,6 @@ class FourVector:
         comps = [self.t, self.x, self.y, self.z]
         comps[mu] += delta
         return FourVector(*comps)
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __mul__(self, s: float) -> "FourVector":
-        return FourVector(s * self.t, s * self.x, s * self.y, s * self.z)
-
-    __rmul__ = __mul__
 
 
 # Every central difference the package takes, keyed by (derivative, order):
@@ -125,9 +109,6 @@ class LightFrontCoords:
     xminus: float
     x1: float
     x2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xplus, self.xminus, self.x1, self.x2])
 
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:

@@ -530,6 +530,42 @@ def test_override_errors_name_their_source(tmp_path, capsys, override, err):
     assert not out.exists()
 
 
+def _tabulated(path):
+    """--set arguments that read the planewave preset's profile from a table."""
+    return "--set", "background.profile=tabulated", "--set", f"background.path={path}"
+
+
+@pytest.mark.parametrize("table, what", [
+    (None, "not found"), ("", "Is a directory"),
+    ("1\n2\n3\n", "shape (3, 1) has no (w, m^2)"), ("\n", "shape (0, 1) has no (w, m^2)"),
+], ids=["missing", "directory", "one-column", "empty"])
+def test_unreadable_background_table_exits_two(tmp_path, capsys, table, what):
+    path = tmp_path / "table"
+    if table == "":
+        path.mkdir()
+    elif table is not None:
+        path.write_text(table)
+    out = tmp_path / "out"
+    assert main(_args("orbit", "planewave", out, *_tabulated(path))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: bad background: ")
+    assert repr(str(path)) in err and what in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_tabulated_background_from_the_config(tmp_path):
+    # the preset's sin2 profile sampled over the orbit's x+ in [0, 10]: the
+    # spline's orbit follows the closed form's
+    w = np.linspace(-1.0, 11.0, 241)
+    path = tmp_path / "table.csv"
+    np.savetxt(path, np.column_stack([w, 1.0 + 0.5 * np.sin(w) ** 2]), delimiter=",")
+    assert main(_args("orbit", "planewave", tmp_path / "tab", *_tabulated(path))) == 0
+    assert main(_args("orbit", "planewave", tmp_path / "sin2")) == 0
+    tab, sin2 = (np.loadtxt(tmp_path / d / "orbit.csv", delimiter=",", skiprows=1)
+                 for d in ("tab", "sin2"))
+    assert tab.shape == sin2.shape and np.allclose(tab, sin2, rtol=1e-6, atol=1e-6)
+
+
 def test_planewave_mode_still_runs_on_a_constant_mass(tmp_path):
     # a constant m^2 is a function of x+ alone: it has an x+ antiderivative
     assert main(_args("kg", "kgcontrol", tmp_path,

@@ -375,6 +375,27 @@ def test_charge_bracket_identity_any_pair(bg, g1, g2, v):
     assert abs(lhs - rhs) <= 1e-13 * scale
 
 
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(g1=_UNITS, g2=_UNITS)
+def test_lie_bracket_antisymmetric(g1, g2):
+    # [xi1, xi2] = -[xi2, xi1] for any pair, to rounding of the terms
+    g1, g2 = _generator(g1), _generator(g2)
+    terms = parameters(lie_bracket(g1, g2)), parameters(lie_bracket(g2, g1))
+    scale = max(1.0, *(np.abs(t).max() for t in terms))
+    assert np.abs(terms[0] + terms[1]).max() <= 1e-13 * scale
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(g1=_UNITS, g2=_UNITS, g3=_UNITS)
+def test_lie_bracket_jacobi_identity(g1, g2, g3):
+    # [xi1, [xi2, xi3]] + [xi2, [xi3, xi1]] + [xi3, [xi1, xi2]] = 0
+    g1, g2, g3 = _generator(g1), _generator(g2), _generator(g3)
+    terms = [parameters(lie_bracket(a, lie_bracket(b, c)))
+             for a, b, c in ((g1, g2, g3), (g2, g3, g1), (g3, g1, g2))]
+    scale = max(1.0, *(np.abs(t).max() for t in terms))
+    assert np.abs(terms[0] + terms[1] + terms[2]).max() <= 1e-13 * scale
+
+
 def test_generator_deserialization_rejects_nonantisymmetric():
     bad = np.zeros((4, 4))
     bad[0, 1] = bad[1, 0] = 1.0

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
+from hypothesis.extra.numpy import arrays
 
 from confdyn import backgrounds, conformal, ode
 from confdyn.dynamics import (
@@ -11,9 +13,11 @@ from confdyn.dynamics import (
     EvolveOptions,
     PhaseSpaceState,
     Trajectory,
+    _fd_partials,
     _make_rhs,
     covariant_state,
     evolve,
+    extended_state,
     extended_state_on_shell,
     front_state,
     front_to_extended,
@@ -965,22 +969,51 @@ def test_rhs_equals_two_call_expressions(form, nonrel, kind):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _hamiltonian_state(form, kind, v):
+    """A state of the form inside the field's real, regular region, from
+    eight numbers in [-1, 1]: instant z >= 0.1 clear of linear_z's switch,
+    instant t >= 1.5 clear of the dilation field's x.x = 0, x+ in [0.4, 2.5]
+    and p- in [0.2, 0.8]."""
+    if form == "instant":
+        if kind == "dilation":
+            t, z = 2.0 + 0.5 * v[0], 0.5 * v[3]
+        else:
+            t, z = 0.5 * v[0], 0.5 + 0.4 * v[3]
+        return instant_state(t, [0.5 * v[1], 0.5 * v[2], z], 0.5 * v[4:7])
+    xplus, xminus, xperp = 1.45 + 1.05 * v[0], 0.6 * v[1], 0.4 * v[2:4]
+    pminus, pperp = 0.5 + 0.3 * v[4], 0.3 * v[5:7]
+    if form == "front":
+        return front_state(xplus, xminus, xperp, pminus, pperp)
+    return extended_state(xplus, xminus, xperp, 0.55 + 0.45 * v[7], pminus, pperp)
+
+
+_HAMILTONIANS = {"instant": hamiltonian_instant, "front": hamiltonian_front,
+                 "extended": hamiltonian_extended}
+
+
 @pytest.mark.parametrize("form, kind", [
     ("instant", "linear_z"), ("instant", "dilation"), ("front", "switched"),
     ("front", "gaussian"), ("front", "plane_wave"), ("extended", "switched"),
     ("extended", "gaussian"), ("extended", "plane_wave"),
 ])
-def test_rhs_is_the_hamiltonian_partials(form, kind):
-    # the flows write each form's chain rule out by hand; they must be, to
-    # the bit, (-dH/dp, dH/dq) of hamiltonian_partials, the extended
-    # dx+/ds = 1 being -dK/dp+
-    bg = _FLOW_FIELDS[kind]()
-    rhs = _make_rhs(form, bg, False)
-    n = FORMS[form].dof
-    for t, y in _flow_states(form, kind, np.random.default_rng(707)):
-        dHq, dHp = hamiltonian_partials(PhaseSpaceState(form, t, y[:n], y[n:]), bg)
-        want = np.concatenate([-dHp, dHq])
-        assert np.array_equal(rhs(t, y), want)
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(v=arrays(np.float64, 8, elements=strategies.floats(-1.0, 1.0)))
+def test_rhs_is_the_hamiltonian_partials(form, kind, v):
+    # hamiltonian_partials reads the flow back as (dH/dq, dH/dp): to the bit
+    # the written-out flow of test_rhs_equals_two_call_expressions (the
+    # extended dx+/ds = 1 being -dK/dp+), and the central differences of the
+    # form's Hamiltonian, p+ on shell and K = p+ on shell - p+ sharing one
+    # expression
+    bg, state = _FLOW_FIELDS[kind](), _hamiltonian_state(form, kind, v)
+    assume(kind != "switched" or abs(state.position().xplus - 1.2) > 0.05)
+    dHq, dHp = hamiltonian_partials(state, bg)
+    y = np.concatenate([state.q, state.p])
+    want = _two_call_rhs(form, bg)(state.time, y)
+    assert np.array_equal(np.concatenate([-dHp, dHq]), want)
+    fdq, fdp = _fd_partials(_HAMILTONIANS[form], state, bg, 1e-6)
+    scale = max(1.0, np.abs(want).max())
+    assert np.allclose(dHq, fdq, rtol=1e-6, atol=1e-7 * scale)
+    assert np.allclose(dHp, fdp, rtol=1e-6, atol=1e-7 * scale)
 
 
 @pytest.mark.parametrize("form, bg, t, y, err", [
