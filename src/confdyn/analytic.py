@@ -1,5 +1,5 @@
-"""Closed-form and quadrature orbits for the exactly solvable background
-families, used as oracles against numerical evolution.
+"""Closed-form orbits for the exactly solvable background families, used as
+oracles against numerical evolution.
 
 Families covered
 ----------------
@@ -11,10 +11,11 @@ timelike    m^2 = m0^2 + E(t): momenta are constant and coordinates follow
 plane wave  m^2 = m^2(x+): the seven extended-phase-space constants make
             the front-form orbit algebraic, x- following from the cubic
             constant 4 p-^2 x- - p_perp.p_perp x+ - int m^2.
-conformal   m^2 = f(u)/(x+)^2, u = x- - x_perp.x_perp/x+: u(x+) inverts a
-            monotone quadrature, p-(u) = -(Q_perp^2 + f(u))/(4 Q3), the
-            transverse coordinates integrate a linear ODE, and
-            x- = u + x_perp.x_perp/x+.
+conformal   m^2 = f(u)/(x+)^2, u = x- - x_perp.x_perp/x+: u(x+) inverts the
+            monotone Q_perp^2 (u - u0) + F(u) - F(u0), F the antiderivative
+            of f the background's profile carries, p-(u) =
+            -(Q_perp^2 + f(u))/(4 Q3), the transverse coordinates integrate
+            a linear ODE, and x- = u + x_perp.x_perp/x+.
 
 For the Gaussian conformal profile with vanishing transverse data the orbit
 collapses to the error-function relation 1/x+ = 1 - kappa Erf(x-) in units
@@ -34,9 +35,9 @@ import numpy as np
 
 from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_to_extended
-from .errors import DivergentIntegral, DomainError, RealityError
-from .geometry import (FourVector, LightFrontCoords, central_difference,
-                       from_lightfront, momenta_from_lf)
+from .errors import DomainError, RealityError
+from .geometry import (FourVector, LightFrontCoords, from_lightfront,
+                       momenta_from_lf)
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
 from .ode import EPS, RK45, brentq, newton, quad  # noqa: F401
 
@@ -207,10 +208,8 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
 # special conformal: m^2 = f(u)/(x+)^2
 # ---------------------------------------------------------------------------
 
-def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
-                    df: Optional[Callable[[float], float]] = None,
-                    xplus_max: Optional[float] = None,
-                    F: Optional[Callable[[float], float]] = None) -> ClosedFormOrbit:
+def conformal_orbit(bg, init: PhaseSpaceState,
+                    xplus_max: Optional[float] = None) -> ClosedFormOrbit:
     """Orbit of the inverse-square light-front mass from front-form initial
     data at x+ = x0+ > 0.
 
@@ -219,17 +218,18 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
         int_{u0}^{u} ds (Q_perp^2 + f(s))/(4 Q3^2) = 1/x0+ - 1/x+
 
     by bracketed root finding; p-(u) = -(Q_perp^2 + f(u))/(4 Q3).  The
-    integral is Q_perp^2 (u - u0) + F(u) - F(u0) when an antiderivative F of
-    f is given, and one adaptive quadrature per value otherwise.  When the
-    transverse charges do not vanish, p_perp(x+) integrates a linear ODE
-    driven by the inverted u(x+) (pass xplus_max > x0+ to set its range);
-    the x_perp = p_perp = 0 branch needs no extra input.
+    integral is Q_perp^2 (u - u0) + F(u) - F(u0), with f, f' and the
+    antiderivative F read from bg.profile.  When the transverse charges do
+    not vanish, p_perp(x+) integrates a linear ODE driven by the inverted
+    u(x+) (pass xplus_max > x0+ to set its range); the x_perp = p_perp = 0
+    branch needs no extra input.
     """
     if init.form != "front":
         raise ValueError("initial data must be a front-form state")
     xp0 = float(init.time)
     if xp0 <= 0.0:
         raise DomainError("initial x+ must be positive (smooth region)")
+    f, df, F = bg.profile
     xm0, x10, x20 = init.q
     pm0, p10, p20 = init.p
     u0 = xm0 - (x10 * x10 + x20 * x20) / xp0
@@ -250,21 +250,17 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
 
     def weight(s):
         # nonnegative by assumption; underflowed tails may round to 0.0,
-        # which keeps the quadrature monotone and is not an error
+        # which keeps G monotone and is not an error
         w = qperp2 + float(f(s))
         if w < 0.0:
             raise DomainError(f"Q_perp^2 + f({s:g}) = {w:g} < 0: "
                               "non-monotone inversion")
         return w
 
-    if F is None:
-        def G(u):
-            return quad(weight, u0, u)
-    else:
-        F_u0 = F(u0)
+    F_u0 = F(u0)
 
-        def G(u):
-            return qperp2 * (u - u0) + (F(u) - F_u0)
+    def G(u):
+        return qperp2 * (u - u0) + (F(u) - F_u0)
 
     four_q3sq = 4.0 * q3 * q3
     # G at the doubling bracket's edges u0 +- 2^k, the same for every x+
@@ -310,8 +306,6 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
     # transverse sector
     trivial = (qperp2 == 0.0 and p10 == 0.0 and p20 == 0.0)
     if not trivial:
-        dfv = df if df is not None else (
-            lambda u: central_difference(lambda s: float(f(u + s)), 1e-6, 1, 2))
         if xplus_max is None:
             raise DomainError("transverse data present: pass xplus_max so the "
                               "transverse ODE can be integrated once")
@@ -324,7 +318,7 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
             pm = pminus_of_u(u)
             x1 = (q1 - xp * pvec[0]) / (2.0 * pm)
             x2 = (q2 - xp * pvec[1]) / (2.0 * pm)
-            fac = -float(dfv(u)) / (2.0 * pm * xp ** 3)
+            fac = -float(df(u)) / (2.0 * pm * xp ** 3)
             return [fac * x1, fac * x2]
 
         solver = RK45(perp_rhs, xp0, [p10, p20], float(xplus_max),
@@ -361,13 +355,7 @@ def conformal_orbit(f: Callable[[float], float], init: PhaseSpaceState,
     # asymptote: finite limiting x+ when the weight integral converges
     xplus_asym = np.inf
     if trivial:
-        if F is not None:
-            Ginf = F(np.inf) - F_u0
-        else:
-            try:
-                Ginf = quad(weight, u0, np.inf)
-            except DivergentIntegral:
-                Ginf = np.inf
+        Ginf = F(np.inf) - F_u0
         recip = 1.0 / xp0 - Ginf / four_q3sq
         if recip > 0.0 and np.isfinite(Ginf):
             xplus_asym = 1.0 / recip

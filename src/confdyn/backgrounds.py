@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError, RealityError, SingularityError
 from .geometry import FourVector, central_difference, scalar_or_array
-from .ode import quad
 
 _SING_EPS = 1e-12
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -56,8 +55,7 @@ class ScalarBackground:
     m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
         x+ -> int_0^{x+} m^2
     profile : for the inverse-square families m^2 = f(u)/(x+)^2, the triple
-        (f, f', F) of callables of u, F(u) = int_0^u f the antiderivative,
-        or None where f has no closed form
+        (f, f', F) of callables of u, F(u) = int_0^u f the antiderivative
     params : family parameters, kept for serialization and dispatch
     """
 
@@ -119,13 +117,9 @@ class ScalarBackground:
         return all(abs(fn(x.t, x.x, x.y, x.z)) > _SING_EPS for _, fn in self.events)
 
     def m2_integral(self, w: float) -> float:
-        """int_0^w m^2 along the x+ axis: the stored antiderivative when the
-        family provides one, otherwise adaptive quadrature of the profile.
-        Meaningful for fields depending on x+ only."""
-        if self.m2_antiderivative is not None:
-            return float(self.m2_antiderivative(w))
-        return quad(lambda s: self.m2(FourVector(0.5 * s, 0.0, 0.0, 0.5 * s)),
-                    0.0, w)
+        """int_0^w m^2 along the x+ axis, from the stored antiderivative of a
+        field of x+ alone."""
+        return float(self.m2_antiderivative(w))
 
     def __repr__(self):
         return f"ScalarBackground({self.label!r}, params={self.params})"
@@ -282,12 +276,14 @@ _NO_SWITCH = (math.nan, math.nan)   # (L, m0sq) of an inverse-square field on al
 # the paper's general f(u)/(x+)^2 family; no command builds it, but exact
 # checks with a generic profile f need it
 def special_conformal_mass(f: Callable[[float], float],
-                           df: Callable[[float], float]) -> ScalarBackground:
-    """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+; singular at x+ = 0."""
+                           df: Callable[[float], float],
+                           F: Callable[[float], float]) -> ScalarBackground:
+    """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+, f' = df and
+    F(u) = int_0^u f; singular at x+ = 0."""
     label = "special_conformal"
     return ScalarBackground(
         label, _inverse_square(lambda u: (f(u), df(u)), label, *_NO_SWITCH),
-        profile=(f, df, None), params={"family": label})
+        profile=(f, df, F), params={"family": label})
 
 
 def _gaussian(m0sq: float, L: float, k: float):

@@ -577,8 +577,7 @@ def _kg_setup(cfg, rng):
                               "background family")
         qperp = _get(cfg, "kg", "qperp", [0.25, -0.15])
         q3 = _get(cfg, "kg", "q3", 0.8)
-        f, _, F = bg.profile
-        phi = kgverify.make_conformal_solution(qperp, q3, f, F)
+        phi = kgverify.make_conformal_solution(qperp, q3, bg)
         triples = [(conformal.special_conformal_lf(), q3, "C-"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
@@ -653,8 +652,7 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
     w0, w1 = _span(cfg, state)
 
     def conformal_orbit():
-        f, df, F = bg.profile
-        return analytic.conformal_orbit(f, state, df=df, xplus_max=w1, F=F)
+        return analytic.conformal_orbit(bg, state, xplus_max=w1)
 
     def switched_orbit():
         # the closed form follows f(u)/(x+)^2 alone, not the constant m0^2

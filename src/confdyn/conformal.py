@@ -311,10 +311,11 @@ class ConservedQuantity:
     trajectory.  partials(state, bg), when
     provided, returns closed-form gradients (dQ/dq, dQ/dp) with respect to
     the canonical variables of the state's form, used by Poisson brackets
-    and independence ranks.  generator records the conformal origin when the
-    quantity is a charge xi.p (dynamics.monitor then evaluates xi.p from it
-    directly, as conserved_from_generator does); hidden
-    (polynomial-in-momenta) quantities set it to None.
+    and independence ranks; a quantity without them is monitored only
+    (dynamics.quantity_partials raises ValueError).  generator records the
+    conformal origin when the quantity is a charge xi.p (dynamics.monitor
+    then evaluates xi.p from it directly, as conserved_from_generator does);
+    hidden (polynomial-in-momenta) quantities set it to None.
     """
 
     label: str

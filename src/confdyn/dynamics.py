@@ -36,8 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import (FourVector, central_difference, contract, lower_index,
-                       momenta_from_lf, raise_index, scalar_or_array)
+from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
+                       raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq
 
@@ -242,29 +242,14 @@ def _value_fn(f) -> Callable:
     return f.func if hasattr(f, "func") else f
 
 
-def _fd_partials(f, state: PhaseSpaceState, bg, h_scale: float):
-    fn = _value_fn(f)
-    out = []
-    for block in ("q", "p"):
-        base = getattr(state, block)
-        d = np.zeros(base.size)
-        for k in range(base.size):
-            def at(s):
-                v = base.copy()
-                v[k] += s
-                return fn(state.replace(**{block: v}), bg)
-            d[k] = central_difference(at, h_scale * max(1.0, abs(base[k])), 1, 2)
-        out.append(d)
-    return tuple(out)
-
-
 def quantity_partials(f, state: PhaseSpaceState, bg):
-    """(dQ/dq, dQ/dp) of a quantity at a state: closed form when the quantity
-    provides it, second-order central differences otherwise."""
+    """(dQ/dq, dQ/dp) of a quantity at a state, from its closed-form
+    partials; a quantity without them raises ValueError."""
     pf = getattr(f, "partials", None)
-    if pf is not None:
-        return pf(state, bg)
-    return _fd_partials(f, state, bg, 1e-6)
+    if pf is None:
+        lab = getattr(f, "label", getattr(f, "__name__", "Q"))
+        raise ValueError(f"quantity {lab!r} has no closed-form partials")
+    return pf(state, bg)
 
 
 def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:

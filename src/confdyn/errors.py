@@ -31,9 +31,5 @@ class DomainError(ConfdynError):
     declared domain of a background or wavefunction."""
 
 
-class DivergentIntegral(DomainError):
-    """Quadrature judged an integral divergent."""
-
-
 class ConfigError(ConfdynError):
     """Invalid or inconsistent run configuration."""

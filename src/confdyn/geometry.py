@@ -65,10 +65,6 @@ class FourVector:
     def xminus(self) -> float:
         return self.t - self.z
 
-    @property
-    def perp(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
     def shifted(self, mu: int, delta: float) -> "FourVector":
         """Return a copy displaced by delta along coordinate axis mu."""
         comps = [self.t, self.x, self.y, self.z]

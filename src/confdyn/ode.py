@@ -13,8 +13,8 @@ newton  Newton's method on a nondecreasing function, bisecting whenever a
         step would leave the bracket (rtsafe in Press et al., Numerical
         Recipes, 3rd ed., sec. 9.4, without its step-halving test)
 quad    scipy.integrate.quad at the package's one tolerance set, for the
-        integrals with no closed form; scipy is imported on its first call,
-        and so stays off every other path
+        timelike orbit's integral of 1/H(t); scipy is imported on its first
+        call, and so stays off every other path
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from warnings import warn
 
 import numpy as np
 
-from .errors import DivergentIntegral
+from .errors import DomainError
 
 EPS = sys.float_info.epsilon   # a float, so that brentq's arithmetic stays in floats
 SAFETY = 0.9      # multiplies steps computed from the asymptotic error
@@ -361,9 +361,8 @@ def quad(f, a, b):
     within max(1e-12, 1e-12 |int|) on at most 200 subintervals.
 
     An integral QUADPACK judges divergent (its ier = 5) raises
-    DivergentIntegral; its other failures warn, as scipy's quad does.
-    Callers: the conformal orbit and mode of a profile without an
-    antiderivative, timelike_orbit, and m2_integral of a field without one."""
+    DomainError; its other failures warn, as scipy's quad does.
+    Caller: timelike_orbit."""
     global _quadpack
     if _quadpack is None:
         from scipy.integrate import IntegrationWarning, quad as scipy_quad
@@ -373,6 +372,6 @@ def quad(f, a, b):
                                        limit=200, full_output=1)
     if message:
         if message[0].startswith("The integral is probably divergent"):
-            raise DivergentIntegral(f"int_{a:g}^{b:g}: {message[0]}")
+            raise DomainError(f"int_{a:g}^{b:g}: {message[0]}")
         warn(message[0], IntegrationWarning, stacklevel=2)
     return value

@@ -14,7 +14,11 @@ computes another way:
   Newton inversion of analytic.conformal_orbit;
 * a generator's Killing vector and Jacobian written out from its
   parameters on every call, against the constants ConformalGenerator
-  builds once.
+  builds once;
+* a quantity's partials by central differences, against the closed-form
+  partials the quantities carry;
+* an antiderivative by adaptive quadrature, the F that a generic profile f
+  hands special_conformal_mass.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Callable
 
 import numpy as np
 
-from confdyn.conformal import ConformalGenerator, symmetry_defect
+from confdyn.conformal import (ConformalGenerator, ConservedQuantity,
+                               symmetry_defect)
 from confdyn.dynamics import PhaseSpaceState, front_state
 from confdyn.geometry import (METRIC, METRIC_DIAG, FourVector,
                               central_difference, contract, lower_index,
@@ -87,8 +92,8 @@ def erf_orbit_entry_state(kappa: float, m0sq: float = 1.0, L: float = 1.0,
 
 def brentq_inversion(f, fprime, x, fx, lo, hi, xtol, rtol):
     """The u(x+) inversion analytic.conformal_orbit made before Newton's
-    method: Brent's method on the doubling bracket [lo, hi], every value of
-    f = G(u) - target a quadrature from u0.  It takes ode.newton's
+    method: Brent's method on the doubling bracket [lo, hi] of
+    f = G(u) - target.  It takes ode.newton's
     arguments, so a test can put it in newton's place; the start x, its
     value fx and the slope fprime go unused."""
     return brentq(f, lo, hi, xtol=xtol, rtol=rtol)
@@ -197,3 +202,43 @@ def commutator_identity_defect(gen: ConformalGenerator, bg, phi: Wavefunction,
     rhs = (0.5 * gen.divergence(x) * Aphi(x)
            - symmetry_defect(gen, bg, x) * phi(x))
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference partials, quadrature antiderivatives
+# ---------------------------------------------------------------------------
+
+def fd_partials(f, state: PhaseSpaceState, bg, h_scale: float):
+    """(dQ/dq, dQ/dp) of a quantity, or of a plain function of (state, bg),
+    by second-order central differences with step h_scale max(1, |v|) in
+    each canonical variable v."""
+    fn = f.func if hasattr(f, "func") else f
+    out = []
+    for block in ("q", "p"):
+        base = getattr(state, block)
+        d = np.zeros(base.size)
+        for k in range(base.size):
+            def at(s):
+                v = base.copy()
+                v[k] += s
+                return fn(state.replace(**{block: v}), bg)
+            d[k] = central_difference(at, h_scale * max(1.0, abs(base[k])), 1, 2)
+        out.append(d)
+    return tuple(out)
+
+
+def fd_quantity(label: str, fn) -> ConservedQuantity:
+    """fn(state, bg) as a quantity whose partials are fd_partials at step
+    scale 1e-6, for brackets of functions written without closed-form
+    partials."""
+    return ConservedQuantity(
+        label, fn, partials=lambda state, bg: fd_partials(fn, state, bg, 1e-6))
+
+
+def quad_antiderivative(f: Callable[[float], float]) -> Callable[[float], float]:
+    """F(u) = int_0^u f by adaptive quadrature (u may be infinite), to
+    within max(1e-12, 1e-12 |F|): the antiderivative of a profile with no
+    closed-form one."""
+    from scipy.integrate import quad
+    return lambda u: quad(lambda s: float(f(s)), 0.0, u, epsabs=1e-12,
+                          epsrel=1e-12, limit=200)[0]

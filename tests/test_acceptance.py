@@ -157,8 +157,7 @@ def test_criterion_05_error_function_orbit():
         gap = np.max(np.abs(recip - target))
         worst_curve = max(worst_curve, gap)
         ok &= gap <= 1e-6
-        orb = conformal_orbit(lambda u: np.exp(-u * u), st,
-                              df=lambda u: -2.0 * u * np.exp(-u * u))
+        orb = conformal_orbit(bg, st)
         a_gap = abs(orb.constants["xplus_asymptote"]
                     - erf_orbit_asymptote(kappa))
         worst_asym = max(worst_asym, a_gap)
@@ -205,7 +204,7 @@ def _kg_cases():
         ("planewave", pw_bg, make_planewave_solution((0.25, -0.15), 0.6, pw_bg),
          "cartesian"),
         ("conformal", cf_bg,
-         make_conformal_solution((0.25, -0.15), 0.8, lambda u: np.exp(-u * u)),
+         make_conformal_solution((0.25, -0.15), 0.8, cf_bg),
          "lightfront"),
         ("dilation", dl_bg, make_dilation_solution((0.25, -0.15), 0.8, 1.0),
          "cone"),

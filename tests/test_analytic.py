@@ -31,9 +31,12 @@ from oracles import (
     erf_orbit_xplus,
     gaussian_kappa,
     pminus_for_kappa,
+    quad_antiderivative,
 )
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
+# f(u) = exp(-u^2) with its erf antiderivative: the fig. 2 profile in k = L = 1 units
+_GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,7 @@ def test_planewave_orbit_matches_evolve():
         x = orb.position(xp)
         s = traj.state(i)
         assert x.xminus == pytest.approx(s.q[0], abs=1e-8)
-        assert np.allclose(x.perp, s.q[1:], atol=1e-9)
+        assert np.allclose((x.x, x.y), s.q[1:], atol=1e-9)
         p = orb.momentum(xp)
         pm = 0.5 * (p[0] - p[3])
         assert pm == pytest.approx(s.p[0], abs=1e-12)
@@ -211,8 +214,7 @@ def test_erf_helper_functions():
 def test_conformal_orbit_reproduces_erf_curve():
     kappa = 0.5
     st = erf_orbit_entry_state(kappa)
-    orb = conformal_orbit(lambda u: np.exp(-u * u), st,
-                          df=lambda u: -2.0 * u * np.exp(-u * u))
+    orb = conformal_orbit(_GAUSS, st)
     assert orb.constants["xplus_asymptote"] == pytest.approx(2.0, rel=1e-9)
     q3 = orb.constants["Q3"]
     assert q3 == pytest.approx(-1.0 / (4.0 * st.p[0]), rel=1e-14)
@@ -220,7 +222,7 @@ def test_conformal_orbit_reproduces_erf_curve():
         xp = float(erf_orbit_xplus(kappa, xm))
         x = orb.position(xp)
         assert x.xminus == pytest.approx(xm, abs=1e-9)
-        assert x.perp == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert (x.x, x.y) == pytest.approx([0.0, 0.0], abs=1e-15)
         p = orb.momentum(xp)
         pm = 0.5 * (p[0] - p[3])
         assert pm == pytest.approx(np.exp(-xm * xm) / (4.0 * abs(q3)),
@@ -229,8 +231,8 @@ def test_conformal_orbit_reproduces_erf_curve():
 
 def test_conformal_orbit_mass_shell_closure():
     st = erf_orbit_entry_state(0.7)
-    f = lambda u: np.exp(-u * u)
-    orb = conformal_orbit(f, st, df=lambda u: -2.0 * u * np.exp(-u * u))
+    f = _GAUSS.profile[0]
+    orb = conformal_orbit(_GAUSS, st)
     for xp in (1.1, 1.5, 2.2, 3.0):
         x = orb.position(xp)
         p = orb.momentum(xp)
@@ -243,16 +245,14 @@ def test_conformal_orbit_mass_shell_closure():
 def test_conformal_orbit_transverse_matches_evolve():
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
-    f = lambda u: np.exp(-u * u)
-    orb = conformal_orbit(f, st, df=lambda u: -2.0 * u * np.exp(-u * u),
-                          xplus_max=3.0)
+    orb = conformal_orbit(bg, st, xplus_max=3.0)
     traj = evolve(st, bg, (1.0, 3.0), _TIGHT)
     for i in range(0, len(traj.times), 50):
         xp = traj.times[i]
         x = orb.position(xp)
         s = traj.state(i)
         assert x.xminus == pytest.approx(s.q[0], abs=1e-7)
-        assert np.allclose(x.perp, s.q[1:], atol=1e-7)
+        assert np.allclose((x.x, x.y), s.q[1:], atol=1e-7)
         p = orb.momentum(xp)
         assert 0.5 * (p[0] - p[3]) == pytest.approx(s.p[0], abs=1e-7)
 
@@ -260,11 +260,11 @@ def test_conformal_orbit_transverse_matches_evolve():
 def test_conformal_orbit_transverse_needs_range():
     st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
     with pytest.raises(DomainError):
-        conformal_orbit(lambda u: np.exp(-u * u), st)
+        conformal_orbit(_GAUSS, st)
     # the transverse ODE runs forward from x0+ = 1: its domain is empty here
     for xplus_max in (1.0, 0.5):
         with pytest.raises(DomainError):
-            conformal_orbit(lambda u: np.exp(-u * u), st, xplus_max=xplus_max)
+            conformal_orbit(_GAUSS, st, xplus_max=xplus_max)
 
 
 class _SolveIvpSteps:
@@ -296,9 +296,8 @@ class _SolveIvpSteps:
 
 def test_conformal_transverse_orbit_equals_solve_ivp(monkeypatch):
     def build():
-        return conformal_orbit(lambda u: np.exp(-u * u),
+        return conformal_orbit(_GAUSS,
                                front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
-                               df=lambda u: -2.0 * u * np.exp(-u * u),
                                xplus_max=3.0)
 
     orb = build()
@@ -315,31 +314,31 @@ def test_conformal_transverse_orbit_equals_solve_ivp(monkeypatch):
 
 
 def test_conformal_orbit_validation():
-    good = lambda u: np.exp(-u * u)
+    zero = backgrounds.special_conformal_mass(lambda u: 0.0, lambda u: 0.0,
+                                              lambda u: 0.0)
+    negative = backgrounds.special_conformal_mass(lambda u: -1.0, lambda u: 0.0,
+                                                  lambda u: -u)
     with pytest.raises(DomainError):
-        conformal_orbit(good, front_state(-1.0, 0.0, (0, 0), 0.5, (0, 0)))
+        conformal_orbit(_GAUSS, front_state(-1.0, 0.0, (0, 0), 0.5, (0, 0)))
     with pytest.raises(DomainError):
         # f = 0 kills the special conformal charge for trivial entries
-        conformal_orbit(lambda u: 0.0, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
+        conformal_orbit(zero, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
     with pytest.raises(DomainError):
-        conformal_orbit(lambda u: -1.0, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
+        conformal_orbit(negative, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
 
 
 def test_conformal_orbit_beyond_asymptote():
-    orb = conformal_orbit(lambda u: np.exp(-u * u), erf_orbit_entry_state(0.5),
-                          df=lambda u: -2.0 * u * np.exp(-u * u))
+    orb = conformal_orbit(_GAUSS, erf_orbit_entry_state(0.5))
     with pytest.raises(DomainError):
         orb.position(2.5)  # asymptote sits at x+ = 2
 
 
 def test_erf_curve_consistent_with_background():
     # the Gaussian background family evaluates to f(u)/x+^2 on the orbit
-    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    orb = conformal_orbit(lambda u: np.exp(-u * u), erf_orbit_entry_state(0.3),
-                          df=lambda u: -2.0 * u * np.exp(-u * u))
+    orb = conformal_orbit(_GAUSS, erf_orbit_entry_state(0.3))
     for xp in (1.05, 1.2, 1.38):
         x = orb.position(xp)
-        assert bg.m2(x) == pytest.approx(np.exp(-x.xminus ** 2) / xp ** 2,
+        assert _GAUSS.m2(x) == pytest.approx(np.exp(-x.xminus ** 2) / xp ** 2,
                                          rel=1e-12)
 
 
@@ -347,9 +346,8 @@ def test_erf_curve_consistent_with_background():
 # joint evaluation: one (position, momentum) point per parameter value
 # ---------------------------------------------------------------------------
 
-def _erf_orbit(kappa=0.5):
-    return conformal_orbit(lambda u: np.exp(-u * u), erf_orbit_entry_state(kappa),
-                           df=lambda u: -2.0 * u * np.exp(-u * u))
+def _erf_orbit(kappa=0.5, bg=_GAUSS):
+    return conformal_orbit(bg, erf_orbit_entry_state(kappa))
 
 
 # x+ on both sides of the entry at x+ = 1, so both bracket directions run
@@ -357,11 +355,17 @@ _ERF_WS = np.concatenate([np.linspace(0.7, 0.95, 6), np.linspace(1.05, 1.95, 19)
 
 
 def test_conformal_sample_inverts_once_per_point(monkeypatch):
-    orb = _erf_orbit()
-    real_newton, real_quad = analytic.newton, analytic.quad
-    newton_calls = []   # (start, lo, hi, upper limits of the quads it made)
-    edges = []  # upper limits of the quad calls made outside newton
+    f, df, F = _GAUSS.profile
+    newton_calls = []   # (start, lo, hi, the F(u) arguments it made)
+    edges = []  # arguments of the F calls made outside newton
     inner = None
+
+    def counting_F(u):
+        (edges if inner is None else inner).append(u)
+        return F(u)
+
+    orb = _erf_orbit(bg=backgrounds.special_conformal_mass(f, df, counting_F))
+    real_newton = analytic.newton
 
     def counting_newton(f, fprime, x, fx, lo, hi, xtol, rtol):
         nonlocal inner
@@ -372,20 +376,16 @@ def test_conformal_sample_inverts_once_per_point(monkeypatch):
         finally:
             inner = None
 
-    def counting_quad(func, a, b, **kwargs):
-        (edges if inner is None else inner).append(b)
-        return real_quad(func, a, b, **kwargs)
-
     monkeypatch.setattr(analytic, "newton", counting_newton)
-    monkeypatch.setattr(analytic, "quad", counting_quad)
     xs, _ = orb.sample(_ERF_WS)
     # one u(x+) inversion per sample off the entry point
     assert len(newton_calls) == len(_ERF_WS)
-    # each starts from a bracket edge already integrated, and does not
-    # integrate up to it again
-    for x, lo, hi, quads in newton_calls:
-        assert x in (lo, hi) and x in edges and x not in quads
-    # each bracket edge G(u0 +- 2^k) is integrated once per orbit
+    # each starts from a bracket edge already evaluated, and does not
+    # evaluate G there again
+    for x, lo, hi, inner_us in newton_calls:
+        assert x in (lo, hi) and x in edges and x not in inner_us
+    # each bracket edge G(u0 +- 2^k) is evaluated once per orbit (so are
+    # F(u0) and the asymptote's F(inf))
     assert edges and len(edges) == len(set(edges))
     assert min(edges) < 0.0 < max(edges)
     # the orbit still sits on the error-function curve
@@ -398,9 +398,8 @@ def test_conformal_sample_inverts_once_per_point(monkeypatch):
     *[((lambda k=kappa: _erf_orbit(k)),
        np.linspace(1.0, 1.0 / (1.0 - kappa * erf(3.75)), 101))
       for kappa in (0.3, 0.5, 0.7, 0.9)],
-    (lambda: conformal_orbit(lambda u: np.exp(-u * u),
+    (lambda: conformal_orbit(_GAUSS,
                              front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
-                             df=lambda u: -2.0 * u * np.exp(-u * u),
                              xplus_max=3.0),
      np.linspace(1.0, 3.0, 41)),
 ], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse"])
@@ -426,9 +425,8 @@ def test_newton_inversion_matches_brentq(monkeypatch, build, ws):
                              front_state(0.0, 0.1, (0.2, -0.3), 0.7, (0.1, -0.2))),
      np.linspace(0.0, 6.0, 9)),
     (_erf_orbit, _ERF_WS),
-    (lambda: conformal_orbit(lambda u: np.exp(-u * u),
+    (lambda: conformal_orbit(_GAUSS,
                              front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
-                             df=lambda u: -2.0 * u * np.exp(-u * u),
                              xplus_max=3.0),
      np.linspace(1.0, 3.0, 9)),
 ], ids=["spacelike", "timelike", "plane_wave", "conformal", "conformal-transverse"])
@@ -447,12 +445,10 @@ def test_sample_rows_equal_pointwise_reads(build, ws):
 # the Gaussian profile's integral in closed form
 # ---------------------------------------------------------------------------
 
-_UNIT_GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0).profile
-
-
-def _gauss_orbit(state, closed, **kwargs):
-    f, df, F = _UNIT_GAUSS
-    return conformal_orbit(f, state, df=df, F=F if closed else None, **kwargs)
+def _quadrature_gauss():
+    """The fig. 2 profile with its antiderivative by adaptive quadrature."""
+    f, df, _ = _GAUSS.profile
+    return backgrounds.special_conformal_mass(f, df, quad_antiderivative(f))
 
 
 # fig. 2's window and the transverse start, as in the Newton-vs-brentq check
@@ -466,7 +462,8 @@ def _gauss_orbit(state, closed, **kwargs):
     (front_state(1.0, 0.4, (0, 0), 0.5, (0, 0)), {}, np.linspace(0.8, 3.2, 101)),
 ], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse", "offset"])
 def test_closed_form_integral_matches_quadrature(state, kwargs, ws):
-    closed, quadrature = (_gauss_orbit(state, c, **kwargs) for c in (True, False))
+    closed = conformal_orbit(_GAUSS, state, **kwargs)
+    quadrature = conformal_orbit(_quadrature_gauss(), state, **kwargs)
     xs, ps = closed.sample(ws)
     rxs, rps = quadrature.sample(ws)
     assert np.max(np.abs((xs[:, 0] - xs[:, 3]) - (rxs[:, 0] - rxs[:, 3]))) <= 1e-9
@@ -481,25 +478,27 @@ def test_closed_form_orbit_takes_no_quadrature(monkeypatch):
         raise AssertionError("quad called")
 
     monkeypatch.setattr(analytic, "quad", no_quad)
-    xs, _ = _gauss_orbit(erf_orbit_entry_state(0.5), True).sample(_ERF_WS)
+    xs, _ = _erf_orbit().sample(_ERF_WS)
     assert np.allclose(erf_orbit_xplus(0.5, xs[:, 0] - xs[:, 3]), _ERF_WS, rtol=1e-9)
 
 
 def test_weight_negative_beyond_the_entry_raises():
-    # Q_perp^2 + f = 1 - u turns negative past u = 1: the asymptote's
-    # quadrature meets it, and the error is not swallowed
+    # Q_perp^2 + f = 0.9 - u is negative at the bracket edge u = 1 that
+    # Newton's method starts from: the inversion raises, it returns no u
+    bg = backgrounds.special_conformal_mass(lambda u: 0.9 - u, lambda u: -1.0,
+                                            lambda u: 0.9 * u - 0.5 * u * u)
+    orb = conformal_orbit(bg, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
     with pytest.raises(DomainError, match="non-monotone"):
-        conformal_orbit(lambda u: 1.0 - u, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
+        orb.position(1.5)
 
 
 def test_divergent_weight_integral_has_no_asymptote():
-    # f = 1: int_0^inf f diverges, on the quadrature path without a warning
-    flat = backgrounds.special_conformal_gaussian(1.0, 1.0, 0.0).profile
+    # f = 1: int_0^inf f diverges, and the asymptote is read without a warning
+    flat = backgrounds.special_conformal_gaussian(1.0, 1.0, 0.0)
     state = front_state(1.0, 0.0, (0, 0), 0.5, (0, 0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for F in (None, flat[2]):
-            orb = conformal_orbit(flat[0], state, df=flat[1], F=F)
-            assert orb.constants["xplus_asymptote"] == np.inf
-            # 4 Q3^2 = 1 at p- = 0.5, f = 1: 1/x+ = 1 - u
-            assert orb.position(4.0).xminus == pytest.approx(0.75, rel=1e-12)
+        orb = conformal_orbit(flat, state)
+        assert orb.constants["xplus_asymptote"] == np.inf
+        # 4 Q3^2 = 1 at p- = 0.5, f = 1: 1/x+ = 1 - u
+        assert orb.position(4.0).xminus == pytest.approx(0.75, rel=1e-12)

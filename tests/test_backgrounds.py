@@ -223,12 +223,6 @@ def test_from_params_switched_typo_rejected(raw):
         backgrounds.from_params({"family": "linear_z", "B": "1", "switched": raw})
 
 
-def test_m2_integral_quadrature_fallback():
-    # a family without a stored antiderivative integrates the profile
-    user = backgrounds.from_callable(lambda x: 1.0 + 0.2 * x.xplus ** 2)
-    assert user.m2_integral(3.0) == pytest.approx(3.0 + 0.2 * 9.0, rel=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # the fused kernel against the per-family formulas, written out
 # ---------------------------------------------------------------------------
@@ -259,13 +253,18 @@ def _ref_user_fd(x, h=1e-5):
 
 
 def _ref_inverse_square(f, df):
+    def r2_of(x):
+        # numpy's dot, as the kernel takes it
+        perp = np.array([x.x, x.y])
+        return float(perp @ perp)
+
     def m2(x):
-        u = x.xminus - float(x.perp @ x.perp) / x.xplus
+        u = x.xminus - r2_of(x) / x.xplus
         return f(u) / x.xplus ** 2
 
     def grad(x):
         xp = x.xplus
-        r2 = float(x.perp @ x.perp)
+        r2 = r2_of(x)
         u = x.xminus - r2 / xp
         grad_u = np.array([1.0 + r2 / xp ** 2, -2.0 * x.x / xp, -2.0 * x.y / xp,
                            -1.0 + r2 / xp ** 2])
@@ -315,6 +314,7 @@ def _refs():
     spl = CubicSpline(W_TAB, M2_TAB)
     dspl = spl.derivative()
     sq_f, sq_df = (lambda u: 1.0 + u * u), (lambda u: 2.0 * u)
+    sq_F = lambda u: u + u ** 3 / 3.0
     g_f, g_df = _ref_gaussian(1.2, 1.5, 0.8)
     sw_m2, sw_grad = _ref_inverse_square(g_f, g_df)
     zero = np.zeros(4)
@@ -358,7 +358,7 @@ def _refs():
             backgrounds.plane_wave_tabulated(W_TAB, M2_TAB),
             lambda x: float(spl(x.xplus)),
             lambda x: float(dspl(x.xplus)) * plus, pts(12, -1.4, 2.9)),
-        "special_conformal": (backgrounds.special_conformal_mass(sq_f, sq_df),
+        "special_conformal": (backgrounds.special_conformal_mass(sq_f, sq_df, sq_F),
                               *_ref_inverse_square(sq_f, sq_df),
                               lf(0.3, 2.0, 8) + lf(-2.0, -0.3, 6)),
         "sc-switched": (backgrounds.special_conformal_switched(1.2, 1.5, 0.8),
@@ -433,7 +433,8 @@ def test_profile_is_set_by_the_inverse_square_families_alone():
             assert _same(f(u), ref_f(u)) and _same(df(u), ref_df(u))
             assert F(u) == pytest.approx(ref_F(u), rel=1e-15, abs=1e-300)
     f, df = (lambda u: 1.0 + u * u), (lambda u: 2.0 * u)
-    assert backgrounds.special_conformal_mass(f, df).profile == (f, df, None)
+    F = lambda u: u + u ** 3 / 3.0
+    assert backgrounds.special_conformal_mass(f, df, F).profile == (f, df, F)
     for name, (bg, *_) in REFS.items():
         if name not in ("special_conformal", "sc-switched", "sc-gaussian"):
             assert bg.profile is None, name
@@ -499,7 +500,8 @@ def test_kernel_raises_as_the_separate_formulas():
             call(x)
     assert _same(lz.grad_m2(x), [0.0, 0.0, 0.0, 1.0])   # the gradient alone is real
     for bg, x in ((backgrounds.special_conformal_gaussian(), FourVector(0.5, 0.2, 0.1, -0.5)),
-                  (backgrounds.special_conformal_mass(lambda u: 1.0, lambda u: 0.0),
+                  (backgrounds.special_conformal_mass(lambda u: 1.0, lambda u: 0.0,
+                                                     lambda u: u),
                    FourVector(-0.25, 0.0, 0.0, 0.25)),
                   (backgrounds.dilation_mass(1.0), FourVector(1.0, 0.6, 0.0, 0.8))):
         for call in (bg.m2, bg.m2_and_grad, bg.grad_m2):

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import confdyn
-from confdyn import cli, kgverify
+from confdyn import backgrounds, cli, kgverify
 from confdyn.cli import _get, _parse, main
 from confdyn.errors import ConfigError
+from oracles import quad_antiderivative
 
 
 def _args(command, preset, out, *extra):
@@ -181,11 +182,17 @@ def test_kg_conformal(tmp_path):
 
 
 def test_kg_conformal_same_verdict_without_the_antiderivative(tmp_path, monkeypatch):
+    # the mode's phase from the erf antiderivative, then from quadrature of f
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(_args("kg", "conformal", a)) == 0
     real = kgverify.make_conformal_solution
-    monkeypatch.setattr(kgverify, "make_conformal_solution",
-                        lambda qperp, q3, f, F: real(qperp, q3, f))
+
+    def by_quadrature(qperp, q3, bg):
+        f, df, _ = bg.profile
+        return real(qperp, q3, backgrounds.special_conformal_mass(
+            f, df, quad_antiderivative(f)))
+
+    monkeypatch.setattr(kgverify, "make_conformal_solution", by_quadrature)
     assert main(_args("kg", "conformal", b)) == 0
     ratios = [np.loadtxt(d / "convergence.csv", delimiter=",", skiprows=1)[:, 4]
               for d in (a, b)]
@@ -765,7 +772,7 @@ def _scipy_after(tmp_path, *groups):
             if line.startswith("scipy: ")]
 
 
-def test_simulate_and_certify_load_no_scipy(tmp_path):
+def test_commands_load_no_scipy(tmp_path):
     runs = [("simulate", p, [], 0) for p in ("fig1", "fig2", "planewave", "dilation")]
     runs.append(("simulate", "dilation", [
         "run.form=covariant", "run.tstart=0", "run.tend=3",
@@ -773,15 +780,11 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
         f"initial.xdot={math.sqrt(1.03):.17g},0.1,0.1,-0.1"], 0))
     runs += [("certify", p, [], 0) for p in
              ("spacelike", "conformal", "truncated", "planewave", "dilation")]
-    assert _scipy_after(tmp_path, runs) == ["[]"]
-
-
-def test_kg_and_orbit_without_quadrature_load_no_scipy(tmp_path):
     # the Gaussian profile's integral is an error function: the conformal
     # orbit and mode take no quadrature
-    runs = [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
-            ("orbit", "fig2", [], 0), ("kg", "planewave", [], 0),
-            ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0)]
+    runs += [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
+             ("orbit", "fig2", [], 0), ("kg", "planewave", [], 0),
+             ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0)]
     # the dilation mode takes Bessel functions: the listing sees scipy load
     control = [("kg", "dilation", ["kg.points=2"], 0)]
     after = _scipy_after(tmp_path, runs, control)

@@ -13,11 +13,12 @@ from confdyn.conformal import (ConformalGenerator, boost_axis,
                                special_conformal, special_conformal_lf,
                                symmetry_defect, time_translation, translation,
                                translation_axis, translation_xminus)
-from confdyn.dynamics import (_fd_partials, extended_state, front_state,
-                              instant_state, poisson_bracket, quantity_partials)
+from confdyn.dynamics import (extended_state, front_state, instant_state,
+                              poisson_bracket, quantity_partials)
 from confdyn.geometry import FourVector
-from oracles import (conformal_killing_residual, jacobian_written_out,
-                     killing_residual_fd, killing_written_out)
+from oracles import (conformal_killing_residual, fd_partials,
+                     jacobian_written_out, killing_residual_fd,
+                     killing_written_out)
 
 
 def random_generator(rng):
@@ -299,7 +300,6 @@ def test_charge_u_null_rotation():
 
 
 def test_quantity_partials_match_fd():
-    from confdyn.dynamics import quantity_partials, _fd_partials
     bg = backgrounds.plane_wave_sin2(1.0, 0.4, 0.9)
     states = [instant_state(0.2, [0.3, -0.5, 0.4], [0.2, 0.1, -0.3]),
               front_state(1.2, 0.1, [0.2, -0.1], 0.8, [0.1, 0.4]),
@@ -310,7 +310,7 @@ def test_quantity_partials_match_fd():
         for g in gens:
             q = generator_quantity(g)
             dq, dp = quantity_partials(q, st, bg)
-            fdq, fdp = _fd_partials(q.func, st, bg, 1e-6)
+            fdq, fdp = fd_partials(q.func, st, bg, 1e-6)
             assert np.allclose(dq, fdq, rtol=1e-5, atol=1e-7)
             assert np.allclose(dp, fdp, rtol=1e-5, atol=1e-7)
 
@@ -354,7 +354,7 @@ def test_generator_partials_match_fd_everywhere(form, bg, g, v):
     bg, state = _BACKGROUNDS[bg], _canonical_state(form, v)
     q = generator_quantity(_generator(g))
     dq, dp = quantity_partials(q, state, bg)
-    fdq, fdp = _fd_partials(q.func, state, bg, 1e-6)
+    fdq, fdp = fd_partials(q.func, state, bg, 1e-6)
     scale = max(1.0, np.abs(np.concatenate([dq, dp])).max())
     assert np.allclose(dq, fdq, rtol=1e-6, atol=1e-7 * scale)
     assert np.allclose(dp, fdp, rtol=1e-6, atol=1e-7 * scale)

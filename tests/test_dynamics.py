@@ -13,7 +13,6 @@ from confdyn.dynamics import (
     EvolveOptions,
     PhaseSpaceState,
     Trajectory,
-    _fd_partials,
     _make_rhs,
     covariant_state,
     evolve,
@@ -35,7 +34,7 @@ from confdyn.dynamics import (
 )
 from confdyn.errors import RealityError, SingularityError
 from confdyn.geometry import FourVector, lf_gradient, lf_momenta, raise_index
-from oracles import erf_orbit_entry_state
+from oracles import erf_orbit_entry_state, fd_partials, fd_quantity
 
 
 def _random_instant_state(rng, bg):
@@ -101,8 +100,8 @@ def test_hamiltonian_extended_is_constraint():
 def test_poisson_canonical_pair():
     bg = backgrounds.constant(1.0)
     st = instant_state(0.2, (0.3, -0.4, 0.5), (0.1, 0.2, 0.3))
-    x1 = lambda s, b: s.q[0]
-    p1 = lambda s, b: s.p[0]
+    x1 = fd_quantity("x1", lambda s, b: s.q[0])
+    p1 = fd_quantity("p1", lambda s, b: s.p[0])
     assert poisson_bracket(x1, p1, st, bg) == pytest.approx(1.0, rel=1e-8)
     assert poisson_bracket(p1, x1, st, bg) == pytest.approx(-1.0, rel=1e-8)
 
@@ -114,6 +113,20 @@ def test_poisson_rejects_covariant_form():
         poisson_bracket(lambda s, b: s.q[0], lambda s, b: s.p[0], st, bg)
 
 
+def test_partials_of_a_quantity_without_them_name_it():
+    # the Lz monitor extra has no closed-form partials: its partials and its
+    # brackets raise, naming it
+    bg = backgrounds.constant(1.0)
+    st = instant_state(0.2, (0.3, -0.4, 0.5), (0.1, 0.2, 0.3))
+    lz = conformal.angular_momentum_z_quantity()
+    p1 = conformal.generator_quantity(conformal.translation_axis(1), "Q1")
+    with pytest.raises(ValueError, match="quantity 'Lz' has no closed-form partials"):
+        quantity_partials(lz, st, bg)
+    for f, g in ((lz, p1), (p1, lz)):
+        with pytest.raises(ValueError, match="'Lz'"):
+            poisson_bracket(f, g, st, bg)
+
+
 def test_flow_matches_flipped_bracket():
     # dQ/dt = -{Q, H}: finite-difference the sampled p3 against the bracket
     bg = backgrounds.linear_z(1.0, 1.0, switched=False)
@@ -121,8 +134,8 @@ def test_flow_matches_flipped_bracket():
     opts = EvolveOptions(rtol=1e-12, atol=1e-12, samples=801)
     traj = evolve(st, bg, (0.0, 2.0), opts)
     dt = traj.times[1] - traj.times[0]
-    ham = lambda s, b: hamiltonian_instant(s, b)
-    p3 = lambda s, b: s.p[2]
+    ham = fd_quantity("H", hamiltonian_instant)
+    p3 = fd_quantity("p3", lambda s, b: s.p[2])
     for i in (100, 400, 700):
         slope = (traj.p[i + 1, 2] - traj.p[i - 1, 2]) / (2.0 * dt)
         br = poisson_bracket(p3, ham, traj.state(i), bg)
@@ -812,7 +825,7 @@ def test_front_kernel_is_extended_kernel_with_xplus_as_time(name):
         # and both are Hamilton's equations dq/ds = -dK/dp, dp/ds = dK/dq
         st = PhaseSpaceState("extended", s, np.array([xplus, *y[:3]]),
                              np.array([pplus, *y[3:]]))
-        dq, dp = quantity_partials(hamiltonian_extended, st, bg)
+        dq, dp = fd_partials(hamiltonian_extended, st, bg, 1e-6)
         assert np.allclose(full, np.concatenate([-dp, dq]), rtol=1e-6, atol=1e-8)
 
 
@@ -1010,7 +1023,7 @@ def test_rhs_is_the_hamiltonian_partials(form, kind, v):
     y = np.concatenate([state.q, state.p])
     want = _two_call_rhs(form, bg)(state.time, y)
     assert np.array_equal(np.concatenate([-dHp, dHq]), want)
-    fdq, fdp = _fd_partials(_HAMILTONIANS[form], state, bg, 1e-6)
+    fdq, fdp = fd_partials(_HAMILTONIANS[form], state, bg, 1e-6)
     scale = max(1.0, np.abs(want).max())
     assert np.allclose(dHq, fdq, rtol=1e-6, atol=1e-7 * scale)
     assert np.allclose(dHp, fdp, rtol=1e-6, atol=1e-7 * scale)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from confdyn import backgrounds, conformal
-from confdyn.analytic import conformal_orbit, planewave_orbit
+from confdyn.analytic import planewave_orbit
 from confdyn.dynamics import (
-    _fd_partials,
     extended_state,
     front_state,
     hamiltonian_extended,
@@ -38,6 +37,7 @@ from confdyn.kgverify import (
 )
 from oracles import (
     commutator_identity_defect,
+    fd_partials,
     killing_residual_fd,
     ode_residual_conformal,
     ode_residual_planewave,
@@ -46,6 +46,8 @@ from oracles import (
 # residuals are dominated by evaluator roundoff amplified by 1/h^2 once the
 # truncation term drops near 1e-8, so the stencil stays at 5e-3
 _H = 5e-3
+# f(u) = exp(-u^2) with its erf antiderivative
+_GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 
 
 def _cartesian_points(rng, n, t_range=(-1.0, 1.0), r=1.0):
@@ -163,9 +165,9 @@ def test_planewave_eigen_defects():
 # ---------------------------------------------------------------------------
 
 def test_conformal_mode_on_gaussian():
-    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    f = lambda u: np.exp(-u * u)
-    phi = make_conformal_solution((0.25, -0.15), 0.8, f)
+    bg = _GAUSS
+    f = bg.profile[0]
+    phi = make_conformal_solution((0.25, -0.15), 0.8, bg)
     rng = np.random.default_rng(45)
     rows = residual_convergence(phi, bg, _conformal_points(rng, 8), h=_H)
     for _, h, r1, r2, ratio in rows:
@@ -176,9 +178,8 @@ def test_conformal_mode_on_gaussian():
 
 
 def test_conformal_mode_eigen_defects():
-    f = lambda u: np.exp(-u * u)
     q1, q2, q3 = 0.25, -0.15, 0.8
-    phi = make_conformal_solution((q1, q2), q3, f)
+    phi = make_conformal_solution((q1, q2), q3, _GAUSS)
     rng = np.random.default_rng(46)
     pts = _conformal_points(rng, 5)
     triples = [(conformal.special_conformal_lf(), q3),
@@ -193,13 +194,12 @@ def test_conformal_mode_eigen_defects():
 
 
 def test_conformal_mode_validation():
-    f = lambda u: np.exp(-u * u)
+    bg = _GAUSS
     with pytest.raises(ValueError):
-        make_conformal_solution((0.1, 0.2), 0.0, f)
-    phi = make_conformal_solution((0.1, 0.2), 0.5, f)
+        make_conformal_solution((0.1, 0.2), 0.0, bg)
+    phi = make_conformal_solution((0.1, 0.2), 0.5, bg)
     with pytest.raises(SingularityError):
         phi(FourVector(0.0, 0.0, 0.0, -0.5))  # x+ < 0
-    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     with pytest.raises(DomainError) as err:
         # the stencil would cross x+ = 0
         kg_residual(phi, bg, FourVector(0.0025, 0.3, -0.2, 0.0025), h=_H)
@@ -429,13 +429,11 @@ def _same_bits(a, b):
 
 def _kg_cases():
     rng = np.random.default_rng(61)
-    gauss = lambda u: np.exp(-u * u)
     wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
     return [
         (make_planewave_solution((0.25, -0.15), 0.6, wave), wave,
          _cartesian_points(rng, 5)),
-        (make_conformal_solution((0.25, -0.15), 0.8, gauss),
-         backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0),
+        (make_conformal_solution((0.25, -0.15), 0.8, _GAUSS), _GAUSS,
          _conformal_points(rng, 5)),
         (make_dilation_solution((0.25, -0.15), 0.8, 1.0),
          backgrounds.dilation_mass(1.0), _cone_points(rng, 5)),
@@ -459,7 +457,7 @@ def test_central_difference_sites_equal_written_formulas():
     chi = make_planewave_solution((0.25, -0.15), 0.6, wave).params["chi"]
     m2 = lambda w: 1.0 * (1.0 + 0.5 * np.sin(w) ** 2)
     gauss = lambda u: np.exp(-u * u)
-    g = make_conformal_solution((0.25, -0.15), 0.8, gauss).params["g"]
+    g = make_conformal_solution((0.25, -0.15), 0.8, _GAUSS).params["g"]
     rng = np.random.default_rng(62)
     for h in (1e-5, 1e-3):
         grid = rng.uniform(-1.0, 1.0, 7)
@@ -488,23 +486,14 @@ def test_central_difference_sites_equal_written_formulas():
     for st in states:
         for fn in quantities:
             for h_scale in (1e-6, 1e-4):
-                got = _fd_partials(fn, st, wave, h_scale)
+                got = fd_partials(fn, st, wave, h_scale)
                 want = _written_fd_partials(fn, st, wave, h_scale)
                 assert all(_same_bits(a, b) for a, b in zip(got, want))
     for fn in (hamiltonian_front, hamiltonian_extended):
         st = states[1] if fn is hamiltonian_front else states[2]
-        got = _fd_partials(fn, st, wave, 1e-6)
+        got = fd_partials(fn, st, wave, 1e-6)
         want = _written_fd_partials(fn, st, wave, 1e-6)
         assert all(_same_bits(a, b) for a, b in zip(got, want))
-
-    # the conformal orbit's df fallback, against the written-out df passed in
-    st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
-    written_df = lambda u, h=1e-6: (float(gauss(u + h)) - float(gauss(u - h))) / (2.0 * h)
-    fallback = conformal_orbit(gauss, st, xplus_max=3.0)
-    written = conformal_orbit(gauss, st, df=written_df, xplus_max=3.0)
-    for xp in (1.0, 1.4, 2.2, 3.0):
-        assert fallback.position(xp) == written.position(xp)
-        assert _same_bits(fallback.momentum(xp), written.momentum(xp))
 
 
 def test_stencils_evaluate_phi_once_at_the_centre():
