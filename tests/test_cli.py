@@ -772,7 +772,7 @@ def _scipy_after(tmp_path, *groups):
             if line.startswith("scipy: ")]
 
 
-def test_commands_load_no_scipy(tmp_path):
+def test_simulate_and_certify_load_no_scipy(tmp_path):
     runs = [("simulate", p, [], 0) for p in ("fig1", "fig2", "planewave", "dilation")]
     runs.append(("simulate", "dilation", [
         "run.form=covariant", "run.tstart=0", "run.tend=3",
@@ -780,11 +780,15 @@ def test_commands_load_no_scipy(tmp_path):
         f"initial.xdot={math.sqrt(1.03):.17g},0.1,0.1,-0.1"], 0))
     runs += [("certify", p, [], 0) for p in
              ("spacelike", "conformal", "truncated", "planewave", "dilation")]
+    assert _scipy_after(tmp_path, runs) == ["[]"]
+
+
+def test_kg_and_orbit_without_quadrature_load_no_scipy(tmp_path):
     # the Gaussian profile's integral is an error function: the conformal
     # orbit and mode take no quadrature
-    runs += [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
-             ("orbit", "fig2", [], 0), ("kg", "planewave", [], 0),
-             ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0)]
+    runs = [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
+            ("orbit", "fig2", [], 0), ("kg", "planewave", [], 0),
+            ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0)]
     # the dilation mode takes Bessel functions: the listing sees scipy load
     control = [("kg", "dilation", ["kg.points=2"], 0)]
     after = _scipy_after(tmp_path, runs, control)
