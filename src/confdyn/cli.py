@@ -50,11 +50,10 @@ _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
 # (kappa, entry p-, end x+) of fig. 2: p- = sqrt(kappa/(2 sqrt(pi))), which
 # inverts kappa = 2 sqrt(pi) p-^2/(k m0^2 L) at m0 = k = L = 1, and
 # x+ = 1/(1 - kappa erf(3.75)) where L/x+ = 1 - kappa erf(k x-) leaves the
-# plotted window k x- <= 3.75; written out so that no run needs scipy's erf
-_FIG2_RUNS = ((0.3, "0.29090967246237009", "1.4285713589424993"),
-              (0.5, "0.37556277223247125", "1.9999997725455128"),
-              (0.7, "0.44437186481787383", "3.3333324487882381"),
-              (0.9, "0.50387033311804574", "9.9999897645573821"))
+# plotted window k x- <= 3.75; p- and x+ as the %.17g text of the overrides
+_FIG2_RUNS = tuple((kappa, f"{math.sqrt(kappa / (2.0 * math.sqrt(math.pi))):.17g}",
+                    f"{1.0 / (1.0 - kappa * math.erf(3.75)):.17g}")
+                   for kappa in (0.3, 0.5, 0.7, 0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +377,11 @@ def _check_form(kind: str, name: str, forms: tuple, form) -> None:
                           f"{' or '.join(forms)} form, not {form!r}")
 
 
-def _monitors(cfg, bg, form=None) -> tuple:
-    """(quantities, gated labels) of [monitor] set and extra.  Each set and
-    each extra names the forms its quantities are written for (generator
-    charges read the on-shell four-momentum, so they serve every form); a
-    form outside them is a ConfigError."""
-    name = _get(cfg, "monitor", "set", "none")
+def _quantity_set(name: str, extras, bg, form=None) -> tuple:
+    """(quantities, gated labels) of a named quantity set and its extras.
+    Each set and each extra names the forms its quantities are written for
+    (generator charges read the on-shell four-momentum, so they serve every
+    form); a form outside them is a ConfigError."""
     sets = {
         "none": (_ANY_FORM, lambda: []),
         "spacelike": (("instant",), lambda: conformal.spacelike_set(
@@ -403,7 +401,7 @@ def _monitors(cfg, bg, form=None) -> tuple:
     _check_form("quantity set", name, forms, form)
     if name == "planewave":
         _xplus_wave(bg, "quantity set 'planewave'")
-    extras = {
+    known_extras = {
         "p3": (_ANY_FORM, conformal.momentum_p3_quantity),
         "Lz": (("instant",), conformal.angular_momentum_z_quantity),
         "BLz": (("instant",), lambda: conformal.angular_momentum_z_quantity(
@@ -411,10 +409,10 @@ def _monitors(cfg, bg, form=None) -> tuple:
     }
     out = build()
     gated = [q.label for q in out]
-    for extra in _get(cfg, "monitor", "extra", []):
-        if extra not in extras:
+    for extra in extras:
+        if extra not in known_extras:
             raise ConfigError(f"unknown extra quantity {extra!r}")
-        forms, build = extras[extra]
+        forms, build = known_extras[extra]
         _check_form("extra quantity", extra, forms, form)
         out.append(build())
     return out, gated
@@ -466,7 +464,9 @@ def _setup_run(run_cfg) -> tuple:
     state = _initial_state(run_cfg, bg)
     span = _span(run_cfg, state)
     opts = _evolve_options(run_cfg)
-    return (bg, state, span, opts) + _monitors(run_cfg, bg, state.form)
+    monitors = _quantity_set(_get(run_cfg, "monitor", "set", "none"),
+                             _get(run_cfg, "monitor", "extra", []), bg, state.form)
+    return (bg, state, span, opts) + monitors
 
 
 def _run_one(setup, index: int, fmt: str, tol_rel: float) -> tuple:
@@ -535,8 +535,7 @@ def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
     if form not in FORMS or not FORMS[form].canonical:
         raise ConfigError(f"[certify] form = {form!r} has no canonical bracket")
     count = _get(cfg, "certify", "count", 24)
-    qset = {"monitor": {"set": _get(cfg, "certify", "set")}}
-    quantities, _ = _monitors(qset, bg, form)
+    quantities, _ = _quantity_set(_get(cfg, "certify", "set"), [], bg, form)
     if not quantities:
         raise ConfigError("[certify] set names no quantities")
     rng = np.random.default_rng(seed)

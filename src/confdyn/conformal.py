@@ -33,9 +33,10 @@ indices lower):
     dilation                x.p
     special conformal       (c x.x - 2 (c.x) x).p
 
-In every form with a bracket their partials are one chain rule, through the
-form's constant data and its Hamiltonian's partials (dynamics.Form and
-dynamics.hamiltonian_partials), in _generator_partials.
+A charge is a ConservedQuantity that carries only its generator; its value
+and, in every form with a bracket, its partials (one chain rule through the
+form's constant data and its Hamiltonian's partials) are evaluated in
+dynamics.quantity_values and dynamics.quantity_partials.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynamics import FORMS, hamiltonian_extended, hamiltonian_partials
+from .dynamics import hamiltonian_extended, hamiltonian_partials, quantity_values
 from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
                        lower_index, minkowski_dot, raise_index)
 
@@ -303,73 +304,36 @@ def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
 class ConservedQuantity:
     """A scalar phase-space function Q(state; background).
 
+    A generator charge xi.p carries only its generator; dynamics evaluates
+    its value and closed-form partials from it (quantity_values,
+    quantity_partials), sharing one frame per state among the charges of a
+    set.  Any other quantity sets func and, optionally, partials.
+
     func(state, bg) evaluates the quantity on the background bg of the
     call, the only field data it reads.  It must also accept a
     component-first batch state (q, p of shape (n, N), time of shape (N,);
     see dynamics.Trajectory.batch_state) and then return an array of shape
     (N,), one value per point: dynamics.monitor calls it once per
-    trajectory.  partials(state, bg), when
-    provided, returns closed-form gradients (dQ/dq, dQ/dp) with respect to
-    the canonical variables of the state's form, used by Poisson brackets
-    and independence ranks; a quantity without them is monitored only
-    (dynamics.quantity_partials raises ValueError).  generator records the
-    conformal origin when the quantity is a charge xi.p (dynamics.monitor
-    then evaluates xi.p from it directly, as conserved_from_generator does);
-    hidden (polynomial-in-momenta) quantities set it to None.
+    trajectory.  partials(state, bg), when provided, returns closed-form
+    gradients (dQ/dq, dQ/dp) with respect to the canonical variables of the
+    state's form, used by Poisson brackets and independence ranks; a
+    quantity without them is monitored only (dynamics.quantity_partials
+    raises ValueError).
     """
 
     label: str
-    func: Callable
+    func: Optional[Callable] = None
     partials: Optional[Callable] = None
     generator: Optional[ConformalGenerator] = None
 
-    def __call__(self, state, bg) -> float:
-        return self.func(state, bg)
-
-
-def conserved_from_generator(g: ConformalGenerator, state, bg):
-    """Charge Q = xi^mu(x) p_mu evaluated on a phase-space state, with the
-    momentum reconstructed on shell where the form requires it; one value
-    per point for a batch state."""
-    x = state.position()
-    p = state.four_momentum(bg)
-    return contract(g.killing(x), p)
-
-
-def _generator_partials(g: ConformalGenerator, state, bg):
-    """Closed-form (dQ/dq, dQ/dp) of Q = xi.p in the state's canonical
-    variables, by the chain rule through the form's constant data
-    (dynamics.Form): with x(q) linear, E = dx/dq, and p4 = S^T p + H n,
-
-        dQ/dq = (p4.J) E + (xi.n) dH/dq,   dQ/dp = S xi + (xi.n) dH/dp,
-
-    J the generator's Jacobian d_nu xi^mu.  The H terms vanish where the
-    form eliminates no momentum (n = 0)."""
-    form = FORMS[state.form]
-    if not form.canonical:
-        raise ValueError(f"no canonical partials for form {state.form!r}")
-    S, n = form.split
-    x = state.position()
-    xi = g.killing(x)
-    # row k of dx_dq J^T is d xi/d q_k
-    dq = (form.dx_dq @ g.jacobian(x).T) @ state.four_momentum(bg)
-    dp = S @ xi
-    if not n.any():
-        return dq, dp
-    xin = contract(xi, n)
-    dHq, dHp = hamiltonian_partials(state, bg)
-    return dq + xin * dHq, dp + xin * dHp
+    def __call__(self, state, bg):
+        return quantity_values([self], state, bg)[0]
 
 
 def generator_quantity(g: ConformalGenerator, label: str = "") -> ConservedQuantity:
-    """Wrap a generator's charge xi.p as a ConservedQuantity with closed-form
-    partials in the instant, front and extended forms."""
-    return ConservedQuantity(
-        label=label or (g.label or "xi.p"),
-        func=lambda state, bg, _g=g: conserved_from_generator(_g, state, bg),
-        partials=lambda state, bg, _g=g: _generator_partials(_g, state, bg),
-        generator=g,
-    )
+    """The charge xi.p of a generator as a ConservedQuantity, with
+    closed-form partials in the instant, front and extended forms."""
+    return ConservedQuantity(label or (g.label or "xi.p"), generator=g)
 
 
 # -- hidden (non-geometric) quantities --------------------------------------

@@ -21,6 +21,12 @@ parameter with dx+/ds = 1, and uses the same bracket over all four pairs.
 The covariant form integrates m (d^2x_mu/dtau^2) = (eta_{mu nu} -
 xdot_mu xdot_nu) d^nu m with xdot.xdot = 1.
 
+A set of quantities is evaluated at a state, or a batch of states, by
+quantity_values and, in a form with a bracket, quantity_partials; the
+generator charges xi.p among them share one position, on-shell momentum and
+Hamiltonian partials per state.  monitor, poisson_bracket and
+integrability's tables read these two.
+
 One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
 locates switch surfaces and the p- = 0 guard on each step's dense output with
 ode.brentq, and restarts each segment on the far side of a C0 kink from an
@@ -235,31 +241,67 @@ def hamiltonian_partials(state: PhaseSpaceState, bg):
 
 
 # ---------------------------------------------------------------------------
-# Poisson brackets
+# quantity sets at a state
 # ---------------------------------------------------------------------------
 
-def _value_fn(f) -> Callable:
-    return f.func if hasattr(f, "func") else f
+def quantity_values(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
+    """One value per quantity at a state, or one array of values per point
+    for a batch state.  A generator charge is xi^mu(x) p_mu with p
+    reconstructed on shell where the form requires it."""
+    values, x = [], None
+    for quant in quantities:
+        gen = quant.generator
+        if gen is None:
+            values.append(quant.func(state, bg))
+            continue
+        if x is None:
+            x, p4 = state.position(), state.four_momentum(bg)
+        values.append(contract(gen.killing(x), p4))
+    return values
 
 
-def quantity_partials(f, state: PhaseSpaceState, bg):
-    """(dQ/dq, dQ/dp) of a quantity at a state, from its closed-form
-    partials; a quantity without them raises ValueError."""
-    pf = getattr(f, "partials", None)
-    if pf is None:
-        lab = getattr(f, "label", getattr(f, "__name__", "Q"))
-        raise ValueError(f"quantity {lab!r} has no closed-form partials")
-    return pf(state, bg)
+def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
+    """One (dQ/dq, dQ/dp) per quantity at a state of a form with a bracket.
+    A generator charge's partials are one chain rule through the form's
+    constant data: with x(q) linear, E = dx/dq, and p4 = S^T p + H n,
+
+        dQ/dq = (p4.J) E + (xi.n) dH/dq,   dQ/dp = S xi + (xi.n) dH/dp,
+
+    J the generator's Jacobian d_nu xi^mu; the H terms vanish where the form
+    eliminates no momentum (n = 0).  Any other quantity gives its own
+    closed-form partials, and one without them raises ValueError."""
+    form = FORMS[state.form]
+    if not form.canonical:
+        raise ValueError(f"the {state.form} form carries no canonical bracket")
+    S, n = form.split
+    out, x = [], None
+    for quant in quantities:
+        gen = quant.generator
+        if gen is None:
+            if quant.partials is None:
+                raise ValueError(f"quantity {quant.label!r} has no closed-form "
+                                 "partials")
+            out.append(quant.partials(state, bg))
+            continue
+        if x is None:
+            x, p4 = state.position(), state.four_momentum(bg)
+            dH = hamiltonian_partials(state, bg) if n.any() else None
+        xi = gen.killing(x)
+        # row k of dx_dq J^T is d xi/d q_k
+        dq = (form.dx_dq @ gen.jacobian(x).T) @ p4
+        dp = S @ xi
+        if dH is not None:
+            xin = contract(xi, n)
+            dq, dp = dq + xin * dH[0], dp + xin * dH[1]
+        out.append((dq, dp))
+    return out
 
 
 def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:
     """{f, g} = df/dq.dg/dp - df/dp.dg/dq over the canonical pairs of the
     state's form (pairs are matched by position in q and p; the extended form
     includes the (x+, p+) pair)."""
-    if not FORMS[state.form].canonical:
-        raise ValueError(f"the {state.form} form carries no canonical bracket here")
-    dqf, dpf = quantity_partials(f, state, bg)
-    dqg, dpg = quantity_partials(g, state, bg)
+    (dqf, dpf), (dqg, dpg) = quantity_partials([f, g], state, bg)
     return float(dqf @ dpg - dpf @ dqg)
 
 
@@ -405,24 +447,15 @@ def monitor(traj: Trajectory, quantities: Sequence, bg):
     drifts) where drift = max_t |Q(t) - Q(0)| / max(1, |Q(0)|).  Pure: the
     report only depends on the stored samples.
 
-    Each quantity is called once, on the whole trajectory as a batch state
-    (Trajectory.batch_state), and must return one value per sample.  A
-    generator charge xi.p (a quantity whose generator is set) is evaluated
-    as conformal.conserved_from_generator does, on a position and on-shell
-    four-momentum built once per trajectory."""
+    The values are quantity_values on the whole trajectory as one batch
+    state (Trajectory.batch_state), so the generator charges share one
+    position and on-shell four-momentum per trajectory; every quantity must
+    give one value per sample."""
     values = {}
     drifts = {}
     batch = traj.batch_state()
-    x = p4 = None
-    for quant in quantities:
-        lab = getattr(quant, "label", getattr(quant, "__name__", "Q"))
-        gen = getattr(quant, "generator", None)
-        if gen is not None:
-            if p4 is None:
-                x, p4 = batch.position(), batch.four_momentum(bg)
-            vals = contract(gen.killing(x), p4)
-        else:
-            vals = np.asarray(_value_fn(quant)(batch, bg), dtype=float)
+    for quant, vals in zip(quantities, quantity_values(quantities, batch, bg)):
+        lab, vals = quant.label, np.asarray(vals, dtype=float)
         if vals.shape != (len(traj),):
             raise ValueError(f"quantity {lab!r} returned shape {vals.shape} "
                              f"for a batch of {len(traj)} samples")

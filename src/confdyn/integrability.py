@@ -27,9 +27,9 @@ from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
 
 def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
                     bg) -> tuple[list, np.ndarray]:
-    """Each quantity's (dQ/dq, dQ/dp) at each state, computed once, state by
-    state in quantity order (so a failing quantity raises at the same state
-    as in a per-state loop).
+    """Each quantity's (dQ/dq, dQ/dp) at each state, computed once, one
+    quantity_partials call per state (so a failing quantity raises at the
+    same state as in a per-state loop).
 
     Returns the partials pairs per state and the stacked Jacobians J[state],
     whose rows are (dQ/dq, dQ/dp) per quantity; ranks, brackets and the
@@ -37,15 +37,14 @@ def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
     """
     if not states:
         raise ValueError("need at least one state")
-    parts = [[quantity_partials(quant, st, bg) for quant in quantities]
-             for st in states]
+    parts = [quantity_partials(quantities, st, bg) for st in states]
     jacobians = np.asarray([[np.concatenate([dq, dp]) for dq, dp in row]
                             for row in parts])
     return parts, jacobians
 
 
 def _labels(quantities: Sequence) -> list:
-    return [getattr(q, "label", f"Q{i+1}") for i, q in enumerate(quantities)]
+    return [q.label for q in quantities]
 
 
 @dataclass
@@ -118,18 +117,11 @@ def _bracket_table(parts: Sequence[list], labels: list, tol: float) -> Involutio
     return InvolutionTable(labels, out, tol)
 
 
-def _check_canonical(states: Sequence[PhaseSpaceState]) -> None:
-    for st in states:
-        if not FORMS[st.form].canonical:
-            raise ValueError(f"no canonical structure for form {st.form!r}")
-
-
 # no command calls this (classify reads the shared table); tests do, and
 # perfbench/bench_trace.py wraps it as the span integrability.involution
 def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
                      bg, tol: float = 1e-9) -> InvolutionTable:
     """Pairwise Poisson brackets, maximized in magnitude over the states."""
-    _check_canonical(states)
     parts, _ = _partials_table(quantities, states, bg)
     return _bracket_table(parts, _labels(quantities), tol)
 
@@ -161,7 +153,6 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
     """
     if not states:
         raise ValueError("need at least one state")
-    _check_canonical(states)
     n = FORMS[states[0].form].dof
     labels = _labels(quantities)
     parts, jacobians = _partials_table(quantities, states, bg)

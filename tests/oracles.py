@@ -212,7 +212,6 @@ def fd_partials(f, state: PhaseSpaceState, bg, h_scale: float):
     """(dQ/dq, dQ/dp) of a quantity, or of a plain function of (state, bg),
     by second-order central differences with step h_scale max(1, |v|) in
     each canonical variable v."""
-    fn = f.func if hasattr(f, "func") else f
     out = []
     for block in ("q", "p"):
         base = getattr(state, block)
@@ -221,7 +220,7 @@ def fd_partials(f, state: PhaseSpaceState, bg, h_scale: float):
             def at(s):
                 v = base.copy()
                 v[k] += s
-                return fn(state.replace(**{block: v}), bg)
+                return f(state.replace(**{block: v}), bg)
             d[k] = central_difference(at, h_scale * max(1.0, abs(base[k])), 1, 2)
         out.append(d)
     return tuple(out)

@@ -121,10 +121,29 @@ def test_partials_of_a_quantity_without_them_name_it():
     lz = conformal.angular_momentum_z_quantity()
     p1 = conformal.generator_quantity(conformal.translation_axis(1), "Q1")
     with pytest.raises(ValueError, match="quantity 'Lz' has no closed-form partials"):
-        quantity_partials(lz, st, bg)
+        quantity_partials([lz], st, bg)
     for f, g in ((lz, p1), (p1, lz)):
         with pytest.raises(ValueError, match="'Lz'"):
             poisson_bracket(f, g, st, bg)
+
+
+def test_generator_charges_share_one_frame_per_state(monkeypatch):
+    # the charges of a set share the state's on-shell four-momentum (one m^2)
+    # and its Hamiltonian partials (one flow evaluation): two kernel calls
+    # however many charges, both for the set's partials and for a bracket
+    bg = backgrounds.linear_z(1.0, 1.0, switched=False)
+    st = instant_state(0.2, (0.3, -0.4, 0.5), (0.1, 0.2, -0.3))
+    calls = []
+    value, field = bg._value, bg._field
+    monkeypatch.setattr(bg, "_value", lambda *c: calls.append(c) or value(*c))
+    monkeypatch.setattr(bg, "_field", lambda *c: calls.append(c) or field(*c))
+    quantities = conformal.spacelike_set(1.0)
+    assert sum(q.generator is not None for q in quantities) == 3
+    parts = quantity_partials(quantities, st, bg)
+    assert len(parts) == len(quantities) and len(calls) == 2
+    calls.clear()
+    poisson_bracket(quantities[0], quantities[4], st, bg)
+    assert len(calls) == 2
 
 
 def test_flow_matches_flipped_bracket():

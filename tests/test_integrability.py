@@ -73,15 +73,15 @@ def test_rank_invariant_under_recombination():
         parts = None
         if q.partials is not None:
             parts = lambda s, bgr=None: tuple(x / b for x in q.partials(s, bgr))
-        return ConservedQuantity(label, lambda s, bgr=None: q.func(s, bgr) / b,
+        return ConservedQuantity(label, lambda s, bgr=None: q(s, bgr) / b,
                                  parts)
 
     def squared(q, label):
         def parts(s, bgr):
-            v = q.func(s, bgr)
-            dq, dp = q.partials(s, bgr)
+            v = q(s, bgr)
+            dq, dp = dynamics.quantity_partials([q], s, bgr)[0]
             return 2.0 * v * dq, 2.0 * v * dp     # product rule
-        return ConservedQuantity(label, lambda s, bgr: q.func(s, bgr) ** 2, parts)
+        return ConservedQuantity(label, lambda s, bgr: q(s, bgr) ** 2, parts)
 
     recombined = [scaled(q3, "F1"), scaled(q4, "F2"),
                   scaled(squared(q5, "Q5sq"), "F3"), q1, q2]
@@ -251,8 +251,7 @@ def _cli_certify_inputs(preset):
     bg = cli._background(cfg)
     form = cfg["certify"]["form"]
     states = cli._certify_states(bg, form, 24, np.random.default_rng(20240811))
-    quantities, _ = cli._monitors({"monitor": {"set": cfg["certify"]["set"]}},
-                                  bg, form)
+    quantities, _ = cli._quantity_set(cfg["certify"]["set"], [], bg, form)
     return quantities, states, bg
 
 
@@ -271,7 +270,7 @@ def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
     def vote(qs):
         ranks, sv0 = [], None
         for st in states:
-            jac = np.asarray([np.concatenate(dynamics.quantity_partials(q, st, bg))
+            jac = np.asarray([np.concatenate(dynamics.quantity_partials([q], st, bg)[0])
                               for q in qs])
             s = np.linalg.svd(jac, compute_uv=False)
             ranks.append(0 if s[0] == 0.0 else int(np.sum(s > rank_tol * s[0])))
@@ -319,11 +318,11 @@ def test_classify_equals_per_call_algorithm(preset, monkeypatch):
     expected = _per_call_certification(quantities, states, bg, 1e-8, 1e-9)
     calls = []
 
-    def counted(quant, state, bgr, *args):
+    def counted(quants, state, bgr, *args):
         calls.append(1)
-        return dynamics.quantity_partials(quant, state, bgr, *args)
+        return dynamics.quantity_partials(quants, state, bgr, *args)
 
     monkeypatch.setattr(integrability, "quantity_partials", counted)
     got = classify(quantities, states, bg, rank_tol=1e-8, bracket_tol=1e-9)
     assert got.to_dict() == expected
-    assert len(calls) == len(states) * len(quantities)
+    assert len(calls) == len(states)    # one call per state for the whole set

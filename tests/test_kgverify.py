@@ -480,7 +480,7 @@ def test_central_difference_sites_equal_written_formulas():
     states = [instant_state(0.2, [0.3, -0.5, 0.0], [0.2, 0.0, -0.3]),
               front_state(1.2, 0.1, [0.2, -0.1], 0.8, [0.0, 0.4]),
               extended_state(1.0, 0.3, [-0.2, 0.0], 0.9, 0.6, [0.2, -0.3])]
-    quantities = [conformal.generator_quantity(gen).func
+    quantities = [conformal.generator_quantity(gen)
                   for gen in gens + [conformal.translation_axis(2),
                                      conformal.null_rotation_t(1)]]
     for st in states:
