@@ -13,9 +13,12 @@ plane wave  m^2 = m^2(x+): the seven extended-phase-space constants make
             constant 4 p-^2 x- - p_perp.p_perp x+ - int m^2.
 conformal   m^2 = f(u)/(x+)^2, u = x- - x_perp.x_perp/x+: u(x+) inverts the
             monotone Q_perp^2 (u - u0) + F(u) - F(u0), F the antiderivative
-            of f the background's profile carries, p-(u) =
-            -(Q_perp^2 + f(u))/(4 Q3), the transverse coordinates integrate
-            a linear ODE, and x- = u + x_perp.x_perp/x+.
+            of f the background's profile carries, and p-(u) =
+            -(Q_perp^2 + f(u))/(4 Q3).  The special conformal map
+            x -> (-1/x+, x_perp/x+, u) turns the field into a plane wave in
+            u, where the transverse motion is free: x_perp/x+ is linear in
+            u, p_perp = (Q_perp - 2 p- x_perp)/x+ and x- = u +
+            x_perp.x_perp/x+.  The orbit is algebraic up to u(x+).
 
 For the Gaussian conformal profile with vanishing transverse data the orbit
 collapses to the error-function relation 1/x+ = 1 - kappa Erf(x-) in units
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .errors import DomainError, RealityError
 from .geometry import (FourVector, LightFrontCoords, from_lightfront,
                        momenta_from_lf)
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
-from .ode import EPS, RK45, brentq, newton, quad  # noqa: F401
+from .ode import EPS, brentq, newton, quad  # noqa: F401
 
 
 @dataclass
@@ -208,8 +211,7 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
 # special conformal: m^2 = f(u)/(x+)^2
 # ---------------------------------------------------------------------------
 
-def conformal_orbit(bg, init: PhaseSpaceState,
-                    xplus_max: Optional[float] = None) -> ClosedFormOrbit:
+def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     """Orbit of the inverse-square light-front mass from front-form initial
     data at x+ = x0+ > 0.
 
@@ -218,18 +220,25 @@ def conformal_orbit(bg, init: PhaseSpaceState,
         int_{u0}^{u} ds (Q_perp^2 + f(s))/(4 Q3^2) = 1/x0+ - 1/x+
 
     by bracketed root finding; p-(u) = -(Q_perp^2 + f(u))/(4 Q3).  The
-    integral is Q_perp^2 (u - u0) + F(u) - F(u0), with f, f' and the
-    antiderivative F read from bg.profile.  When the transverse charges do
-    not vanish, p_perp(x+) integrates a linear ODE driven by the inverted
-    u(x+) (pass xplus_max > x0+ to set its range); the x_perp = p_perp = 0
-    branch needs no extra input.
+    integral is Q_perp^2 (u - u0) + F(u) - F(u0), with f and the
+    antiderivative F read from bg.profile.
+
+    Under the special conformal map x -> (-1/x+, x_perp/x+, u) the field
+    becomes a plane wave in u, in which the transverse motion is free.  Back
+    in the original chart that reads
+
+        x_perp(x+) = x+ (x0_perp/x0+ + Q_perp (u - u0)/(2 Q3)),
+        p_perp(x+) = (Q_perp - 2 p-(u) x_perp)/x+,
+
+    on either side of x0+, with u = u(x+); the second line is the null
+    rotation charge Q_perp = 2 p- x_perp + x+ p_perp solved for p_perp.
     """
     if init.form != "front":
         raise ValueError("initial data must be a front-form state")
     xp0 = float(init.time)
     if xp0 <= 0.0:
         raise DomainError("initial x+ must be positive (smooth region)")
-    f, df, F = bg.profile
+    f, _, F = bg.profile
     xm0, x10, x20 = init.q
     pm0, p10, p20 = init.p
     u0 = xm0 - (x10 * x10 + x20 * x20) / xp0
@@ -303,66 +312,33 @@ def conformal_orbit(bg, init: PhaseSpaceState,
                               "front-form chart")
         return -w / (4.0 * q3)
 
-    # transverse sector
-    trivial = (qperp2 == 0.0 and p10 == 0.0 and p20 == 0.0)
-    if not trivial:
-        if xplus_max is None:
-            raise DomainError("transverse data present: pass xplus_max so the "
-                              "transverse ODE can be integrated once")
-        if not xplus_max > xp0:
-            raise DomainError(f"xplus_max = {xplus_max:g} must exceed the "
-                              f"initial x+ = {xp0:g}")
-
-        def perp_rhs(xp, pvec):
-            u = u_of_xplus(xp)
-            pm = pminus_of_u(u)
-            x1 = (q1 - xp * pvec[0]) / (2.0 * pm)
-            x2 = (q2 - xp * pvec[1]) / (2.0 * pm)
-            fac = -float(df(u)) / (2.0 * pm * xp ** 3)
-            return [fac * x1, fac * x2]
-
-        solver = RK45(perp_rhs, xp0, [p10, p20], float(xplus_max),
-                      rtol=1e-11, atol=1e-13)
-        ends, steps = [xp0], []
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise DomainError(f"transverse integration failed: {message}")
-            ends.append(solver.t)
-            steps.append(solver.dense_output())
-        ends = np.array(ends)
-
-    def pperp_of(xp):
-        if trivial:
-            return 0.0, 0.0
-        # the step holding xp, the earlier one at a shared end, the first or
-        # last outside the range: the step scipy's OdeSolution picks
-        i = np.searchsorted(ends, xp, side="left") - 1
-        v = steps[min(max(i, 0), len(steps) - 1)](xp)
-        return float(v[0]), float(v[1])
+    # the special conformal map x -> (-1/x+, x_perp/x+, u) takes the field to
+    # a plane wave in u, where x_perp/x+ moves linearly in u
+    c1, c2 = x10 / xp0, x20 / xp0
+    d1, d2 = q1 / (2.0 * q3), q2 / (2.0 * q3)
 
     def point(xp):
         u = u_of_xplus(xp)
         pm = pminus_of_u(u)
-        pp1, pp2 = pperp_of(xp)
-        x1 = (q1 - xp * pp1) / (2.0 * pm)
-        x2 = (q2 - xp * pp2) / (2.0 * pm)
+        x1 = xp * (c1 + d1 * (u - u0))
+        x2 = xp * (c2 + d2 * (u - u0))
+        pp1 = (q1 - 2.0 * pm * x1) / xp
+        pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
         pplus = (pp1 * pp1 + pp2 * pp2 + float(f(u)) / xp ** 2) / (4.0 * pm)
         return (from_lightfront(LightFrontCoords(xp, xminus, x1, x2)),
                 momenta_from_lf(pplus, pm, pp1, pp2))
 
-    # asymptote: finite limiting x+ when the weight integral converges
+    # asymptote: finite limiting x+ when G(u) stays bounded as u grows
     xplus_asym = np.inf
-    if trivial:
+    if qperp2 == 0.0:
         Ginf = F(np.inf) - F_u0
         recip = 1.0 / xp0 - Ginf / four_q3sq
         if recip > 0.0 and np.isfinite(Ginf):
             xplus_asym = 1.0 / recip
 
-    hi = xplus_asym if xplus_max is None else min(xplus_max, xplus_asym)
     consts = {"Q1": q1, "Q2": q2, "Q3": q3, "Lz": x10 * p20 - x20 * p10,
               "u0": u0, "xplus0": xp0, "pminus0": pm0,
               "xplus_asymptote": xplus_asym}
-    return ClosedFormOrbit("special_conformal", "xplus", (xp0, hi), consts,
-                           point)
+    return ClosedFormOrbit("special_conformal", "xplus", (xp0, xplus_asym),
+                           consts, point)

@@ -650,16 +650,13 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
     state = _initial_state(cfg, bg)
     w0, w1 = _span(cfg, state)
 
-    def conformal_orbit():
-        return analytic.conformal_orbit(bg, state, xplus_max=w1)
-
     def switched_orbit():
         # the closed form follows f(u)/(x+)^2 alone, not the constant m0^2
         # before the switch-on
         if state.time < p["L"]:
             raise ConfigError(f"the {fam} orbit starts at x+ >= L = {p['L']:g}, "
                               f"not at x+ = {state.time:g}")
-        return conformal_orbit()
+        return analytic.conformal_orbit(bg, state)
 
     # family -> (forms the closed form starts from, build)
     orbits = {
@@ -670,7 +667,8 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
         "plane_wave": (("front", "extended"), lambda: analytic.planewave_orbit(
             _xplus_wave(bg, "the plane-wave orbit"), state)),
         "special_conformal_switched": (("front",), switched_orbit),
-        "special_conformal_gaussian": (("front",), conformal_orbit),
+        "special_conformal_gaussian": (
+            ("front",), lambda: analytic.conformal_orbit(bg, state)),
     }
     if fam not in orbits:
         raise ConfigError(f"no closed form for family {fam!r}")

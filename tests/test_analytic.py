@@ -242,75 +242,52 @@ def test_conformal_orbit_mass_shell_closure():
             m2, rel=1e-9)
 
 
+# a start with x_perp, p_perp and Q_perp all nonzero
+_TRANSVERSE = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
+_TIGHTER = EvolveOptions(rtol=1e-13, atol=1e-13)
+
+
+def _front_row(orb, xp):
+    """(x-, x1, x2, p-, p1, p2) of the orbit at x+, the front-form slots."""
+    x, p = orb.position(xp), orb.momentum(xp)
+    return np.array([x.xminus, x.x, x.y, 0.5 * (p[0] - p[3]), p[1], p[2]])
+
+
 def test_conformal_orbit_transverse_matches_evolve():
-    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
-    orb = conformal_orbit(bg, st, xplus_max=3.0)
-    traj = evolve(st, bg, (1.0, 3.0), _TIGHT)
-    for i in range(0, len(traj.times), 50):
-        xp = traj.times[i]
-        x = orb.position(xp)
+    orb = conformal_orbit(_GAUSS, _TRANSVERSE)
+    traj = evolve(_TRANSVERSE, _GAUSS, (1.0, 3.0), _TIGHTER)
+    for i, xp in enumerate(traj.times):
         s = traj.state(i)
-        assert x.xminus == pytest.approx(s.q[0], abs=1e-7)
-        assert np.allclose((x.x, x.y), s.q[1:], atol=1e-7)
-        p = orb.momentum(xp)
-        assert 0.5 * (p[0] - p[3]) == pytest.approx(s.p[0], abs=1e-7)
+        assert np.max(np.abs(_front_row(orb, xp) - np.r_[s.q, s.p])) <= 2e-12
 
 
-def test_conformal_orbit_transverse_needs_range():
-    st = front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05))
+def test_conformal_orbit_reads_before_its_start():
+    # the closed form holds on both sides of x0+: the state it gives at
+    # x+ = 0.7, evolved forward, comes back to the start at x0+ = 1
+    orb = conformal_orbit(_GAUSS, _TRANSVERSE)
+    row = _front_row(orb, 0.7)
+    early = front_state(0.7, row[0], row[1:3], row[3], row[4:])
+    traj = evolve(early, _GAUSS, (0.7, 1.0), _TIGHTER)
+    end = traj.state(len(traj.times) - 1)
+    assert end.time == 1.0
+    assert np.max(np.abs(np.r_[end.q - _TRANSVERSE.q, end.p - _TRANSVERSE.p])) <= 1e-12
+
+
+def test_conformal_orbit_without_transverse_charge_has_an_asymptote():
+    # Q_perp = 2 p- x_perp + x+ p_perp = 0 with x_perp, p_perp != 0: G(u) is
+    # F(u) - F(u0) alone, bounded, so the orbit reaches a finite x+
+    st = front_state(1.0, 0.0, (0.2, 0.0), 0.5, (-0.2, 0.0))
+    orb = conformal_orbit(_GAUSS, st)
+    c = orb.constants
+    assert c["Q1"] == c["Q2"] == 0.0
+    asym = c["xplus_asymptote"]
+    assert np.isfinite(asym) and asym == pytest.approx(14.11915017, rel=1e-9)
+    assert orb.domain == (1.0, asym)
+    # x_perp/x+ stays at its start, and the orbit starts where the state does
+    assert orb.position(5.0).x == pytest.approx(5.0 * 0.2, rel=1e-14)
+    assert np.allclose(_front_row(orb, 1.0), np.r_[st.q, st.p], rtol=0.0, atol=1e-15)
     with pytest.raises(DomainError):
-        conformal_orbit(_GAUSS, st)
-    # the transverse ODE runs forward from x0+ = 1: its domain is empty here
-    for xplus_max in (1.0, 0.5):
-        with pytest.raises(DomainError):
-            conformal_orbit(_GAUSS, st, xplus_max=xplus_max)
-
-
-class _SolveIvpSteps:
-    """Stands in for ode.RK45 in analytic: runs scipy's solve_ivp once, at
-    the transverse sector's tolerances, and replays its steps, each step's
-    dense output being the whole solution, so that every read of the orbit
-    goes through scipy's own segment choice."""
-
-    ends = []
-
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
-        from scipy.integrate import solve_ivp
-        res = solve_ivp(fun, (t0, t_bound), y0, method="RK45", rtol=1e-11,
-                        atol=1e-13, dense_output=True)
-        assert res.success
-        self.sol = res.sol
-        self._ends = iter(res.t[1:])
-        self.status = "running"
-        _SolveIvpSteps.ends = list(res.t)
-
-    def step(self):
-        self.t = next(self._ends)
-        if self.t == _SolveIvpSteps.ends[-1]:
-            self.status = "finished"
-
-    def dense_output(self):
-        return self.sol
-
-
-def test_conformal_transverse_orbit_equals_solve_ivp(monkeypatch):
-    def build():
-        return conformal_orbit(_GAUSS,
-                               front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
-                               xplus_max=3.0)
-
-    orb = build()
-    with monkeypatch.context() as m:
-        m.setattr(analytic, "RK45", _SolveIvpSteps)
-        ref = build()
-        ends = np.array(_SolveIvpSteps.ends)
-        assert ends[0] == 1.0 and ends[-1] == 3.0 and len(ends) > 5
-        # x0+, every step end and the middle of every step
-        ws = np.sort(np.concatenate([ends, 0.5 * (ends[1:] + ends[:-1])]))
-        rxs, rps = ref.sample(ws)
-    xs, ps = orb.sample(ws)
-    assert np.array_equal(xs, rxs) and np.array_equal(ps, rps)
+        orb.position(1.01 * asym)
 
 
 def test_conformal_orbit_validation():
@@ -398,9 +375,7 @@ def test_conformal_sample_inverts_once_per_point(monkeypatch):
     *[((lambda k=kappa: _erf_orbit(k)),
        np.linspace(1.0, 1.0 / (1.0 - kappa * erf(3.75)), 101))
       for kappa in (0.3, 0.5, 0.7, 0.9)],
-    (lambda: conformal_orbit(_GAUSS,
-                             front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
-                             xplus_max=3.0),
+    (lambda: conformal_orbit(_GAUSS, _TRANSVERSE),
      np.linspace(1.0, 3.0, 41)),
 ], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse"])
 def test_newton_inversion_matches_brentq(monkeypatch, build, ws):
@@ -425,9 +400,7 @@ def test_newton_inversion_matches_brentq(monkeypatch, build, ws):
                              front_state(0.0, 0.1, (0.2, -0.3), 0.7, (0.1, -0.2))),
      np.linspace(0.0, 6.0, 9)),
     (_erf_orbit, _ERF_WS),
-    (lambda: conformal_orbit(_GAUSS,
-                             front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
-                             xplus_max=3.0),
+    (lambda: conformal_orbit(_GAUSS, _TRANSVERSE),
      np.linspace(1.0, 3.0, 9)),
 ], ids=["spacelike", "timelike", "plane_wave", "conformal", "conformal-transverse"])
 def test_sample_rows_equal_pointwise_reads(build, ws):
@@ -452,18 +425,17 @@ def _quadrature_gauss():
 
 
 # fig. 2's window and the transverse start, as in the Newton-vs-brentq check
-@pytest.mark.parametrize("state, kwargs, ws", [
-    *[(erf_orbit_entry_state(kappa), {},
+@pytest.mark.parametrize("state, ws", [
+    *[(erf_orbit_entry_state(kappa),
        np.linspace(1.0, 1.0 / (1.0 - kappa * erf(3.75)), 101))
       for kappa in (0.3, 0.5, 0.7, 0.9)],
-    (front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)), {"xplus_max": 3.0},
-     np.linspace(1.0, 3.0, 101)),
+    (_TRANSVERSE, np.linspace(1.0, 3.0, 101)),
     # entry off u = 0, so F(u0) != 0; the asymptote lies at x+ = 3.31
-    (front_state(1.0, 0.4, (0, 0), 0.5, (0, 0)), {}, np.linspace(0.8, 3.2, 101)),
+    (front_state(1.0, 0.4, (0, 0), 0.5, (0, 0)), np.linspace(0.8, 3.2, 101)),
 ], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse", "offset"])
-def test_closed_form_integral_matches_quadrature(state, kwargs, ws):
-    closed = conformal_orbit(_GAUSS, state, **kwargs)
-    quadrature = conformal_orbit(_quadrature_gauss(), state, **kwargs)
+def test_closed_form_integral_matches_quadrature(state, ws):
+    closed = conformal_orbit(_GAUSS, state)
+    quadrature = conformal_orbit(_quadrature_gauss(), state)
     xs, ps = closed.sample(ws)
     rxs, rps = quadrature.sample(ws)
     assert np.max(np.abs((xs[:, 0] - xs[:, 3]) - (rxs[:, 0] - rxs[:, 3]))) <= 1e-9

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from confdyn import backgrounds, conformal
-from confdyn.analytic import planewave_orbit
+from confdyn.analytic import conformal_orbit, planewave_orbit
 from confdyn.dynamics import (
     extended_state,
     front_state,
@@ -301,6 +301,38 @@ def test_phase_gradient_matches_orbit_momentum():
         x = orb.position(xp)
         grad = phase_gradient(phi, x, h=1e-4)
         assert np.max(np.abs(grad - orb.momentum(xp))) < 1e-6
+
+
+# front starts with transverse data, both signs of p- and of Q3, one with
+# Q_perp = 0 though x_perp and p_perp are not
+_HJ_STARTS = [front_state(1.0, 0.1, (0.2, -0.1), 0.5, (0.1, 0.05)),
+              front_state(1.0, 0.0, (0.2, 0.0), 0.5, (-0.2, 0.0)),
+              front_state(0.8, -0.3, (-0.1, 0.3), 0.7, (0.0, -0.2)),
+              front_state(1.5, 0.4, (0.0, 0.25), -0.6, (0.15, 0.1)),
+              front_state(1.2, 0.2, (0.3, 0.1), -0.4, (-0.1, 0.2))]
+
+
+def _hj_error(orb, qperp, q3):
+    """max |dS - p| of the conformal mode (qperp, q3) along the orbit, on
+    both sides of its start."""
+    phi = make_conformal_solution(qperp, q3, _GAUSS)
+    x0p = orb.constants["xplus0"]
+    return max(np.max(np.abs(phase_gradient(phi, orb.position(xp), h=1e-4)
+                             - orb.momentum(xp)))
+               for xp in x0p * np.array([0.9, 1.0, 1.4, 2.0]))
+
+
+@pytest.mark.parametrize("start", _HJ_STARTS, ids=range(len(_HJ_STARTS)))
+def test_conformal_phase_gradient_matches_orbit_momentum(start):
+    # Hamilton-Jacobi transport for m^2 = f(u)/(x+)^2: the mode built from
+    # the orbit's (Q1, Q2, Q3) has dS = p along it.  The largest error,
+    # 1.3e-8 over these starts, is the stencil's O(h^2) truncation
+    orb = conformal_orbit(_GAUSS, start)
+    q1, q2, q3 = (orb.constants[k] for k in ("Q1", "Q2", "Q3"))
+    assert _hj_error(orb, (q1, q2), q3) <= 3e-8
+    # the mode with Q_perp flipped misses the orbit by 0.3 or more
+    if q1 * q1 + q2 * q2 > 0.0:
+        assert _hj_error(orb, (-q1, -q2), q3) > 1e-2
 
 
 def test_symmetry_apply_is_linear():
