@@ -82,7 +82,7 @@ class ClosedFormOrbit:
 # spacelike: m^2 = m0^2 + B z
 # ---------------------------------------------------------------------------
 
-def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float = 1.0) -> ClosedFormOrbit:
+def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float) -> ClosedFormOrbit:
     """Closed-form in-field orbit for m^2 = m0^2 + B z from entry data on the
     interface: init must be an instant-form state at t = 0, z = 0.
 
@@ -133,7 +133,7 @@ def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float = 1.0) -> Close
 # ---------------------------------------------------------------------------
 
 def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
-                   m0sq: float = 1.0) -> ClosedFormOrbit:
+                   m0sq: float) -> ClosedFormOrbit:
     """Quadrature orbit for a purely time-dependent squared mass: momenta are
     constant and x(t) = x(0) - p int_0^t ds / sqrt(p.p + m0^2 + E(s))."""
     if init.form != "instant":
@@ -238,7 +238,7 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     xp0 = float(init.time)
     if xp0 <= 0.0:
         raise DomainError("initial x+ must be positive (smooth region)")
-    f, _, F = bg.profile
+    f, F = bg.profile
     xm0, x10, x20 = init.q
     pm0, p10, p20 = init.p
     u0 = xm0 - (x10 * x10 + x20 * x20) / xp0

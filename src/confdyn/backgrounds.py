@@ -54,23 +54,22 @@ class ScalarBackground:
         any of them is within _SING_EPS of zero
     m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
         x+ -> int_0^{x+} m^2
-    profile : for the inverse-square families m^2 = f(u)/(x+)^2, the triple
-        (f, f', F) of callables of u, F(u) = int_0^u f the antiderivative
+    profile : for the inverse-square families m^2 = f(u)/(x+)^2, the pair
+        (f, F) of callables of u, F(u) = int_0^u f the antiderivative
     params : family parameters, kept for serialization and dispatch
     """
 
     def __init__(self, label: str, field: Callable,
                  value_fn: Optional[Callable] = None, events=(),
                  m2_antiderivative: Optional[Callable] = None,
-                 profile: Optional[tuple] = None,
-                 params: Optional[dict] = None):
+                 profile: Optional[tuple] = None, *, params: dict):
         self.label = label
         self._field = field
         self._value = value_fn or (lambda t, x, y, z: field(t, x, y, z)[0])
         self.events = list(events)
         self.m2_antiderivative = m2_antiderivative
         self.profile = profile
-        self.params = dict(params or {})
+        self.params = dict(params)
 
     def m2(self, x: FourVector):
         """m^2 at a point, or an (N,) array for a FourVector with (N,)
@@ -129,7 +128,7 @@ class ScalarBackground:
 # constructors
 # ---------------------------------------------------------------------------
 
-def constant(m0sq: float = 1.0) -> ScalarBackground:
+def constant(m0sq: float) -> ScalarBackground:
     if m0sq < 0:
         raise ValueError("m0sq must be nonnegative")
     return ScalarBackground("constant", lambda t, x, y, z: (m0sq, _ZERO),
@@ -137,7 +136,7 @@ def constant(m0sq: float = 1.0) -> ScalarBackground:
                             params={"family": "constant", "m0sq": m0sq})
 
 
-def linear_z(B: float, m0sq: float = 1.0, switched: bool = True) -> ScalarBackground:
+def linear_z(B: float, m0sq: float, switched: bool) -> ScalarBackground:
     """m^2 = m0^2 + B z; with switched=True the field occupies z > 0 only and
     matches the constant vacuum value continuously across z = 0 (C0 kink)."""
     slope = (0.0, 0.0, 0.0, float(B))
@@ -154,6 +153,7 @@ def linear_z(B: float, m0sq: float = 1.0, switched: bool = True) -> ScalarBackgr
     )
 
 
+# no command builds it yet; the time-dependent field of ROADMAP item 6 will
 def timelike(E: Callable[[float], float], dE: Callable[[float], float],
              m0sq: float = 1.0, switched: bool = True) -> ScalarBackground:
     """m^2 = m0^2 + E(t), turned on at t = 0 when switched."""
@@ -171,9 +171,8 @@ def timelike(E: Callable[[float], float], dE: Callable[[float], float],
 
 
 def plane_wave(profile: Callable[[float], float], dprofile: Callable[[float], float],
-               antiderivative: Optional[Callable[[float], float]] = None,
-               argument: str = "xplus", label: str = "plane_wave",
-               params: Optional[dict] = None) -> ScalarBackground:
+               antiderivative: Callable[[float], float], argument: str,
+               label: str, params: dict) -> ScalarBackground:
     """m^2 = profile(x+) (argument="xplus") or profile(x-) (argument="xminus").
 
     The gradient follows from the chain rule: d_mu x+ = (1, 0, 0, 1) and
@@ -192,12 +191,12 @@ def plane_wave(profile: Callable[[float], float], dprofile: Callable[[float], fl
     return ScalarBackground(
         label, field,
         m2_antiderivative=antiderivative if argument == "xplus" else None,
-        params=base | (params or {}),
+        params=base | params,
     )
 
 
-def plane_wave_sin2(m0sq: float = 1.0, amp: float = 0.5, k: float = 1.0,
-                    argument: str = "xplus") -> ScalarBackground:
+def plane_wave_sin2(m0sq: float, amp: float, k: float,
+                    argument: str) -> ScalarBackground:
     """Smooth oscillating profile m^2 = m0^2 (1 + amp sin^2(k w)) with an
     exact antiderivative; amp > -1 keeps the field positive."""
     if amp <= -1.0:
@@ -217,7 +216,7 @@ def plane_wave_sin2(m0sq: float = 1.0, amp: float = 0.5, k: float = 1.0,
                       params={"profile": "sin2", "m0sq": m0sq, "amp": amp, "k": k})
 
 
-def plane_wave_tabulated(w_samples, m2_samples, argument: str = "xplus") -> ScalarBackground:
+def plane_wave_tabulated(w_samples, m2_samples, argument: str) -> ScalarBackground:
     """Plane-wave profile interpolated from samples with a cubic spline; the
     derivative and antiderivative come from the spline itself."""
     from scipy.interpolate import CubicSpline
@@ -283,14 +282,14 @@ def special_conformal_mass(f: Callable[[float], float],
     label = "special_conformal"
     return ScalarBackground(
         label, _inverse_square(lambda u: (f(u), df(u)), label, *_NO_SWITCH),
-        profile=(f, df, F), params={"family": label})
+        profile=(f, F), params={"family": label})
 
 
 def _gaussian(m0sq: float, L: float, k: float):
-    """(f, df, F) of f(u) = m0^2 L^2 exp(-k^2 u^2), F(u) = int_0^u f =
+    """(f, F) of f(u) = m0^2 L^2 exp(-k^2 u^2), F(u) = int_0^u f =
     m0^2 L^2 sqrt(pi)/(2k) erf(k u) (m0^2 L^2 u at k = 0), and the profile
-    kernel u -> (f, df), which evaluates the exponential once; f and df are
-    read from it.  A k u or (k u)^2 that overflows raises DomainError."""
+    kernel u -> (f, f'), which evaluates the exponential once; f is read
+    from it.  A k u or (k u)^2 that overflows raises DomainError."""
     A = m0sq * L * L
 
     def too_steep(u):
@@ -321,11 +320,10 @@ def _gaussian(m0sq: float, L: float, k: float):
         def F(u):
             return c * math.erf(k * u)
 
-    return (lambda u: fdf(u)[0], lambda u: fdf(u)[1], F), fdf
+    return (lambda u: fdf(u)[0], F), fdf
 
 
-def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
-                               k: float = 1.0) -> ScalarBackground:
+def special_conformal_switched(m0sq: float, L: float, k: float) -> ScalarBackground:
     """Constant m0^2 before the light front x+ = L, then the inverse-square
     profile (m0^2 L^2/(x+)^2) exp(-k^2 u^2).
 
@@ -346,8 +344,7 @@ def special_conformal_switched(m0sq: float = 1.0, L: float = 1.0,
     )
 
 
-def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
-                               k: float = 1.0) -> ScalarBackground:
+def special_conformal_gaussian(m0sq: float, L: float, k: float) -> ScalarBackground:
     """The unswitched inverse-square Gaussian profile f(u) = m0^2 L^2 e^{-k^2 u^2}."""
     label = "special_conformal_gaussian"
     profile, fdf = _gaussian(m0sq, L, k)
@@ -356,7 +353,7 @@ def special_conformal_gaussian(m0sq: float = 1.0, L: float = 1.0,
         params={"family": label, "m0sq": m0sq, "L": L, "k": k})
 
 
-def dilation_mass(csq: float = 1.0) -> ScalarBackground:
+def dilation_mass(csq: float) -> ScalarBackground:
     """m^2 = csq/(x.x); real only inside the light cone (x.x > 0 given csq > 0),
     singular on it."""
     if csq <= 0:
@@ -378,7 +375,8 @@ def dilation_mass(csq: float = 1.0) -> ScalarBackground:
 
 
 # no command builds it yet: a field given only as a function has no hand-written
-# charge set, and finding its symmetry algebra from the field will certify one
+# charge set, and finding its symmetry algebra from the field will certify one;
+# grad_fn stays optional for that search (ROADMAP item 11)
 def from_callable(m2_fn: Callable[[FourVector], float],
                   grad_fn: Optional[Callable] = None) -> ScalarBackground:
     """Wrap a user-supplied squared mass.  Without grad_fn the gradient falls
@@ -404,33 +402,23 @@ def from_callable(m2_fn: Callable[[FourVector], float],
 # config-driven construction (used by the command line layer)
 # ---------------------------------------------------------------------------
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def parse_bool(raw) -> bool:
-    """A bool or any case of 1/0, true/false, yes/no, on/off; else ValueError."""
-    key = str(raw).strip().lower()
-    if key not in _BOOLS:
-        raise ValueError(f"{raw!r} is not a boolean")
-    return _BOOLS[key]
-
-
 def from_params(params: dict) -> ScalarBackground:
-    """Build a background from a flat parameter dictionary with a 'family' key."""
+    """Build a background from a flat dictionary of typed parameters, as
+    the command line's schema parses them, with a 'family' key.  A family
+    constant left out takes its default here, the one place the defaults
+    are written."""
     fam = params.get("family")
     if fam == "constant":
-        return constant(float(params.get("m0sq", 1.0)))
+        return constant(params.get("m0sq", 1.0))
     if fam == "linear_z":
-        return linear_z(float(params["B"]), float(params.get("m0sq", 1.0)),
-                        parse_bool(params.get("switched", True)))
+        return linear_z(params["B"], params.get("m0sq", 1.0),
+                        params.get("switched", True))
     if fam == "plane_wave":
         prof = params.get("profile", "sin2")
         arg = params.get("argument", "xplus")
         if prof == "sin2":
-            return plane_wave_sin2(float(params.get("m0sq", 1.0)),
-                                   float(params.get("amp", 0.5)),
-                                   float(params.get("k", 1.0)), argument=arg)
+            return plane_wave_sin2(params.get("m0sq", 1.0), params.get("amp", 0.5),
+                                   params.get("k", 1.0), argument=arg)
         if prof == "tabulated":
             path = params["path"]
             try:
@@ -443,14 +431,10 @@ def from_params(params: dict) -> ScalarBackground:
                 raise ValueError(f"the table {path!r} of shape {table.shape} has no (w, m^2)")
             return plane_wave_tabulated(table[:, 0], table[:, 1], argument=arg)
         raise ValueError(f"unknown plane-wave profile {prof!r}")
-    if fam == "special_conformal_switched":
-        return special_conformal_switched(float(params.get("m0sq", 1.0)),
-                                          float(params.get("L", 1.0)),
-                                          float(params.get("k", 1.0)))
-    if fam == "special_conformal_gaussian":
-        return special_conformal_gaussian(float(params.get("m0sq", 1.0)),
-                                          float(params.get("L", 1.0)),
-                                          float(params.get("k", 1.0)))
+    if fam in ("special_conformal_switched", "special_conformal_gaussian"):
+        build = (special_conformal_switched if fam == "special_conformal_switched"
+                 else special_conformal_gaussian)
+        return build(params.get("m0sq", 1.0), params.get("L", 1.0), params.get("k", 1.0))
     if fam == "dilation":
-        return dilation_mass(float(params.get("csq", 1.0)))
+        return dilation_mass(params.get("csq", 1.0))
     raise ValueError(f"unknown background family {fam!r}")

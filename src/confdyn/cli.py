@@ -105,6 +105,18 @@ def _number(raw, above=-math.inf) -> float:
     return val
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def parse_bool(raw) -> bool:
+    """Any case of 1/0, true/false, yes/no, on/off; else ValueError."""
+    key = raw.strip().lower()
+    if key not in _BOOLS:
+        raise ValueError(f"{raw!r} is not a boolean")
+    return _BOOLS[key]
+
+
 def _count(least: int):
     def parse(raw) -> int:
         val = _number(raw)
@@ -144,11 +156,11 @@ def _names(raw) -> list:
 _SCHEMA = {
     "run": {"form": str, "tstart": _number, "tend": _number,
             "samples": _count(2), "rtol": _positive, "atol": _positive,
-            "nonrelativistic": backgrounds.parse_bool},
+            "nonrelativistic": parse_bool},
     "background": {"family": str, "profile": str, "argument": str, "path": str,
                    "m0sq": _number, "B": _number, "amp": _number, "k": _number,
                    "L": _number, "csq": _number,
-                   "switched": backgrounds.parse_bool},
+                   "switched": parse_bool},
     "initial": {"t": _number, "x": _numbers(3), "p": _numbers(3),
                 "xplus": _number, "xminus": _number, "xperp": _numbers(2),
                 "pminus": _number, "pperp": _numbers(2), "x4": _numbers(4),
@@ -371,13 +383,13 @@ def _initial_state(cfg, bg) -> PhaseSpaceState:
 _ANY_FORM = tuple(FORMS)
 
 
-def _check_form(kind: str, name: str, forms: tuple, form) -> None:
-    if form is not None and form not in forms:
+def _check_form(kind: str, name: str, forms: tuple, form: str) -> None:
+    if form not in forms:
         raise ConfigError(f"{kind} {name!r} is written for the "
                           f"{' or '.join(forms)} form, not {form!r}")
 
 
-def _quantity_set(name: str, extras, bg, form=None) -> tuple:
+def _quantity_set(name: str, extras, bg, form: str) -> tuple:
     """(quantities, gated labels) of a named quantity set and its extras.
     Each set and each extra names the forms its quantities are written for
     (generator charges read the on-shell four-momentum, so they serve every

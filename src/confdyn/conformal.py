@@ -233,9 +233,9 @@ def null_rotation_u(j: int) -> ConformalGenerator:
     return _lorentz(om, f"U{j}")
 
 
-def dilation(lam: float = 1.0) -> ConformalGenerator:
-    """Dilation xi = lam x; charge lam (x.p)."""
-    return ConformalGenerator(**_zeros_gen() | {"lam": float(lam)}, label="D")
+def dilation() -> ConformalGenerator:
+    """Dilation xi = x; charge x.p."""
+    return ConformalGenerator(**_zeros_gen() | {"lam": 1.0}, label="D")
 
 
 def special_conformal(c_lower, label: str = "C") -> ConformalGenerator:

@@ -173,6 +173,7 @@ def front_state(xplus: float, xminus: float, xperp, pminus: float,
                            np.array([pminus, pperp[0], pperp[1]]))
 
 
+# the default s = 0 and tau = 0 serve the form conversions (ROADMAP items 8 and 14)
 def extended_state(xplus: float, xminus: float, xperp, pplus: float,
                    pminus: float, pperp, s: float = 0.0) -> PhaseSpaceState:
     xperp = np.asarray(xperp, float)
@@ -530,7 +531,7 @@ def starts_at(state: PhaseSpaceState, t0: float) -> bool:
     return abs(state.time - t0) <= 1e-12 * max(1.0, abs(t0))
 
 
-def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = None,
+def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
            monitors: Sequence = ()) -> Trajectory:
     """Integrate the state's form of dynamics over span = (t0, t1).
 
@@ -541,7 +542,6 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: Optional[EvolveOptions] = No
     A sign change of p- (front/extended) raises SingularityError; sampling
     m^2 < 0 raises RealityError from the background itself.
     """
-    opts = opts or EvolveOptions()
     t0, t1 = float(span[0]), float(span[1])
     if t1 <= t0:
         raise ValueError("span must run forward")
@@ -635,7 +635,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
 # ---------------------------------------------------------------------------
 
 # no command converts a state between forms (front_to_extended aside); tests
-# do, and the form round-trip property tests will
+# do, and the form round-trip property tests of ROADMAP items 8 and 14 will
 
 def instant_to_covariant(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     if state.form != "instant":

@@ -80,7 +80,7 @@ def _rank_vote(jacobians: np.ndarray, labels: list,
 # no command calls this (classify reads the shared table); tests do, and
 # perfbench/bench_trace.py wraps it as the span integrability.rank
 def independence_rank(quantities: Sequence, states: Sequence[PhaseSpaceState],
-                      bg, tol: float = 1e-8) -> IndependenceReport:
+                      bg, tol: float) -> IndependenceReport:
     """Numerical rank of the quantity Jacobian, majority-voted over states."""
     _, jacobians = _partials_table(quantities, states, bg)
     return _rank_vote(jacobians, _labels(quantities), tol)
@@ -120,7 +120,7 @@ def _bracket_table(parts: Sequence[list], labels: list, tol: float) -> Involutio
 # no command calls this (classify reads the shared table); tests do, and
 # perfbench/bench_trace.py wraps it as the span integrability.involution
 def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
-                     bg, tol: float = 1e-9) -> InvolutionTable:
+                     bg, tol: float) -> InvolutionTable:
     """Pairwise Poisson brackets, maximized in magnitude over the states."""
     parts, _ = _partials_table(quantities, states, bg)
     return _bracket_table(parts, _labels(quantities), tol)
@@ -144,7 +144,7 @@ class Certification:
 
 
 def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
-             rank_tol: float = 1e-8, bracket_tol: float = 1e-9) -> Certification:
+             rank_tol: float, bracket_tol: float) -> Certification:
     """Certify (super)integrability of a quantity set on sampled states.
 
     Requires r = rank(quantities) >= n and an n-element subset that is both
@@ -188,20 +188,20 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
 
 
 def random_states(form: str, count: int, rng: np.random.Generator,
-                  q_range: tuple = (-1.0, 1.0), t_range: tuple = (-1.0, 1.0),
-                  accept=None, max_tries: int = 1000) -> list:
+                  q_range: tuple = (-1.0, 1.0), t_range: tuple = (-1.0, 1.0), *,
+                  accept) -> list:
     """Seeded sample of non-degenerate states for rank/involution voting.
 
     p- is kept away from zero (front/extended) and x+ positive (extended) so
     the light-front charts and the inverse-square backgrounds stay regular;
-    an accept predicate can restrict further (e.g. interior of the light
-    cone).  Raises if the predicate rejects too often.
+    the accept predicate restricts further (e.g. interior of the light
+    cone).  Raises if it rejects 1000 draws.
     """
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
-        if tries > max_tries:
+        if tries > 1000:
             raise ValueError("accept predicate rejected too many samples")
         if form == "instant":
             st = PhaseSpaceState("instant", rng.uniform(*t_range),
@@ -221,6 +221,6 @@ def random_states(form: str, count: int, rng: np.random.Generator,
             st = PhaseSpaceState("extended", 0.0, q, p)
         else:
             raise ValueError(f"no sampler for form {form!r}")
-        if accept is None or accept(st):
+        if accept(st):
             out.append(st)
     return out

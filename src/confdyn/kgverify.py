@@ -84,7 +84,8 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int):
                         f"{y.y:g}, {y.z:g}) leaves the domain of {phi.label!r}")
 
 
-def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float = 1e-3,
+# order=4 is for the steep profiles of ROADMAP item 13; the package's callers take 2
+def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float,
                 order: int = 2) -> complex:
     """(d^2 + m^2) phi at x by central differences.
 
@@ -108,7 +109,7 @@ def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float = 1e-3,
 
 
 def symmetry_apply(gen: ConformalGenerator, phi: Wavefunction, x: FourVector,
-                   h: float = 1e-3) -> complex:
+                   h: float) -> complex:
     """(L phi)(x) = xi^mu d_mu phi + (1/4)(div xi) phi, the gradient by
     central differences, the divergence in closed form."""
     _require_margin(phi, x, h, 1)
@@ -120,7 +121,7 @@ def symmetry_apply(gen: ConformalGenerator, phi: Wavefunction, x: FourVector,
 
 
 def eigen_defect(gen: ConformalGenerator, phi: Wavefunction, Q: complex,
-                 points: Sequence[FourVector], h: float = 1e-3) -> float:
+                 points: Sequence[FourVector], h: float) -> float:
     """max_x |L phi + i Q phi| / max_x |phi| over the sample points; zero (to
     O(h^2)) exactly when phi is an L eigenvector with eigenvalue Q."""
     num = 0.0
@@ -134,7 +135,7 @@ def eigen_defect(gen: ConformalGenerator, phi: Wavefunction, Q: complex,
 
 # no command calls this yet; tests do, and checking each mode's phase against
 # the classical orbit's momenta (Hamilton-Jacobi) along the orbit will
-def phase_gradient(phi: Wavefunction, x: FourVector, h: float = 1e-3) -> np.ndarray:
+def phase_gradient(phi: Wavefunction, x: FourVector, h: float) -> np.ndarray:
     """d_mu S for phi = exp(-i S): the lower-index phase gradient, computed
     from the argument of phi(x+h)/phi(x-h).  Valid while |S| varies by less
     than pi across the stencil."""
@@ -188,7 +189,7 @@ def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
     if qc == 0.0:
         raise ValueError("Q3 must be nonzero")
     qp2 = q1 * q1 + q2 * q2
-    _, _, F = bg.profile
+    _, F = bg.profile
 
     def g(u: float) -> complex:
         # solves 4i Q3 g' + (Q_perp^2 + f) g = 0
@@ -226,8 +227,8 @@ def _bessel_pair(alpha: complex, z: complex):
     return (complex(mpmath.besselj(aa, zz)), complex(mpmath.bessely(aa, zz)))
 
 
-def make_dilation_solution(qperp, q3: float, csq: float, c1: complex = 1.0,
-                           c2: complex = 0.0) -> Wavefunction:
+def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
+                           c2: complex) -> Wavefunction:
     """Dilation eigenmode on m^2 = csq/(x.x), inside the forward light cone:
 
         phi = (x+)^{-(1+i Q3)} v^{-i Q3} exp(-i Q_perp.x_perp / x+) y(v),
@@ -282,7 +283,7 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex = 1.0,
 # ---------------------------------------------------------------------------
 
 def residual_convergence(phi: Wavefunction, bg, points: Sequence[FourVector],
-                         h: float = 1e-3):
+                         h: float):
     """Normalized second-order KG residuals at h and h/2 per point, with
     their ratio.
 

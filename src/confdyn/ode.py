@@ -4,8 +4,8 @@ come out in the same bits as with scipy, a bracketed Newton iteration, and
 adaptive quadrature:
 
 RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
-        max_step = inf, no first_step, no vectorized fun, a real y0 and a
-        scalar atol;
+        max_step = inf, no first_step, no vectorized fun, a real y0, a
+        scalar atol and no default rtol or atol;
         J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)
 brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
@@ -112,7 +112,7 @@ class RK45:
         [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
         [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
-    def __init__(self, fun, t0, y0, t_bound, rtol=1e-3, atol=1e-6):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         y0 = np.asarray(y0).astype(float, copy=False)
         if y0.ndim != 1:
             raise ValueError("`y0` must be 1-dimensional.")
@@ -250,12 +250,12 @@ class RK45:
         return dense
 
 
-def brentq(f, a, b, xtol, rtol, maxiter=100):
+def brentq(f, a, b, xtol, rtol):
     """A root of f in [a, b] by Brent's method, to within xtol + rtol |x|.
 
     An end where f is exactly 0 is the root.  Ends of one sign, or a NaN
-    value of f, raise ValueError; no convergence in maxiter iterations
-    raises RuntimeError.  f is called with floats.
+    value of f, raise ValueError; no convergence in 100 iterations raises
+    RuntimeError, as newton does.  f is called with floats.
     """
     def call(x):
         fx = float(f(x))
@@ -274,7 +274,7 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (math.copysign(1.0, fpre)
                                         != math.copysign(1.0, fcur)):
             xblk, fblk = xpre, fpre
@@ -316,7 +316,7 @@ def brentq(f, a, b, xtol, rtol, maxiter=100):
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def newton(f, fprime, x, fx, lo, hi, xtol, rtol):

@@ -18,7 +18,8 @@ computes another way:
 * a quantity's partials by central differences, against the closed-form
   partials the quantities carry;
 * an antiderivative by adaptive quadrature, the F that a generic profile f
-  hands special_conformal_mass.
+  hands special_conformal_mass, and the Gaussian profile's slope, the f'
+  a test that rebuilds the Gaussian profile hands it.
 """
 
 from __future__ import annotations
@@ -241,3 +242,8 @@ def quad_antiderivative(f: Callable[[float], float]) -> Callable[[float], float]
     from scipy.integrate import quad
     return lambda u: quad(lambda s: float(f(s)), 0.0, u, epsabs=1e-12,
                           epsrel=1e-12, limit=200)[0]
+
+
+def gaussian_slope(f: Callable[[float], float], k: float) -> Callable[[float], float]:
+    """f'(u) = -2 k^2 u f(u) of a Gaussian profile f(u) = A exp(-k^2 u^2)."""
+    return lambda u: -2.0 * k * k * u * f(u)

@@ -31,6 +31,9 @@ from confdyn.kgverify import (
 from oracles import erf_orbit_asymptote, erf_orbit_entry_state
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
+# the command line's --tol-rel and --tol-abs defaults
+_TOLS = {"rank_tol": 1e-8, "bracket_tol": 1e-9}
+_ANYWHERE = lambda st: True   # random_states' accept, taking every draw
 
 # entry speeds from the bounce figure; the flipped bracket runs positions
 # against the momenta, so penetration into z > 0 needs p3(0) = -v
@@ -55,7 +58,7 @@ def _fig1_runs():
     runs = []
     for v in _ENTRY_SPEEDS:
         init = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, -v))
-        orb = spacelike_orbit(1.0, init)
+        orb = spacelike_orbit(1.0, init, 1.0)
         traj = evolve(init, bg, (0.0, 1.05 * orb.constants["t_exit"]), _TIGHT,
                       monitors=conformal.spacelike_set(1.0))
         runs.append((v, orb, traj, bg))
@@ -112,7 +115,7 @@ def test_criterion_03_spacelike_maximal_superintegrability():
     bg = backgrounds.linear_z(1.0, 1.0, switched=False)
     states = random_states("instant", 24, np.random.default_rng(101),
                            accept=lambda st: bg.m2(st.position()) > 0.05)
-    cert = classify(conformal.spacelike_set(1.0), states, bg)
+    cert = classify(conformal.spacelike_set(1.0), states, bg, **_TOLS)
     ok = (cert.rank == 5 and cert.independence.unanimous
           and cert.label == "maximally superintegrable")
     _verdict("criterion 3: five spacelike charges are independent at 24 "
@@ -121,7 +124,7 @@ def test_criterion_03_spacelike_maximal_superintegrability():
 
 
 def test_criterion_04_planewave_seven_constants():
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     qs = conformal.planewave_extended_set()
     st = extended_state_on_shell(bg, 0.0, 0.0, (0.0, 0.0), 0.5, (0.1, -0.05))
     traj = evolve(st, bg, (0.0, 10.0), _TIGHT, monitors=qs)
@@ -131,12 +134,13 @@ def test_criterion_04_planewave_seven_constants():
     q6 = np.abs(traj.quantities["Q6"])
     ok &= np.max(q6) <= 1e-10
     states = _reshell(bg, random_states("extended", 20,
-                                        np.random.default_rng(102)))
+                                        np.random.default_rng(102),
+                                        accept=_ANYWHERE))
     tab = involution_table(qs, states, bg, tol=1e-9)
     sub = [0, 1, 2, 5]  # Q1, Q2, Q3, Q6
     br = max(tab.brackets[i, j] for i in sub for j in sub if i < j)
     ok &= br <= 1e-9
-    cert = classify(qs, states, bg)
+    cert = classify(qs, states, bg, **_TOLS)
     ok &= cert.rank == 7
     _verdict("criterion 4: plane-wave constants drift below 1e-8, "
              "{Q1,Q2,Q3,Q6} is involutive and the set has rank 7", ok,
@@ -171,11 +175,12 @@ def test_criterion_06_conformal_charge_algebra():
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     qs = conformal.conformal_extended_set()
     states = _reshell(bg, random_states("extended", 20,
-                                        np.random.default_rng(103)))
+                                        np.random.default_rng(103),
+                                        accept=_ANYWHERE))
     tab = involution_table(qs, states, bg, tol=1e-9)
     sub = [0, 1, 2, 4]  # Q1, Q2, Q3, K
     br = max(tab.brackets[i, j] for i in sub for j in sub if i < j)
-    cert = classify(qs, states, bg)
+    cert = classify(qs, states, bg, **_TOLS)
     ok = (br <= 1e-9 and cert.rank == 5
           and cert.label.endswith("superintegrable"))
     _verdict("criterion 6: conformal charges close in involution on shell "
@@ -197,7 +202,7 @@ def _kg_points(rng, kind, n):
 
 
 def _kg_cases():
-    pw_bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    pw_bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     cf_bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
     dl_bg = backgrounds.dilation_mass(1.0)
     return [
@@ -206,7 +211,7 @@ def _kg_cases():
         ("conformal", cf_bg,
          make_conformal_solution((0.25, -0.15), 0.8, cf_bg),
          "lightfront"),
-        ("dilation", dl_bg, make_dilation_solution((0.25, -0.15), 0.8, 1.0),
+        ("dilation", dl_bg, make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.0),
          "cone"),
     ]
 
@@ -265,7 +270,7 @@ def test_criterion_08_symmetry_eigenvalues():
 
 
 def test_criterion_09_covariant_matches_instant():
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     init = instant_state(0.0, (0.1, -0.2, 0.3), (0.2, 0.1, -0.3))
     inst = evolve(init, bg, (0.0, 4.0), _TIGHT)
     cov0 = instant_to_covariant(init, bg)

@@ -30,6 +30,7 @@ from oracles import (
     erf_orbit_reciprocal,
     erf_orbit_xplus,
     gaussian_kappa,
+    gaussian_slope,
     pminus_for_kappa,
     quad_antiderivative,
 )
@@ -44,7 +45,7 @@ _GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 # ---------------------------------------------------------------------------
 
 def test_spacelike_orbit_frozen_values():
-    orb = spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)))
+    orb = spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)), 1.0)
     c = orb.constants
     # 40-digit quadrature oracle
     assert c["Q5"] == pytest.approx(1.1180339887498948482, abs=1e-15)
@@ -65,7 +66,7 @@ def test_spacelike_orbit_frozen_values():
 def test_spacelike_orbit_matches_evolve():
     bg = backgrounds.linear_z(1.0, 1.0, switched=True)
     init = instant_state(0.0, (0.3, -0.2, 0.0), (0.1, -0.2, -0.45))
-    orb = spacelike_orbit(1.0, init)
+    orb = spacelike_orbit(1.0, init, 1.0)
     traj = evolve(init, bg, (0.0, 0.98 * orb.constants["t_exit"]), _TIGHT)
     xs, ps = orb.sample(traj.times)
     assert np.max(np.abs(xs[:, 1:] - traj.q)) < 1e-8
@@ -75,18 +76,18 @@ def test_spacelike_orbit_matches_evolve():
 
 
 def test_spacelike_orbit_no_bounce_without_entry():
-    orb = spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0), (0, 0, 0.3)))
+    orb = spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0), (0, 0, 0.3)), 1.0)
     assert "t_exit" not in orb.constants
     assert orb.domain == (0.0, np.inf)
 
 
 def test_spacelike_orbit_validation():
     with pytest.raises(ValueError):
-        spacelike_orbit(0.0, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)))
+        spacelike_orbit(0.0, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)), 1.0)
     with pytest.raises(ValueError):
-        spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0.1), (0, 0, -0.5)))
+        spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0.1), (0, 0, -0.5)), 1.0)
     with pytest.raises(ValueError):
-        spacelike_orbit(1.0, front_state(0.0, 0.0, (0, 0), 0.5, (0, 0)))
+        spacelike_orbit(1.0, front_state(0.0, 0.0, (0, 0), 0.5, (0, 0)), 1.0)
 
 
 def test_spacelike_quantities_frozen_state():
@@ -108,7 +109,7 @@ def test_spacelike_quantities_frozen_state():
 
 def test_timelike_uniform_motion_zero_profile():
     init = instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4))
-    orb = timelike_orbit(lambda t: 0.0, init)
+    orb = timelike_orbit(lambda t: 0.0, init, 1.0)
     h = np.sqrt(1.21)
     for t in (0.5, 1.0, 2.5):
         x = orb.position(t)
@@ -119,7 +120,7 @@ def test_timelike_uniform_motion_zero_profile():
 
 def test_timelike_quadrature_frozen():
     init = instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4))
-    orb = timelike_orbit(lambda t: 0.5 * t, init)
+    orb = timelike_orbit(lambda t: 0.5 * t, init, 1.0)
     x = orb.position(2.0)
     assert x.x == pytest.approx(0.3453572501072597791, abs=1e-12)
     assert x.y == pytest.approx(0.009285499785480441809, abs=1e-12)
@@ -131,7 +132,7 @@ def test_timelike_quadrature_frozen():
 def test_timelike_matches_evolve():
     bg = backgrounds.timelike(lambda t: 0.5 * t, lambda t: 0.5, switched=False)
     init = instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4))
-    orb = timelike_orbit(lambda t: 0.5 * t, init)
+    orb = timelike_orbit(lambda t: 0.5 * t, init, 1.0)
     traj = evolve(init, bg, (0.0, 2.0), _TIGHT)
     xs, ps = orb.sample(traj.times)
     assert np.max(np.abs(xs[:, 1:] - traj.q)) < 1e-8
@@ -143,7 +144,7 @@ def test_timelike_matches_evolve():
 # ---------------------------------------------------------------------------
 
 def test_planewave_quantities_on_shell():
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     st = front_state(0.4, -0.2, (0.3, 0.1), 0.7, (0.15, -0.25))
     q = planewave_quantities(st, bg)
     assert sorted(q) == [f"Q{i}" for i in range(1, 8)]
@@ -155,7 +156,7 @@ def test_planewave_quantities_on_shell():
 
 
 def test_planewave_orbit_matches_evolve():
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     st = front_state(0.0, 0.1, (0.2, -0.3), 0.7, (0.1, -0.2))
     orb = planewave_orbit(bg, st)
     traj = evolve(st, bg, (0.0, 6.0), _TIGHT)
@@ -332,7 +333,8 @@ _ERF_WS = np.concatenate([np.linspace(0.7, 0.95, 6), np.linspace(1.05, 1.95, 19)
 
 
 def test_conformal_sample_inverts_once_per_point(monkeypatch):
-    f, df, F = _GAUSS.profile
+    f, F = _GAUSS.profile
+    df = gaussian_slope(f, 1.0)
     newton_calls = []   # (start, lo, hi, the F(u) arguments it made)
     edges = []  # arguments of the F calls made outside newton
     inner = None
@@ -391,12 +393,13 @@ def test_newton_inversion_matches_brentq(monkeypatch, build, ws):
 
 @pytest.mark.parametrize("build, ws", [
     (lambda: spacelike_orbit(1.0, instant_state(0.0, (0.3, -0.2, 0.0),
-                                                (0.1, -0.2, -0.45))),
+                                                (0.1, -0.2, -0.45)), 1.0),
      np.linspace(0.0, 2.0, 9)),
     (lambda: timelike_orbit(lambda t: 0.5 * t,
-                            instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4))),
+                            instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4)),
+                            1.0),
      np.linspace(0.0, 2.0, 7)),
-    (lambda: planewave_orbit(backgrounds.plane_wave_sin2(1.0, 0.5, 1.0),
+    (lambda: planewave_orbit(backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus"),
                              front_state(0.0, 0.1, (0.2, -0.3), 0.7, (0.1, -0.2))),
      np.linspace(0.0, 6.0, 9)),
     (_erf_orbit, _ERF_WS),
@@ -420,8 +423,9 @@ def test_sample_rows_equal_pointwise_reads(build, ws):
 
 def _quadrature_gauss():
     """The fig. 2 profile with its antiderivative by adaptive quadrature."""
-    f, df, _ = _GAUSS.profile
-    return backgrounds.special_conformal_mass(f, df, quad_antiderivative(f))
+    f, _ = _GAUSS.profile
+    return backgrounds.special_conformal_mass(f, gaussian_slope(f, 1.0),
+                                              quad_antiderivative(f))
 
 
 # fig. 2's window and the transverse start, as in the Newton-vs-brentq check

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from confdyn import backgrounds, ode
-from confdyn.errors import DomainError, RealityError, SingularityError
+from confdyn import backgrounds, cli, ode
+from confdyn.errors import ConfigError, DomainError, RealityError, SingularityError
 from confdyn.geometry import FourVector
 
 
@@ -62,7 +62,7 @@ def test_timelike():
 
 
 def test_plane_wave_sin2_values():
-    bg = backgrounds.plane_wave_sin2(m0sq=1.0, amp=1.0, k=1.0)
+    bg = backgrounds.plane_wave_sin2(m0sq=1.0, amp=1.0, k=1.0, argument="xplus")
     x = FourVector(np.pi / 4, 0.7, -0.3, np.pi / 4)    # x+ = pi/2
     assert bg.m2(x) == pytest.approx(2.0, rel=1e-12)
     g = bg.grad_m2(x)
@@ -70,7 +70,7 @@ def test_plane_wave_sin2_values():
 
 
 def test_plane_wave_antiderivative_matches_quad():
-    bg = backgrounds.plane_wave_sin2(m0sq=1.3, amp=0.6, k=1.4)
+    bg = backgrounds.plane_wave_sin2(m0sq=1.3, amp=0.6, k=1.4, argument="xplus")
     for w in (0.5, 2.0, 7.0):
         direct, _ = quad(lambda s: 1.3 * (1 + 0.6 * np.sin(1.4 * s) ** 2), 0, w,
                          epsabs=1e-13, epsrel=1e-13)
@@ -79,8 +79,9 @@ def test_plane_wave_antiderivative_matches_quad():
 
 def test_plane_wave_tabulated_tracks_smooth_profile():
     w = np.linspace(-1.0, 12.0, 800)
-    ref = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
-    tab = backgrounds.plane_wave_tabulated(w, [1.0 * (1 + 0.5 * np.sin(s) ** 2) for s in w])
+    ref = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
+    tab = backgrounds.plane_wave_tabulated(
+        w, [1.0 * (1 + 0.5 * np.sin(s) ** 2) for s in w], "xplus")
     for xp in (0.3, 2.5, 9.0):
         x = FourVector(xp / 2, 0.2, -0.4, xp / 2)
         assert tab.m2(x) == pytest.approx(ref.m2(x), abs=1e-7)
@@ -143,7 +144,7 @@ def test_dilation_mass():
 def test_gradient_fd_consistency_smooth_families():
     # O(h^2) convergence of |analytic - FD| for the curved families
     rng = np.random.default_rng(17)
-    fams = [backgrounds.plane_wave_sin2(1.0, 0.5, 1.2),
+    fams = [backgrounds.plane_wave_sin2(1.0, 0.5, 1.2, "xplus"),
             backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0),
             backgrounds.dilation_mass(0.8)]
     points = {
@@ -181,8 +182,8 @@ def test_from_callable_fd_fallback():
 
 
 def test_from_params_dispatch_and_errors():
-    bg = backgrounds.from_params({"family": "linear_z", "B": "1.0",
-                                  "switched": "false"})
+    bg = backgrounds.from_params({"family": "linear_z", "B": 1.0,
+                                  "switched": False})
     assert bg.params["switched"] is False
     with pytest.raises(ValueError):
         backgrounds.from_params({"family": "nope"})
@@ -212,15 +213,44 @@ def test_from_params_round_trip(make):
 @pytest.mark.parametrize("raw, value", [(" Yes", True), ("ON", True), (True, True),
                                         ("0", False), ("off ", False), (False, False)])
 def test_from_params_switched_spellings(raw, value):
-    bg = backgrounds.from_params({"family": "linear_z", "B": "1", "switched": raw})
-    assert bg.params["switched"] is value
+    # a spelling is parsed once, by the command line's schema; from_params
+    # takes the typed value
+    assert _linear_z(raw).params["switched"] is value
 
 
 @pytest.mark.parametrize("raw", ["ture", "", "2", "y", "none"])
 def test_from_params_switched_typo_rejected(raw):
     # a misspelt boolean must not build the unswitched field
-    with pytest.raises(ValueError, match="not a boolean"):
-        backgrounds.from_params({"family": "linear_z", "B": "1", "switched": raw})
+    with pytest.raises(ConfigError, match="not a boolean"):
+        _linear_z(raw)
+
+
+def _linear_z(switched):
+    """linear_z with B = 1 and the given switched: a string through the
+    command line's schema, a bool straight to from_params."""
+    if isinstance(switched, bool):
+        return backgrounds.from_params({"family": "linear_z", "B": 1.0,
+                                        "switched": switched})
+    return cli._background(cli._parse(
+        {"background": {"family": "linear_z", "B": "1", "switched": switched}}))
+
+
+@pytest.mark.parametrize("family, required, defaults", [
+    ("constant", {}, {"m0sq": 1.0}),
+    ("linear_z", {"B": 0.7}, {"m0sq": 1.0, "switched": True}),
+    ("plane_wave", {}, {"argument": "xplus", "profile": "sin2", "m0sq": 1.0,
+                        "amp": 0.5, "k": 1.0}),
+    ("special_conformal_switched", {}, {"m0sq": 1.0, "L": 1.0, "k": 1.0}),
+    ("special_conformal_gaussian", {}, {"m0sq": 1.0, "L": 1.0, "k": 1.0}),
+    ("dilation", {}, {"csq": 1.0}),
+])
+def test_from_params_defaults_are_the_readme_column(family, required, defaults):
+    # every family built from its required keys alone: from_params writes
+    # the only copy of the family constants' defaults
+    bg = backgrounds.from_params({"family": family} | required)
+    assert bg.params == {"family": family} | required | defaults
+    for key, value in defaults.items():
+        assert type(bg.params[key]) is type(value), key
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +378,14 @@ def _refs():
         "timelike": (backgrounds.timelike(E_LIGHT, DE_LIGHT, 1.1, switched=False),
                      lambda x: 1.1 + E_LIGHT(x.t),
                      lambda x: np.array([DE_LIGHT(x.t), 0.0, 0.0, 0.0]), pts(6)),
-        "plane_wave-xplus": (backgrounds.plane_wave_sin2(1.1, 0.4, 1.5),
+        "plane_wave-xplus": (backgrounds.plane_wave_sin2(1.1, 0.4, 1.5, "xplus"),
                              lambda x: sinp(x.xplus), lambda x: dsinp(x.xplus),
                              pts(12, -3.0, 3.0)),
         "plane_wave-xminus": (
             backgrounds.plane_wave_sin2(1.1, 0.4, 1.5, argument="xminus"),
             lambda x: sinm(x.xminus), lambda x: dsinm(x.xminus), pts(12, -3.0, 3.0)),
         "plane_wave-tabulated": (
-            backgrounds.plane_wave_tabulated(W_TAB, M2_TAB),
+            backgrounds.plane_wave_tabulated(W_TAB, M2_TAB, "xplus"),
             lambda x: float(spl(x.xplus)),
             lambda x: float(dspl(x.xplus)) * plus, pts(12, -1.4, 2.9)),
         "special_conformal": (backgrounds.special_conformal_mass(sq_f, sq_df, sq_F),
@@ -426,15 +456,16 @@ def test_profile_is_set_by_the_inverse_square_families_alone():
     ref_f, ref_df = _ref_gaussian(1.2, 1.5, 0.8)
     # int_0^u m0^2 L^2 exp(-k^2 s^2) ds, written out
     ref_F = lambda u: 1.2 * 1.5 * 1.5 * math.sqrt(math.pi) / (2.0 * 0.8) * math.erf(0.8 * u)
+    _, fdf = backgrounds._gaussian(1.2, 1.5, 0.8)   # the kernel both fields call
     for bg in (backgrounds.special_conformal_switched(1.2, 1.5, 0.8),
                backgrounds.special_conformal_gaussian(1.2, 1.5, 0.8)):
-        f, df, F = bg.profile
+        f, F = bg.profile
         for u in np.linspace(-2.5, 2.5, 41).tolist() + [-0.0, 1e-3]:
-            assert _same(f(u), ref_f(u)) and _same(df(u), ref_df(u))
+            assert _same(f(u), ref_f(u)) and _same(fdf(u), (ref_f(u), ref_df(u)))
             assert F(u) == pytest.approx(ref_F(u), rel=1e-15, abs=1e-300)
     f, df = (lambda u: 1.0 + u * u), (lambda u: 2.0 * u)
     F = lambda u: u + u ** 3 / 3.0
-    assert backgrounds.special_conformal_mass(f, df, F).profile == (f, df, F)
+    assert backgrounds.special_conformal_mass(f, df, F).profile == (f, F)
     for name, (bg, *_) in REFS.items():
         if name not in ("special_conformal", "sc-switched", "sc-gaussian"):
             assert bg.profile is None, name
@@ -448,16 +479,17 @@ _ENDS = st.floats(-5.0, 5.0, allow_nan=False)
 @given(m0sq=st.floats(0.0, 4.0), L=st.floats(0.1, 2.0),
        k=st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -0.7]), _COEF), a=_ENDS, b=_ENDS)
 def test_gaussian_antiderivative_matches_quadrature(m0sq, L, k, a, b):
-    f, _, F = backgrounds.special_conformal_gaussian(m0sq, L, k).profile
+    f, F = backgrounds.special_conformal_gaussian(m0sq, L, k).profile
     ref = ode.quad(f, a, b)
     assert abs((F(b) - F(a)) - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 def test_steep_gaussian_raises_domain_error_naming_k_and_u():
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1e200)
-    f, df, F = bg.profile
+    f, F = bg.profile
+    _, fdf = backgrounds._gaussian(1.0, 1.0, 1e200)
     msg = "k = 1e+200, u = 0.5: (k u)^2 overflows in the Gaussian profile"
-    for call in (lambda: f(0.5), lambda: df(0.5),
+    for call in (lambda: f(0.5), lambda: fdf(0.5),
                  lambda: bg.m2(FourVector(1.0, 0.0, 0.0, 0.5)),
                  lambda: bg.field_at(1.0, 0.0, 0.0, 0.5)):
         with pytest.raises(DomainError) as err:
@@ -471,7 +503,9 @@ def test_steep_gaussian_raises_domain_error_naming_k_and_u():
 def test_steep_gaussian_slope_is_finite():
     # once k^2 overflows, k * k * u * f is nan on u = 0 and -inf near it
     bg = backgrounds.special_conformal_switched(1.0, 1.0, 1e200)
-    f, df, _ = bg.profile
+    f, _ = bg.profile
+    _, fdf = backgrounds._gaussian(1.0, 1.0, 1e200)   # the kernel the field calls
+    df = lambda u: fdf(u)[1]
     assert df(0.0) == 0.0
     assert df(1e-250) == pytest.approx(-2e150, rel=1e-15)
     assert df(-1e-250) == pytest.approx(2e150, rel=1e-15)
@@ -487,9 +521,10 @@ def test_steep_gaussian_slope_is_finite():
     assert m2 == 0.25 and grad == (-0.25, 0.0, 0.0, -0.25)
     # wherever 4 k^2 is finite, the slope is -2 k k u f to the bit
     for k in (1.0, -0.7, 3.0, 6e153):
-        f, df, _ = backgrounds.special_conformal_gaussian(1.3, 0.8, k).profile
+        _, fdf = backgrounds._gaussian(1.3, 0.8, k)
         for u in (0.0, -0.0, 1e-160, 0.37, -1.9):
-            assert _same(df(u), -2.0 * k * k * u * f(u))
+            fu, dfu = fdf(u)
+            assert _same(dfu, -2.0 * k * k * u * fu)
 
 
 def test_kernel_raises_as_the_separate_formulas():
@@ -499,7 +534,8 @@ def test_kernel_raises_as_the_separate_formulas():
         with pytest.raises(RealityError):
             call(x)
     assert _same(lz.grad_m2(x), [0.0, 0.0, 0.0, 1.0])   # the gradient alone is real
-    for bg, x in ((backgrounds.special_conformal_gaussian(), FourVector(0.5, 0.2, 0.1, -0.5)),
+    for bg, x in ((backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0),
+                   FourVector(0.5, 0.2, 0.1, -0.5)),
                   (backgrounds.special_conformal_mass(lambda u: 1.0, lambda u: 0.0,
                                                      lambda u: u),
                    FourVector(-0.25, 0.0, 0.0, 0.25)),
@@ -537,7 +573,7 @@ def test_from_callable_m2_calls_user_function_once_per_point():
     assert calls["m2"] == 26 and calls["grad"] == 1
 
 
-_GAUSS = backgrounds.special_conformal_gaussian()
+_GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 _DIL = backgrounds.dilation_mass(1.0)
 
 

@@ -47,7 +47,7 @@ def _generators_and_combinations(rng):
     named = [translation([0.3, -1.0, 2.0, 0.5]), time_translation(),
              translation_axis(1), translation_xminus(), rotation_z(),
              boost_axis(3), null_rotation_t(1), null_rotation_u(2),
-             dilation(0.7), dilation(-0.5),
+             0.7 * dilation(), -0.5 * dilation(),
              special_conformal([0.2, -0.4, 1.1, 0.3]), special_conformal_lf()]
     drawn = [random_generator(rng) for _ in range(6)]
     return (named + drawn + [drawn[0] + drawn[1], 0.3 * drawn[2],
@@ -72,7 +72,7 @@ def test_killing_and_jacobian_equal_the_written_out_formulas():
 
 def test_killing_dilation_is_x():
     x = FourVector(2.0, 0.0, 0.0, 1.0)
-    assert np.allclose(dilation(1.0).killing(x), [2.0, 0.0, 0.0, 1.0])
+    assert np.allclose(dilation().killing(x), [2.0, 0.0, 0.0, 1.0])
 
 
 def test_killing_special_conformal_frozen():
@@ -102,7 +102,7 @@ def test_divergence_values():
     assert translation([1, 0, 0, 0]).divergence(x) == 0.0
     assert rotation_z().divergence(x) == 0.0
     assert boost_axis(3).divergence(x) == 0.0
-    assert dilation(1.0).divergence(x) == 4.0
+    assert dilation().divergence(x) == 4.0
     # c_mu = (1,0,0,0): d.xi = -8 c.x = -8 at x = (1,0,0,0)
     assert special_conformal([1.0, 0.0, 0.0, 0.0]).divergence(x) == -8.0
 
@@ -147,7 +147,7 @@ def test_bracket_translations_commute():
 
 def test_bracket_dilation_translation():
     a = np.array([0.3, -1.0, 0.5, 2.0])
-    b = lie_bracket(dilation(1.0), translation(a))
+    b = lie_bracket(dilation(), translation(a))
     assert np.allclose(b.a, -a, atol=0.0)
     assert b.lam == 0.0 and np.all(b.omega == 0.0) and np.all(b.c == 0.0)
 
@@ -196,7 +196,7 @@ def test_charge_bracket_identity_extended():
     rng = np.random.default_rng(31)
     bg = backgrounds.constant(1.0)
     gens = [translation_axis(1), rotation_z(), boost_axis(3), null_rotation_t(2),
-            dilation(1.0), special_conformal_lf()]
+            dilation(), special_conformal_lf()]
     st = extended_state(1.1, -0.2, [0.3, 0.4], 0.8, 0.7, [0.05, -0.1])
     for _ in range(12):
         g1, g2 = rng.choice(gens, size=2, replace=False)
@@ -226,7 +226,7 @@ def test_charge_bracket_identity_reduced_forms():
 # -------------------------------------------------------------- defects
 
 def test_defect_plane_wave_transverse_translation():
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     rng = np.random.default_rng(6)
     for _ in range(10):
         x = random_point(rng)
@@ -260,7 +260,7 @@ def test_defect_dilation_mass():
     rng = np.random.default_rng(10)
     for _ in range(20):
         x = FourVector(rng.uniform(1.5, 2.5), *rng.uniform(-0.5, 0.5, size=3))
-        for g in (dilation(1.0), null_rotation_t(1), null_rotation_t(2)):
+        for g in (dilation(), null_rotation_t(1), null_rotation_t(2)):
             assert abs(symmetry_defect(g, bg, x)) <= 1e-10
         # a plain translation is NOT a symmetry here
         assert abs(symmetry_defect(time_translation(), bg, x)) > 1e-3
@@ -299,12 +299,12 @@ def test_charge_u_null_rotation():
 
 
 def test_quantity_partials_match_fd():
-    bg = backgrounds.plane_wave_sin2(1.0, 0.4, 0.9)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.4, 0.9, "xplus")
     states = [instant_state(0.2, [0.3, -0.5, 0.4], [0.2, 0.1, -0.3]),
               front_state(1.2, 0.1, [0.2, -0.1], 0.8, [0.1, 0.4]),
               extended_state(1.0, 0.3, [-0.2, 0.2], 0.9, 0.6, [0.2, -0.3])]
     gens = [translation_axis(2), rotation_z(), boost_axis(3), null_rotation_t(1),
-            dilation(1.0), special_conformal_lf()]
+            dilation(), special_conformal_lf()]
     for st in states:
         for g in gens:
             q = generator_quantity(g)
@@ -316,8 +316,9 @@ def test_quantity_partials_match_fd():
 
 # -------------------------------------------------------------- properties
 
-_BACKGROUNDS = {"plane_wave_sin2": backgrounds.plane_wave_sin2(1.0, 0.4, 0.9),
-                "special_conformal_gaussian": backgrounds.special_conformal_gaussian()}
+_BACKGROUNDS = {"plane_wave_sin2": backgrounds.plane_wave_sin2(1.0, 0.4, 0.9, "xplus"),
+                "special_conformal_gaussian":
+                    backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)}
 _UNITS = arrays(np.float64, 15, elements=st.floats(-1.0, 1.0))
 _STATES = arrays(np.float64, 8, elements=st.floats(-1.0, 1.0))
 

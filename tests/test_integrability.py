@@ -16,6 +16,10 @@ from confdyn.integrability import (
     random_states,
 )
 
+# the command line's --tol-rel and --tol-abs defaults
+_TOLS = {"rank_tol": 1e-8, "bracket_tol": 1e-9}
+_ANYWHERE = lambda st: True   # random_states' accept, taking every draw
+
 
 def _spacelike_states(count=24, seed=3):
     rng = np.random.default_rng(seed)
@@ -54,7 +58,7 @@ def test_spacelike_bracket_table_frozen():
 
 def test_spacelike_maximally_superintegrable():
     bg, states = _spacelike_states()
-    cert = classify(conformal.spacelike_set(1.0), states, bg)
+    cert = classify(conformal.spacelike_set(1.0), states, bg, **_TOLS)
     assert cert.rank == 5
     assert cert.dof == 3
     assert cert.extra == 2
@@ -85,8 +89,8 @@ def test_rank_invariant_under_recombination():
 
     recombined = [scaled(q3, "F1"), scaled(q4, "F2"),
                   scaled(squared(q5, "Q5sq"), "F3"), q1, q2]
-    r0 = independence_rank(conformal.spacelike_set(1.0), states, bg)
-    r1 = independence_rank(recombined, states, bg)
+    r0 = independence_rank(conformal.spacelike_set(1.0), states, bg, tol=1e-8)
+    r1 = independence_rank(recombined, states, bg, tol=1e-8)
     assert r0.rank == r1.rank == 5
 
 
@@ -95,7 +99,7 @@ def test_duplicated_quantity_drops_rank():
     p1 = generator_quantity(conformal.translation_axis(1), "A")
     p1_again = generator_quantity(conformal.translation_axis(1), "B")
     h = conformal.spacelike_set(1.0)[4]
-    rep = independence_rank([p1, p1_again, h], states, bg)
+    rep = independence_rank([p1, p1_again, h], states, bg, tol=1e-8)
     assert rep.rank == 2
 
 
@@ -106,10 +110,10 @@ def test_duplicated_quantity_drops_rank():
 def test_free_momenta_integrable():
     rng = np.random.default_rng(9)
     bg = backgrounds.constant(1.0)
-    states = random_states("instant", 12, rng)
+    states = random_states("instant", 12, rng, accept=_ANYWHERE)
     qs = [generator_quantity(conformal.translation_axis(j), f"P{j}")
           for j in (1, 2, 3)]
-    cert = classify(qs, states, bg)
+    cert = classify(qs, states, bg, **_TOLS)
     assert cert.rank == 3
     assert cert.label == "integrable"
     assert sorted(cert.involutive_subset) == ["P1", "P2", "P3"]
@@ -118,10 +122,10 @@ def test_free_momenta_integrable():
 def test_truncated_set_not_certified():
     rng = np.random.default_rng(10)
     bg = backgrounds.constant(1.0)
-    states = random_states("instant", 12, rng)
+    states = random_states("instant", 12, rng, accept=_ANYWHERE)
     qs = [generator_quantity(conformal.translation_axis(j), f"P{j}")
           for j in (1, 2)]
-    cert = classify(qs, states, bg)
+    cert = classify(qs, states, bg, **_TOLS)
     assert cert.rank == 2
     assert cert.label == "not certified"
     assert cert.involutive_subset == []
@@ -133,9 +137,9 @@ def test_truncated_set_not_certified():
 
 def test_planewave_extended_rank_seven():
     rng = np.random.default_rng(12)
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
-    states = _reshelled(bg, random_states("extended", 20, rng))
-    cert = classify(conformal.planewave_extended_set(), states, bg)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
+    states = _reshelled(bg, random_states("extended", 20, rng, accept=_ANYWHERE))
+    cert = classify(conformal.planewave_extended_set(), states, bg, **_TOLS)
     assert cert.rank == 7
     assert cert.dof == 4
     assert cert.extra == 3
@@ -145,9 +149,9 @@ def test_planewave_extended_rank_seven():
 
 def test_planewave_mass_shell_vanishes_on_shell():
     rng = np.random.default_rng(13)
-    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0)
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     q6 = conformal.planewave_extended_set()[5]
-    for st in _reshelled(bg, random_states("extended", 10, rng)):
+    for st in _reshelled(bg, random_states("extended", 10, rng, accept=_ANYWHERE)):
         assert abs(q6(st, bg)) < 1e-10
 
 
@@ -158,8 +162,8 @@ def test_planewave_mass_shell_vanishes_on_shell():
 def test_conformal_extended_minimally_superintegrable():
     rng = np.random.default_rng(14)
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    states = _reshelled(bg, random_states("extended", 20, rng))
-    cert = classify(conformal.conformal_extended_set(), states, bg)
+    states = _reshelled(bg, random_states("extended", 20, rng, accept=_ANYWHERE))
+    cert = classify(conformal.conformal_extended_set(), states, bg, **_TOLS)
     assert cert.rank == 5
     assert cert.dof == 4
     assert cert.extra == 1
@@ -171,7 +175,7 @@ def test_conformal_involution_needs_mass_shell():
     # off-shell extended states leak a bracket proportional to the constraint
     rng = np.random.default_rng(15)
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    raw = random_states("extended", 6, rng)
+    raw = random_states("extended", 6, rng, accept=_ANYWHERE)
     qs = conformal.conformal_extended_set()
     off = involution_table(qs, raw, bg, tol=1e-9)
     assert off.brackets[2, 4] > 1e-3  # {Q3, K} before projection
@@ -182,9 +186,9 @@ def test_conformal_involution_needs_mass_shell():
 def test_conformal_front_charges_independent():
     rng = np.random.default_rng(16)
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    states = random_states("front", 15, rng)
+    states = random_states("front", 15, rng, accept=_ANYWHERE)
     qs = conformal.conformal_front_set()
-    rep = independence_rank(qs, states, bg)
+    rep = independence_rank(qs, states, bg, tol=1e-8)
     assert rep.rank == 4
     tab = involution_table(qs, states, bg, tol=1e-8)
     assert tab.is_involutive([0, 1, 2])
@@ -208,21 +212,21 @@ def test_random_states_accept_and_reproducible():
 def test_random_states_exhausts_tries():
     with pytest.raises(ValueError):
         random_states("instant", 3, np.random.default_rng(22),
-                      accept=lambda st: False, max_tries=50)
+                      accept=lambda st: False)
 
 
 def test_empty_state_list_rejected():
     bg = backgrounds.constant(1.0)
     qs = conformal.spacelike_set(1.0)
     with pytest.raises(ValueError):
-        independence_rank(qs, [], bg)
+        independence_rank(qs, [], bg, tol=1e-8)
     with pytest.raises(ValueError):
-        involution_table(qs, [], bg)
+        involution_table(qs, [], bg, tol=1e-9)
     with pytest.raises(ValueError, match="need at least one state"):
-        classify(qs, [], bg)
+        classify(qs, [], bg, **_TOLS)
     _, states = _spacelike_states(count=2)
     with pytest.raises(ValueError):
-        independence_rank([], states, bg)
+        independence_rank([], states, bg, tol=1e-8)
 
 
 def test_certification_json_roundtrip(tmp_path):
@@ -230,7 +234,7 @@ def test_certification_json_roundtrip(tmp_path):
 
     from confdyn.jsonio import write_json
     bg, states = _spacelike_states(count=8, seed=30)
-    cert = classify(conformal.spacelike_set(1.0), states, bg)
+    cert = classify(conformal.spacelike_set(1.0), states, bg, **_TOLS)
     path = tmp_path / "cert.json"
     write_json(path, cert.to_dict(), sort_keys=False)
     blob = json.loads(path.read_text())
@@ -323,6 +327,6 @@ def test_classify_equals_per_call_algorithm(preset, monkeypatch):
         return dynamics.quantity_partials(quants, state, bgr, *args)
 
     monkeypatch.setattr(integrability, "quantity_partials", counted)
-    got = classify(quantities, states, bg, rank_tol=1e-8, bracket_tol=1e-9)
+    got = classify(quantities, states, bg, **_TOLS)
     assert got.to_dict() == expected
     assert len(calls) == len(states)    # one call per state for the whole set

@@ -34,7 +34,8 @@ def _cli_run(preset, overrides, samples=60):
     bg = cli._background(cfg)
     state = cli._initial_state(cfg, bg)
     quantities, _ = cli._quantity_set(cli._get(cfg, "monitor", "set", "none"),
-                                      cli._get(cfg, "monitor", "extra", []), bg)
+                                      cli._get(cfg, "monitor", "extra", []), bg,
+                                      state.form)
     opts = cli._evolve_options(cfg)
     opts.samples = samples
     span = (cli._get(cfg, "run", "tstart", 0.0), cli._get(cfg, "run", "tend"))
@@ -90,12 +91,12 @@ def test_monitor_raises_like_the_scalar_call(name):
             [[0, 0, -0.5]] * 3, bg.label)
         quantity, expected = conformal.spacelike_set(1.0)[4], RealityError
     elif name == "xplus=0/front":
-        bg = backgrounds.special_conformal_gaussian()
+        bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
         traj = _bad_point_trajectory(
             "front", [0.5, 0.0, 0.7], [[0, 0, 0]] * 3, [[0.4, 0, 0]] * 3, bg.label)
         quantity, expected = conformal.conformal_front_set()[2], SingularityError
     else:
-        bg = backgrounds.special_conformal_gaussian()
+        bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
         traj = _bad_point_trajectory(
             "extended", [0.0, 0.1, 0.2],
             [[0.5, 0, 0, 0], [0.0, 0, 0, 0], [0.7, 0, 0, 0]],
