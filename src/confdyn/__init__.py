@@ -11,14 +11,14 @@ import importlib
 from . import backgrounds, conformal, dynamics, geometry, integrability
 from .errors import (ConfdynError, ConfigError, DomainError,
                      ReconstructionError, RealityError, SingularityError)
-from .geometry import FourVector, LightFrontCoords
+from .geometry import FourVector
 
 __all__ = [
     "analytic", "backgrounds", "cli", "conformal", "dynamics", "geometry",
     "integrability", "kgverify",
     "ConfdynError", "ConfigError", "DomainError", "ReconstructionError",
     "RealityError", "SingularityError",
-    "FourVector", "LightFrontCoords",
+    "FourVector",
 ]
 
 __version__ = "0.1.0"

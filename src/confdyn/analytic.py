@@ -39,8 +39,7 @@ import numpy as np
 from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
-from .geometry import (FourVector, LightFrontCoords, from_lightfront,
-                       momenta_from_lf)
+from .geometry import FourVector, from_lightfront, momenta_from_lf
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
 from .ode import EPS, brentq, newton, quad  # noqa: F401
 
@@ -199,7 +198,7 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
         x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
         xminus = planewave_xminus(bg, xplus, q)
-        x = from_lightfront(LightFrontCoords(xplus, xminus, x1, x2))
+        x = from_lightfront(xplus, xminus, x1, x2)
         pplus = (pp + bg.m2(x)) / (4.0 * q3)
         return x, momenta_from_lf(pplus, q3, q1, q2)
 
@@ -305,13 +304,6 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         return newton(lambda u: G(u) - target, weight, edge, end - target,
                       lo, hi, 1e-12, 4 * EPS)
 
-    def pminus_of_u(u):
-        w = qperp2 + float(f(u))
-        if w == 0.0:
-            raise DomainError("p- vanishes here: the orbit has left the "
-                              "front-form chart")
-        return -w / (4.0 * q3)
-
     # the special conformal map x -> (-1/x+, x_perp/x+, u) takes the field to
     # a plane wave in u, where x_perp/x+ moves linearly in u
     c1, c2 = x10 / xp0, x20 / xp0
@@ -319,14 +311,19 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
 
     def point(xp):
         u = u_of_xplus(xp)
-        pm = pminus_of_u(u)
+        f_u = float(f(u))
+        w = qperp2 + f_u
+        if w == 0.0:
+            raise DomainError("p- vanishes here: the orbit has left the "
+                              "front-form chart")
+        pm = -w / (4.0 * q3)
         x1 = xp * (c1 + d1 * (u - u0))
         x2 = xp * (c2 + d2 * (u - u0))
         pp1 = (q1 - 2.0 * pm * x1) / xp
         pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        pplus = (pp1 * pp1 + pp2 * pp2 + float(f(u)) / xp ** 2) / (4.0 * pm)
-        return (from_lightfront(LightFrontCoords(xp, xminus, x1, x2)),
+        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp ** 2) / (4.0 * pm)
+        return (from_lightfront(xp, xminus, x1, x2),
                 momenta_from_lf(pplus, pm, pp1, pp2))
 
     # asymptote: finite limiting x+ when G(u) stays bounded as u grows

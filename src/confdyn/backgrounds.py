@@ -402,25 +402,29 @@ def from_callable(m2_fn: Callable[[FourVector], float],
 # config-driven construction (used by the command line layer)
 # ---------------------------------------------------------------------------
 
+# the family constants a config may leave out, each written once
+_FAMILY_DEFAULTS = {"m0sq": 1.0, "switched": True, "profile": "sin2",
+                    "argument": "xplus", "amp": 0.5, "k": 1.0, "L": 1.0,
+                    "csq": 1.0}
+
+
 def from_params(params: dict) -> ScalarBackground:
     """Build a background from a flat dictionary of typed parameters, as
     the command line's schema parses them, with a 'family' key.  A family
-    constant left out takes its default here, the one place the defaults
-    are written."""
-    fam = params.get("family")
+    constant left out takes its default from _FAMILY_DEFAULTS, the one place
+    the defaults are written."""
+    p = _FAMILY_DEFAULTS | params
+    fam = p.get("family")
     if fam == "constant":
-        return constant(params.get("m0sq", 1.0))
+        return constant(p["m0sq"])
     if fam == "linear_z":
-        return linear_z(params["B"], params.get("m0sq", 1.0),
-                        params.get("switched", True))
+        return linear_z(p["B"], p["m0sq"], p["switched"])
     if fam == "plane_wave":
-        prof = params.get("profile", "sin2")
-        arg = params.get("argument", "xplus")
+        prof, arg = p["profile"], p["argument"]
         if prof == "sin2":
-            return plane_wave_sin2(params.get("m0sq", 1.0), params.get("amp", 0.5),
-                                   params.get("k", 1.0), argument=arg)
+            return plane_wave_sin2(p["m0sq"], p["amp"], p["k"], argument=arg)
         if prof == "tabulated":
-            path = params["path"]
+            path = p["path"]
             try:
                 with warnings.catch_warnings():   # an empty file warns, then fails below
                     warnings.simplefilter("ignore", UserWarning)
@@ -434,7 +438,7 @@ def from_params(params: dict) -> ScalarBackground:
     if fam in ("special_conformal_switched", "special_conformal_gaussian"):
         build = (special_conformal_switched if fam == "special_conformal_switched"
                  else special_conformal_gaussian)
-        return build(params.get("m0sq", 1.0), params.get("L", 1.0), params.get("k", 1.0))
+        return build(p["m0sq"], p["L"], p["k"])
     if fam == "dilation":
-        return dilation_mass(params.get("csq", 1.0))
+        return dilation_mass(p["csq"])
     raise ValueError(f"unknown background family {fam!r}")

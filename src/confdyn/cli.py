@@ -43,7 +43,7 @@ from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        evolve, extended_state, extended_state_on_shell,
                        front_state, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
-from .geometry import FourVector, LightFrontCoords, from_lightfront
+from .geometry import FourVector, from_lightfront
 from .jsonio import write_csv, write_json
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
@@ -93,15 +93,13 @@ def apply_overrides(cfg: dict, assignments) -> dict:
 # parsers of the schema: each turns one raw string into a typed value or
 # raises ValueError saying what the string is not
 
-def _number(raw, above=-math.inf) -> float:
+def _number(raw) -> float:
     try:
         val = float(raw)
     except ValueError:
         raise ValueError(f"{raw!r} is not a number") from None
     if not math.isfinite(val):
         raise ValueError(f"{raw!r} is not a finite number")
-    if not val > above:
-        raise ValueError(f"{raw!r} is not above {above:g}")
     return val
 
 
@@ -127,7 +125,10 @@ def _count(least: int):
 
 
 def _positive(raw) -> float:
-    return _number(raw, above=0.0)
+    val = _number(raw)
+    if not val > 0.0:
+        raise ValueError(f"{raw!r} is not above 0")
+    return val
 
 
 def _stencil_step(raw) -> float:
@@ -592,9 +593,9 @@ def _kg_setup(cfg, rng):
         triples = [(conformal.special_conformal_lf(), q3, "C-"),
                    (conformal.null_rotation_t(1), qperp[0], "T1"),
                    (conformal.null_rotation_t(2), qperp[1], "T2")]
-        return phi, bg, lambda: from_lightfront(LightFrontCoords(
+        return phi, bg, lambda: from_lightfront(
             rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
-            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))), triples
+            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)), triples
     if sol == "dilation":
         qperp = _get(cfg, "kg", "qperp", [0.4, 0.1])
         q3 = _get(cfg, "kg", "q3", 0.6)

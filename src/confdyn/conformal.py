@@ -260,6 +260,7 @@ def special_conformal_lf() -> ConformalGenerator:
 # field-level operations
 # ---------------------------------------------------------------------------
 
+# no command calls this; tests do, and ROADMAP item 11 checks closure with it
 def lie_bracket(g1: ConformalGenerator, g2: ConformalGenerator) -> ConformalGenerator:
     """Vector-field commutator [xi1, xi2] = xi1.grad xi2 - xi2.grad xi1,
     returned as a generator (the conformal family closes under it).

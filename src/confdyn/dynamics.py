@@ -61,12 +61,14 @@ class Form:
     p_names: tuple
     coords: Callable         # (time, q) -> (t, x, y, z); reads only q[:dof]
     momentum: Callable       # (state, bg) -> lower-index (p0, p1, p2, p3)
-    pminus: Optional[int]    # slot of p- in p, None where it is no coordinate
     split: Optional[tuple]   # (S, n) of a form with a Poisson bracket, else None
 
     def __post_init__(self):
         eye = np.eye(self.dof)
         object.__setattr__(self, "dx_dq", np.array([self.coords(0.0, e) for e in eye]))
+        # slot of p- in p, None where it is no coordinate
+        object.__setattr__(self, "pminus", self.p_names.index("pminus")
+                           if "pminus" in self.p_names else None)
 
     @property
     def dof(self) -> int:
@@ -95,22 +97,22 @@ FORMS = {
         lambda t, q: (t, q[0], q[1], q[2]),
         lambda st, bg: np.array([hamiltonian_instant(st, bg), st.p[0], st.p[1],
                                  st.p[2]]),
-        None, (np.eye(4)[1:], np.array([1.0, 0.0, 0.0, 0.0]))),
+        (np.eye(4)[1:], np.array([1.0, 0.0, 0.0, 0.0]))),
     "front": Form(
         "xplus", ("xminus", "x1", "x2"), ("pminus", "p1", "p2"),
         lambda t, q: (0.5 * (t + q[0]), q[1], q[2], 0.5 * (t - q[0])),
         lambda st, bg: momenta_from_lf(hamiltonian_front(st, bg), *st.p),
-        0, (np.array([momenta_from_lf(0.0, *e) for e in np.eye(3)]),
-            momenta_from_lf(1.0, 0.0, 0.0, 0.0))),
+        (np.array([momenta_from_lf(0.0, *e) for e in np.eye(3)]),
+         momenta_from_lf(1.0, 0.0, 0.0, 0.0))),
     "extended": Form(
         "s", ("xplus", "xminus", "x1", "x2"), ("pplus", "pminus", "p1", "p2"),
         lambda s, q: (0.5 * (q[0] + q[1]), q[2], q[3], 0.5 * (q[0] - q[1])),
         lambda st, bg: momenta_from_lf(*st.p),
-        1, (np.array([momenta_from_lf(*e) for e in np.eye(4)]), np.zeros(4))),
+        (np.array([momenta_from_lf(*e) for e in np.eye(4)]), np.zeros(4))),
     "covariant": Form(
         "tau", ("x0", "x1", "x2", "x3"), ("u0", "u1", "u2", "u3"),
         lambda tau, q: (q[0], q[1], q[2], q[3]),
-        _covariant_momentum, None, None),
+        _covariant_momentum, None),
 }
 
 

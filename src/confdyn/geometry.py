@@ -97,16 +97,6 @@ def central_difference(f, h, deriv: int, order: int, f0=None):
     return total / (den * h ** deriv)
 
 
-@dataclass(frozen=True)
-class LightFrontCoords:
-    """Coordinates (x+, x-, x1, x2) of a spacetime point."""
-
-    xplus: float
-    xminus: float
-    x1: float
-    x2: float
-
-
 def minkowski_dot(a: FourVector, b: FourVector) -> float:
     """Invariant product a.b = a^0 b^0 - a^1 b^1 - a^2 b^2 - a^3 b^3.
 
@@ -151,17 +141,13 @@ def scalar_or_array(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-# no command calls to_lightfront or lf_momenta; tests use them, and the form
-# round-trip property tests will
-def to_lightfront(x: FourVector) -> LightFrontCoords:
-    return LightFrontCoords(x.t + x.z, x.t - x.z, x.x, x.y)
+def from_lightfront(xplus: float, xminus: float, x1: float, x2: float) -> FourVector:
+    """The point (x+, x-, x1, x2), read back by xplus, xminus, x and y."""
+    return FourVector(0.5 * (xplus + xminus), x1, x2, 0.5 * (xplus - xminus))
 
 
-def from_lightfront(lf: LightFrontCoords) -> FourVector:
-    return FourVector(0.5 * (lf.xplus + lf.xminus), lf.x1, lf.x2,
-                      0.5 * (lf.xplus - lf.xminus))
-
-
+# no command calls lf_momenta; tests use it, and the form round-trip property
+# tests will
 def lf_momenta(p_lower: np.ndarray) -> np.ndarray:
     """Map lower-index Cartesian momenta (p0, p1, p2, p3) to
     (p+, p-, p1, p2) with p+- = (p0 +- p3)/2."""

@@ -50,14 +50,18 @@ def _labels(quantities: Sequence) -> list:
 @dataclass
 class IndependenceReport:
     labels: list
-    ranks: list
-    rank: int
+    ranks: list                  # one per sampled state
     singular_values: np.ndarray  # at the first sampled state
     tol: float
 
     @property
+    def rank(self) -> int:
+        """The most common of the per-state ranks."""
+        return Counter(self.ranks).most_common(1)[0][0]
+
+    @property
     def unanimous(self) -> bool:
-        return all(r == self.rank for r in self.ranks)
+        return len(set(self.ranks)) == 1
 
     def to_dict(self):
         return {"labels": self.labels, "rank": self.rank, "ranks": self.ranks,
@@ -73,8 +77,7 @@ def _rank_vote(jacobians: np.ndarray, labels: list,
         raise ValueError("need at least one quantity")
     sv = np.linalg.svd(jacobians, compute_uv=False)
     ranks = [0 if s[0] == 0.0 else int(np.sum(s > tol * s[0])) for s in sv]
-    rank = Counter(ranks).most_common(1)[0][0]
-    return IndependenceReport(labels, ranks, rank, sv[0], tol)
+    return IndependenceReport(labels, ranks, sv[0], tol)
 
 
 # no command calls this (classify reads the shared table); tests do, and
@@ -128,13 +131,34 @@ def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
 
 @dataclass
 class Certification:
-    label: str
-    rank: int
     dof: int
-    extra: int                      # k = rank - dof (when certified)
-    involutive_subset: list
+    involutive_subset: list         # empty when no subset qualifies
     independence: IndependenceReport
     involution: InvolutionTable
+
+    @property
+    def rank(self) -> int:
+        return self.independence.rank
+
+    @property
+    def extra(self) -> int:
+        """k = rank - dof when a subset was found, else 0."""
+        return self.rank - self.dof if self.involutive_subset else 0
+
+    @property
+    def label(self) -> str:
+        """The class of k = rank - dof over an involutive subset (Miller,
+        Post and Winternitz, J. Phys. A 46 (2013) 423001)."""
+        if not self.involutive_subset:
+            return "not certified"
+        k, n = self.extra, self.dof
+        if k <= 0:
+            return "integrable"
+        if k >= n - 1:
+            return "maximally superintegrable"
+        if k == 1:
+            return "minimally superintegrable"
+        return "superintegrable"
 
     def to_dict(self):
         return {"label": self.label, "rank": self.rank, "dof": self.dof,
@@ -147,9 +171,10 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
              rank_tol: float, bracket_tol: float) -> Certification:
     """Certify (super)integrability of a quantity set on sampled states.
 
-    Requires r = rank(quantities) >= n and an n-element subset that is both
-    mutually in involution and itself of full rank n; the label then follows
-    from k = r - n.  Returns "not certified" when either requirement fails.
+    Looks for an n-element subset that is both mutually in involution and
+    itself of full rank n, given r = rank(quantities) >= n; the subset is
+    left empty when either requirement fails.  Certification.label reads
+    the class off k = r - n.
     """
     if not states:
         raise ValueError("need at least one state")
@@ -160,7 +185,7 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
     invol = _bracket_table(parts, labels, bracket_tol)
     r = indep.rank
 
-    subset = None
+    subset = []
     if r >= n and len(quantities) >= n:
         for idx in itertools.combinations(range(len(quantities)), n):
             if not invol.is_involutive(idx):
@@ -169,22 +194,7 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
             if _rank_vote(jacobians[:, list(idx)], sub, rank_tol).rank == n:
                 subset = sub
                 break
-
-    if subset is None:
-        label = "not certified"
-        k = 0
-    else:
-        k = r - n
-        if k <= 0:
-            label = "integrable"
-        elif k >= n - 1:
-            label = "maximally superintegrable"
-        elif k == 1:
-            label = "minimally superintegrable"
-        else:
-            label = "superintegrable"
-
-    return Certification(label, r, n, k, subset or [], indep, invol)
+    return Certification(n, subset, indep, invol)
 
 
 def random_states(form: str, count: int, rng: np.random.Generator,

@@ -5,7 +5,7 @@ adaptive quadrature:
 
 RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
         max_step = inf, no first_step, no vectorized fun, a real y0, a
-        scalar atol and no default rtol or atol;
+        scalar atol, no default rtol or atol and forward integration only;
         J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)
 brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
@@ -50,9 +50,10 @@ def validate_tol(rtol, atol):
     return rtol, atol
 
 
-def select_initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
-    """Hairer, Norsett and Wanner's starting step (Solving ODEs I, II.4)."""
-    interval_length = abs(t_bound - t0)
+def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
+    """Hairer, Norsett and Wanner's starting step (Solving ODEs I, II.4),
+    forward from t0 <= t_bound."""
+    interval_length = t_bound - t0
     if interval_length == 0.0:
         return 0.0
     scale = atol + np.abs(y0) * rtol
@@ -63,8 +64,8 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
     # h0 = 0 only where d1 = inf; numpy's division gives d2 = inf or nan
     # there, and h1 = 0 either way
     d2 = norm((f1 - f0) / scale) / h0 if h0 else math.inf
@@ -78,9 +79,10 @@ def select_initial_step(fun, t0, y0, t_bound, f0, direction, order, rtol, atol):
 class RK45:
     """Adaptive Dormand-Prince 5(4) stepper with a quartic dense output.
 
-    step() advances by one accepted step and sets status to 'running',
-    'finished' (t reached t_bound) or 'failed'; t_old and y_old hold the
-    step's start, and nfev counts calls of fun.
+    It integrates forward only, from t0 to t_bound >= t0.  step() advances
+    by one accepted step and sets status to 'running', 'finished' (t
+    reached t_bound) or 'failed'; t_old and y_old hold the step's start, and
+    nfev counts calls of fun.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -118,22 +120,21 @@ class RK45:
             raise ValueError("`y0` must be 1-dimensional.")
         if not np.isfinite(y0).all():
             raise ValueError("All components of the initial state `y0` must be finite.")
+        if t_bound < t0:
+            raise ValueError("`t_bound` must not lie before `t0`.")
         self._fun = fun
         self.t_old = None
         self.t = t0
         self.y = y0
         self.y_old = None
         self.t_bound = t_bound
-        # a float, not np.sign's np.float64: every h, t and stage time is
-        # then a float, and the RHS runs float arithmetic on them
-        self.direction = float(np.sign(t_bound - t0)) if t_bound != t0 else 1.0
         self.n = y0.size
         self.status = "running"
         self.nfev = 0
         self.rtol, self.atol = validate_tol(rtol, atol)
         self.f = self.fun(self.t, self.y)
         self.h_abs = select_initial_step(
-            self.fun, self.t, self.y, t_bound, self.f, self.direction,
+            self.fun, self.t, self.y, t_bound, self.f,
             self.error_estimator_order, self.rtol, self.atol)
         self.K = K = np.empty((self.n_stages + 1, self.n), dtype=self.y.dtype)
         self.error_exponent = -1 / (self.error_estimator_order + 1)
@@ -162,7 +163,7 @@ class RK45:
             self.status = "failed"
         else:
             self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
+            if self.t >= self.t_bound:
                 self.status = "finished"
         return message
 
@@ -173,7 +174,7 @@ class RK45:
         atol = self.atol
         fun, K, stages = self._fun, self.K, self._stages
 
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
             h_abs = min_step
         else:
@@ -184,12 +185,10 @@ class RK45:
         while not step_accepted:
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+            t_new = t + h_abs
+            if t_new > self.t_bound:
                 t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
+            h = h_abs = t_new - t
 
             # scipy's rk_step: the stages into K's rows, the last with
             # fun(t + h, y_new); six calls of the RHS itself, counted at once

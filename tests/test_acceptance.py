@@ -19,7 +19,7 @@ from confdyn.dynamics import (
     instant_state,
     instant_to_covariant,
 )
-from confdyn.geometry import METRIC_DIAG, FourVector, LightFrontCoords, from_lightfront
+from confdyn.geometry import METRIC_DIAG, FourVector, from_lightfront
 from confdyn.integrability import classify, involution_table, random_states
 from confdyn.kgverify import (
     eigen_defect,
@@ -193,9 +193,9 @@ def _kg_points(rng, kind, n):
         return [FourVector(rng.uniform(-1, 1), *rng.uniform(-1, 1, 3))
                 for _ in range(n)]
     if kind == "lightfront":
-        return [from_lightfront(LightFrontCoords(
+        return [from_lightfront(
             rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
-            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)))
+            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
             for _ in range(n)]
     return [FourVector(rng.uniform(1.8, 2.6), *rng.uniform(-0.4, 0.4, 3))
             for _ in range(n)]

@@ -265,9 +265,9 @@ def test_orbit_deterministic_output(tmp_path, preset, extra):
 
 
 def test_orbit_past_asymptote_exits_three(tmp_path):
-    # kappa = 0.9 has its asymptote at x+ = 10; asking for 12 leaves the domain
-    code = main(_args("orbit", "fig2", tmp_path,
-                      "--set", "sweep.count=1", "--set", "run.tend=12"))
+    # orbit samples the base p- = 0.4 orbit (it reads no [sweep]), whose
+    # asymptote lies at x+ ~ 2.31; asking for 12 leaves the domain
+    code = main(_args("orbit", "fig2", tmp_path, "--set", "run.tend=12"))
     assert code == 3
 
 
@@ -903,7 +903,7 @@ def test_settable_values_smoke(tmp_path):
     assert counts["total"] == counts["defaults"] + counts["fields"] + counts["schema"]
     assert counts["schema"] == sum(len(keys) for keys in cli._SCHEMA.values())
     # a ceiling: a new settable value has to raise it in the same change
-    assert counts["total"] <= 138
+    assert counts["total"] <= 128
 
 
 def test_paired_jobs_smoke(tmp_path):

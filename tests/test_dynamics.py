@@ -507,6 +507,17 @@ def test_rhs_takes_python_float_times(case, monkeypatch):
                            4 * ode.EPS, 4 * ode.EPS)) is float
 
 
+def test_rk45_integrates_forward_only():
+    # a bound before t0 is refused; one equal to t0 finishes on the first step
+    rhs = lambda t, y: -y
+    with pytest.raises(ValueError, match="t_bound"):
+        ode.RK45(rhs, 1.0, [1.0], 0.5, rtol=1e-10, atol=1e-10)
+    solver = ode.RK45(rhs, 1.0, [1.0], 1.0, rtol=1e-10, atol=1e-10)
+    assert solver.h_abs == 0.0
+    assert solver.step() is None
+    assert (solver.status, solver.t, solver.nfev) == ("finished", 1.0, 1)
+
+
 def test_rk45_port_starts_as_scipy_when_the_first_norm_overflows():
     # a finite RHS of 1e300 over the scale 2e-10 of y = 1 overflows the
     # starting norm d1 to inf, so the first guess h0 = 0.01 d0/d1 is 0:

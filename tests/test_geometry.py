@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from confdyn.geometry import (METRIC, FourVector, LightFrontCoords,
-                              from_lightfront, lf_gradient, lf_momenta,
-                              lower_index, minkowski_dot,
-                              momenta_from_lf, raise_index, to_lightfront)
+from confdyn.geometry import (METRIC, FourVector, from_lightfront,
+                              lf_gradient, lf_momenta, lower_index,
+                              minkowski_dot, momenta_from_lf, raise_index)
 
 
 def test_dot_signature():
@@ -31,15 +30,15 @@ def test_lower_raise_roundtrip():
 
 
 def test_lightfront_examples():
-    lf = to_lightfront(FourVector(1.0, 0.0, 0.0, 1.0))
-    assert (lf.xplus, lf.xminus, lf.x1, lf.x2) == (2.0, 0.0, 0.0, 0.0)
-    lf = to_lightfront(FourVector(1.0, 0.0, 0.0, 0.0))
-    assert (lf.xplus, lf.xminus) == (1.0, 1.0)
+    x = FourVector(1.0, 0.0, 0.0, 1.0)
+    assert (x.xplus, x.xminus, x.x, x.y) == (2.0, 0.0, 0.0, 0.0)
+    x = FourVector(1.0, 0.0, 0.0, 0.0)
+    assert (x.xplus, x.xminus) == (1.0, 1.0)
 
 
 def test_lightfront_roundtrip():
     x = FourVector(0.3, -1.2, 0.7, 2.5)
-    back = from_lightfront(to_lightfront(x))
+    back = from_lightfront(x.xplus, x.xminus, x.x, x.y)
     for a, b in zip((x.t, x.x, x.y, x.z), (back.t, back.x, back.y, back.z)):
         assert a == pytest.approx(b, abs=1e-15)
 
@@ -49,8 +48,7 @@ def test_dot_in_lightfront_variables():
     rng = np.random.default_rng(7)
     for _ in range(50):
         x = FourVector(*rng.uniform(-2, 2, size=4))
-        lf = to_lightfront(x)
-        expect = lf.xplus * lf.xminus - lf.x1 ** 2 - lf.x2 ** 2
+        expect = x.xplus * x.xminus - x.x ** 2 - x.y ** 2
         assert minkowski_dot(x, x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
@@ -71,8 +69,7 @@ def test_lf_pairing_matches_cartesian():
         p = rng.normal(size=4)          # lower-index components
         x = FourVector(*rng.normal(size=4))
         pplus, pminus, p1, p2 = lf_momenta(p)
-        lf = to_lightfront(x)
-        pairing = pplus * lf.xplus + pminus * lf.xminus + p1 * lf.x1 + p2 * lf.x2
+        pairing = pplus * x.xplus + pminus * x.xminus + p1 * x.x + p2 * x.y
         direct = p @ np.array([x.t, x.x, x.y, x.z])
         assert pairing == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
@@ -84,7 +81,6 @@ def test_lf_gradient_pairing():
     g = rng.normal(size=4)
     d = lf_gradient(g)
     dx = FourVector(*rng.normal(size=4))
-    lf = to_lightfront(dx)
     lhs = g @ np.array([dx.t, dx.x, dx.y, dx.z])
-    rhs = d[0] * lf.xplus + d[1] * lf.xminus + d[2] * lf.x1 + d[3] * lf.x2
+    rhs = d[0] * dx.xplus + d[1] * dx.xminus + d[2] * dx.x + d[3] * dx.y
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)

@@ -229,6 +229,29 @@ def test_empty_state_list_rejected():
         independence_rank([], states, bg, tol=1e-8)
 
 
+@pytest.mark.parametrize("dof, ranks, subset, label, rank, extra", [
+    (3, [5, 5], [], "not certified", 5, 0),
+    (3, [3, 3], ["Q0", "Q1", "Q2"], "integrable", 3, 0),
+    (3, [4, 3, 4], ["Q0", "Q1", "Q2"], "minimally superintegrable", 4, 1),
+    (4, [5], ["Q0", "Q1", "Q2", "Q3"], "minimally superintegrable", 5, 1),
+    (4, [6, 6], ["Q0", "Q1", "Q2", "Q3"], "superintegrable", 6, 2),
+    (3, [5, 5], ["Q0", "Q1", "Q2"], "maximally superintegrable", 5, 2),
+    (4, [7], ["Q0", "Q1", "Q2", "Q3"], "maximally superintegrable", 7, 3),
+])
+def test_certification_label_rank_and_k(dof, ranks, subset, label, rank, extra):
+    # hand-made reports through every branch of the label rule, including
+    # plain "superintegrable" (1 < k < n - 1), which no preset reaches
+    names = [f"Q{i}" for i in range(max(ranks))]
+    indep = integrability.IndependenceReport(names, ranks, np.ones(len(names)), 1e-8)
+    invol = integrability.InvolutionTable(names, np.zeros((len(names),) * 2), 1e-9)
+    cert = integrability.Certification(dof, subset, indep, invol)
+    assert (cert.label, cert.rank, cert.extra) == (label, rank, extra)
+    assert indep.unanimous == all(r == rank for r in ranks)
+    d = cert.to_dict()
+    assert list(d)[:5] == ["label", "rank", "dof", "extra", "involutive_subset"]
+    assert (d["label"], d["rank"], d["dof"], d["extra"]) == (label, rank, dof, extra)
+
+
 def test_certification_json_roundtrip(tmp_path):
     import json
 

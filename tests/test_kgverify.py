@@ -19,7 +19,6 @@ from confdyn.geometry import (
     METRIC,
     METRIC_DIAG,
     FourVector,
-    LightFrontCoords,
     from_lightfront,
     lower_index,
 )
@@ -62,9 +61,8 @@ def _cartesian_points(rng, n, t_range=(-1.0, 1.0), r=1.0):
 def _conformal_points(rng, n):
     pts = []
     for _ in range(n):
-        lf = LightFrontCoords(rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
-                              rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        pts.append(from_lightfront(lf))
+        pts.append(from_lightfront(rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
+                                   rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)))
     return pts
 
 
