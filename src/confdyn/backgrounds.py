@@ -111,14 +111,18 @@ class ScalarBackground:
     def mass(self, x: FourVector):
         return scalar_or_array(np.sqrt(self.m2(x)))
 
-    def smooth_at(self, x: FourVector) -> bool:
-        """False within _SING_EPS of a switch surface (a C0 kink)."""
-        return all(abs(fn(x.t, x.x, x.y, x.z)) > _SING_EPS for _, fn in self.events)
+    def smooth_at(self, x: FourVector):
+        """False within _SING_EPS of a switch surface (a C0 kink): a bool at
+        a point, an (N,) mask for a FourVector with (N,) components."""
+        smooth = np.ones(np.shape(x.t), dtype=bool)
+        for _, fn in self.events:
+            smooth &= np.abs(fn(x.t, x.x, x.y, x.z)) > _SING_EPS
+        return smooth if smooth.ndim else bool(smooth)
 
-    def m2_integral(self, w: float) -> float:
+    def m2_integral(self, w):
         """int_0^w m^2 along the x+ axis, from the stored antiderivative of a
-        field of x+ alone."""
-        return float(self.m2_antiderivative(w))
+        field of x+ alone; an array for an array of w."""
+        return scalar_or_array(self.m2_antiderivative(w))
 
     def __repr__(self):
         return f"ScalarBackground({self.label!r}, params={self.params})"

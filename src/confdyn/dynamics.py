@@ -545,6 +545,8 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
     m^2 < 0 raises RealityError from the background itself.
     """
     t0, t1 = float(span[0]), float(span[1])
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"span ({t0:g}, {t1:g}) is not finite")
     if t1 <= t0:
         raise ValueError("span must run forward")
     if not starts_at(state0, t0):

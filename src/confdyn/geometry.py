@@ -66,9 +66,10 @@ class FourVector:
         return self.t - self.z
 
     def shifted(self, mu: int, delta: float) -> "FourVector":
-        """Return a copy displaced by delta along coordinate axis mu."""
+        """Return a copy displaced by delta along coordinate axis mu; a
+        batch's component arrays are left as they are."""
         comps = [self.t, self.x, self.y, self.z]
-        comps[mu] += delta
+        comps[mu] = comps[mu] + delta
         return FourVector(*comps)
 
 
@@ -88,13 +89,19 @@ def central_difference(f, h, deriv: int, order: int, f0=None):
     f0, when given, stands in for f(0).  The terms add left to right from
     the first, so a real result is bit for bit the written-out formula (w v
     is its product up to sign, a + (-b) is a - b); a complex one may differ
-    from it only in the sign of a zero component."""
+    from it only in the sign of a zero component.  Values may be arrays, one
+    derivative per element."""
     terms, den = _STENCILS[deriv, order]
     total = None
     for k, w in terms:
         v = w * (f0 if k == 0 and f0 is not None else f(k * h))
         total = v if total is None else total + v
-    return total / (den * h ** deriv)
+    scale = den * h ** deriv
+    if isinstance(total, np.ndarray) and total.dtype.kind == "c":
+        # numpy divides a complex array by a real one through its reciprocal;
+        # dividing each part is the quotient a complex scalar gets
+        return (total.view(float) / scale).view(complex)
+    return total / scale
 
 
 def minkowski_dot(a: FourVector, b: FourVector) -> float:

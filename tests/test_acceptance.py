@@ -5,7 +5,6 @@ captured output) and then asserts, so the suite both reports and gates.
 """
 
 import numpy as np
-import pytest
 from scipy.interpolate import CubicSpline
 from scipy.special import erf
 

@@ -452,6 +452,18 @@ def test_smooth_at_is_false_only_near_switch_surfaces(name):
             assert bg.smooth_at(x)
 
 
+@pytest.mark.parametrize("name", list(REFS))
+def test_smooth_at_gives_a_mask_on_a_batch(name):
+    bg, _, _, points = REFS[name]
+    pts = points + [at(s) for at in _SURFACE.values()
+                    for s in (0.0, 1e-6, -1e-13, -1e-6)]
+    batch = FourVector(*np.array([(p.t, p.x, p.y, p.z) for p in pts]).T.copy())
+    mask = bg.smooth_at(batch)
+    assert mask.dtype == bool and mask.shape == (len(pts),)
+    assert mask.tolist() == [bg.smooth_at(p) for p in pts]
+    assert mask.all() == (name not in _SURFACE)
+
+
 def test_profile_is_set_by_the_inverse_square_families_alone():
     ref_f, ref_df = _ref_gaussian(1.2, 1.5, 0.8)
     # int_0^u m0^2 L^2 exp(-k^2 s^2) ds, written out

@@ -294,6 +294,16 @@ def test_evolve_validation():
         evolve(st, bg, (0.5, 1.0), EvolveOptions())  # state carries time 0
 
 
+@pytest.mark.parametrize("span", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0),
+                                  (-np.inf, 1.0)])
+def test_evolve_refuses_a_span_that_is_not_finite(span):
+    # a NaN end fails no comparison and an infinite one fits no step grid; the
+    # span is refused before the state is read or a step is taken
+    st = instant_state(span[0], (0, 0, 0), (0.1, 0, 0))
+    with pytest.raises(ValueError, match="is not finite"):
+        evolve(st, backgrounds.constant(1.0), span, EvolveOptions())
+
+
 def test_singularity_past_conformal_asymptote():
     bg = backgrounds.special_conformal_switched(1.0, 1.0, 1.0)
     st = erf_orbit_entry_state(0.9)

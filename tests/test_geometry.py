@@ -84,3 +84,18 @@ def test_lf_gradient_pairing():
     lhs = g @ np.array([dx.t, dx.x, dx.y, dx.z])
     rhs = d[0] * dx.xplus + d[1] * dx.xminus + d[2] * dx.x + d[3] * dx.y
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+def test_shifted_batch_leaves_the_original_and_shifts_each_point():
+    t, z = np.array([1.0, 2.0]), np.array([-0.5, 0.25])
+    batch = FourVector(t, 0.5, np.array([0.0, -0.0]), z)
+    for mu, delta in ((0, 0.5), (2, -1e-3), (3, 0.125)):
+        moved = batch.shifted(mu, delta)
+        assert batch.t.tolist() == [1.0, 2.0] and batch.z.tolist() == [-0.5, 0.25]
+        for i in range(2):
+            one = FourVector(float(t[i]), 0.5, float(batch.y[i]), float(z[i]))
+            want = one.shifted(mu, delta)
+            got = (moved.t[i], moved.x, moved.y[i], moved.z[i])
+            assert np.array_equal(got, (want.t, want.x, want.y, want.z))
+            assert np.array_equal(np.signbit(got),
+                                  np.signbit((want.t, want.x, want.y, want.z)))

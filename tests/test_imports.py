@@ -1,5 +1,6 @@
-"""Every name a confdyn module imports is used in it (no linter is assumed),
-and a name kept unread on purpose is one the benchmark's tracer wraps."""
+"""Every name a confdyn module, a tool or a test module imports is used in
+it (no linter is assumed), and a name kept unread on purpose is one the
+benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -11,6 +12,9 @@ import pytest
 _ROOT = Path(__file__).resolve().parent.parent
 _SRC = _ROOT / "src" / "confdyn"
 _BENCH_TRACE = _ROOT / "perfbench" / "bench_trace.py"
+# the package's modules by name, then tools/ and tests/ by relative path
+_LINTED = {p.name: p for p in sorted(_SRC.glob("*.py"))} | {
+    f"{d}/{p.name}": p for d in ("tools", "tests") for p in sorted((_ROOT / d).glob("*.py"))}
 
 
 def _unused_imports(path: Path, kept: bool = False) -> list:
@@ -53,9 +57,9 @@ def _spans() -> dict:
     return bench_trace.SPANS
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))
+@pytest.mark.parametrize("module", list(_LINTED))
 def test_no_unused_import(module):
-    assert _unused_imports(_SRC / module) == []
+    assert _unused_imports(_LINTED[module]) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in _SRC.glob("*.py")))

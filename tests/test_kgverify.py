@@ -1,7 +1,5 @@
 """Wave-equation residuals, symmetry eigenmodes, and convergence ratios."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -458,6 +456,7 @@ def _same_bits(a, b):
 
 
 def _kg_cases():
+    """(mode, background, 5 points in its domain) per family."""
     rng = np.random.default_rng(61)
     wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     return [
@@ -470,18 +469,37 @@ def _kg_cases():
     ]
 
 
+def _recorded(phi):
+    """phi, and the value its evaluator gave at a point, looked up by the
+    point's coordinates."""
+    seen = {}
+
+    def ev(x):
+        values = phi.evaluator(x)
+        points = zip(x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
+        seen.update(zip(points, values.tolist()))
+        return values
+    return (Wavefunction(phi.label, ev, phi.domain, phi.params),
+            lambda y: seen[y.t, y.x, y.y, y.z])
+
+
 def test_central_difference_sites_equal_written_formulas():
+    # the written formulas, applied point by point to the values the batch
+    # read, give every batched stencil's result
     gens = [conformal.translation_xminus(), conformal.boost_axis(3),
             conformal.dilation(), conformal.special_conformal_lf()]
     for phi, bg, pts in _kg_cases():
-        for x in pts:
-            for h in (_H, 1e-3):
-                for order in (2, 4):
-                    assert (kg_residual(phi, bg, x, h, order)
-                            == _written_kg_residual(phi, bg, x, h, order))
-                for gen in gens:
-                    assert (symmetry_apply(gen, phi, x, h)
-                            == _written_symmetry_apply(gen, phi, x, h))
+        for h in (_H, 1e-3):
+            for order in (2, 4):
+                rec, value = _recorded(phi)
+                got = kg_residual(rec, bg, _batch(pts), h, order)
+                for i, x in enumerate(pts):
+                    assert got[i] == _written_kg_residual(value, bg, x, h, order)
+            for gen in gens:
+                rec, value = _recorded(phi)
+                got = symmetry_apply(gen, rec, _batch(pts), h)
+                for i, x in enumerate(pts):
+                    assert got[i] == _written_symmetry_apply(gen, value, x, h)
 
     wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     chi = make_planewave_solution((0.25, -0.15), 0.6, wave).params["chi"]
@@ -526,21 +544,26 @@ def test_central_difference_sites_equal_written_formulas():
         assert all(_same_bits(a, b) for a, b in zip(got, want))
 
 
+def _rows(x):
+    """The points of a batch as (t, x, y, z) rows."""
+    return np.array([x.t, x.x, x.y, x.z]).T
+
+
 def test_stencils_evaluate_phi_once_at_the_centre():
     bg = backgrounds.constant(1.0)
     mode = make_planewave_solution((0.1, 0.2), 0.6, bg)
-    calls = []
+    batches = []
+    phi = Wavefunction("counted", lambda x: batches.append(_rows(x)) or mode(x))
     x = FourVector(0.3, -0.2, 0.4, 0.1)
-    for order, n in ((2, 1 + 8), (4, 1 + 16)):
-        calls.clear()
-        # a fresh wavefunction, so no point is kept from the stencil before
-        phi = Wavefunction("counted", lambda x: calls.append(x) or mode(x))
-        kg_residual(phi, bg, x, _H, order)
-        assert len(calls) == n
-    calls.clear()
-    phi = Wavefunction("counted", lambda x: calls.append(x) or mode(x))
+    kg_residual(phi, bg, x, _H, 2)
+    kg_residual(phi, bg, x, _H, 4)
     symmetry_apply(conformal.boost_axis(3), phi, x, _H)
-    assert len(calls) == 1 + 8
+    # one evaluator call per stencil, on each of its points once, the centre
+    # first
+    assert [len(rows) for rows in batches] == [1 + 8, 1 + 16, 1 + 8]
+    for rows in batches:
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        assert rows[0].tolist() == [0.3, -0.2, 0.4, 0.1]
 
 
 def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
@@ -550,7 +573,8 @@ def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
 
     def counted_mode(*args):
         mode = made(*args)
-        return Wavefunction(mode.label, lambda x: runs.append(x) or mode.evaluator(x),
+        return Wavefunction(mode.label,
+                            lambda x: runs.append(_rows(x)) or mode.evaluator(x),
                             mode.domain, mode.params)
 
     real_call = Wavefunction.__call__
@@ -558,25 +582,98 @@ def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Wavefunction, "__call__",
                         lambda self, x: calls.append(x) or real_call(self, x))
     assert main(["kg", "--preset", "planewave", "--out-dir", str(tmp_path)]) == 0
-    # 60 points: 1 + 8 + 8 distinct points each at h and h/2, read 19 times
-    # by residual_convergence; eigen_defect's 3 generators at h and h/2 on
-    # the first 10 points read 600 more, all of them points already seen
-    assert (len(runs), len(calls)) == (60 * 17, 60 * 19 + 600)
+    # residual_convergence reads the 1 + 8 stencil points of all 60 points
+    # at h, then at h/2; eigen_defect's 3 generators those of the first 10
+    # points at h and at h/2: one call each, no point twice in a call
+    assert [len(rows) for rows in runs] == [60 * 9] * 2 + [10 * 9] * 6
+    assert len(calls) == len(runs)
+    for rows in runs:
+        assert len(np.unique(rows, axis=0)) == len(rows)
 
 
-def test_kept_value_is_the_evaluators():
-    def ev(x):
-        # signed zeros and a sign that follows the sign of zero of x.t
-        return complex(-0.0, math.copysign(0.0, x.t)) + math.copysign(1.0, x.t) * x.x
-    runs = []
-    phi = Wavefunction("signed", lambda x: runs.append(x) or ev(x))
-    points = [FourVector(0.0, 0.25, 0.0, 1.0), FourVector(-0.0, 0.25, 0.0, 1.0),
-              FourVector(0.0, 0.25, -0.0, 1.0)]
-    first = [phi(x) for x in points]
-    again = [phi(x) for x in points]
-    assert len(runs) == 3      # 0.0 and -0.0 are different points
-    for x, a, b in zip(points, first, again):
-        want = complex(ev(x))
-        assert a is b
-        assert (math.copysign(1.0, a.real), math.copysign(1.0, a.imag), a) == (
-            math.copysign(1.0, want.real), math.copysign(1.0, want.imag), want)
+def _batch(points):
+    return FourVector(*np.array([(p.t, p.x, p.y, p.z) for p in points]).T.copy())
+
+
+def _modes():
+    """(mode, points in its domain): each family, and every dilation branch."""
+    rng = np.random.default_rng(64)
+    wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
+    cone = _cone_points(rng, 7)
+    return [
+        (make_planewave_solution((0.25, -0.15), 0.6, wave), _cartesian_points(rng, 7)),
+        (make_conformal_solution((0.25, -0.15), 0.8, _GAUSS), _conformal_points(rng, 7)),
+        # real-order Bessel, complex order (mpmath) and the Q_perp = 0 Euler limit
+        (make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.5), cone),
+        (make_dilation_solution((0.25, -0.15), 0.8, 0.04, 1.0, 0.5), cone[:3]),
+        (make_dilation_solution((0.0, 0.0), 0.8, 1.0, 1.0, 0.5), cone),
+    ]
+
+
+def test_batch_values_are_the_per_point_values():
+    for phi, pts in _modes():
+        got = phi(_batch(pts))
+        assert got.shape == (len(pts),)
+        for i, x in enumerate(pts):
+            want = phi(x)
+            assert isinstance(want, complex)
+            assert abs(got[i] - want) <= 2e-15 * abs(want)
+
+
+def _first_margin_error(phi, points, h, steps):
+    """The DomainError text of the old point-by-point margin check."""
+    for x in points:
+        for mu in range(4):
+            for k in range(1, steps + 1):
+                for s in (k * h, -k * h):
+                    y = x.shifted(mu, s)
+                    if not phi.in_domain(y):
+                        return (f"stencil point (t,x,y,z) = ({y.t:g}, {y.x:g}, "
+                                f"{y.y:g}, {y.z:g}) leaves the domain of "
+                                f"{phi.label!r}")
+    return None
+
+
+def test_batch_margin_names_the_first_stencil_point_out():
+    phi = make_conformal_solution((0.25, -0.15), 0.8, _GAUSS)
+    # the second and third points sit closer to x+ = 0 than two steps along
+    # t or z, the third closer still; the first is well inside
+    pts = [from_lightfront(1.2, 0.1, 0.2, -0.1), from_lightfront(0.008, 0.1, 0.2, -0.1),
+           from_lightfront(0.002, 0.3, 0.0, 0.1)]
+    h = _H
+    want = _first_margin_error(phi, pts, h, 2)
+    assert "(t,x,y,z) = (0.0" in want
+    for run in (lambda: kg_residual(phi, _GAUSS, _batch(pts), h),
+                lambda: residual_convergence(phi, _GAUSS, pts, h)):
+        with pytest.raises(DomainError) as err:
+            run()
+        assert str(err.value) == want
+    with pytest.raises(DomainError) as err:
+        symmetry_apply(conformal.dilation(), phi, _batch(pts), 0.006)
+    assert str(err.value) == _first_margin_error(phi, pts, 0.006, 1)
+
+
+def test_batch_reports_the_point_a_loop_meets_first():
+    # a kink at the second point comes before a margin failure at the third
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    phi = Wavefunction("cone", lambda x: np.exp(-1j * x.t), domain=lambda x: x.t > 0.0)
+    pts = [FourVector(0.5, 0.0, 0.0, 0.3), FourVector(0.5, 0.1, 0.2, 0.0),
+           FourVector(0.001, 0.0, 0.0, 0.3)]
+    with pytest.raises(DomainError) as err:
+        residual_convergence(phi, bg, pts, 1e-3)
+    assert str(err.value) == ("(t,x,y,z) = (0.5, 0.1, 0.2, 0) touches a switch "
+                              "surface of background 'linear_z'")
+    with pytest.raises(DomainError) as err:
+        residual_convergence(phi, bg, [pts[0], pts[2], pts[1]], 1e-3)
+    assert str(err.value) == _first_margin_error(phi, [pts[2]], 1e-3, 2)
+
+
+def test_bessel_overflow_names_its_v():
+    phi = make_dilation_solution((1000.0, 0.0), 0.8, 1.0, 1.0, 0.0)
+    # v = sqrt(x.x)/x+ is 0.16, 1 and 1.73: Q_perp v = 1000 overflows I_alpha
+    pts = [FourVector(2.0, 0.0, 0.0, 1.9), FourVector(2.0, 0.0, 0.0, 0.0),
+           FourVector(2.0, 0.0, 0.0, -1.0)]
+    assert np.isfinite(phi(pts[0]))
+    with pytest.raises(DomainError) as err:
+        phi(_batch(pts))
+    assert str(err.value) == "Bessel evaluation overflowed at v = 1"
