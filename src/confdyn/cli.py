@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import itertools
 import math
 import sys
 from pathlib import Path
@@ -564,60 +563,40 @@ def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
     return [("certification.json", write_json, cert.to_dict(), False)], lines, ok
 
 
-def _kg_setup(cfg, rng):
-    """Returns (phi, bg, draw, eigen_triples) for the configured family;
-    draw() is one sample point read from rng."""
+# per solution, the bounds of its four uniform draws and the chart that makes them a point
+_KG_BOXES = {"planewave": (-1.0, 1.0, FourVector),
+             "conformal": ((0.7, -0.5, -0.4, -0.4), (1.6, 0.5, 0.4, 0.4), from_lightfront),
+             "dilation": ((1.8, -0.4, -0.4, -0.4), (2.6, 0.4, 0.4, 0.4), FourVector),
+             "offshell": (-1.0, 1.0, FourVector)}
+
+
+def _kg_mode(cfg, sol: str, bg):
+    """The solution sol: a mode of bg, or the off-shell control."""
     from . import kgverify
-    sol = _get(cfg, "kg", "solution")
-    bg = _background(cfg)
-
-    def box():
-        return FourVector(*rng.uniform(-1.0, 1.0, size=4))
-
     if sol == "planewave":
         qperp = _get(cfg, "kg", "qperp", [0.3, -0.2])
         qminus = _get(cfg, "kg", "qminus", 0.7)
-        phi = kgverify.make_planewave_solution(
+        return kgverify.make_planewave_solution(
             qperp, qminus, _xplus_wave(bg, "the planewave mode"))
-        triples = [(conformal.translation_axis(1), qperp[0], "P1"),
-                   (conformal.translation_axis(2), qperp[1], "P2"),
-                   (conformal.translation_xminus(), qminus, "P-")]
-        return phi, bg, box, triples
     if sol == "conformal":
         if bg.profile is None:
             raise ConfigError("conformal solution needs an inverse-square "
                               "background family")
         qperp = _get(cfg, "kg", "qperp", [0.25, -0.15])
         q3 = _get(cfg, "kg", "q3", 0.8)
-        phi = kgverify.make_conformal_solution(qperp, q3, bg)
-        triples = [(conformal.special_conformal_lf(), q3, "C-"),
-                   (conformal.null_rotation_t(1), qperp[0], "T1"),
-                   (conformal.null_rotation_t(2), qperp[1], "T2")]
-        return phi, bg, lambda: from_lightfront(
-            rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
-            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)), triples
+        return kgverify.make_conformal_solution(qperp, q3, bg)
     if sol == "dilation":
         qperp = _get(cfg, "kg", "qperp", [0.4, 0.1])
         q3 = _get(cfg, "kg", "q3", 0.6)
         csq = _family_param(bg, "dilation", "csq", "the dilation mode")
         c1 = _get(cfg, "kg", "c1", 1.0)
         c2 = _get(cfg, "kg", "c2", 0.0)
-        phi = kgverify.make_dilation_solution(qperp, q3, csq, c1, c2)
-        triples = [(conformal.dilation(), q3, "D"),
-                   (conformal.null_rotation_t(1), qperp[0], "T1"),
-                   (conformal.null_rotation_t(2), qperp[1], "T2")]
-        return phi, bg, lambda: FourVector(
-            rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
-            rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)), triples
+        return kgverify.make_dilation_solution(qperp, q3, csq, c1, c2)
     if sol == "offshell":
         p = np.asarray(_get(cfg, "kg", "p", [1.3, 0.2, -0.1, 0.3]))
-
-        def ev(x):
-            return np.exp(-1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y
-                                 + p[3] * x.z))
-        phi = kgverify.Wavefunction("offshell_control", ev,
-                                    params={"p": list(p)})
-        return phi, bg, box, []
+        return kgverify.Wavefunction("offshell_control", lambda x: np.exp(
+            -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)),
+            params={"p": list(p)})
     raise ConfigError(f"unknown kg solution {sol!r}")
 
 
@@ -625,33 +604,39 @@ def cmd_kg(cfg, seed: int) -> tuple:
     from . import kgverify   # kg only
     npts = _get(cfg, "kg", "points", 60)
     h = _get(cfg, "kg", "h", 1e-3)
-    rng = np.random.default_rng(seed)
+    sol = _get(cfg, "kg", "solution")
+    bg = _background(cfg)
     try:
-        phi, bg, draw, triples = _kg_setup(cfg, rng)
+        phi = _kg_mode(cfg, sol, bg)
     except ValueError as exc:       # a mode constructor refusing its constants
         raise ConfigError(f"kg solution: {exc}") from None
-    # the first npts in-domain points of at most 1000 draws
-    drawn = (draw() for _ in range(1000))
-    points = list(itertools.islice(filter(phi.in_domain, drawn), npts))
-    if len(points) < npts:
+    # the first npts in-domain points of 1000 draws
+    lo, hi, chart = _KG_BOXES[sol]
+    drawn = np.random.default_rng(seed).uniform(lo, hi, size=(1000, 4))
+    drawn = drawn[phi.in_domain(chart(*drawn.T))][:npts]
+    if len(drawn) < npts:
         raise ConfigError("could not draw enough in-domain sample points")
-    rows = kgverify.residual_convergence(phi, bg, points, h=h)
+    # one read of phi at h and one at h/2 serve the residuals and, through
+    # their first 10 rows, the eigen-defects
+    x = chart(*drawn.T)
+    reads = [kgverify.read_stencils(phi, bg, x, s, 1) for s in (h, h / 2.0)]
+    rows = kgverify.residual_convergence(bg, *reads)
     ratios = [r[4] for r in rows]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
 
+    heads = [kgverify.first_rows(read, 10) for read in reads]
     defects = []
-    for gen, Q, label in triples:
-        d1 = kgverify.eigen_defect(gen, phi, Q, points[:10], h=h)
-        d2 = kgverify.eigen_defect(gen, phi, Q, points[:10], h=h / 2.0)
+    for gen, Q, label in phi.params.get("eigen", []):
+        d1, d2 = (kgverify.eigen_defect(gen, Q, read) for read in heads)
         defects.append({"generator": label, "Q": float(Q),
                         "defect_h": float(d1), "defect_h2": float(d2)})
     summary = {"command": "kg", "solution": phi.label, "seed": seed,
-               "points": len(points), "h": h,
+               "points": npts, "h": h,
                "ratio_min": float(min(ratios)), "ratio_max": float(max(ratios)),
                "eigen_defects": defects, "pass": bool(ok)}
     files = [("convergence.csv", kgverify.write_convergence_csv, rows),
              ("kg_summary.json", write_json, summary, True)]
-    return files, [f"{phi.label}: {len(points)} points, h-halving ratios in "
+    return files, [f"{phi.label}: {npts} points, h-halving ratios in "
                    f"[{min(ratios):.2f}, {max(ratios):.2f}] -> "
                    f"{'PASS' if ok else 'FAIL'}"], ok
 

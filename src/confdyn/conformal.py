@@ -165,6 +165,7 @@ def translation_axis(j: int) -> ConformalGenerator:
     return translation(a, label=f"P{j}")
 
 
+# no command uses it; tests do, and item 11's basis decides if it stays
 def translation_xplus() -> ConformalGenerator:
     """Translation in x+ (a^+ = 1); charge p+ = (p0 + p3)/2, the front-form
     Hamiltonian on shell."""
@@ -222,6 +223,7 @@ def null_rotation_t(j: int) -> ConformalGenerator:
     return _lorentz(om, f"T{j}")
 
 
+# no command uses it; tests do, and item 11's basis decides if it stays
 def null_rotation_u(j: int) -> ConformalGenerator:
     """Null rotation fixing the x- direction, transverse axis j in {1,2};
     charge U_j = 2 x^j p+ + x- p_j."""
@@ -288,6 +290,7 @@ def lie_bracket(g1: ConformalGenerator, g2: ConformalGenerator) -> ConformalGene
     return ConformalGenerator(a_new, omega_new, lam_new, c_new, label=lbl)
 
 
+# no command calls it yet; tests do, and items 3 (conservation check) and 11 will
 def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
     """xi.grad(m^2) + (1/2) m^2 (d.xi); zero iff xi.p is conserved along the
     background's orbits and L = xi.grad + (1/4) d.xi is a wave-operator

@@ -638,9 +638,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
 # form conversions
 # ---------------------------------------------------------------------------
 
-# no command converts a state between forms (front_to_extended aside); tests
-# do, and the form round-trip property tests of ROADMAP items 8 and 14 will
-
+# no command converts forms (front_to_extended aside); tests do, as items 8 and 14 will
 def instant_to_covariant(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     if state.form != "instant":
         raise ValueError("expected an instant-form state")
@@ -650,6 +648,7 @@ def instant_to_covariant(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     return covariant_state(state.position(), FourVector.from_array(u), tau=0.0)
 
 
+# no command calls it; tests do, and the round trips of items 8 and 14 will
 def covariant_to_instant(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     if state.form != "covariant":
         raise ValueError("expected a covariant state")
@@ -658,6 +657,7 @@ def covariant_to_instant(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     return instant_state(x.t, [x.x, x.y, x.z], p4[1:4])
 
 
+# no command calls it; tests do, and the round trips of items 8 and 14 will
 def instant_to_front(state: PhaseSpaceState, bg) -> PhaseSpaceState:
     if state.form != "instant":
         raise ValueError("expected an instant-form state")

@@ -9,15 +9,16 @@ eigenvalue.  Everything here is verified numerically:
 * kg_residual      central-difference (d^2 + m^2) phi, O(h^2) or O(h^4)
 * symmetry_apply   L phi by central differences plus the closed-form
                    divergence
-* eigen_defect     max |L phi + i Q phi| / max |phi| over sample points
+* eigen_defect     max |L phi + i Q phi| / max |phi| over sample points, for
+                   each mode's params["eigen"] (generator, Q, label) triples
 * phase_gradient   d_mu of the phase of phi = exp(-i S); along a classical
                    orbit this must reproduce the canonical momenta
                    (Hamilton-Jacobi)
 
-Each takes a FourVector with float or (N,) components, and a stencil reads
-phi in one call on all of its points for all N points at once; a single
-point goes through as the batch of one.  residual_convergence and
-eigen_defect stack their sample points into one such batch.
+A read (read_stencils) calls phi once, on the stencils of N points at once
+(a single point is the batch of one); the stencils above are arithmetic on
+reads, and one read at h and one at h/2 serve residual_convergence and,
+through their first rows, eigen_defect.
 
 Solution families: the plane-wave mode (phase integral of the dynamical
 mass over x+), the inverse-square conformal mode, and the dilation mode
@@ -28,13 +29,12 @@ the wave equation cannot see.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .conformal import ConformalGenerator
+from . import conformal
 from .errors import DomainError, SingularityError
 from .geometry import FourVector, central_difference
 from .jsonio import write_csv
@@ -51,12 +51,12 @@ class Wavefunction:
     evaluator: FourVector with (N,) components -> (N,) complex values;
     domain: FourVector -> bool, elementwise on a batch (True on the open set
     where the evaluator is finite and smooth); params records the
-    eigenvalues and constants that built the solution.
+    eigenvalues and constants that built the solution, and params["eigen"]
+    the (generator, Q, label) triples with L phi = -i Q phi.
 
     phi(x) takes a FourVector with float or (N,) components and gives a
     complex or an (N,) array; a single point reaches the evaluator as a
-    batch of one.  The stencils below read phi once per stencil, on all of
-    its points at once."""
+    batch of one.  A read calls phi once, on all of its stencils' points."""
 
     label: str
     evaluator: Callable = field(repr=False)
@@ -118,15 +118,6 @@ def _stencil(x: FourVector, h: float, offsets) -> FourVector:
     return FourVector(*comps.reshape(4, -1))
 
 
-def _stencil_values(phi: Wavefunction, x: FourVector, h: float, steps: int):
-    """(phi(x), {(mu, k h): phi(x + k h e_mu)}) for 0 < |k| <= steps, each an
-    (N,) array, from one call of phi on all the stencils' points."""
-    offsets = _offsets(steps)
-    values = phi(_stencil(x, h, offsets)).reshape(len(x.t), 1 + len(offsets))
-    return values[:, 0], {(mu, k * h): values[:, j]
-                          for j, (mu, k) in enumerate(offsets, 1)}
-
-
 def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
     """Raise DomainError at the first point of the batch x whose stencil of
     half-width steps h leaves phi's domain, naming the first such stencil
@@ -149,21 +140,40 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
                       f"{bg.label!r}")
 
 
-def _box(phi: Wavefunction, bg, x: FourVector, h: float, order: int):
-    """((d^2 + m^2) phi, phi) on the batch x."""
-    _require_margin(phi, x, h, 2, bg)
-    f0, at = _stencil_values(phi, x, h, order // 2)
+def read_stencils(phi: Wavefunction, bg, x, h: float, steps: int) -> tuple:
+    """One read of phi about x (a point, a batch or a sequence of points): the
+    plain tuple (x as a batch, h, phi(x), {(mu, k h): phi(x + k h e_mu)}) for
+    0 < |k| <= steps, each value an (N,) array, from one call of phi.  First
+    each stencil must stay in phi's domain; with bg, the wave operator's
+    check, the margin is 2 h whatever steps is and no x may touch a switch
+    surface of bg.  Row i depends on point i alone (see first_rows)."""
+    x = _as_batch(x)
+    _require_margin(phi, x, h, steps if bg is None else 2, bg)
+    offsets = _offsets(steps)
+    values = phi(_stencil(x, h, offsets)).reshape(len(x.t), 1 + len(offsets))
+    return x, h, values[:, 0], {(mu, k * h): values[:, j]
+                                for j, (mu, k) in enumerate(offsets, 1)}
+
+
+def first_rows(read, n: int) -> tuple:
+    """The read of the first n points of a read."""
+    x, h, f0, at = read
+    return (FourVector(x.t[:n], x.x[:n], x.y[:n], x.z[:n]), h, f0[:n],
+            {key: values[:n] for key, values in at.items()})
+
+
+def _box(read, bg, order: int):
+    """((d^2 + m^2) phi, phi) from a read of half-width order/2 or more."""
+    x, h, f0, at = read
     box = 0.0 + 0.0j
     for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0)):
         box += sign * central_difference(lambda s: at[mu, s], h, 2, order, f0)
     return box + bg.m2(x) * f0, f0
 
 
-def _symmetry(gen: ConformalGenerator, phi: Wavefunction, x: FourVector,
-              h: float):
-    """(L phi, phi) on the batch x."""
-    _require_margin(phi, x, h, 1, None)
-    f0, at = _stencil_values(phi, x, h, 1)
+def _symmetry(gen: conformal.ConformalGenerator, read):
+    """(L phi, phi) from a read."""
+    x, h, f0, at = read
     xi = gen.killing(x)
     out = 0.25 * gen.divergence(x) * f0
     for mu in range(4):
@@ -171,7 +181,7 @@ def _symmetry(gen: ConformalGenerator, phi: Wavefunction, x: FourVector,
     return out, f0
 
 
-# order=4 is for the steep profiles of ROADMAP item 13; the package's callers take 2
+# tests and tests/oracles.py call it; order=4 is for the steep profiles of ROADMAP item 13
 def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float,
                 order: int = 2):
     """(d^2 + m^2) phi at x by central differences: a complex at a point, an
@@ -185,23 +195,23 @@ def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float,
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    return _like(x, _box(phi, bg, _as_batch(x), h, order)[0])
+    return _like(x, _box(read_stencils(phi, bg, x, h, order // 2), bg, order)[0])
 
 
-def symmetry_apply(gen: ConformalGenerator, phi: Wavefunction, x: FourVector,
+# no command calls this; tests and tests/oracles.py do
+def symmetry_apply(gen: conformal.ConformalGenerator, phi: Wavefunction, x: FourVector,
                    h: float):
     """(L phi)(x) = xi^mu d_mu phi + (1/4)(div xi) phi, the gradient by
     central differences from one read of phi on the 1 + 8 stencil points,
     the divergence in closed form; per point for a batch x."""
-    return _like(x, _symmetry(gen, phi, _as_batch(x), h)[0])
+    return _like(x, _symmetry(gen, read_stencils(phi, None, x, h, 1))[0])
 
 
-def eigen_defect(gen: ConformalGenerator, phi: Wavefunction, Q: complex,
-                 points: Sequence[FourVector], h: float) -> float:
-    """max_x |L phi + i Q phi| / max_x |phi| over the sample points; zero (to
-    O(h^2)) exactly when phi is an L eigenvector with eigenvalue Q.  A NaN
-    drops out of either maximum."""
-    Lphi, v = _symmetry(gen, phi, _as_batch(points), h)
+def eigen_defect(gen: conformal.ConformalGenerator, Q: complex, read) -> float:
+    """max_x |L phi + i Q phi| / max_x |phi| over the points of a read; zero
+    (to O(h^2)) exactly when phi is an L eigenvector with eigenvalue Q.  A
+    NaN drops out of either maximum."""
+    Lphi, v = _symmetry(gen, read)
     num = np.fmax.reduce(_modulus(Lphi + 1j * Q * v), initial=0.0)
     return float(num / np.fmax.reduce(_modulus(v), initial=_EPS))
 
@@ -213,9 +223,7 @@ def phase_gradient(phi: Wavefunction, x: FourVector, h: float) -> np.ndarray:
     from the argument of phi(x+h)/phi(x-h); shape (4,) at a point, (4, N)
     for a batch.  Valid while |S| varies by less than pi across the
     stencil."""
-    b = _as_batch(x)
-    _require_margin(phi, b, h, 1, None)
-    _, at = _stencil_values(phi, b, h, 1)
+    at = read_stencils(phi, None, x, h, 1)[3]
     g = np.array([-np.angle(at[mu, h] / at[mu, -h]) / (2.0 * h) for mu in range(4)])
     return g if np.ndim(x.t) else g[:, 0]
 
@@ -245,8 +253,11 @@ def make_planewave_solution(qperp, qminus: float, bg) -> Wavefunction:
     def ev(x: FourVector):
         return np.exp(-1j * (q1 * x.x + q2 * x.y + qm * x.xminus)) * chi(x.xplus)
 
-    return Wavefunction("planewave_mode", ev,
-                        params={"Qperp": (q1, q2), "Qminus": qm, "chi": chi})
+    eigen = [(conformal.translation_axis(1), q1, "P1"),
+             (conformal.translation_axis(2), q2, "P2"),
+             (conformal.translation_xminus(), qm, "P-")]
+    return Wavefunction("planewave_mode", ev, params={
+        "Qperp": (q1, q2), "Qminus": qm, "chi": chi, "eigen": eigen})
 
 
 def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
@@ -279,9 +290,11 @@ def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
         u = x.xminus - (x.x ** 2 + x.y ** 2) / xp
         return np.exp(-1j * (qc + q1 * x.x + q2 * x.y) / xp) / xp * g(u)
 
-    return Wavefunction("conformal_mode", ev,
-                        domain=lambda x: x.xplus > 1e-6,
-                        params={"Qperp": (q1, q2), "Q3": qc, "g": g})
+    eigen = [(conformal.special_conformal_lf(), qc, "C-"),
+             (conformal.null_rotation_t(1), q1, "T1"),
+             (conformal.null_rotation_t(2), q2, "T2")]
+    return Wavefunction("conformal_mode", ev, domain=lambda x: x.xplus > 1e-6,
+                        params={"Qperp": (q1, q2), "Q3": qc, "g": g, "eigen": eigen})
 
 
 _jv = _yv = None   # scipy.special's jv and yv, once _bessel_pair has needed them
@@ -355,32 +368,31 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
     def dom(x: FourVector):
         return (x.norm2() > 1e-8) & (x.xplus > 1e-8)
 
+    eigen = [(conformal.dilation(), qc, "D"), (conformal.null_rotation_t(1), q1, "T1"),
+             (conformal.null_rotation_t(2), q2, "T2")]
     return Wavefunction("dilation_mode", ev, domain=dom,
-                        params={"Qperp": (q1, q2), "Q3": qc, "csq": csq,
-                                "alpha": alpha, "c1": c1, "c2": c2})
+                        params={"Qperp": (q1, q2), "Q3": qc, "csq": csq, "alpha": alpha,
+                                "c1": c1, "c2": c2, "eigen": eigen})
 
 
 # ---------------------------------------------------------------------------
 # convergence reporting
 # ---------------------------------------------------------------------------
 
-def residual_convergence(phi: Wavefunction, bg, points: Sequence[FourVector],
-                         h: float):
-    """Normalized second-order KG residuals at h and h/2 per point, with
-    their ratio.
+def residual_convergence(bg, read_h, read_h2):
+    """Normalized second-order KG residuals per point from reads of the same
+    points at h and h/2 (read_stencils with bg, one step), with their ratio.
 
     Returns a list of rows (index, h, |res(h)|, |res(h/2)|, ratio), residuals
     normalized by max(|phi(x)|, eps).  The expected ratio is 4 for a true
-    solution and ~1 for an off-shell control.  All points go through each
-    stencil together."""
-    x = _as_batch(points)
-    box, f0 = _box(phi, bg, x, h, 2)
-    box2, _ = _box(phi, bg, x, h / 2.0, 2)
+    solution and ~1 for an off-shell control."""
+    box, f0 = _box(read_h, bg, 2)
+    box2, _ = _box(read_h2, bg, 2)
     scale = np.maximum(_modulus(f0), _EPS)
     r1 = _modulus(box) / scale
     r2 = _modulus(box2) / scale
-    return list(zip(itertools.count(), itertools.repeat(h), r1.tolist(), r2.tolist(),
-                    (r1 / np.maximum(r2, _EPS)).tolist()))
+    rows = zip(r1.tolist(), r2.tolist(), (r1 / np.maximum(r2, _EPS)).tolist())
+    return [(i, read_h[1], *row) for i, row in enumerate(rows)]
 
 
 # perfbench/bench_trace.py wraps it as the span kgverify.write

@@ -17,6 +17,8 @@ computes another way:
   builds once;
 * a quantity's partials by central differences, against the closed-form
   partials the quantities carry;
+* the kg command's sample points drawn lazily, one point per draw, against
+  its one batched draw;
 * an antiderivative by adaptive quadrature, the F that a generic profile f
   hands special_conformal_mass, and the Gaussian profile's slope, the f'
   a test that rebuilds the Gaussian profile hands it.
@@ -24,6 +26,7 @@ computes another way:
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -32,7 +35,7 @@ from confdyn.conformal import (ConformalGenerator, ConservedQuantity,
                                symmetry_defect)
 from confdyn.dynamics import PhaseSpaceState, front_state
 from confdyn.geometry import (METRIC, METRIC_DIAG, FourVector,
-                              central_difference, contract, lower_index,
+                              central_difference, contract, from_lightfront, lower_index,
                               minkowski_dot, raise_index)
 from confdyn.kgverify import Wavefunction, kg_residual, symmetry_apply
 from confdyn.ode import brentq
@@ -203,6 +206,32 @@ def commutator_identity_defect(gen: ConformalGenerator, bg, phi: Wavefunction,
     rhs = (0.5 * gen.divergence(x) * Aphi(x)
            - symmetry_defect(gen, bg, x) * phi(x))
     return abs(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# the kg command's sample points
+# ---------------------------------------------------------------------------
+
+def kg_points_one_by_one(solution: str, phi: Wavefunction, seed: int,
+                         npts: int) -> list:
+    """The first npts points in phi's domain among at most 1000 draws from the
+    rng of seed, drawn one point, and for a light-front or cone box one
+    coordinate, at a time, as long as they are needed: the kg command's
+    sample points for the solution of that name."""
+    rng = np.random.default_rng(seed)
+
+    def box():
+        return FourVector(*rng.uniform(-1.0, 1.0, size=4))
+
+    draws = {"planewave": box, "offshell": box,
+             "conformal": lambda: from_lightfront(
+                 rng.uniform(0.7, 1.6), rng.uniform(-0.5, 0.5),
+                 rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)),
+             "dilation": lambda: FourVector(
+                 rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
+                 rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))}
+    drawn = (draws[solution]() for _ in range(1000))
+    return list(itertools.islice(filter(phi.in_domain, drawn), npts))
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,13 @@ from confdyn.geometry import (
 from confdyn.kgverify import (
     Wavefunction,
     eigen_defect,
+    first_rows,
     kg_residual,
     make_conformal_solution,
     make_dilation_solution,
     make_planewave_solution,
     phase_gradient,
+    read_stencils,
     residual_convergence,
     symmetry_apply,
     write_convergence_csv,
@@ -35,6 +37,7 @@ from confdyn.kgverify import (
 from oracles import (
     commutator_identity_defect,
     fd_partials,
+    kg_points_one_by_one,
     killing_residual_fd,
     ode_residual_conformal,
     ode_residual_planewave,
@@ -45,6 +48,12 @@ from oracles import (
 _H = 5e-3
 # f(u) = exp(-u^2) with its erf antiderivative
 _GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+
+
+def _convergence(phi, bg, points, h):
+    """residual_convergence from phi's reads of the points at h and h/2."""
+    return residual_convergence(bg, read_stencils(phi, bg, points, h, 1),
+                                read_stencils(phi, bg, points, h / 2, 1))
 
 
 def _cartesian_points(rng, n, t_range=(-1.0, 1.0), r=1.0):
@@ -81,7 +90,7 @@ def test_free_mode_second_order_convergence():
     bg = backgrounds.constant(1.69)
     phi = make_planewave_solution((0.3, -0.2), 0.8, bg)
     rng = np.random.default_rng(41)
-    rows = residual_convergence(phi, bg, _cartesian_points(rng, 8), h=_H)
+    rows = _convergence(phi, bg, _cartesian_points(rng, 8), h=_H)
     for _, h, r1, r2, ratio in rows:
         assert r1 < 1e-4
         assert 3.9 < ratio < 4.1
@@ -105,7 +114,7 @@ def test_off_shell_control_plateaus():
     phi = Wavefunction("offshell", lambda x: np.exp(
         -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)))
     rng = np.random.default_rng(42)
-    rows = residual_convergence(phi, bg, _cartesian_points(rng, 6), h=_H)
+    rows = _convergence(phi, bg, _cartesian_points(rng, 6), h=_H)
     for _, h, r1, r2, ratio in rows:
         # residual sits at |m^2 - p.p| instead of shrinking
         assert r1 == pytest.approx(abs(gap), rel=1e-3)
@@ -120,7 +129,7 @@ def test_planewave_mode_on_profile():
     bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     phi = make_planewave_solution((0.25, -0.15), 0.6, bg)
     rng = np.random.default_rng(43)
-    rows = residual_convergence(phi, bg, _cartesian_points(rng, 8), h=_H)
+    rows = _convergence(phi, bg, _cartesian_points(rng, 8), h=_H)
     for _, h, r1, r2, ratio in rows:
         assert 3.5 < ratio < 4.5
     chi = phi.params["chi"]
@@ -146,13 +155,13 @@ def test_planewave_eigen_defects():
                (conformal.translation_axis(2), q2),
                (conformal.translation_xminus(), qm)]
     for gen, Q in triples:
-        d1 = eigen_defect(gen, phi, Q, pts, h=1e-3)
-        d2 = eigen_defect(gen, phi, Q, pts, h=5e-4)
+        d1 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 1e-3, 1))
+        d2 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 5e-4, 1))
         assert d1 < 1e-5
         assert d1 / d2 == pytest.approx(4.0, abs=1.0)  # O(h^2) decay
     # a wrong eigenvalue cannot be talked away by refining the stencil
-    bad = eigen_defect(conformal.translation_axis(1), phi, q1 + 0.5, pts,
-                       h=1e-3)
+    bad = eigen_defect(conformal.translation_axis(1), q1 + 0.5,
+                       read_stencils(phi, None, pts, 1e-3, 1))
     assert bad > 0.1
 
 
@@ -165,7 +174,7 @@ def test_conformal_mode_on_gaussian():
     f = bg.profile[0]
     phi = make_conformal_solution((0.25, -0.15), 0.8, bg)
     rng = np.random.default_rng(45)
-    rows = residual_convergence(phi, bg, _conformal_points(rng, 8), h=_H)
+    rows = _convergence(phi, bg, _conformal_points(rng, 8), h=_H)
     for _, h, r1, r2, ratio in rows:
         assert 3.5 < ratio < 4.5
     res = ode_residual_conformal(phi.params["g"], (0.25, -0.15), 0.8, f,
@@ -182,11 +191,11 @@ def test_conformal_mode_eigen_defects():
                (conformal.null_rotation_t(1), q1),
                (conformal.null_rotation_t(2), q2)]
     for gen, Q in triples:
-        d1 = eigen_defect(gen, phi, Q, pts, h=1e-3)
-        d2 = eigen_defect(gen, phi, Q, pts, h=5e-4)
+        d1 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 1e-3, 1))
+        d2 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 5e-4, 1))
         assert d1 < 1e-4
         assert d1 / d2 == pytest.approx(4.0, abs=1.0)
-        assert eigen_defect(gen, phi, Q + 0.5, pts, h=1e-3) > 0.1
+        assert eigen_defect(gen, Q + 0.5, read_stencils(phi, None, pts, 1e-3, 1)) > 0.1
 
 
 def test_conformal_mode_validation():
@@ -211,7 +220,7 @@ def test_dilation_mode_bessel_branch():
     phi = make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.0)
     assert phi.params["alpha"] == pytest.approx(0.6)
     rng = np.random.default_rng(47)
-    rows = residual_convergence(phi, bg, _cone_points(rng, 8), h=_H)
+    rows = _convergence(phi, bg, _cone_points(rng, 8), h=_H)
     for _, h, r1, r2, ratio in rows:
         assert 3.5 < ratio < 4.5
 
@@ -222,7 +231,7 @@ def test_dilation_mode_complex_order():
     phi = make_dilation_solution((0.25, -0.15), 0.8, 0.04, 1.0, 0.0)
     assert abs(phi.params["alpha"].real) < 1e-12
     rng = np.random.default_rng(48)
-    rows = residual_convergence(phi, bg, _cone_points(rng, 2), h=_H)
+    rows = _convergence(phi, bg, _cone_points(rng, 2), h=_H)
     for _, h, r1, r2, ratio in rows:
         assert 3.5 < ratio < 4.5
 
@@ -256,9 +265,10 @@ def test_dilation_eigen_defect():
     phi = make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.0)
     rng = np.random.default_rng(49)
     pts = _cone_points(rng, 5)
-    d = eigen_defect(conformal.dilation(), phi, 0.8, pts, h=1e-3)
+    d = eigen_defect(conformal.dilation(), 0.8, read_stencils(phi, None, pts, 1e-3, 1))
     assert d < 1e-4
-    assert eigen_defect(conformal.dilation(), phi, 1.3, pts, h=1e-3) > 0.1
+    assert eigen_defect(conformal.dilation(), 1.3,
+                        read_stencils(phi, None, pts, 1e-3, 1)) > 0.1
 
 
 def test_dilation_mode_validation():
@@ -355,7 +365,7 @@ def test_convergence_csv_roundtrip(tmp_path):
     bg = backgrounds.constant(1.0)
     phi = make_planewave_solution((0.1, -0.2), 0.5, bg)
     rng = np.random.default_rng(50)
-    rows = residual_convergence(phi, bg, _cartesian_points(rng, 3), h=_H)
+    rows = _convergence(phi, bg, _cartesian_points(rng, 3), h=_H)
     path = tmp_path / "conv.csv"
     write_convergence_csv(path, rows)
     lines = path.read_text().strip().splitlines()
@@ -582,13 +592,48 @@ def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(Wavefunction, "__call__",
                         lambda self, x: calls.append(x) or real_call(self, x))
     assert main(["kg", "--preset", "planewave", "--out-dir", str(tmp_path)]) == 0
-    # residual_convergence reads the 1 + 8 stencil points of all 60 points
-    # at h, then at h/2; eigen_defect's 3 generators those of the first 10
-    # points at h and at h/2: one call each, no point twice in a call
-    assert [len(rows) for rows in runs] == [60 * 9] * 2 + [10 * 9] * 6
+    # one read of the 1 + 8 stencil points of all 60 points at h, one at h/2:
+    # one call each, no point twice in a call; the residuals and the 3
+    # generators' eigen-defects share them
+    assert [len(rows) for rows in runs] == [60 * 9] * 2
     assert len(calls) == len(runs)
     for rows in runs:
         assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+def test_kgcontrol_job_evaluates_each_point_once(tmp_path, monkeypatch):
+    from confdyn.cli import main
+    calls = []
+    real_call = Wavefunction.__call__
+    monkeypatch.setattr(Wavefunction, "__call__",
+                        lambda self, x: calls.append(_rows(x)) or real_call(self, x))
+    # the control fails the ratio gate, after the same two reads
+    assert main(["kg", "--preset", "kgcontrol", "--out-dir", str(tmp_path)]) == 1
+    assert [len(rows) for rows in calls] == [60 * 9] * 2
+    for rows in calls:
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+@pytest.mark.parametrize("preset", ["planewave", "conformal", "dilation", "kgcontrol"])
+def test_kg_draws_the_points_of_one_by_one_draws(tmp_path, monkeypatch, preset):
+    # one (1000, 4) draw through the box's chart keeps the points that a draw
+    # of one point, or one coordinate, at a time kept, element for element
+    from confdyn import kgverify
+    from confdyn.cli import main, preset_config
+    made, reads = kgverify.read_stencils, []
+
+    def recorded(phi, bg, x, h, steps):
+        reads.append((phi, x))
+        return made(phi, bg, x, h, steps)
+    monkeypatch.setattr(kgverify, "read_stencils", recorded)
+    solution = preset_config(preset)["kg"]["solution"]
+    for seed in range(1, 6):
+        reads.clear()
+        main(["kg", "--preset", preset, "--seed", str(seed), "--out-dir", str(tmp_path)])
+        (phi, x), (_, x2) = reads
+        want = np.array([(p.t, p.x, p.y, p.z)
+                         for p in kg_points_one_by_one(solution, phi, seed, 60)])
+        assert _same_bits(_rows(x), want) and _same_bits(_rows(x2), want)
 
 
 def _batch(points):
@@ -608,6 +653,33 @@ def _modes():
         (make_dilation_solution((0.25, -0.15), 0.8, 0.04, 1.0, 0.5), cone[:3]),
         (make_dilation_solution((0.0, 0.0), 0.8, 1.0, 1.0, 0.5), cone),
     ]
+
+
+def test_first_rows_of_a_read_are_the_read_of_the_first_points():
+    # cmd_kg's eigen-defects take the first 10 rows of its 60-point reads:
+    # they must be what reads of those 10 points alone give, bit for bit,
+    # whatever the batch length
+    rng = np.random.default_rng(65)
+    wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
+    kinds = {"planewave_mode": (_cartesian_points, lambda phi: wave),
+             "conformal_mode": (_conformal_points, lambda phi: _GAUSS),
+             "dilation_mode": (_cone_points, lambda phi: backgrounds.dilation_mass(
+                 phi.params["csq"]))}
+    for phi, _ in _modes():
+        draw, bg_of = kinds[phi.label]
+        pts, bg = draw(rng, 60), bg_of(phi)
+        whole = [read_stencils(phi, bg, pts, h, 1) for h in (_H, _H / 2)]
+        first = [read_stencils(phi, bg, pts[:10], h, 1) for h in (_H, _H / 2)]
+        for read, part in zip(whole, first):
+            head = first_rows(read, 10)
+            assert _same_bits(_rows(head[0]), _rows(part[0])) and head[1] == part[1]
+            assert head[3].keys() == part[3].keys()
+            for got, want in zip([head[2], *head[3].values()],
+                                 [part[2], *part[3].values()]):
+                assert _same_bits(got.real, want.real) and _same_bits(got.imag, want.imag)
+            for gen, Q, _ in phi.params["eigen"]:
+                assert eigen_defect(gen, Q, head) == eigen_defect(gen, Q, part)
+        assert residual_convergence(bg, *whole)[:10] == residual_convergence(bg, *first)
 
 
 def test_batch_values_are_the_per_point_values():
@@ -644,7 +716,7 @@ def test_batch_margin_names_the_first_stencil_point_out():
     want = _first_margin_error(phi, pts, h, 2)
     assert "(t,x,y,z) = (0.0" in want
     for run in (lambda: kg_residual(phi, _GAUSS, _batch(pts), h),
-                lambda: residual_convergence(phi, _GAUSS, pts, h)):
+                lambda: _convergence(phi, _GAUSS, pts, h)):
         with pytest.raises(DomainError) as err:
             run()
         assert str(err.value) == want
@@ -660,11 +732,11 @@ def test_batch_reports_the_point_a_loop_meets_first():
     pts = [FourVector(0.5, 0.0, 0.0, 0.3), FourVector(0.5, 0.1, 0.2, 0.0),
            FourVector(0.001, 0.0, 0.0, 0.3)]
     with pytest.raises(DomainError) as err:
-        residual_convergence(phi, bg, pts, 1e-3)
+        _convergence(phi, bg, pts, 1e-3)
     assert str(err.value) == ("(t,x,y,z) = (0.5, 0.1, 0.2, 0) touches a switch "
                               "surface of background 'linear_z'")
     with pytest.raises(DomainError) as err:
-        residual_convergence(phi, bg, [pts[0], pts[2], pts[1]], 1e-3)
+        _convergence(phi, bg, [pts[0], pts[2], pts[1]], 1e-3)
     assert str(err.value) == _first_margin_error(phi, [pts[2]], 1e-3, 2)
 
 
