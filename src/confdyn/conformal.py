@@ -110,15 +110,18 @@ class ConformalGenerator:
         return a + self.omega_mixed @ xu + self.lam * xu + cu * xx - 2.0 * cx * xu
 
     def jacobian(self, x: FourVector) -> np.ndarray:
-        """Mixed Jacobian J[mu, nu] = d_nu xi^mu(x), closed form."""
+        """Mixed Jacobian J[mu, nu] = d_nu xi^mu(x), closed form: shape
+        (4, 4) at a point, and for a FourVector with (N,) components the
+        (N, 4, 4) stack of one matrix per point, as np.matmul stacks them."""
         xu = x.as_array()
-        xl = x.lowered()
-        cx = contract(xu, self.c)
-        # c[:, None] * x is np.outer's own product
+        cx = np.asarray(contract(xu, self.c))
+        # points first; c[:, None] * x is np.outer's own product, so every
+        # entry is the single point's product
+        xu, xl = xu.T, x.lowered().T
         return (self.jacobian_at_origin
-                + 2.0 * (self.c_upper[:, None] * xl)
-                - 2.0 * (xu[:, None] * self.c)
-                - 2.0 * cx * _EYE4)
+                + 2.0 * (self.c_upper[:, None] * xl[..., None, :])
+                - 2.0 * (xu[..., :, None] * self.c)
+                - 2.0 * cx[..., None, None] * _EYE4)
 
     def divergence(self, x: FourVector) -> float:
         """d.xi = 4 lam - 8 c.x, exact."""
@@ -320,9 +323,11 @@ class ConservedQuantity:
     (N,), one value per point: dynamics.monitor calls it once per
     trajectory.  partials(state, bg), when provided, returns closed-form
     gradients (dQ/dq, dQ/dp) with respect to the canonical variables of the
-    state's form, used by Poisson brackets and independence ranks; a
-    quantity without them is monitored only (dynamics.quantity_partials
-    raises ValueError).
+    state's form, used by Poisson brackets and independence ranks.  It is
+    called on single states only: on a batch state,
+    dynamics.quantity_partials calls it once per point and stacks the
+    results to (n, N).  A quantity without partials is monitored only
+    (dynamics.quantity_partials raises ValueError).
     """
 
     label: str

@@ -21,11 +21,15 @@ parameter with dx+/ds = 1, and uses the same bracket over all four pairs.
 The covariant form integrates m (d^2x_mu/dtau^2) = (eta_{mu nu} -
 xdot_mu xdot_nu) d^nu m with xdot.xdot = 1.
 
-A set of quantities is evaluated at a state, or a batch of states, by
-quantity_values and, in a form with a bracket, quantity_partials; the
-generator charges xi.p among them share one position, on-shell momentum and
-Hamiltonian partials per state.  monitor, poisson_bracket and
-integrability's tables read these two.
+A set of quantities is evaluated at a state, or at a component-first batch
+of states, by quantity_values and, in a form with a bracket,
+quantity_partials; the generator charges xi.p among them share one
+position, on-shell momentum and Hamiltonian partials per state.  On a batch
+quantity_partials returns (n, N) partials whose every point holds the bits
+of that point's own call: the generator chain rule runs as stacked
+matrix-vector products, and hand-written partials and dH are taken point by
+point.  monitor, poisson_bracket and integrability's tables read these two
+(integrability with one quantity_partials call per table).
 
 One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
 locates switch surfaces and the p- = 0 guard on each step's dense output with
@@ -116,14 +120,27 @@ FORMS = {
 }
 
 
+class _BatchTimes(np.ndarray):
+    """A batch state's (N,) times, hashable by identity: perfbench's
+    bench_trace.py keys each quantity_partials call by its state's time,
+    which a single state holds as a float (ROADMAP item 1).  Arithmetic on
+    it gives plain arrays."""
+
+    __hash__ = object.__hash__
+
+    def __array_wrap__(self, arr, context, return_scalar):
+        return arr[()] if return_scalar else arr.view(np.ndarray)
+
+
 @dataclass(frozen=True)
 class PhaseSpaceState:
     """A point of one of the four phase spaces; see the module docstring for
     the layout of q and p per form.
 
     A component-first batch of N points of one form has q and p of shape
-    (n, N) and time of shape (N,); positions, momenta and Hamiltonians of a
-    batch come out with one value per point (see Trajectory.batch_state).
+    (n, N) and time of shape (N,) (kept as _BatchTimes); positions, momenta
+    and Hamiltonians of a batch come out with one value per point (see
+    Trajectory.batch_state).
     """
 
     form: str
@@ -146,7 +163,8 @@ class PhaseSpaceState:
                              f"of shape {q.shape}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "time", scalar_or_array(time))
+        object.__setattr__(self, "time", scalar_or_array(
+            time.view(_BatchTimes) if time.ndim else time))
 
     def position(self) -> FourVector:
         """Spacetime point of the state (upper-index components)."""
@@ -264,40 +282,71 @@ def quantity_values(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
 
 
 def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
-    """One (dQ/dq, dQ/dp) per quantity at a state of a form with a bracket.
-    A generator charge's partials are one chain rule through the form's
-    constant data: with x(q) linear, E = dx/dq, and p4 = S^T p + H n,
+    """One (dQ/dq, dQ/dp) per quantity at a state of a form with a bracket,
+    each of shape (n,), or (n, N) for a batch state.  A generator charge's
+    partials are one chain rule through the form's constant data: with x(q)
+    linear, E = dx/dq, and p4 = S^T p + H n,
 
         dQ/dq = (p4.J) E + (xi.n) dH/dq,   dQ/dp = S xi + (xi.n) dH/dp,
 
     J the generator's Jacobian d_nu xi^mu; the H terms vanish where the form
-    eliminates no momentum (n = 0).  Any other quantity gives its own
-    closed-form partials, and one without them raises ValueError."""
+    eliminates no momentum (n = 0).  A batch takes the products as stacked
+    matmuls in the single point's order, so each point keeps its bits.  Any
+    other quantity gives its own closed-form partials, and one without them
+    raises ValueError before any field is read.  Those and dH are taken
+    point by point on a batch."""
     form = FORMS[state.form]
     if not form.canonical:
         raise ValueError(f"the {state.form} form carries no canonical bracket")
+    for quant in quantities:
+        if quant.generator is None and quant.partials is None:
+            raise ValueError(f"quantity {quant.label!r} has no closed-form "
+                             "partials")
     S, n = form.split
+    points = _points(state) if state.q.ndim > 1 else None
+
+    def pointwise(partials):
+        if points is None:
+            return partials(state, bg)
+        return tuple(np.stack(col, axis=-1)
+                     for col in zip(*(partials(st, bg) for st in points)))
+
     out, x = [], None
     for quant in quantities:
         gen = quant.generator
         if gen is None:
-            if quant.partials is None:
-                raise ValueError(f"quantity {quant.label!r} has no closed-form "
-                                 "partials")
-            out.append(quant.partials(state, bg))
+            out.append(pointwise(quant.partials))
             continue
         if x is None:
             x, p4 = state.position(), state.four_momentum(bg)
-            dH = hamiltonian_partials(state, bg) if n.any() else None
+            dH = pointwise(hamiltonian_partials) if n.any() else None
         xi = gen.killing(x)
         # row k of dx_dq J^T is d xi/d q_k
-        dq = (form.dx_dq @ gen.jacobian(x).T) @ p4
-        dp = S @ xi
+        dq = _matvec(form.dx_dq @ np.swapaxes(gen.jacobian(x), -1, -2), p4)
+        dp = _matvec(S, xi)
         if dH is not None:
             xin = contract(xi, n)
             dq, dp = dq + xin * dH[0], dp + xin * dH[1]
         out.append((dq, dp))
     return out
+
+
+def _points(state: PhaseSpaceState) -> list:
+    """The points of a batch state as single states, each q and p
+    contiguous as a single state's are."""
+    return [PhaseSpaceState(state.form, t, q, p) for t, q, p in
+            zip(state.time, np.ascontiguousarray(state.q.T),
+                np.ascontiguousarray(state.p.T))]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m v for a 4-vector v, or per point for a component-first (4, N)
+    batch, m one matrix or an (N, k, 4) stack: one matrix-vector product
+    per point on a contiguous column, the call a single point makes, so a
+    batch keeps every point's bits (a (k, 4) @ (4, N) product may sum in
+    another order)."""
+    col = np.ascontiguousarray(v.T)[..., None]
+    return np.matmul(m, col)[..., 0].T
 
 
 def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:

@@ -26,21 +26,22 @@ from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
 
 
 def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
-                    bg) -> tuple[list, np.ndarray]:
-    """Each quantity's (dQ/dq, dQ/dp) at each state, computed once, one
-    quantity_partials call per state (so a failing quantity raises at the
-    same state as in a per-state loop).
-
-    Returns the partials pairs per state and the stacked Jacobians J[state],
-    whose rows are (dQ/dq, dQ/dp) per quantity; ranks, brackets and the
-    subset search all read this one table.
-    """
+                    bg) -> np.ndarray:
+    """The stacked Jacobians J[state] of shape (N, K, 2n), whose rows are
+    (dQ/dq, dQ/dp) per quantity, from one quantity_partials call on the
+    states as one batch state; ranks, brackets and the subset search all
+    read this one table.  The states must share one form."""
     if not states:
         raise ValueError("need at least one state")
-    parts = [quantity_partials(quantities, st, bg) for st in states]
-    jacobians = np.asarray([[np.concatenate([dq, dp]) for dq, dp in row]
-                            for row in parts])
-    return parts, jacobians
+    form = states[0].form
+    other = next((st.form for st in states if st.form != form), None)
+    if other is not None:
+        raise ValueError(f"states mix the {form!r} and {other!r} forms")
+    batch = PhaseSpaceState(form, np.array([st.time for st in states]),
+                            np.array([st.q for st in states]).T,
+                            np.array([st.p for st in states]).T)
+    parts = quantity_partials(quantities, batch, bg)
+    return np.transpose([np.concatenate(qp) for qp in parts], (2, 0, 1))
 
 
 def _labels(quantities: Sequence) -> list:
@@ -85,8 +86,8 @@ def _rank_vote(jacobians: np.ndarray, labels: list,
 def independence_rank(quantities: Sequence, states: Sequence[PhaseSpaceState],
                       bg, tol: float) -> IndependenceReport:
     """Numerical rank of the quantity Jacobian, majority-voted over states."""
-    _, jacobians = _partials_table(quantities, states, bg)
-    return _rank_vote(jacobians, _labels(quantities), tol)
+    return _rank_vote(_partials_table(quantities, states, bg),
+                      _labels(quantities), tol)
 
 
 @dataclass
@@ -105,19 +106,15 @@ class InvolutionTable:
                 "brackets": [[float(v) for v in row] for row in self.brackets]}
 
 
-def _bracket_table(parts: Sequence[list], labels: list, tol: float) -> InvolutionTable:
-    # the same expression as dynamics.poisson_bracket, so every bracket keeps
-    # its last bit; a matrix product would reorder the sums
-    n = len(labels)
-    out = np.zeros((n, n))
-    for row in parts:
-        for i, j in itertools.combinations(range(n), 2):
-            (dqf, dpf), (dqg, dpg) = row[i], row[j]
-            b = abs(float(dqf @ dpg - dpf @ dqg))
-            if b > out[i, j]:
-                out[i, j] = b
-                out[j, i] = b
-    return InvolutionTable(labels, out, tol)
+def _bracket_table(jacobians: np.ndarray, labels: list, tol: float) -> InvolutionTable:
+    """max over the states of |{Qi, Qj}| = |X[i, j] - X[j, i]|, X the
+    stacked product dQ/dq (dQ/dp)^T.  Each entry of X is the dot product
+    dynamics.poisson_bracket takes, so every bracket keeps its last bit; a
+    sum over an einsum axis would not."""
+    n = jacobians.shape[-1] // 2
+    x = jacobians[..., :n] @ np.swapaxes(jacobians[..., n:], -1, -2)
+    return InvolutionTable(labels, np.abs(x - np.swapaxes(x, -1, -2)).max(axis=0),
+                           tol)
 
 
 # no command calls this (classify reads the shared table); tests do, and
@@ -125,8 +122,8 @@ def _bracket_table(parts: Sequence[list], labels: list, tol: float) -> Involutio
 def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
                      bg, tol: float) -> InvolutionTable:
     """Pairwise Poisson brackets, maximized in magnitude over the states."""
-    parts, _ = _partials_table(quantities, states, bg)
-    return _bracket_table(parts, _labels(quantities), tol)
+    return _bracket_table(_partials_table(quantities, states, bg),
+                          _labels(quantities), tol)
 
 
 @dataclass
@@ -180,9 +177,9 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
         raise ValueError("need at least one state")
     n = FORMS[states[0].form].dof
     labels = _labels(quantities)
-    parts, jacobians = _partials_table(quantities, states, bg)
+    jacobians = _partials_table(quantities, states, bg)
     indep = _rank_vote(jacobians, labels, rank_tol)
-    invol = _bracket_table(parts, labels, bracket_tol)
+    invol = _bracket_table(jacobians, labels, bracket_tol)
     r = indep.rank
 
     subset = []
@@ -205,14 +202,12 @@ def random_states(form: str, count: int, rng: np.random.Generator,
     p- is kept away from zero (front/extended) and x+ positive (extended) so
     the light-front charts and the inverse-square backgrounds stay regular;
     the accept predicate restricts further (e.g. interior of the light
-    cone).  Raises if it rejects 1000 draws.
+    cone).  Raises once it has rejected 1000 draws; accepted draws count
+    against no budget.
     """
     out = []
-    tries = 0
+    rejected = 0
     while len(out) < count:
-        tries += 1
-        if tries > 1000:
-            raise ValueError("accept predicate rejected too many samples")
         if form == "instant":
             st = PhaseSpaceState("instant", rng.uniform(*t_range),
                                  rng.uniform(*q_range, size=3),
@@ -233,4 +228,8 @@ def random_states(form: str, count: int, rng: np.random.Generator,
             raise ValueError(f"no sampler for form {form!r}")
         if accept(st):
             out.append(st)
+            continue
+        rejected += 1
+        if rejected == 1000:
+            raise ValueError("accept predicate rejected too many samples")
     return out

@@ -154,6 +154,14 @@ def test_certify_deterministic_output(tmp_path, preset):
             == (b / "certification.json").read_bytes())
 
 
+def test_certify_count_past_the_draw_budget(tmp_path):
+    # the sampler's 1000-draw budget counts rejected draws only
+    assert main(_args("certify", "spacelike", tmp_path,
+                      "--set", "certify.count=1001")) == 0
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert len(cert["independence"]["ranks"]) == 1001
+
+
 def test_certify_unexpected_label_fails(tmp_path):
     code = main(_args("certify", "spacelike", tmp_path,
                       "--set", "certify.expect=integrable"))
@@ -861,7 +869,7 @@ def test_output_digests_smoke(tmp_path):
     assert [line[:4] for line in lines] == [
         [command, "planewave", fmt, "exit=0"]
         for command in ("simulate", "certify", "kg", "orbit")
-        for fmt in ("csv", "json")]
+        for fmt in ("csv", "json")] + [["certify", "planewave", "count=96", "exit=0"]]
     assert list(tmp_path.iterdir()) == []         # runs write into temp dirs
     # the kg csv line digests what a direct run at the same seed writes
     out = tmp_path / "kg"
@@ -883,7 +891,7 @@ def test_output_digests_against_itself(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "path", list(sys.path))    # main puts src first
     assert tool.main(["--src", src, "--preset", "spacelike", "--against", src]) == 0
-    assert capsys.readouterr().out == "differing lines: 0 of 8\n"
+    assert capsys.readouterr().out == "differing lines: 0 of 9\n"
     assert list(tmp_path.iterdir()) == []
     assert tool.compare_text('{"Q1": [1.0, -0.0, 4e-08]}', '{"Q1": [1.5, 0.0, 2e-08]}') \
         == "max_abs=0.5 max_rel=0.5 text=equal"

@@ -68,6 +68,9 @@ def test_killing_and_jacobian_equal_the_written_out_formulas():
             assert bits(g.killing(x)) == bits(killing_written_out(g, x))
             assert bits(g.jacobian(x)) == bits(jacobian_written_out(g, x))
         assert bits(g.killing(batch)) == bits(killing_written_out(g, batch))
+        points = [FourVector(*c) for c in batch.as_array().T]
+        assert bits(g.jacobian(batch)) == bits(np.array(
+            [jacobian_written_out(g, x) for x in points]))
 
 
 def test_killing_dilation_is_x():

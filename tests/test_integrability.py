@@ -215,6 +215,47 @@ def test_random_states_exhausts_tries():
                       accept=lambda st: False)
 
 
+@pytest.mark.parametrize("rejections, fails", [(999, False), (1000, True)])
+def test_random_states_budget_counts_rejected_draws_only(rejections, fails):
+    # 1000 rejected draws exhaust the budget; accepted draws never do
+    drawn = []
+
+    def accept(st):
+        drawn.append(st)
+        return len(drawn) > rejections
+
+    if fails:
+        with pytest.raises(ValueError, match="rejected too many samples"):
+            random_states("instant", 1500, np.random.default_rng(23), accept=accept)
+    else:
+        states = random_states("instant", 1500, np.random.default_rng(23),
+                               accept=accept)
+        assert len(states) == 1500 and len(drawn) == 2499
+
+
+def test_mixed_form_states_name_both_forms():
+    bg = backgrounds.constant(1.0)
+    qs = [generator_quantity(conformal.translation_axis(j), f"P{j}") for j in (1, 2)]
+    states = [dynamics.instant_state(0.1, (0.2, 0.0, -0.1), (0.1, 0.0, 0.2)),
+              dynamics.front_state(1.0, 0.3, (0.0, 0.1), 0.5, (0.1, 0.0))]
+    with pytest.raises(ValueError, match="states mix the 'instant' and 'front' forms"):
+        classify(qs, states, bg, **_TOLS)
+
+
+def test_missing_partials_raise_before_any_field_read(monkeypatch):
+    # the error names the quantity as one state's partials do, before the
+    # batch reads the field for the generator charges listed ahead of it
+    _, states = _spacelike_states(count=4)
+    bg = backgrounds.linear_z(1.0, 1.0, switched=False)
+    calls = []
+    monkeypatch.setattr(bg, "_value", lambda *c: calls.append(c))
+    monkeypatch.setattr(bg, "_field", lambda *c: calls.append(c))
+    qs = conformal.spacelike_set(1.0) + [conformal.angular_momentum_z_quantity()]
+    with pytest.raises(ValueError, match="^quantity 'Lz' has no closed-form partials$"):
+        classify(qs, states, bg, **_TOLS)
+    assert calls == []
+
+
 def test_empty_state_list_rejected():
     bg = backgrounds.constant(1.0)
     qs = conformal.spacelike_set(1.0)
@@ -271,15 +312,49 @@ def test_certification_json_roundtrip(tmp_path):
 # the shared partials table against the per-call algorithm
 # ---------------------------------------------------------------------------
 
-def _cli_certify_inputs(preset):
-    # the quantities and states `certify --preset NAME` classifies at count 24
+_CERTIFY_PRESETS = ["planewave", "dilation", "spacelike", "conformal", "truncated"]
+
+
+def _cli_certify_inputs(preset, count=24):
+    # the quantities and states `certify --preset NAME` classifies at count
+    # 24, or at certify.count=COUNT
     cfg = cli._parse(cli.preset_config(preset))
     assert cfg["certify"]["count"] == 24
     bg = cli._background(cfg)
     form = cfg["certify"]["form"]
-    states = cli._certify_states(bg, form, 24, np.random.default_rng(20240811))
+    states = cli._certify_states(bg, form, count, np.random.default_rng(20240811))
     quantities, _ = cli._quantity_set(cfg["certify"]["set"], [], bg, form)
     return quantities, states, bg
+
+
+def _certify_inputs_96(name):
+    """A certify preset's set, form and background at the benchmark's 96
+    states, or (name "front") the conformal charges on front states."""
+    if name != "front":
+        return _cli_certify_inputs(name, 96)
+    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+    states = random_states("front", 96, np.random.default_rng(16), accept=_ANYWHERE)
+    return conformal.conformal_front_set(), states, bg
+
+
+@pytest.mark.parametrize("name", _CERTIFY_PRESETS + ["front"])
+def test_batch_partials_and_brackets_equal_per_state_calls(name):
+    # the table is one quantity_partials call on a batch state; the instant
+    # and front forms add the dH term (n != 0), spacelike and planewave mix
+    # hand-written and generator charges, conformal adds K
+    quantities, states, bg = _certify_inputs_96(name)
+    table = integrability._partials_table(quantities, states, bg)
+    m = len(quantities)
+    brackets = np.zeros((m, m))
+    for i, st in enumerate(states):
+        single = [np.concatenate(qp) for qp in dynamics.quantity_partials(
+            quantities, st, bg)]
+        assert np.array_equal(table[i], single)
+        for a, b in itertools.combinations(range(m), 2):
+            v = abs(dynamics.poisson_bracket(quantities[a], quantities[b], st, bg))
+            brackets[a, b] = brackets[b, a] = max(brackets[a, b], v)
+    table = involution_table(quantities, states, bg, tol=1e-9)
+    assert np.array_equal(table.brackets, brackets)
 
 
 def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
@@ -338,8 +413,7 @@ def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
                                         for row in brackets]}}
 
 
-@pytest.mark.parametrize("preset", ["planewave", "dilation", "spacelike",
-                                    "conformal", "truncated"])
+@pytest.mark.parametrize("preset", _CERTIFY_PRESETS)
 def test_classify_equals_per_call_algorithm(preset, monkeypatch):
     quantities, states, bg = _cli_certify_inputs(preset)
     expected = _per_call_certification(quantities, states, bg, 1e-8, 1e-9)
@@ -352,4 +426,4 @@ def test_classify_equals_per_call_algorithm(preset, monkeypatch):
     monkeypatch.setattr(integrability, "quantity_partials", counted)
     got = classify(quantities, states, bg, **_TOLS)
     assert got.to_dict() == expected
-    assert len(calls) == len(states)    # one call per state for the whole set
+    assert len(calls) == 1    # one batch call for the whole set and all states

@@ -6,7 +6,10 @@ directory, and prints one line per run:
 
     <command> <preset> <format> exit=<code> stdout=<sha256> <file>=<sha256> ...
 
-with the output files in sorted order.  stderr is not digested.  Comparing
+with the output files in sorted order.  stderr is not digested.  Each
+preset with a [certify] section adds one certify run at the benchmark's
+certify.count=96, whose line names ``count=96`` in place of a format.
+Comparing
 two checkouts is one diff:
 
     python tools/output_digests.py --src /path/to/a/src > a.txt
@@ -44,6 +47,7 @@ from pathlib import Path
 COMMANDS = ("simulate", "certify", "kg", "orbit")
 FORMATS = ("csv", "json")
 SEED = 7
+CERTIFY_COUNT = 96          # the states of the benchmark's larger certificates
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
@@ -57,7 +61,24 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_run(main, command: str, preset: str, fmt: str) -> str:
+def runs(cli, presets) -> list:
+    """(command, preset, label, extra arguments) of every digested run."""
+    out = []
+    for preset in presets:
+        out += [(command, preset, fmt, ["--format", fmt])
+                for command in COMMANDS for fmt in FORMATS]
+        if "certify" in cli.preset_config(preset):
+            out.append(("certify", preset, f"count={CERTIFY_COUNT}",
+                        ["--set", f"certify.count={CERTIFY_COUNT}"]))
+    return out
+
+
+def _argv(command: str, preset: str, extra: list, out: Path) -> list:
+    return [command, "--preset", preset, "--out-dir", str(out), *extra,
+            "--seed", str(SEED)]
+
+
+def digest_run(main, command: str, preset: str, label: str, extra: list) -> str:
     """One output line: the run's exit code and the digests of its stdout
     and of each file it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -66,22 +87,20 @@ def digest_run(main, command: str, preset: str, fmt: str) -> str:
         with contextlib.redirect_stdout(stdout), \
                 contextlib.redirect_stderr(io.StringIO()):
             try:
-                code = main([command, "--preset", preset, "--out-dir", str(out),
-                             "--format", fmt, "--seed", str(SEED)])
+                code = main(_argv(command, preset, extra, out))
             except Exception as exc:        # a traceback would exit 1
                 code = f"raised-{type(exc).__name__}"
         digests = [f"{p.relative_to(out).as_posix()}={_sha(p.read_bytes())}"
                    for p in sorted(out.rglob("*")) if p.is_file()]
-    return " ".join([command, preset, fmt, f"exit={code}",
+    return " ".join([command, preset, label, f"exit={code}",
                      f"stdout={_sha(stdout.getvalue().encode())}"] + digests)
 
 
-def _outputs(src: str, command: str, preset: str, fmt: str, out: Path) -> dict:
+def _outputs(src: str, command: str, preset: str, extra: list, out: Path) -> dict:
     """Run one command of the package in src in a fresh process; its stdout
     and output files as {name: text}."""
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _CHILD, src, command, "--preset", preset,
-         "--out-dir", str(out), "--format", fmt, "--seed", str(SEED)],
+        [sys.executable, "-B", "-c", _CHILD, src, *_argv(command, preset, extra, out)],
         capture_output=True, text=True)
     files = {p.relative_to(out).as_posix(): p.read_text()
              for p in sorted(out.rglob("*")) if p.is_file()}
@@ -105,9 +124,9 @@ def compare_text(a: str, b: str) -> str:
     return f"max_abs={max_abs:.3g} max_rel={max_rel:.3g} text={text}"
 
 
-def _against(args, lines: list) -> int:
-    """Print the lines that differ from the checkout in args.against, each
-    with how its differing outputs differ."""
+def _against(args, todo: list, lines: list) -> int:
+    """Print the lines of the runs todo that differ from the checkout in
+    args.against, each with how its differing outputs differ."""
     cmd = [sys.executable, "-B", __file__, "--src", args.against]
     for preset in args.presets or ():
         cmd += ["--preset", preset]
@@ -116,14 +135,13 @@ def _against(args, lines: list) -> int:
     if len(other) != len(lines):
         raise SystemExit(f"{len(lines)} lines here, {len(other)} in {args.against}")
     differing = 0
-    for mine, theirs in zip(lines, other):
+    for (command, preset, label, extra), mine, theirs in zip(todo, lines, other):
         if mine == theirs:
             continue
         differing += 1
-        command, preset, fmt = mine.split()[:3]
-        print(f"{command} {preset} {fmt} differs", flush=True)
+        print(f"{command} {preset} {label} differs", flush=True)
         with tempfile.TemporaryDirectory() as tmp:
-            a, b = (_outputs(src, command, preset, fmt, Path(tmp) / side)
+            a, b = (_outputs(src, command, preset, extra, Path(tmp) / side)
                     for side, src in (("a", args.src), ("b", args.against)))
         for name in sorted(a.keys() | b.keys()):
             if name not in a or name not in b:
@@ -146,14 +164,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
     from confdyn import cli
+    todo = runs(cli, args.presets or sorted(cli._PRESETS))
     lines = []
-    for preset in args.presets or sorted(cli._PRESETS):
-        for command in COMMANDS:
-            for fmt in FORMATS:
-                lines.append(digest_run(cli.main, command, preset, fmt))
-                if args.against is None:
-                    print(lines[-1], flush=True)
-    return 0 if args.against is None else _against(args, lines)
+    for run in todo:
+        lines.append(digest_run(cli.main, *run))
+        if args.against is None:
+            print(lines[-1], flush=True)
+    return 0 if args.against is None else _against(args, todo, lines)
 
 
 if __name__ == "__main__":
