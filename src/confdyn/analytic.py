@@ -20,6 +20,13 @@ conformal   m^2 = f(u)/(x+)^2, u = x- - x_perp.x_perp/x+: u(x+) inverts the
             u, p_perp = (Q_perp - 2 p- x_perp)/x+ and x- = u +
             x_perp.x_perp/x+.  The orbit is algebraic up to u(x+).
 
+An orbit evaluates a whole grid of its parameter in one call
+(ClosedFormOrbit.sample).  The spacelike, plane-wave and conformal
+evaluators are array arithmetic, with each row in the bits of the same
+formula on one float; the conformal one inverts u(x+) for the whole grid
+in one masked Newton iteration.  The timelike evaluator runs its
+quadrature point by point.
+
 For the Gaussian conformal profile with vanishing transverse data the orbit
 collapses to the error-function relation 1/x+ = 1 - kappa Erf(x-) in units
 where x+ is measured in L and x- in 1/k, with the dimensionless
@@ -31,7 +38,6 @@ the k = L = 1 units used by the checks.  That relation is a test oracle
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -39,42 +45,52 @@ import numpy as np
 from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
-from .geometry import FourVector, from_lightfront, momenta_from_lf
+from .geometry import FourVector, from_lightfront
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
-from .ode import EPS, brentq, newton, quad  # noqa: F401
+from .ode import EPS, FirstError, brentq, masked_newton, quad  # noqa: F401
 
 
 @dataclass
 class ClosedFormOrbit:
     """An orbit given by an evaluator rather than integration.
 
-    _point maps the family's evolution parameter (t for instant-form
-    families, x+ for front-form ones) to the spacetime point and the
-    lower-index four-momentum together, so work they share (the u(x+)
-    inversion of the conformal family) is done once per parameter value.
-    constants stores the conserved values and derived scales (turning
-    points, exit times, asymptotes)."""
+    _evaluate maps an (N,) array of the family's evolution parameter (t for
+    instant-form families, x+ for front-form ones) to the spacetime points
+    and the lower-index four-momenta together, (N, 4) arrays each, in one
+    call on the whole grid.  Each row has the bits, and a failing row the
+    error, that the evaluator gives that parameter value alone: of several
+    failing rows, the first one's.  constants stores the conserved values
+    and derived scales (turning points, exit times, asymptotes)."""
 
     family: str
     time_name: str
     domain: tuple
     constants: dict
-    _point: Callable = field(repr=False)
+    _evaluate: Callable = field(repr=False)
 
     def position(self, w: float) -> FourVector:
-        return self._point(float(w))[0]
+        return FourVector.from_array(self.sample(w)[0][0])
 
     def momentum(self, w: float) -> np.ndarray:
-        return self._point(float(w))[1]
+        return self.sample(w)[1][0]
 
     def sample(self, ws):
         """Positions and momenta on a grid: arrays (N, 4) of upper-index
-        coordinates and lower-index momenta, one evaluation per point."""
-        ws = np.atleast_1d(np.asarray(ws, dtype=float))
-        points = [self._point(float(w)) for w in ws]
-        xs = np.array([x.as_array() for x, _ in points])
-        ps = np.array([p for _, p in points])
-        return xs, ps
+        coordinates and lower-index momenta."""
+        # a float product overflows to inf, and inf * 0 is nan, silently;
+        # so do the evaluators' arrays
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._evaluate(np.atleast_1d(np.asarray(ws, dtype=float)))
+
+
+def _columns(*cols) -> np.ndarray:
+    """The (N, k) array of k columns, each an (N,) array or a constant."""
+    return np.column_stack(np.broadcast_arrays(*cols))
+
+
+def _rows(x: FourVector, p: tuple) -> tuple:
+    """(xs, ps) of a batch FourVector and the four momentum columns."""
+    return _columns(x.t, x.x, x.y, x.z), _columns(*p)
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +122,11 @@ def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float) -> ClosedFormO
     q4 = 2.0 * p2 * p30 + B * y0
     c = q5 * q5 - p1 * p1 - p2 * p2 - m0sq  # = p3(t)^2 + B z(t)
 
-    def point(t):
+    def evaluate(t):
         pt = p30 + B * t / (2.0 * q5)
-        return (FourVector(t, (q3 - 2.0 * p1 * pt) / B, (q4 - 2.0 * p2 * pt) / B,
-                           (c - pt * pt) / B),
-                np.array([q5, p1, p2, pt]))
+        return _rows(FourVector(t, (q3 - 2.0 * p1 * pt) / B,
+                                (q4 - 2.0 * p2 * pt) / B, (c - pt * pt) / B),
+                     (q5, p1, p2, pt))
 
     consts = {"Q1": p1, "Q2": p2, "Q3": q3, "Q4": q4, "Q5": q5,
               "p3(0)": p30, "B": B, "m0sq": m0sq,
@@ -124,7 +140,7 @@ def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float) -> ClosedFormO
     else:
         domain = (0.0, np.inf)
 
-    return ClosedFormOrbit("spacelike", "t", domain, consts, point)
+    return ClosedFormOrbit("spacelike", "t", domain, consts, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -149,15 +165,18 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
             raise RealityError(f"p.p + m^2(t) = {rad:g} <= 0 at t = {s:g}")
         return np.sqrt(rad)
 
-    def point(t):
-        I = quad(lambda s: 1.0 / Hval(s), 0.0, t)
-        xyz = x0 - p * I
-        return (FourVector(t, xyz[0], xyz[1], xyz[2]),
-                np.array([Hval(t), p[0], p[1], p[2]]))
+    def evaluate(ts):
+        # one adaptive quadrature per point
+        rows = []
+        for t in ts.tolist():
+            xyz = x0 - p * quad(lambda s: 1.0 / Hval(s), 0.0, t)
+            rows.append((t, *xyz, Hval(t), *p))
+        rows = np.array(rows).reshape(-1, 8)
+        return rows[:, :4], rows[:, 4:]
 
     L = np.cross(x0, p)  # constant since x(t) - x(0) is parallel to p
     consts = {"p": p, "L": L, "p.L": float(p @ L), "m0sq": m0sq}
-    return ClosedFormOrbit("timelike", "t", (0.0, np.inf), consts, point)
+    return ClosedFormOrbit("timelike", "t", (0.0, np.inf), consts, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +198,10 @@ def planewave_quantities(state: PhaseSpaceState, bg) -> dict:
     return {q.label: q(s, bg) for q in planewave_extended_set()}
 
 
-def planewave_xminus(bg, xplus: float, q: dict) -> float:
+def planewave_xminus(bg, xplus, q: dict):
     """x-(x+) solved from the cubic constant:
-    x- = (Q7 + (Q1^2 + Q2^2) x+ + int_0^{x+} m^2)/(4 Q3^2)."""
+    x- = (Q7 + (Q1^2 + Q2^2) x+ + int_0^{x+} m^2)/(4 Q3^2), elementwise
+    on an array of x+."""
     pp = q["Q1"] * q["Q1"] + q["Q2"] * q["Q2"]
     return (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * q["Q3"] ** 2)
 
@@ -194,16 +214,16 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     q1, q2, q3 = q["Q1"], q["Q2"], q["Q3"]
     pp = q1 * q1 + q2 * q2
 
-    def point(xplus):
+    def evaluate(xplus):
         x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
         x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
         xminus = planewave_xminus(bg, xplus, q)
         x = from_lightfront(xplus, xminus, x1, x2)
         pplus = (pp + bg.m2(x)) / (4.0 * q3)
-        return x, momenta_from_lf(pplus, q3, q1, q2)
+        return _rows(x, (pplus + q3, q1, q2, pplus - q3))
 
     return ClosedFormOrbit("plane_wave", "xplus", (-np.inf, np.inf), dict(q),
-                           point)
+                           evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +239,16 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         int_{u0}^{u} ds (Q_perp^2 + f(s))/(4 Q3^2) = 1/x0+ - 1/x+
 
     by bracketed root finding; p-(u) = -(Q_perp^2 + f(u))/(4 Q3).  The
-    integral is Q_perp^2 (u - u0) + F(u) - F(u0), with f and the
-    antiderivative F read from bg.profile.
+    integral is G(u) = Q_perp^2 (u - u0) + F(u) - F(u0), with f and the
+    antiderivative F read from bg.profile; both are called on arrays.
+
+    The evaluator inverts a whole grid of x+ at once.  The doubling
+    bracket's far edges u0 +- 2^k, and G there, are the same for every x+:
+    they are made once per orbit, as far as the grid needs, and each point
+    picks the first edge that brackets its target.  One masked Newton
+    iteration (ode.masked_newton) then runs every point from its edge, in
+    the floats a point alone would see.  A point that fails makes the
+    sample raise its error, unless a point before it fails too.
 
     Under the special conformal map x -> (-1/x+, x_perp/x+, u) the field
     becomes a plane wave in u, in which the transverse motion is free.  Back
@@ -256,12 +284,14 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     if qperp2 + f_u0 <= 0.0:
         raise DomainError("Q_perp^2 + f(u0) <= 0: the quadrature is not monotone")
 
-    def weight(s):
+    def weight(s, _):
         # nonnegative by assumption; underflowed tails may round to 0.0,
         # which keeps G monotone and is not an error
-        w = qperp2 + float(f(s))
-        if w < 0.0:
-            raise DomainError(f"Q_perp^2 + f({s:g}) = {w:g} < 0: "
+        w = qperp2 + f(s)
+        negative = w < 0.0
+        if negative.any():
+            i = negative.argmax()
+            raise DomainError(f"Q_perp^2 + f({s[i]:g}) = {w[i]:g} < 0: "
                               "non-monotone inversion")
         return w
 
@@ -271,49 +301,19 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         return qperp2 * (u - u0) + (F(u) - F_u0)
 
     four_q3sq = 4.0 * q3 * q3
-    # G at the doubling bracket's edges u0 +- 2^k, the same for every x+
-    G_edge = cache(G)
-
-    def u_of_xplus(xp):
-        if xp <= 0.0:
-            raise DomainError("x+ must stay positive")
-        target = four_q3sq * (1.0 / xp0 - 1.0 / xp)
-        if target == 0.0:
-            return u0
-        # bracket by doubling; G is monotone nondecreasing
-        lo, hi = (u0, u0 + 1.0) if target > 0 else (u0 - 1.0, u0)
-        prev = None
-        for _ in range(200):
-            end = G_edge(hi) if target > 0 else G_edge(lo)
-            if (target > 0 and end >= target) or (target < 0 and end <= target):
-                break
-            if prev is not None and end == prev:
-                raise DomainError("u(x+) bracketing stalled: x+ lies beyond "
-                                  "the orbit's asymptote")
-            prev = end
-            width = hi - lo
-            if target > 0:
-                hi += width
-            else:
-                lo -= width
-        else:
-            raise DomainError("failed to bracket u(x+); x+ may lie beyond "
-                              "the orbit's asymptote")
-        # Newton from the edge just integrated, G' being the weight
-        edge = hi if target > 0 else lo
-        return newton(lambda u: G(u) - target, weight, edge, end - target,
-                      lo, hi, 1e-12, 4 * EPS)
+    # the doubling bracket's far edges u0 +- 2^k (in floats) and G there,
+    # the same for every x+: each is evaluated once per orbit
+    ladders = {1.0: _Ladder(G, u0, 1.0), -1.0: _Ladder(G, u0, -1.0)}
 
     # the special conformal map x -> (-1/x+, x_perp/x+, u) takes the field to
     # a plane wave in u, where x_perp/x+ moves linearly in u
     c1, c2 = x10 / xp0, x20 / xp0
     d1, d2 = q1 / (2.0 * q3), q2 / (2.0 * q3)
 
-    def point(xp):
-        u = u_of_xplus(xp)
-        f_u = float(f(u))
+    def rows(xp, u):
+        f_u = f(u)
         w = qperp2 + f_u
-        if w == 0.0:
+        if (w == 0.0).any():
             raise DomainError("p- vanishes here: the orbit has left the "
                               "front-form chart")
         pm = -w / (4.0 * q3)
@@ -322,9 +322,40 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         pp1 = (q1 - 2.0 * pm * x1) / xp
         pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp ** 2) / (4.0 * pm)
-        return (from_lightfront(xp, xminus, x1, x2),
-                momenta_from_lf(pplus, pm, pp1, pp2))
+        # Python's float ** per element: numpy's square rounds apart from it
+        xp2 = np.array([v ** 2 for v in xp.tolist()])
+        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp2) / (4.0 * pm)
+        return _rows(from_lightfront(xp, xminus, x1, x2),
+                     (pplus + pm, pp1, pp2, pplus - pm))
+
+    def evaluate(xp):
+        errors = FirstError(xp.size)
+        off = xp <= 0.0
+        if off.any():
+            errors.record(int(off.argmax()), DomainError("x+ must stay positive"))
+        with np.errstate(divide="ignore"):
+            target = four_q3sq * (1.0 / xp0 - 1.0 / xp)
+        # Newton's start, its G - target, and the bracket of each point; a
+        # point on the entry's x+ starts at its root u0, with G - target = 0
+        start, lo, hi = (np.full(xp.size, u0) for _ in range(3))
+        gap = np.zeros(xp.size)
+        up = target > 0.0
+        for sign, side in ((1.0, up), (-1.0, ~up & (target != 0.0))):
+            ours = np.flatnonzero(side[:errors.index])
+            k = ladders[sign].reach(target[ours], ours, errors)
+            kept = ours < errors.index
+            ours, k = ours[kept], k[kept]
+            edges = np.asarray(ladders[sign].edges)[k]
+            start[ours] = edges
+            gap[ours] = np.asarray(ladders[sign].values)[k] - target[ours]
+            (hi if sign > 0.0 else lo)[ours] = edges
+        # Newton from the edge just integrated, G' being the weight
+        u = masked_newton(lambda u, i: G(u) - target[i], weight, start, gap,
+                          lo, hi, 1e-12, 4 * EPS, errors)
+        live = np.arange(errors.index)
+        out = errors.call(rows, live, xp[live], u[live])
+        errors.raise_first()
+        return out
 
     # asymptote: finite limiting x+ when G(u) stays bounded as u grows
     xplus_asym = np.inf
@@ -338,4 +369,56 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
               "u0": u0, "xplus0": xp0, "pminus0": pm0,
               "xplus_asymptote": xplus_asym}
     return ClosedFormOrbit("special_conformal", "xplus", (xp0, xplus_asym),
-                           consts, point)
+                           consts, evaluate)
+
+
+class _Ladder:
+    """The far edges of the u(x+) bracket on one side of u0, u0 + sign 2^k
+    in floats, with G there; they grow, once per orbit, as far as some
+    target needs.
+
+    A point's bracket runs from u0 to the first edge where sign G reaches
+    sign target.  The edges stop at the first G equal to the one before
+    (past it no target is met: the bracketing stalled) and at 200."""
+
+    def __init__(self, G, u0, sign):
+        self.G, self.u0, self.sign = G, u0, sign
+        self.edges, self.values = [], []
+        self.top = -np.inf        # the largest sign G so far
+        self.stalled = False
+
+    def _grow(self, need):
+        # until sign G meets need, G stalls or 200 edges are made
+        while not (self.top >= need or self.stalled or len(self.edges) == 200):
+            e = (self.u0 + self.sign * 1.0 if not self.edges
+                 else self.edges[-1] + (self.edges[-1] - self.u0))
+            end = self.G(e)
+            self.stalled = bool(self.values) and end == self.values[-1]
+            self.edges.append(e)
+            self.values.append(end)
+            if self.sign * end > self.top:     # a NaN G meets nothing
+                self.top = self.sign * end
+
+    def reach(self, targets, index, errors):
+        """The index into edges of each target's bracket edge, for the
+        points index (ascending).  Where no edge brackets a target (G
+        stalled, 200 edges made, or G raised at the next edge), the first
+        such point records that error in errors, and its index is a
+        placeholder."""
+        try:
+            self._grow(np.max(self.sign * targets, initial=-np.inf))
+            error = None
+        except Exception as exc:
+            error = exc
+        met = self.sign * np.asarray(self.values, dtype=float)
+        met = np.maximum.accumulate(np.where(np.isnan(met), -np.inf, met))
+        k = np.searchsorted(met, self.sign * targets)
+        short = k == len(self.edges)
+        if short.any():
+            if error is None:
+                error = DomainError(
+                    "u(x+) bracketing stalled: x+ lies beyond the orbit's "
+                    "asymptote" if self.stalled else "failed to bracket u(x+); "
+                    "x+ may lie beyond the orbit's asymptote")
+            errors.record(int(index[short.argmax()]), error)
+        return np.minimum(k, len(self.edges) - 1)

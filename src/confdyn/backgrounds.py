@@ -55,7 +55,8 @@ class ScalarBackground:
     m2_antiderivative : for m^2 of x+ alone (an x+ wave, a constant),
         x+ -> int_0^{x+} m^2
     profile : for the inverse-square families m^2 = f(u)/(x+)^2, the pair
-        (f, F) of callables of u, F(u) = int_0^u f the antiderivative
+        (f, F) of callables of u, a float or an (N,) array, F(u) =
+        int_0^u f the antiderivative
     params : family parameters, kept for serialization and dispatch
     """
 
@@ -282,7 +283,9 @@ def special_conformal_mass(f: Callable[[float], float],
                            df: Callable[[float], float],
                            F: Callable[[float], float]) -> ScalarBackground:
     """m^2 = f(u)/(x+)^2 with u = x- - x_perp.x_perp/x+, f' = df and
-    F(u) = int_0^u f; singular at x+ = 0."""
+    F(u) = int_0^u f; singular at x+ = 0.  The kernel calls f and df on
+    one float u; the conformal orbit and mode also call f and F on (N,)
+    arrays of u, so both must take arrays too."""
     label = "special_conformal"
     return ScalarBackground(
         label, _inverse_square(lambda u: (f(u), df(u)), label, *_NO_SWITCH),
@@ -292,8 +295,10 @@ def special_conformal_mass(f: Callable[[float], float],
 def _gaussian(m0sq: float, L: float, k: float):
     """(f, F) of f(u) = m0^2 L^2 exp(-k^2 u^2), F(u) = int_0^u f =
     m0^2 L^2 sqrt(pi)/(2k) erf(k u) (m0^2 L^2 u at k = 0), and the profile
-    kernel u -> (f, f'), which evaluates the exponential once; f is read
-    from it.  A k u or (k u)^2 that overflows raises DomainError."""
+    kernel u -> (f, f'), which evaluates the exponential once.  f and F
+    take a float or an (N,) array, each element in the bits of its float
+    call; f reads a float from the kernel.  A k u or (k u)^2 that
+    overflows raises DomainError, on an array for its first such u."""
     A = m0sq * L * L
 
     def too_steep(u):
@@ -315,6 +320,24 @@ def _gaussian(m0sq: float, L: float, k: float):
             return fu, -2.0 * k * (ku * fu)
         return fu, -2.0 * k * k * u * fu
 
+    def ku_list(u):
+        # k u of an array, as floats; it overflows to inf silently, as on a float
+        with np.errstate(over="ignore"):
+            return (k * u).tolist()
+
+    def f(u):
+        if not np.ndim(u):
+            return fdf(u)[0]
+        try:
+            # Python's float ** per element: numpy's square rounds apart from it
+            sq = np.array([v ** 2 for v in ku_list(u)])
+        except OverflowError:
+            sq = None
+        if sq is None or np.isinf(sq).any():
+            for w in u.tolist():
+                fdf(w)            # raises for the first u it refuses
+        return A * np.exp(-sq)
+
     if k == 0.0:
         def F(u):
             return A * u
@@ -322,9 +345,11 @@ def _gaussian(m0sq: float, L: float, k: float):
         c = A * math.sqrt(math.pi) / (2.0 * k)
 
         def F(u):
-            return c * math.erf(k * u)
+            if not np.ndim(u):
+                return c * math.erf(k * u)
+            return c * np.array([math.erf(v) for v in ku_list(u)])
 
-    return (lambda u: fdf(u)[0], F), fdf
+    return (f, F), fdf
 
 
 def special_conformal_switched(m0sq: float, L: float, k: float) -> ScalarBackground:

@@ -268,7 +268,7 @@ def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
 
     with u = x- - x_perp.x_perp/x+, on the branch x+ > 0.  The integral is
     Q_perp^2 u + F(u), F(u) = int_0^u f the antiderivative in bg.profile,
-    which takes one u: on a batch it is read value by value."""
+    read once on a batch's (N,) array of u."""
     q1, q2 = float(qperp[0]), float(qperp[1])
     qc = float(q3)
     if qc == 0.0:
@@ -278,8 +278,7 @@ def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
 
     def g(u):
         # solves 4i Q3 g' + (Q_perp^2 + f) g = 0
-        Fu = np.array([F(w) for w in u.tolist()]) if np.ndim(u) else F(u)
-        return np.exp(1j * (qp2 * u + Fu) / (4.0 * qc))
+        return np.exp(1j * (qp2 * u + F(u)) / (4.0 * qc))
 
     def ev(x: FourVector):
         xp = x.xplus

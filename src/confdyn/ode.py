@@ -11,7 +11,9 @@ brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
 newton  Newton's method on a nondecreasing function, bisecting whenever a
         step would leave the bracket (rtsafe in Press et al., Numerical
-        Recipes, 3rd ed., sec. 9.4, without its step-halving test)
+        Recipes, 3rd ed., sec. 9.4, without its step-halving test), on a
+        batch of brackets at once, each point in the floats it would have
+        alone
 quad    scipy.integrate.quad at the package's one tolerance set, for the
         timelike orbit's integral of 1/H(t); scipy is imported on its first
         call, and so stays off every other path
@@ -318,38 +320,131 @@ def brentq(f, a, b, xtol, rtol):
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-def newton(f, fprime, x, fx, lo, hi, xtol, rtol):
-    """A root of the nondecreasing f in [lo, hi] by Newton's method from x,
-    an end of the bracket where f(x) = fx is already known, to within
-    xtol + rtol |x|.
+class FirstError:
+    """The error a loop over the points of a batch would raise: the first
+    error of the lowest-index point that fails.
 
-    Each value of f narrows the bracket to the side that holds the root; a
-    step that would leave it, or a zero slope fprime, bisects instead.  A
-    NaN value of f raises ValueError and no convergence in 100 iterations
-    RuntimeError, as brentq does.  f and fprime are called with floats.
+    Batch code records each point's first error where it meets it.  Points
+    at or past index (the failing point, or n while none has failed) no
+    longer matter, and raise_first raises the recorded error."""
+
+    def __init__(self, n: int):
+        self.index = n
+        self.error = None
+
+    def record(self, i: int, error: Exception):
+        """Record error as point i's, unless a point before it has failed."""
+        if i < self.index:
+            self.index, self.error = i, error
+
+    def call(self, fn, index, *cols):
+        """fn(*cols) on the points index (ascending) of the batch, whose
+        rows the arrays cols hold.  Where that call raises, fn is called on
+        each point alone, in order, up to the first that raises: its error
+        is recorded, and the result is fn on the points before it."""
+        try:
+            return fn(*cols)
+        except Exception as exc:
+            batch_error = exc
+        for j, i in enumerate(index.tolist()):
+            try:
+                fn(*(c[j:j + 1] for c in cols))
+            except Exception as exc:
+                self.record(i, exc)
+                return fn(*(c[:j] for c in cols))
+        raise batch_error
+
+    def raise_first(self):
+        if self.error is not None:
+            raise self.error
+
+
+# tests call it; the conformal orbit weighs masked_newton's failures itself
+def newton(f, fprime, x, fx, lo, hi, xtol, rtol):
+    """Roots of the nondecreasing f in [lo, hi] by Newton's method from x,
+    an end of the bracket where f(x) = fx is already known, to within
+    xtol + rtol |x|: masked_newton, with f(x) and fprime(x) called on the
+    points still iterating, that raises the error of the lowest-index
+    failing point, the one a loop over the points would meet first.  x,
+    fx, lo and hi are (n,) arrays or floats, a batch of one (which gives a
+    float)."""
+    errors = FirstError(np.size(x))
+    root = masked_newton(lambda x, _: f(x), lambda x, _: fprime(x), x, fx, lo,
+                         hi, xtol, rtol, errors)
+    errors.raise_first()
+    return root
+
+
+def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
+    """Newton's method on n brackets at once, each point iterating as it
+    would alone, in the same floats.
+
+    x, fx, lo and hi are (n,) arrays, or floats, a batch of one (which
+    gives a float).  f(x, i) and fprime(x, i) take the points still
+    iterating and their indices i into the batch, and return an array (or
+    a constant).  Each value of f narrows a point's bracket to the side
+    that holds the root; a step that would leave it, or a zero slope,
+    bisects instead.
+
+    A point fails on a NaN value of f (ValueError), on no convergence in
+    100 iterations (RuntimeError), as brentq does, or on an error that f
+    or fprime raises for it alone (FirstError.call).  The first failure
+    goes to the FirstError errors, which the caller raises; the points at
+    or past errors.index stop, and their roots are nan.
     """
+    scalar = np.ndim(x) == 0
+    x, fx, lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (x, fx, lo, hi))
+    root = np.full(x.size, np.nan)
+    live = np.arange(x.size)
+
+    def call(fn, at):
+        # fn at the live points, which then shrink to those before a failure
+        nonlocal live
+        v = errors.call(fn, live, at, live)
+        live = live[live < errors.index]
+        return np.broadcast_to(np.asarray(v, dtype=float), live.shape)
+
     for _ in range(100):
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        slope = fprime(x)
-        xnew = x - fx / slope if slope else math.nan
-        done = abs(xnew - x) <= xtol + rtol * abs(xnew)
+        live = live[live < errors.index]
+        nan = np.isnan(fx[live])
+        if nan.any():
+            i = int(live[nan.argmax()])
+            errors.record(i, ValueError(f"The function value at x={float(x[i])} "
+                                        "is NaN; solver cannot continue."))
+            live = live[live < i]
+        at_root = fx[live] == 0.0
+        root[live[at_root]] = x[live[at_root]]
+        live = live[~at_root]
+        if not live.size:
+            break
+        below = fx[live] < 0.0
+        lo[live[below]] = x[live[below]]
+        hi[live[~below]] = x[live[~below]]
+        slope = call(fprime, x[live])
+        xl, fl, lol, hil = x[live], fx[live], lo[live], hi[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = xl - fl / slope
+        xnew = np.where(slope != 0.0, step, np.nan)
+        done = np.abs(xnew - xl) <= xtol + rtol * np.abs(xnew)
         # a converged step may end on or just past the bracket: near the
         # root, rounding in f can put x on the wrong side of it
-        if not (done or lo < xnew < hi):
-            xnew = lo + 0.5 * (hi - lo)
-            done = abs(xnew - x) <= xtol + rtol * abs(xnew)
-        if done:
-            return xnew
-        x, fx = xnew, float(f(xnew))
-    raise RuntimeError("Failed to converge after 100 iterations.")
+        bisect = ~(done | ((lol < xnew) & (xnew < hil)))
+        xnew[bisect] = lol[bisect] + 0.5 * (hil[bisect] - lol[bisect])
+        done[bisect] = (np.abs(xnew[bisect] - xl[bisect])
+                        <= xtol + rtol * np.abs(xnew[bisect]))
+        root[live[done]] = xnew[done]
+        live, xnew = live[~done], xnew[~done]
+        if not live.size:
+            break
+        x[live] = xnew
+        value = call(f, xnew)      # live may shrink in the call
+        fx[live] = value
+    else:
+        live = live[live < errors.index]
+        if live.size:
+            errors.record(int(live[0]), RuntimeError(
+                "Failed to converge after 100 iterations."))
+    return float(root[0]) if scalar else root
 
 
 _quadpack = None   # scipy.integrate's quad and IntegrationWarning, once quad has been called

@@ -10,8 +10,10 @@ computes another way:
 * the reduced ODE residuals of the plane-wave and conformal modes, and the
   commutator identity that makes L = xi.grad + (1/4) d.xi a wave-operator
   symmetry;
-* the conformal orbit's u(x+) inversion by Brent's method, against the
-  Newton inversion of analytic.conformal_orbit;
+* the closed-form orbits (spacelike, plane wave, conformal) evaluated
+  one point at a time, with Newton's method on one bracket in Python
+  floats or, for the conformal u(x+), Brent's method, against the batch
+  evaluators of analytic and the batch ode.newton;
 * a generator's Killing vector and Jacobian written out from its
   parameters on every call, against the constants ConformalGenerator
   builds once;
@@ -26,19 +28,23 @@ computes another way:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import Callable
 
 import numpy as np
 
 from confdyn.conformal import (ConformalGenerator, ConservedQuantity,
                                symmetry_defect)
+from confdyn.analytic import planewave_quantities
 from confdyn.dynamics import PhaseSpaceState, front_state
+from confdyn.errors import DomainError
 from confdyn.geometry import (METRIC, METRIC_DIAG, FourVector,
                               central_difference, contract, from_lightfront, lower_index,
-                              minkowski_dot, raise_index)
+                              minkowski_dot, momenta_from_lf, raise_index)
 from confdyn.kgverify import Wavefunction, kg_residual, symmetry_apply
-from confdyn.ode import brentq
+from confdyn.ode import EPS, brentq
 
 _EPS = 1e-30
 
@@ -97,10 +103,171 @@ def erf_orbit_entry_state(kappa: float, m0sq: float = 1.0, L: float = 1.0,
 def brentq_inversion(f, fprime, x, fx, lo, hi, xtol, rtol):
     """The u(x+) inversion analytic.conformal_orbit made before Newton's
     method: Brent's method on the doubling bracket [lo, hi] of
-    f = G(u) - target.  It takes ode.newton's
-    arguments, so a test can put it in newton's place; the start x, its
-    value fx and the slope fprime go unused."""
+    f = G(u) - target.  It takes newton_per_point's arguments, so
+    conformal_points can take it in newton's place; the start x, its value
+    fx and the slope fprime go unused."""
     return brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+
+
+# ---------------------------------------------------------------------------
+# closed-form orbits evaluated one point at a time
+# ---------------------------------------------------------------------------
+
+def newton_per_point(f, fprime, x, fx, lo, hi, xtol, rtol):
+    """ode.newton on one bracket in Python floats: a root of the
+    nondecreasing f in [lo, hi] from the bracket end x, f(x) = fx, to
+    within xtol + rtol |x|, bisecting where a step would leave the bracket
+    or the slope is zero."""
+    for _ in range(100):
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        if fx == 0.0:
+            return x
+        if fx < 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = fprime(x)
+        xnew = x - fx / slope if slope else math.nan
+        done = abs(xnew - x) <= xtol + rtol * abs(xnew)
+        if not (done or lo < xnew < hi):
+            xnew = lo + 0.5 * (hi - lo)
+            done = abs(xnew - x) <= xtol + rtol * abs(xnew)
+        if done:
+            return xnew
+        x, fx = xnew, float(f(xnew))
+    raise RuntimeError("Failed to converge after 100 iterations.")
+
+
+def sample_points(point, ws) -> tuple:
+    """(xs, ps), (N, 4) arrays, of an evaluator point(w) -> (FourVector,
+    (4,) lower-index momentum) called on each float of ws in order."""
+    points = [point(w) for w in np.atleast_1d(np.asarray(ws, dtype=float)).tolist()]
+    return (np.array([x.as_array() for x, _ in points]),
+            np.array([p for _, p in points]))
+
+
+def spacelike_point(B: float, init: PhaseSpaceState, m0sq: float):
+    """The in-field orbit of m^2 = m0^2 + B z at one t, from entry data on
+    z = 0 at t = 0: p3(t) = p3(0) + B t/(2 Q5), x = (Q3 - 2 Q1 p3)/B,
+    y = (Q4 - 2 Q2 p3)/B, z = (Q5^2 - Q1^2 - Q2^2 - m0^2 - p3^2)/B."""
+    x0, y0 = init.q[0], init.q[1]
+    p1, p2, p30 = init.p
+    q5 = float(np.sqrt(p1 * p1 + p2 * p2 + p30 * p30 + m0sq))
+    q3 = 2.0 * p1 * p30 + B * x0
+    q4 = 2.0 * p2 * p30 + B * y0
+    c = q5 * q5 - p1 * p1 - p2 * p2 - m0sq
+
+    def point(t):
+        pt = p30 + B * t / (2.0 * q5)
+        return (FourVector(t, (q3 - 2.0 * p1 * pt) / B, (q4 - 2.0 * p2 * pt) / B,
+                           (c - pt * pt) / B),
+                np.array([q5, p1, p2, pt]))
+    return point
+
+
+def planewave_point(bg, init: PhaseSpaceState):
+    """The front-form orbit of a wave m^2(x+) at one x+, from the seven
+    constants: x_perp from the null rotation charges, x- from Q7, p+ on
+    shell through bg.m2 at the point."""
+    q = planewave_quantities(init, bg)
+    q1, q2, q3 = q["Q1"], q["Q2"], q["Q3"]
+    pp = q1 * q1 + q2 * q2
+
+    def point(xplus):
+        x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
+        x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
+        xminus = (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * q3 ** 2)
+        x = from_lightfront(xplus, xminus, x1, x2)
+        pplus = (pp + bg.m2(x)) / (4.0 * q3)
+        return x, momenta_from_lf(pplus, q3, q1, q2)
+    return point
+
+
+def conformal_points(bg, init: PhaseSpaceState, root=newton_per_point):
+    """The orbit of m^2 = f(u)/(x+)^2 at one x+ from a front-form state at
+    x0+ > 0: u(x+) inverts Q_perp^2 (u - u0) + F(u) - F(u0) =
+    4 Q3^2 (1/x0+ - 1/x+) on a bracket doubled from u0, by root (with
+    newton_per_point's arguments) from the bracket's far edge; G at each
+    edge is evaluated once, for the first x+ that reaches it.  Raises as
+    analytic.conformal_orbit's evaluator does, one point at a time."""
+    xp0 = float(init.time)
+    f, F = bg.profile
+    xm0, x10, x20 = init.q
+    pm0, p10, p20 = init.p
+    u0 = xm0 - (x10 * x10 + x20 * x20) / xp0
+    f_u0 = float(f(u0))
+    pplus0 = (p10 * p10 + p20 * p20 + f_u0 / xp0 ** 2) / (4.0 * pm0)
+    q1 = 2.0 * pm0 * x10 + xp0 * p10
+    q2 = 2.0 * pm0 * x20 + xp0 * p20
+    qperp2 = q1 * q1 + q2 * q2
+    q3 = (-xp0 ** 2 * pplus0 - (x10 ** 2 + x20 ** 2) * pm0
+          - xp0 * (x10 * p10 + x20 * p20))
+
+    def weight(s):
+        w = qperp2 + float(f(s))
+        if w < 0.0:
+            raise DomainError(f"Q_perp^2 + f({s:g}) = {w:g} < 0: "
+                              "non-monotone inversion")
+        return w
+
+    F_u0 = F(u0)
+
+    def G(u):
+        return qperp2 * (u - u0) + (F(u) - F_u0)
+
+    four_q3sq = 4.0 * q3 * q3
+    G_edge = functools.cache(G)
+
+    def u_of_xplus(xp):
+        if xp <= 0.0:
+            raise DomainError("x+ must stay positive")
+        target = four_q3sq * (1.0 / xp0 - 1.0 / xp)
+        if target == 0.0:
+            return u0
+        lo, hi = (u0, u0 + 1.0) if target > 0 else (u0 - 1.0, u0)
+        prev = None
+        for _ in range(200):
+            end = G_edge(hi) if target > 0 else G_edge(lo)
+            if (target > 0 and end >= target) or (target < 0 and end <= target):
+                break
+            if prev is not None and end == prev:
+                raise DomainError("u(x+) bracketing stalled: x+ lies beyond "
+                                  "the orbit's asymptote")
+            prev = end
+            width = hi - lo
+            if target > 0:
+                hi += width
+            else:
+                lo -= width
+        else:
+            raise DomainError("failed to bracket u(x+); x+ may lie beyond "
+                              "the orbit's asymptote")
+        edge = hi if target > 0 else lo
+        return root(lambda u: G(u) - target, weight, edge, end - target,
+                    lo, hi, 1e-12, 4 * EPS)
+
+    c1, c2 = x10 / xp0, x20 / xp0
+    d1, d2 = q1 / (2.0 * q3), q2 / (2.0 * q3)
+
+    def point(xp):
+        u = u_of_xplus(xp)
+        f_u = float(f(u))
+        w = qperp2 + f_u
+        if w == 0.0:
+            raise DomainError("p- vanishes here: the orbit has left the "
+                              "front-form chart")
+        pm = -w / (4.0 * q3)
+        x1 = xp * (c1 + d1 * (u - u0))
+        x2 = xp * (c2 + d2 * (u - u0))
+        pp1 = (q1 - 2.0 * pm * x1) / xp
+        pp2 = (q2 - 2.0 * pm * x2) / xp
+        xminus = u + (x1 * x1 + x2 * x2) / xp
+        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp ** 2) / (4.0 * pm)
+        return (from_lightfront(xp, xminus, x1, x2),
+                momenta_from_lf(pplus, pm, pp1, pp2))
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +433,16 @@ def fd_quantity(label: str, fn) -> ConservedQuantity:
 
 def quad_antiderivative(f: Callable[[float], float]) -> Callable[[float], float]:
     """F(u) = int_0^u f by adaptive quadrature (u may be infinite), to
-    within max(1e-12, 1e-12 |F|): the antiderivative of a profile with no
-    closed-form one."""
+    within max(1e-12, 1e-12 |F|), on a float or elementwise on an array:
+    the antiderivative of a profile with no closed-form one."""
     from scipy.integrate import quad
-    return lambda u: quad(lambda s: float(f(s)), 0.0, u, epsabs=1e-12,
-                          epsrel=1e-12, limit=200)[0]
+
+    def F(u):
+        if np.ndim(u):
+            return np.array([F(w) for w in u.tolist()])
+        return quad(lambda s: float(f(s)), 0.0, u, epsabs=1e-12, epsrel=1e-12,
+                    limit=200)[0]
+    return F
 
 
 def gaussian_slope(f: Callable[[float], float], k: float) -> Callable[[float], float]:

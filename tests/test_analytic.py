@@ -25,14 +25,18 @@ from confdyn.dynamics import (
 from confdyn.errors import DomainError
 from oracles import (
     brentq_inversion,
+    conformal_points,
     erf_orbit_asymptote,
     erf_orbit_entry_state,
     erf_orbit_reciprocal,
     erf_orbit_xplus,
     gaussian_kappa,
     gaussian_slope,
+    planewave_point,
     pminus_for_kappa,
     quad_antiderivative,
+    sample_points,
+    spacelike_point,
 )
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
@@ -335,36 +339,42 @@ _ERF_WS = np.concatenate([np.linspace(0.7, 0.95, 6), np.linspace(1.05, 1.95, 19)
 def test_conformal_sample_inverts_once_per_point(monkeypatch):
     f, F = _GAUSS.profile
     df = gaussian_slope(f, 1.0)
-    newton_calls = []   # (start, lo, hi, the F(u) arguments it made)
-    edges = []  # arguments of the F calls made outside newton
-    inner = None
+    edges = []   # the u of the float F calls: bracket edges, u0 and inf
+    starts = []  # Newton's start and bracket per point, one entry per sample
+    seen = {}    # point -> the u at which Newton's method evaluates G
 
     def counting_F(u):
-        (edges if inner is None else inner).append(u)
+        if not np.ndim(u):
+            edges.append(u)
         return F(u)
 
     orb = _erf_orbit(bg=backgrounds.special_conformal_mass(f, df, counting_F))
-    real_newton = analytic.newton
+    real_newton = analytic.masked_newton
 
-    def counting_newton(f, fprime, x, fx, lo, hi, xtol, rtol):
-        nonlocal inner
-        inner = []
-        newton_calls.append((x, lo, hi, inner))
-        try:
-            return real_newton(f, fprime, x, fx, lo, hi, xtol, rtol)
-        finally:
-            inner = None
+    def counting_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
+        starts.append((x.copy(), lo.copy(), hi.copy(), len(edges)))
 
-    monkeypatch.setattr(analytic, "newton", counting_newton)
+        def counting_f(u, i):
+            for point, v in zip(i.tolist(), u.tolist()):
+                seen.setdefault(point, []).append(v)
+            return f(u, i)
+        return real_newton(counting_f, fprime, x, fx, lo, hi, xtol, rtol, errors)
+
+    monkeypatch.setattr(analytic, "masked_newton", counting_newton)
     xs, _ = orb.sample(_ERF_WS)
-    # one u(x+) inversion per sample off the entry point
-    assert len(newton_calls) == len(_ERF_WS)
+    # one batch inversion per sample
+    assert len(starts) == 1
+    x, lo, hi, made = starts[0]
+    assert len(x) == len(_ERF_WS) and made == len(edges)
     # each starts from a bracket edge already evaluated, and does not
     # evaluate G there again
-    for x, lo, hi, inner_us in newton_calls:
-        assert x in (lo, hi) and x in edges and x not in inner_us
-    # each bracket edge G(u0 +- 2^k) is evaluated once per orbit (so are
-    # F(u0) and the asymptote's F(inf))
+    for i, start in enumerate(x.tolist()):
+        assert start in (lo[i], hi[i]) and start in edges
+        assert start not in seen.get(i, [])
+    # each bracket edge G(u0 +- 2^k) is evaluated once per orbit, a second
+    # sample included (so are F(u0) and the asymptote's F(inf))
+    orb.sample(_ERF_WS[::-1])
+    assert len(starts) == 2 and len(edges) == made
     assert edges and len(edges) == len(set(edges))
     assert min(edges) < 0.0 < max(edges)
     # the orbit still sits on the error-function curve
@@ -380,15 +390,128 @@ def test_conformal_sample_inverts_once_per_point(monkeypatch):
     (lambda: conformal_orbit(_GAUSS, _TRANSVERSE),
      np.linspace(1.0, 3.0, 41)),
 ], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9", "transverse"])
-def test_newton_inversion_matches_brentq(monkeypatch, build, ws):
-    xs, ps = build().sample(ws)
-    monkeypatch.setattr(analytic, "newton", brentq_inversion)
-    rxs, rps = build().sample(ws)
+def test_newton_inversion_matches_brentq(build, ws):
+    orb = build()
+    xs, ps = orb.sample(ws)
+    # Brent's method on each point's bracket, one point at a time
+    point = conformal_points(_GAUSS, _entry_of(orb), root=brentq_inversion)
+    rxs, rps = sample_points(point, ws)
     # x- = t - z; toward k x- = 3.75 the weight falls to ~1e-6, which
     # magnifies the rounding of G(u) into u
     assert np.max(np.abs((xs[:, 0] - xs[:, 3]) - (rxs[:, 0] - rxs[:, 3]))) <= 1e-9
     assert np.all(np.linalg.norm(ps - rps, axis=1)
                   <= 1e-12 * np.linalg.norm(rps, axis=1))
+
+
+def _entry_of(orb):
+    """The front-form state a conformal orbit starts from."""
+    row = _front_row(orb, orb.constants["xplus0"])
+    return front_state(orb.constants["xplus0"], row[0], row[1:3], row[3], row[4:])
+
+
+# ---------------------------------------------------------------------------
+# the batch evaluators against the per-point oracles, byte for byte
+# ---------------------------------------------------------------------------
+
+def _kappa_ws(kappa):
+    """fig. 2's window for kappa, from its entry at x+ = 1 to k x- = 3.75,
+    and x+ before the entry, where the bracket doubles the other way."""
+    return np.concatenate([np.linspace(0.85, 1.0, 16),
+                           np.linspace(1.0, 1.0 / (1.0 - kappa * erf(3.75)), 500)])
+
+
+_OFFSET = front_state(1.0, 0.4, (0, 0), 0.5, (0, 0))
+
+
+@pytest.mark.parametrize("state, ws", [
+    *[(erf_orbit_entry_state(kappa), _kappa_ws(kappa)) for kappa in (0.3, 0.5, 0.7, 0.9)],
+    # the benchmark's fig2 draws: kappa uniform in [0.3, 0.9]
+    *[(erf_orbit_entry_state(kappa), _kappa_ws(kappa))
+      for kappa in np.random.default_rng(37).uniform(0.3, 0.9, size=6)],
+    (_TRANSVERSE, np.linspace(0.5, 3.0, 251)),
+    (_OFFSET, np.linspace(0.8, 3.2, 241)),
+], ids=["kappa0.3", "kappa0.5", "kappa0.7", "kappa0.9",
+        *[f"draw{i}" for i in range(6)], "transverse", "offset"])
+def test_conformal_sample_is_the_per_point_oracle(state, ws):
+    xs, ps = conformal_orbit(_GAUSS, state).sample(ws)
+    rxs, rps = sample_points(conformal_points(_GAUSS, state), ws)
+    assert xs.tobytes() == rxs.tobytes() and ps.tobytes() == rps.tobytes()
+
+
+def test_spacelike_sample_is_the_per_point_oracle():
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        init = instant_state(0.0, (*rng.uniform(-1, 1, 2), 0.0), rng.uniform(-1, 1, 3))
+        B, m0sq = rng.uniform(0.2, 2.0) * rng.choice((-1, 1)), rng.uniform(0.1, 2.0)
+        ws = np.sort(rng.uniform(0.0, 5.0, 50))
+        xs, ps = spacelike_orbit(B, init, m0sq).sample(ws)
+        rxs, rps = sample_points(spacelike_point(B, init, m0sq), ws)
+        assert xs.tobytes() == rxs.tobytes() and ps.tobytes() == rps.tobytes()
+
+
+def _planewave_draws():
+    """40 random sin^2 waves in x+, two of them tabulated, with a random
+    front-form start and a grid of x+ on either side of it."""
+    rng = np.random.default_rng(39)
+    out = []
+    for i in range(40):
+        if i < 2:
+            w = np.linspace(-8.0, 12.0, 41)
+            bg = backgrounds.plane_wave_tabulated(w, 1.0 + 0.5 * np.sin(w) ** 2, "xplus")
+        else:
+            bg = backgrounds.plane_wave_sin2(rng.uniform(0.2, 2.0), rng.uniform(-0.5, 1.0),
+                                             rng.uniform(0.3, 3.0), "xplus")
+        st = front_state(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1, 2),
+                         rng.uniform(0.2, 1.5), rng.uniform(-1, 1, 2))
+        out.append((bg, st, np.linspace(st.time - 3.0, st.time + 7.0, 60)))
+    return out
+
+
+def test_planewave_sample_is_the_per_point_oracle():
+    for bg, st, ws in _planewave_draws():
+        xs, ps = planewave_orbit(bg, st).sample(ws)
+        rxs, rps = sample_points(planewave_point(bg, st), ws)
+        assert xs.tobytes() == rxs.tobytes() and ps.tobytes() == rps.tobytes()
+
+
+def _raised(fn):
+    with pytest.raises(Exception) as err:
+        fn()
+    return type(err.value), str(err.value)
+
+
+# f = 0.9 - u: the weight Q_perp^2 + f turns negative at u = 0.9, and G
+# turns back down past it, so no edge brackets a target beyond its top
+_BENT = backgrounds.special_conformal_mass(lambda u: 0.9 - u, lambda u: -1.0 + 0.0 * u,
+                                          lambda u: 0.9 * u - 0.5 * u * u)
+_BENT_START = front_state(1.0, 0.0, (0, 0), 0.5, (0, 0))
+# a Gaussian so steep that f(1) underflows to 0: on the asymptote, u(x+) is
+# the edge u = 1 itself, where p- = -(Q_perp^2 + f)/(4 Q3) vanishes
+_STEEP = backgrounds.special_conformal_gaussian(1.0, 1.0, 30.0)
+_STEEP_START = front_state(1.0, 0.0, (0, 0), 2.0, (0, 0))
+_STEEP_ASYMPTOTE = conformal_orbit(_STEEP, _STEEP_START).constants["xplus_asymptote"]
+
+
+@pytest.mark.parametrize("bg, state, ws, error", [
+    # the weight is negative at the edge u = 1 that Newton's method starts
+    # from, for a point after one that lies before x+ = 0
+    (_BENT, _BENT_START, [1.5, -1.0], "non-monotone"),
+    (_BENT, _BENT_START, [0.8, -1.0, 1.5], "x+ must stay positive"),
+    (_BENT, _BENT_START, [0.8, 2.0, 1.5], "failed to bracket"),
+    (_STEEP, _STEEP_START, [1.01, _STEEP_ASYMPTOTE, -1.0], "p- vanishes"),
+    (_STEEP, _STEEP_START, [1.01, 2.0, _STEEP_ASYMPTOTE], "bracketing stalled"),
+    # the fig2 preset's base orbit (p- = 0.4), sampled as the orbit
+    # command samples it to run.tend = 12: its asymptote lies at x+ ~ 2.31
+    (backgrounds.special_conformal_switched(1.0, 1.0, 1.0),
+     front_state(1.0, 0.0, (0, 0), 0.4, (0, 0)), np.linspace(1.0, 12.0, 500),
+     "bracketing stalled"),
+], ids=["weight", "positive", "bracket", "vanishing-pminus", "stalled", "fig2-past-asymptote"])
+def test_conformal_sample_raises_as_the_per_point_oracle(bg, state, ws, error):
+    # a loop over the points raises for the first point that fails, even
+    # where a later point fails at an earlier stage
+    batch = _raised(lambda: conformal_orbit(bg, state).sample(ws))
+    assert batch == _raised(lambda: sample_points(conformal_points(bg, state), ws))
+    assert batch[0] is DomainError and error in batch[1]
 
 
 @pytest.mark.parametrize("build, ws", [

@@ -1,6 +1,7 @@
 """Squared-mass families: values, analytic gradients, switch surfaces."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,30 @@ def test_gaussian_antiderivative_matches_quadrature(m0sq, L, k, a, b):
     f, F = backgrounds.special_conformal_gaussian(m0sq, L, k).profile
     ref = ode.quad(f, a, b)
     assert abs((F(b) - F(a)) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("k", [1.0, -0.7, 0.0, 3.0, 30.0])
+def test_gaussian_profile_takes_arrays_in_the_bits_of_its_float_calls(k):
+    f, F = backgrounds.special_conformal_gaussian(1.3, 0.8, k).profile
+    rng = np.random.default_rng(7)
+    u = np.concatenate([rng.normal(0.0, 2.0, 3000), rng.uniform(-40.0, 40.0, 1000),
+                        [0.0, -0.0, 1e-300, 27.5]])
+    # f refuses an infinite u (test_steep_gaussian_slope_is_finite); F takes it
+    for fn, u in ((f, u), (F, np.r_[u, np.inf, -np.inf])):
+        batch = fn(u)
+        assert batch.shape == u.shape
+        assert _same(batch, [fn(w) for w in u.tolist()])
+        assert _same(fn(u[:0]), [])
+
+
+def test_steep_gaussian_profile_array_raises_for_its_first_refused_u():
+    f, F = backgrounds.special_conformal_gaussian(1.0, 1.0, 1e200).profile
+    for u, first in (([0.0, 1e-250, 0.5, np.inf], "0.5"), ([0.0, np.inf, 0.5], "inf"),
+                     ([-1e110, 2.0], "-1e+110")):
+        with pytest.raises(DomainError, match=rf"k = 1e\+200, u = {re.escape(first)}:"):
+            f(np.array(u))
+    # the antiderivative saturates instead
+    assert F(np.array([0.5, np.inf])).tolist() == [F(0.5), F(np.inf)]
 
 
 def test_steep_gaussian_raises_domain_error_naming_k_and_u():

@@ -34,7 +34,7 @@ from confdyn.dynamics import (
 )
 from confdyn.errors import RealityError, SingularityError
 from confdyn.geometry import FourVector, lf_gradient, lf_momenta, raise_index
-from oracles import erf_orbit_entry_state, fd_partials, fd_quantity
+from oracles import erf_orbit_entry_state, fd_partials, fd_quantity, newton_per_point
 
 
 def _random_instant_state(rng, bg):
@@ -646,7 +646,9 @@ def _newton(f, fprime, x, lo, hi):
     return ode.newton(f, fprime, x, f(x), lo, hi, 1e-12, 4 * ode.EPS)
 
 
-def test_newton_finds_brentqs_root_on_random_brackets():
+def _random_brackets():
+    """(f, fprime, lo, hi) of 300 random draws of three nondecreasing
+    families, on brackets [lo, hi] around a root, as scalar functions."""
     rng = np.random.default_rng(12)
     families = [   # nondecreasing, with their slopes
         lambda c: (lambda x: x ** 3 + c[0] ** 2 * x - c[1], lambda x: 3 * x * x + c[0] ** 2),
@@ -654,28 +656,74 @@ def test_newton_finds_brentqs_root_on_random_brackets():
         lambda c: (lambda x: np.exp(c[0] * x) - 1.0 - c[1],
                    lambda x: c[0] * np.exp(c[0] * x)),
     ]
-    compared = 0
+    out = []
     for i in range(300):
         c = rng.uniform(0.1, 1.5, size=2) * (1, rng.choice((-1, 1)))
         f, fprime = families[i % 3](c)
         lo, hi = np.sort(rng.uniform(-3.0, 3.0, size=2)).tolist()
-        if not f(lo) < 0.0 < f(hi):
-            continue
+        if f(lo) < 0.0 < f(hi):
+            out.append((f, fprime, lo, hi))
+    return out
+
+
+def test_newton_finds_brentqs_root_on_random_brackets():
+    brackets = _random_brackets()
+    for f, fprime, lo, hi in brackets:
         ref = ode.brentq(f, lo, hi, 1e-12, 4 * ode.EPS)
         tol = 1e-12 + 4 * ode.EPS * abs(ref)
         for start in (lo, hi):
             assert abs(_newton(f, fprime, start, lo, hi) - ref) <= 2 * tol
-        compared += 1
-    assert compared > 100
+    assert len(brackets) > 100
+
+
+def _each(fns):
+    """A batch callable f(x, i) that evaluates point i's own scalar
+    function fns[i] on its float."""
+    return lambda x, i: np.array([float(fns[k](v)) for v, k in zip(x.tolist(), i.tolist())])
+
+
+def _batch_newton(fs, fprimes, starts, los, his):
+    """masked_newton on one batch whose point i has its own f and fprime;
+    raises as ode.newton does."""
+    errors = ode.FirstError(len(fs))
+    roots = ode.masked_newton(_each(fs), _each(fprimes), np.array(starts, dtype=float),
+                              np.array([float(f(x)) for f, x in zip(fs, starts)]),
+                              np.array(los, dtype=float), np.array(his, dtype=float),
+                              1e-12, 4 * ode.EPS, errors)
+    errors.raise_first()
+    return roots
+
+
+def test_newton_batch_is_bitwise_the_per_point_iteration():
+    # each of the random brackets from both ends in one batch: every root
+    # has the bits of Newton's method on that bracket alone, in a batch of
+    # one and in Python floats
+    brackets = _random_brackets()
+    fs, fprimes, starts, los, his = zip(*[(f, fp, start, lo, hi)
+                                          for f, fp, lo, hi in brackets
+                                          for start in (lo, hi)])
+    roots = _batch_newton(fs, fprimes, starts, los, his)
+    alone = [_batch_newton([f], [fp], [x], [lo], [hi])[0]
+             for f, fp, x, lo, hi in zip(fs, fprimes, starts, los, his)]
+    floats = [newton_per_point(f, fp, x, float(f(x)), lo, hi, 1e-12, 4 * ode.EPS)
+              for f, fp, x, lo, hi in zip(fs, fprimes, starts, los, his)]
+    assert roots.tobytes() == np.array(alone).tobytes() == np.array(floats).tobytes()
+    # a float is a batch of one, and gives a float
+    f, fprime, lo, hi = brackets[0]
+    root = _newton(f, fprime, hi, lo, hi)
+    assert type(root) is float and root == alone[1]
 
 
 def test_newton_safeguards():
-    # a step that leaves the bracket, and a zero slope, bisect
-    assert abs(_newton(lambda x: np.arctan(x) - 0.2, lambda x: 1 / (1 + x * x),
-                       10.0, -1.0, 10.0) - np.tan(0.2)) <= 1e-12
-    assert abs(_newton(lambda x: x ** 3 - 0.5, lambda x: 3 * x * x,
-                       0.0, 0.0, 2.0) - 0.5 ** (1 / 3)) <= 1e-12
-    assert _newton(lambda x: x - 1.0, lambda x: 1.0, 1.0, 0.0, 1.0) == 1.0
+    # in one batch: a step that leaves the bracket, and a zero slope,
+    # bisect; a start on the root returns it
+    roots = _batch_newton(
+        [lambda x: np.arctan(x) - 0.2, lambda x: x ** 3 - 0.5, lambda x: x - 1.0],
+        [lambda x: 1 / (1 + x * x), lambda x: 3 * x * x, lambda x: 1.0],
+        [10.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [10.0, 2.0, 1.0])
+    assert abs(roots[0] - np.tan(0.2)) <= 1e-12
+    assert abs(roots[1] - 0.5 ** (1 / 3)) <= 1e-12
+    assert roots[2] == 1.0
     # rounding that puts f on the wrong side within a tolerance of the root:
     # the converged step is taken, not a bisection of the whole bracket
     calls = []
@@ -683,13 +731,49 @@ def test_newton_safeguards():
     def biased(x):
         calls.append(x)
         return 1e-18 if abs(x - 0.3) < 1e-13 else x - 0.3
-    assert abs(_newton(biased, lambda x: 1.0, 0.0, 0.0, 2.0) - 0.3) < 1e-13
+    roots = _batch_newton([biased, lambda x: x - 0.7], [lambda x: 1.0] * 2,
+                          [0.0, 0.0], [0.0, 0.0], [2.0, 2.0])
+    assert np.all(np.abs(roots - [0.3, 0.7]) < 1e-13)
     assert len(calls) <= 4
+    # a failing point fails the batch, whatever the other points do
     with pytest.raises(ValueError, match="NaN"):
-        _newton(lambda x: float("nan") if x > 0.5 else x - 1.0,
-                lambda x: 1.0, 0.0, 0.0, 2.0)
+        _batch_newton([lambda x: x - 0.5, lambda x: float("nan") if x > 0.5 else x - 1.0],
+                      [lambda x: 1.0] * 2, [0.0, 0.0], [0.0, 0.0], [2.0, 2.0])
     with pytest.raises(RuntimeError):   # halving from 1e300 down to x = 1
-        _newton(lambda x: x - 1.0, lambda x: 0.0, 1e300, -1e300, 1e300)
+        _batch_newton([lambda x: x - 0.5, lambda x: x - 1.0],
+                      [lambda x: 1.0, lambda x: 0.0], [0.0, 1e300],
+                      [0.0, -1e300], [2.0, 1e300])
+
+
+def test_newton_raises_for_the_first_point_a_loop_meets():
+    # point 0 runs out of its 100 iterations; point 1 meets a NaN on its
+    # first step and point 2 an error of fprime at its start: a loop over
+    # the points raises point 0's error, and so does the batch
+    fs = [lambda x: x - 1.0, lambda x: float("nan") if x > 0.5 else x - 1.0,
+          lambda x: x - 1.0]
+
+    def refuse(x):
+        raise ZeroDivisionError(f"no slope at {x}")
+    fprimes = [lambda x: 0.0, lambda x: 1.0, refuse]
+    starts, los, his = [1e300, 0.0, 0.0], [-1e300, 0.0, 0.0], [1e300, 2.0, 2.0]
+    for n, (err, match) in zip((3, 2), [(RuntimeError, "after 100 iterations")] * 2):
+        with pytest.raises(err, match=match):
+            _batch_newton(fs[:n], fprimes[:n], starts[:n], los[:n], his[:n])
+    with pytest.raises(ValueError, match="NaN"):
+        _batch_newton(fs[1:], fprimes[1:], starts[1:], los[1:], his[1:])
+    with pytest.raises(ZeroDivisionError, match="no slope at 0.0"):
+        _batch_newton(fs[2:], fprimes[2:], starts[2:], los[2:], his[2:])
+    # a NaN that point 0 meets on its seventh value comes before an error
+    # of fprime that point 1 meets at once; the text names point 0's x, as
+    # the iteration on point 0 alone does
+    slow = lambda x: float("nan") if x < 0.4 else x - 0.2
+    with pytest.raises(ValueError) as alone:
+        newton_per_point(slow, lambda x: 3.0, 2.0, 1.8, 0.0, 2.0, 1e-12, 4 * ode.EPS)
+    with pytest.raises(ValueError) as batch:
+        _batch_newton([slow, fs[2]], [lambda x: 3.0, refuse], [2.0, 0.0],
+                      [0.0, 0.0], [2.0, 2.0])
+    assert str(batch.value) == str(alone.value)
+    assert str(alone.value).startswith("The function value at x=0.358")
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,11 @@ directory, and prints one line per run:
 with the output files in sorted order.  stderr is not digested.  Each
 preset with a [certify] section adds one certify run at the benchmark's
 certify.count=96, whose line names ``count=96`` in place of a format.
-Comparing
-two checkouts is one diff:
+The fig2 preset adds one orbit run per sweep override (its four kappa
+curves, the orbits the benchmark samples), whose line names the override,
+``override_<i>``, in place of a format; orbit reads no [sweep], so each
+override's settings are passed as --set.  Comparing two checkouts is one
+diff:
 
     python tools/output_digests.py --src /path/to/a/src > a.txt
     python tools/output_digests.py --src /path/to/b/src > b.txt
@@ -48,6 +51,7 @@ COMMANDS = ("simulate", "certify", "kg", "orbit")
 FORMATS = ("csv", "json")
 SEED = 7
 CERTIFY_COUNT = 96          # the states of the benchmark's larger certificates
+ORBIT_SWEEPS = ("fig2",)    # presets whose sweep curves the benchmark samples as orbits
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
@@ -67,9 +71,16 @@ def runs(cli, presets) -> list:
     for preset in presets:
         out += [(command, preset, fmt, ["--format", fmt])
                 for command in COMMANDS for fmt in FORMATS]
-        if "certify" in cli.preset_config(preset):
+        config = cli.preset_config(preset)
+        if "certify" in config:
             out.append(("certify", preset, f"count={CERTIFY_COUNT}",
                         ["--set", f"certify.count={CERTIFY_COUNT}"]))
+        if preset in ORBIT_SWEEPS:
+            sweep = config["sweep"]
+            for i in range(int(sweep["count"])):
+                sets = sweep[f"override_{i}"].split(";")
+                out.append(("orbit", preset, f"override_{i}",
+                            [arg for s in sets for arg in ("--set", s)]))
     return out
 
 
