@@ -78,10 +78,11 @@ class ScalarBackground:
         kernel, so every point raises exactly as it would alone."""
         if isinstance(x.t, np.ndarray):
             comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
-            return np.array([self._m2_at(*c) for c in zip(*comps)])
-        return self._m2_at(x.t, x.x, x.y, x.z)
+            return np.array([self.m2_at(*c) for c in zip(*comps)])
+        return self.m2_at(x.t, x.x, x.y, x.z)
 
-    def _m2_at(self, t, x, y, z) -> float:
+    def m2_at(self, t, x, y, z) -> float:
+        """m2 at the plain coordinates of one point."""
         return self._real(self._value(t, x, y, z), t, x, y, z)
 
     def m2_and_grad(self, x: FourVector):
@@ -99,6 +100,11 @@ class ScalarBackground:
         return v, g
 
     def grad_m2(self, x: FourVector) -> np.ndarray:
+        """(g0, g1, g2, g3) at a point, or (4, N) for a FourVector with (N,)
+        components, point by point through the family kernel."""
+        if isinstance(x.t, np.ndarray):
+            comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
+            return np.array([self._field(*c)[1] for c in zip(*comps)], dtype=float).T
         return np.array(self._field(x.t, x.x, x.y, x.z)[1], dtype=float)
 
     def _real(self, v, t, x, y, z) -> float:

@@ -42,7 +42,7 @@ from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        evolve, extended_state, extended_state_on_shell,
                        front_state, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
-from .geometry import FourVector, from_lightfront
+from .geometry import FourVector, float_square, from_lightfront
 from .jsonio import write_csv, write_json
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
@@ -349,6 +349,11 @@ def _family_param(bg, family: str, key: str, what: str) -> float:
     return bg.params[key]
 
 
+def _tstart(cfg) -> float:
+    """[run] tstart, the time of a run's initial state; 0.0 when unset."""
+    return _get(cfg, "run", "tstart", 0.0)
+
+
 def _initial_state(cfg, bg) -> PhaseSpaceState:
     form = _get(cfg, "run", "form", "instant")
     if form == "instant":
@@ -364,7 +369,7 @@ def _initial_state(cfg, bg) -> PhaseSpaceState:
     if form == "front":
         return front_state(xplus, xminus, xperp, pminus, pperp)
     if form == "extended":
-        s0 = _get(cfg, "run", "tstart", 0.0)
+        s0 = _tstart(cfg)
         pplus = _get(cfg, "initial", "pplus", "shell")
         if pplus == "shell":
             return extended_state_on_shell(bg, xplus, xminus, xperp, pminus,
@@ -374,7 +379,7 @@ def _initial_state(cfg, bg) -> PhaseSpaceState:
         x = FourVector(*_get(cfg, "initial", "x4"))
         u = FourVector(*_get(cfg, "initial", "xdot"))
         try:
-            return covariant_state(x, u, tau=_get(cfg, "run", "tstart", 0.0))
+            return covariant_state(x, u, tau=_tstart(cfg))
         except ValueError as exc:
             raise ConfigError(f"[initial] xdot: {exc}") from None
     raise ConfigError(f"unknown form {form!r}")
@@ -461,7 +466,7 @@ def _sweep_configs(cfg) -> list:
 def _span(cfg, state) -> tuple:
     """([run] tstart, [run] tend), checked against each other and against
     the initial state's own time."""
-    span = (_get(cfg, "run", "tstart", 0.0), _get(cfg, "run", "tend"))
+    span = (_tstart(cfg), _get(cfg, "run", "tend"))
     if not span[1] > span[0]:
         raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
     if not starts_at(state, span[0]):
@@ -510,20 +515,26 @@ def cmd_simulate(run_cfgs: list, fmt: str, tol_rel: float, seed: int) -> tuple:
     return [*files, ("summary.json", write_json, summary, True)], lines, summary["pass"]
 
 
-def _certify_states(bg, form: str, count: int, rng) -> list:
+def _certify_states(bg, form: str, count: int, rng) -> PhaseSpaceState:
+    """The sampled states of a certify job, as one batch state."""
     fam = bg.params.get("family", "")
 
     def accept(st):
-        try:
-            return bg.m2(st.position()) > 0.05
-        except (RealityError, SingularityError):
-            return False
+        x = st.position()
+
+        def above(*c):
+            try:
+                return bg.m2_at(*c) > 0.05
+            except (RealityError, SingularityError):
+                return False
+        return [above(*c) for c in zip(x.t.tolist(), x.x.tolist(), x.y.tolist(),
+                                       x.z.tolist())]
 
     try:
         if fam == "dilation":
             def accept_dil(st):
                 x = st.position()
-                return x.norm2() > 0.5 and x.t > 0
+                return (x.norm2() > 0.5) & (x.t > 0)
             states = integrability.random_states(
                 form, count, rng, t_range=(1.8, 2.6), q_range=(-0.4, 0.4),
                 accept=accept_dil)
@@ -534,10 +545,12 @@ def _certify_states(bg, form: str, count: int, rng) -> list:
                           f"{exc}") from None
     if form == "extended":
         # involution of the charge algebra is an on-shell statement: put the
-        # sampled p+ on the mass shell instead of leaving it arbitrary
-        states = [extended_state_on_shell(bg, st.q[0], st.q[1], st.q[2:4],
-                                          st.p[1], st.p[2:4], s=st.time)
-                  for st in states]
+        # sampled p+ on the mass shell instead of leaving it arbitrary, as
+        # extended_state_on_shell puts one state, Python's ** included
+        pminus, p1, p2 = states.p[1:]
+        pplus = ((float_square(p1) + float_square(p2) + bg.m2(states.position()))
+                 / (4.0 * pminus))
+        states = states.replace(p=np.vstack([pplus, states.p[1:]]))
     return states
 
 
@@ -555,7 +568,7 @@ def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
     cert = integrability.classify(quantities, states, bg,
                                   rank_tol=tol_rel, bracket_tol=tol_abs)
     lines = [f"rank {cert.rank} of {len(quantities)} quantities on "
-             f"{len(states)} states; involutive subset: "
+             f"{count} states; involutive subset: "
              f"{', '.join(cert.involutive_subset) or 'none'}",
              f"classification: {cert.label}"]
     expect = _get(cfg, "certify", "expect", [])

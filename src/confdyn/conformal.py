@@ -47,8 +47,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import hamiltonian_extended, hamiltonian_partials, quantity_values
-from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
-                       lower_index, minkowski_dot, raise_index)
+from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, float_square,
+                       lf_gradient, lower_index, minkowski_dot, raise_index)
 
 _ANTISYM_TOL = 1e-12
 _EYE4 = np.eye(4)
@@ -323,10 +323,10 @@ class ConservedQuantity:
     (N,), one value per point: dynamics.monitor calls it once per
     trajectory.  partials(state, bg), when provided, returns closed-form
     gradients (dQ/dq, dQ/dp) with respect to the canonical variables of the
-    state's form, used by Poisson brackets and independence ranks.  It is
-    called on single states only: on a batch state,
-    dynamics.quantity_partials calls it once per point and stacks the
-    results to (n, N).  A quantity without partials is monitored only
+    state's form, used by Poisson brackets and independence ranks; on a
+    batch state it returns them of shape (n, N), each point in the bits of
+    its own single-state call (integrability.classify makes one batch call
+    per certificate).  A quantity without partials is monitored only
     (dynamics.quantity_partials raises ValueError).
     """
 
@@ -360,9 +360,9 @@ def spacelike_hidden_quantity(which: int, B: float) -> ConservedQuantity:
         return 2.0 * state.p[i] * state.p[2] + B * state.q[i]
 
     def parts(state, bg):
-        dq = np.zeros(3)
+        dq = np.zeros(state.q.shape)
         dq[i] = B
-        dp = np.zeros(3)
+        dp = np.zeros(state.p.shape)
         dp[i] = 2.0 * state.p[2]
         dp[2] = 2.0 * state.p[i]
         return dq, dp
@@ -407,8 +407,7 @@ def mass_shell_quantity() -> ConservedQuantity:
         return 4.0 * pplus * pminus - p1 * p1 - p2 * p2 - bg.m2(state.position())
 
     def parts(state, bg):
-        lfg = lf_gradient(bg.grad_m2(state.position()))
-        dq = np.array([-lfg[0], -lfg[1], -lfg[2], -lfg[3]])
+        dq = -lf_gradient(bg.grad_m2(state.position()))
         pplus, pminus, p1, p2 = state.p
         dp = np.array([4.0 * pminus, 4.0 * pplus, -2.0 * p1, -2.0 * p2])
         return dq, dp
@@ -431,8 +430,10 @@ def planewave_cubic_quantity() -> ConservedQuantity:
         xplus, xminus = state.q[0], state.q[1]
         pplus, pminus, p1, p2 = state.p
         m2 = bg.m2(state.position())
-        dq = np.array([-(p1 * p1 + p2 * p2) - m2, 4.0 * pminus ** 2, 0.0, 0.0])
-        dp = np.array([0.0, 8.0 * pminus * xminus, -2.0 * p1 * xplus,
+        zero = np.zeros_like(xplus)
+        dq = np.array([-(p1 * p1 + p2 * p2) - m2, 4.0 * float_square(pminus),
+                       zero, zero])
+        dp = np.array([zero, 8.0 * pminus * xminus, -2.0 * p1 * xplus,
                        -2.0 * p2 * xplus])
         return dq, dp
 

@@ -27,8 +27,8 @@ quantity_partials; the generator charges xi.p among them share one
 position, on-shell momentum and Hamiltonian partials per state.  On a batch
 quantity_partials returns (n, N) partials whose every point holds the bits
 of that point's own call: the generator chain rule runs as stacked
-matrix-vector products, and hand-written partials and dH are taken point by
-point.  monitor, poisson_bracket and integrability's tables read these two
+matrix-vector products, and hand-written partials and dH take the batch as
+it is.  monitor, poisson_bracket and integrability's tables read these two
 (integrability with one quantity_partials call per table).
 
 One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
@@ -253,11 +253,19 @@ def hamiltonian_extended(state: PhaseSpaceState, bg):
 def hamiltonian_partials(state: PhaseSpaceState, bg):
     """(dH/dq, dH/dp) of the state's own Hamiltonian (H, p+ on shell, K in
     the instant, front, extended form), read back from the form's flow, the
-    one place they are written out, as (-dH/dp, dH/dq)."""
+    one place they are written out, as (-dH/dp, dH/dq); of shape (n,), or
+    (n, N) for a batch state, whose points each take the flow's own call on
+    their contiguous (q, p)."""
     if not FORMS[state.form].canonical:
         raise ValueError(f"the {state.form} form has no Hamiltonian partials")
-    n = state.q.size
-    f = _make_rhs(state.form, bg, False)(state.time, np.concatenate([state.q, state.p]))
+    n = FORMS[state.form].dof
+    rhs = _make_rhs(state.form, bg, False)
+    y = np.concatenate([state.q, state.p])
+    if y.ndim == 1:
+        f = rhs(state.time, y)
+    else:
+        f = np.array([rhs(t, row) for t, row in
+                      zip(state.time.tolist(), np.ascontiguousarray(y.T))]).T
     return f[n:], -f[:n]
 
 
@@ -293,8 +301,8 @@ def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
     eliminates no momentum (n = 0).  A batch takes the products as stacked
     matmuls in the single point's order, so each point keeps its bits.  Any
     other quantity gives its own closed-form partials, and one without them
-    raises ValueError before any field is read.  Those and dH are taken
-    point by point on a batch."""
+    raises ValueError before any field is read.  Those partials and dH take
+    the batch as it is, each point in the bits of its own call."""
     form = FORMS[state.form]
     if not form.canonical:
         raise ValueError(f"the {state.form} form carries no canonical bracket")
@@ -303,23 +311,15 @@ def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
             raise ValueError(f"quantity {quant.label!r} has no closed-form "
                              "partials")
     S, n = form.split
-    points = _points(state) if state.q.ndim > 1 else None
-
-    def pointwise(partials):
-        if points is None:
-            return partials(state, bg)
-        return tuple(np.stack(col, axis=-1)
-                     for col in zip(*(partials(st, bg) for st in points)))
-
     out, x = [], None
     for quant in quantities:
         gen = quant.generator
         if gen is None:
-            out.append(pointwise(quant.partials))
+            out.append(quant.partials(state, bg))
             continue
         if x is None:
             x, p4 = state.position(), state.four_momentum(bg)
-            dH = pointwise(hamiltonian_partials) if n.any() else None
+            dH = hamiltonian_partials(state, bg) if n.any() else None
         xi = gen.killing(x)
         # row k of dx_dq J^T is d xi/d q_k
         dq = _matvec(form.dx_dq @ np.swapaxes(gen.jacobian(x), -1, -2), p4)
@@ -329,14 +329,6 @@ def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
             dq, dp = dq + xin * dH[0], dp + xin * dH[1]
         out.append((dq, dp))
     return out
-
-
-def _points(state: PhaseSpaceState) -> list:
-    """The points of a batch state as single states, each q and p
-    contiguous as a single state's are."""
-    return [PhaseSpaceState(state.form, t, q, p) for t, q, p in
-            zip(state.time, np.ascontiguousarray(state.q.T),
-                np.ascontiguousarray(state.p.T))]
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -589,7 +581,10 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
     A switch surface declared by the background ends the segment at the
     crossing, located by Brent's method on the dense output of the step that
     straddles it; that step is redone up to the crossing and the integration
-    restarts on the far side, so C0 kinks never sit inside an accepted step.
+    restarts on the far side from the redone step's end, so the integrated
+    state never steps across a C0 kink.  The samples between the straddling
+    step's start and the crossing still come from that step's dense output,
+    which spans the kink (ROADMAP item 2).
     A sign change of p- (front/extended) raises SingularityError; sampling
     m^2 < 0 raises RealityError from the background itself.
     """

@@ -148,6 +148,15 @@ def scalar_or_array(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
+def float_square(v):
+    """v ** 2 as Python squares a float, per element of an array.  numpy's
+    array power squares as v * v, which rounds apart from the C pow behind
+    a float's ** on about 1 in 1 300 inputs."""
+    if np.ndim(v) == 0:
+        return v ** 2
+    return np.array([w ** 2 for w in v.tolist()])
+
+
 def from_lightfront(xplus: float, xminus: float, x1: float, x2: float) -> FourVector:
     """The point (x+, x-, x1, x2), read back by xplus, xminus, x and y."""
     return FourVector(0.5 * (xplus + xminus), x1, x2, 0.5 * (xplus - xminus))

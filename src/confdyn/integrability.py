@@ -25,22 +25,15 @@ from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
                        quantity_partials)
 
 
-def _partials_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
+def _partials_table(quantities: Sequence, states: PhaseSpaceState,
                     bg) -> np.ndarray:
     """The stacked Jacobians J[state] of shape (N, K, 2n), whose rows are
     (dQ/dq, dQ/dp) per quantity, from one quantity_partials call on the
-    states as one batch state; ranks, brackets and the subset search all
-    read this one table.  The states must share one form."""
-    if not states:
+    batch state; ranks, brackets and the subset search all read this one
+    table."""
+    if not np.size(states.time):
         raise ValueError("need at least one state")
-    form = states[0].form
-    other = next((st.form for st in states if st.form != form), None)
-    if other is not None:
-        raise ValueError(f"states mix the {form!r} and {other!r} forms")
-    batch = PhaseSpaceState(form, np.array([st.time for st in states]),
-                            np.array([st.q for st in states]).T,
-                            np.array([st.p for st in states]).T)
-    parts = quantity_partials(quantities, batch, bg)
+    parts = quantity_partials(quantities, states, bg)
     return np.transpose([np.concatenate(qp) for qp in parts], (2, 0, 1))
 
 
@@ -77,15 +70,17 @@ def _rank_vote(jacobians: np.ndarray, labels: list,
     if not labels:
         raise ValueError("need at least one quantity")
     sv = np.linalg.svd(jacobians, compute_uv=False)
-    ranks = [0 if s[0] == 0.0 else int(np.sum(s > tol * s[0])) for s in sv]
+    # an all-zero Jacobian gets rank 0: no s exceeds tol * 0
+    ranks = (sv > tol * sv[:, :1]).sum(axis=1).tolist()
     return IndependenceReport(labels, ranks, sv[0], tol)
 
 
 # no command calls this (classify reads the shared table); tests do, and
 # perfbench/bench_trace.py wraps it as the span integrability.rank
-def independence_rank(quantities: Sequence, states: Sequence[PhaseSpaceState],
+def independence_rank(quantities: Sequence, states: PhaseSpaceState,
                       bg, tol: float) -> IndependenceReport:
-    """Numerical rank of the quantity Jacobian, majority-voted over states."""
+    """Numerical rank of the quantity Jacobian, majority-voted over the
+    points of a batch state."""
     return _rank_vote(_partials_table(quantities, states, bg),
                       _labels(quantities), tol)
 
@@ -119,9 +114,10 @@ def _bracket_table(jacobians: np.ndarray, labels: list, tol: float) -> Involutio
 
 # no command calls this (classify reads the shared table); tests do, and
 # perfbench/bench_trace.py wraps it as the span integrability.involution
-def involution_table(quantities: Sequence, states: Sequence[PhaseSpaceState],
+def involution_table(quantities: Sequence, states: PhaseSpaceState,
                      bg, tol: float) -> InvolutionTable:
-    """Pairwise Poisson brackets, maximized in magnitude over the states."""
+    """Pairwise Poisson brackets, maximized in magnitude over the points of
+    a batch state."""
     return _bracket_table(_partials_table(quantities, states, bg),
                           _labels(quantities), tol)
 
@@ -164,18 +160,18 @@ class Certification:
                 "involution": self.involution.to_dict()}
 
 
-def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
+def classify(quantities: Sequence, states: PhaseSpaceState, bg,
              rank_tol: float, bracket_tol: float) -> Certification:
-    """Certify (super)integrability of a quantity set on sampled states.
+    """Certify (super)integrability of a quantity set on sampled states, one
+    component-first batch state (random_states' sample).
 
-    Looks for an n-element subset that is both mutually in involution and
+    Ranks, brackets and the subset search read one Jacobian table, built by
+    one quantity_partials call on the batch.  Looks for an n-element subset that is both mutually in involution and
     itself of full rank n, given r = rank(quantities) >= n; the subset is
     left empty when either requirement fails.  Certification.label reads
     the class off k = r - n.
     """
-    if not states:
-        raise ValueError("need at least one state")
-    n = FORMS[states[0].form].dof
+    n = FORMS[states.form].dof
     labels = _labels(quantities)
     jacobians = _partials_table(quantities, states, bg)
     indep = _rank_vote(jacobians, labels, rank_tol)
@@ -194,42 +190,58 @@ def classify(quantities: Sequence, states: Sequence[PhaseSpaceState], bg,
     return Certification(n, subset, indep, invol)
 
 
+# each form's sampling box: per column of one candidate row, its uniform
+# draw's bounds (lo, hi), named by the column's place in the per-state draw
+# order; q_range and t_range fill the "q" and "t" bounds
+_BOXES = {
+    "instant": ("t", "q", "q", "q", (-0.5, 0.5), (-0.5, 0.5), (-0.5, 0.5)),
+    "front": ("q", "q", "q", (0.2, 1.0), (-0.5, 0.5), (-0.5, 0.5), (0.5, 1.5)),
+    "extended": ((0.5, 1.5), "q", "q", "q", (-0.5, 0.5), (0.2, 1.0),
+                 (-0.5, 0.5), (-0.5, 0.5)),
+}
+
+
+def _rows_state(form: str, rows: np.ndarray) -> PhaseSpaceState:
+    """The batch state of candidate rows laid out as _BOXES[form]: instant
+    (t, q, p), front (q, p-, p_perp, x+), extended (q, p) at s = 0."""
+    if form == "instant":
+        return PhaseSpaceState(form, rows[:, 0], rows[:, 1:4].T, rows[:, 4:7].T)
+    if form == "front":
+        return PhaseSpaceState(form, rows[:, 6], rows[:, :3].T, rows[:, 3:6].T)
+    return PhaseSpaceState(form, np.zeros(len(rows)), rows[:, :4].T, rows[:, 4:].T)
+
+
 def random_states(form: str, count: int, rng: np.random.Generator,
                   q_range: tuple = (-1.0, 1.0), t_range: tuple = (-1.0, 1.0), *,
-                  accept) -> list:
-    """Seeded sample of non-degenerate states for rank/involution voting.
+                  accept) -> PhaseSpaceState:
+    """Seeded sample of count non-degenerate states, as one batch state, for
+    rank/involution voting.
 
     p- is kept away from zero (front/extended) and x+ positive (extended) so
-    the light-front charts and the inverse-square backgrounds stay regular;
-    the accept predicate restricts further (e.g. interior of the light
-    cone).  Raises once it has rejected 1000 draws; accepted draws count
-    against no budget.
+    the light-front charts and the inverse-square backgrounds stay regular.
+    accept(batch) restricts further (e.g. interior of the light cone): it
+    returns a mask of the candidates to keep, or one bool for all.  Each
+    round draws its candidates as the rows of one rng.uniform block whose
+    columns follow the order of one-state-at-a-time draws, so the sample is
+    that of drawing and accepting state by state.  No block reaches past
+    the count-th accepted or the 1000th rejected candidate, so accept sees
+    exactly the draws a state-by-state loop would, and the generator ends
+    where that loop's would.  Raises once it has rejected 1000 draws;
+    accepted draws count against no budget.
     """
-    out = []
+    if form not in _BOXES:
+        raise ValueError(f"no sampler for form {form!r}")
+    named = {"q": q_range, "t": t_range}
+    lo, hi = np.array([named.get(b, b) for b in _BOXES[form]], dtype=float).T
+    rows = np.empty((0, lo.size))
     rejected = 0
-    while len(out) < count:
-        if form == "instant":
-            st = PhaseSpaceState("instant", rng.uniform(*t_range),
-                                 rng.uniform(*q_range, size=3),
-                                 rng.uniform(-0.5, 0.5, size=3))
-        elif form == "front":
-            q = rng.uniform(*q_range, size=3)
-            p = np.concatenate([[rng.uniform(0.2, 1.0)],
-                                rng.uniform(-0.5, 0.5, size=2)])
-            st = PhaseSpaceState("front", rng.uniform(0.5, 1.5), q, p)
-        elif form == "extended":
-            q = np.concatenate([[rng.uniform(0.5, 1.5)],
-                                rng.uniform(*q_range, size=3)])
-            p = np.concatenate([rng.uniform(-0.5, 0.5, size=1),
-                                [rng.uniform(0.2, 1.0)],
-                                rng.uniform(-0.5, 0.5, size=2)])
-            st = PhaseSpaceState("extended", 0.0, q, p)
-        else:
-            raise ValueError(f"no sampler for form {form!r}")
-        if accept(st):
-            out.append(st)
-            continue
-        rejected += 1
+    while len(rows) < count:
+        m = min(count - len(rows), 1000 - rejected)
+        block = rng.uniform(lo, hi, size=(m, lo.size))
+        keep = np.broadcast_to(np.asarray(accept(_rows_state(form, block)), bool),
+                               (m,))
+        rows = np.concatenate([rows, block[keep]])
+        rejected += m - int(np.count_nonzero(keep))
         if rejected == 1000:
             raise ValueError("accept predicate rejected too many samples")
-    return out
+    return _rows_state(form, rows)

@@ -62,8 +62,9 @@ def write_json(path, doc, sort_keys: bool) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write the header line, then one line of %.17g numbers per row."""
+    """Write the header line, then one line of %.17g numbers per row, the
+    whole body formatted by one % over the rows' numbers in one tuple."""
     row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write("".join(row_fmt % tuple(row) for row in rows))
+        fh.write(row_fmt * len(rows) % tuple(chain.from_iterable(rows)))

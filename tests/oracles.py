@@ -21,6 +21,9 @@ computes another way:
   partials the quantities carry;
 * the kg command's sample points drawn lazily, one point per draw, against
   its one batched draw;
+* certify's sample drawn and accepted one state at a time, against
+  integrability.random_states' batch, and the split of a batch state into
+  single states and back;
 * an antiderivative by adaptive quadrature, the F that a generic profile f
   hands special_conformal_mass, and the Gaussian profile's slope, the f'
   a test that rebuilds the Gaussian profile hands it.
@@ -399,6 +402,61 @@ def kg_points_one_by_one(solution: str, phi: Wavefunction, seed: int,
                  rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))}
     drawn = (draws[solution]() for _ in range(1000))
     return list(itertools.islice(filter(phi.in_domain, drawn), npts))
+
+
+# ---------------------------------------------------------------------------
+# certify's sample, state by state
+# ---------------------------------------------------------------------------
+
+def points(batch: PhaseSpaceState) -> list:
+    """The points of a batch state as single states, each q and p
+    contiguous as a single state's are."""
+    return [PhaseSpaceState(batch.form, t, q, p) for t, q, p in
+            zip(batch.time.tolist(), np.ascontiguousarray(batch.q.T),
+                np.ascontiguousarray(batch.p.T))]
+
+
+def batch_of(states) -> PhaseSpaceState:
+    """Single states of one form as one component-first batch state."""
+    return PhaseSpaceState(states[0].form, np.array([st.time for st in states]),
+                           np.array([st.q for st in states]).T,
+                           np.array([st.p for st in states]).T)
+
+
+def random_states_one_by_one(form: str, count: int, rng: np.random.Generator,
+                             q_range: tuple = (-1.0, 1.0),
+                             t_range: tuple = (-1.0, 1.0), *, accept) -> list:
+    """integrability.random_states drawn and accepted one state at a time:
+    accept(state) -> bool on each single state; raises once 1000 draws are
+    rejected."""
+    out = []
+    rejected = 0
+    while len(out) < count:
+        if form == "instant":
+            st = PhaseSpaceState("instant", rng.uniform(*t_range),
+                                 rng.uniform(*q_range, size=3),
+                                 rng.uniform(-0.5, 0.5, size=3))
+        elif form == "front":
+            q = rng.uniform(*q_range, size=3)
+            p = np.concatenate([[rng.uniform(0.2, 1.0)],
+                                rng.uniform(-0.5, 0.5, size=2)])
+            st = PhaseSpaceState("front", rng.uniform(0.5, 1.5), q, p)
+        elif form == "extended":
+            q = np.concatenate([[rng.uniform(0.5, 1.5)],
+                                rng.uniform(*q_range, size=3)])
+            p = np.concatenate([rng.uniform(-0.5, 0.5, size=1),
+                                [rng.uniform(0.2, 1.0)],
+                                rng.uniform(-0.5, 0.5, size=2)])
+            st = PhaseSpaceState("extended", 0.0, q, p)
+        else:
+            raise ValueError(f"no sampler for form {form!r}")
+        if accept(st):
+            out.append(st)
+            continue
+        rejected += 1
+        if rejected == 1000:
+            raise ValueError("accept predicate rejected too many samples")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from confdyn.kgverify import (
     read_stencils,
     residual_convergence,
 )
-from oracles import erf_orbit_asymptote, erf_orbit_entry_state
+from oracles import batch_of, erf_orbit_asymptote, erf_orbit_entry_state, points
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
 # the command line's --tol-rel and --tol-abs defaults
@@ -48,9 +48,9 @@ def _verdict(name: str, ok: bool, detail: str = ""):
 
 
 def _reshell(bg, states):
-    return [extended_state_on_shell(bg, st.q[0], st.q[1], st.q[2:4],
-                                    st.p[1], st.p[2:4], s=st.time)
-            for st in states]
+    return batch_of([extended_state_on_shell(bg, st.q[0], st.q[1], st.q[2:4],
+                                             st.p[1], st.p[2:4], s=st.time)
+                     for st in points(states)])
 
 
 def _fig1_runs():

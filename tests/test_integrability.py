@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from confdyn import backgrounds, cli, conformal, dynamics, integrability
+from confdyn import backgrounds, cli, conformal, dynamics, errors, integrability
 from confdyn.conformal import ConservedQuantity, generator_quantity
 from confdyn.dynamics import extended_state_on_shell
 from confdyn.integrability import (
@@ -15,6 +15,7 @@ from confdyn.integrability import (
     involution_table,
     random_states,
 )
+from oracles import batch_of, points, random_states_one_by_one
 
 # the command line's --tol-rel and --tol-abs defaults
 _TOLS = {"rank_tol": 1e-8, "bracket_tol": 1e-9}
@@ -32,9 +33,9 @@ def _spacelike_states(count=24, seed=3):
 def _reshelled(bg, states):
     # involution of a charge algebra that closes on the mass shell is an
     # on-shell statement: project the sampled states back onto 4 p+ p- = ...
-    return [extended_state_on_shell(bg, st.q[0], st.q[1], st.q[2:4],
-                                    st.p[1], st.p[2:4], s=st.time)
-            for st in states]
+    return batch_of([extended_state_on_shell(bg, st.q[0], st.q[1], st.q[2:4],
+                                             st.p[1], st.p[2:4], s=st.time)
+                     for st in points(states)])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +152,8 @@ def test_planewave_mass_shell_vanishes_on_shell():
     rng = np.random.default_rng(13)
     bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
     q6 = conformal.planewave_extended_set()[5]
-    for st in _reshelled(bg, random_states("extended", 10, rng, accept=_ANYWHERE)):
+    for st in points(_reshelled(bg, random_states("extended", 10, rng,
+                                                  accept=_ANYWHERE))):
         assert abs(q6(st, bg)) < 1e-10
 
 
@@ -201,12 +203,11 @@ def test_conformal_front_charges_independent():
 def test_random_states_accept_and_reproducible():
     states = random_states("instant", 8, np.random.default_rng(21),
                            accept=lambda st: st.q[2] > 0.0)
-    assert len(states) == 8
-    assert all(st.q[2] > 0.0 for st in states)
+    assert states.time.size == 8
+    assert all(states.q[2] > 0.0)
     again = random_states("instant", 8, np.random.default_rng(21),
                           accept=lambda st: st.q[2] > 0.0)
-    for a, b in zip(states, again):
-        assert np.array_equal(a.q, b.q) and np.array_equal(a.p, b.p)
+    assert np.array_equal(states.q, again.q) and np.array_equal(states.p, again.p)
 
 
 def test_random_states_exhausts_tries():
@@ -221,8 +222,9 @@ def test_random_states_budget_counts_rejected_draws_only(rejections, fails):
     drawn = []
 
     def accept(st):
-        drawn.append(st)
-        return len(drawn) > rejections
+        first = len(drawn)
+        drawn.extend(points(st))
+        return np.arange(first, len(drawn)) >= rejections
 
     if fails:
         with pytest.raises(ValueError, match="rejected too many samples"):
@@ -230,16 +232,7 @@ def test_random_states_budget_counts_rejected_draws_only(rejections, fails):
     else:
         states = random_states("instant", 1500, np.random.default_rng(23),
                                accept=accept)
-        assert len(states) == 1500 and len(drawn) == 2499
-
-
-def test_mixed_form_states_name_both_forms():
-    bg = backgrounds.constant(1.0)
-    qs = [generator_quantity(conformal.translation_axis(j), f"P{j}") for j in (1, 2)]
-    states = [dynamics.instant_state(0.1, (0.2, 0.0, -0.1), (0.1, 0.0, 0.2)),
-              dynamics.front_state(1.0, 0.3, (0.0, 0.1), 0.5, (0.1, 0.0))]
-    with pytest.raises(ValueError, match="states mix the 'instant' and 'front' forms"):
-        classify(qs, states, bg, **_TOLS)
+        assert states.time.size == 1500 and len(drawn) == 2499
 
 
 def test_missing_partials_raise_before_any_field_read(monkeypatch):
@@ -259,12 +252,13 @@ def test_missing_partials_raise_before_any_field_read(monkeypatch):
 def test_empty_state_list_rejected():
     bg = backgrounds.constant(1.0)
     qs = conformal.spacelike_set(1.0)
+    empty = random_states("instant", 0, np.random.default_rng(0), accept=_ANYWHERE)
     with pytest.raises(ValueError):
-        independence_rank(qs, [], bg, tol=1e-8)
+        independence_rank(qs, empty, bg, tol=1e-8)
     with pytest.raises(ValueError):
-        involution_table(qs, [], bg, tol=1e-9)
+        involution_table(qs, empty, bg, tol=1e-9)
     with pytest.raises(ValueError, match="need at least one state"):
-        classify(qs, [], bg, **_TOLS)
+        classify(qs, empty, bg, **_TOLS)
     _, states = _spacelike_states(count=2)
     with pytest.raises(ValueError):
         independence_rank([], states, bg, tol=1e-8)
@@ -346,7 +340,7 @@ def test_batch_partials_and_brackets_equal_per_state_calls(name):
     table = integrability._partials_table(quantities, states, bg)
     m = len(quantities)
     brackets = np.zeros((m, m))
-    for i, st in enumerate(states):
+    for i, st in enumerate(points(states)):
         single = [np.concatenate(qp) for qp in dynamics.quantity_partials(
             quantities, st, bg)]
         assert np.array_equal(table[i], single)
@@ -363,7 +357,7 @@ def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
     labels = [q.label for q in quantities]
     m = len(quantities)
     brackets = np.zeros((m, m))
-    for st in states:
+    for st in points(states):
         for i, j in itertools.combinations(range(m), 2):
             b = abs(dynamics.poisson_bracket(quantities[i], quantities[j], st, bg))
             if b > brackets[i, j]:
@@ -371,7 +365,7 @@ def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
 
     def vote(qs):
         ranks, sv0 = [], None
-        for st in states:
+        for st in points(states):
             jac = np.asarray([np.concatenate(dynamics.quantity_partials([q], st, bg)[0])
                               for q in qs])
             s = np.linalg.svd(jac, compute_uv=False)
@@ -380,7 +374,7 @@ def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
                 sv0 = s
         return Counter(ranks).most_common(1)[0][0], ranks, sv0
 
-    n = {"instant": 3, "front": 3, "extended": 4}[states[0].form]
+    n = {"instant": 3, "front": 3, "extended": 4}[states.form]
     rank, ranks, sv0 = vote(quantities)
     subset = None
     if rank >= n and m >= n:
@@ -427,3 +421,150 @@ def test_classify_equals_per_call_algorithm(preset, monkeypatch):
     got = classify(quantities, states, bg, **_TOLS)
     assert got.to_dict() == expected
     assert len(calls) == 1    # one batch call for the whole set and all states
+
+
+# ---------------------------------------------------------------------------
+# the batch sample, on-shell p+, partials and rank vote against per-state calls
+# ---------------------------------------------------------------------------
+
+def _above(bg):
+    # certify's m^2 > 0.05 predicate on one state; m^2 < 0 or a singular
+    # point rejects it
+    def accept(st):
+        try:
+            return bg.m2(st.position()) > 0.05
+        except (errors.RealityError, errors.SingularityError):
+            return False
+    return accept
+
+
+def _inside_cone(st):
+    # certify's dilation predicate on one state
+    x = st.position()
+    return x.norm2() > 0.5 and x.t > 0
+
+
+# a field that m^2 > 0.05 rejects on part of every box, raising RealityError
+# where m^2 < 0, and the dilation field with its light-cone predicate
+_PREDICATES = {"above": (backgrounds.linear_z(2.0, 0.3, switched=False), {}),
+               "cone": (backgrounds.dilation_mass(1.0),
+                        {"t_range": (1.8, 2.6), "q_range": (-0.4, 0.4)})}
+
+
+@pytest.mark.parametrize("form", ["instant", "front", "extended"])
+@pytest.mark.parametrize("predicate", sorted(_PREDICATES))
+def test_batch_sample_is_the_state_by_state_sample(form, predicate):
+    # certify's sample is the loop's bit for bit, extended p+ on shell as
+    # extended_state_on_shell puts it, and the generator ends where the
+    # loop leaves it; where the loop rejects 1000 draws (the light-cone
+    # predicate on light-front boxes) certify names the loop's text
+    bg, box = _PREDICATES[predicate]
+    accept = _above(bg) if predicate == "above" else _inside_cone
+    for seed in range(1, 21):
+        rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            got = cli._certify_states(bg, form, 24, rng)
+        except errors.ConfigError as exc:
+            got = str(exc)
+        want = _outcome(random_states_one_by_one, form, 24, rng_loop,
+                        accept=accept, **box)
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+        if isinstance(want, str):
+            assert got == f"cannot sample 24 {form} states on {bg.label}: {want}"
+            continue
+        if form == "extended":
+            want = _reshelled(bg, want)
+        assert got.form == form
+        assert np.array_equal(got.time, want.time)
+        assert np.array_equal(got.q, want.q) and np.array_equal(got.p, want.p)
+
+
+def _outcome(sample, *args, **kw):
+    try:
+        st = sample(*args, **kw)
+    except ValueError as exc:
+        return str(exc)
+    return st if isinstance(st, dynamics.PhaseSpaceState) else batch_of(st)
+
+
+@pytest.mark.parametrize("rejections", [999, 1000])
+def test_rejection_budget_as_the_state_by_state_loop(rejections):
+    # the first `rejections` draws rejected: 999 leave the sample one draw
+    # later, the 1000th raises the loop's text
+    def reject_first(seen):
+        def accept(st):
+            first = len(seen)
+            seen.extend(points(st) if np.ndim(st.time) else [st])
+            return np.arange(first, len(seen)) >= rejections
+        return accept
+
+    seen_batch, seen_loop = [], []
+    got = _outcome(random_states, "front", 30, np.random.default_rng(4),
+                   accept=reject_first(seen_batch))
+    want = _outcome(random_states_one_by_one, "front", 30, np.random.default_rng(4),
+                    accept=lambda st: bool(reject_first(seen_loop)(st)[0]))
+    assert len(seen_batch) == len(seen_loop) == {999: 1029, 1000: 1000}[rejections]
+    if rejections == 1000:
+        assert got == want == "accept predicate rejected too many samples"
+    else:
+        assert np.array_equal(got.q, want.q) and np.array_equal(got.p, want.p)
+        assert np.array_equal(got.time, want.time)
+
+
+def test_unknown_form_raises_the_loop_text():
+    texts = {_outcome(sample, "covariant", 3, np.random.default_rng(5),
+                      accept=_ANYWHERE)
+             for sample in (random_states, random_states_one_by_one)}
+    assert texts == {"no sampler for form 'covariant'"}
+
+
+def test_on_shell_pplus_is_extended_state_on_shell():
+    # numpy's array square rounds apart from Python's ** on about 1 in 1 300
+    # inputs: 3 000 states put p+ on shell with the scalar power or fail
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
+    states = cli._certify_states(bg, "extended", 3000, np.random.default_rng(6))
+    want = [extended_state_on_shell(bg, st.q[0], st.q[1], st.q[2:4], st.p[1],
+                                    st.p[2:4], s=st.time).p[0]
+            for st in points(states)]
+    assert np.array_equal(states.p[0], want)
+
+
+def _stacked(fn, batch, bg):
+    return tuple(np.stack(col, axis=-1)
+                 for col in zip(*(fn(st, bg) for st in points(batch))))
+
+
+@pytest.mark.parametrize("preset, labels, count", [("spacelike", ["Q3", "Q4"], 96),
+                                                   ("planewave", ["Q6", "Q7"], 3000),
+                                                   ("conformal", ["K"], 96)])
+def test_batch_hand_written_partials_equal_per_point_calls(preset, labels, count):
+    # 3 000 plane-wave states hold p- whose square numpy's array power
+    # rounds apart from Python's **, which Q7's 4 p-^2 takes
+    quantities, states, bg = _cli_certify_inputs(preset, count)
+    for quant in quantities:
+        if quant.label in labels:
+            got = quant.partials(states, bg)
+            want = _stacked(quant.partials, states, bg)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), quant.label
+
+
+@pytest.mark.parametrize("name", _CERTIFY_PRESETS + ["front"])
+def test_batch_hamiltonian_partials_equal_per_point_calls(name):
+    _, states, bg = _certify_inputs_96(name)
+    got = dynamics.hamiltonian_partials(states, bg)
+    want = _stacked(dynamics.hamiltonian_partials, states, bg)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_rank_vote_is_the_per_state_count():
+    # random Jacobians of every rank from 0 to 5, one of them all zero
+    rng = np.random.default_rng(7)
+    jac = np.stack([rng.standard_normal((5, r)) @ rng.standard_normal((r, 6))
+                    for r in (0, 1, 2, 3, 4, 5, 5, 3, 0)])
+    jac[1] *= 1e-300
+    for tol in (1e-8, 0.5, 0.0):
+        sv = np.linalg.svd(jac, compute_uv=False)
+        want = [0 if s[0] == 0.0 else int(np.sum(s > tol * s[0])) for s in sv]
+        rep = integrability._rank_vote(jac, list("abcde"), tol)
+        assert rep.ranks == want and all(type(r) is int for r in rep.ranks)
+        assert np.array_equal(rep.singular_values, sv[0])

@@ -1,11 +1,12 @@
-"""write_json against json.dump(indent=1): the same bytes for any document."""
+"""write_json against json.dump(indent=1) and write_csv against per-row
+formatting: the same bytes for any document."""
 
 import json
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from confdyn.jsonio import write_json
+from confdyn.jsonio import write_csv, write_json
 
 # texts that look like the separators write_json rewrites, escapes and
 # non-ASCII, next to arbitrary ones
@@ -55,3 +56,20 @@ def test_write_json_on_a_trajectory_shaped_document(tmp_path):
         write_json(tmp_path / "a.json", doc, sort_keys=sort_keys)
         assert (tmp_path / "a.json").read_text() == json.dumps(
             doc, indent=1, sort_keys=sort_keys)
+
+
+def test_write_csv_writes_the_per_row_bytes(tmp_path):
+    # one % over the whole body gives each row's own "%.17g,...\n" line: a
+    # 400 x 21 float block with signed zeros and non-finite values, and rows
+    # that mix an int index with floats (the kg convergence table)
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((400, 21)) * 10.0 ** rng.integers(-300, 300, (400, 21))
+    block[0, :4] = -0.0, np.nan, np.inf, -np.inf
+    mixed = [(i, 0.01, *rng.standard_normal(3).tolist()) for i in range(7)]
+    for header, rows in ((list("abcdefghijklmnopqrstu"), block.tolist()),
+                         (("point", "h", "r1", "r2", "ratio"), mixed),
+                         (("t", "x"), [])):
+        write_csv(tmp_path / "a.csv", header, rows)
+        row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+        assert (tmp_path / "a.csv").read_text() == (
+            ",".join(header) + "\n" + "".join(row_fmt % tuple(r) for r in rows))
