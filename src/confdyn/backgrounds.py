@@ -75,11 +75,12 @@ class ScalarBackground:
     def m2(self, x: FourVector):
         """m^2 at a point, or an (N,) array for a FourVector with (N,)
         components.  A batch is evaluated point by point through the family
-        kernel, so every point raises exactly as it would alone."""
+        kernel on plain floats, alone or in a batch (a float ** raises where
+        numpy's gives inf), so every point raises exactly as it would alone."""
         if isinstance(x.t, np.ndarray):
             comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
             return np.array([self.m2_at(*c) for c in zip(*comps)])
-        return self.m2_at(x.t, x.x, x.y, x.z)
+        return self.m2_at(*map(float, (x.t, x.x, x.y, x.z)))
 
     def m2_at(self, t, x, y, z) -> float:
         """m2 at the plain coordinates of one point."""
@@ -88,7 +89,7 @@ class ScalarBackground:
     def m2_and_grad(self, x: FourVector):
         """(m^2, (g0, g1, g2, g3)) at one point from one kernel call; raises
         as m2 does."""
-        return self.field_at(x.t, x.x, x.y, x.z)
+        return self.field_at(*map(float, (x.t, x.x, x.y, x.z)))
 
     def field_at(self, t, x, y, z):
         """m2_and_grad at the plain coordinates of one point, for callers
@@ -101,11 +102,11 @@ class ScalarBackground:
 
     def grad_m2(self, x: FourVector) -> np.ndarray:
         """(g0, g1, g2, g3) at a point, or (4, N) for a FourVector with (N,)
-        components, point by point through the family kernel."""
+        components, point by point through the family kernel on plain floats."""
         if isinstance(x.t, np.ndarray):
             comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
             return np.array([self._field(*c)[1] for c in zip(*comps)], dtype=float).T
-        return np.array(self._field(x.t, x.x, x.y, x.z)[1], dtype=float)
+        return np.array(self._field(*map(float, (x.t, x.x, x.y, x.z)))[1], dtype=float)
 
     def _real(self, v, t, x, y, z) -> float:
         v = float(v)

@@ -13,11 +13,11 @@ orbit      sample a closed-form orbit (no integration)
 Configuration is INI-style (sections of key = value), assembled from an
 optional built-in preset (--preset), an optional file (--config) merged over
 it, and --set section.key=value overrides applied last.  One table,
-_SCHEMA, declares every section and key with the parser of its type; the
-merged config (and each run of a simulate sweep) is parsed through it
-before any work, so an unknown section or key, or a value its type refuses,
-exits 2 with nothing written.  Identical configuration and seed produce
-byte-identical outputs.
+_SCHEMA, declares every section and key with the parser of its type and its
+default; the merged config (and each run of a simulate sweep) is parsed
+through it before any work, so an unknown section or key, or a value its
+type refuses, exits 2 with nothing written; a key left out takes its
+default.  Identical configuration and seed produce byte-identical outputs.
 
 Each command returns (files, lines, ok): files as (name, writer, *data),
 written by writer(out_dir / name, *data).  main alone writes the files,
@@ -151,60 +151,76 @@ def _names(raw) -> list:
     return [v.strip() for v in raw.split(",") if v.strip()]
 
 
-# every section and key that a command, form or family reads, with its parser;
-# sweep.override_<i> (any i >= 0) holds ';'-separated section.key=value overrides
+# a key with no schema default: its reader requires it, or ([background], the
+# kg mode constants) takes the default from backgrounds._FAMILY_DEFAULTS or
+# _KG_SOLUTIONS
+REQUIRED = object()
+_OPTIONS = {f.name: f.default for f in dataclasses.fields(EvolveOptions)}
+
+# every section and key that a command, form or family reads: (parser,
+# default); sweep.override_<i> (any i >= 0) holds ';'-separated
+# section.key=value overrides
 _SCHEMA = {
-    "run": {"form": str, "tstart": _number, "tend": _number,
-            "samples": _count(2), "rtol": _positive, "atol": _positive,
-            "nonrelativistic": parse_bool},
-    "background": {"family": str, "profile": str, "argument": str, "path": str,
-                   "m0sq": _number, "B": _number, "amp": _number, "k": _number,
-                   "L": _number, "csq": _number,
-                   "switched": parse_bool},
-    "initial": {"t": _number, "x": _numbers(3), "p": _numbers(3),
-                "xplus": _number, "xminus": _number, "xperp": _numbers(2),
-                "pminus": _number, "pperp": _numbers(2), "x4": _numbers(4),
-                "xdot": _numbers(4), "pplus": lambda raw: (
-                    "shell" if raw.strip().lower() == "shell" else _number(raw))},
-    "monitor": {"set": str, "extra": _names},
-    "sweep": {"count": _count(1),
-              "override_<i>": lambda raw: [a for a in raw.split(";") if a]},
-    "certify": {"set": str, "form": str, "count": _count(1), "expect": _names},
-    "kg": {"solution": str, "qperp": _numbers(2), "qminus": _number,
-           "q3": _number, "c1": _number, "c2": _number, "points": _count(1),
-           "h": _stencil_step, "p": _numbers(4)},
+    "run": {"form": (str, "instant"), "tstart": (_number, 0.0),
+            "tend": (_number, REQUIRED), "samples": (_count(2), _OPTIONS["samples"]),
+            "rtol": (_positive, _OPTIONS["rtol"]), "atol": (_positive, _OPTIONS["atol"]),
+            "nonrelativistic": (parse_bool, _OPTIONS["nonrelativistic"])},
+    "background": {"family": (str, REQUIRED), "profile": (str, REQUIRED),
+                   "argument": (str, REQUIRED), "path": (str, REQUIRED),
+                   "m0sq": (_number, REQUIRED), "B": (_number, REQUIRED),
+                   "amp": (_number, REQUIRED), "k": (_number, REQUIRED),
+                   "L": (_number, REQUIRED), "csq": (_number, REQUIRED),
+                   "switched": (parse_bool, REQUIRED)},
+    "initial": {"t": (_number, 0.0), "x": (_numbers(3), [0.0, 0.0, 0.0]),
+                "p": (_numbers(3), REQUIRED), "xplus": (_number, REQUIRED),
+                "xminus": (_number, 0.0), "xperp": (_numbers(2), [0.0, 0.0]),
+                "pminus": (_number, REQUIRED), "pperp": (_numbers(2), [0.0, 0.0]),
+                "x4": (_numbers(4), REQUIRED), "xdot": (_numbers(4), REQUIRED),
+                "pplus": (lambda raw: "shell" if raw.strip().lower() == "shell"
+                          else _number(raw), "shell")},
+    "monitor": {"set": (str, "none"), "extra": (_names, [])},
+    "sweep": {"count": (_count(1), REQUIRED),
+              "override_<i>": (lambda raw: [a for a in raw.split(";") if a], REQUIRED)},
+    "certify": {"set": (str, REQUIRED), "form": (str, "instant"),
+                "count": (_count(1), 24), "expect": (_names, [])},
+    "kg": {"solution": (str, REQUIRED), "qperp": (_numbers(2), REQUIRED),
+           "qminus": (_number, REQUIRED), "q3": (_number, REQUIRED),
+           "c1": (_number, REQUIRED), "c2": (_number, REQUIRED),
+           "points": (_count(1), 60), "h": (_stencil_step, 1e-3),
+           "p": (_numbers(4), REQUIRED)},
 }
 
 
 def _parse(cfg: dict) -> dict:
-    """The typed config: every value of the raw (string) config through its
-    key's parser.  An unknown section or key, or a value its parser refuses,
-    is a ConfigError."""
-    out = {}
+    """The typed config: the schema's defaults, and over them every value of
+    the raw (string) config through its key's parser.  A section without a
+    default ([background], [sweep]) is there only if written.  An unknown
+    section or key, or a value its parser refuses, is a ConfigError."""
+    out = {sec: defaults for sec, keys in _SCHEMA.items()
+           if (defaults := {k: d for k, (_, d) in keys.items() if d is not REQUIRED})}
     for sec, kv in cfg.items():
         if sec not in _SCHEMA:
             raise ConfigError(f"unknown section [{sec}]")
-        out[sec] = {}
+        out.setdefault(sec, {})
         for key, raw in kv.items():
             pattern = sec == "sweep" and key[:9] == "override_" and key[9:].isdigit()
             name = "override_<i>" if pattern else key
             if name not in _SCHEMA[sec]:
                 raise ConfigError(f"unknown key [{sec}] {key}")
             try:
-                out[sec][key] = _SCHEMA[sec][name](raw)
+                out[sec][key] = _SCHEMA[sec][name][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"[{sec}] {key}: {exc}") from None
     return out
 
 
-def _get(cfg, sec, key, default=None):
-    """A typed value of the config, or default when the key is absent."""
+def _get(cfg, sec, key):
+    """A typed value of the config that has no default: a ConfigError when
+    the key is absent."""
     try:
         return cfg[sec][key]
     except KeyError:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing configuration key [{sec}] {key}")
+        raise ConfigError(f"missing configuration key [{sec}] {key}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +230,9 @@ def _get(cfg, sec, key, default=None):
 def _fig1_preset() -> dict:
     runs = [f"initial.p=0,0,{p3:g}" for p3 in _FIG1_P3]
     return {
-        "run": {"form": "instant", "tstart": "0", "tend": "4",
-                "samples": "500"},
-        "background": {"family": "linear_z", "B": "1.0", "m0sq": "1.0",
-                       "switched": "true"},
-        "initial": {"t": "0", "x": "0,0,0", "p": "0,0,-0.5"},
+        "run": {"tend": "4", "samples": "500"},
+        "background": {"family": "linear_z", "B": "1.0"},
+        "initial": {"p": "0,0,-0.5"},
         "monitor": {"set": "spacelike", "extra": "p3,BLz"},
         "sweep": {"count": str(len(runs))}
                  | {f"override_{i}": ov for i, ov in enumerate(runs)},
@@ -229,10 +243,8 @@ def _fig2_preset() -> dict:
     return {
         "run": {"form": "front", "tstart": "1", "tend": "2",
                 "samples": "500", "rtol": "1e-12", "atol": "1e-12"},
-        "background": {"family": "special_conformal_switched", "m0sq": "1.0",
-                       "L": "1.0", "k": "1.0"},
-        "initial": {"xplus": "1", "xminus": "0", "xperp": "0,0",
-                    "pminus": "0.4", "pperp": "0,0"},
+        "background": {"family": "special_conformal_switched"},
+        "initial": {"xplus": "1", "pminus": "0.4"},
         "monitor": {"set": "conformal_front"},
         "sweep": {"count": str(len(_FIG2_RUNS))}
                  | {f"override_{i}": f"initial.pminus={pminus};run.tend={tend}"
@@ -242,62 +254,49 @@ def _fig2_preset() -> dict:
 
 def _planewave_preset() -> dict:
     return {
-        "run": {"form": "extended", "tstart": "0", "tend": "10",
-                "samples": "400", "rtol": "1e-12", "atol": "1e-12"},
-        "background": {"family": "plane_wave", "profile": "sin2",
-                       "m0sq": "1.0", "amp": "0.5", "k": "1.0",
-                       "argument": "xplus"},
-        "initial": {"xplus": "0", "xminus": "0", "xperp": "0,0",
-                    "pminus": "0.5", "pperp": "0.1,-0.05", "pplus": "shell"},
+        "run": {"form": "extended", "tend": "10", "rtol": "1e-12", "atol": "1e-12"},
+        "background": {"family": "plane_wave"},
+        "initial": {"xplus": "0", "pminus": "0.5", "pperp": "0.1,-0.05"},
         "monitor": {"set": "planewave"},
-        "certify": {"set": "planewave", "form": "extended", "count": "24",
+        "certify": {"set": "planewave", "form": "extended",
                     "expect": "maximally superintegrable"},
-        "kg": {"solution": "planewave", "qperp": "0.3,-0.2", "qminus": "0.7",
-               "points": "60", "h": "5e-3"},
+        "kg": {"solution": "planewave", "h": "5e-3"},
     }
 
 
 def _dilation_preset() -> dict:
     return {
-        "run": {"form": "instant", "tstart": "2", "tend": "6",
-                "samples": "400"},
-        "background": {"family": "dilation", "csq": "1.0"},
+        "run": {"tstart": "2", "tend": "6"},
+        "background": {"family": "dilation"},
         "initial": {"t": "2", "x": "0.1,-0.1,0.3", "p": "0.05,0.02,-0.04"},
         "monitor": {"set": "dilation", "extra": "Lz"},
-        "certify": {"set": "dilation", "form": "instant", "count": "24",
-                    "expect": "integrable"},
-        "kg": {"solution": "dilation", "qperp": "0.4,0.1", "q3": "0.6",
-               "c1": "1", "c2": "0.3", "points": "60", "h": "5e-3"},
+        "certify": {"set": "dilation", "expect": "integrable"},
+        "kg": {"solution": "dilation", "c2": "0.3", "h": "5e-3"},
     }
 
 
 def _linear_z_certify_preset(qset: str, expect: str):
     """The certify preset of quantity set qset on unswitched m^2 = 1 + z."""
     return lambda: {
-        "background": {"family": "linear_z", "B": "1.0", "m0sq": "1.0",
-                       "switched": "false"},
-        "certify": {"set": qset, "form": "instant", "count": "24",
-                    "expect": expect},
+        "background": {"family": "linear_z", "B": "1.0", "switched": "false"},
+        "certify": {"set": qset, "expect": expect},
     }
 
 
 def _conformal_certify_preset() -> dict:
     return {
-        "background": {"family": "special_conformal_gaussian", "m0sq": "1.0",
-                       "L": "1.0", "k": "1.0"},
-        "certify": {"set": "conformal", "form": "extended", "count": "24",
+        "background": {"family": "special_conformal_gaussian"},
+        "certify": {"set": "conformal", "form": "extended",
                     "expect": ("minimally superintegrable,superintegrable,"
                                "maximally superintegrable")},
-        "kg": {"solution": "conformal", "qperp": "0.25,-0.15", "q3": "0.8",
-               "points": "60", "h": "5e-3"},
+        "kg": {"solution": "conformal", "h": "5e-3"},
     }
 
 
 def _kg_control_preset() -> dict:
     return {
-        "background": {"family": "constant", "m0sq": "1.0"},
-        "kg": {"solution": "offshell", "p": "1.3,0.2,-0.1,0.3",
-               "points": "60", "h": "5e-3"},
+        "background": {"family": "constant"},
+        "kg": {"solution": "offshell", "h": "5e-3"},
     }
 
 
@@ -349,37 +348,25 @@ def _family_param(bg, family: str, key: str, what: str) -> float:
     return bg.params[key]
 
 
-def _tstart(cfg) -> float:
-    """[run] tstart, the time of a run's initial state; 0.0 when unset."""
-    return _get(cfg, "run", "tstart", 0.0)
-
-
 def _initial_state(cfg, bg) -> PhaseSpaceState:
-    form = _get(cfg, "run", "form", "instant")
+    init, form, s0 = cfg["initial"], cfg["run"]["form"], cfg["run"]["tstart"]
     if form == "instant":
-        return instant_state(_get(cfg, "initial", "t", 0.0),
-                             _get(cfg, "initial", "x", [0.0, 0.0, 0.0]),
-                             _get(cfg, "initial", "p"))
+        return instant_state(init["t"], init["x"], _get(cfg, "initial", "p"))
     if form in ("front", "extended"):
-        xplus = _get(cfg, "initial", "xplus")
-        xminus = _get(cfg, "initial", "xminus", 0.0)
-        xperp = _get(cfg, "initial", "xperp", [0.0, 0.0])
-        pminus = _get(cfg, "initial", "pminus")
-        pperp = _get(cfg, "initial", "pperp", [0.0, 0.0])
+        xplus, xminus, xperp = _get(cfg, "initial", "xplus"), init["xminus"], init["xperp"]
+        pminus, pperp = _get(cfg, "initial", "pminus"), init["pperp"]
     if form == "front":
         return front_state(xplus, xminus, xperp, pminus, pperp)
     if form == "extended":
-        s0 = _tstart(cfg)
-        pplus = _get(cfg, "initial", "pplus", "shell")
-        if pplus == "shell":
+        if init["pplus"] == "shell":
             return extended_state_on_shell(bg, xplus, xminus, xperp, pminus,
                                            pperp, s=s0)
-        return extended_state(xplus, xminus, xperp, pplus, pminus, pperp, s=s0)
+        return extended_state(xplus, xminus, xperp, init["pplus"], pminus, pperp, s=s0)
     if form == "covariant":
         x = FourVector(*_get(cfg, "initial", "x4"))
         u = FourVector(*_get(cfg, "initial", "xdot"))
         try:
-            return covariant_state(x, u, tau=_tstart(cfg))
+            return covariant_state(x, u, tau=s0)
         except ValueError as exc:
             raise ConfigError(f"[initial] xdot: {exc}") from None
     raise ConfigError(f"unknown form {form!r}")
@@ -436,11 +423,8 @@ def _quantity_set(name: str, extras, bg, form: str) -> tuple:
 
 
 def _evolve_options(cfg) -> EvolveOptions:
-    """EvolveOptions from the [run] keys that are set; the others keep the
-    dataclass defaults."""
-    run = cfg.get("run", {})
-    return EvolveOptions(**{f.name: run[f.name]
-                            for f in dataclasses.fields(EvolveOptions) if f.name in run})
+    """EvolveOptions from the [run] keys of its fields."""
+    return EvolveOptions(**{name: cfg["run"][name] for name in _OPTIONS})
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +450,7 @@ def _sweep_configs(cfg) -> list:
 def _span(cfg, state) -> tuple:
     """([run] tstart, [run] tend), checked against each other and against
     the initial state's own time."""
-    span = (_tstart(cfg), _get(cfg, "run", "tend"))
+    span = (cfg["run"]["tstart"], _get(cfg, "run", "tend"))
     if not span[1] > span[0]:
         raise ConfigError(f"[run] tend = {span[1]:g} must exceed tstart = {span[0]:g}")
     if not starts_at(state, span[0]):
@@ -481,8 +465,8 @@ def _setup_run(run_cfg) -> tuple:
     state = _initial_state(run_cfg, bg)
     span = _span(run_cfg, state)
     opts = _evolve_options(run_cfg)
-    monitors = _quantity_set(_get(run_cfg, "monitor", "set", "none"),
-                             _get(run_cfg, "monitor", "extra", []), bg, state.form)
+    monitors = _quantity_set(run_cfg["monitor"]["set"], run_cfg["monitor"]["extra"],
+                             bg, state.form)
     return (bg, state, span, opts) + monitors
 
 
@@ -556,10 +540,9 @@ def _certify_states(bg, form: str, count: int, rng) -> PhaseSpaceState:
 
 def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
     bg = _background(cfg)
-    form = _get(cfg, "certify", "form", "instant")
+    form, count = cfg["certify"]["form"], cfg["certify"]["count"]
     if form not in FORMS or not FORMS[form].canonical:
         raise ConfigError(f"[certify] form = {form!r} has no canonical bracket")
-    count = _get(cfg, "certify", "count", 24)
     quantities, _ = _quantity_set(_get(cfg, "certify", "set"), [], bg, form)
     if not quantities:
         raise ConfigError("[certify] set names no quantities")
@@ -571,52 +554,50 @@ def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
              f"{count} states; involutive subset: "
              f"{', '.join(cert.involutive_subset) or 'none'}",
              f"classification: {cert.label}"]
-    expect = _get(cfg, "certify", "expect", [])
+    expect = cfg["certify"]["expect"]
     ok = cert.label in expect if expect else cert.label != "not certified"
     return [("certification.json", write_json, cert.to_dict(), False)], lines, ok
 
 
-# per solution, the bounds of its four uniform draws and the chart that makes them a point
-_KG_BOXES = {"planewave": (-1.0, 1.0, FourVector),
-             "conformal": ((0.7, -0.5, -0.4, -0.4), (1.6, 0.5, 0.4, 0.4), from_lightfront),
-             "dilation": ((1.8, -0.4, -0.4, -0.4), (2.6, 0.4, 0.4, 0.4), FourVector),
-             "offshell": (-1.0, 1.0, FourVector)}
+# per solution: the bounds of its four uniform draws and the chart that makes
+# them a point (box), and the defaults of its mode constants
+_KG_SOLUTIONS = {
+    "planewave": {"box": (-1.0, 1.0, FourVector), "qperp": [0.3, -0.2], "qminus": 0.7},
+    "conformal": {"box": ((0.7, -0.5, -0.4, -0.4), (1.6, 0.5, 0.4, 0.4), from_lightfront),
+                  "qperp": [0.25, -0.15], "q3": 0.8},
+    "dilation": {"box": ((1.8, -0.4, -0.4, -0.4), (2.6, 0.4, 0.4, 0.4), FourVector),
+                 "qperp": [0.4, 0.1], "q3": 0.6, "c1": 1.0, "c2": 0.0},
+    "offshell": {"box": (-1.0, 1.0, FourVector), "p": [1.3, 0.2, -0.1, 0.3]}}
 
 
 def _kg_mode(cfg, sol: str, bg):
-    """The solution sol: a mode of bg, or the off-shell control."""
+    """The solution sol: a mode of bg, or the off-shell control, with the
+    [kg] constants over the solution's defaults."""
     from . import kgverify
+    if sol not in _KG_SOLUTIONS:
+        raise ConfigError(f"unknown kg solution {sol!r}")
+    kg = _KG_SOLUTIONS[sol] | cfg["kg"]
     if sol == "planewave":
-        qperp = _get(cfg, "kg", "qperp", [0.3, -0.2])
-        qminus = _get(cfg, "kg", "qminus", 0.7)
         return kgverify.make_planewave_solution(
-            qperp, qminus, _xplus_wave(bg, "the planewave mode"))
+            kg["qperp"], kg["qminus"], _xplus_wave(bg, "the planewave mode"))
     if sol == "conformal":
         if bg.profile is None:
             raise ConfigError("conformal solution needs an inverse-square "
                               "background family")
-        qperp = _get(cfg, "kg", "qperp", [0.25, -0.15])
-        q3 = _get(cfg, "kg", "q3", 0.8)
-        return kgverify.make_conformal_solution(qperp, q3, bg)
+        return kgverify.make_conformal_solution(kg["qperp"], kg["q3"], bg)
     if sol == "dilation":
-        qperp = _get(cfg, "kg", "qperp", [0.4, 0.1])
-        q3 = _get(cfg, "kg", "q3", 0.6)
         csq = _family_param(bg, "dilation", "csq", "the dilation mode")
-        c1 = _get(cfg, "kg", "c1", 1.0)
-        c2 = _get(cfg, "kg", "c2", 0.0)
-        return kgverify.make_dilation_solution(qperp, q3, csq, c1, c2)
-    if sol == "offshell":
-        p = np.asarray(_get(cfg, "kg", "p", [1.3, 0.2, -0.1, 0.3]))
-        return kgverify.Wavefunction("offshell_control", lambda x: np.exp(
-            -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)),
-            params={"p": list(p)})
-    raise ConfigError(f"unknown kg solution {sol!r}")
+        return kgverify.make_dilation_solution(kg["qperp"], kg["q3"], csq, kg["c1"],
+                                               kg["c2"])
+    p = np.asarray(kg["p"])
+    return kgverify.Wavefunction("offshell_control", lambda x: np.exp(
+        -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)),
+        params={"p": list(p)})
 
 
 def cmd_kg(cfg, seed: int) -> tuple:
     from . import kgverify   # kg only
-    npts = _get(cfg, "kg", "points", 60)
-    h = _get(cfg, "kg", "h", 1e-3)
+    npts, h = cfg["kg"]["points"], cfg["kg"]["h"]
     sol = _get(cfg, "kg", "solution")
     bg = _background(cfg)
     try:
@@ -624,7 +605,7 @@ def cmd_kg(cfg, seed: int) -> tuple:
     except ValueError as exc:       # a mode constructor refusing its constants
         raise ConfigError(f"kg solution: {exc}") from None
     # the first npts in-domain points of 1000 draws
-    lo, hi, chart = _KG_BOXES[sol]
+    lo, hi, chart = _KG_SOLUTIONS[sol]["box"]
     drawn = np.random.default_rng(seed).uniform(lo, hi, size=(1000, 4))
     drawn = drawn[phi.in_domain(chart(*drawn.T))][:npts]
     if len(drawn) < npts:
@@ -689,7 +670,7 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
         orb = build()
     except ValueError as exc:
         raise ConfigError(f"the {fam} orbit: {exc}") from None
-    ws = np.linspace(w0, w1, _evolve_options(cfg).samples)
+    ws = np.linspace(w0, w1, cfg["run"]["samples"])
     xs, ps = orb.sample(ws)
     columns = [orb.time_name, "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3"]
     samples = np.column_stack([ws, xs, ps]).tolist()

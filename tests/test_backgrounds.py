@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from confdyn import backgrounds, cli, ode
+from confdyn.dynamics import extended_state_on_shell, front_state
 from confdyn.errors import ConfigError, DomainError, RealityError, SingularityError
 from confdyn.geometry import FourVector
 
@@ -535,6 +537,26 @@ def test_steep_gaussian_raises_domain_error_naming_k_and_u():
     # on u = 0 (k u)^2 does not overflow, and the antiderivative saturates
     assert f(0.0) == 1.0
     assert F(0.5) == F(np.inf) == math.sqrt(math.pi) / 2e200
+
+
+def test_point_of_numpy_floats_raises_as_a_batch_of_one():
+    # a state's position holds numpy floats, whose ** gives inf (and m^2 = 0)
+    # where the kernel's float ** raises
+    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1e200)
+    x = front_state(1.0, 0.3, [0.1, 0.2], 0.5, [0, 0]).position()
+    assert isinstance(x.t, np.float64)
+    batch = FourVector(*(np.array([c]) for c in (x.t, x.x, x.y, x.z)))
+    msg = "k = 1e+200, u = 0.25: (k u)^2 overflows in the Gaussian profile"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: bg.m2(x), lambda: bg.m2(batch), lambda: bg.grad_m2(x),
+                     lambda: bg.grad_m2(batch), lambda: bg.m2_and_grad(x),
+                     # p+ on shell reads m^2 at the state's position
+                     lambda: extended_state_on_shell(bg, 1.0, 0.3, [0.1, 0.2], 0.5,
+                                                     [0, 0])):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == msg
 
 
 def test_steep_gaussian_slope_is_finite():

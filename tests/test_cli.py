@@ -487,7 +487,7 @@ def test_config_mistake_exits_two_before_any_work(tmp_path, capsys, command,
 def _typed_keys():
     """(section, key) of every schema key whose parser refuses free text."""
     return [(sec, key) for sec, keys in cli._SCHEMA.items()
-            for key, parse in keys.items()
+            for key, (parse, _) in keys.items()
             if parse not in (str, cli._names) and key != "override_<i>"]
 
 
@@ -601,7 +601,11 @@ def test_ini_unknown_key_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("preset", sorted(cli._PRESETS))
 def test_presets_parse_with_no_unknown_key(preset):
     cfg = cli.preset_config(preset)
-    assert cli._parse(cfg).keys() == cfg.keys()
+    typed = cli._parse(cfg)
+    # every written section and key survives; the schema's defaults fill
+    # the rest, and no other section appears
+    assert typed.keys() == cfg.keys() | cli._parse({}).keys()
+    assert all(kv.keys() <= typed[sec].keys() for sec, kv in cfg.items())
     assert len(cli._sweep_configs(cfg)) == int(cfg.get("sweep", {}).get("count", 1))
 
 
@@ -641,6 +645,72 @@ def test_override_wins_over_preset(tmp_path):
                       "--set", "sweep.count=1", "--set", "run.tend=1.0")) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert len(summary["runs"]) == 1
+
+
+# (command, config) of a cheap run that reads each key below
+_LINEAR_Z = {"family": "linear_z", "B": "1"}
+_OMITTING = {
+    "orbit-instant": ("orbit", {"background": _LINEAR_Z, "run": {"tend": "2"},
+                                "initial": {"p": "0,0,-0.5"}}),
+    "orbit-front": ("orbit", {"background": {"family": "plane_wave"},
+                              "run": {"form": "front", "tend": "1"},
+                              "initial": {"xplus": "0", "pminus": "0.5"}}),
+    "orbit-extended": ("orbit", {"background": {"family": "plane_wave"},
+                                 "run": {"form": "extended", "tend": "1"},
+                                 "initial": {"xplus": "0", "pminus": "0.5"}}),
+    "simulate": ("simulate", {"background": _LINEAR_Z,
+                              "run": {"tend": "0.5", "samples": "5"},
+                              "initial": {"p": "0,0,-0.5"}}),
+    "certify": ("certify", {"background": _LINEAR_Z | {"switched": "false"},
+                            "certify": {"set": "spacelike"}}),
+    **{f"kg-{sol}": ("kg", {"background": {"family": family},
+                            "kg": {"solution": sol, "points": "5"}})
+       for sol, family in [("planewave", "plane_wave"),
+                           ("conformal", "special_conformal_gaussian"),
+                           ("dilation", "dilation")]},
+    "kg-offshell": ("kg", {"background": {"family": "constant"},
+                           "kg": {"solution": "offshell"}}),
+}
+# (run, section.key, the README's default of the key): every config default,
+# the [run] integrator keys' included
+_DEFAULTED_KEYS = [
+    *[("orbit-instant", k, v) for k, v in [
+        ("run.form", "instant"), ("run.tstart", "0"), ("run.samples", "400"),
+        ("initial.t", "0"), ("initial.x", "0,0,0")]],
+    *[("orbit-front", k, "0,0") for k in ("initial.xperp", "initial.pperp")],
+    ("orbit-front", "initial.xminus", "0"), ("orbit-extended", "initial.pplus", "shell"),
+    *[("simulate", k, v) for k, v in [
+        ("run.rtol", "1e-10"), ("run.atol", "1e-10"), ("run.nonrelativistic", "false"),
+        ("monitor.set", "none"), ("monitor.extra", "")]],
+    *[("certify", k, v) for k, v in [
+        ("certify.form", "instant"), ("certify.count", "24"), ("certify.expect", "")]],
+    ("kg-planewave", "kg.qperp", "0.3,-0.2"), ("kg-planewave", "kg.qminus", "0.7"),
+    ("kg-conformal", "kg.qperp", "0.25,-0.15"), ("kg-conformal", "kg.q3", "0.8"),
+    *[("kg-dilation", k, v) for k, v in [
+        ("kg.qperp", "0.4,0.1"), ("kg.q3", "0.6"), ("kg.c1", "1"), ("kg.c2", "0")]],
+    *[("kg-offshell", k, v) for k, v in [
+        ("kg.p", "1.3,0.2,-0.1,0.3"), ("kg.points", "60"), ("kg.h", "1e-3")]],
+]
+
+
+@pytest.mark.parametrize("run, key, default", _DEFAULTED_KEYS,
+                         ids=[f"{key}@{run}" for run, key, _ in _DEFAULTED_KEYS])
+def test_omitted_key_runs_as_its_documented_default(tmp_path, capsys, run, key,
+                                                    default):
+    command, cfg = _OMITTING[run]
+    sec, name = key.split(".")
+    assert name not in cfg.get(sec, {})
+    ini = tmp_path / "run.ini"
+    ini.write_text("".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                           for s, kv in cfg.items()))
+    results = []
+    for i, sets in enumerate([[], ["--set", f"{key}={default}"]]):
+        out = tmp_path / f"out{i}"
+        code = main([command, "--config", str(ini), "--out-dir", str(out), *sets])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        results.append((code, capsys.readouterr(), files))
+    assert results[0][0] in (0, 1) and results[0][2]
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
@@ -905,13 +975,21 @@ def test_settable_values_smoke(tmp_path):
     proc = _python(str(script), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     counts = dict(line.split() for line in proc.stdout.splitlines())
-    assert list(counts) == ["defaults", "fields", "schema", "total"]
+    assert list(counts) == ["defaults", "fields", "schema", "config", "total"]
     counts = {k: int(v) for k, v in counts.items()}
     assert min(counts.values()) > 0
-    assert counts["total"] == counts["defaults"] + counts["fields"] + counts["schema"]
+    assert counts["total"] == sum(counts[k] for k in ("defaults", "fields", "schema",
+                                                      "config"))
     assert counts["schema"] == sum(len(keys) for keys in cli._SCHEMA.values())
-    # a ceiling: a new settable value has to raise it in the same change
-    assert counts["total"] <= 128
+    # the schema's defaults but those read from EvolveOptions' fields, and
+    # the kg mode constants (each solution's entries but its box)
+    assert counts["config"] == (
+        sum(d is not cli.REQUIRED for keys in cli._SCHEMA.values() for _, d in keys.values())
+        - len(cli._OPTIONS) + sum(len(sol) - 1 for sol in cli._KG_SOLUTIONS.values()))
+    # ceilings: a new settable value has to raise them in the same change;
+    # the first holds the three kinds counted before config defaults were
+    assert counts["total"] - counts["config"] <= 127
+    assert counts["total"] <= 151
 
 
 def test_paired_jobs_smoke(tmp_path):

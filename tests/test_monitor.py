@@ -30,15 +30,8 @@ CASES = {
 
 def _cli_run(preset, overrides, samples=60):
     cfg = cli.apply_overrides(cli.preset_config(preset), overrides)
-    cfg = cli._sweep_configs(cfg)[0]
-    bg = cli._background(cfg)
-    state = cli._initial_state(cfg, bg)
-    quantities, _ = cli._quantity_set(cli._get(cfg, "monitor", "set", "none"),
-                                      cli._get(cfg, "monitor", "extra", []), bg,
-                                      state.form)
-    opts = cli._evolve_options(cfg)
+    bg, state, span, opts, quantities, _ = cli._setup_run(cli._sweep_configs(cfg)[0])
     opts.samples = samples
-    span = (cli._get(cfg, "run", "tstart", 0.0), cli._get(cfg, "run", "tend"))
     return evolve(state, bg, span, opts), quantities, bg
 
 
