@@ -29,7 +29,9 @@ quantity_partials returns (n, N) partials whose every point holds the bits
 of that point's own call: the generator chain rule runs as stacked
 matrix-vector products, and hand-written partials and dH take the batch as
 it is.  monitor, poisson_bracket and integrability's tables read these two
-(integrability with one quantity_partials call per table).
+(integrability with one quantity_partials call per table).  brackets turns
+a table of partials into Poisson brackets as one stacked product, and
+poisson_bracket reads a table of one state.
 
 One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
 locates switch surfaces and the p- = 0 guard on each step's dense output with
@@ -341,12 +343,24 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(m, col)[..., 0].T
 
 
+def brackets(jacobians: np.ndarray) -> np.ndarray:
+    """The brackets {Qi, Qj} per state, shape (N, K, K), from stacked
+    Jacobians of shape (N, K, 2n) whose rows are (dQ/dq, dQ/dp): X - X^T,
+    X = dQ/dq (dQ/dp)^T one stacked matmul.  Every bracket the package takes
+    is this product, so a state's brackets have the same bits in a table of
+    one as in a table of many, on any BLAS kernel."""
+    n = jacobians.shape[-1] // 2
+    x = jacobians[..., :n] @ np.swapaxes(jacobians[..., n:], -1, -2)
+    return x - np.swapaxes(x, -1, -2)
+
+
 def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:
-    """{f, g} = df/dq.dg/dp - df/dp.dg/dq over the canonical pairs of the
-    state's form (pairs are matched by position in q and p; the extended form
-    includes the (x+, p+) pair)."""
-    (dqf, dpf), (dqg, dpg) = quantity_partials([f, g], state, bg)
-    return float(dqf @ dpg - dpf @ dqg)
+    """{f, g} = df/dq.dg/dp - df/dp.dg/dq at a single state, over the
+    canonical pairs of its form (pairs are matched by position in q and p;
+    the extended form includes the (x+, p+) pair): entry (0, 1) of the
+    bracket table of the one state."""
+    parts = quantity_partials([f, g], state, bg)
+    return float(brackets(np.array([[np.concatenate(qp) for qp in parts]]))[0, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +471,6 @@ class Trajectory:
         """All samples as one component-first batch state (q, p of shape
         (n, N)); point i holds the same numbers as state(i)."""
         return PhaseSpaceState(self.form, self.times, self.q.T, self.p.T)
-
-    def states(self):
-        return [self.state(i) for i in range(len(self))]
 
     def column_names(self):
         form = FORMS[self.form]

@@ -130,17 +130,16 @@ def contract(v_upper: np.ndarray, w_lower: np.ndarray):
 
     No metric factor enters: both arguments must already carry the stated
     index positions.  Two vectors give a float; when either is a
-    component-first batch the result is one pairing per point, each summed
-    by the same dot product as a single pair, so a batch reproduces the
-    per-point values bit for bit.
+    component-first batch the result is one pairing per point.  A single
+    pair is the batch of one, so a batch reproduces the per-point values
+    bit for bit.
     """
     v = np.asarray(v_upper, dtype=float)
     w = np.asarray(w_lower, dtype=float)
-    if v.ndim == 1 and w.ndim == 1:
-        return float(np.dot(v, w))
     # each point's components made contiguous, as a single vector's are: a
     # strided dot product may sum in another order
-    return np.vecdot(np.ascontiguousarray(v.T), np.ascontiguousarray(w.T))
+    return scalar_or_array(np.vecdot(np.ascontiguousarray(v.T),
+                                     np.ascontiguousarray(w.T)))
 
 
 def scalar_or_array(v):

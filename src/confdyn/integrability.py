@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamics import FORMS, PhaseSpaceState, brackets, quantity_partials
 # poisson_bracket stays importable from here; perfbench/bench_trace.py wraps it
 # under this name
-from .dynamics import (FORMS, PhaseSpaceState, poisson_bracket,  # noqa: F401
-                       quantity_partials)
+from .dynamics import poisson_bracket  # noqa: F401
 
 
 def _partials_table(quantities: Sequence, states: PhaseSpaceState,
@@ -102,14 +102,8 @@ class InvolutionTable:
 
 
 def _bracket_table(jacobians: np.ndarray, labels: list, tol: float) -> InvolutionTable:
-    """max over the states of |{Qi, Qj}| = |X[i, j] - X[j, i]|, X the
-    stacked product dQ/dq (dQ/dp)^T.  Each entry of X is the dot product
-    dynamics.poisson_bracket takes, so every bracket keeps its last bit; a
-    sum over an einsum axis would not."""
-    n = jacobians.shape[-1] // 2
-    x = jacobians[..., :n] @ np.swapaxes(jacobians[..., n:], -1, -2)
-    return InvolutionTable(labels, np.abs(x - np.swapaxes(x, -1, -2)).max(axis=0),
-                           tol)
+    """max over the states of |{Qi, Qj}|, from dynamics.brackets."""
+    return InvolutionTable(labels, np.abs(brackets(jacobians)).max(axis=0), tol)
 
 
 # no command calls this (classify reads the shared table); tests do, and

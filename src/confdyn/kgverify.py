@@ -15,10 +15,11 @@ eigenvalue.  Everything here is verified numerically:
                    orbit this must reproduce the canonical momenta
                    (Hamilton-Jacobi)
 
-A read (read_stencils) calls phi once, on the stencils of N points at once
-(a single point is the batch of one); the stencils above are arithmetic on
-reads, and one read at h and one at h/2 serve residual_convergence and,
-through their first rows, eigen_defect.
+Points are batches: a FourVector with (N,) components, one point the batch
+of one.  A read (read_stencils) calls phi once, on the stencils of the N
+points at once; the stencils above are arithmetic on reads, and one read at
+h and one at h/2 serve residual_convergence and, through their first rows,
+eigen_defect.
 
 Solution families: the plane-wave mode (phase integral of the dynamical
 mass over x+), the inverse-square conformal mode, and the dilation mode
@@ -54,9 +55,8 @@ class Wavefunction:
     eigenvalues and constants that built the solution, and params["eigen"]
     the (generator, Q, label) triples with L phi = -i Q phi.
 
-    phi(x) takes a FourVector with float or (N,) components and gives a
-    complex or an (N,) array; a single point reaches the evaluator as a
-    batch of one.  A read calls phi once, on all of its stencils' points."""
+    phi(x) takes a FourVector with (N,) components and gives an (N,)
+    array.  A read calls phi once, on all of its stencils' points."""
 
     label: str
     evaluator: Callable = field(repr=False)
@@ -64,31 +64,11 @@ class Wavefunction:
     params: dict = field(default_factory=dict)
 
     def __call__(self, x: FourVector):
-        if np.ndim(x.t):
-            return self.evaluator(x)
-        return complex(self.evaluator(_as_batch(x))[0])
+        return self.evaluator(x)
 
     def in_domain(self, x: FourVector):
-        """Whether x lies in the domain: a bool at a point, an (N,) mask for
-        a batch."""
-        inside = self.domain(x)
-        return np.broadcast_to(inside, np.shape(x.t)) if np.ndim(x.t) else bool(inside)
-
-
-def _as_batch(x) -> FourVector:
-    """A FourVector with (N,) components: a batch as it is, a single point
-    as N = 1, a sequence of points stacked in order."""
-    if not isinstance(x, FourVector):
-        rows = np.array([(p.t, p.x, p.y, p.z) for p in x], dtype=float)
-        return FourVector(*rows.reshape(-1, 4).T.copy())
-    if np.ndim(x.t):
-        return x
-    return FourVector(*np.array([[x.t], [x.x], [x.y], [x.z]], dtype=float))
-
-
-def _like(x: FourVector, values):
-    """values for a batch x; for a single point x, its one value."""
-    return values if np.ndim(x.t) else complex(values[0])
+        """The (N,) mask of the points of x that lie in the domain."""
+        return np.broadcast_to(self.domain(x), np.shape(x.t))
 
 
 def _modulus(z):
@@ -140,14 +120,14 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
                       f"{bg.label!r}")
 
 
-def read_stencils(phi: Wavefunction, bg, x, h: float, steps: int) -> tuple:
-    """One read of phi about x (a point, a batch or a sequence of points): the
-    plain tuple (x as a batch, h, phi(x), {(mu, k h): phi(x + k h e_mu)}) for
-    0 < |k| <= steps, each value an (N,) array, from one call of phi.  First
-    each stencil must stay in phi's domain; with bg, the wave operator's
-    check, the margin is 2 h whatever steps is and no x may touch a switch
-    surface of bg.  Row i depends on point i alone (see first_rows)."""
-    x = _as_batch(x)
+def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
+                  steps: int) -> tuple:
+    """One read of phi about the batch x: the plain tuple (x, h, phi(x),
+    {(mu, k h): phi(x + k h e_mu)}) for 0 < |k| <= steps, each value an
+    (N,) array, from one call of phi.  First each stencil must stay in
+    phi's domain; with bg, the wave operator's check, the margin is 2 h
+    whatever steps is and no x may touch a switch surface of bg.  Row i
+    depends on point i alone (see first_rows)."""
     _require_margin(phi, x, h, steps if bg is None else 2, bg)
     offsets = _offsets(steps)
     values = phi(_stencil(x, h, offsets)).reshape(len(x.t), 1 + len(offsets))
@@ -184,8 +164,8 @@ def _symmetry(gen: conformal.ConformalGenerator, read):
 # tests and tests/oracles.py call it; order=4 is for the steep profiles of ROADMAP item 13
 def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float,
                 order: int = 2):
-    """(d^2 + m^2) phi at x by central differences: a complex at a point, an
-    (N,) array for a FourVector with (N,) components.
+    """(d^2 + m^2) phi by central differences, per point of the batch x:
+    an (N,) array.
 
     order=2 uses the 3-point second derivative per axis (error O(h^2)),
     order=4 the 5-point one (O(h^4)) for steep profiles; phi is read once,
@@ -195,7 +175,7 @@ def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float,
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    return _like(x, _box(read_stencils(phi, bg, x, h, order // 2), bg, order)[0])
+    return _box(read_stencils(phi, bg, x, h, order // 2), bg, order)[0]
 
 
 # no command calls this; tests and tests/oracles.py do
@@ -203,8 +183,9 @@ def symmetry_apply(gen: conformal.ConformalGenerator, phi: Wavefunction, x: Four
                    h: float):
     """(L phi)(x) = xi^mu d_mu phi + (1/4)(div xi) phi, the gradient by
     central differences from one read of phi on the 1 + 8 stencil points,
-    the divergence in closed form; per point for a batch x."""
-    return _like(x, _symmetry(gen, read_stencils(phi, None, x, h, 1))[0])
+    the divergence in closed form; an (N,) array, per point of the batch
+    x."""
+    return _symmetry(gen, read_stencils(phi, None, x, h, 1))[0]
 
 
 def eigen_defect(gen: conformal.ConformalGenerator, Q: complex, read) -> float:
@@ -220,12 +201,10 @@ def eigen_defect(gen: conformal.ConformalGenerator, Q: complex, read) -> float:
 # the classical orbit's momenta (Hamilton-Jacobi) along the orbit will
 def phase_gradient(phi: Wavefunction, x: FourVector, h: float) -> np.ndarray:
     """d_mu S for phi = exp(-i S): the lower-index phase gradient, computed
-    from the argument of phi(x+h)/phi(x-h); shape (4,) at a point, (4, N)
-    for a batch.  Valid while |S| varies by less than pi across the
-    stencil."""
+    from the argument of phi(x+h)/phi(x-h), of shape (4, N) for the batch
+    x.  Valid while |S| varies by less than pi across the stencil."""
     at = read_stencils(phi, None, x, h, 1)[3]
-    g = np.array([-np.angle(at[mu, h] / at[mu, -h]) / (2.0 * h) for mu in range(4)])
-    return g if np.ndim(x.t) else g[:, 0]
+    return np.array([-np.angle(at[mu, h] / at[mu, -h]) / (2.0 * h) for mu in range(4)])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
         J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)
 brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
-newton  Newton's method on a nondecreasing function, bisecting whenever a
+masked_newton
+        Newton's method on a nondecreasing function, bisecting whenever a
         step would leave the bracket (rtsafe in Press et al., Numerical
         Recipes, 3rd ed., sec. 9.4, without its step-halving test), on a
         batch of brackets at once, each point in the floats it would have
@@ -256,7 +257,7 @@ def brentq(f, a, b, xtol, rtol):
 
     An end where f is exactly 0 is the root.  Ends of one sign, or a NaN
     value of f, raise ValueError; no convergence in 100 iterations raises
-    RuntimeError, as newton does.  f is called with floats.
+    RuntimeError, as masked_newton does.  f is called with floats.
     """
     def call(x):
         fx = float(f(x))
@@ -359,32 +360,15 @@ class FirstError:
             raise self.error
 
 
-# tests call it; the conformal orbit weighs masked_newton's failures itself
-def newton(f, fprime, x, fx, lo, hi, xtol, rtol):
-    """Roots of the nondecreasing f in [lo, hi] by Newton's method from x,
-    an end of the bracket where f(x) = fx is already known, to within
-    xtol + rtol |x|: masked_newton, with f(x) and fprime(x) called on the
-    points still iterating, that raises the error of the lowest-index
-    failing point, the one a loop over the points would meet first.  x,
-    fx, lo and hi are (n,) arrays or floats, a batch of one (which gives a
-    float)."""
-    errors = FirstError(np.size(x))
-    root = masked_newton(lambda x, _: f(x), lambda x, _: fprime(x), x, fx, lo,
-                         hi, xtol, rtol, errors)
-    errors.raise_first()
-    return root
-
-
 def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
     """Newton's method on n brackets at once, each point iterating as it
     would alone, in the same floats.
 
-    x, fx, lo and hi are (n,) arrays, or floats, a batch of one (which
-    gives a float).  f(x, i) and fprime(x, i) take the points still
-    iterating and their indices i into the batch, and return an array (or
-    a constant).  Each value of f narrows a point's bracket to the side
-    that holds the root; a step that would leave it, or a zero slope,
-    bisects instead.
+    x, fx, lo and hi are (n,) arrays.  f(x, i) and fprime(x, i) take the
+    points still iterating and their indices i into the batch, and return
+    an array (or a constant).  Each value of f narrows a point's bracket to
+    the side that holds the root; a step that would leave it, or a zero
+    slope, bisects instead.
 
     A point fails on a NaN value of f (ValueError), on no convergence in
     100 iterations (RuntimeError), as brentq does, or on an error that f
@@ -392,8 +376,7 @@ def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
     goes to the FirstError errors, which the caller raises; the points at
     or past errors.index stop, and their roots are nan.
     """
-    scalar = np.ndim(x) == 0
-    x, fx, lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (x, fx, lo, hi))
+    x, fx, lo, hi = (np.array(v, dtype=float) for v in (x, fx, lo, hi))
     root = np.full(x.size, np.nan)
     live = np.arange(x.size)
 
@@ -444,7 +427,7 @@ def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
         if live.size:
             errors.record(int(live[0]), RuntimeError(
                 "Failed to converge after 100 iterations."))
-    return float(root[0]) if scalar else root
+    return root
 
 
 _quadpack = None   # scipy.integrate's quad and IntegrationWarning, once quad has been called

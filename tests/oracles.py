@@ -13,14 +13,15 @@ computes another way:
 * the closed-form orbits (spacelike, plane wave, conformal) evaluated
   one point at a time, with Newton's method on one bracket in Python
   floats or, for the conformal u(x+), Brent's method, against the batch
-  evaluators of analytic and the batch ode.newton;
+  evaluators of analytic and ode.masked_newton;
 * a generator's Killing vector and Jacobian written out from its
   parameters on every call, against the constants ConformalGenerator
   builds once;
 * a quantity's partials by central differences, against the closed-form
   partials the quantities carry;
 * the kg command's sample points drawn lazily, one point per draw, against
-  its one batched draw;
+  its one batched draw, and single points stacked into the batch
+  FourVector that kgverify reads;
 * certify's sample drawn and accepted one state at a time, against
   integrability.random_states' batch, and the split of a batch state into
   single states and back;
@@ -117,7 +118,7 @@ def brentq_inversion(f, fprime, x, fx, lo, hi, xtol, rtol):
 # ---------------------------------------------------------------------------
 
 def newton_per_point(f, fprime, x, fx, lo, hi, xtol, rtol):
-    """ode.newton on one bracket in Python floats: a root of the
+    """ode.masked_newton on one bracket in Python floats: a root of the
     nondecreasing f in [lo, hi] from the bracket end x, f(x) = fx, to
     within xtol + rtol |x|, bisecting where a step would leave the bracket
     or the slope is zero."""
@@ -364,17 +365,19 @@ def ode_residual_planewave(chi: Callable[[float], complex], qperp,
 
 def commutator_identity_defect(gen: ConformalGenerator, bg, phi: Wavefunction,
                                x: FourVector, h: float = 1e-3) -> float:
-    """|[d^2+m^2, L] phi - (1/2)(div xi)(d^2+m^2) phi + (defect) phi| at x,
-    with defect = xi.grad m^2 + (1/2) m^2 div xi: the operator identity that
-    makes L a wave-equation symmetry exactly when the defect vanishes.
-    All operators are applied by nested central differences."""
+    """|[d^2+m^2, L] phi - (1/2)(div xi)(d^2+m^2) phi + (defect) phi| at the
+    point x, with defect = xi.grad m^2 + (1/2) m^2 div xi: the operator
+    identity that makes L a wave-equation symmetry exactly when the defect
+    vanishes.  All operators are applied by nested central differences, on
+    x as a batch of one."""
     Aphi = Wavefunction("A.phi", lambda y: kg_residual(phi, bg, y, h),
                         domain=phi.domain)
     Lphi = Wavefunction("L.phi", lambda y: symmetry_apply(gen, phi, y, h),
                         domain=phi.domain)
-    lhs = (kg_residual(Lphi, bg, x, h) - symmetry_apply(gen, Aphi, x, h))
-    rhs = (0.5 * gen.divergence(x) * Aphi(x)
-           - symmetry_defect(gen, bg, x) * phi(x))
+    xs = fourvector_batch([x])
+    lhs = (kg_residual(Lphi, bg, xs, h) - symmetry_apply(gen, Aphi, xs, h))[0]
+    rhs = (0.5 * gen.divergence(x) * Aphi(xs)[0]
+           - symmetry_defect(gen, bg, x) * phi(xs)[0])
     return abs(lhs - rhs)
 
 
@@ -401,7 +404,15 @@ def kg_points_one_by_one(solution: str, phi: Wavefunction, seed: int,
                  rng.uniform(1.8, 2.6), rng.uniform(-0.4, 0.4),
                  rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))}
     drawn = (draws[solution]() for _ in range(1000))
-    return list(itertools.islice(filter(phi.in_domain, drawn), npts))
+    inside = (x for x in drawn if phi.in_domain(fourvector_batch([x]))[0])
+    return list(itertools.islice(inside, npts))
+
+
+def fourvector_batch(points) -> FourVector:
+    """Single-point FourVectors as one batch FourVector whose (N,)
+    components list them in order, each component contiguous."""
+    rows = np.array([(p.t, p.x, p.y, p.z) for p in points], dtype=float)
+    return FourVector(*rows.reshape(-1, 4).T.copy())
 
 
 # ---------------------------------------------------------------------------

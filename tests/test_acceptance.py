@@ -28,7 +28,8 @@ from confdyn.kgverify import (
     read_stencils,
     residual_convergence,
 )
-from oracles import batch_of, erf_orbit_asymptote, erf_orbit_entry_state, points
+from oracles import (batch_of, erf_orbit_asymptote, erf_orbit_entry_state,
+                     fourvector_batch, points)
 
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
 # the command line's --tol-rel and --tol-abs defaults
@@ -73,7 +74,7 @@ def test_criterion_01_bounce_orbits_match_closed_form():
         inside = traj.times <= t_exit
         xs, ps = orb.sample(traj.times[inside])
         h = np.array([hamiltonian_instant(s, bg)
-                      for s, m in zip(traj.states(), inside) if m])
+                      for s, m in zip(points(traj.batch_state()), inside) if m])
         scale_x = np.maximum(1.0, np.abs(xs[:, 1:]))
         scale_p = np.maximum(1.0, np.abs(ps[:, 1:]))
         err = max(np.max(np.abs(xs[:, 1:] - traj.q[inside]) / scale_x),
@@ -221,7 +222,7 @@ def test_criterion_07_kg_convergence_ratios():
     ok = True
     details = []
     for name, bg, phi, kind in _kg_cases():
-        pts = _kg_points(rng, kind, 50)
+        pts = fourvector_batch(_kg_points(rng, kind, 50))
         rows = residual_convergence(bg, read_stencils(phi, bg, pts, 5e-3, 1),
                                     read_stencils(phi, bg, pts, 5e-3 / 2, 1))
         ratios = np.array([r[4] for r in rows])
@@ -233,7 +234,7 @@ def test_criterion_07_kg_convergence_ratios():
     p = (1.3, 0.2, -0.1, 0.3)
     ctrl = kgverify.Wavefunction("offshell", lambda x: np.exp(
         -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)))
-    pts = _kg_points(rng, "cartesian", 50)
+    pts = fourvector_batch(_kg_points(rng, "cartesian", 50))
     rows = residual_convergence(ctrl_bg, read_stencils(ctrl, ctrl_bg, pts, 5e-3, 1),
                                 read_stencils(ctrl, ctrl_bg, pts, 5e-3 / 2, 1))
     ctrl_ratios = np.array([r[4] for r in rows])
@@ -260,7 +261,7 @@ def test_criterion_08_symmetry_eigenvalues():
     ok = True
     worst_ratio_gap = 0.0
     for name, bg, phi, kind in _kg_cases():
-        pts = _kg_points(rng, kind, 8)
+        pts = fourvector_batch(_kg_points(rng, kind, 8))
         for gen, Q in triples[name]:
             d1 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 1e-3, 1))
             d2 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 5e-4, 1))
@@ -287,7 +288,7 @@ def test_criterion_09_covariant_matches_instant():
     norm = np.array([u @ (METRIC_DIAG * u) for u in cov.p])
     norm_drift = np.max(np.abs(norm - 1.0))
     worst_orth = 0.0
-    for s in cov.states():
+    for s in points(cov.batch_state()):
         u = s.p
         g = bg.grad_m2(s.position())
         g_up = np.array([g[0], -g[1], -g[2], -g[3]])

@@ -34,6 +34,7 @@ from oracles import (
     gaussian_slope,
     planewave_point,
     pminus_for_kappa,
+    points,
     quad_antiderivative,
     sample_points,
     spacelike_point,
@@ -75,7 +76,7 @@ def test_spacelike_orbit_matches_evolve():
     xs, ps = orb.sample(traj.times)
     assert np.max(np.abs(xs[:, 1:] - traj.q)) < 1e-8
     assert np.max(np.abs(ps[:, 1:] - traj.p)) < 1e-8
-    h = np.array([hamiltonian_instant(s, bg) for s in traj.states()])
+    h = np.array([hamiltonian_instant(s, bg) for s in points(traj.batch_state())])
     assert np.max(np.abs(ps[:, 0] - h)) < 1e-8
 
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -940,6 +941,12 @@ def test_output_digests_smoke(tmp_path):
         [command, "planewave", fmt, "exit=0"]
         for command in ("simulate", "certify", "kg", "orbit")
         for fmt in ("csv", "json")] + [["certify", "planewave", "count=96", "exit=0"]]
+    # stderr names the BLAS core and numpy's dispatch the bytes came from
+    (machine,) = proc.stderr.splitlines()
+    targets = re.fullmatch(r"machine: openblas=\S+ numpy=(\S*)", machine).group(1)
+    from numpy._core import _multiarray_umath as umath
+    assert targets == ",".join(t for t in umath.__cpu_dispatch__
+                               if umath.__cpu_features__[t])
     assert list(tmp_path.iterdir()) == []         # runs write into temp dirs
     # the kg csv line digests what a direct run at the same seed writes
     out = tmp_path / "kg"

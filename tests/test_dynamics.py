@@ -34,7 +34,8 @@ from confdyn.dynamics import (
 )
 from confdyn.errors import RealityError, SingularityError
 from confdyn.geometry import FourVector, lf_gradient, lf_momenta, raise_index
-from oracles import erf_orbit_entry_state, fd_partials, fd_quantity, newton_per_point
+from oracles import (erf_orbit_entry_state, fd_partials, fd_quantity, newton_per_point,
+                     points)
 
 
 def _random_instant_state(rng, bg):
@@ -197,7 +198,7 @@ def test_energy_conserved_autonomous_instant():
     bg = backgrounds.linear_z(0.8, 1.0, switched=False)
     st = instant_state(0.0, (0.2, -0.1, 0.3), (0.1, 0.2, -0.3))
     traj = evolve(st, bg, (0.0, 3.0), EvolveOptions(rtol=1e-12, atol=1e-12))
-    h = np.array([hamiltonian_instant(s, bg) for s in traj.states()])
+    h = np.array([hamiltonian_instant(s, bg) for s in points(traj.batch_state())])
     assert np.max(np.abs(h - h[0])) < 1e-10
 
 
@@ -214,7 +215,7 @@ def test_front_hamiltonian_conserved_xminus_profile():
                   for g, label in zip(gens, ("Q1", "Q2", "H", "Q4", "Q5"))]
     traj = evolve(st, bg, (0.0, 5.0), EvolveOptions(rtol=1e-12, atol=1e-12),
                   monitors=quantities)
-    h = np.array([hamiltonian_front(s, bg) for s in traj.states()])
+    h = np.array([hamiltonian_front(s, bg) for s in points(traj.batch_state())])
     assert np.max(np.abs(h - h[0])) < 1e-10
     for label, d in traj.drifts.items():
         assert d < 1e-8, label
@@ -224,7 +225,7 @@ def test_on_shell_closure_along_flow():
     bg = backgrounds.linear_z(1.0, 1.0, switched=True)
     st = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, -0.5))
     traj = evolve(st, bg, (0.0, 4.0), EvolveOptions(rtol=1e-12, atol=1e-12))
-    for s in traj.states():
+    for s in points(traj.batch_state()):
         h = hamiltonian_instant(s, bg)
         # p.p - m^2 with lower-index p = (H, p1, p2, p3)
         gap = (h ** 2 - s.p[0] ** 2 - s.p[1] ** 2 - s.p[2] ** 2
@@ -642,10 +643,6 @@ def test_brentq_port_edge_cases():
         ode.brentq(lambda x: x * x - 2.0, 0.0, 2.0, 0.0, 0.0)
 
 
-def _newton(f, fprime, x, lo, hi):
-    return ode.newton(f, fprime, x, f(x), lo, hi, 1e-12, 4 * ode.EPS)
-
-
 def _random_brackets():
     """(f, fprime, lo, hi) of 300 random draws of three nondecreasing
     families, on brackets [lo, hi] around a root, as scalar functions."""
@@ -666,16 +663,6 @@ def _random_brackets():
     return out
 
 
-def test_newton_finds_brentqs_root_on_random_brackets():
-    brackets = _random_brackets()
-    for f, fprime, lo, hi in brackets:
-        ref = ode.brentq(f, lo, hi, 1e-12, 4 * ode.EPS)
-        tol = 1e-12 + 4 * ode.EPS * abs(ref)
-        for start in (lo, hi):
-            assert abs(_newton(f, fprime, start, lo, hi) - ref) <= 2 * tol
-    assert len(brackets) > 100
-
-
 def _each(fns):
     """A batch callable f(x, i) that evaluates point i's own scalar
     function fns[i] on its float."""
@@ -684,7 +671,8 @@ def _each(fns):
 
 def _batch_newton(fs, fprimes, starts, los, his):
     """masked_newton on one batch whose point i has its own f and fprime;
-    raises as ode.newton does."""
+    raises the FirstError's error, the one a loop over the points meets
+    first."""
     errors = ode.FirstError(len(fs))
     roots = ode.masked_newton(_each(fs), _each(fprimes), np.array(starts, dtype=float),
                               np.array([float(f(x)) for f, x in zip(fs, starts)]),
@@ -692,6 +680,17 @@ def _batch_newton(fs, fprimes, starts, los, his):
                               1e-12, 4 * ode.EPS, errors)
     errors.raise_first()
     return roots
+
+
+def test_newton_finds_brentqs_root_on_random_brackets():
+    brackets = _random_brackets()
+    for f, fprime, lo, hi in brackets:
+        ref = ode.brentq(f, lo, hi, 1e-12, 4 * ode.EPS)
+        tol = 1e-12 + 4 * ode.EPS * abs(ref)
+        for start in (lo, hi):
+            root = _batch_newton([f], [fprime], [start], [lo], [hi])[0]
+            assert abs(root - ref) <= 2 * tol
+    assert len(brackets) > 100
 
 
 def test_newton_batch_is_bitwise_the_per_point_iteration():
@@ -708,10 +707,6 @@ def test_newton_batch_is_bitwise_the_per_point_iteration():
     floats = [newton_per_point(f, fp, x, float(f(x)), lo, hi, 1e-12, 4 * ode.EPS)
               for f, fp, x, lo, hi in zip(fs, fprimes, starts, los, his)]
     assert roots.tobytes() == np.array(alone).tobytes() == np.array(floats).tobytes()
-    # a float is a batch of one, and gives a float
-    f, fprime, lo, hi = brackets[0]
-    root = _newton(f, fprime, hi, lo, hi)
-    assert type(root) is float and root == alone[1]
 
 
 def test_newton_safeguards():
@@ -797,7 +792,7 @@ def test_covariant_unit_norm_and_orthogonality():
     traj = evolve(cov, bg, (0.0, 4.0), EvolveOptions(rtol=1e-12, atol=1e-12))
     from confdyn.geometry import METRIC_DIAG
     dot = lambda a, b: float(a @ (METRIC_DIAG * b))
-    for s in traj.states():
+    for s in points(traj.batch_state()):
         u = s.p
         assert dot(u, u) == pytest.approx(1.0, abs=1e-10)
         # acceleration from the force law stays orthogonal to the velocity
@@ -815,7 +810,7 @@ def test_covariant_planewave_momenta_conserved():
     cov = instant_to_covariant(st, bg)
     traj = evolve(cov, bg, (0.0, 4.0), EvolveOptions(rtol=1e-12, atol=1e-12))
     charges = []
-    for s in traj.states():
+    for s in points(traj.batch_state()):
         m = bg.mass(s.position())
         u_lower = np.array([s.p[0], -s.p[1], -s.p[2], -s.p[3]])
         pplus, pminus, p1, p2 = lf_momenta(m * u_lower)

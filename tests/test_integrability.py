@@ -1,7 +1,12 @@
 """Independence ranks, involution tables, and certification labels."""
 
+import importlib.util
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,20 +340,16 @@ def _certify_inputs_96(name):
 def test_batch_partials_and_brackets_equal_per_state_calls(name):
     # the table is one quantity_partials call on a batch state; the instant
     # and front forms add the dH term (n != 0), spacelike and planewave mix
-    # hand-written and generator charges, conformal adds K
+    # hand-written and generator charges, conformal adds K; the brackets of
+    # a table of N states are those of the N tables of one state
     quantities, states, bg = _certify_inputs_96(name)
     table = integrability._partials_table(quantities, states, bg)
-    m = len(quantities)
-    brackets = np.zeros((m, m))
+    brackets = dynamics.brackets(table)
     for i, st in enumerate(points(states)):
         single = [np.concatenate(qp) for qp in dynamics.quantity_partials(
             quantities, st, bg)]
         assert np.array_equal(table[i], single)
-        for a, b in itertools.combinations(range(m), 2):
-            v = abs(dynamics.poisson_bracket(quantities[a], quantities[b], st, bg))
-            brackets[a, b] = brackets[b, a] = max(brackets[a, b], v)
-    table = involution_table(quantities, states, bg, tol=1e-9)
-    assert np.array_equal(table.brackets, brackets)
+        assert np.array_equal(brackets[i], dynamics.brackets(np.array([single]))[0])
 
 
 def _per_call_certification(quantities, states, bg, rank_tol, bracket_tol):
@@ -421,6 +422,55 @@ def test_classify_equals_per_call_algorithm(preset, monkeypatch):
     got = classify(quantities, states, bg, **_TOLS)
     assert got.to_dict() == expected
     assert len(calls) == 1    # one batch call for the whole set and all states
+
+
+# the bracket table of each named certify preset at the benchmark's 96
+# states against one poisson_bracket per pair and state, in a process on the
+# OpenBLAS core argv[1]
+_KERNEL_CHILD = """
+import itertools, sys
+import numpy as np
+from confdyn import cli, dynamics, integrability
+from oracles import points
+from output_digests import blas_core
+
+assert blas_core() == sys.argv[1], blas_core()
+for preset in sys.argv[2:]:
+    cfg = cli._parse(cli.preset_config(preset))
+    bg, form = cli._background(cfg), cfg["certify"]["form"]
+    states = cli._certify_states(bg, form, 96, np.random.default_rng(20240811))
+    quantities, _ = cli._quantity_set(cfg["certify"]["set"], [], bg, form)
+    m = len(quantities)
+    brackets = np.zeros((m, m))
+    for st in points(states):
+        for a, b in itertools.combinations(range(m), 2):
+            v = abs(dynamics.poisson_bracket(quantities[a], quantities[b], st, bg))
+            brackets[a, b] = brackets[b, a] = max(brackets[a, b], v)
+    table = integrability.involution_table(quantities, states, bg, tol=1e-9)
+    assert np.array_equal(table.brackets, brackets), preset
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_brackets_keep_their_bits_on_other_blas_kernels(core, tmp_path):
+    # a single bracket and the table take one code path, so they agree on
+    # the BLAS kernels of other x86 CPUs too; OPENBLAS_CORETYPE acts on the
+    # child alone
+    from numpy._core import _multiarray_umath as umath
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digests",
+                                                  root / "tools" / "output_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    features = umath.__cpu_features__
+    if tool.blas_core() is None or not (features.get("AVX2") and features.get("FMA3")):
+        pytest.skip("needs numpy's bundled scipy-openblas on a CPU with AVX2 and FMA3")
+    path = os.pathsep.join(str(root / d) for d in ("src", "tests", "tools"))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-B", "-c", _KERNEL_CHILD, core, "planewave",
+                           "dilation", "conformal"], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from confdyn.kgverify import (
 from oracles import (
     commutator_identity_defect,
     fd_partials,
+    fourvector_batch,
     kg_points_one_by_one,
     killing_residual_fd,
     ode_residual_conformal,
@@ -52,8 +53,9 @@ _GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 
 def _convergence(phi, bg, points, h):
     """residual_convergence from phi's reads of the points at h and h/2."""
-    return residual_convergence(bg, read_stencils(phi, bg, points, h, 1),
-                                read_stencils(phi, bg, points, h / 2, 1))
+    x = fourvector_batch(points)
+    return residual_convergence(bg, read_stencils(phi, bg, x, h, 1),
+                                read_stencils(phi, bg, x, h / 2, 1))
 
 
 def _cartesian_points(rng, n, t_range=(-1.0, 1.0), r=1.0):
@@ -99,9 +101,9 @@ def test_free_mode_second_order_convergence():
 def test_free_mode_fourth_order_stencil():
     bg = backgrounds.constant(1.0)
     phi = make_planewave_solution((0.1, 0.2), 0.6, bg)
-    x = FourVector(0.3, -0.2, 0.4, 0.1)
-    r2 = abs(kg_residual(phi, bg, x, h=0.02, order=2))
-    r4 = abs(kg_residual(phi, bg, x, h=0.02, order=4))
+    x = fourvector_batch([FourVector(0.3, -0.2, 0.4, 0.1)])
+    r2 = abs(kg_residual(phi, bg, x, h=0.02, order=2)[0])
+    r4 = abs(kg_residual(phi, bg, x, h=0.02, order=4)[0])
     assert r4 < r2 / 50.0
     with pytest.raises(ValueError):
         kg_residual(phi, bg, x, 1e-3, order=3)
@@ -150,7 +152,7 @@ def test_planewave_eigen_defects():
     q1, q2, qm = 0.25, -0.15, 0.6
     phi = make_planewave_solution((q1, q2), qm, bg)
     rng = np.random.default_rng(44)
-    pts = _cartesian_points(rng, 6)
+    pts = fourvector_batch(_cartesian_points(rng, 6))
     triples = [(conformal.translation_axis(1), q1),
                (conformal.translation_axis(2), q2),
                (conformal.translation_xminus(), qm)]
@@ -186,7 +188,7 @@ def test_conformal_mode_eigen_defects():
     q1, q2, q3 = 0.25, -0.15, 0.8
     phi = make_conformal_solution((q1, q2), q3, _GAUSS)
     rng = np.random.default_rng(46)
-    pts = _conformal_points(rng, 5)
+    pts = fourvector_batch(_conformal_points(rng, 5))
     triples = [(conformal.special_conformal_lf(), q3),
                (conformal.null_rotation_t(1), q1),
                (conformal.null_rotation_t(2), q2)]
@@ -204,10 +206,11 @@ def test_conformal_mode_validation():
         make_conformal_solution((0.1, 0.2), 0.0, bg)
     phi = make_conformal_solution((0.1, 0.2), 0.5, bg)
     with pytest.raises(SingularityError):
-        phi(FourVector(0.0, 0.0, 0.0, -0.5))  # x+ < 0
+        phi(fourvector_batch([FourVector(0.0, 0.0, 0.0, -0.5)]))  # x+ < 0
     with pytest.raises(DomainError) as err:
         # the stencil would cross x+ = 0
-        kg_residual(phi, bg, FourVector(0.0025, 0.3, -0.2, 0.0025), h=_H)
+        kg_residual(phi, bg, fourvector_batch([FourVector(0.0025, 0.3, -0.2, 0.0025)]),
+                    h=_H)
     assert "leaves the domain" in str(err.value)
 
 
@@ -258,13 +261,13 @@ def test_dilation_mode_euler_limit():
     for x in (FourVector(2.0, 0.1, -0.2, 0.3), FourVector(2.4, 0.0, 0.0, -0.5)):
         v = np.sqrt(x.norm2()) / x.xplus
         direct = x.xplus ** (-(1.0 + 1j * q3)) * v ** (-1j * q3) * v ** alpha
-        assert phi(x) == pytest.approx(direct, rel=1e-12)
+        assert phi(fourvector_batch([x]))[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_dilation_eigen_defect():
     phi = make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.0)
     rng = np.random.default_rng(49)
-    pts = _cone_points(rng, 5)
+    pts = fourvector_batch(_cone_points(rng, 5))
     d = eigen_defect(conformal.dilation(), 0.8, read_stencils(phi, None, pts, 1e-3, 1))
     assert d < 1e-4
     assert eigen_defect(conformal.dilation(), 1.3,
@@ -275,9 +278,10 @@ def test_dilation_mode_validation():
     with pytest.raises(ValueError):
         make_dilation_solution((0.1, 0.2), 0.8, -1.0, 1.0, 0.0)
     phi = make_dilation_solution((0.1, 0.2), 0.8, 1.0, 1.0, 0.0)
+    spacelike = fourvector_batch([FourVector(0.1, 1.0, 0.0, 0.0)])
     with pytest.raises(SingularityError):
-        phi(FourVector(0.1, 1.0, 0.0, 0.0))  # spacelike point
-    assert not phi.in_domain(FourVector(0.1, 1.0, 0.0, 0.0))
+        phi(spacelike)
+    assert not phi.in_domain(spacelike)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +307,9 @@ def test_phase_gradient_matches_orbit_momentum():
     q1, q2, qm = 0.25, -0.15, 0.6
     phi = make_planewave_solution((q1, q2), qm, bg)
     orb = planewave_orbit(bg, front_state(0.2, 0.1, (0.3, -0.2), qm, (q1, q2)))
-    for xp in (0.5, 1.3, 2.2):
-        x = orb.position(xp)
-        grad = phase_gradient(phi, x, h=1e-4)
-        assert np.max(np.abs(grad - orb.momentum(xp))) < 1e-6
+    xs, ps = orb.sample([0.5, 1.3, 2.2])
+    grad = phase_gradient(phi, FourVector(*xs.T.copy()), h=1e-4)
+    assert np.max(np.abs(grad.T - ps)) < 1e-6
 
 
 # front starts with transverse data, both signs of p- and of Q3, one with
@@ -322,10 +325,9 @@ def _hj_error(orb, qperp, q3):
     """max |dS - p| of the conformal mode (qperp, q3) along the orbit, on
     both sides of its start."""
     phi = make_conformal_solution(qperp, q3, _GAUSS)
-    x0p = orb.constants["xplus0"]
-    return max(np.max(np.abs(phase_gradient(phi, orb.position(xp), h=1e-4)
-                             - orb.momentum(xp)))
-               for xp in x0p * np.array([0.9, 1.0, 1.4, 2.0]))
+    xs, ps = orb.sample(orb.constants["xplus0"] * np.array([0.9, 1.0, 1.4, 2.0]))
+    grad = phase_gradient(phi, FourVector(*xs.T.copy()), h=1e-4)
+    return np.max(np.abs(grad.T - ps))
 
 
 @pytest.mark.parametrize("start", _HJ_STARTS, ids=range(len(_HJ_STARTS)))
@@ -347,7 +349,7 @@ def test_symmetry_apply_is_linear():
     b = make_planewave_solution((-0.2, 0.1), 0.7, bg)
     comb = Wavefunction("combo", lambda x: 2.0 * a(x) - 1j * b(x))
     gen = conformal.boost_axis(3)
-    x = FourVector(0.2, 0.4, -0.3, 0.1)
+    x = fourvector_batch([FourVector(0.2, 0.4, -0.3, 0.1)])
     lhs = symmetry_apply(gen, comb, x, 1e-3)
     rhs = 2.0 * symmetry_apply(gen, a, x, 1e-3) - 1j * symmetry_apply(gen, b, x, 1e-3)
     assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -357,7 +359,7 @@ def test_kg_residual_refuses_switch_surface():
     bg = backgrounds.linear_z(1.0, 1.0, switched=True)
     phi = Wavefunction("anything", lambda x: np.exp(-1j * x.t))
     with pytest.raises(DomainError) as err:
-        kg_residual(phi, bg, FourVector(0.5, 0.1, 0.2, 0.0), 1e-3)
+        kg_residual(phi, bg, fourvector_batch([FourVector(0.5, 0.1, 0.2, 0.0)]), 1e-3)
     assert "switch surface" in str(err.value)
 
 
@@ -502,12 +504,12 @@ def test_central_difference_sites_equal_written_formulas():
         for h in (_H, 1e-3):
             for order in (2, 4):
                 rec, value = _recorded(phi)
-                got = kg_residual(rec, bg, _batch(pts), h, order)
+                got = kg_residual(rec, bg, fourvector_batch(pts), h, order)
                 for i, x in enumerate(pts):
                     assert got[i] == _written_kg_residual(value, bg, x, h, order)
             for gen in gens:
                 rec, value = _recorded(phi)
-                got = symmetry_apply(gen, rec, _batch(pts), h)
+                got = symmetry_apply(gen, rec, fourvector_batch(pts), h)
                 for i, x in enumerate(pts):
                     assert got[i] == _written_symmetry_apply(gen, value, x, h)
 
@@ -564,7 +566,7 @@ def test_stencils_evaluate_phi_once_at_the_centre():
     mode = make_planewave_solution((0.1, 0.2), 0.6, bg)
     batches = []
     phi = Wavefunction("counted", lambda x: batches.append(_rows(x)) or mode(x))
-    x = FourVector(0.3, -0.2, 0.4, 0.1)
+    x = fourvector_batch([FourVector(0.3, -0.2, 0.4, 0.1)])
     kg_residual(phi, bg, x, _H, 2)
     kg_residual(phi, bg, x, _H, 4)
     symmetry_apply(conformal.boost_axis(3), phi, x, _H)
@@ -636,10 +638,6 @@ def test_kg_draws_the_points_of_one_by_one_draws(tmp_path, monkeypatch, preset):
         assert _same_bits(_rows(x), want) and _same_bits(_rows(x2), want)
 
 
-def _batch(points):
-    return FourVector(*np.array([(p.t, p.x, p.y, p.z) for p in points]).T.copy())
-
-
 def _modes():
     """(mode, points in its domain): each family, and every dilation branch."""
     rng = np.random.default_rng(64)
@@ -668,8 +666,9 @@ def test_first_rows_of_a_read_are_the_read_of_the_first_points():
     for phi, _ in _modes():
         draw, bg_of = kinds[phi.label]
         pts, bg = draw(rng, 60), bg_of(phi)
-        whole = [read_stencils(phi, bg, pts, h, 1) for h in (_H, _H / 2)]
-        first = [read_stencils(phi, bg, pts[:10], h, 1) for h in (_H, _H / 2)]
+        whole = [read_stencils(phi, bg, fourvector_batch(pts), h, 1) for h in (_H, _H / 2)]
+        first = [read_stencils(phi, bg, fourvector_batch(pts[:10]), h, 1)
+                 for h in (_H, _H / 2)]
         for read, part in zip(whole, first):
             head = first_rows(read, 10)
             assert _same_bits(_rows(head[0]), _rows(part[0])) and head[1] == part[1]
@@ -684,11 +683,10 @@ def test_first_rows_of_a_read_are_the_read_of_the_first_points():
 
 def test_batch_values_are_the_per_point_values():
     for phi, pts in _modes():
-        got = phi(_batch(pts))
+        got = phi(fourvector_batch(pts))
         assert got.shape == (len(pts),)
         for i, x in enumerate(pts):
-            want = phi(x)
-            assert isinstance(want, complex)
+            want = phi(fourvector_batch([x]))[0]
             assert abs(got[i] - want) <= 2e-15 * abs(want)
 
 
@@ -699,7 +697,7 @@ def _first_margin_error(phi, points, h, steps):
             for k in range(1, steps + 1):
                 for s in (k * h, -k * h):
                     y = x.shifted(mu, s)
-                    if not phi.in_domain(y):
+                    if not phi.in_domain(fourvector_batch([y]))[0]:
                         return (f"stencil point (t,x,y,z) = ({y.t:g}, {y.x:g}, "
                                 f"{y.y:g}, {y.z:g}) leaves the domain of "
                                 f"{phi.label!r}")
@@ -715,13 +713,13 @@ def test_batch_margin_names_the_first_stencil_point_out():
     h = _H
     want = _first_margin_error(phi, pts, h, 2)
     assert "(t,x,y,z) = (0.0" in want
-    for run in (lambda: kg_residual(phi, _GAUSS, _batch(pts), h),
+    for run in (lambda: kg_residual(phi, _GAUSS, fourvector_batch(pts), h),
                 lambda: _convergence(phi, _GAUSS, pts, h)):
         with pytest.raises(DomainError) as err:
             run()
         assert str(err.value) == want
     with pytest.raises(DomainError) as err:
-        symmetry_apply(conformal.dilation(), phi, _batch(pts), 0.006)
+        symmetry_apply(conformal.dilation(), phi, fourvector_batch(pts), 0.006)
     assert str(err.value) == _first_margin_error(phi, pts, 0.006, 1)
 
 
@@ -745,7 +743,7 @@ def test_bessel_overflow_names_its_v():
     # v = sqrt(x.x)/x+ is 0.16, 1 and 1.73: Q_perp v = 1000 overflows I_alpha
     pts = [FourVector(2.0, 0.0, 0.0, 1.9), FourVector(2.0, 0.0, 0.0, 0.0),
            FourVector(2.0, 0.0, 0.0, -1.0)]
-    assert np.isfinite(phi(pts[0]))
+    assert np.isfinite(phi(fourvector_batch(pts[:1]))).all()
     with pytest.raises(DomainError) as err:
-        phi(_batch(pts))
+        phi(fourvector_batch(pts))
     assert str(err.value) == "Bessel evaluation overflowed at v = 1"

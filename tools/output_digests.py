@@ -6,7 +6,13 @@ directory, and prints one line per run:
 
     <command> <preset> <format> exit=<code> stdout=<sha256> <file>=<sha256> ...
 
-with the output files in sorted order.  stderr is not digested.  Each
+with the output files in sorted order.  stderr is not digested; it gets
+one line naming what the bytes depend on beyond the sources, the OpenBLAS
+core numpy's BLAS runs on and the SIMD targets numpy dispatches to:
+
+    machine: openblas=<core> numpy=<target>,<target>,...
+
+(openblas=none where numpy bundles no scipy-openblas).  Each
 preset with a [certify] section adds one certify run at the benchmark's
 certify.count=96, whose line names ``count=96`` in place of a format.
 The fig2 preset adds one orbit run per sweep override (its four kappa
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import math
@@ -63,6 +70,27 @@ _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def blas_core():
+    """The OpenBLAS core numpy's BLAS runs on (OPENBLAS_CORETYPE sets it for
+    a new process), read from the scipy-openblas that numpy bundles; None
+    where numpy bundles none."""
+    from numpy._core import _multiarray_umath
+    try:
+        get = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_char_p
+    return get().decode()
+
+
+def simd_targets() -> list:
+    """The SIMD targets numpy dispatches to here: those it was built for
+    that this CPU has (NPY_DISABLE_CPU_FEATURES masks some)."""
+    from numpy._core import _multiarray_umath
+    features = _multiarray_umath.__cpu_features__
+    return [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
 
 
 def runs(cli, presets) -> list:
@@ -173,6 +201,8 @@ def main(argv=None) -> int:
                     help="print only the lines that differ from the package in "
                          "SRC, with how far their outputs are apart")
     args = ap.parse_args(argv)
+    print(f"machine: openblas={blas_core() or 'none'} numpy={','.join(simd_targets())}",
+          file=sys.stderr, flush=True)
     sys.path.insert(0, args.src)
     from confdyn import cli
     todo = runs(cli, args.presets or sorted(cli._PRESETS))
