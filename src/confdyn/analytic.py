@@ -45,7 +45,7 @@ import numpy as np
 from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
-from .geometry import FourVector, from_lightfront
+from .geometry import FourVector, float_square, from_lightfront
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
 from .ode import EPS, FirstError, brentq, masked_newton, quad  # noqa: F401
 
@@ -67,12 +67,6 @@ class ClosedFormOrbit:
     domain: tuple
     constants: dict
     _evaluate: Callable = field(repr=False)
-
-    def position(self, w: float) -> FourVector:
-        return FourVector.from_array(self.sample(w)[0][0])
-
-    def momentum(self, w: float) -> np.ndarray:
-        return self.sample(w)[1][0]
 
     def sample(self, ws):
         """Positions and momenta on a grid: arrays (N, 4) of upper-index
@@ -322,8 +316,7 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         pp1 = (q1 - 2.0 * pm * x1) / xp
         pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        # Python's float ** per element: numpy's square rounds apart from it
-        xp2 = np.array([v ** 2 for v in xp.tolist()])
+        xp2 = float_square(xp)
         pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp2) / (4.0 * pm)
         return _rows(from_lightfront(xp, xminus, x1, x2),
                      (pplus + pm, pp1, pp2, pplus - pm))

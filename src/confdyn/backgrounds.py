@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, RealityError, SingularityError
-from .geometry import FourVector, central_difference, scalar_or_array
+from .geometry import FourVector, central_difference, float_square, scalar_or_array
 
 _SING_EPS = 1e-12
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -74,26 +74,18 @@ class ScalarBackground:
 
     def m2(self, x: FourVector):
         """m^2 at a point, or an (N,) array for a FourVector with (N,)
-        components.  A batch is evaluated point by point through the family
-        kernel on plain floats, alone or in a batch (a float ** raises where
-        numpy's gives inf), so every point raises exactly as it would alone."""
-        if isinstance(x.t, np.ndarray):
-            comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
-            return np.array([self.m2_at(*c) for c in zip(*comps)])
-        return self.m2_at(*map(float, (x.t, x.x, x.y, x.z)))
+        components, every point read by m2_at (see _each)."""
+        vals = self._each(x, self.m2_at)
+        return np.array(vals) if np.ndim(x.t) else vals[0]
 
     def m2_at(self, t, x, y, z) -> float:
         """m2 at the plain coordinates of one point."""
         return self._real(self._value(t, x, y, z), t, x, y, z)
 
-    def m2_and_grad(self, x: FourVector):
-        """(m^2, (g0, g1, g2, g3)) at one point from one kernel call; raises
-        as m2 does."""
-        return self.field_at(*map(float, (x.t, x.x, x.y, x.z)))
-
     def field_at(self, t, x, y, z):
-        """m2_and_grad at the plain coordinates of one point, for callers
-        that hold them unpacked (the flows' right-hand sides)."""
+        """(m^2, (g0, g1, g2, g3)) at the plain coordinates of one point from
+        one kernel call, for callers that hold them unpacked (the flows'
+        right-hand sides); raises as m2 does."""
         v, g = self._field(t, x, y, z)
         v = float(v)
         if v < 0.0:
@@ -102,11 +94,19 @@ class ScalarBackground:
 
     def grad_m2(self, x: FourVector) -> np.ndarray:
         """(g0, g1, g2, g3) at a point, or (4, N) for a FourVector with (N,)
-        components, point by point through the family kernel on plain floats."""
-        if isinstance(x.t, np.ndarray):
-            comps = (x.t.tolist(), x.x.tolist(), x.y.tolist(), x.z.tolist())
-            return np.array([self._field(*c)[1] for c in zip(*comps)], dtype=float).T
-        return np.array(self._field(*map(float, (x.t, x.x, x.y, x.z)))[1], dtype=float)
+        components, every point read by the family kernel (see _each)."""
+        g = np.array(self._each(x, lambda *c: self._field(*c)[1]), dtype=float)
+        return g.T if np.ndim(x.t) else g[0]
+
+    @staticmethod
+    def _each(x: FourVector, read) -> list:
+        """read(t, x, y, z) at every point of x in turn, on plain floats (a
+        float ** raises where numpy's gives inf), a single point being the
+        batch of one: every point of a batch has the bits, and raises the
+        error, of its own call."""
+        comps = (np.asarray(c, dtype=float).ravel().tolist()
+                 for c in (x.t, x.x, x.y, x.z))
+        return [read(*c) for c in zip(*comps, strict=True)]
 
     def _real(self, v, t, x, y, z) -> float:
         v = float(v)
@@ -327,17 +327,16 @@ def _gaussian(m0sq: float, L: float, k: float):
             return fu, -2.0 * k * (ku * fu)
         return fu, -2.0 * k * k * u * fu
 
-    def ku_list(u):
-        # k u of an array, as floats; it overflows to inf silently, as on a float
+    def ku_of(u):
+        # k u of an array; it overflows to inf silently, as on a float
         with np.errstate(over="ignore"):
-            return (k * u).tolist()
+            return k * u
 
     def f(u):
         if not np.ndim(u):
             return fdf(u)[0]
         try:
-            # Python's float ** per element: numpy's square rounds apart from it
-            sq = np.array([v ** 2 for v in ku_list(u)])
+            sq = float_square(ku_of(u))
         except OverflowError:
             sq = None
         if sq is None or np.isinf(sq).any():
@@ -354,7 +353,7 @@ def _gaussian(m0sq: float, L: float, k: float):
         def F(u):
             if not np.ndim(u):
                 return c * math.erf(k * u)
-            return c * np.array([math.erf(v) for v in ku_list(u)])
+            return c * np.array([math.erf(v) for v in ku_of(u).tolist()])
 
     return (f, F), fdf
 

@@ -40,9 +40,9 @@ import numpy as np
 from . import backgrounds, conformal, integrability
 from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
                        evolve, extended_state, extended_state_on_shell,
-                       front_state, instant_state, starts_at)
+                       front_state, hamiltonian_front, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
-from .geometry import FourVector, float_square, from_lightfront
+from .geometry import FourVector, from_lightfront
 from .jsonio import write_csv, write_json
 
 _FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
@@ -529,12 +529,9 @@ def _certify_states(bg, form: str, count: int, rng) -> PhaseSpaceState:
                           f"{exc}") from None
     if form == "extended":
         # involution of the charge algebra is an on-shell statement: put the
-        # sampled p+ on the mass shell instead of leaving it arbitrary, as
-        # extended_state_on_shell puts one state, Python's ** included
-        pminus, p1, p2 = states.p[1:]
-        pplus = ((float_square(p1) + float_square(p2) + bg.m2(states.position()))
-                 / (4.0 * pminus))
-        states = states.replace(p=np.vstack([pplus, states.p[1:]]))
+        # sampled p+ on the mass shell instead of leaving it arbitrary
+        states = states.replace(p=np.vstack([hamiltonian_front(states, bg),
+                                             states.p[1:]]))
     return states
 
 

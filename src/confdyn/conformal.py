@@ -294,13 +294,13 @@ def lie_bracket(g1: ConformalGenerator, g2: ConformalGenerator) -> ConformalGene
 
 
 # no command calls it yet; tests do, and items 3 (conservation check) and 11 will
-def symmetry_defect(g: ConformalGenerator, bg, x: FourVector) -> float:
+def symmetry_defect(g: ConformalGenerator, bg, x: FourVector):
     """xi.grad(m^2) + (1/2) m^2 (d.xi); zero iff xi.p is conserved along the
     background's orbits and L = xi.grad + (1/4) d.xi is a wave-operator
-    symmetry.  Raises the background's own errors on singular surfaces."""
-    xi = g.killing(x)
-    m2, grad = bg.m2_and_grad(x)
-    return contract(xi, grad) + 0.5 * m2 * g.divergence(x)
+    symmetry.  A float at a point, an (N,) array for a FourVector with (N,)
+    components.  Raises the background's own errors on singular surfaces."""
+    return (contract(g.killing(x), bg.grad_m2(x))
+            + 0.5 * bg.m2(x) * g.divergence(x))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +320,8 @@ class ConservedQuantity:
     call, the only field data it reads.  It must also accept a
     component-first batch state (q, p of shape (n, N), time of shape (N,);
     see dynamics.Trajectory.batch_state) and then return an array of shape
-    (N,), one value per point: dynamics.monitor calls it once per
-    trajectory.  partials(state, bg), when provided, returns closed-form
+    (N,), one value per point in the bits of its own single-state call:
+    dynamics.monitor calls it once per trajectory.  partials(state, bg), when provided, returns closed-form
     gradients (dQ/dq, dQ/dp) with respect to the canonical variables of the
     state's form, used by Poisson brackets and independence ranks; on a
     batch state it returns them of shape (n, N), each point in the bits of
@@ -423,7 +423,7 @@ def planewave_cubic_quantity() -> ConservedQuantity:
     def val(state, bg):
         xplus, xminus = state.q[0], state.q[1]
         pplus, pminus, p1, p2 = state.p
-        return (4.0 * pminus ** 2 * xminus - (p1 * p1 + p2 * p2) * xplus
+        return (4.0 * float_square(pminus) * xminus - (p1 * p1 + p2 * p2) * xplus
                 - bg.m2_antiderivative(xplus))
 
     def parts(state, bg):

@@ -25,11 +25,12 @@ A set of quantities is evaluated at a state, or at a component-first batch
 of states, by quantity_values and, in a form with a bracket,
 quantity_partials; the generator charges xi.p among them share one
 position, on-shell momentum and Hamiltonian partials per state.  On a batch
-quantity_partials returns (n, N) partials whose every point holds the bits
-of that point's own call: the generator chain rule runs as stacked
-matrix-vector products, and hand-written partials and dH take the batch as
-it is.  monitor, poisson_bracket and integrability's tables read these two
-(integrability with one quantity_partials call per table).  brackets turns
+quantity_values returns one value per point and quantity_partials (n, N)
+partials, every point in the bits of that point's own call: the generator
+chain rule runs as stacked matrix-vector products, and hand-written values
+and partials and dH take the batch as it is.  monitor, poisson_bracket and
+integrability's tables read these two (integrability with one
+quantity_partials call per table).  brackets turns
 a table of partials into Poisson brackets as one stacked product, and
 poisson_bracket reads a table of one state.
 
@@ -48,8 +49,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ReconstructionError, SingularityError
-from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
-                       raise_index, scalar_or_array)
+from .geometry import (FourVector, contract, float_square, lower_index,
+                       momenta_from_lf, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq
 
@@ -92,7 +93,7 @@ class Form:
 
 def _covariant_momentum(state: PhaseSpaceState, bg) -> np.ndarray:
     m = bg.mass(state.position())
-    if _any(m <= 0.0):
+    if np.any(m <= 0.0):
         raise ReconstructionError("covariant momentum needs m > 0")
     return m * lower_index(state.p)
 
@@ -221,12 +222,6 @@ def covariant_state(x: FourVector, xdot: FourVector,
     return PhaseSpaceState("covariant", tau, x.as_array(), xdot.as_array())
 
 
-def _any(cond) -> bool:
-    """True if a condition holds at a point or at any point of a batch
-    (np.any would cost microseconds on the single-point path)."""
-    return bool(cond.any()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
@@ -241,10 +236,11 @@ def hamiltonian_front(state: PhaseSpaceState, bg):
     """p+ on shell = (p_perp.p_perp + m^2)/(4 p-), from the (p-, p1, p2) that
     end p in the front and extended forms: the front form's H."""
     pminus, p1, p2 = state.p[-3:]
-    if _any(pminus == 0.0):
+    if np.any(pminus == 0.0):
         raise SingularityError(f"{state.form} Hamiltonian undefined at p- = 0")
     m2 = bg.m2(state.position())
-    return scalar_or_array((p1 ** 2 + p2 ** 2 + m2) / (4.0 * pminus))
+    return scalar_or_array((float_square(p1) + float_square(p2) + m2)
+                           / (4.0 * pminus))
 
 
 def hamiltonian_extended(state: PhaseSpaceState, bg):
@@ -256,18 +252,16 @@ def hamiltonian_partials(state: PhaseSpaceState, bg):
     """(dH/dq, dH/dp) of the state's own Hamiltonian (H, p+ on shell, K in
     the instant, front, extended form), read back from the form's flow, the
     one place they are written out, as (-dH/dp, dH/dq); of shape (n,), or
-    (n, N) for a batch state, whose points each take the flow's own call on
-    their contiguous (q, p)."""
+    (n, N) for a batch state.  Every point, a single state being the batch
+    of one, takes the flow's own call on its contiguous (q, p)."""
     if not FORMS[state.form].canonical:
         raise ValueError(f"the {state.form} form has no Hamiltonian partials")
     n = FORMS[state.form].dof
     rhs = _make_rhs(state.form, bg, False)
     y = np.concatenate([state.q, state.p])
-    if y.ndim == 1:
-        f = rhs(state.time, y)
-    else:
-        f = np.array([rhs(t, row) for t, row in
-                      zip(state.time.tolist(), np.ascontiguousarray(y.T))]).T
+    rows = np.ascontiguousarray(y.reshape(2 * n, -1).T)
+    f = np.array([rhs(t, row) for t, row in
+                  zip(np.ravel(state.time).tolist(), rows)]).T.reshape(y.shape)
     return f[n:], -f[:n]
 
 
@@ -464,12 +458,9 @@ class Trajectory:
     def __len__(self):
         return self.times.size
 
-    def state(self, i: int) -> PhaseSpaceState:
-        return PhaseSpaceState(self.form, self.times[i], self.q[i], self.p[i])
-
     def batch_state(self) -> PhaseSpaceState:
         """All samples as one component-first batch state (q, p of shape
-        (n, N)); point i holds the same numbers as state(i)."""
+        (n, N)); point i holds sample i's time, q and p."""
         return PhaseSpaceState(self.form, self.times, self.q.T, self.p.T)
 
     def column_names(self):

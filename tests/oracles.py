@@ -25,6 +25,8 @@ computes another way:
 * certify's sample drawn and accepted one state at a time, against
   integrability.random_states' batch, and the split of a batch state into
   single states and back;
+* momenta whose numpy array square rounds apart from a float's **, found
+  by a seeded search, against the batch paths that square them;
 * an antiderivative by adaptive quadrature, the F that a generic profile f
   hands special_conformal_mass, and the Gaussian profile's slope, the f'
   a test that rebuilds the Gaussian profile hands it.
@@ -142,6 +144,13 @@ def newton_per_point(f, fprime, x, fx, lo, hi, xtol, rtol):
             return xnew
         x, fx = xnew, float(f(xnew))
     raise RuntimeError("Failed to converge after 100 iterations.")
+
+
+def orbit_at(orbit, w: float) -> tuple:
+    """(FourVector, (4,) lower-index momentum) of a closed-form orbit at one
+    parameter value: the one row of its sample."""
+    xs, ps = orbit.sample(w)
+    return FourVector.from_array(xs[0]), ps[0]
 
 
 def sample_points(point, ws) -> tuple:
@@ -432,6 +441,28 @@ def batch_of(states) -> PhaseSpaceState:
     return PhaseSpaceState(states[0].form, np.array([st.time for st in states]),
                            np.array([st.q for st in states]).T,
                            np.array([st.p for st in states]).T)
+
+
+def split_squares(rng: np.random.Generator, lo: float, hi: float,
+                  count: int) -> np.ndarray:
+    """count draws of uniform(lo, hi) whose float square v ** 2 rounds apart
+    from numpy's array square v * v (about 1 draw in 1 300)."""
+    found = []
+    while len(found) < count:
+        v = rng.uniform(lo, hi, 4096)
+        found += v[v ** 2 != [w ** 2 for w in v.tolist()]].tolist()
+    return np.array(found[:count])
+
+
+def with_split_squares(states: PhaseSpaceState,
+                       rng: np.random.Generator) -> PhaseSpaceState:
+    """A front or extended batch state with p-, p1 and p2 (the last three
+    momenta) replaced by split_squares draws, p- keeping its sign."""
+    n = states.time.size
+    pminus, p1, p2 = (split_squares(rng, lo, 0.6, n) for lo in (0.1, -0.6, -0.6))
+    p = states.p.copy()
+    p[-3:] = np.sign(p[-3]) * pminus, p1, p2
+    return states.replace(p=p)
 
 
 def random_states_one_by_one(form: str, count: int, rng: np.random.Generator,

@@ -32,6 +32,7 @@ from oracles import (
     erf_orbit_xplus,
     gaussian_kappa,
     gaussian_slope,
+    orbit_at,
     planewave_point,
     pminus_for_kappa,
     points,
@@ -58,14 +59,13 @@ def test_spacelike_orbit_frozen_values():
     assert c["z_max"] == pytest.approx(0.25, abs=1e-15)
     assert c["Lz"] == 0.0
     assert orb.domain == (0.0, c["t_exit"])
-    assert orb.momentum(1.0)[3] == pytest.approx(-0.052786404500042060718,
-                                                 abs=1e-15)
-    x = orb.position(1.0)
+    x, p = orbit_at(orb, 1.0)
+    assert p[3] == pytest.approx(-0.052786404500042060718, abs=1e-15)
     assert x.z == pytest.approx(0.24721359549995793928, abs=1e-15)
     assert x.t == 1.0
     # turning point halfway through, exit back on the interface
-    assert orb.position(c["t_turn"]).z == pytest.approx(0.25, abs=1e-14)
-    assert orb.position(c["t_exit"]).z == pytest.approx(0.0, abs=1e-13)
+    assert orbit_at(orb, c["t_turn"])[0].z == pytest.approx(0.25, abs=1e-14)
+    assert orbit_at(orb, c["t_exit"])[0].z == pytest.approx(0.0, abs=1e-13)
 
 
 def test_spacelike_orbit_matches_evolve():
@@ -117,21 +117,20 @@ def test_timelike_uniform_motion_zero_profile():
     orb = timelike_orbit(lambda t: 0.0, init, 1.0)
     h = np.sqrt(1.21)
     for t in (0.5, 1.0, 2.5):
-        x = orb.position(t)
+        x, p = orbit_at(orb, t)
         assert np.allclose([x.x, x.y, x.z], init.q - init.p * t / h, atol=1e-12)
-        assert orb.momentum(t)[0] == pytest.approx(h, abs=1e-14)
+        assert p[0] == pytest.approx(h, abs=1e-14)
     assert orb.constants["p.L"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_timelike_quadrature_frozen():
     init = instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4))
     orb = timelike_orbit(lambda t: 0.5 * t, init, 1.0)
-    x = orb.position(2.0)
+    x, p = orbit_at(orb, 2.0)
     assert x.x == pytest.approx(0.3453572501072597791, abs=1e-12)
     assert x.y == pytest.approx(0.009285499785480441809, abs=1e-12)
     assert x.z == pytest.approx(0.81857099957096088362, abs=1e-12)
-    assert orb.momentum(2.0)[0] == pytest.approx(1.4866068747318505523,
-                                                 abs=1e-14)
+    assert p[0] == pytest.approx(1.4866068747318505523, abs=1e-14)
 
 
 def test_timelike_matches_evolve():
@@ -165,13 +164,13 @@ def test_planewave_orbit_matches_evolve():
     st = front_state(0.0, 0.1, (0.2, -0.3), 0.7, (0.1, -0.2))
     orb = planewave_orbit(bg, st)
     traj = evolve(st, bg, (0.0, 6.0), _TIGHT)
+    states = points(traj.batch_state())
     for i in range(0, len(traj.times), 40):
         xp = traj.times[i]
-        x = orb.position(xp)
-        s = traj.state(i)
+        x, p = orbit_at(orb, xp)
+        s = states[i]
         assert x.xminus == pytest.approx(s.q[0], abs=1e-8)
         assert np.allclose((x.x, x.y), s.q[1:], atol=1e-9)
-        p = orb.momentum(xp)
         pm = 0.5 * (p[0] - p[3])
         assert pm == pytest.approx(s.p[0], abs=1e-12)
         assert np.allclose(p[1:3], s.p[1:], atol=1e-12)
@@ -226,10 +225,9 @@ def test_conformal_orbit_reproduces_erf_curve():
     assert q3 == pytest.approx(-1.0 / (4.0 * st.p[0]), rel=1e-14)
     for xm in np.linspace(0.1, 3.5, 12):
         xp = float(erf_orbit_xplus(kappa, xm))
-        x = orb.position(xp)
+        x, p = orbit_at(orb, xp)
         assert x.xminus == pytest.approx(xm, abs=1e-9)
         assert (x.x, x.y) == pytest.approx([0.0, 0.0], abs=1e-15)
-        p = orb.momentum(xp)
         pm = 0.5 * (p[0] - p[3])
         assert pm == pytest.approx(np.exp(-xm * xm) / (4.0 * abs(q3)),
                                    rel=1e-9)
@@ -240,8 +238,7 @@ def test_conformal_orbit_mass_shell_closure():
     f = _GAUSS.profile[0]
     orb = conformal_orbit(_GAUSS, st)
     for xp in (1.1, 1.5, 2.2, 3.0):
-        x = orb.position(xp)
-        p = orb.momentum(xp)
+        x, p = orbit_at(orb, xp)
         pp, pm = 0.5 * (p[0] + p[3]), 0.5 * (p[0] - p[3])
         m2 = f(x.xminus) / xp ** 2
         assert 4.0 * pp * pm - p[1] ** 2 - p[2] ** 2 == pytest.approx(
@@ -255,15 +252,14 @@ _TIGHTER = EvolveOptions(rtol=1e-13, atol=1e-13)
 
 def _front_row(orb, xp):
     """(x-, x1, x2, p-, p1, p2) of the orbit at x+, the front-form slots."""
-    x, p = orb.position(xp), orb.momentum(xp)
+    x, p = orbit_at(orb, xp)
     return np.array([x.xminus, x.x, x.y, 0.5 * (p[0] - p[3]), p[1], p[2]])
 
 
 def test_conformal_orbit_transverse_matches_evolve():
     orb = conformal_orbit(_GAUSS, _TRANSVERSE)
     traj = evolve(_TRANSVERSE, _GAUSS, (1.0, 3.0), _TIGHTER)
-    for i, xp in enumerate(traj.times):
-        s = traj.state(i)
+    for xp, s in zip(traj.times, points(traj.batch_state())):
         assert np.max(np.abs(_front_row(orb, xp) - np.r_[s.q, s.p])) <= 2e-12
 
 
@@ -274,7 +270,7 @@ def test_conformal_orbit_reads_before_its_start():
     row = _front_row(orb, 0.7)
     early = front_state(0.7, row[0], row[1:3], row[3], row[4:])
     traj = evolve(early, _GAUSS, (0.7, 1.0), _TIGHTER)
-    end = traj.state(len(traj.times) - 1)
+    end = points(traj.batch_state())[-1]
     assert end.time == 1.0
     assert np.max(np.abs(np.r_[end.q - _TRANSVERSE.q, end.p - _TRANSVERSE.p])) <= 1e-12
 
@@ -290,10 +286,10 @@ def test_conformal_orbit_without_transverse_charge_has_an_asymptote():
     assert np.isfinite(asym) and asym == pytest.approx(14.11915017, rel=1e-9)
     assert orb.domain == (1.0, asym)
     # x_perp/x+ stays at its start, and the orbit starts where the state does
-    assert orb.position(5.0).x == pytest.approx(5.0 * 0.2, rel=1e-14)
+    assert orbit_at(orb, 5.0)[0].x == pytest.approx(5.0 * 0.2, rel=1e-14)
     assert np.allclose(_front_row(orb, 1.0), np.r_[st.q, st.p], rtol=0.0, atol=1e-15)
     with pytest.raises(DomainError):
-        orb.position(1.01 * asym)
+        orbit_at(orb, 1.01 * asym)
 
 
 def test_conformal_orbit_validation():
@@ -313,14 +309,14 @@ def test_conformal_orbit_validation():
 def test_conformal_orbit_beyond_asymptote():
     orb = conformal_orbit(_GAUSS, erf_orbit_entry_state(0.5))
     with pytest.raises(DomainError):
-        orb.position(2.5)  # asymptote sits at x+ = 2
+        orbit_at(orb, 2.5)  # asymptote sits at x+ = 2
 
 
 def test_erf_curve_consistent_with_background():
     # the Gaussian background family evaluates to f(u)/x+^2 on the orbit
     orb = conformal_orbit(_GAUSS, erf_orbit_entry_state(0.3))
     for xp in (1.05, 1.2, 1.38):
-        x = orb.position(xp)
+        x = orbit_at(orb, xp)[0]
         assert _GAUSS.m2(x) == pytest.approx(np.exp(-x.xminus ** 2) / xp ** 2,
                                          rel=1e-12)
 
@@ -537,8 +533,9 @@ def test_sample_rows_equal_pointwise_reads(build, ws):
     # which points were evaluated before it
     other = build()
     for w, x, p in zip(ws[::-1], xs[::-1], ps[::-1]):
-        assert np.all(other.position(w).as_array() == x)
-        assert np.all(other.momentum(w) == p)
+        x_w, p_w = orbit_at(other, w)
+        assert np.all(x_w.as_array() == x)
+        assert np.all(p_w == p)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +586,7 @@ def test_weight_negative_beyond_the_entry_raises():
                                             lambda u: 0.9 * u - 0.5 * u * u)
     orb = conformal_orbit(bg, front_state(1.0, 0.0, (0, 0), 0.5, (0, 0)))
     with pytest.raises(DomainError, match="non-monotone"):
-        orb.position(1.5)
+        orbit_at(orb, 1.5)
 
 
 def test_divergent_weight_integral_has_no_asymptote():
@@ -601,4 +598,4 @@ def test_divergent_weight_integral_has_no_asymptote():
         orb = conformal_orbit(flat, state)
         assert orb.constants["xplus_asymptote"] == np.inf
         # 4 Q3^2 = 1 at p- = 0.5, f = 1: 1/x+ = 1 - u
-        assert orb.position(4.0).xminus == pytest.approx(0.75, rel=1e-12)
+        assert orbit_at(orb, 4.0)[0].xminus == pytest.approx(0.75, rel=1e-12)

@@ -424,13 +424,14 @@ def test_kernel_matches_family_formulas(name):
     bg, m2_ref, grad_ref, points = REFS[name]
     assert len(points) >= 6
     for x in points:
-        v, g = bg.m2_and_grad(x)
+        v, g = bg.field_at(x.t, x.x, x.y, x.z)
         assert type(v) is float and len(g) == 4
         assert v == float(m2_ref(x)) and bg.m2(x) == v
         assert _same(g, grad_ref(x)) and _same(bg.grad_m2(x), g)
     batch = FourVector(*(np.array(c) for c in zip(*[(x.t, x.x, x.y, x.z)
                                                   for x in points])))
     assert _same(bg.m2(batch), [bg.m2(x) for x in points])
+    assert _same(bg.grad_m2(batch), np.array([bg.grad_m2(x) for x in points]).T)
 
 
 # the point at signed distance s from the switch surface of each switched
@@ -550,7 +551,7 @@ def test_point_of_numpy_floats_raises_as_a_batch_of_one():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: bg.m2(x), lambda: bg.m2(batch), lambda: bg.grad_m2(x),
-                     lambda: bg.grad_m2(batch), lambda: bg.m2_and_grad(x),
+                     lambda: bg.grad_m2(batch),
                      # p+ on shell reads m^2 at the state's position
                      lambda: extended_state_on_shell(bg, 1.0, 0.3, [0.1, 0.2], 0.5,
                                                      [0, 0])):
@@ -589,7 +590,7 @@ def test_steep_gaussian_slope_is_finite():
 def test_kernel_raises_as_the_separate_formulas():
     lz = backgrounds.linear_z(1.0, 1.0, switched=False)
     x = FourVector(0.3, 0.1, 0.2, -2.0)
-    for call in (lz.m2, lz.m2_and_grad):
+    for call in (lz.m2, lambda x: lz.field_at(x.t, x.x, x.y, x.z)):
         with pytest.raises(RealityError):
             call(x)
     assert _same(lz.grad_m2(x), [0.0, 0.0, 0.0, 1.0])   # the gradient alone is real
@@ -599,7 +600,7 @@ def test_kernel_raises_as_the_separate_formulas():
                                                      lambda u: u),
                    FourVector(-0.25, 0.0, 0.0, 0.25)),
                   (backgrounds.dilation_mass(1.0), FourVector(1.0, 0.6, 0.0, 0.8))):
-        for call in (bg.m2, bg.m2_and_grad, bg.grad_m2):
+        for call in (bg.m2, bg.grad_m2, lambda x: bg.field_at(x.t, x.x, x.y, x.z)):
             with pytest.raises(SingularityError):
                 call(x)
 
@@ -622,13 +623,13 @@ def test_from_callable_m2_calls_user_function_once_per_point():
                        np.array([-0.2, 0.2, 0.0]), np.array([0.4, -0.4, 0.1]))
     fd.m2(batch)
     assert calls["m2"] == 4                   # never the 16-call fallback gradient
-    fd.m2_and_grad(x)
+    fd.field_at(x.t, x.x, x.y, x.z)
     assert calls["m2"] == 4 + 1 + 16          # the value, then the stencil
     exact = backgrounds.from_callable(m2_fn, grad_fn)
     exact.m2(x)
     exact.m2(batch)
     assert calls["m2"] == 21 + 4 and calls["grad"] == 0
-    exact.m2_and_grad(x)
+    exact.field_at(x.t, x.x, x.y, x.z)
     assert calls["m2"] == 26 and calls["grad"] == 1
 
 
@@ -656,12 +657,11 @@ _DIL = backgrounds.dilation_mass(1.0)
 def test_kernel_thresholds_as_pinned(bg, point, expected):
     x = FourVector(*point)
     if isinstance(expected, str):
-        for call in (lambda: bg.m2(x), lambda: bg.m2_and_grad(x), lambda: bg.grad_m2(x),
-                     lambda: bg.field_at(*point)):
+        for call in (lambda: bg.m2(x), lambda: bg.grad_m2(x), lambda: bg.field_at(*point)):
             with pytest.raises(SingularityError) as err:
                 call()
             assert str(err.value) == expected
         return
-    for v, g in (bg.m2_and_grad(x), bg.field_at(*point)):
-        assert v == expected[0] and _same(g, expected[1])
+    v, g = bg.field_at(*point)
+    assert v == expected[0] and _same(g, expected[1])
     assert bg.m2(x) == expected[0] and _same(bg.grad_m2(x), expected[1])

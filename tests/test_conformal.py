@@ -269,6 +269,28 @@ def test_defect_dilation_mass():
         assert abs(symmetry_defect(time_translation(), bg, x)) > 1e-3
 
 
+@pytest.mark.parametrize("bg, gens, lo, hi", [
+    (backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0),
+     (special_conformal_lf(), null_rotation_t(1), null_rotation_t(2), dilation()),
+     (0.6, -0.5, -0.5, 0.1), (2.0, 0.5, 0.5, 0.5)),
+    (backgrounds.dilation_mass(1.0),
+     (dilation(), null_rotation_t(1), null_rotation_t(2), time_translation()),
+     (1.5, -0.5, -0.5, -0.5), (2.5, 0.5, 0.5, 0.5)),
+    (backgrounds.linear_z(B=0.7, m0sq=1.0, switched=False),
+     (translation([0, 0, 0, 1.0]), time_translation(), translation_axis(1),
+      rotation_z()),
+     (-1.0, -1.0, -1.0, 0.0), (1.0, 1.0, 1.0, 1.0)),
+], ids=["gaussian", "dilation", "linear_z"])
+def test_defect_of_a_batch_is_the_per_point_defect(bg, gens, lo, hi):
+    cols = np.random.default_rng(11).uniform(lo, hi, size=(9, 4))
+    batch = FourVector(*cols.T)
+    for g in gens:
+        got = symmetry_defect(g, bg, batch)
+        assert got.shape == (9,)
+        assert np.array_equal(got, [symmetry_defect(g, bg, FourVector.from_array(c))
+                                    for c in cols])
+
+
 # -------------------------------------------------------------- charges
 
 def test_charge_null_rotation_front_form():

@@ -156,12 +156,13 @@ def test_flow_matches_flipped_bracket():
     dt = traj.times[1] - traj.times[0]
     ham = fd_quantity("H", hamiltonian_instant)
     p3 = fd_quantity("p3", lambda s, b: s.p[2])
+    states = points(traj.batch_state())
     for i in (100, 400, 700):
         slope = (traj.p[i + 1, 2] - traj.p[i - 1, 2]) / (2.0 * dt)
-        br = poisson_bracket(p3, ham, traj.state(i), bg)
+        br = poisson_bracket(p3, ham, states[i], bg)
         assert slope == pytest.approx(-br, abs=5e-6)
         # and the bracket itself is B/(2H) up to sign bookkeeping
-        h = hamiltonian_instant(traj.state(i), bg)
+        h = hamiltonian_instant(states[i], bg)
         assert -br == pytest.approx(1.0 / (2.0 * h), rel=1e-6)
 
 

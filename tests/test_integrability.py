@@ -20,7 +20,7 @@ from confdyn.integrability import (
     involution_table,
     random_states,
 )
-from oracles import batch_of, points, random_states_one_by_one
+from oracles import batch_of, points, random_states_one_by_one, with_split_squares
 
 # the command line's --tol-rel and --tol-abs defaults
 _TOLS = {"rank_tol": 1e-8, "bracket_tol": 1e-9}
@@ -328,15 +328,20 @@ def _cli_certify_inputs(preset, count=24):
 
 def _certify_inputs_96(name):
     """A certify preset's set, form and background at the benchmark's 96
-    states, or (name "front") the conformal charges on front states."""
-    if name != "front":
+    states, or (name "front") the conformal charges on front states, or
+    (name "front-squares") on front states whose p-, p1 and p2 square
+    apart in numpy's arrays and in floats."""
+    if name not in ("front", "front-squares"):
         return _cli_certify_inputs(name, 96)
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
-    states = random_states("front", 96, np.random.default_rng(16), accept=_ANYWHERE)
+    rng = np.random.default_rng(16)
+    states = random_states("front", 96, rng, accept=_ANYWHERE)
+    if name == "front-squares":
+        states = with_split_squares(states, rng)
     return conformal.conformal_front_set(), states, bg
 
 
-@pytest.mark.parametrize("name", _CERTIFY_PRESETS + ["front"])
+@pytest.mark.parametrize("name", _CERTIFY_PRESETS + ["front", "front-squares"])
 def test_batch_partials_and_brackets_equal_per_state_calls(name):
     # the table is one quantity_partials call on a batch state; the instant
     # and front forms add the dH term (n != 0), spacelike and planewave mix

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from confdyn import backgrounds, cli, conformal
-from confdyn.dynamics import Trajectory, evolve, monitor
-from confdyn.errors import RealityError, SingularityError
+from confdyn.dynamics import Trajectory, evolve, monitor, quantity_values
+from confdyn.errors import ConfigError, RealityError, SingularityError
+from oracles import points, with_split_squares
 
 # (preset, overrides): every monitor set and form the command line reaches
 _COVARIANT = ["run.form=covariant", "run.tstart=0", "run.tend=3",
@@ -56,8 +57,9 @@ def test_monitor_matches_per_sample_reference(case, samples):
         traj = _head(traj, samples)
     values, drifts = monitor(traj, quantities, bg)
     assert list(values) == [q.label for q in quantities]
+    states = points(traj.batch_state())
     for q in quantities:
-        ref = np.array([q(traj.state(i), bg) for i in range(len(traj))])
+        ref = np.array([q(st, bg) for st in states])
         got = values[q.label]
         assert got.shape == ref.shape == (len(traj),)
         scale = np.maximum(1.0, np.abs(ref))
@@ -66,6 +68,44 @@ def test_monitor_matches_per_sample_reference(case, samples):
             assert got.tobytes() == ref.tobytes(), q.label
         ref_drift = np.max(np.abs(ref - ref[0])) / max(1.0, abs(ref[0]))
         assert abs(drifts[q.label] - ref_drift) <= 2e-15 * scale.max() / scale[0]
+
+
+# every named quantity set on each form it is written for, and every
+# preset's field (truncated's is spacelike's)
+_ANY_FORM_SETS = ["conformal_front", "dilation", "poincare", "truncated"]
+_SETS = {"instant": ["spacelike", *_ANY_FORM_SETS], "front": _ANY_FORM_SETS,
+         "extended": ["planewave", "conformal", *_ANY_FORM_SETS]}
+_FIELD_PRESETS = ["fig1", "fig2", "planewave", "dilation", "spacelike", "conformal",
+                  "kgcontrol"]
+
+
+@pytest.mark.parametrize("form", ["instant", "front", "extended"])
+def test_batch_values_keep_per_state_bits(form):
+    # a front or extended batch takes its p-, p1 and p2 where numpy's array
+    # square rounds apart from a float's **: the on-shell p+ (a front
+    # state's four-momentum, K) and Q7 square them
+    rng = np.random.default_rng(42)
+    checked = set()
+    for preset in _FIELD_PRESETS:
+        bg = cli._background(cli._parse(cli.preset_config(preset)))
+        try:
+            states = cli._certify_states(bg, form, 8, rng)
+        except ConfigError:   # the dilation field's light cone: instant form only
+            continue
+        if form != "instant":
+            states = with_split_squares(states, rng)
+        for name in _SETS[form]:
+            try:
+                quantities, _ = cli._quantity_set(name, [], bg, form)
+            except ConfigError:   # spacelike needs linear_z, planewave an x+ wave
+                continue
+            batch = quantity_values(quantities, states, bg)
+            per_state = np.array([quantity_values(quantities, st, bg)
+                                  for st in points(states)]).T
+            for q, got, ref in zip(quantities, batch, per_state):
+                assert np.array_equal(got, ref), (preset, name, q.label)
+            checked.add(name)
+    assert checked == set(_SETS[form])
 
 
 def _bad_point_trajectory(form, times, q, p, label):
@@ -96,7 +136,7 @@ def test_monitor_raises_like_the_scalar_call(name):
             [[1.0, 0.4, 0, 0]] * 3, bg.label)
         quantity, expected = conformal.extended_hamiltonian_quantity(), SingularityError
     with pytest.raises(expected) as scalar:
-        quantity(traj.state(1), bg)
+        quantity(points(traj.batch_state())[1], bg)
     with pytest.raises(scalar.type):
         monitor(traj, [quantity], bg)
 
