@@ -9,15 +9,15 @@ kg commands need the first two, and importing cli here would make
 import importlib
 
 from . import backgrounds, conformal, dynamics, geometry, integrability
-from .errors import (ConfdynError, ConfigError, DomainError,
-                     ReconstructionError, RealityError, SingularityError)
+from .errors import (ConfdynError, ConfigError, DomainError, RealityError,
+                     SingularityError)
 from .geometry import FourVector
 
 __all__ = [
     "analytic", "backgrounds", "cli", "conformal", "dynamics", "geometry",
     "integrability", "kgverify",
-    "ConfdynError", "ConfigError", "DomainError", "ReconstructionError",
-    "RealityError", "SingularityError",
+    "ConfdynError", "ConfigError", "DomainError", "RealityError",
+    "SingularityError",
     "FourVector",
 ]
 

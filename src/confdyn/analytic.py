@@ -47,7 +47,7 @@ from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
 from .geometry import FourVector, float_square, from_lightfront
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
-from .ode import EPS, FirstError, brentq, masked_newton, quad  # noqa: F401
+from .ode import EPS, brentq, first_error, masked_newton, quad  # noqa: F401
 
 
 @dataclass
@@ -57,10 +57,9 @@ class ClosedFormOrbit:
     _evaluate maps an (N,) array of the family's evolution parameter (t for
     instant-form families, x+ for front-form ones) to the spacetime points
     and the lower-index four-momenta together, (N, 4) arrays each, in one
-    call on the whole grid.  Each row has the bits, and a failing row the
-    error, that the evaluator gives that parameter value alone: of several
-    failing rows, the first one's.  constants stores the conserved values
-    and derived scales (turning points, exit times, asymptotes)."""
+    call on the whole grid.  Each row has the bits that the evaluator gives
+    that parameter value alone.  constants stores the conserved values and
+    derived scales (turning points, exit times, asymptotes)."""
 
     family: str
     time_name: str
@@ -70,11 +69,13 @@ class ClosedFormOrbit:
 
     def sample(self, ws):
         """Positions and momenta on a grid: arrays (N, 4) of upper-index
-        coordinates and lower-index momenta."""
+        coordinates and lower-index momenta.  A grid that fails raises the
+        error of its first point that fails alone."""
         # a float product overflows to inf, and inf * 0 is nan, silently;
         # so do the evaluators' arrays
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._evaluate(np.atleast_1d(np.asarray(ws, dtype=float)))
+            return first_error(self._evaluate,
+                               np.atleast_1d(np.asarray(ws, dtype=float)))
 
 
 def _columns(*cols) -> np.ndarray:
@@ -241,8 +242,7 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     they are made once per orbit, as far as the grid needs, and each point
     picks the first edge that brackets its target.  One masked Newton
     iteration (ode.masked_newton) then runs every point from its edge, in
-    the floats a point alone would see.  A point that fails makes the
-    sample raise its error, unless a point before it fails too.
+    the floats a point alone would see.
 
     Under the special conformal map x -> (-1/x+, x_perp/x+, u) the field
     becomes a plane wave in u, in which the transverse motion is free.  Back
@@ -322,33 +322,25 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
                      (pplus + pm, pp1, pp2, pplus - pm))
 
     def evaluate(xp):
-        errors = FirstError(xp.size)
-        off = xp <= 0.0
-        if off.any():
-            errors.record(int(off.argmax()), DomainError("x+ must stay positive"))
-        with np.errstate(divide="ignore"):
-            target = four_q3sq * (1.0 / xp0 - 1.0 / xp)
+        if (xp <= 0.0).any():
+            raise DomainError("x+ must stay positive")
+        target = four_q3sq * (1.0 / xp0 - 1.0 / xp)
         # Newton's start, its G - target, and the bracket of each point; a
         # point on the entry's x+ starts at its root u0, with G - target = 0
         start, lo, hi = (np.full(xp.size, u0) for _ in range(3))
         gap = np.zeros(xp.size)
         up = target > 0.0
         for sign, side in ((1.0, up), (-1.0, ~up & (target != 0.0))):
-            ours = np.flatnonzero(side[:errors.index])
-            k = ladders[sign].reach(target[ours], ours, errors)
-            kept = ours < errors.index
-            ours, k = ours[kept], k[kept]
+            ours = np.flatnonzero(side)
+            k = ladders[sign].reach(target[ours])
             edges = np.asarray(ladders[sign].edges)[k]
             start[ours] = edges
             gap[ours] = np.asarray(ladders[sign].values)[k] - target[ours]
             (hi if sign > 0.0 else lo)[ours] = edges
         # Newton from the edge just integrated, G' being the weight
         u = masked_newton(lambda u, i: G(u) - target[i], weight, start, gap,
-                          lo, hi, 1e-12, 4 * EPS, errors)
-        live = np.arange(errors.index)
-        out = errors.call(rows, live, xp[live], u[live])
-        errors.raise_first()
-        return out
+                          lo, hi, 1e-12, 4 * EPS)
+        return rows(xp, u)
 
     # asymptote: finite limiting x+ when G(u) stays bounded as u grows
     xplus_asym = np.inf
@@ -392,26 +384,17 @@ class _Ladder:
             if self.sign * end > self.top:     # a NaN G meets nothing
                 self.top = self.sign * end
 
-    def reach(self, targets, index, errors):
-        """The index into edges of each target's bracket edge, for the
-        points index (ascending).  Where no edge brackets a target (G
-        stalled, 200 edges made, or G raised at the next edge), the first
-        such point records that error in errors, and its index is a
-        placeholder."""
-        try:
-            self._grow(np.max(self.sign * targets, initial=-np.inf))
-            error = None
-        except Exception as exc:
-            error = exc
+    def reach(self, targets):
+        """The index into edges of each target's bracket edge.  Where no
+        edge brackets a target (G stalled or 200 edges made) this raises
+        DomainError, and where G raises at the next edge, G's error."""
+        self._grow(np.max(self.sign * targets, initial=-np.inf))
         met = self.sign * np.asarray(self.values, dtype=float)
         met = np.maximum.accumulate(np.where(np.isnan(met), -np.inf, met))
         k = np.searchsorted(met, self.sign * targets)
-        short = k == len(self.edges)
-        if short.any():
-            if error is None:
-                error = DomainError(
-                    "u(x+) bracketing stalled: x+ lies beyond the orbit's "
-                    "asymptote" if self.stalled else "failed to bracket u(x+); "
-                    "x+ may lie beyond the orbit's asymptote")
-            errors.record(int(index[short.argmax()]), error)
-        return np.minimum(k, len(self.edges) - 1)
+        if (k == len(self.edges)).any():
+            raise DomainError(
+                "u(x+) bracketing stalled: x+ lies beyond the orbit's "
+                "asymptote" if self.stalled else "failed to bracket u(x+); "
+                "x+ may lie beyond the orbit's asymptote")
+        return k

@@ -48,7 +48,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ReconstructionError, SingularityError
+from .errors import SingularityError
 from .geometry import (FourVector, contract, float_square, lower_index,
                        momenta_from_lf, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
@@ -94,7 +94,7 @@ class Form:
 def _covariant_momentum(state: PhaseSpaceState, bg) -> np.ndarray:
     m = bg.mass(state.position())
     if np.any(m <= 0.0):
-        raise ReconstructionError("covariant momentum needs m > 0")
+        raise SingularityError("covariant momentum needs m > 0")
     return m * lower_index(state.p)
 
 
@@ -620,6 +620,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     t0, t1 = span
     span_len = t1 - t0
     nudge = 1e-12 * span_len
+    end = t1 - 1e-14 * span_len   # a flow that reaches end has reached t1
 
     form = FORMS[state0.form]
     events = [(name, lambda t, y, _fn=fn: _fn(*form.coords(t, y)))
@@ -633,15 +634,22 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     ys = [np.asarray(np.concatenate([state0.q, state0.p]), float)]
     t, y = t0, ys[0]
     elog, nfev, segments = [], 0, 0
-    while t < t1 - 1e-14 * span_len:
+    while t < end:
         # step off a switch surface so the event does not refire at the start
         if any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len) for fn in surface_fns):
-            y_off = _rk4_step(rhs, t, y, nudge)
+            # from a crossing within a nudge of t1, the step goes to t1 and
+            # the run ends there
+            last = t + nudge >= end
+            y_off = _rk4_step(rhs, t, y, t1 - t if last else nudge)
             if not np.isfinite(y_off).all():
                 raise SingularityError(f"the step off a surface at "
                                        f"{_where(form, t, y)} is not finite")
-            y, t = y_off, t + nudge
+            y, t = y_off, t1 if last else t + nudge
             nfev += 4
+            if last:
+                times.append(t)
+                ys.append(y)
+                break
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = np.concatenate([[t], seg_grid]) if seg_grid.size else np.array([t, t1])
         solver = _solver(rhs, t, y, t1, rtol, atol, form)
@@ -656,9 +664,6 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
         times.extend(seg_t[keep])
         ys.extend(seg_y[:, keep].T)
         if hit is None:
-            if times[-1] < t1 - 1e-14 * span_len:
-                times.append(seg_t[-1])
-                ys.append(seg_y[:, -1])
             break
         i, te = hit
         name = events[i][0]

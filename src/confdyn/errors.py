@@ -17,13 +17,10 @@ class SingularityError(ConfdynError):
     """Evaluation hit a singular surface of a background or a flow.
 
     Examples: the x+ = 0 surface of inverse-square light-front masses,
-    the light cone x.x = 0 of the dilation-symmetric mass, or p- = 0 in
-    the front form where the Hamiltonian degenerates.
+    the light cone x.x = 0 of the dilation-symmetric mass, p- = 0 in the
+    front form where the Hamiltonian degenerates, or m = 0 in the covariant
+    form, where the momentum m u vanishes.
     """
-
-
-class ReconstructionError(ConfdynError):
-    """On-shell momentum reconstruction failed for a phase-space state."""
 
 
 class DomainError(ConfdynError):

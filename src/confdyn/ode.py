@@ -15,6 +15,9 @@ masked_newton
         Recipes, 3rd ed., sec. 9.4, without its step-halving test), on a
         batch of brackets at once, each point in the floats it would have
         alone
+first_error
+        a batch call that fails as a loop over its points would: with the
+        first failing point's error, rerun alone
 quad    scipy.integrate.quad at the package's one tolerance set, for the
         timelike orbit's integral of 1/H(t); scipy is imported on its first
         call, and so stays off every other path
@@ -321,46 +324,21 @@ def brentq(f, a, b, xtol, rtol):
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-class FirstError:
-    """The error a loop over the points of a batch would raise: the first
-    error of the lowest-index point that fails.
-
-    Batch code records each point's first error where it meets it.  Points
-    at or past index (the failing point, or n while none has failed) no
-    longer matter, and raise_first raises the recorded error."""
-
-    def __init__(self, n: int):
-        self.index = n
-        self.error = None
-
-    def record(self, i: int, error: Exception):
-        """Record error as point i's, unless a point before it has failed."""
-        if i < self.index:
-            self.index, self.error = i, error
-
-    def call(self, fn, index, *cols):
-        """fn(*cols) on the points index (ascending) of the batch, whose
-        rows the arrays cols hold.  Where that call raises, fn is called on
-        each point alone, in order, up to the first that raises: its error
-        is recorded, and the result is fn on the points before it."""
-        try:
-            return fn(*cols)
-        except Exception as exc:
-            batch_error = exc
-        for j, i in enumerate(index.tolist()):
-            try:
-                fn(*(c[j:j + 1] for c in cols))
-            except Exception as exc:
-                self.record(i, exc)
-                return fn(*(c[:j] for c in cols))
-        raise batch_error
-
-    def raise_first(self):
-        if self.error is not None:
-            raise self.error
+def first_error(fn, *cols):
+    """fn(*cols) on the batch whose rows the arrays cols hold, failing as a
+    loop over its points would.  Where the batch call raises, fn is called
+    on each point alone, as a batch of one, in order, and the first error
+    is raised; if no point fails alone, the batch's own error is."""
+    try:
+        return fn(*cols)
+    except Exception as exc:
+        batch_error = exc
+    for j in range(len(cols[0])):
+        fn(*(c[j:j + 1] for c in cols))
+    raise batch_error
 
 
-def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
+def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol):
     """Newton's method on n brackets at once, each point iterating as it
     would alone, in the same floats.
 
@@ -370,40 +348,28 @@ def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
     the side that holds the root; a step that would leave it, or a zero
     slope, bisects instead.
 
-    A point fails on a NaN value of f (ValueError), on no convergence in
-    100 iterations (RuntimeError), as brentq does, or on an error that f
-    or fprime raises for it alone (FirstError.call).  The first failure
-    goes to the FirstError errors, which the caller raises; the points at
-    or past errors.index stop, and their roots are nan.
+    The batch fails on the first NaN value of f (ValueError), on no
+    convergence in 100 iterations (RuntimeError), as brentq does, or on an
+    error f or fprime raises; which point's error a caller reports is
+    first_error's to decide.
     """
     x, fx, lo, hi = (np.array(v, dtype=float) for v in (x, fx, lo, hi))
-    root = np.full(x.size, np.nan)
+    root = np.empty(x.size)
     live = np.arange(x.size)
-
-    def call(fn, at):
-        # fn at the live points, which then shrink to those before a failure
-        nonlocal live
-        v = errors.call(fn, live, at, live)
-        live = live[live < errors.index]
-        return np.broadcast_to(np.asarray(v, dtype=float), live.shape)
-
     for _ in range(100):
-        live = live[live < errors.index]
         nan = np.isnan(fx[live])
         if nan.any():
-            i = int(live[nan.argmax()])
-            errors.record(i, ValueError(f"The function value at x={float(x[i])} "
-                                        "is NaN; solver cannot continue."))
-            live = live[live < i]
+            raise ValueError(f"The function value at x={float(x[live[nan.argmax()]])} "
+                             "is NaN; solver cannot continue.")
         at_root = fx[live] == 0.0
         root[live[at_root]] = x[live[at_root]]
         live = live[~at_root]
         if not live.size:
-            break
+            return root
         below = fx[live] < 0.0
         lo[live[below]] = x[live[below]]
         hi[live[~below]] = x[live[~below]]
-        slope = call(fprime, x[live])
+        slope = np.asarray(fprime(x[live], live), dtype=float)
         xl, fl, lol, hil = x[live], fx[live], lo[live], hi[live]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = xl - fl / slope
@@ -418,16 +384,10 @@ def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
         root[live[done]] = xnew[done]
         live, xnew = live[~done], xnew[~done]
         if not live.size:
-            break
+            return root
         x[live] = xnew
-        value = call(f, xnew)      # live may shrink in the call
-        fx[live] = value
-    else:
-        live = live[live < errors.index]
-        if live.size:
-            errors.record(int(live[0]), RuntimeError(
-                "Failed to converge after 100 iterations."))
-    return root
+        fx[live] = f(xnew, live)
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 _quadpack = None   # scipy.integrate's quad and IntegrationWarning, once quad has been called

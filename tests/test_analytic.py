@@ -348,14 +348,14 @@ def test_conformal_sample_inverts_once_per_point(monkeypatch):
     orb = _erf_orbit(bg=backgrounds.special_conformal_mass(f, df, counting_F))
     real_newton = analytic.masked_newton
 
-    def counting_newton(f, fprime, x, fx, lo, hi, xtol, rtol, errors):
+    def counting_newton(f, fprime, x, fx, lo, hi, xtol, rtol):
         starts.append((x.copy(), lo.copy(), hi.copy(), len(edges)))
 
         def counting_f(u, i):
             for point, v in zip(i.tolist(), u.tolist()):
                 seen.setdefault(point, []).append(v)
             return f(u, i)
-        return real_newton(counting_f, fprime, x, fx, lo, hi, xtol, rtol, errors)
+        return real_newton(counting_f, fprime, x, fx, lo, hi, xtol, rtol)
 
     monkeypatch.setattr(analytic, "masked_newton", counting_newton)
     xs, _ = orb.sample(_ERF_WS)

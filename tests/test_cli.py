@@ -68,6 +68,35 @@ def test_simulate_gate_failure_exits_one(tmp_path):
     assert summary["pass"] is False
 
 
+# fig. 1's head-on orbit leaves the field, crossing z = 0, at
+# t = 2.236067977467977: a run whose end lies within the restart nudge
+# (1e-12 of the span) past it ends at its tend, sampled there
+@pytest.mark.parametrize("past", [1e-13, 1e-12, 2e-12])
+def test_simulate_crossing_within_a_nudge_of_the_end(tmp_path, past):
+    tend = 2.236067977467977 + past
+    assert main(_args("simulate", "fig1", tmp_path, "--set", "sweep.count=1",
+                      "--set", "sweep.override_0=initial.p=0,0,-0.5",
+                      "--set", f"run.tend={tend!r}")) == 0
+    (run,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert [name for name, _ in run["events"]] == ["z=0"]
+    rows = np.loadtxt(tmp_path / "run_000.csv", delimiter=",", skiprows=1)
+    assert rows[-1, 0] == tend and np.all(np.diff(rows[:, 0]) > 0.0)
+    assert abs(rows[-1, 3]) < 1e-11       # z, just past the crossing
+
+
+def test_simulate_off_shell_extended_start(tmp_path):
+    # a number for initial.pplus starts the extended flow off shell there
+    first = {}
+    for pplus in ("0.7", "shell"):
+        out = tmp_path / pplus
+        assert main(_args("simulate", "planewave", out, "--set", f"initial.pplus={pplus}",
+                          "--set", "run.tend=1", "--set", "run.samples=5")) == 0
+        lines = (out / "run_000.csv").read_text().splitlines()
+        first[pplus] = dict(zip(lines[0].split(","), map(float, lines[1].split(","))))
+    assert first["0.7"]["pplus"] == 0.7
+    assert first["shell"]["pplus"] != 0.7
+
+
 def test_simulate_deterministic_output(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -218,6 +247,14 @@ def test_gaussian_flat_and_negative_steepness(tmp_path, command, preset, out, k)
     assert (tmp_path / out).exists()
 
 
+def test_kg_draw_shortfall_exits_two(tmp_path, capsys):
+    # more stencil points than the draw budget finds inside the domain
+    assert main(_args("kg", "planewave", tmp_path, "--set", "kg.points=1001")) == 2
+    assert capsys.readouterr().err == ("configuration error: could not draw enough "
+                                       "in-domain sample points\n")
+    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
+
 def test_kg_offshell_control_fails(tmp_path):
     assert main(_args("kg", "kgcontrol", tmp_path)) == 1
     lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
@@ -252,6 +289,22 @@ def test_orbit_fig1_json(tmp_path):
     doc = json.loads((tmp_path / "orbit.json").read_text())
     assert doc["family"] == "spacelike"
     assert doc["constants"]["Q5"] == pytest.approx(1.1180339887498948482)
+
+
+def test_orbit_constant_mass_is_the_timelike_quadrature(tmp_path):
+    # on m^2 = m0^2 the timelike orbit's quadrature of 1/H gives
+    # x(t) = x(0) - p t/H, H = sqrt(p.p + m0^2)
+    assert main(_args("orbit", "kgcontrol", tmp_path, "--set", "run.tend=2",
+                      "--set", "initial.p=0.1,0.2,-0.3", "--set", "run.samples=5")) == 0
+    rows = np.loadtxt(tmp_path / "orbit.csv", delimiter=",", skiprows=1)
+    p = np.array([0.1, 0.2, -0.3])
+    bg = backgrounds.from_params(cli.preset_config("kgcontrol")["background"])
+    H = np.sqrt(p @ p + bg.params["m0sq"])
+    t = np.linspace(0.0, 2.0, 5)
+    assert np.array_equal(rows[:, 0], t) and np.array_equal(rows[:, 1], t)
+    assert np.allclose(rows[:, 2:5], rows[0, 2:5] - np.outer(t, p) / H,
+                       rtol=0.0, atol=1e-12)
+    assert np.all(rows[:, 5] == H) and np.all(rows[:, 6:] == p)
 
 
 _GAUSSIAN_ORBIT = ("--set", "run.form=front", "--set", "initial.xplus=1.5",
@@ -948,13 +1001,25 @@ def test_output_digests_smoke(tmp_path):
     assert targets == ",".join(t for t in umath.__cpu_dispatch__
                                if umath.__cpu_features__[t])
     assert list(tmp_path.iterdir()) == []         # runs write into temp dirs
+    # stderr's error line, empty on exit 0
+    empty = hashlib.sha256(b"").hexdigest()
+    assert [line[5] for line in lines] == [f"stderr={empty}"] * len(lines)
     # the kg csv line digests what a direct run at the same seed writes
     out = tmp_path / "kg"
     assert main(_args("kg", "planewave", out, "--seed", "7")) == 0
     want = [f"{p.name}={hashlib.sha256(p.read_bytes()).hexdigest()}"
             for p in sorted(out.iterdir())]
     assert [w.split("=")[0] for w in want] == ["convergence.csv", "kg_summary.json"]
-    assert lines[4][5:] == want
+    assert lines[4][6:] == want
+    # an error run digests the line main prints to stderr, and only that
+    spec = importlib.util.spec_from_file_location("output_digests", script)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.error_line("warn\nruntime domain error: x+ must stay positive\n") \
+        == "runtime domain error: x+ must stay positive"
+    assert tool.error_line("RuntimeWarning: overflow\n") == ""
+    assert ("orbit", "fig2", "run.tend=50", ["--set", "run.tend=50"]) \
+        in tool.runs(cli, ["fig2"])
 
 
 def test_output_digests_against_itself(tmp_path, capsys, monkeypatch):

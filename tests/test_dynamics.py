@@ -671,16 +671,15 @@ def _each(fns):
 
 
 def _batch_newton(fs, fprimes, starts, los, his):
-    """masked_newton on one batch whose point i has its own f and fprime;
-    raises the FirstError's error, the one a loop over the points meets
-    first."""
-    errors = ode.FirstError(len(fs))
-    roots = ode.masked_newton(_each(fs), _each(fprimes), np.array(starts, dtype=float),
-                              np.array([float(f(x)) for f, x in zip(fs, starts)]),
-                              np.array(los, dtype=float), np.array(his, dtype=float),
-                              1e-12, 4 * ode.EPS, errors)
-    errors.raise_first()
-    return roots
+    """masked_newton on one batch whose point i has its own f and fprime,
+    called through first_error: it raises the error a loop over the points
+    meets first."""
+    def newton(fs, fprimes, starts, los, his):
+        return ode.masked_newton(_each(fs), _each(fprimes), np.array(starts, dtype=float),
+                                 np.array([float(f(x)) for f, x in zip(fs, starts)]),
+                                 np.array(los, dtype=float), np.array(his, dtype=float),
+                                 1e-12, 4 * ode.EPS)
+    return ode.first_error(newton, fs, fprimes, starts, los, his)
 
 
 def test_newton_finds_brentqs_root_on_random_brackets():
@@ -784,6 +783,13 @@ def test_covariant_free_motion():
     expect = traj.times[:, None] * u[None, :]
     assert np.max(np.abs(traj.q - expect)) < 1e-10
     assert np.max(np.abs(traj.p - u[None, :])) < 1e-12
+
+
+def test_covariant_momentum_on_a_massless_background_is_singular():
+    # m = 0 is the covariant chart's singular surface: the momentum m u vanishes
+    state = covariant_state(FourVector(0, 0, 0, 0), FourVector(np.sqrt(1.29), 0.2, -0.3, 0.4))
+    with pytest.raises(SingularityError, match="covariant momentum needs m > 0"):
+        state.four_momentum(backgrounds.constant(0.0))
 
 
 def test_covariant_unit_norm_and_orthogonality():

@@ -4,11 +4,16 @@ Runs {simulate, certify, kg, orbit} x every preset x {csv, json} at seed 7
 in this process through ``confdyn.cli.main``, each into a fresh temporary
 directory, and prints one line per run:
 
-    <command> <preset> <format> exit=<code> stdout=<sha256> <file>=<sha256> ...
+    <command> <preset> <format> exit=<code> stdout=<sha256> stderr=<sha256>
+        <file>=<sha256> ...
 
-with the output files in sorted order.  stderr is not digested; it gets
-one line naming what the bytes depend on beyond the sources, the OpenBLAS
-core numpy's BLAS runs on and the SIMD targets numpy dispatches to:
+with the output files in sorted order.  stderr's digest is that of its
+error line alone, the ``configuration error:`` or ``runtime domain error:``
+line of an exit 2 or 3 (empty on exit 0 and 1): warnings a run prints
+there depend on what ran before it in the process.  The tool's own stderr
+gets one line naming what the bytes depend on beyond the sources, the
+OpenBLAS core numpy's BLAS runs on and the SIMD targets numpy dispatches
+to:
 
     machine: openblas=<core> numpy=<target>,<target>,...
 
@@ -18,7 +23,8 @@ certify.count=96, whose line names ``count=96`` in place of a format.
 The fig2 preset adds one orbit run per sweep override (its four kappa
 curves, the orbits the benchmark samples), whose line names the override,
 ``override_<i>``, in place of a format; orbit reads no [sweep], so each
-override's settings are passed as --set.  Comparing two checkouts is one
+override's settings are passed as --set.  The fig2 preset also adds the
+orbit sampled past its asymptote, ``run.tend=50``, which exits 3.  Comparing two checkouts is one
 diff:
 
     python tools/output_digests.py --src /path/to/a/src > a.txt
@@ -30,7 +36,7 @@ or, to also see how far the differing outputs are apart,
     python tools/output_digests.py --src /path/to/a/src --against /path/to/b/src
 
 which prints only the lines that differ, each followed by one line per
-differing output (stdout included): the largest absolute and relative
+differing output (stdout and the stderr error line included): the largest absolute and relative
 difference of its numbers, taken in order, and whether the text around the
 numbers is equal; then a count of the differing lines.  Each differing run
 is repeated for both checkouts in its own process, so the two packages
@@ -59,17 +65,26 @@ FORMATS = ("csv", "json")
 SEED = 7
 CERTIFY_COUNT = 96          # the states of the benchmark's larger certificates
 ORBIT_SWEEPS = ("fig2",)    # presets whose sweep curves the benchmark samples as orbits
+ERROR_ORBITS = {"fig2": "run.tend=50"}   # presets' orbits sampled past the asymptote: exit 3
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|nan|inf|NaN|Infinity)(?![\w.])")
+_ERROR_LINE = re.compile(r"^(?:configuration error|runtime domain error): .*$",
+                         re.MULTILINE)
 _CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
           "from confdyn.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def error_line(stderr: str) -> str:
+    """The error line main printed to stderr, or '' where it printed none."""
+    match = _ERROR_LINE.search(stderr)
+    return match.group(0) if match else ""
 
 
 def blas_core():
@@ -109,6 +124,9 @@ def runs(cli, presets) -> list:
                 sets = sweep[f"override_{i}"].split(";")
                 out.append(("orbit", preset, f"override_{i}",
                             [arg for s in sets for arg in ("--set", s)]))
+        if preset in ERROR_ORBITS:
+            out.append(("orbit", preset, ERROR_ORBITS[preset],
+                        ["--set", ERROR_ORBITS[preset]]))
     return out
 
 
@@ -118,13 +136,12 @@ def _argv(command: str, preset: str, extra: list, out: Path) -> list:
 
 
 def digest_run(main, command: str, preset: str, label: str, extra: list) -> str:
-    """One output line: the run's exit code and the digests of its stdout
-    and of each file it wrote."""
+    """One output line: the run's exit code and the digests of its stdout,
+    of its stderr error line and of each file it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(_argv(command, preset, extra, out))
             except Exception as exc:        # a traceback would exit 1
@@ -132,18 +149,19 @@ def digest_run(main, command: str, preset: str, label: str, extra: list) -> str:
         digests = [f"{p.relative_to(out).as_posix()}={_sha(p.read_bytes())}"
                    for p in sorted(out.rglob("*")) if p.is_file()]
     return " ".join([command, preset, label, f"exit={code}",
-                     f"stdout={_sha(stdout.getvalue().encode())}"] + digests)
+                     f"stdout={_sha(stdout.getvalue().encode())}",
+                     f"stderr={_sha(error_line(stderr.getvalue()).encode())}"] + digests)
 
 
 def _outputs(src: str, command: str, preset: str, extra: list, out: Path) -> dict:
-    """Run one command of the package in src in a fresh process; its stdout
-    and output files as {name: text}."""
+    """Run one command of the package in src in a fresh process; its stdout,
+    stderr error line and output files as {name: text}."""
     proc = subprocess.run(
         [sys.executable, "-B", "-c", _CHILD, src, *_argv(command, preset, extra, out)],
         capture_output=True, text=True)
     files = {p.relative_to(out).as_posix(): p.read_text()
              for p in sorted(out.rglob("*")) if p.is_file()}
-    return {"stdout": proc.stdout, **files}
+    return {"stdout": proc.stdout, "stderr": error_line(proc.stderr), **files}
 
 
 def compare_text(a: str, b: str) -> str:
