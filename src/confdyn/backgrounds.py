@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, RealityError, SingularityError
-from .geometry import FourVector, central_difference, float_square, scalar_or_array
+from .geometry import FourVector, central_difference, scalar_or_array
 
 _SING_EPS = 1e-12
 _ZERO = (0.0, 0.0, 0.0, 0.0)
@@ -215,10 +215,11 @@ def plane_wave_sin2(m0sq: float, amp: float, k: float,
         raise ValueError("amp must exceed -1 to keep m^2 positive")
 
     def prof(w):
-        return m0sq * (1.0 + amp * float(np.sin(k * w)) ** 2)
+        s = math.sin(k * w)
+        return m0sq * (1.0 + amp * (s * s))
 
     def dprof(w):
-        return m0sq * amp * k * float(np.sin(2.0 * k * w))
+        return m0sq * amp * k * math.sin(2.0 * k * w)
 
     def anti(w):
         # int_0^w m0^2 (1 + amp sin^2(k s)) ds
@@ -252,7 +253,8 @@ def _inverse_square(fdf: Callable, label: str, L: float, m0sq: float) -> Callabl
     profile kernel fdf(u) -> (f(u), f'(u)), switched on at x+ = L: before
     x+ = L, m^2 is the constant m0sq and its gradient zero; on x+ = L, m^2 is
     m0sq and the gradient the field side's.  With _NO_SWITCH, L is nan, every
-    comparison with it is false and the field covers all x+."""
+    comparison with it is false and the field covers all x+.  Powers are
+    products; a finite x+ whose cube overflows raises DomainError."""
 
     def field(t, x, y, z):
         xp = t + z
@@ -260,18 +262,17 @@ def _inverse_square(fdf: Callable, label: str, L: float, m0sq: float) -> Callabl
             return m0sq, _ZERO
         if abs(xp) < _SING_EPS:
             raise SingularityError(f"x+ = {xp:g} on the singular surface of {label}")
-        perp = np.array([x, y])
-        r2 = float(perp @ perp)       # numpy's dot, not x*x + y*y: it rounds apart
+        r2 = x * x + y * y
         u = (t - z) - r2 / xp
         fu, dfu = fdf(u)
         # df(u) d_mu u - 2 f(u) d_mu x+ / x+, over (x+)^2, with d_mu x+- =
         # (1, 0, 0, +-1); b * 0.0 keeps the sign of zero of the vector form
-        try:
-            xp2 = xp ** 2
-            b = 2.0 * fu / xp ** 3
-        except OverflowError:         # float ** raises where numpy gives inf
+        xp2 = xp * xp
+        xp3 = xp2 * xp
+        if math.isinf(xp3) and not math.isinf(xp):
             raise DomainError(f"x+ = {xp:g} is too large: (x+)^3 overflows "
-                              f"in {label}") from None
+                              f"in {label}")
+        b = 2.0 * fu / xp3
         a = dfu / xp2
         s = r2 / xp2
         return (m0sq if xp == L else fu / xp2), (
@@ -303,46 +304,32 @@ def _gaussian(m0sq: float, L: float, k: float):
     """(f, F) of f(u) = m0^2 L^2 exp(-k^2 u^2), F(u) = int_0^u f =
     m0^2 L^2 sqrt(pi)/(2k) erf(k u) (m0^2 L^2 u at k = 0), and the profile
     kernel u -> (f, f'), which evaluates the exponential once.  f and F
-    take a float or an (N,) array, each element in the bits of its float
-    call; f reads a float from the kernel.  A k u or (k u)^2 that
-    overflows raises DomainError, on an array for its first such u."""
+    take a float or an (N,) array, each element by math.exp or math.erf on
+    its float, so in the bits of its float call.  A (k u)^2 that overflows
+    raises DomainError, on an array for its first such u."""
     A = m0sq * L * L
-
-    def too_steep(u):
-        return DomainError(f"k = {k:g}, u = {u:g}: (k u)^2 overflows in the "
-                           "Gaussian profile")
 
     # once 4 k^2 overflows, -2 k ((k u) f) keeps the slope finite (|x e^-x^2| < 0.43)
     steep = not math.isfinite(4.0 * k * k)
 
-    def fdf(u):
+    def f_at(u):
         ku = k * u
-        if math.isinf(ku):            # inf ** 2 raises nothing
-            raise too_steep(u)
-        try:
-            fu = A * float(np.exp(-ku ** 2))
-        except OverflowError:         # float ** raises where numpy gives inf
-            raise too_steep(u) from None
-        if steep:
-            return fu, -2.0 * k * (ku * fu)
-        return fu, -2.0 * k * k * u * fu
+        sq = ku * ku
+        if math.isinf(sq):
+            raise DomainError(f"k = {k:g}, u = {u:g}: (k u)^2 overflows in the "
+                              "Gaussian profile")
+        return A * math.exp(-sq)
 
-    def ku_of(u):
-        # k u of an array; it overflows to inf silently, as on a float
-        with np.errstate(over="ignore"):
-            return k * u
+    def fdf(u):
+        fu = f_at(u)
+        if steep:
+            return fu, -2.0 * k * ((k * u) * fu)
+        return fu, -2.0 * k * k * u * fu
 
     def f(u):
         if not np.ndim(u):
-            return fdf(u)[0]
-        try:
-            sq = float_square(ku_of(u))
-        except OverflowError:
-            sq = None
-        if sq is None or np.isinf(sq).any():
-            for w in u.tolist():
-                fdf(w)            # raises for the first u it refuses
-        return A * np.exp(-sq)
+            return f_at(u)
+        return np.array([f_at(w) for w in u.tolist()])
 
     if k == 0.0:
         def F(u):
@@ -353,7 +340,7 @@ def _gaussian(m0sq: float, L: float, k: float):
         def F(u):
             if not np.ndim(u):
                 return c * math.erf(k * u)
-            return c * np.array([math.erf(v) for v in ku_of(u).tolist()])
+            return c * np.array([math.erf(k * v) for v in u.tolist()])
 
     return (f, F), fdf
 
@@ -398,11 +385,11 @@ def dilation_mass(csq: float) -> ScalarBackground:
         xx = t * t - x * x - y * y - z * z
         if abs(xx) < _SING_EPS:
             raise SingularityError(f"x.x = {xx:g} on the light cone")
-        try:
-            c = -2.0 * csq / xx ** 2      # times the lowered x_mu
-        except OverflowError:         # float ** raises where numpy gives inf
+        xx2 = xx * xx
+        if math.isinf(xx2) and not math.isinf(xx):
             raise DomainError(f"x.x = {xx:g} is too large: (x.x)^2 overflows "
-                              "in dilation") from None
+                              "in dilation")
+        c = -2.0 * csq / xx2          # times the lowered x_mu
         return csq / xx, (c * t, c * -x, c * -y, c * -z)
 
     return ScalarBackground("dilation", field,

@@ -102,12 +102,14 @@ class ConformalGenerator:
         xu = x.as_array()
         cx = contract(xu, self.c)
         xx = minkowski_dot(x, x)
-        a, cu = self.a, self.c_upper
+        a, cu, om = self.a, self.c_upper, self.omega_mixed.T
         if xu.ndim > 1:
             # constant vectors as columns, so they never broadcast along the
             # point axis of a batch (which for N = 4 would go unnoticed)
-            a, cu = a[:, None], cu[:, None]
-        return a + self.omega_mixed @ xu + self.lam * xu + cu * xx - 2.0 * cx * xu
+            a, cu, om = a[:, None], cu[:, None], om[:, :, None]
+        # omega^mu_nu x^nu summed over nu left to right, elementwise
+        ox = om[0] * xu[0] + om[1] * xu[1] + om[2] * xu[2] + om[3] * xu[3]
+        return a + ox + self.lam * xu + cu * xx - 2.0 * cx * xu
 
     def jacobian(self, x: FourVector) -> np.ndarray:
         """Mixed Jacobian J[mu, nu] = d_nu xi^mu(x), closed form: shape

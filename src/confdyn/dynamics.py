@@ -43,6 +43,8 @@ integrated state.
 from __future__ import annotations
 
 import dataclasses
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -253,13 +255,13 @@ def hamiltonian_partials(state: PhaseSpaceState, bg):
     the instant, front, extended form), read back from the form's flow, the
     one place they are written out, as (-dH/dp, dH/dq); of shape (n,), or
     (n, N) for a batch state.  Every point, a single state being the batch
-    of one, takes the flow's own call on its contiguous (q, p)."""
+    of one, takes the flow's own call on its (q, p) as floats."""
     if not FORMS[state.form].canonical:
         raise ValueError(f"the {state.form} form has no Hamiltonian partials")
     n = FORMS[state.form].dof
     rhs = _make_rhs(state.form, bg, False)
     y = np.concatenate([state.q, state.p])
-    rows = np.ascontiguousarray(y.reshape(2 * n, -1).T)
+    rows = y.reshape(2 * n, -1).T.tolist()
     f = np.array([rhs(t, row) for t, row in
                   zip(np.ravel(state.time).tolist(), rows)]).T.reshape(y.shape)
     return f[n:], -f[:n]
@@ -360,28 +362,32 @@ def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:
 # ---------------------------------------------------------------------------
 # flows
 # ---------------------------------------------------------------------------
-# Each RHS unpacks y into plain floats once and reads the field at the form's
-# coordinates through ScalarBackground.field_at, building no FourVector.  The
-# dot products stay numpy dots (they round apart from a written-out sum), and
-# every division by a quantity that can vanish (p-, H, m, m^2) has a numpy
-# scalar operand, so it gives inf/nan with a RuntimeWarning, not an exception.
+# Each RHS takes y as a sequence of floats and returns a tuple of floats: it
+# unpacks y once, reads the field at the form's coordinates through
+# ScalarBackground.field_at, building no FourVector, and writes every sum of
+# products out left to right and every square as a product.  A denominator
+# that vanishes (p-, p-^2, H, m, m^2) is made a numpy scalar first, so that
+# dividing by it gives inf or nan with a RuntimeWarning, as numpy does, not
+# ZeroDivisionError.
 
 def _rhs_instant(bg, nonrel: bool):
-    coords = FORMS["instant"].coords
+    coords, field_at = FORMS["instant"].coords, bg.field_at
 
     def rhs(t, y):
-        v = y.tolist()
-        p = y[3:6]
-        pp = p @ p
-        m2, (_, g1, g2, g3) = bg.field_at(*coords(t, v))
+        _, _, _, p1, p2, p3 = y
+        m2, (_, g1, g2, g3) = field_at(*coords(t, y))
+        pp = p1 * p1 + p2 * p2 + p3 * p3
         if nonrel:
-            m = np.sqrt(m2)
+            m = math.sqrt(m2)
+            if not m2:
+                m2, m = np.float64(m2), np.float64(m)
             fac = (1.0 - pp / (2.0 * m2)) / (2.0 * m)
-            return np.array((-v[3] / m, -v[4] / m, -v[5] / m,
-                             g1 * fac, g2 * fac, g3 * fac))
-        H = np.sqrt(pp + m2)
+            return (-p1 / m, -p2 / m, -p3 / m, g1 * fac, g2 * fac, g3 * fac)
+        H = math.sqrt(pp + m2)
+        if not H:
+            H = np.float64(H)
         w = 2.0 * H
-        return np.array((-v[3] / H, -v[4] / H, -v[5] / H, g1 / w, g2 / w, g3 / w))
+        return (-p1 / H, -p2 / H, -p3 / H, g1 / w, g2 / w, g3 / w)
     return rhs
 
 
@@ -391,34 +397,36 @@ def _rhs_lightfront(bg, extended: bool):
     y with (p-, p1, p2).  The light-front partials of m^2 are
     d/dx+- = (g0 +- g3)/2 and d/dx1,2 = g1,2 (geometry.lf_gradient)."""
     coords = FORMS["extended" if extended else "front"].coords
+    field_at = bg.field_at
 
     def rhs(t, y):
-        v = y.tolist()
-        pminus, p1, p2 = y[-3], v[-2], v[-1]
-        m2, (g0, g1, g2, g3) = bg.field_at(*coords(t, v))
-        pp = p1 * p1 + p2 * p2
+        pminus, p1, p2 = y[-3:]
+        m2, (g0, g1, g2, g3) = field_at(*coords(t, y))
+        pm2 = pminus * pminus
+        if not pm2:
+            pminus, pm2 = np.float64(pminus), np.float64(pm2)
         w = 4.0 * pminus
-        flow = ((pp + m2) / (4.0 * pminus ** 2), -p1 / (2.0 * pminus),
+        flow = ((p1 * p1 + p2 * p2 + m2) / (4.0 * pm2), -p1 / (2.0 * pminus),
                 -p2 / (2.0 * pminus), 0.5 * (g0 - g3) / w, g1 / w, g2 / w)
         if extended:
-            return np.array((1.0, *flow[:3], 0.5 * (g0 + g3) / w, *flow[3:]))
-        return np.array(flow)
+            return (1.0, *flow[:3], 0.5 * (g0 + g3) / w, *flow[3:])
+        return flow
     return rhs
 
 
 def _rhs_covariant(bg):
-    coords = FORMS["covariant"].coords
+    coords, field_at = FORMS["covariant"].coords, bg.field_at
 
     def rhs(tau, y):
-        v = y.tolist()
-        m2, g = bg.field_at(*coords(tau, v))
-        g0, g1, g2, g3 = g
-        u0, u1, u2, u3 = v[4:8]
-        ug = y[4:8] @ np.array(g)
+        _, _, _, _, u0, u1, u2, u3 = y
+        m2, (g0, g1, g2, g3) = field_at(*coords(tau, y))
+        ug = u0 * g0 + u1 * g1 + u2 * g2 + u3 * g3
+        if not m2:
+            m2 = np.float64(m2)
         w = 2.0 * m2
         # d^mu m^2 = (g0, -g1, -g2, -g3)
-        return np.array((u0, u1, u2, u3, (g0 - u0 * ug) / w, (-g1 - u1 * ug) / w,
-                         (-g2 - u2 * ug) / w, (-g3 - u3 * ug) / w))
+        return (u0, u1, u2, u3, (g0 - u0 * ug) / w, (-g1 - u1 * ug) / w,
+                (-g2 - u2 * ug) / w, (-g3 - u3 * ug) / w)
     return rhs
 
 
@@ -514,12 +522,14 @@ MAX_SEGMENTS = 64   # event restarts before a flow counts as stuck on a surface
 
 
 def _rk4_step(rhs, t, y, h):
-    """One classical Runge-Kutta step; moves a segment's start off a surface."""
+    """One classical Runge-Kutta step on floats; moves a segment's start off
+    a surface."""
     k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs(t + 0.5 * h, [v + 0.5 * h * a for v, a in zip(y, k1)])
+    k3 = rhs(t + 0.5 * h, [v + 0.5 * h * b for v, b in zip(y, k2)])
+    k4 = rhs(t + h, [v + h * c for v, c in zip(y, k3)])
+    return [v + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+            for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
 def _where(form: Form, t, y) -> str:
@@ -542,10 +552,11 @@ def _solver(rhs, t, y, t_bound, rtol, atol, form: Form) -> RK45:
 
 
 def _segment(solver, ev_fns, t_eval, form: Form):
-    """Step a solver to its bound or to its first event, sampling t_eval on
-    each step's dense output, as solve_ivp does with terminal events.
-    Returns (sampled times, list of (n, m) sample blocks, None or (event
-    index, event time)).  A failed step's error names the time and p- reached."""
+    """Step a solver to its bound or to its first event, sampling the sorted
+    floats t_eval on each step's dense output, as solve_ivp does with
+    terminal events.
+    Returns (sampled times, list of sampled states, None or (event index,
+    event time)).  A failed step's error names the time and p- reached."""
     g = [fn(solver.t, solver.y) for fn in ev_fns]
     ys, i_eval, hit = [], 0, None
     while hit is None and solver.status == "running":
@@ -563,10 +574,10 @@ def _segment(solver, ev_fns, t_eval, form: Form):
                                solver.t, xtol=4 * EPS, rtol=4 * EPS), i)
                        for i in active)
             hit = (i, t)
-        j = np.searchsorted(t_eval, t, side="right")
-        if j > i_eval:
+        if i_eval < len(t_eval) and t_eval[i_eval] <= t:
+            j = bisect_right(t_eval, t, i_eval)
             dense = dense or solver.dense_output()
-            ys.append(dense(t_eval[i_eval:j]))
+            ys.extend(map(dense, t_eval[i_eval:j]))
             i_eval = j
     return t_eval[:i_eval], ys, hit
 
@@ -631,15 +642,16 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     surface_fns = ev_fns[:len(bg.events)]   # the p- = 0 guard is no surface
 
     times = [t0]
-    ys = [np.asarray(np.concatenate([state0.q, state0.p]), float)]
+    ys = [np.concatenate([state0.q, state0.p]).tolist()]
     t, y = t0, ys[0]
     elog, nfev, segments = [], 0, 0
-    while t < end:
-        # step off a switch surface so the event does not refire at the start
-        if any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len) for fn in surface_fns):
-            # from a crossing within a nudge of t1, the step goes to t1 and
-            # the run ends there
-            last = t + nudge >= end
+    while t < t1:
+        # step off a switch surface so the event does not refire at the
+        # start; from a crossing within a nudge of t1, or past end, the step
+        # goes to t1 and the run ends there
+        last = t + nudge >= end
+        if t >= end or any(abs(fn(t, y)) < 1e-13 * max(1.0, span_len)
+                           for fn in surface_fns):
             y_off = _rk4_step(rhs, t, y, t1 - t if last else nudge)
             if not np.isfinite(y_off).all():
                 raise SingularityError(f"the step off a surface at "
@@ -651,18 +663,17 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
                 ys.append(y)
                 break
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
-        t_eval = np.concatenate([[t], seg_grid]) if seg_grid.size else np.array([t, t1])
+        t_eval = [t, *seg_grid.tolist()] if seg_grid.size else [t, t1]
         solver = _solver(rhs, t, y, t1, rtol, atol, form)
         seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval, form)
-        seg_y = np.hstack(seg_y)
         nfev += solver.nfev
         segments += 1
         if segments > MAX_SEGMENTS:
             raise SingularityError("too many event restarts; flow appears stuck "
                                    "on a switch surface")
-        keep = seg_t > times[-1] + 1e-14 * max(1.0, span_len)
-        times.extend(seg_t[keep])
-        ys.extend(seg_y[:, keep].T)
+        keep = bisect_right(seg_t, times[-1] + 1e-14 * max(1.0, span_len))
+        times.extend(seg_t[keep:])
+        ys.extend(seg_y[keep:])
         if hit is None:
             break
         i, te = hit

@@ -130,16 +130,18 @@ def contract(v_upper: np.ndarray, w_lower: np.ndarray):
 
     No metric factor enters: both arguments must already carry the stated
     index positions.  Two vectors give a float; when either is a
-    component-first batch the result is one pairing per point.  A single
-    pair is the batch of one, so a batch reproduces the per-point values
-    bit for bit.
+    component-first batch the result is one pairing per point.  The
+    products add left to right, elementwise over a batch, so a batch
+    reproduces the per-point values bit for bit and no BLAS kernel enters.
     """
     v = np.asarray(v_upper, dtype=float)
     w = np.asarray(w_lower, dtype=float)
-    # each point's components made contiguous, as a single vector's are: a
-    # strided dot product may sum in another order
-    return scalar_or_array(np.vecdot(np.ascontiguousarray(v.T),
-                                     np.ascontiguousarray(w.T)))
+    if len(v) != len(w):
+        raise ValueError(f"cannot pair {len(v)} components with {len(w)}")
+    total = v[0] * w[0]
+    for a, b in zip(v[1:], w[1:]):
+        total = total + a * b
+    return scalar_or_array(total)
 
 
 def scalar_or_array(v):

@@ -1,12 +1,14 @@
-"""The package's numerical routines: the Dormand-Prince 5(4) pair and Brent's
-root finder, ports of scipy 1.17.1 operation for operation so that flows
-come out in the same bits as with scipy, a bracketed Newton iteration, and
-adaptive quadrature:
+"""The package's numerical routines: the Dormand-Prince 5(4) pair on Python
+floats, Brent's root finder (a port of scipy 1.17.1's C routine, operation
+for operation), a bracketed Newton iteration, and adaptive quadrature:
 
-RK45    scipy.integrate.RK45 (integrate/_ivp/rk.py, base.py, common.py) with
-        max_step = inf, no first_step, no vectorized fun, a real y0, a
-        scalar atol, no default rtol or atol and forward integration only;
-        J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6, 19 (1980)
+RK45    scipy.integrate.RK45's step control (integrate/_ivp/rk.py, base.py,
+        common.py) with max_step = inf, no first_step, no vectorized fun, a
+        real y0, a scalar atol > 0, no default rtol or atol and forward
+        integration only; its sums of products add left to right in fixed
+        order, so a flow's bits depend on neither the BLAS kernel nor numpy's
+        SIMD dispatch; J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6,
+        19 (1980)
 brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
 masked_newton
@@ -40,18 +42,25 @@ MAX_FACTOR = 10   # largest factor a step may grow by
 
 
 def norm(x):
-    """RMS norm of a 1-D real array: sqrt(x.x) / sqrt(n), the float
-    np.linalg.norm(x) / sqrt(n) gives, without its dispatch."""
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+    """RMS norm of a sequence of floats: the square root of its squares
+    summed left to right, over sqrt(n).  A square that overflows is inf, as
+    in numpy."""
+    total = 0.0
+    for v in x:
+        total += v * v
+    return math.sqrt(total) / len(x) ** 0.5
 
 
 def validate_tol(rtol, atol):
-    if np.any(rtol < 100 * EPS):
+    """(rtol, atol) as floats; an rtol below 100 EPS is raised to it with a
+    warning, as scipy does, and atol must be above 0, so that no error
+    scale is 0."""
+    rtol, atol = float(rtol), float(atol)
+    if rtol < 100 * EPS:
         warn("At least one element of `rtol` is too small. "
              f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.", stacklevel=3)
-        rtol = np.maximum(rtol, 100 * EPS)
-    atol = np.asarray(atol)
-    if np.any(atol < 0):
+        rtol = 100 * EPS
+    if not atol > 0:
         raise ValueError("`atol` must be positive.")
     return rtol, atol
 
@@ -62,19 +71,19 @@ def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
     interval_length = t_bound - t0
     if interval_length == 0.0:
         return 0.0
-    scale = atol + np.abs(y0) * rtol
-    d0 = norm(y0 / scale)
-    d1 = norm(f0 / scale)
+    scale = [atol + abs(v) * rtol for v in y0]
+    d0 = norm([v / s for v, s in zip(y0, scale)])
+    d1 = norm([f / s for f, s in zip(f0, scale)])
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * f0
+    y1 = [v + h0 * f for v, f in zip(y0, f0)]
     f1 = fun(t0 + h0, y1)
     # h0 = 0 only where d1 = inf; numpy's division gives d2 = inf or nan
     # there, and h1 = 0 either way
-    d2 = norm((f1 - f0) / scale) / h0 if h0 else math.inf
+    d2 = norm([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0 if h0 else math.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -82,43 +91,52 @@ def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
+# The Dormand-Prince 5(4) tableau with Shampine's dense output, as scipy's
+# RK45 holds it (C, A, B, E, P); only its nonzero entries are named.
+_C2, _C3, _C4, _C5 = 1/5, 3/10, 4/5, 8/9
+_A21 = 1/5
+_A31, _A32 = 3/40, 9/40
+_A41, _A42, _A43 = 44/45, -56/15, 32/9
+_A51, _A52, _A53, _A54 = 19372/6561, -25360/2187, 64448/6561, -212/729
+_A61, _A62, _A63, _A64, _A65 = (9017/3168, -355/33, 46732/5247, 49/176,
+                                -5103/18656)
+_B1, _B3, _B4, _B5, _B6 = 35/384, 500/1113, 125/192, -2187/6784, 11/84
+_E1, _E3, _E4, _E5, _E6, _E7 = (-71/57600, 71/16695, -71/1920, 17253/339200,
+                                -22/525, 1/40)
+# P[s][j] for columns j = 1-3 (stage 2's row is 0; column 0 is stage 1
+# alone, with weight 1)
+_P11, _P12, _P13 = (-8048581381/2820520608, 8663915743/2820520608,
+                    -12715105075/11282082432)
+_P31, _P32, _P33 = (131558114200/32700410799, -68118460800/10900136933,
+                    87487479700/32700410799)
+_P41, _P42, _P43 = (-1754552775/470086768, 14199869525/1410260304,
+                    -10690763975/1880347072)
+_P51, _P52, _P53 = (127303824393/49829197408, -318862633887/49829197408,
+                    701980252875 / 199316789632)
+_P61, _P62, _P63 = (-282668133/205662961, 2019193451/616988883,
+                    -1453857185/822651844)
+_P71, _P72, _P73 = (40617522/29380423, -110615467/29380423, 69997945/29380423)
+
+
 class RK45:
-    """Adaptive Dormand-Prince 5(4) stepper with a quartic dense output.
+    """Adaptive Dormand-Prince 5(4) stepper with a quartic dense output, on
+    Python floats.
 
     It integrates forward only, from t0 to t_bound >= t0.  step() advances
     by one accepted step and sets status to 'running', 'finished' (t
     reached t_bound) or 'failed'; t_old and y_old hold the step's start, and
-    nfev counts calls of fun.
+    nfev counts calls of fun.  y, y_old and each stage of K are lists of
+    floats; fun(t, y) takes such a list and returns a sequence of n floats.
+
+    Step control is scipy's.  Every sum of products (the stages, the
+    solution and error estimate, the error norm, the dense output's
+    coefficients and its powers of x) adds its terms left to right in
+    stage order over the tableau's nonzero entries, in Python floats, so
+    its bits depend on no BLAS kernel or SIMD dispatch.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
     error_estimator_order = 4
-    n_stages = 6
-    C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-    A = np.array([
-        [0, 0, 0, 0, 0],
-        [1/5, 0, 0, 0, 0],
-        [3/40, 9/40, 0, 0, 0],
-        [44/45, -56/15, 32/9, 0, 0],
-        [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
-    ])
-    B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-    E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
-                  1/40])
-    # the dense output of Shampine's optimum c_6
-    P = np.array([
-        [1, -8048581381/2820520608, 8663915743/2820520608,
-         -12715105075/11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200/32700410799, -68118460800/10900136933,
-         87487479700/32700410799],
-        [0, -1754552775/470086768, 14199869525/1410260304,
-         -10690763975/1880347072],
-        [0, 127303824393/49829197408, -318862633887/49829197408,
-         701980252875 / 199316789632],
-        [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
-        [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         y0 = np.asarray(y0).astype(float, copy=False)
@@ -131,7 +149,7 @@ class RK45:
         self._fun = fun
         self.t_old = None
         self.t = t0
-        self.y = y0
+        self.y = y0.tolist()
         self.y_old = None
         self.t_bound = t_bound
         self.n = y0.size
@@ -142,18 +160,12 @@ class RK45:
         self.h_abs = select_initial_step(
             self.fun, self.t, self.y, t_bound, self.f,
             self.error_estimator_order, self.rtol, self.atol)
-        self.K = K = np.empty((self.n_stages + 1, self.n), dtype=self.y.dtype)
+        self.K = None
         self.error_exponent = -1 / (self.error_estimator_order + 1)
-        # the operands of scipy's rk_step, as views of K made once: stage s
-        # reads (K[:s].T, A[s, :s], C[s]) and fills K[s]
-        self._stages = [(K[:s].T, self.A[s, :s], float(self.C[s]), K[s])
-                        for s in range(1, self.n_stages)]
-        self._KT = K.T
-        self._K_head_T = K[:-1].T
 
     def fun(self, t, y):
         self.nfev += 1
-        return np.asarray(self._fun(t, y), dtype=float)
+        return self._fun(t, y)
 
     def step(self):
         """Take one step; returns None or the reason it failed."""
@@ -178,7 +190,7 @@ class RK45:
         y = self.y
         rtol = self.rtol
         atol = self.atol
-        fun, K, stages = self._fun, self.K, self._stages
+        fun, k1 = self._fun, self.f
 
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
@@ -196,18 +208,29 @@ class RK45:
                 t_new = self.t_bound
             h = h_abs = t_new - t
 
-            # scipy's rk_step: the stages into K's rows, the last with
-            # fun(t + h, y_new); six calls of the RHS itself, counted at once
+            # stage s reads y + (sum_j a_sj k_j) h; six calls of the RHS
+            # itself, counted at once
             self.nfev += 6
-            K[0] = self.f
-            for KsT, a, c, Ks in stages:
-                dy = np.dot(KsT, a) * h
-                Ks[:] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(self._K_head_T, self.B)
+            k2 = fun(t + _C2 * h, [v + (a * _A21) * h for v, a in zip(y, k1)])
+            k3 = fun(t + _C3 * h, [v + (a * _A31 + b * _A32) * h
+                                   for v, a, b in zip(y, k1, k2)])
+            k4 = fun(t + _C4 * h, [v + (a * _A41 + b * _A42 + c * _A43) * h
+                                   for v, a, b, c in zip(y, k1, k2, k3)])
+            k5 = fun(t + _C5 * h, [v + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
+                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
+            k6 = fun(t + h, [v + (a * _A61 + b * _A62 + c * _A63 + d * _A64
+                                  + e * _A65) * h
+                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
+            y_new = [v + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5 + f * _B6)
+                     for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
             f_new = fun(t + h, y_new)
-            K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = norm(np.dot(self._KT, self.E) * h / scale)
+            # the RMS of the error estimate over its scale atol + max(|y|,
+            # |y_new|) rtol; y is finite, so a NaN in y_new reaches it
+            error_norm = norm([
+                (a * _E1 + c * _E3 + d * _E4 + e * _E5 + f * _E6 + g * _E7) * h
+                / (atol + (v if v > w else w) * rtol)
+                for v, w, a, c, d, e, f, g in zip(map(abs, y), map(abs, y_new),
+                                                  k1, k3, k4, k5, k6, f_new)])
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -224,6 +247,7 @@ class RK45:
                              SAFETY * error_norm ** self.error_exponent)
                 step_rejected = True
 
+        self.K = (k1, k2, k3, k4, k5, k6, f_new)
         self.y_old = y
         self.t = t_new
         self.y = y_new
@@ -232,26 +256,33 @@ class RK45:
         return True, None
 
     def dense_output(self):
-        """y(t) over the last step, y_old + h Q (x, x^2, ...) at x = (t -
-        t_old)/h: of shape (n,) at a float t, (n, m) at m times."""
+        """y(t) over the last step, y_old + h (Q0 x + Q1 x^2 + Q2 x^3 +
+        Q3 x^4) at x = (t - t_old)/h, Q = K^T P: a list of n floats at a
+        float t; at an array of m times, the (n, m) array of those lists."""
         if self.t_old is None or self.t == self.t_old:
             raise RuntimeError("Dense output is available after a successful "
                                "step was made.")
-        t_old, h, y_old = self.t_old, self.t - self.t_old, self.y_old
-        Q = self._KT.dot(self.P)
+        t_old, h, y_old, n = self.t_old, self.t - self.t_old, self.y_old, self.n
+        k1, _, k3, k4, k5, k6, k7 = self.K
+        Q = [(a,
+              a * _P11 + c * _P31 + d * _P41 + e * _P51 + f * _P61 + g * _P71,
+              a * _P12 + c * _P32 + d * _P42 + e * _P52 + f * _P62 + g * _P72,
+              a * _P13 + c * _P33 + d * _P43 + e * _P53 + f * _P63 + g * _P73)
+             for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
 
         def dense(t):
-            t = np.asarray(t)
+            if not isinstance(t, float):
+                t = np.asarray(t, dtype=float)
+                if t.ndim:
+                    return np.array([dense(s) for s in t.tolist()]).reshape(-1, n).T
+                t = float(t)
             x = (t - t_old) / h
             # x, x^2, x^3, x^4: the products np.cumprod makes, in its order
             x2 = x * x
             x3 = x2 * x
-            y = h * np.dot(Q, [x, x2, x3, x3 * x])
-            if y.ndim == 2:
-                y += y_old[:, None]
-            else:
-                y += y_old
-            return y
+            x4 = x3 * x
+            return [v + h * (((q0 * x + q1 * x2) + q2 * x3) + q3 * x4)
+                    for v, (q0, q1, q2, q3) in zip(y_old, Q)]
         return dense
 
 

@@ -29,15 +29,19 @@ computes another way:
   by a seeded search, against the batch paths that square them;
 * an antiderivative by adaptive quadrature, the F that a generic profile f
   hands special_conformal_mass, and the Gaussian profile's slope, the f'
-  a test that rebuilds the Gaussian profile hands it.
+  a test that rebuilds the Gaussian profile hands it;
+* scipy's own RK45 and solve_ivp with their products taken as ordered
+  sums (scipy_ordered_sums), against ode.RK45 and the stepping loop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 
@@ -297,7 +301,10 @@ def killing_written_out(g: ConformalGenerator, x: FourVector) -> np.ndarray:
     a, cu = g.a, raise_index(g.c)
     if xu.ndim > 1:
         a, cu = a[:, None], cu[:, None]
-    return a + omega_mixed @ xu + g.lam * xu + cu * xx - 2.0 * cx * xu
+    # omega^mu_nu x^nu row by row, its four products added left to right
+    ox = np.array([om[0] * xu[0] + om[1] * xu[1] + om[2] * xu[2] + om[3] * xu[3]
+                   for om in omega_mixed])
+    return a + ox + g.lam * xu + cu * xx - 2.0 * cx * xu
 
 
 def jacobian_written_out(g: ConformalGenerator, x: FourVector) -> np.ndarray:
@@ -548,3 +555,64 @@ def quad_antiderivative(f: Callable[[float], float]) -> Callable[[float], float]
 def gaussian_slope(f: Callable[[float], float], k: float) -> Callable[[float], float]:
     """f'(u) = -2 k^2 u f(u) of a Gaussian profile f(u) = A exp(-k^2 u^2)."""
     return lambda u: -2.0 * k * k * u * f(u)
+
+
+# ---------------------------------------------------------------------------
+# scipy's RK45 on ordered sums
+# ---------------------------------------------------------------------------
+
+def ordered_sum(rows, coefs):
+    """sum_s coefs[s] rows[s] over the nonzero coefs, added in order by
+    numpy's accumulate, which runs left to right; rows[s] is an array."""
+    terms = [r * c for r, c in zip(rows, coefs) if c != 0]
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def rms_norm(x):
+    """sqrt(x.x) / sqrt(n) with x.x accumulated left to right, a numpy
+    scalar as np.linalg.norm's is, so that scipy may divide it by 0."""
+    return np.sqrt(np.add.accumulate(x * x)[-1]) / x.size ** 0.5
+
+
+@contextlib.contextmanager
+def scipy_ordered_sums():
+    """scipy 1.17.1's RK45 (and so solve_ivp) with every product it takes
+    through np.dot written as ordered_sum or rms_norm: the stages and the
+    solution in rk_step, the error estimate, the RMS norm of rk and common,
+    the dense output's Q = K^T P and its powers of x.  The step control
+    stays scipy's own."""
+    from scipy.integrate._ivp import common, rk
+
+    def rk_step(fun, t, y, f, h, A, B, C, K):
+        K[0] = f
+        for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
+            dy = ordered_sum(K[:s], a[:s]) * h
+            K[s] = fun(t + c * h, y + dy)
+        y_new = y + h * ordered_sum(K[:-1], B)
+        f_new = fun(t + h, y_new)
+        K[-1] = f_new
+        return y_new, f_new
+
+    def estimate_error(self, K, h):
+        return ordered_sum(K, self.E) * h
+
+    def dense_output_impl(self):
+        Q = np.stack([ordered_sum(self.K, col) for col in self.P.T], axis=1)
+        return rk.RkDenseOutput(self.t_old, self.t, self.y_old, Q)
+
+    def call_impl(self, t):
+        x = (t - self.t_old) / self.h
+        x2 = x * x
+        x3 = x2 * x
+        q = self.Q if t.ndim == 0 else self.Q[:, :, None]
+        y = self.h * (((q[:, 0] * x + q[:, 1] * x2) + q[:, 2] * x3) + q[:, 3] * (x3 * x))
+        return y + (self.y_old if t.ndim == 0 else self.y_old[:, None])
+
+    with contextlib.ExitStack() as stack:
+        for owner, name, new in ((rk, "rk_step", rk_step), (rk, "norm", rms_norm),
+                                 (common, "norm", rms_norm),
+                                 (rk.RungeKutta, "_estimate_error", estimate_error),
+                                 (rk.RungeKutta, "_dense_output_impl", dense_output_impl),
+                                 (rk.RkDenseOutput, "_call_impl", call_impl)):
+            stack.enter_context(mock.patch.object(owner, name, new))
+        yield

@@ -286,34 +286,35 @@ def _ref_user_fd(x, h=1e-5):
 
 
 def _ref_inverse_square(f, df):
+    # powers as products, as the kernel takes them
     def r2_of(x):
-        # numpy's dot, as the kernel takes it
-        perp = np.array([x.x, x.y])
-        return float(perp @ perp)
+        return x.x * x.x + x.y * x.y
 
     def m2(x):
         u = x.xminus - r2_of(x) / x.xplus
-        return f(u) / x.xplus ** 2
+        return f(u) / (x.xplus * x.xplus)
 
     def grad(x):
         xp = x.xplus
         r2 = r2_of(x)
         u = x.xminus - r2 / xp
-        grad_u = np.array([1.0 + r2 / xp ** 2, -2.0 * x.x / xp, -2.0 * x.y / xp,
-                           -1.0 + r2 / xp ** 2])
-        return (df(u) / xp ** 2 * grad_u
-                - 2.0 * f(u) / xp ** 3 * np.array([1.0, 0.0, 0.0, 1.0]))
+        grad_u = np.array([1.0 + r2 / (xp * xp), -2.0 * x.x / xp, -2.0 * x.y / xp,
+                           -1.0 + r2 / (xp * xp)])
+        return (df(u) / (xp * xp) * grad_u
+                - 2.0 * f(u) / (xp * xp * xp) * np.array([1.0, 0.0, 0.0, 1.0]))
     return m2, grad
 
 
 def _ref_gaussian(m0sq, L, k):
-    return (lambda u: m0sq * L * L * np.exp(-(k * u) ** 2),
-            lambda u: -2.0 * k * k * u * (m0sq * L * L * np.exp(-(k * u) ** 2)))
+    # libm's exp on a float, and (k u)^2 a product
+    return (lambda u: m0sq * L * L * math.exp(-((k * u) * (k * u))),
+            lambda u: -2.0 * k * k * u * (m0sq * L * L * math.exp(-((k * u) * (k * u)))))
 
 
 def _ref_sin2(m0sq, amp, k, direction):
-    return (lambda w: m0sq * (1.0 + amp * np.sin(k * w) ** 2),
-            lambda w: m0sq * amp * k * np.sin(2.0 * k * w) * direction)
+    # libm's sin on a float, and sin^2 a product
+    return (lambda w: m0sq * (1.0 + amp * (math.sin(k * w) * math.sin(k * w))),
+            lambda w: m0sq * amp * k * math.sin(2.0 * k * w) * direction)
 
 
 def _refs():
@@ -400,8 +401,9 @@ def _refs():
                         sw_m2, sw_grad, lf(0.3, 3.0, 8) + lf(-2.0, -0.3, 6) + on_xplus),
         "dilation": (backgrounds.dilation_mass(dil_c),
                      lambda x: dil_c / (x.t * x.t - x.x * x.x - x.y * x.y - x.z * x.z),
-                     lambda x: -2.0 * dil_c / (x.t * x.t - x.x * x.x - x.y * x.y
-                                               - x.z * x.z) ** 2 * x.lowered(),
+                     lambda x: -2.0 * dil_c / ((x.t * x.t - x.x * x.x - x.y * x.y - x.z * x.z)
+                                               * (x.t * x.t - x.x * x.x - x.y * x.y
+                                                  - x.z * x.z)) * x.lowered(),
                      pts(6, -0.5, 0.5, t=2.0) + pts(6, -0.5, 0.5, t=-1.7)),
         "user-grad": (backgrounds.from_callable(_user_m2, _user_grad), _user_m2,
                       _user_grad, pts(6)),

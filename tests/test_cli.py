@@ -84,6 +84,22 @@ def test_simulate_crossing_within_a_nudge_of_the_end(tmp_path, past):
     assert abs(rows[-1, 3]) < 1e-11       # z, just past the crossing
 
 
+def test_simulate_crossing_in_the_end_window_ends_at_tend(tmp_path):
+    # the exit crossing at t = 2.2360679774679775 lies within 1e-14 of the
+    # span before tend: the run still takes its last step off the surface
+    # to tend and writes a row there, after the crossing's row
+    tend = 2.236067977467987
+    assert main(_args("simulate", "fig1", tmp_path, "--set", "sweep.count=1",
+                      "--set", "sweep.override_0=initial.p=0,0,-0.5",
+                      "--set", f"run.tend={tend!r}")) == 0
+    (run,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    ((name, t_cross),) = run["events"]
+    assert name == "z=0" and tend - 1e-14 * tend <= t_cross < tend
+    rows = np.loadtxt(tmp_path / "run_000.csv", delimiter=",", skiprows=1)
+    assert rows[-2, 0] == t_cross and rows[-1, 0] == tend
+    assert len(rows) == 502 and np.all(np.diff(rows[:, 0]) > 0.0)
+
+
 def test_simulate_off_shell_extended_start(tmp_path):
     # a number for initial.pplus starts the extended flow off shell there
     first = {}
@@ -1040,6 +1056,55 @@ def test_output_digests_against_itself(tmp_path, capsys, monkeypatch):
     assert tool.compare_text("x,p3\n1,2\n", "x,p2\n1,2\n") \
         == "max_abs=0 max_rel=0 text=differs"
     assert tool.compare_text("rank 3", "rank 3 of 5") == "numbers=1/2 text=differs"
+
+
+# every simulate, orbit and kg run of tools/output_digests.py, digested in a
+# process on the OpenBLAS core and numpy dispatch of the environment argv[1]
+_DIGEST_CHILD = """
+import sys
+from confdyn import cli
+from output_digests import digest_run, runs
+for run in runs(cli, sorted(cli._PRESETS)):
+    if run[0] != "certify":
+        print(digest_run(cli.main, *run))
+"""
+_MACHINES = {"default": {},
+             "haswell-avx2": {"OPENBLAS_CORETYPE": "Haswell",
+                              "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+             "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"}}
+
+
+def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
+    # the flows, the monitors, the orbits and the kg stencils take no BLAS
+    # call and no SIMD-dispatched transcendental, so their bytes are those
+    # of the AVX2 machine's BLAS kernel and numpy dispatch, and of the
+    # Nehalem kernel; certify's stacked matmuls and SVD still read BLAS
+    from numpy._core import _multiarray_umath as umath
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("output_digests",
+                                                  root / "tools" / "output_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    features = umath.__cpu_features__
+    if tool.blas_core() is None or not (features.get("AVX2") and features.get("FMA3")):
+        pytest.skip("needs numpy's bundled scipy-openblas on a CPU with AVX2 and FMA3")
+    path = os.pathsep.join(str(root / d) for d in ("src", "tests", "tools"))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    procs = {name: subprocess.Popen([sys.executable, "-B", "-c", _DIGEST_CHILD],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, cwd=tmp_path,
+                                    env=dict(env, PYTHONPATH=path, **extra))
+             for name, extra in _MACHINES.items()}
+    lines = {}
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        lines[name] = out.splitlines()
+    assert len(lines["default"]) == 53
+    assert {line.split()[0] for line in lines["default"]} == {"simulate", "orbit", "kg"}
+    assert lines["haswell-avx2"] == lines["default"]
+    assert lines["nehalem"] == lines["default"]
 
 
 def test_settable_values_smoke(tmp_path):

@@ -1,6 +1,7 @@
 """Phase-space flows: Hamiltonians, brackets, integration, conversions."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from confdyn.dynamics import (
 from confdyn.errors import RealityError, SingularityError
 from confdyn.geometry import FourVector, lf_gradient, lf_momenta, raise_index
 from oracles import (erf_orbit_entry_state, fd_partials, fd_quantity, newton_per_point,
-                     points)
+                     points, rms_norm, scipy_ordered_sums)
 
 
 def _random_instant_state(rng, bg):
@@ -328,7 +329,8 @@ def test_bounce_exit_keeps_charges_past_the_kink():
 
 @pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave"])
 def test_rk45_loop_takes_solve_ivp_steps(case):
-    # without a crossing the loop reproduces solve_ivp's samples bit for bit
+    # without a crossing the loop reproduces solve_ivp's samples bit for bit,
+    # with scipy's products taken as the same ordered sums
     from scipy.integrate import solve_ivp
     if case == "instant-dilation":
         bg = backgrounds.dilation_mass(1.0)
@@ -346,9 +348,10 @@ def test_rk45_loop_takes_solve_ivp_steps(case):
             return y[form.dof + form.pminus]
         guard.terminal = True
         events = [guard]
-    sol = solve_ivp(_make_rhs(st.form, bg, False), span, np.concatenate([st.q, st.p]),
-                    rtol=1e-10, atol=1e-10, t_eval=np.linspace(*span, 57),
-                    events=events)
+    with scipy_ordered_sums():
+        sol = solve_ivp(_make_rhs(st.form, bg, False), span, np.concatenate([st.q, st.p]),
+                        rtol=1e-10, atol=1e-10, t_eval=np.linspace(*span, 57),
+                        events=events)
     assert np.array_equal(traj.times, sol.t)
     assert np.array_equal(np.hstack([traj.q, traj.p]), sol.y.T)
     assert traj.stats == {"nfev": sol.nfev, "segments": 1, "event_crossings": 0}
@@ -400,23 +403,26 @@ def _oracle_flow(case):
 @pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave",
                                   "front-fig2-switched", "instant-fig1-switched", "bump"])
 def test_rk45_port_steps_as_scipy(case):
+    # scipy's step control, with its products taken as the same ordered sums
     import scipy.integrate
     rhs, t0, y0, t1 = _oracle_flow(case)
     ours = ode.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
-    ref = scipy.integrate.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
-    assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev)
-    steps = 0
-    while ref.status == "running":
-        assert ours.step() == ref.step()
-        steps += 1
-        assert (ours.status, ours.t, ours.t_old, ours.h_abs, ours.nfev) == (
-            ref.status, ref.t, ref.t_old, ref.h_abs, ref.nfev)
-        assert np.array_equal(ours.y, ref.y)
-        a, b = ours.dense_output(), ref.dense_output()
-        mid = ours.t_old + 0.37 * (ours.t - ours.t_old)
-        ts = np.linspace(ours.t_old, ours.t, 5)
-        assert np.array_equal(a(mid), b(mid))
-        assert np.array_equal(a(ts), b(ts))
+    with scipy_ordered_sums():
+        ref = scipy.integrate.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
+        assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev)
+        steps = 0
+        while ref.status == "running":
+            assert ours.step() == ref.step()
+            steps += 1
+            assert (ours.status, ours.t, ours.t_old, ours.h_abs, ours.nfev) == (
+                ref.status, ref.t, ref.t_old, ref.h_abs, ref.nfev)
+            assert np.array_equal(ours.y, ref.y)
+            a, b = ours.dense_output(), ref.dense_output()
+            mid = ours.t_old + 0.37 * (ours.t - ours.t_old)
+            ts = np.linspace(ours.t_old, ours.t, 5)
+            assert np.array_equal(a(mid), b(mid))
+            assert np.array_equal(a(float(mid)), b(mid))
+            assert np.array_equal(a(ts), b(ts))
     if case == "bump":
         # two calls to start, six an accepted step: the rest are rejections
         assert ours.nfev > 2 + 6 * steps
@@ -429,19 +435,22 @@ def test_dense_output_takes_scipys_powers():
     import scipy.integrate
     rhs = lambda t, y: np.array([4.0 * t ** 3])
     ours = ode.RK45(rhs, 0.0, [0.0], 1.0, rtol=1e-10, atol=1e-10)
-    ref = scipy.integrate.RK45(rhs, 0.0, [0.0], 1.0, rtol=1e-10, atol=1e-10)
-    ours.step()
-    ref.step()
-    a, b = ours.dense_output(), ref.dense_output()
-    ts = np.linspace(ours.t_old, ours.t, 1001)
-    assert np.array_equal(a(ts), b(ts))
-    assert all(np.array_equal(a(t), b(t)) for t in ts)
+    with scipy_ordered_sums():
+        ref = scipy.integrate.RK45(rhs, 0.0, [0.0], 1.0, rtol=1e-10, atol=1e-10)
+        ours.step()
+        ref.step()
+        a, b = ours.dense_output(), ref.dense_output()
+        ts = np.linspace(ours.t_old, ours.t, 1001)
+        assert np.array_equal(a(ts), b(ts))
+        assert all(np.array_equal(a(t), b(t)) for t in ts)
+        assert all(np.array_equal(a(t), b(t)) for t in ts.tolist())
 
 
 def test_rms_norm_equals_numpys():
-    # sqrt(x.x) / sqrt(n) is what np.linalg.norm computes for a 1-D real
-    # array: equal on lengths 1-8, magnitudes 1e-300 to 1e300 (so squares
-    # that underflow and overflow) and zeros of both signs
+    # sqrt(x.x) / sqrt(n) with x.x numpy's left-to-right accumulate of the
+    # squares: equal on lengths 1-8, magnitudes 1e-300 to 1e300 (so squares
+    # that underflow and overflow) and zeros of both signs, on an array and
+    # on its floats
     rng = np.random.default_rng(20261018)
     cases = [np.array(x) for x in ([0.0], [-0.0], [0.0, -0.0], [1e300, 1e300],
                                    [1e-300, -1e-300])]
@@ -453,17 +462,18 @@ def test_rms_norm_equals_numpys():
         cases.append(x)
     with np.errstate(over="ignore"):
         for x in cases:
-            assert ode.norm(x) == np.linalg.norm(x) / x.size ** 0.5
+            assert ode.norm(x) == ode.norm(x.tolist()) == rms_norm(x)
 
 
 def test_rk45_port_fails_as_scipy_on_a_blow_up():
     # y' = y^2 from y = 1 blows up at t = 1: both give up at the same point
     import scipy.integrate
-    rhs = lambda t, y: y * y
+    rhs = lambda t, y: [v * v for v in y]
     ours = ode.RK45(rhs, 0.0, [1.0], 2.0, rtol=1e-10, atol=1e-10)
-    ref = scipy.integrate.RK45(rhs, 0.0, [1.0], 2.0, rtol=1e-10, atol=1e-10)
-    while ref.status == "running":
-        assert ours.step() == ref.step()
+    with scipy_ordered_sums():
+        ref = scipy.integrate.RK45(rhs, 0.0, [1.0], 2.0, rtol=1e-10, atol=1e-10)
+        while ref.status == "running":
+            assert ours.step() == ref.step()
     assert ours.status == "failed"
     assert (ours.t, ours.nfev) == (ref.t, ref.nfev)
     assert ode.RK45.TOO_SMALL_STEP == scipy.integrate.OdeSolver.TOO_SMALL_STEP
@@ -521,7 +531,7 @@ def test_rhs_takes_python_float_times(case, monkeypatch):
 
 def test_rk45_integrates_forward_only():
     # a bound before t0 is refused; one equal to t0 finishes on the first step
-    rhs = lambda t, y: -y
+    rhs = lambda t, y: [-v for v in y]
     with pytest.raises(ValueError, match="t_bound"):
         ode.RK45(rhs, 1.0, [1.0], 0.5, rtol=1e-10, atol=1e-10)
     solver = ode.RK45(rhs, 1.0, [1.0], 1.0, rtol=1e-10, atol=1e-10)
@@ -537,14 +547,14 @@ def test_rk45_port_starts_as_scipy_when_the_first_norm_overflows():
     # does the port, without a ZeroDivisionError
     import scipy.integrate
     rhs = lambda t, y: np.array([1e300])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), scipy_ordered_sums():
         ours = ode.RK45(rhs, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-10)
         ref = scipy.integrate.RK45(rhs, 0.0, [1.0], 1.0, rtol=1e-10, atol=1e-10)
-    assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev) == (0.0, 2)
-    for _ in range(3):
-        assert ours.step() == ref.step()
-        assert (ours.t, ours.h_abs, ours.nfev) == (ref.t, ref.h_abs, ref.nfev)
-        assert np.array_equal(ours.y, ref.y)
+        assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev) == (0.0, 2)
+        for _ in range(3):
+            assert ours.step() == ref.step()
+            assert (ours.t, ours.h_abs, ours.nfev) == (ref.t, ref.h_abs, ref.nfev)
+            assert np.array_equal(ours.y, ref.y)
 
 
 def _scipy_brentq(f, a, b):
@@ -945,9 +955,9 @@ def test_front_kernel_is_extended_kernel_with_xplus_as_time(name):
         xplus, pplus, s = rng.uniform(0.5, 1.5), rng.uniform(-0.5, 0.5), 0.3
         pminus = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
         y = np.array([*rng.uniform(-1.0, 1.0, 3), pminus, *rng.uniform(-0.5, 0.5, 2)])
-        full = extended(s, np.array([xplus, *y[:3], pplus, *y[3:]]))
+        full = np.array(extended(s, [xplus, *y[:3].tolist(), pplus, *y[3:].tolist()]))
         assert full[0] == 1.0
-        assert (front(xplus, y) == full[[1, 2, 3, 5, 6, 7]]).all()
+        assert (np.array(front(xplus, y.tolist())) == full[[1, 2, 3, 5, 6, 7]]).all()
         # and both are Hamilton's equations dq/ds = -dK/dp, dp/ds = dK/dq
         st = PhaseSpaceState("extended", s, np.array([xplus, *y[:3]]),
                              np.array([pplus, *y[3:]]))
@@ -1007,19 +1017,21 @@ def test_form_columns_pminus_slot_and_bracket(form):
 # ---------------------------------------------------------------------------
 
 def _two_call_rhs(form, bg, nonrel=False):
-    """Each flow as written with bg.m2 and bg.grad_m2 as two calls."""
+    """Each flow as written with bg.m2 and bg.grad_m2 as two calls, on a y
+    array, its dot products summed left to right and p-^2 a product."""
     position = FORMS[form].position
 
     def instant(t, y):
         pos = position(t, y)
         p = y[3:6]
+        pp = p[0] * p[0] + p[1] * p[1] + p[2] * p[2]
         m2 = bg.m2(pos)
         g = bg.grad_m2(pos)
         if nonrel:
             m = np.sqrt(m2)
-            fac = (1.0 - (p @ p) / (2.0 * m2)) / (2.0 * m)
+            fac = (1.0 - pp / (2.0 * m2)) / (2.0 * m)
             return np.concatenate([-p / m, g[1:4] * fac])
-        H = np.sqrt(p @ p + m2)
+        H = np.sqrt(pp + m2)
         return np.concatenate([-p / H, g[1:4] / (2.0 * H)])
 
     def lightfront(t, y):
@@ -1029,7 +1041,7 @@ def _two_call_rhs(form, bg, nonrel=False):
         lfg = lf_gradient(bg.grad_m2(pos))
         pp = p1 * p1 + p2 * p2
         w = 4.0 * pminus
-        flow = ((pp + m2) / (4.0 * pminus ** 2), -p1 / (2.0 * pminus),
+        flow = ((pp + m2) / (4.0 * (pminus * pminus)), -p1 / (2.0 * pminus),
                 -p2 / (2.0 * pminus), lfg[1] / w, lfg[2] / w, lfg[3] / w)
         if form == "extended":
             return np.array((1.0, *flow[:3], lfg[0] / w, *flow[3:]))
@@ -1041,7 +1053,8 @@ def _two_call_rhs(form, bg, nonrel=False):
         m2 = bg.m2(pos)
         g = bg.grad_m2(pos)
         gu = raise_index(g)
-        udot = (gu - u * float(u @ g)) / (2.0 * m2)
+        ug = u[0] * g[0] + u[1] * g[1] + u[2] * g[2] + u[3] * g[3]
+        udot = (gu - u * ug) / (2.0 * m2)
         return np.concatenate([u, udot])
 
     return {"instant": instant, "front": lightfront, "extended": lightfront,
@@ -1102,7 +1115,9 @@ def test_rhs_equals_two_call_expressions(form, nonrel, kind):
     ref = _two_call_rhs(form, bg, nonrel)
     rng = np.random.default_rng(606)
     for t, y in _flow_states(form, kind, rng):
-        got, want = rhs(t, y), ref(t, y)
+        # the flow takes the floats the stepper hands it
+        got, want = np.array(rhs(t, y.tolist())), ref(t, y)
+        assert all(type(v) is float for v in rhs(t, y.tolist()))
         assert got.shape == want.shape and np.array_equal(got, want)
         # signed zeros too: the output files print them
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -1186,11 +1201,29 @@ def test_rhs_raises_as_the_field(form, bg, t, y, err):
      [np.inf, np.inf, -np.inf, np.inf, -np.inf, np.inf]),
 ])
 def test_lightfront_rhs_at_pminus_zero_as_pinned(form, y, expected):
+    # on an array, and on the floats the stepper hands the flow
     bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+    for arg in (np.array(y), y):
+        with pytest.warns(RuntimeWarning):
+            out = np.asarray(_make_rhs(form, bg, False)(1.5, arg))
+        assert out.shape == (len(expected),)
+        assert np.array_equal(out, expected, equal_nan=True)
+
+
+def test_lightfront_rhs_at_extreme_pminus():
+    # p- = 1e200: (p-)^2 overflows to inf as a product, and no float **
+    # raises OverflowError; p- = 1e-300: (p-)^2 underflows to 0, and the
+    # quotient is numpy's inf with a RuntimeWarning, not ZeroDivisionError
+    bg = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+    for form, y in (("front", [0.3, 0.1, -0.2, 1e200, 0.2, -0.1]),
+                    ("extended", [1.5, 0.3, 0.1, -0.2, 1.0, 1e200, 0.2, -0.1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = np.asarray(_make_rhs(form, bg, False)(1.5, y))
+        assert np.isfinite(out).all()
     with pytest.warns(RuntimeWarning):
-        out = _make_rhs(form, bg, False)(1.5, np.array(y))
-    assert out.shape == (len(expected),)
-    assert np.array_equal(out, expected, equal_nan=True)
+        out = _make_rhs("front", bg, False)(1.5, [0.3, 0.1, -0.2, 1e-300, 0.2, -0.1])
+    assert out[0] == np.inf
 
 
 # a massless field at rest: H = 0, m = 0 and m^2 = 0 divide as numpy does
@@ -1202,6 +1235,7 @@ def test_lightfront_rhs_at_pminus_zero_as_pinned(form, y, expected):
      [1.0, 0.0, 0.0, 0.0, np.nan, np.nan, np.nan, np.nan]),
 ])
 def test_rhs_at_zero_mass_as_pinned(form, nonrel, y, expected):
-    with pytest.warns(RuntimeWarning):
-        out = _make_rhs(form, backgrounds.constant(0.0), nonrel)(0.5, np.array(y))
-    assert np.array_equal(out, expected, equal_nan=True)
+    for arg in (np.array(y), y):
+        with pytest.warns(RuntimeWarning):
+            out = _make_rhs(form, backgrounds.constant(0.0), nonrel)(0.5, arg)
+        assert np.array_equal(np.asarray(out), expected, equal_nan=True)
