@@ -45,7 +45,7 @@ import numpy as np
 from .conformal import planewave_extended_set
 from .dynamics import PhaseSpaceState, front_to_extended
 from .errors import DomainError, RealityError
-from .geometry import FourVector, float_square, from_lightfront
+from .geometry import FourVector, contract, from_lightfront
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
 from .ode import EPS, brentq, first_error, masked_newton, quad  # noqa: F401
 
@@ -152,7 +152,7 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
         raise ValueError("initial data must be given at t = 0")
     x0 = init.q.copy()
     p = init.p.copy()
-    psq = float(p @ p)
+    psq = contract(p, p)
 
     def Hval(s):
         rad = psq + m0sq + E(s)
@@ -169,8 +169,10 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
         rows = np.array(rows).reshape(-1, 8)
         return rows[:, :4], rows[:, 4:]
 
-    L = np.cross(x0, p)  # constant since x(t) - x(0) is parallel to p
-    consts = {"p": p, "L": L, "p.L": float(p @ L), "m0sq": m0sq}
+    # constant since x(t) - x(0) is parallel to p
+    L = np.array([x0[1] * p[2] - x0[2] * p[1], x0[2] * p[0] - x0[0] * p[2],
+                  x0[0] * p[1] - x0[1] * p[0]])
+    consts = {"p": p, "L": L, "p.L": contract(p, L), "m0sq": m0sq}
     return ClosedFormOrbit("timelike", "t", (0.0, np.inf), consts, evaluate)
 
 
@@ -198,7 +200,7 @@ def planewave_xminus(bg, xplus, q: dict):
     x- = (Q7 + (Q1^2 + Q2^2) x+ + int_0^{x+} m^2)/(4 Q3^2), elementwise
     on an array of x+."""
     pp = q["Q1"] * q["Q1"] + q["Q2"] * q["Q2"]
-    return (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * q["Q3"] ** 2)
+    return (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * (q["Q3"] * q["Q3"]))
 
 
 def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
@@ -264,13 +266,13 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     pm0, p10, p20 = init.p
     u0 = xm0 - (x10 * x10 + x20 * x20) / xp0
     f_u0 = float(f(u0))
-    pplus0 = (p10 * p10 + p20 * p20 + f_u0 / xp0 ** 2) / (4.0 * pm0)
+    pplus0 = (p10 * p10 + p20 * p20 + f_u0 / (xp0 * xp0)) / (4.0 * pm0)
 
     q1 = 2.0 * pm0 * x10 + xp0 * p10
     q2 = 2.0 * pm0 * x20 + xp0 * p20
     qperp2 = q1 * q1 + q2 * q2
     # charge of the special conformal field (-x+^2, -x_perp.x_perp, -x+ x_perp)
-    q3 = (-xp0 ** 2 * pplus0 - (x10 ** 2 + x20 ** 2) * pm0
+    q3 = (-(xp0 * xp0) * pplus0 - (x10 * x10 + x20 * x20) * pm0
           - xp0 * (x10 * p10 + x20 * p20))
     if q3 == 0.0:
         raise DomainError("the special conformal charge vanishes; the "
@@ -316,8 +318,7 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         pp1 = (q1 - 2.0 * pm * x1) / xp
         pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        xp2 = float_square(xp)
-        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp2) / (4.0 * pm)
+        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / (xp * xp)) / (4.0 * pm)
         return _rows(from_lightfront(xp, xminus, x1, x2),
                      (pplus + pm, pp1, pp2, pplus - pm))
 

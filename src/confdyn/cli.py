@@ -474,8 +474,10 @@ def _run_one(setup, index: int, fmt: str, tol_rel: float) -> tuple:
     bg, state, span, opts, quantities, gated = setup
     traj = evolve(state, bg, span, opts, monitors=quantities)
     name = f"run_{index:03d}.{fmt}"
-    # only the declared conserved set is gated; extras are diagnostics
-    worst = max((v for k, v in traj.drifts.items() if k in gated), default=0.0)
+    # only the declared conserved set is gated; extras are diagnostics.
+    # np.max keeps a NaN drift where max would skip it, and no comparison
+    # passes a NaN, so a non-finite gated drift fails the run
+    worst = np.max([v for k, v in traj.drifts.items() if k in gated], initial=0.0)
     return {
         "index": index,
         "file": name,

@@ -34,9 +34,12 @@ indices lower):
     special conformal       (c x.x - 2 (c.x) x).p
 
 A charge is a ConservedQuantity that carries only its generator; its value
-and, in every form with a bracket, its partials (one chain rule through the
-form's constant data and its Hamiltonian's partials) are evaluated in
-dynamics.quantity_values and dynamics.quantity_partials.
+and, in every form with a bracket, its partials are evaluated in
+dynamics.quantity_values and dynamics.quantity_partials.  The partials are
+one chain rule through the form's constant data and its Hamiltonian's
+partials, from the generator's Killing field and its charge gradient
+p_mu d_nu xi^mu, a closed-form covector: the Jacobian d_nu xi^mu itself is
+never built.  Both add their products over components left to right.
 """
 
 from __future__ import annotations
@@ -47,11 +50,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import hamiltonian_extended, hamiltonian_partials, quantity_values
-from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, float_square,
-                       lf_gradient, lower_index, minkowski_dot, raise_index)
+from .geometry import (METRIC, METRIC_DIAG, FourVector, contract, lf_gradient,
+                       lower_index, minkowski_dot, pair_rows, raise_index)
 
 _ANTISYM_TOL = 1e-12
-_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,14 @@ class ConformalGenerator:
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "c", c)
-        # constants of killing and jacobian, built once per generator:
-        # omega^mu_nu = eta^{mu alpha} omega_{alpha nu}, c^mu, and the
-        # x-independent part omega^mu_nu + lam delta^mu_nu of d_nu xi^mu
+        # constants of killing and charge_gradient, built once per
+        # generator: omega^mu_nu = eta^{mu alpha} omega_{alpha nu}, c^mu, and
+        # the x-independent part J0 = omega^mu_nu + lam delta^mu_nu of
+        # d_nu xi^mu
         omega_mixed = METRIC_DIAG[:, None] * om
         object.__setattr__(self, "omega_mixed", omega_mixed)
         object.__setattr__(self, "c_upper", raise_index(c))
-        object.__setattr__(self, "jacobian_at_origin", omega_mixed + lam * _EYE4)
+        object.__setattr__(self, "jacobian_at_origin", omega_mixed + lam * np.eye(4))
 
     # -- field evaluation ----------------------------------------------
     def killing(self, x: FourVector) -> np.ndarray:
@@ -102,28 +105,27 @@ class ConformalGenerator:
         xu = x.as_array()
         cx = contract(xu, self.c)
         xx = minkowski_dot(x, x)
-        a, cu, om = self.a, self.c_upper, self.omega_mixed.T
+        a, cu = self.a, self.c_upper
         if xu.ndim > 1:
             # constant vectors as columns, so they never broadcast along the
             # point axis of a batch (which for N = 4 would go unnoticed)
-            a, cu, om = a[:, None], cu[:, None], om[:, :, None]
-        # omega^mu_nu x^nu summed over nu left to right, elementwise
-        ox = om[0] * xu[0] + om[1] * xu[1] + om[2] * xu[2] + om[3] * xu[3]
-        return a + ox + self.lam * xu + cu * xx - 2.0 * cx * xu
+            a, cu = a[:, None], cu[:, None]
+        return (a + pair_rows(self.omega_mixed, xu) + self.lam * xu + cu * xx
+                - 2.0 * cx * xu)
 
-    def jacobian(self, x: FourVector) -> np.ndarray:
-        """Mixed Jacobian J[mu, nu] = d_nu xi^mu(x), closed form: shape
-        (4, 4) at a point, and for a FourVector with (N,) components the
-        (N, 4, 4) stack of one matrix per point, as np.matmul stacks them."""
+    def charge_gradient(self, x: FourVector, p) -> np.ndarray:
+        """The gradient of the charge xi.p in x at fixed lower-index p,
+
+            p_mu d_nu xi^mu = (p.J0)_nu + 2 (c.p) x_nu - 2 (x.p) c_nu - 2 (c.x) p_nu,
+
+        J0 = jacobian_at_origin: shape (4,) at a point, (4, N) for a
+        FourVector with (N,) components and p of shape (4, N).  Every sum
+        over components runs left to right, elementwise over a batch."""
         xu = x.as_array()
-        cx = np.asarray(contract(xu, self.c))
-        # points first; c[:, None] * x is np.outer's own product, so every
-        # entry is the single point's product
-        xu, xl = xu.T, x.lowered().T
-        return (self.jacobian_at_origin
-                + 2.0 * (self.c_upper[:, None] * xl[..., None, :])
-                - 2.0 * (xu[..., :, None] * self.c)
-                - 2.0 * cx[..., None, None] * _EYE4)
+        c = self.c[:, None] if xu.ndim > 1 else self.c
+        return (pair_rows(self.jacobian_at_origin.T, p)
+                + 2.0 * contract(self.c_upper, p) * x.lowered()
+                - 2.0 * contract(xu, p) * c - 2.0 * contract(xu, self.c) * p)
 
     def divergence(self, x: FourVector) -> float:
         """d.xi = 4 lam - 8 c.x, exact."""
@@ -425,7 +427,7 @@ def planewave_cubic_quantity() -> ConservedQuantity:
     def val(state, bg):
         xplus, xminus = state.q[0], state.q[1]
         pplus, pminus, p1, p2 = state.p
-        return (4.0 * float_square(pminus) * xminus - (p1 * p1 + p2 * p2) * xplus
+        return (4.0 * (pminus * pminus) * xminus - (p1 * p1 + p2 * p2) * xplus
                 - bg.m2_antiderivative(xplus))
 
     def parts(state, bg):
@@ -433,7 +435,7 @@ def planewave_cubic_quantity() -> ConservedQuantity:
         pplus, pminus, p1, p2 = state.p
         m2 = bg.m2(state.position())
         zero = np.zeros_like(xplus)
-        dq = np.array([-(p1 * p1 + p2 * p2) - m2, 4.0 * float_square(pminus),
+        dq = np.array([-(p1 * p1 + p2 * p2) - m2, 4.0 * (pminus * pminus),
                        zero, zero])
         dp = np.array([zero, 8.0 * pminus * xminus, -2.0 * p1 * xplus,
                        -2.0 * p2 * xplus])

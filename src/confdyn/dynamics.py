@@ -26,12 +26,12 @@ of states, by quantity_values and, in a form with a bracket,
 quantity_partials; the generator charges xi.p among them share one
 position, on-shell momentum and Hamiltonian partials per state.  On a batch
 quantity_values returns one value per point and quantity_partials (n, N)
-partials, every point in the bits of that point's own call: the generator
-chain rule runs as stacked matrix-vector products, and hand-written values
-and partials and dH take the batch as it is.  monitor, poisson_bracket and
-integrability's tables read these two (integrability with one
-quantity_partials call per table).  brackets turns
-a table of partials into Poisson brackets as one stacked product, and
+partials, every point in the bits of that point's own call: every product
+is an IEEE product, a square included, and every sum of products adds left
+to right, elementwise over the batch, so no BLAS kernel enters.  monitor,
+poisson_bracket and integrability's tables read these two (integrability
+with one quantity_partials call per table).  brackets turns a table of
+partials into Poisson brackets by the same ordered sums, and
 poisson_bracket reads a table of one state.
 
 One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
@@ -51,8 +51,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import (FourVector, contract, float_square, lower_index,
-                       momenta_from_lf, raise_index, scalar_or_array)
+from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
+                       pair_rows, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq
 
@@ -241,8 +241,7 @@ def hamiltonian_front(state: PhaseSpaceState, bg):
     if np.any(pminus == 0.0):
         raise SingularityError(f"{state.form} Hamiltonian undefined at p- = 0")
     m2 = bg.m2(state.position())
-    return scalar_or_array((float_square(p1) + float_square(p2) + m2)
-                           / (4.0 * pminus))
+    return scalar_or_array((p1 * p1 + p2 * p2 + m2) / (4.0 * pminus))
 
 
 def hamiltonian_extended(state: PhaseSpaceState, bg):
@@ -293,11 +292,11 @@ def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
     partials are one chain rule through the form's constant data: with x(q)
     linear, E = dx/dq, and p4 = S^T p + H n,
 
-        dQ/dq = (p4.J) E + (xi.n) dH/dq,   dQ/dp = S xi + (xi.n) dH/dp,
+        dQ/dq = E w + (xi.n) dH/dq,   dQ/dp = S xi + (xi.n) dH/dp,
 
-    J the generator's Jacobian d_nu xi^mu; the H terms vanish where the form
-    eliminates no momentum (n = 0).  A batch takes the products as stacked
-    matmuls in the single point's order, so each point keeps its bits.  Any
+    w = p4_mu d_nu xi^mu the generator's charge_gradient; the H terms
+    vanish where the form eliminates no momentum (n = 0).  E w and S xi add
+    their four products left to right, elementwise over a batch.  Any
     other quantity gives its own closed-form partials, and one without them
     raises ValueError before any field is read.  Those partials and dH take
     the batch as it is, each point in the bits of its own call."""
@@ -318,10 +317,8 @@ def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
         if x is None:
             x, p4 = state.position(), state.four_momentum(bg)
             dH = hamiltonian_partials(state, bg) if n.any() else None
-        xi = gen.killing(x)
-        # row k of dx_dq J^T is d xi/d q_k
-        dq = _matvec(form.dx_dq @ np.swapaxes(gen.jacobian(x), -1, -2), p4)
-        dp = _matvec(S, xi)
+        xi, w = gen.killing(x), gen.charge_gradient(x, p4)
+        dq, dp = pair_rows(form.dx_dq, w), pair_rows(S, xi)
         if dH is not None:
             xin = contract(xi, n)
             dq, dp = dq + xin * dH[0], dp + xin * dH[1]
@@ -329,24 +326,17 @@ def quantity_partials(quantities: Sequence, state: PhaseSpaceState, bg) -> list:
     return out
 
 
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m v for a 4-vector v, or per point for a component-first (4, N)
-    batch, m one matrix or an (N, k, 4) stack: one matrix-vector product
-    per point on a contiguous column, the call a single point makes, so a
-    batch keeps every point's bits (a (k, 4) @ (4, N) product may sum in
-    another order)."""
-    col = np.ascontiguousarray(v.T)[..., None]
-    return np.matmul(m, col)[..., 0].T
-
-
 def brackets(jacobians: np.ndarray) -> np.ndarray:
     """The brackets {Qi, Qj} per state, shape (N, K, K), from stacked
     Jacobians of shape (N, K, 2n) whose rows are (dQ/dq, dQ/dp): X - X^T,
-    X = dQ/dq (dQ/dp)^T one stacked matmul.  Every bracket the package takes
-    is this product, so a state's brackets have the same bits in a table of
-    one as in a table of many, on any BLAS kernel."""
+    X_ij = dQi/dq_k dQj/dp_k added over k left to right, elementwise.
+    Every bracket the package takes is this sum, so a state's brackets have
+    the same bits in a table of one as in a table of many."""
     n = jacobians.shape[-1] // 2
-    x = jacobians[..., :n] @ np.swapaxes(jacobians[..., n:], -1, -2)
+    dq, dp = jacobians[..., :, None, :n], jacobians[..., None, :, n:]
+    x = dq[..., 0] * dp[..., 0]
+    for k in range(1, n):
+        x = x + dq[..., k] * dp[..., k]
     return x - np.swapaxes(x, -1, -2)
 
 

@@ -13,7 +13,11 @@ Conventions used everywhere in this package:
   the invariant pairing is p.x = p+ x+ + p- x- + p_perp . x_perp and the mass
   shell reads p.p = 4 p+ p- - p_perp . p_perp = m^2.
 * component arrays may be batches: the component index comes first, so a
-  (4, N) array holds N points, and a FourVector may carry (N,) components.
+  (4, N) array holds N points, and a FourVector may carry (N,) components;
+* every product of components is one IEEE product, a square being v * v,
+  and every sum of products adds left to right (contract), elementwise over
+  a batch: a batch has each point's bits by construction, on any BLAS
+  kernel, since none enters.
 
 A particle whose squared mass m^2(x) varies over spacetime moves on geodesics
 of the conformally flat metric (m^2/m0^2) eta; everything here stays on flat
@@ -144,18 +148,17 @@ def contract(v_upper: np.ndarray, w_lower: np.ndarray):
     return scalar_or_array(total)
 
 
+def pair_rows(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """contract of each row of a constant (k, 4) matrix m with v: shape (k,)
+    for a 4-vector v, (k, N) for a component-first (4, N) batch, every sum
+    added left to right as contract adds it."""
+    cols = np.asarray(m, dtype=float).T
+    return contract(cols if np.ndim(v) == 1 else cols[..., None], v)
+
+
 def scalar_or_array(v):
     """A float for a single point, the array itself for a batch."""
     return float(v) if np.ndim(v) == 0 else v
-
-
-def float_square(v):
-    """v ** 2 as Python squares a float, per element of an array.  numpy's
-    array power squares as v * v, which rounds apart from the C pow behind
-    a float's ** on about 1 in 1 300 inputs."""
-    if np.ndim(v) == 0:
-        return v ** 2
-    return np.array([w ** 2 for w in v.tolist()])
 
 
 def from_lightfront(xplus: float, xminus: float, x1: float, x2: float) -> FourVector:

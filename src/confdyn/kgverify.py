@@ -265,7 +265,7 @@ def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
         if off.any():
             raise SingularityError(f"x+ = {xp[off.argmax()]:g} outside the x+ > 0 "
                                    "branch")
-        u = x.xminus - (x.x ** 2 + x.y ** 2) / xp
+        u = x.xminus - (x.x * x.x + x.y * x.y) / xp
         return np.exp(-1j * (qc + q1 * x.x + q2 * x.y) / xp) / xp * g(u)
 
     eigen = [(conformal.special_conformal_lf(), qc, "C-"),

@@ -195,7 +195,7 @@ def planewave_point(bg, init: PhaseSpaceState):
     def point(xplus):
         x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
         x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
-        xminus = (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * q3 ** 2)
+        xminus = (q["Q7"] + pp * xplus + bg.m2_integral(xplus)) / (4.0 * (q3 * q3))
         x = from_lightfront(xplus, xminus, x1, x2)
         pplus = (pp + bg.m2(x)) / (4.0 * q3)
         return x, momenta_from_lf(pplus, q3, q1, q2)
@@ -215,11 +215,11 @@ def conformal_points(bg, init: PhaseSpaceState, root=newton_per_point):
     pm0, p10, p20 = init.p
     u0 = xm0 - (x10 * x10 + x20 * x20) / xp0
     f_u0 = float(f(u0))
-    pplus0 = (p10 * p10 + p20 * p20 + f_u0 / xp0 ** 2) / (4.0 * pm0)
+    pplus0 = (p10 * p10 + p20 * p20 + f_u0 / (xp0 * xp0)) / (4.0 * pm0)
     q1 = 2.0 * pm0 * x10 + xp0 * p10
     q2 = 2.0 * pm0 * x20 + xp0 * p20
     qperp2 = q1 * q1 + q2 * q2
-    q3 = (-xp0 ** 2 * pplus0 - (x10 ** 2 + x20 ** 2) * pm0
+    q3 = (-(xp0 * xp0) * pplus0 - (x10 * x10 + x20 * x20) * pm0
           - xp0 * (x10 * p10 + x20 * p20))
 
     def weight(s):
@@ -281,7 +281,7 @@ def conformal_points(bg, init: PhaseSpaceState, root=newton_per_point):
         pp1 = (q1 - 2.0 * pm * x1) / xp
         pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / xp ** 2) / (4.0 * pm)
+        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / (xp * xp)) / (4.0 * pm)
         return (from_lightfront(xp, xminus, x1, x2),
                 momenta_from_lf(pplus, pm, pp1, pp2))
     return point
@@ -319,10 +319,28 @@ def jacobian_written_out(g: ConformalGenerator, x: FourVector) -> np.ndarray:
             - 2.0 * cx * np.eye(4))
 
 
+def charge_gradient_written_out(g: ConformalGenerator, x: FourVector, p) -> np.ndarray:
+    """p_mu d_nu xi^mu(x) at fixed lower-index p, with J0 = omega^mu_nu +
+    lam delta^mu_nu and c^mu raised from g's parameters on the call and
+    every sum over a component written out: (4,) at a point, (4, N) for
+    (N,) components and p of shape (4, N)."""
+    xu, xl = x.as_array(), x.lowered()
+    p = np.asarray(p, dtype=float)
+    j0 = METRIC_DIAG[:, None] * g.omega + g.lam * np.eye(4)
+    cu = raise_index(g.c)
+    c = g.c[:, None] if xu.ndim > 1 else g.c
+    pj = np.array([p[0] * j0[0, nu] + p[1] * j0[1, nu] + p[2] * j0[2, nu]
+                   + p[3] * j0[3, nu] for nu in range(4)])
+    cp = cu[0] * p[0] + cu[1] * p[1] + cu[2] * p[2] + cu[3] * p[3]
+    xp = xu[0] * p[0] + xu[1] * p[1] + xu[2] * p[2] + xu[3] * p[3]
+    cx = xu[0] * g.c[0] + xu[1] * g.c[1] + xu[2] * g.c[2] + xu[3] * g.c[3]
+    return pj + 2.0 * cp * xl - 2.0 * xp * c - 2.0 * cx * p
+
+
 def conformal_killing_residual(g: ConformalGenerator, x: FourVector) -> np.ndarray:
     """S_{mu nu} = d_mu xi_nu + d_nu xi_mu - (1/2) eta_{mu nu} d.xi
     from closed-form derivatives; identically zero for every generator."""
-    jl = METRIC @ g.jacobian(x)       # jl[mu, nu] = d_nu xi_mu
+    jl = METRIC @ jacobian_written_out(g, x)       # jl[mu, nu] = d_nu xi_mu
     sym = jl.T + jl
     return sym - 0.5 * METRIC * g.divergence(x)
 

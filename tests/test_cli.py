@@ -1,14 +1,17 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
 import hashlib
+import importlib.metadata
 import importlib.util
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +69,37 @@ def test_simulate_gate_failure_exits_one(tmp_path):
     assert code == 1
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["pass"] is False
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("first", [True, False])
+def test_non_finite_gated_drift_fails_the_gate(monkeypatch, bad, first):
+    # max([0.0, nan]) is 0.0: the gate must see a NaN wherever it stands,
+    # and an ungated diagnostic's NaN must not fail the run
+    drifts = {"Q1": bad, "Q2": 1e-12} if first else {"Q1": 1e-12, "Q2": bad}
+    traj = SimpleNamespace(drifts=drifts | {"p3": math.nan}, events_log=[],
+                           stats={}, to_json=None, to_csv=None)
+    monkeypatch.setattr(cli, "evolve", lambda *args, **kw: traj)
+    setup = (None, None, None, None, [], ["Q1", "Q2"])
+    result, _ = cli._run_one(setup, 0, "csv", 1e-8)
+    assert result["pass"] is False
+    assert not math.isfinite(result["max_drift"])
+    assert math.isnan(result["max_drift"]) == math.isnan(bad)
+    traj.drifts = {"Q1": 1e-12, "Q2": 0.0, "p3": math.nan}
+    result, _ = cli._run_one(setup, 0, "csv", 1e-8)
+    assert result["pass"] is True and result["max_drift"] == 1e-12
+
+
+def test_simulate_overflowing_planewave_fails_without_a_traceback(tmp_path, capsys):
+    # at p- = 1e200 the squares of p- overflow to inf and Q7 is NaN along
+    # the run: the drift gate reports it, and no OverflowError escapes
+    with pytest.warns(RuntimeWarning):
+        code = main(_args("simulate", "planewave", tmp_path,
+                          "--set", "initial.pminus=1e200"))
+    assert code == 1
+    assert capsys.readouterr().out == "run   0: max drift nan FAIL  -> run_000.csv\n"
+    (run,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert math.isnan(run["drifts"]["Q7"]) and run["pass"] is False
 
 
 # fig. 1's head-on orbit leaves the field, crossing z = 0, at
@@ -1051,35 +1085,65 @@ def test_output_digests_against_itself(tmp_path, capsys, monkeypatch):
     assert tool.main(["--src", src, "--preset", "spacelike", "--against", src]) == 0
     assert capsys.readouterr().out == "differing lines: 0 of 9\n"
     assert list(tmp_path.iterdir()) == []
+    # the relative move is that of the largest absolute move's own pair,
+    # not the 0.5 of the pair near zero
     assert tool.compare_text('{"Q1": [1.0, -0.0, 4e-08]}', '{"Q1": [1.5, 0.0, 2e-08]}') \
-        == "max_abs=0.5 max_rel=0.5 text=equal"
+        == "max_abs=0.5 rel=0.333 text=equal"
     assert tool.compare_text("x,p3\n1,2\n", "x,p2\n1,2\n") \
-        == "max_abs=0 max_rel=0 text=differs"
+        == "max_abs=0 rel=0 text=differs"
+    # a NaN against a number is the largest move; two NaNs do not move
+    assert tool.compare_text("[NaN, 1.0, 2.0]", "[NaN, NaN, 2.5]") \
+        == "max_abs=inf rel=inf text=equal"
     assert tool.compare_text("rank 3", "rank 3 of 5") == "numbers=1/2 text=differs"
 
 
-# every simulate, orbit and kg run of tools/output_digests.py, digested in a
-# process on the OpenBLAS core and numpy dispatch of the environment argv[1]
+# every run of tools/output_digests.py, digested in a process on the
+# OpenBLAS core and numpy dispatch of the environment: the tool's machine
+# line and its lines, each certify line that wrote a certification.json
+# followed by that file without independence.singular_values
 _DIGEST_CHILD = """
-import sys
+import json
 from confdyn import cli
-from output_digests import digest_run, runs
+from output_digests import digest_run, machine_line, runs
+print(machine_line())
 for run in runs(cli, sorted(cli._PRESETS)):
-    if run[0] != "certify":
-        print(digest_run(cli.main, *run))
+    line, files = digest_run(cli.main, *run)
+    print(line)
+    if "certification.json" in files:
+        doc = json.loads(files["certification.json"])
+        del doc["independence"]["singular_values"]
+        print("masked", json.dumps(doc, sort_keys=True))
 """
 _MACHINES = {"default": {},
              "haswell-avx2": {"OPENBLAS_CORETYPE": "Haswell",
                               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
              "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"}}
+# the record of tools/output_digests.py's lines (see its docstring)
+_RECORD = Path(__file__).resolve().parent / "output_digests.txt"
+
+
+def _versions() -> str:
+    return "versions: " + " ".join(
+        f"{name}={version}" for name, version in (
+            ("python", platform.python_version()),
+            ("numpy", importlib.metadata.version("numpy")),
+            ("scipy", importlib.metadata.version("scipy"))))
+
+
+def _certify(line: str) -> bool:
+    return line.startswith("certify ")
 
 
 def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
-    # the flows, the monitors, the orbits and the kg stencils take no BLAS
-    # call and no SIMD-dispatched transcendental, so their bytes are those
-    # of the AVX2 machine's BLAS kernel and numpy dispatch, and of the
-    # Nehalem kernel; certify's stacked matmuls and SVD still read BLAS
+    # every output but certify's singular values takes no BLAS call and no
+    # SIMD-dispatched transcendental, so on the AVX2 machine's BLAS kernel
+    # and numpy dispatch, and on the Nehalem kernel, each has the committed
+    # bits; on the recorded machine all of them do
     from numpy._core import _multiarray_umath as umath
+    versions, recorded, *want = _RECORD.read_text().splitlines()
+    assert versions == _versions(), (
+        f"{_RECORD.name} holds the digests of {versions[10:]}; this is "
+        f"{_versions()[10:]}")
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("output_digests",
                                                   root / "tools" / "output_digests.py")
@@ -1096,15 +1160,30 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
                                     text=True, cwd=tmp_path,
                                     env=dict(env, PYTHONPATH=path, **extra))
              for name, extra in _MACHINES.items()}
-    lines = {}
+    outs = {}
     for name, proc in procs.items():
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
-        lines[name] = out.splitlines()
-    assert len(lines["default"]) == 53
-    assert {line.split()[0] for line in lines["default"]} == {"simulate", "orbit", "kg"}
-    assert lines["haswell-avx2"] == lines["default"]
-    assert lines["nehalem"] == lines["default"]
+        outs[name] = out.splitlines()
+    assert len(want) == 74
+    kept = [line for line in want if not _certify(line)]
+    assert len(kept) == 53 and {line.split()[0] for line in kept} \
+        == {"simulate", "orbit", "kg"}
+    masked = {}
+    for name, (machine, *out) in outs.items():
+        lines = [line for line in out if not line.startswith("masked ")]
+        masked[name] = [line for line in out if line.startswith("masked ")]
+        assert len(lines) == 74 and len(masked[name]) == 15
+        if machine == recorded:
+            assert lines == want, name
+        # the 53 simulate, orbit and kg lines, whole
+        assert [line for line in lines if not _certify(line)] == kept, name
+        # certify's exit code, stdout and stderr error line
+        assert [line.split()[:6] for line in lines if _certify(line)] \
+            == [line.split()[:6] for line in want if _certify(line)], name
+    assert outs["default"][0] == tool.machine_line()
+    assert masked["haswell-avx2"] == masked["default"]
+    assert masked["nehalem"] == masked["default"]
 
 
 def test_settable_values_smoke(tmp_path):

@@ -15,8 +15,8 @@ from confdyn.conformal import (ConformalGenerator, boost_axis, dilation,
 from confdyn.dynamics import (extended_state, front_state, instant_state,
                               poisson_bracket, quantity_partials)
 from confdyn.geometry import FourVector
-from oracles import (conformal_killing_residual, fd_partials,
-                     jacobian_written_out, killing_residual_fd,
+from oracles import (charge_gradient_written_out, conformal_killing_residual,
+                     fd_partials, jacobian_written_out, killing_residual_fd,
                      killing_written_out)
 
 
@@ -57,20 +57,28 @@ def _generators_and_combinations(rng):
 
 def test_killing_and_jacobian_equal_the_written_out_formulas():
     # the constants built once per generator give the floats of raising
-    # omega and c, and of np.eye/np.outer, on every call
+    # omega and c, and of np.eye, on every call; the charge gradient is p
+    # times the written-out Jacobian, its sums in their own order
     def bits(a):
         return a.shape, a.tobytes()     # signed zeros included
 
     rng = np.random.default_rng(21)
     batch = FourVector(*rng.uniform(-2.0, 2.0, size=(4, 7)))
+    pb = rng.uniform(-2.0, 2.0, size=(4, 7))
     for g in _generators_and_combinations(rng):
         for x in [random_point(rng) for _ in range(5)] + [FourVector(0.0, -0.0, 0.0, 0.0)]:
+            p = rng.uniform(-2.0, 2.0, size=4)
             assert bits(g.killing(x)) == bits(killing_written_out(g, x))
-            assert bits(g.jacobian(x)) == bits(jacobian_written_out(g, x))
+            w = g.charge_gradient(x, p)
+            assert bits(w) == bits(charge_gradient_written_out(g, x, p))
+            assert np.allclose(w, p @ jacobian_written_out(g, x), rtol=0.0,
+                               atol=1e-13 * (1.0 + np.abs(parameters(g)).max()))
         assert bits(g.killing(batch)) == bits(killing_written_out(g, batch))
+        assert bits(g.charge_gradient(batch, pb)) == bits(
+            charge_gradient_written_out(g, batch, pb))
         points = [FourVector(*c) for c in batch.as_array().T]
-        assert bits(g.jacobian(batch)) == bits(np.array(
-            [jacobian_written_out(g, x) for x in points]))
+        assert bits(g.charge_gradient(batch, pb)) == bits(np.array(
+            [g.charge_gradient(x, p) for x, p in zip(points, pb.T)]).T)
 
 
 def test_killing_dilation_is_x():

@@ -36,14 +36,21 @@ or, to also see how far the differing outputs are apart,
     python tools/output_digests.py --src /path/to/a/src --against /path/to/b/src
 
 which prints only the lines that differ, each followed by one line per
-differing output (stdout and the stderr error line included): the largest absolute and relative
-difference of its numbers, taken in order, and whether the text around the
-numbers is equal; then a count of the differing lines.  Each differing run
-is repeated for both checkouts in its own process, so the two packages
-never share one interpreter; these processes write no bytecode into either
-checkout.
+differing output (stdout and the stderr error line included): the largest
+absolute difference of its numbers, taken in order, the relative difference
+of that same pair, and whether the text around the numbers is equal; then
+a count of the differing lines.  Each differing run is repeated for both
+checkouts in its own process, so the two packages never share one
+interpreter; these processes write no bytecode into either checkout.
 
 Without --src the sources next to this script are used.
+
+tests/output_digests.txt records the lines of the committed sources: a
+line naming the Python, numpy and scipy versions, then what
+
+    python tools/output_digests.py 2>&1
+
+prints, its machine line first.  A change that moves bytes rewrites it.
 """
 
 from __future__ import annotations
@@ -108,6 +115,12 @@ def simd_targets() -> list:
     return [t for t in _multiarray_umath.__cpu_dispatch__ if features.get(t)]
 
 
+def machine_line() -> str:
+    """The line naming the OpenBLAS core and the SIMD targets of this
+    process."""
+    return f"machine: openblas={blas_core() or 'none'} numpy={','.join(simd_targets())}"
+
+
 def runs(cli, presets) -> list:
     """(command, preset, label, extra arguments) of every digested run."""
     out = []
@@ -135,9 +148,10 @@ def _argv(command: str, preset: str, extra: list, out: Path) -> list:
             "--seed", str(SEED)]
 
 
-def digest_run(main, command: str, preset: str, label: str, extra: list) -> str:
+def digest_run(main, command: str, preset: str, label: str, extra: list) -> tuple:
     """One output line: the run's exit code and the digests of its stdout,
-    of its stderr error line and of each file it wrote."""
+    of its stderr error line and of each file it wrote; and those files
+    as {name: bytes}."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -146,11 +160,12 @@ def digest_run(main, command: str, preset: str, label: str, extra: list) -> str:
                 code = main(_argv(command, preset, extra, out))
             except Exception as exc:        # a traceback would exit 1
                 code = f"raised-{type(exc).__name__}"
-        digests = [f"{p.relative_to(out).as_posix()}={_sha(p.read_bytes())}"
-                   for p in sorted(out.rglob("*")) if p.is_file()]
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
     return " ".join([command, preset, label, f"exit={code}",
                      f"stdout={_sha(stdout.getvalue().encode())}",
-                     f"stderr={_sha(error_line(stderr.getvalue()).encode())}"] + digests)
+                     f"stderr={_sha(error_line(stderr.getvalue()).encode())}"]
+                    + [f"{name}={_sha(data)}" for name, data in files.items()]), files
 
 
 def _outputs(src: str, command: str, preset: str, extra: list, out: Path) -> dict:
@@ -165,20 +180,25 @@ def _outputs(src: str, command: str, preset: str, extra: list, out: Path) -> dic
 
 
 def compare_text(a: str, b: str) -> str:
-    """How two outputs differ: the largest absolute and relative difference
-    of their numbers, paired in order, and whether the rest is equal."""
+    """How two outputs differ: the largest absolute difference of their
+    numbers, paired in order, the relative difference of that same pair,
+    and whether the rest is equal.  A NaN against a number counts as an
+    infinite move.  (The largest relative difference over all pairs would
+    be set by rounding noise on numbers near zero.)"""
     na, nb = _NUMBER.findall(a), _NUMBER.findall(b)
     text = "equal" if _NUMBER.sub("#", a) == _NUMBER.sub("#", b) else "differs"
     if len(na) != len(nb):
         return f"numbers={len(na)}/{len(nb)} text={text}"
-    max_abs = max_rel = 0.0
+    max_abs = rel = 0.0
     for x, y in zip(map(float, na), map(float, nb)):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         d = abs(x - y)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / max(abs(x), abs(y)))
-    return f"max_abs={max_abs:.3g} max_rel={max_rel:.3g} text={text}"
+        if math.isnan(d):               # a NaN against a number
+            max_abs = rel = math.inf
+        elif d > max_abs:
+            max_abs, rel = d, d / max(abs(x), abs(y))
+    return f"max_abs={max_abs:.3g} rel={rel:.3g} text={text}"
 
 
 def _against(args, todo: list, lines: list) -> int:
@@ -219,14 +239,13 @@ def main(argv=None) -> int:
                     help="print only the lines that differ from the package in "
                          "SRC, with how far their outputs are apart")
     args = ap.parse_args(argv)
-    print(f"machine: openblas={blas_core() or 'none'} numpy={','.join(simd_targets())}",
-          file=sys.stderr, flush=True)
+    print(machine_line(), file=sys.stderr, flush=True)
     sys.path.insert(0, args.src)
     from confdyn import cli
     todo = runs(cli, args.presets or sorted(cli._PRESETS))
     lines = []
     for run in todo:
-        lines.append(digest_run(cli.main, *run))
+        lines.append(digest_run(cli.main, *run)[0])
         if args.against is None:
             print(lines[-1], flush=True)
     return 0 if args.against is None else _against(args, todo, lines)
