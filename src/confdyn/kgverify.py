@@ -26,10 +26,18 @@ mass over x+), the inverse-square conformal mode, and the dilation mode
 built from Bessel functions of imaginary argument.  Phase-integral lower
 limits are fixed at 0; any other choice rescales phi by a constant, which
 the wave equation cannot see.
+
+The dilation mode's Bessel pair at y = |Q_perp| v takes no scipy: for a
+real order alpha, J_{+-alpha}(-i y) = e^{-+i pi alpha/2} I_{+-alpha}(y)
+(DLMF 10.27.6), Y_alpha = (J_alpha cos(pi alpha) - J_{-alpha}) /
+sin(pi alpha) (10.2.3) and I_{+-alpha} is its power series (10.25.2),
+summed in order over the batch.  Orders within 1/32 of an integer and
+complex orders go through mpmath, value by value (_bessel_pair).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -275,25 +283,78 @@ def make_conformal_solution(qperp, q3: float, bg) -> Wavefunction:
                         params={"Qperp": (q1, q2), "Q3": qc, "g": g, "eigen": eigen})
 
 
-_jv = _yv = None   # scipy.special's jv and yv, once _bessel_pair has needed them
+def _power(w: float, a: float) -> float:
+    """w^a by math.pow, inf where it overflows or has a pole."""
+    try:
+        return math.pow(w, a)
+    except (OverflowError, ValueError):
+        return math.inf
 
 
-def _bessel_pair(alpha: complex, z):
-    """J_alpha(z), Y_alpha(z) for a complex argument or an array of them;
-    real orders go through scipy (which evaluates imaginary arguments via
-    the modified-Bessel connection) on the whole array, complex orders
-    through mpmath, value by value.  scipy.special is imported on the first
-    real order, and so stays off every other path."""
-    global _jv, _yv
-    if abs(np.imag(alpha)) == 0.0:
-        if _jv is None:
-            from scipy.special import jv as _jv, yv as _yv
-        a = float(np.real(alpha))
-        return _jv(a, z), _yv(a, z)
+def _gamma(x: float) -> float:
+    """Gamma(x) by math.gamma, inf where it overflows."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _bessel_i(a: float, y) -> np.ndarray:
+    """The (2, N) rows I_a(y), I_{-a}(y) for the (N,) array y >= 0 and a real
+    order a that is no integer: I_{+-a}(y) = (y/2)^{+-a} / Gamma(1 +- a)
+    sum_k t_k, t_0 = 1 and t_k = t_{k-1} (y^2/4) / (k (k +- a)) (DLMF
+    10.25.2).  The terms are added in order over the whole batch until, at
+    every value whose sum S is finite, k > |a|, y^2/4 < k (k - |a|) and |t_k|
+    < 2^-54 |S|: from there on the terms shrink and each lies below half an
+    ulp of S, so no later term moves any sum and each value keeps the bits of
+    its batch of one.  An overflowing sum or power leaves inf (or NaN), for
+    the caller to report."""
+    signed = np.array([[a], [-a]])
+    t = np.ones((2, len(y)))
+    s = t.copy()
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = 0.25 * (y * y)
+        while True:
+            k += 1
+            t *= q
+            t /= k * (k + signed)
+            s += t
+            # |t_k / S| is NaN or 0 where S is not finite
+            if (k > abs(a) and not (np.abs(t / s) >= 2.0 ** -54).any()
+                    and not ((q >= k * (k - abs(a))) & np.isfinite(s)).any()):
+                break
+        halves = (0.5 * y).tolist()
+        powers = np.fromiter(map(_power, halves + halves, [a] * len(y) + [-a] * len(y)),
+                             float, 2 * len(y)).reshape(2, -1)
+        return s * (powers / np.array([[_gamma(1.0 + a)], [_gamma(1.0 - a)]]))
+
+
+def _bessel_pair(alpha: complex, y):
+    """J_alpha(-i y), Y_alpha(-i y) for the (N,) array y >= 0.
+
+    A real order alpha more than 1/32 from an integer is read off the
+    power series of I_{+-alpha}(y) (_bessel_i) over the whole array by
+    J_alpha(-i y) = e^{-i pi alpha/2} I_alpha(y), J_{-alpha}(-i y) =
+    e^{i pi alpha/2} I_{-alpha}(y) (DLMF 10.27.6) and Y_alpha = (J_alpha
+    cos(pi alpha) - J_{-alpha}) / sin(pi alpha) (10.2.3), the phase
+    constants taken once.  Orders nearer an integer, where 1/|sin(pi
+    alpha)| exceeds 10 and Gamma(1 - alpha) has poles, and complex orders
+    go through mpmath, value by value."""
+    a = float(np.real(alpha))
+    if np.imag(alpha) == 0.0 and abs(a - round(a)) >= 1.0 / 32.0:
+        half = 0.5 * math.pi * a
+        phase = complex(math.cos(half), -math.sin(half))
+        plus, minus = _bessel_i(a, y)
+        J = phase * plus
+        with np.errstate(invalid="ignore"):     # inf - inf; reported by the caller
+            Y = ((J * math.cos(math.pi * a) - phase.conjugate() * minus)
+                 / math.sin(math.pi * a))
+        return J, Y
     import mpmath
     aa = mpmath.mpc(alpha)
-    zs = [mpmath.mpc(w) for w in np.ravel(z).tolist()]
-    return tuple(np.array([complex(fn(aa, w)) for w in zs]).reshape(np.shape(z))
+    zs = [mpmath.mpc(0.0, -w) for w in y.tolist()]
+    return tuple(np.array([complex(fn(aa, w)) for w in zs])
                  for fn in (mpmath.besselj, mpmath.bessely))
 
 
@@ -322,8 +383,7 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
     def y_of(v):
         if qnorm == 0.0:
             return c1 * v ** alpha + c2 * v ** (-alpha)
-        z = -1j * qnorm * v
-        J, Y = _bessel_pair(alpha, z)
+        J, Y = _bessel_pair(alpha, qnorm * v)
         with np.errstate(invalid="ignore"):    # 0 * inf; reported below
             out = c1 * J + c2 * Y
         overflow = ~np.isfinite(out)

@@ -313,6 +313,17 @@ def test_kg_offshell_control_fails(tmp_path):
     assert all(r < 1.5 for r in ratios)
 
 
+@pytest.mark.parametrize("q3", [0.0, 1.0])
+def test_kg_dilation_at_an_integer_order(tmp_path, capsys, q3):
+    # csq = 1 and Q3 = 0 or 1 put the Bessel order on 1 or 0, where sin(pi alpha)
+    # vanishes and Gamma(1 - alpha) has a pole: mpmath takes those orders
+    assert main(_args("kg", "dilation", tmp_path, "--set", f"kg.q3={q3:g}")) == 0
+    assert capsys.readouterr().out == ("dilation_mode: 60 points, h-halving ratios "
+                                       "in [4.00, 4.00] -> PASS\n")
+    summary = json.loads((tmp_path / "kg_summary.json").read_text())
+    assert summary["pass"] is True and summary["eigen_defects"][0]["Q"] == q3
+
+
 def test_kg_deterministic_output(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(), b.mkdir()
@@ -967,14 +978,18 @@ def test_simulate_and_certify_load_no_scipy(tmp_path):
 
 def test_kg_and_orbit_without_quadrature_load_no_scipy(tmp_path):
     # the Gaussian profile's integral is an error function: the conformal
-    # orbit and mode take no quadrature
+    # orbit and mode take no quadrature; the dilation mode's Bessel pair is a
+    # power series
     runs = [("orbit", "fig1", [], 0), ("orbit", "planewave", [], 0),
             ("orbit", "fig2", [], 0), ("kg", "planewave", [], 0),
-            ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0)]
-    # the dilation mode takes Bessel functions: the listing sees scipy load
-    control = [("kg", "dilation", ["kg.points=2"], 0)]
+            ("kg", "kgcontrol", [], 1), ("kg", "conformal", [], 0),
+            ("kg", "dilation", ["kg.points=2"], 0)]
+    # the constant-family orbit integrates 1/H(t) by ode.quad: the listing sees
+    # scipy load
+    control = [("orbit", "kgcontrol", ["run.tend=2", "initial.p=0.1,0.2,-0.3",
+                                       "run.samples=5"], 0)]
     after = _scipy_after(tmp_path, runs, control)
-    assert after[0] == "[]" and "'scipy.special'" in after[1]
+    assert after[0] == "[]" and "'scipy.integrate'" in after[1]
 
 
 def test_run_as_module_writes_nothing_to_stderr(tmp_path):

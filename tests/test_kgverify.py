@@ -1,5 +1,7 @@
 """Wave-equation residuals, symmetry eigenmodes, and convergence ratios."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -239,18 +241,36 @@ def test_dilation_mode_complex_order():
         assert 3.5 < ratio < 4.5
 
 
-def test_bessel_pair_binds_scipy_once(monkeypatch):
-    # jv and yv are bound on the first real order and serve every later call
+# the orders 1 +- 1/64 go through mpmath, 1 +- 1/16 through the series
+_BESSEL_ORDERS = (1 / 16, 0.1, 0.3, 0.6, 0.8, 1.5, 1.7, 2.5, 3.3, 5.5,
+                  1 - 1 / 64, 1 + 1 / 64, 1 - 1 / 16, 1 + 1 / 16)
+_BESSEL_Y = (1e-3, 0.1, 0.3, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0)
+
+
+def test_bessel_pair_matches_mpmath_at_40_digits():
+    # J_alpha(-i y) and Y_alpha(-i y) within 2e-14 of mpmath at 40 digits, and
+    # no farther than scipy's jv and yv; at the preset's alpha = 0.8 and
+    # y <= 1 within 2e-15
+    import mpmath
     from scipy.special import jv, yv
     from confdyn import kgverify
-    monkeypatch.setattr(kgverify, "_jv", None)
-    monkeypatch.setattr(kgverify, "_yv", None)
-    z = -0.3j
-    assert kgverify._bessel_pair(0.6 + 0j, z) == (complex(jv(0.6, z)), complex(yv(0.6, z)))
-    assert (kgverify._jv, kgverify._yv) == (jv, yv)
-    monkeypatch.setattr(kgverify, "_jv", lambda a, z: 2.0)
-    monkeypatch.setattr(kgverify, "_yv", lambda a, z: 3.0)
-    assert kgverify._bessel_pair(0.6, z) == (2.0, 3.0)
+    worst = {"pair": 0.0, "scipy": 0.0, "preset": 0.0}
+    y = np.array(_BESSEL_Y)
+    with mpmath.workdps(40):
+        for a in _BESSEL_ORDERS:
+            pair = kgverify._bessel_pair(complex(a), y)
+            scipy = (jv(a, -1j * y), yv(a, -1j * y))
+            for i, w in enumerate(_BESSEL_Y):
+                for fn, got, other in zip((mpmath.besselj, mpmath.bessely), pair, scipy):
+                    want = fn(a, mpmath.mpc(0, -w))
+                    err = float(abs(mpmath.mpc(got[i]) - want) / abs(want))
+                    worst["pair"] = max(worst["pair"], err)
+                    worst["scipy"] = max(worst["scipy"], float(
+                        abs(mpmath.mpc(other[i]) - want) / abs(want)))
+                    if a == 0.8 and w <= 1.0:
+                        worst["preset"] = max(worst["preset"], err)
+    assert worst["pair"] <= min(2e-14, worst["scipy"]), worst
+    assert worst["preset"] <= 2e-15, worst
 
 
 def test_dilation_mode_euler_limit():
@@ -650,6 +670,10 @@ def _modes():
         (make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.5), cone),
         (make_dilation_solution((0.25, -0.15), 0.8, 0.04, 1.0, 0.5), cone[:3]),
         (make_dilation_solution((0.0, 0.0), 0.8, 1.0, 1.0, 0.5), cone),
+        # alpha = sqrt(3 - 0.64) > 1, where the series' terms change sign while
+        # k < alpha, and the integer order alpha = 1 (mpmath)
+        (make_dilation_solution((0.25, -0.15), 0.8, 3.0, 1.0, 0.5), cone),
+        (make_dilation_solution((0.25, -0.15), 0.0, 1.0, 1.0, 0.5), cone[:3]),
     ]
 
 
@@ -746,4 +770,17 @@ def test_bessel_overflow_names_its_v():
     assert np.isfinite(phi(fourvector_batch(pts[:1]))).all()
     with pytest.raises(DomainError) as err:
         phi(fourvector_batch(pts))
+    assert str(err.value) == "Bessel evaluation overflowed at v = 1"
+
+
+@pytest.mark.parametrize("q3", [0.8, 0.0])
+def test_bessel_overflow_stops_without_a_warning(q3):
+    # an overflowing sum leaves the series' loop (inf < inf 2^-54 never holds)
+    # and only the DomainError reports it, at the series' order and at alpha = 1
+    phi = make_dilation_solution((1000.0, 0.0), q3, 1.0, 1.0, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            phi(fourvector_batch([FourVector(2.0, 0.0, 0.0, 1.9),
+                                  FourVector(2.0, 0.0, 0.0, 0.0)]))
     assert str(err.value) == "Bessel evaluation overflowed at v = 1"
