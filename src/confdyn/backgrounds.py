@@ -47,8 +47,6 @@ class ScalarBackground:
     field : the family's kernel, field(t, x, y, z) -> (m^2, (g0, g1, g2, g3))
         at one point, the gradient as plain floats (lower index); it raises
         SingularityError on singular surfaces
-    value_fn : value_fn(t, x, y, z) -> m^2 alone, for a field whose gradient
-        costs far more than its value (default: the kernel's m^2)
     events : list of (name, fn) switch surfaces, fn(t, x, y, z) -> signed value;
         the flows stop at their sign changes, and smooth_at is False where
         any of them is within _SING_EPS of zero
@@ -60,13 +58,11 @@ class ScalarBackground:
     params : family parameters, kept for serialization and dispatch
     """
 
-    def __init__(self, label: str, field: Callable,
-                 value_fn: Optional[Callable] = None, events=(),
+    def __init__(self, label: str, field: Callable, events=(),
                  m2_antiderivative: Optional[Callable] = None,
                  profile: Optional[tuple] = None, *, params: dict):
         self.label = label
         self._field = field
-        self._value = value_fn or (lambda t, x, y, z: field(t, x, y, z)[0])
         self.events = list(events)
         self.m2_antiderivative = m2_antiderivative
         self.profile = profile
@@ -79,8 +75,8 @@ class ScalarBackground:
         return np.array(vals) if np.ndim(x.t) else vals[0]
 
     def m2_at(self, t, x, y, z) -> float:
-        """m2 at the plain coordinates of one point."""
-        return self._real(self._value(t, x, y, z), t, x, y, z)
+        """m2 at the plain coordinates of one point, the kernel's as in field_at."""
+        return self._real(self._field(t, x, y, z)[0], t, x, y, z)
 
     def field_at(self, t, x, y, z):
         """(m^2, (g0, g1, g2, g3)) at the plain coordinates of one point from
@@ -402,8 +398,9 @@ def dilation_mass(csq: float) -> ScalarBackground:
 def from_callable(m2_fn: Callable[[FourVector], float],
                   grad_fn: Optional[Callable] = None) -> ScalarBackground:
     """Wrap a user-supplied squared mass.  Without grad_fn the gradient falls
-    back to fourth-order central differences with step 1e-5; m2 alone calls
-    m2_fn once and never the gradient."""
+    back to fourth-order central differences with step 1e-5.  Every read
+    (m2 too) calls m2_fn once and grad_fn once per point, or m2_fn 1 + 16
+    times without grad_fn."""
 
     def fd_grad(x):
         return [central_difference(lambda s: m2_fn(x.shifted(mu, s)), 1e-5, 1, 4)
@@ -415,9 +412,7 @@ def from_callable(m2_fn: Callable[[FourVector], float],
         p = FourVector(t, x, y, z)
         return m2_fn(p), tuple(map(float, grad(p)))
 
-    return ScalarBackground("user", field,
-                            value_fn=lambda t, x, y, z: m2_fn(FourVector(t, x, y, z)),
-                            params={"family": "user"})
+    return ScalarBackground("user", field, params={"family": "user"})
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, from_lightfront
 from .jsonio import write_csv, write_json
 
-_FIG1_P3 = (-0.25, -0.4, -0.5, -0.6)
 # (kappa, entry p-, end x+) of fig. 2: p- = sqrt(kappa/(2 sqrt(pi))), which
 # inverts kappa = 2 sqrt(pi) p-^2/(k m0^2 L) at m0 = k = L = 1, and
 # x+ = 1/(1 - kappa erf(3.75)) where L/x+ = 1 - kappa erf(k x-) leaves the
@@ -227,33 +226,37 @@ def _get(cfg, sec, key):
 # presets
 # ---------------------------------------------------------------------------
 
-def _fig1_preset() -> dict:
-    runs = [f"initial.p=0,0,{p3:g}" for p3 in _FIG1_P3]
-    return {
+def _sweep(overrides) -> dict:
+    """The [sweep] section of one run per entry of overrides."""
+    return {"count": str(len(overrides))} | {f"override_{i}": ov
+                                             for i, ov in enumerate(overrides)}
+
+
+def _linear_z_certify(qset: str, expect: str) -> dict:
+    """The certify preset of quantity set qset on unswitched m^2 = 1 + z."""
+    return {"background": {"family": "linear_z", "B": "1.0", "switched": "false"},
+            "certify": {"set": qset, "expect": expect}}
+
+
+# each preset's raw config, which writes only what differs from the defaults
+_PRESETS = {
+    "fig1": {
         "run": {"tend": "4", "samples": "500"},
         "background": {"family": "linear_z", "B": "1.0"},
         "initial": {"p": "0,0,-0.5"},
         "monitor": {"set": "spacelike", "extra": "p3,BLz"},
-        "sweep": {"count": str(len(runs))}
-                 | {f"override_{i}": ov for i, ov in enumerate(runs)},
-    }
-
-
-def _fig2_preset() -> dict:
-    return {
+        "sweep": _sweep([f"initial.p=0,0,{p3:g}" for p3 in (-0.25, -0.4, -0.5, -0.6)]),
+    },
+    "fig2": {
         "run": {"form": "front", "tstart": "1", "tend": "2",
                 "samples": "500", "rtol": "1e-12", "atol": "1e-12"},
         "background": {"family": "special_conformal_switched"},
         "initial": {"xplus": "1", "pminus": "0.4"},
         "monitor": {"set": "conformal_front"},
-        "sweep": {"count": str(len(_FIG2_RUNS))}
-                 | {f"override_{i}": f"initial.pminus={pminus};run.tend={tend}"
-                    for i, (_, pminus, tend) in enumerate(_FIG2_RUNS)},
-    }
-
-
-def _planewave_preset() -> dict:
-    return {
+        "sweep": _sweep([f"initial.pminus={pminus};run.tend={tend}"
+                         for _, pminus, tend in _FIG2_RUNS]),
+    },
+    "planewave": {
         "run": {"form": "extended", "tend": "10", "rtol": "1e-12", "atol": "1e-12"},
         "background": {"family": "plane_wave"},
         "initial": {"xplus": "0", "pminus": "0.5", "pperp": "0.1,-0.05"},
@@ -261,60 +264,35 @@ def _planewave_preset() -> dict:
         "certify": {"set": "planewave", "form": "extended",
                     "expect": "maximally superintegrable"},
         "kg": {"solution": "planewave", "h": "5e-3"},
-    }
-
-
-def _dilation_preset() -> dict:
-    return {
+    },
+    "dilation": {
         "run": {"tstart": "2", "tend": "6"},
         "background": {"family": "dilation"},
         "initial": {"t": "2", "x": "0.1,-0.1,0.3", "p": "0.05,0.02,-0.04"},
         "monitor": {"set": "dilation", "extra": "Lz"},
         "certify": {"set": "dilation", "expect": "integrable"},
         "kg": {"solution": "dilation", "c2": "0.3", "h": "5e-3"},
-    }
-
-
-def _linear_z_certify_preset(qset: str, expect: str):
-    """The certify preset of quantity set qset on unswitched m^2 = 1 + z."""
-    return lambda: {
-        "background": {"family": "linear_z", "B": "1.0", "switched": "false"},
-        "certify": {"set": qset, "expect": expect},
-    }
-
-
-def _conformal_certify_preset() -> dict:
-    return {
+    },
+    "spacelike": _linear_z_certify("spacelike", "maximally superintegrable"),
+    "conformal": {
         "background": {"family": "special_conformal_gaussian"},
         "certify": {"set": "conformal", "form": "extended",
                     "expect": ("minimally superintegrable,superintegrable,"
                                "maximally superintegrable")},
         "kg": {"solution": "conformal", "h": "5e-3"},
-    }
-
-
-def _kg_control_preset() -> dict:
-    return {
+    },
+    "truncated": _linear_z_certify("truncated", "not certified"),
+    "kgcontrol": {
         "background": {"family": "constant"},
         "kg": {"solution": "offshell", "h": "5e-3"},
-    }
-
-
-_PRESETS = {
-    "fig1": _fig1_preset,
-    "fig2": _fig2_preset,
-    "planewave": _planewave_preset,
-    "dilation": _dilation_preset,
-    "spacelike": _linear_z_certify_preset("spacelike", "maximally superintegrable"),
-    "conformal": _conformal_certify_preset,
-    "truncated": _linear_z_certify_preset("truncated", "not certified"),
-    "kgcontrol": _kg_control_preset,
+    },
 }
 
 
 def preset_config(name: str) -> dict:
+    """A fresh copy of the raw config of the preset name."""
     try:
-        return _PRESETS[name]()
+        return {sec: dict(kv) for sec, kv in _PRESETS[name].items()}
     except KeyError:
         raise ConfigError(f"unknown preset {name!r}; available: "
                           + ", ".join(sorted(_PRESETS)))
@@ -558,40 +536,31 @@ def cmd_certify(cfg, tol_abs: float, tol_rel: float, seed: int) -> tuple:
     return [("certification.json", write_json, cert.to_dict(), False)], lines, ok
 
 
+def _conformal_mode(kgverify, kg, bg):
+    if bg.profile is None:
+        raise ConfigError("conformal solution needs an inverse-square "
+                          "background family")
+    return kgverify.make_conformal_solution(kg["qperp"], kg["q3"], bg)
+
+
 # per solution: the bounds of its four uniform draws and the chart that makes
-# them a point (box), and the defaults of its mode constants
+# them a point (box), the defaults of its mode constants, and its mode,
+# mode(kgverify, kg, bg) -> the Wavefunction of the [kg] constants kg on bg;
+# kgverify is passed in, so that it loads with the kg command alone
 _KG_SOLUTIONS = {
-    "planewave": {"box": (-1.0, 1.0, FourVector), "qperp": [0.3, -0.2], "qminus": 0.7},
+    "planewave": {"box": (-1.0, 1.0, FourVector), "qperp": [0.3, -0.2], "qminus": 0.7,
+                  "mode": lambda kgverify, kg, bg: kgverify.make_planewave_solution(
+                      kg["qperp"], kg["qminus"], _xplus_wave(bg, "the planewave mode"))},
     "conformal": {"box": ((0.7, -0.5, -0.4, -0.4), (1.6, 0.5, 0.4, 0.4), from_lightfront),
-                  "qperp": [0.25, -0.15], "q3": 0.8},
+                  "qperp": [0.25, -0.15], "q3": 0.8, "mode": _conformal_mode},
     "dilation": {"box": ((1.8, -0.4, -0.4, -0.4), (2.6, 0.4, 0.4, 0.4), FourVector),
-                 "qperp": [0.4, 0.1], "q3": 0.6, "c1": 1.0, "c2": 0.0},
-    "offshell": {"box": (-1.0, 1.0, FourVector), "p": [1.3, 0.2, -0.1, 0.3]}}
-
-
-def _kg_mode(cfg, sol: str, bg):
-    """The solution sol: a mode of bg, or the off-shell control, with the
-    [kg] constants over the solution's defaults."""
-    from . import kgverify
-    if sol not in _KG_SOLUTIONS:
-        raise ConfigError(f"unknown kg solution {sol!r}")
-    kg = _KG_SOLUTIONS[sol] | cfg["kg"]
-    if sol == "planewave":
-        return kgverify.make_planewave_solution(
-            kg["qperp"], kg["qminus"], _xplus_wave(bg, "the planewave mode"))
-    if sol == "conformal":
-        if bg.profile is None:
-            raise ConfigError("conformal solution needs an inverse-square "
-                              "background family")
-        return kgverify.make_conformal_solution(kg["qperp"], kg["q3"], bg)
-    if sol == "dilation":
-        csq = _family_param(bg, "dilation", "csq", "the dilation mode")
-        return kgverify.make_dilation_solution(kg["qperp"], kg["q3"], csq, kg["c1"],
-                                               kg["c2"])
-    p = np.asarray(kg["p"])
-    return kgverify.Wavefunction("offshell_control", lambda x: np.exp(
-        -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)),
-        params={"p": list(p)})
+                 "qperp": [0.4, 0.1], "q3": 0.6, "c1": 1.0, "c2": 0.0,
+                 "mode": lambda kgverify, kg, bg: kgverify.make_dilation_solution(
+                     kg["qperp"], kg["q3"],
+                     _family_param(bg, "dilation", "csq", "the dilation mode"),
+                     kg["c1"], kg["c2"])},
+    "offshell": {"box": (-1.0, 1.0, FourVector), "p": [1.3, 0.2, -0.1, 0.3],
+                 "mode": lambda kgverify, kg, bg: kgverify.offshell_control(kg["p"])}}
 
 
 def cmd_kg(cfg, seed: int) -> tuple:
@@ -599,12 +568,15 @@ def cmd_kg(cfg, seed: int) -> tuple:
     npts, h = cfg["kg"]["points"], cfg["kg"]["h"]
     sol = _get(cfg, "kg", "solution")
     bg = _background(cfg)
+    if sol not in _KG_SOLUTIONS:
+        raise ConfigError(f"unknown kg solution {sol!r}")
+    kg = _KG_SOLUTIONS[sol] | cfg["kg"]
     try:
-        phi = _kg_mode(cfg, sol, bg)
+        phi = kg["mode"](kgverify, kg, bg)
     except ValueError as exc:       # a mode constructor refusing its constants
         raise ConfigError(f"kg solution: {exc}") from None
     # the first npts in-domain points of 1000 draws
-    lo, hi, chart = _KG_SOLUTIONS[sol]["box"]
+    lo, hi, chart = kg["box"]
     drawn = np.random.default_rng(seed).uniform(lo, hi, size=(1000, 4))
     drawn = drawn[phi.in_domain(chart(*drawn.T))][:npts]
     if len(drawn) < npts:

@@ -184,29 +184,34 @@ def translation_xminus() -> ConformalGenerator:
     return translation([0.5, 0.0, 0.0, -0.5], label="P-")
 
 
-def _lorentz(omega_lower: np.ndarray, label: str) -> ConformalGenerator:
-    return ConformalGenerator(**_zeros_gen() | {"omega": omega_lower}, label=label)
+def _lorentz(label: str, *pairs) -> ConformalGenerator:
+    """The Lorentz generator with omega_ab = 1 = -omega_ba for each index
+    pair (a, b) of pairs, every other entry 0."""
+    om = np.zeros((4, 4))
+    for a, b in pairs:
+        om[a, b], om[b, a] = 1.0, -1.0
+    return ConformalGenerator(**_zeros_gen() | {"omega": om}, label=label)
+
+
+def _transverse(j: int) -> int:
+    if j not in (1, 2):
+        raise ValueError("transverse axis must be 1 or 2")
+    return j
 
 
 def rotation_x() -> ConformalGenerator:
     """Charge Lx = y p3 - z p2."""
-    om = np.zeros((4, 4))
-    om[2, 3], om[3, 2] = 1.0, -1.0
-    return _lorentz(om, "Lx")
+    return _lorentz("Lx", (2, 3))
 
 
 def rotation_y() -> ConformalGenerator:
     """Charge Ly = z p1 - x p3."""
-    om = np.zeros((4, 4))
-    om[3, 1], om[1, 3] = 1.0, -1.0
-    return _lorentz(om, "Ly")
+    return _lorentz("Ly", (3, 1))
 
 
 def rotation_z() -> ConformalGenerator:
     """Charge Lz = x p2 - y p1."""
-    om = np.zeros((4, 4))
-    om[1, 2], om[2, 1] = 1.0, -1.0
-    return _lorentz(om, "Lz")
+    return _lorentz("Lz", (1, 2))
 
 
 def boost_axis(j: int) -> ConformalGenerator:
@@ -214,32 +219,20 @@ def boost_axis(j: int) -> ConformalGenerator:
 
     Along z the charge in light-front variables is x+ p+ - x- p-.
     """
-    om = np.zeros((4, 4))
-    om[0, j], om[j, 0] = 1.0, -1.0
-    return _lorentz(om, f"K{j}")
+    return _lorentz(f"K{j}", (0, j))
 
 
 def null_rotation_t(j: int) -> ConformalGenerator:
     """Null rotation fixing the x+ direction, transverse axis j in {1,2};
     charge T_j = 2 x^j p- + x+ p_j."""
-    if j not in (1, 2):
-        raise ValueError("transverse axis must be 1 or 2")
-    om = np.zeros((4, 4))
-    om[0, j], om[j, 0] = 1.0, -1.0
-    om[j, 3], om[3, j] = -1.0, 1.0
-    return _lorentz(om, f"T{j}")
+    return _lorentz(f"T{j}", (0, _transverse(j)), (3, j))
 
 
 # no command uses it; tests do, and item 11's basis decides if it stays
 def null_rotation_u(j: int) -> ConformalGenerator:
     """Null rotation fixing the x- direction, transverse axis j in {1,2};
     charge U_j = 2 x^j p+ + x- p_j."""
-    if j not in (1, 2):
-        raise ValueError("transverse axis must be 1 or 2")
-    om = np.zeros((4, 4))
-    om[0, j], om[j, 0] = 1.0, -1.0
-    om[j, 3], om[3, j] = 1.0, -1.0
-    return _lorentz(om, f"U{j}")
+    return _lorentz(f"U{j}", (0, _transverse(j)), (j, 3))
 
 
 def dilation() -> ConformalGenerator:

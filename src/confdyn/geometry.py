@@ -124,9 +124,7 @@ def lower_index(v_upper: np.ndarray) -> np.ndarray:
     return (METRIC_DIAG * np.asarray(v_upper, dtype=float).T).T
 
 
-def raise_index(v_lower: np.ndarray) -> np.ndarray:
-    """eta^{mu nu} v_nu; identical arithmetic to lower_index for diag eta."""
-    return (METRIC_DIAG * np.asarray(v_lower, dtype=float).T).T
+raise_index = lower_index   # eta^{mu nu} v_nu: for diagonal eta, the same arithmetic
 
 
 def contract(v_upper: np.ndarray, w_lower: np.ndarray):

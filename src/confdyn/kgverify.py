@@ -23,9 +23,10 @@ eigen_defect.
 
 Solution families: the plane-wave mode (phase integral of the dynamical
 mass over x+), the inverse-square conformal mode, and the dilation mode
-built from Bessel functions of imaginary argument.  Phase-integral lower
-limits are fixed at 0; any other choice rescales phi by a constant, which
-the wave equation cannot see.
+built from Bessel functions of imaginary argument, beside the off-shell
+plane wave that controls their checks.  Phase-integral lower limits are
+fixed at 0; any other choice rescales phi by a constant, which the wave
+equation cannot see.
 
 The dilation mode's Bessel pair at y = |Q_perp| v takes no scipy: for a
 real order alpha, J_{+-alpha}(-i y) = e^{-+i pi alpha/2} I_{+-alpha}(y)
@@ -38,6 +39,7 @@ complex orders go through mpmath, value by value (_bessel_pair).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -110,22 +112,31 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
     """Raise DomainError at the first point of the batch x whose stencil of
     half-width steps h leaves phi's domain, naming the first such stencil
     point by axis, step and sign, or, unless bg is None, that touches a
-    switch surface of bg: the error a loop over the points would meet first."""
+    switch surface of bg or whose stencil has a point on one or across one:
+    the error a loop over the points would meet first."""
     offsets = _offsets(steps)
     ys = _stencil(x, h, offsets)
-    outside = ~phi.in_domain(ys).reshape(len(x.t), 1 + len(offsets))[:, 1:]
-    bad = outside.any(axis=1)
+    shape = (len(x.t), 1 + len(offsets))
+    outside = ~phi.in_domain(ys).reshape(shape)[:, 1:]
+    touches, across = np.zeros(shape[0], dtype=bool), np.zeros_like(outside)
     if bg is not None:
-        bad |= ~bg.smooth_at(x)
-    if not bad.any():
-        return
-    i = int(bad.argmax())
+        touches = ~bg.smooth_at(x)
+        for _, fn in bg.events:
+            v = fn(ys.t, ys.x, ys.y, ys.z).reshape(shape)
+            across |= (v[:, 1:] == 0.0) | ((v[:, 1:] > 0.0) != (v[:, :1] > 0.0))
+    # the first failing point, or point 0 when none fails
+    i = int((outside.any(axis=1) | touches | across.any(axis=1)).argmax())
     if outside[i].any():
-        j = i * (1 + len(offsets)) + 1 + int(outside[i].argmax())
+        j = i * shape[1] + 1 + int(outside[i].argmax())
         raise DomainError(f"stencil point {_at(ys, j)} leaves the domain of "
                           f"{phi.label!r}")
-    raise DomainError(f"{_at(x, i)} touches a switch surface of background "
-                      f"{bg.label!r}")
+    if touches[i]:
+        raise DomainError(f"{_at(x, i)} touches a switch surface of background "
+                          f"{bg.label!r}")
+    if across[i].any():
+        j = i * shape[1] + 1 + int(across[i].argmax())
+        raise DomainError(f"stencil point {_at(ys, j)} of {_at(x, i)} lies on or "
+                          f"across a switch surface of background {bg.label!r}")
 
 
 def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
@@ -134,7 +145,8 @@ def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
     {(mu, k h): phi(x + k h e_mu)}) for 0 < |k| <= steps, each value an
     (N,) array, from one call of phi.  First each stencil must stay in
     phi's domain; with bg, the wave operator's check, the margin is 2 h
-    whatever steps is and no x may touch a switch surface of bg.  Row i
+    whatever steps is, and no x may touch a switch surface of bg nor any
+    point of its margin stencil reach one.  Row i
     depends on point i alone (see first_rows)."""
     _require_margin(phi, x, h, steps if bg is None else 2, bg)
     offsets = _offsets(steps)
@@ -383,7 +395,12 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
     def y_of(v):
         if qnorm == 0.0:
             return c1 * v ** alpha + c2 * v ** (-alpha)
-        J, Y = _bessel_pair(alpha, qnorm * v)
+        y = qnorm * v
+        tiny = (y > 0.0) & (y < sys.float_info.min)
+        if tiny.any():
+            raise DomainError(f"Bessel argument |Q_perp| v = {y[tiny.argmax()]:g} "
+                              f"is subnormal at v = {v[tiny.argmax()]:g}")
+        J, Y = _bessel_pair(alpha, y)
         with np.errstate(invalid="ignore"):    # 0 * inf; reported below
             out = c1 * J + c2 * Y
         overflow = ~np.isfinite(out)
@@ -411,6 +428,15 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
     return Wavefunction("dilation_mode", ev, domain=dom,
                         params={"Qperp": (q1, q2), "Q3": qc, "csq": csq, "alpha": alpha,
                                 "c1": c1, "c2": c2, "eigen": eigen})
+
+
+def offshell_control(p) -> Wavefunction:
+    """exp(-i p_mu x^mu), off shell: the control whose h-halving residual
+    ratios plateau near 1 where a mode's approach 4."""
+    p = np.asarray(p)
+    return Wavefunction("offshell_control", lambda x: np.exp(
+        -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)),
+        params={"p": list(p)})
 
 
 # ---------------------------------------------------------------------------

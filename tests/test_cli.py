@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver via main(argv)."""
 
+import copy
 import hashlib
 import importlib.metadata
 import importlib.util
@@ -322,6 +323,17 @@ def test_kg_dilation_at_an_integer_order(tmp_path, capsys, q3):
                                        "in [4.00, 4.00] -> PASS\n")
     summary = json.loads((tmp_path / "kg_summary.json").read_text())
     assert summary["pass"] is True and summary["eigen_defects"][0]["Q"] == q3
+
+
+def test_kg_subnormal_bessel_argument_exits_three(tmp_path, capsys):
+    # |Q_perp| = 1e-320 makes every y = |Q_perp| v subnormal, where the
+    # series keeps only a few digits: the read refuses it and writes nothing
+    out = tmp_path / "out"
+    assert main(_args("kg", "dilation", out, "--set", "kg.qperp=1e-320,0",
+                      "--set", "kg.points=5")) == 3
+    assert capsys.readouterr().err == ("runtime domain error: Bessel argument |Q_perp| "
+                                       "v = 8.36453e-321 is subnormal at v = 0.836287\n")
+    assert list(out.iterdir()) == []
 
 
 def test_kg_deterministic_output(tmp_path):
@@ -722,6 +734,17 @@ def test_presets_parse_with_no_unknown_key(preset):
     assert typed.keys() == cfg.keys() | cli._parse({}).keys()
     assert all(kv.keys() <= typed[sec].keys() for sec, kv in cfg.items())
     assert len(cli._sweep_configs(cfg)) == int(cfg.get("sweep", {}).get("count", 1))
+
+
+@pytest.mark.parametrize("preset", sorted(cli._PRESETS))
+def test_preset_config_is_a_fresh_copy(preset):
+    want = copy.deepcopy(cli._PRESETS[preset])
+    cfg = cli.preset_config(preset)
+    assert cfg == want
+    for kv in cfg.values():
+        kv.clear()
+    cfg["kg"] = {"solution": "offshell"}
+    assert cli.preset_config(preset) == want and cli._PRESETS[preset] == want
 
 
 def test_missing_config_exits_two(tmp_path, capsys):
@@ -1213,14 +1236,14 @@ def test_settable_values_smoke(tmp_path):
                                                       "config"))
     assert counts["schema"] == sum(len(keys) for keys in cli._SCHEMA.values())
     # the schema's defaults but those read from EvolveOptions' fields, and
-    # the kg mode constants (each solution's entries but its box)
+    # the kg mode constants (each solution's entries but its box and mode)
     assert counts["config"] == (
         sum(d is not cli.REQUIRED for keys in cli._SCHEMA.values() for _, d in keys.values())
-        - len(cli._OPTIONS) + sum(len(sol) - 1 for sol in cli._KG_SOLUTIONS.values()))
+        - len(cli._OPTIONS) + sum(len(sol) - 2 for sol in cli._KG_SOLUTIONS.values()))
     # ceilings: a new settable value has to raise them in the same change;
     # the first holds the three kinds counted before config defaults were
-    assert counts["total"] - counts["config"] <= 127
-    assert counts["total"] <= 151
+    assert counts["total"] - counts["config"] <= 126
+    assert counts["total"] <= 150
 
 
 def test_paired_jobs_smoke(tmp_path):

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 from confdyn import backgrounds
 from confdyn.conformal import (ConformalGenerator, boost_axis, dilation,
                                generator_quantity, lie_bracket,
-                               null_rotation_t, null_rotation_u, rotation_z,
+                               null_rotation_t, null_rotation_u, rotation_x,
+                               rotation_y, rotation_z,
                                special_conformal, special_conformal_lf,
                                symmetry_defect, time_translation, translation,
                                translation_axis, translation_xminus)
@@ -439,3 +440,33 @@ def test_generator_deserialization_rejects_nonantisymmetric():
 def test_zero_generator_field():
     g = ConformalGenerator(np.zeros(4), np.zeros((4, 4)), 0.0, np.zeros(4))
     assert np.all(g.killing(FourVector(1.0, 2.0, 3.0, 4.0)) == 0.0)
+
+
+# omega_{mu nu} of each Lorentz constructor as it was once filled in by hand
+_LORENTZ_OMEGA = {
+    "Lx": [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+    "Ly": [[0, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 1, 0, 0]],
+    "Lz": [[0, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 0]],
+    "K1": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    "K2": [[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]],
+    "K3": [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0]],
+    "T1": [[0, 1, 0, 0], [-1, 0, 0, -1], [0, 0, 0, 0], [0, 1, 0, 0]],
+    "T2": [[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, -1], [0, 0, 1, 0]],
+    "U1": [[0, 1, 0, 0], [-1, 0, 0, 1], [0, 0, 0, 0], [0, -1, 0, 0]],
+    "U2": [[0, 0, 1, 0], [0, 0, 0, 0], [-1, 0, 0, 1], [0, 0, -1, 0]],
+}
+
+
+def test_lorentz_constructors_keep_their_omega():
+    gens = ([rotation_x(), rotation_y(), rotation_z()] + [boost_axis(j) for j in (1, 2, 3)]
+            + [null_rotation_t(j) for j in (1, 2)] + [null_rotation_u(j) for j in (1, 2)])
+    assert [g.label for g in gens] == list(_LORENTZ_OMEGA)
+    for g in gens:
+        want = np.array(_LORENTZ_OMEGA[g.label], dtype=float)
+        assert (g.omega == want).all()
+        assert (np.signbit(g.omega) == np.signbit(want)).all()   # no -0.0
+        assert g.a.tolist() == [0.0] * 4 and g.lam == 0.0 and g.c.tolist() == [0.0] * 4
+    for make in (null_rotation_t, null_rotation_u):
+        for j in (0, 3):
+            with pytest.raises(ValueError, match="^transverse axis must be 1 or 2$"):
+                make(j)

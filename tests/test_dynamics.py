@@ -136,8 +136,7 @@ def test_generator_charges_share_one_frame_per_state(monkeypatch):
     bg = backgrounds.linear_z(1.0, 1.0, switched=False)
     st = instant_state(0.2, (0.3, -0.4, 0.5), (0.1, 0.2, -0.3))
     calls = []
-    value, field = bg._value, bg._field
-    monkeypatch.setattr(bg, "_value", lambda *c: calls.append(c) or value(*c))
+    field = bg._field
     monkeypatch.setattr(bg, "_field", lambda *c: calls.append(c) or field(*c))
     quantities = conformal.spacelike_set(1.0)
     assert sum(q.generator is not None for q in quantities) == 3

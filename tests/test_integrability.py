@@ -246,7 +246,6 @@ def test_missing_partials_raise_before_any_field_read(monkeypatch):
     _, states = _spacelike_states(count=4)
     bg = backgrounds.linear_z(1.0, 1.0, switched=False)
     calls = []
-    monkeypatch.setattr(bg, "_value", lambda *c: calls.append(c))
     monkeypatch.setattr(bg, "_field", lambda *c: calls.append(c))
     qs = conformal.spacelike_set(1.0) + [conformal.angular_momentum_z_quantity()]
     with pytest.raises(ValueError, match="^quantity 'Lz' has no closed-form partials$"):

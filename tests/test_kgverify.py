@@ -30,6 +30,7 @@ from confdyn.kgverify import (
     make_conformal_solution,
     make_dilation_solution,
     make_planewave_solution,
+    offshell_control,
     phase_gradient,
     read_stencils,
     residual_convergence,
@@ -760,6 +761,45 @@ def test_batch_reports_the_point_a_loop_meets_first():
     with pytest.raises(DomainError) as err:
         _convergence(phi, bg, [pts[0], pts[2], pts[1]], 1e-3)
     assert str(err.value) == _first_margin_error(phi, [pts[2]], 1e-3, 2)
+
+
+def test_margin_stencil_on_or_across_a_switch_surface_is_refused():
+    # at z = +-h/2 the margin stencil (2 h) reaches the other side of z = 0,
+    # at z = 2 h it ends on it; at z = 3 h it stays on the field side
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    phi = offshell_control([1.3, 0.2, -0.1, 0.3])
+    h = 1e-3
+    for z, reached in ((h / 2, "-0.0005"), (-h / 2, "0.0005"), (2 * h, "0")):
+        with pytest.raises(DomainError) as err:
+            read_stencils(phi, bg, fourvector_batch([FourVector(0.5, 0.1, 0.2, z)]), h, 1)
+        assert str(err.value) == (
+            f"stencil point (t,x,y,z) = (0.5, 0.1, 0.2, {reached}) of (t,x,y,z) = "
+            f"(0.5, 0.1, 0.2, {z:g}) lies on or across a switch surface of "
+            "background 'linear_z'")
+    x = fourvector_batch([FourVector(0.5, 0.1, 0.2, 3 * h)])
+    rows = residual_convergence(bg, read_stencils(phi, bg, x, h, 1),
+                                read_stencils(phi, bg, x, h / 2, 1))
+    assert len(rows) == 1 and np.isfinite(rows[0][4])
+
+
+def test_batch_reports_the_crossing_a_loop_meets_first():
+    # per point its stencil's domain, then its touch, then its stencil's
+    # crossing; over the batch, the first point that fails
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    phi = Wavefunction("cone", lambda x: np.exp(-1j * x.t), domain=lambda x: x.t > 0.0)
+    fine, touching = FourVector(0.5, 0.0, 0.0, 0.3), FourVector(0.5, 0.1, 0.2, 0.0)
+    near, both = FourVector(0.5, 0.1, 0.2, 0.0015), FourVector(0.001, 0.0, 0.0, 0.0015)
+    crossing = ("stencil point (t,x,y,z) = (0.5, 0.1, 0.2, -0.0005) of (t,x,y,z) = "
+                "(0.5, 0.1, 0.2, 0.0015) lies on or across a switch surface of "
+                "background 'linear_z'")
+    touch = ("(t,x,y,z) = (0.5, 0.1, 0.2, 0) touches a switch surface of background "
+             "'linear_z'")
+    for pts, want in (([fine, near, touching], crossing), ([fine, touching, near], touch),
+                      ([fine, both, near], _first_margin_error(phi, [both], 1e-3, 2)),
+                      ([near, both], crossing)):
+        with pytest.raises(DomainError) as err:
+            _convergence(phi, bg, pts, 1e-3)
+        assert str(err.value) == want
 
 
 def test_bessel_overflow_names_its_v():

@@ -176,8 +176,8 @@ def test_monitor_evaluates_the_value_kernel_once_per_sample(preset, monkeypatch)
     traj, quantities, bg = _cli_run(preset, [], samples=50)
     assert sum(q.generator is not None for q in quantities) == 4
     calls = []
-    kernel = bg._value
-    monkeypatch.setattr(bg, "_value", lambda *c: calls.append(c) or kernel(*c))
+    kernel = bg._field
+    monkeypatch.setattr(bg, "_field", lambda *c: calls.append(c) or kernel(*c))
     values, _ = monitor(traj, quantities, bg)
     assert len(calls) == len(traj)    # the grid plus the event crossings
     assert list(values) == [q.label for q in quantities]
