@@ -25,6 +25,7 @@ the vacuum value and the gradient the field-side slope.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from typing import Callable, Optional
@@ -70,47 +71,39 @@ class ScalarBackground:
 
     def m2(self, x: FourVector):
         """m^2 at a point, or an (N,) array for a FourVector with (N,)
-        components, every point read by m2_at (see _each)."""
-        vals = self._each(x, self.m2_at)
+        components, every point read by field_at (see _each)."""
+        vals = [v for v, _ in self._each(x, self.field_at)]
         return np.array(vals) if np.ndim(x.t) else vals[0]
-
-    def m2_at(self, t, x, y, z) -> float:
-        """m2 at the plain coordinates of one point, the kernel's as in field_at."""
-        return self._real(self._field(t, x, y, z)[0], t, x, y, z)
 
     def field_at(self, t, x, y, z):
         """(m^2, (g0, g1, g2, g3)) at the plain coordinates of one point from
         one kernel call, for callers that hold them unpacked (the flows'
-        right-hand sides); raises as m2 does."""
+        right-hand sides, certify's sampling predicate); RealityError where
+        m^2 < 0."""
         v, g = self._field(t, x, y, z)
-        v = float(v)
-        if v < 0.0:
-            self._real(v, t, x, y, z)     # raises RealityError
-        return v, g
-
-    def grad_m2(self, x: FourVector) -> np.ndarray:
-        """(g0, g1, g2, g3) at a point, or (4, N) for a FourVector with (N,)
-        components, every point read by the family kernel (see _each)."""
-        g = np.array(self._each(x, lambda *c: self._field(*c)[1]), dtype=float)
-        return g.T if np.ndim(x.t) else g[0]
-
-    @staticmethod
-    def _each(x: FourVector, read) -> list:
-        """read(t, x, y, z) at every point of x in turn, on plain floats (a
-        float ** raises where numpy's gives inf), a single point being the
-        batch of one: every point of a batch has the bits, and raises the
-        error, of its own call."""
-        comps = (np.asarray(c, dtype=float).ravel().tolist()
-                 for c in (x.t, x.x, x.y, x.z))
-        return [read(*c) for c in zip(*comps, strict=True)]
-
-    def _real(self, v, t, x, y, z) -> float:
         v = float(v)
         if v < 0.0:
             raise RealityError(
                 f"m^2 = {v:g} < 0 sampled at (t,x,y,z) = "
                 f"({t:g}, {x:g}, {y:g}, {z:g}) on background {self.label!r}")
-        return v
+        return v, g
+
+    def grad_m2(self, x: FourVector) -> np.ndarray:
+        """(g0, g1, g2, g3) at a point, or (4, N) for a FourVector with (N,)
+        components, every point read by the family kernel (see _each)."""
+        g = np.array(list(self._each(x, lambda *c: self._field(*c)[1])), dtype=float)
+        return g.T if np.ndim(x.t) else g[0]
+
+    @staticmethod
+    def _each(x: FourVector, read):
+        """read(t, x, y, z) at every point of x in turn, on plain floats (a
+        float ** raises where numpy's gives inf), a single point being the
+        batch of one: every point of a batch has the bits, and raises the
+        error, of its own call.  An iterator, so that a caller keeping part
+        of each result holds no more."""
+        comps = (np.asarray(c, dtype=float).ravel().tolist()
+                 for c in (x.t, x.x, x.y, x.z))
+        return itertools.starmap(read, zip(*comps, strict=True))
 
     def mass(self, x: FourVector):
         return scalar_or_array(np.sqrt(self.m2(x)))

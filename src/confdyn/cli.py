@@ -113,11 +113,12 @@ def parse_bool(raw) -> bool:
     return _BOOLS[key]
 
 
-def _count(least: int):
+def _count(least: int, most: float):
     def parse(raw) -> int:
         val = _number(raw)
-        if not (val.is_integer() and val >= least):
-            raise ValueError(f"{raw!r} is not an integer of at least {least}")
+        if not (val.is_integer() and least <= val <= most):
+            bound = "" if most == math.inf else f" and at most {most}"
+            raise ValueError(f"{raw!r} is not an integer of at least {least}{bound}")
         return int(val)
     return parse
 
@@ -160,8 +161,8 @@ _OPTIONS = {f.name: f.default for f in dataclasses.fields(EvolveOptions)}
 # default); sweep.override_<i> (any i >= 0) holds ';'-separated
 # section.key=value overrides
 _SCHEMA = {
-    "run": {"form": (str, "instant"), "tstart": (_number, 0.0),
-            "tend": (_number, REQUIRED), "samples": (_count(2), _OPTIONS["samples"]),
+    "run": {"form": (str, "instant"), "tstart": (_number, 0.0), "tend": (_number, REQUIRED),
+            "samples": (_count(2, math.inf), _OPTIONS["samples"]),
             "rtol": (_positive, _OPTIONS["rtol"]), "atol": (_positive, _OPTIONS["atol"]),
             "nonrelativistic": (parse_bool, _OPTIONS["nonrelativistic"])},
     "background": {"family": (str, REQUIRED), "profile": (str, REQUIRED),
@@ -178,14 +179,15 @@ _SCHEMA = {
                 "pplus": (lambda raw: "shell" if raw.strip().lower() == "shell"
                           else _number(raw), "shell")},
     "monitor": {"set": (str, "none"), "extra": (_names, [])},
-    "sweep": {"count": (_count(1), REQUIRED),
+    "sweep": {"count": (_count(1, math.inf), REQUIRED),
               "override_<i>": (lambda raw: [a for a in raw.split(";") if a], REQUIRED)},
     "certify": {"set": (str, REQUIRED), "form": (str, "instant"),
-                "count": (_count(1), 24), "expect": (_names, [])},
+                "count": (_count(1, math.inf), 24), "expect": (_names, [])},
     "kg": {"solution": (str, REQUIRED), "qperp": (_numbers(2), REQUIRED),
            "qminus": (_number, REQUIRED), "q3": (_number, REQUIRED),
            "c1": (_number, REQUIRED), "c2": (_number, REQUIRED),
-           "points": (_count(1), 60), "h": (_stencil_step, 1e-3),
+           "points": (_count(1, integrability.DRAW_BUDGET), 60),
+           "h": (_stencil_step, 1e-3),
            "p": (_numbers(4), REQUIRED)},
 }
 
@@ -479,31 +481,35 @@ def cmd_simulate(run_cfgs: list, fmt: str, tol_rel: float, seed: int) -> tuple:
     return [*files, ("summary.json", write_json, summary, True)], lines, summary["pass"]
 
 
+def _m2_above(bg, x: FourVector) -> list:
+    """Whether m^2 > 0.05 at each point of the batch x; a negative or
+    singular m^2 rejects its point."""
+    def above(*c):
+        try:
+            return bg.field_at(*c)[0] > 0.05
+        except (RealityError, SingularityError):
+            return False
+    return [above(*c) for c in zip(x.t.tolist(), x.x.tolist(), x.y.tolist(),
+                                   x.z.tolist())]
+
+
+# (random_states' box, keep(bg, x)) per family, where not the default (its
+# own box, m^2 > 0.05).  The dilation field m^2 = csq/x.x has no scale but
+# csq, so it keeps positions by x.x at every csq: inside the forward light
+# cone, where it is real, and x.x > 0.1 clear of the cone, near which m^2
+# and the charges' brackets grow without bound.  Its instant box lies
+# inside (x.x >= 2.76), so every instant draw is kept.
+_CERTIFY_SAMPLES = {"dilation": ({"t_range": (1.8, 2.6), "q_range": (-0.4, 0.4)},
+                                 lambda bg, x: (x.norm2() > 0.1) & (x.t > 0))}
+
+
 def _certify_states(bg, form: str, count: int, rng) -> PhaseSpaceState:
-    """The sampled states of a certify job, as one batch state."""
-    fam = bg.params.get("family", "")
-
-    def accept(st):
-        x = st.position()
-
-        def above(*c):
-            try:
-                return bg.m2_at(*c) > 0.05
-            except (RealityError, SingularityError):
-                return False
-        return [above(*c) for c in zip(x.t.tolist(), x.x.tolist(), x.y.tolist(),
-                                       x.z.tolist())]
-
+    """The sampled states of a certify job, as one batch state: those whose
+    position the family's keep rule accepts (see _CERTIFY_SAMPLES)."""
+    box, keep = _CERTIFY_SAMPLES.get(bg.params.get("family"), ({}, _m2_above))
     try:
-        if fam == "dilation":
-            def accept_dil(st):
-                x = st.position()
-                return (x.norm2() > 0.5) & (x.t > 0)
-            states = integrability.random_states(
-                form, count, rng, t_range=(1.8, 2.6), q_range=(-0.4, 0.4),
-                accept=accept_dil)
-        else:
-            states = integrability.random_states(form, count, rng, accept=accept)
+        states = integrability.random_states(
+            form, count, rng, **box, accept=lambda st: keep(bg, st.position()))
     except ValueError as exc:
         raise ConfigError(f"cannot sample {count} {form} states on {bg.label}: "
                           f"{exc}") from None
@@ -548,7 +554,8 @@ def _conformal_mode(kgverify, kg, bg):
 # mode(kgverify, kg, bg) -> the Wavefunction of the [kg] constants kg on bg;
 # kgverify is passed in, so that it loads with the kg command alone
 _KG_SOLUTIONS = {
-    "planewave": {"box": (-1.0, 1.0, FourVector), "qperp": [0.3, -0.2], "qminus": 0.7,
+    "planewave": {"box": ((-1.0,) * 4, (1.0,) * 4, FourVector),
+                  "qperp": [0.3, -0.2], "qminus": 0.7,
                   "mode": lambda kgverify, kg, bg: kgverify.make_planewave_solution(
                       kg["qperp"], kg["qminus"], _xplus_wave(bg, "the planewave mode"))},
     "conformal": {"box": ((0.7, -0.5, -0.4, -0.4), (1.6, 0.5, 0.4, 0.4), from_lightfront),
@@ -559,7 +566,7 @@ _KG_SOLUTIONS = {
                      kg["qperp"], kg["q3"],
                      _family_param(bg, "dilation", "csq", "the dilation mode"),
                      kg["c1"], kg["c2"])},
-    "offshell": {"box": (-1.0, 1.0, FourVector), "p": [1.3, 0.2, -0.1, 0.3],
+    "offshell": {"box": ((-1.0,) * 4, (1.0,) * 4, FourVector), "p": [1.3, 0.2, -0.1, 0.3],
                  "mode": lambda kgverify, kg, bg: kgverify.offshell_control(kg["p"])}}
 
 
@@ -575,12 +582,16 @@ def cmd_kg(cfg, seed: int) -> tuple:
         phi = kg["mode"](kgverify, kg, bg)
     except ValueError as exc:       # a mode constructor refusing its constants
         raise ConfigError(f"kg solution: {exc}") from None
-    # the first npts in-domain points of 1000 draws
+    # the first npts drawn points that the reads' margin check accepts
     lo, hi, chart = kg["box"]
-    drawn = np.random.default_rng(seed).uniform(lo, hi, size=(1000, 4))
-    drawn = drawn[phi.in_domain(chart(*drawn.T))][:npts]
-    if len(drawn) < npts:
-        raise ConfigError("could not draw enough in-domain sample points")
+    try:
+        drawn = integrability.draw_rows(
+            np.random.default_rng(seed), lo, hi, npts,
+            lambda rows: kgverify.clear_points(phi, bg, chart(*rows.T), h))
+    except ValueError as exc:
+        raise ConfigError(f"cannot draw {npts} points whose 2h stencils stay in the "
+                          f"domain of {phi.label!r} and meet no switch surface of "
+                          f"{bg.label!r}: {exc}") from None
     # one read of phi at h and one at h/2 serve the residuals and, through
     # their first 10 rows, the eigen-defects
     x = chart(*drawn.T)

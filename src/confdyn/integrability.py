@@ -205,6 +205,32 @@ def _rows_state(form: str, rows: np.ndarray) -> PhaseSpaceState:
     return PhaseSpaceState(form, np.zeros(len(rows)), rows[:, :4].T, rows[:, 4:].T)
 
 
+# the rejected rows at which draw_rows gives up; kg.points is bounded by it too
+DRAW_BUDGET = 1000
+
+
+def draw_rows(rng: np.random.Generator, lo, hi, count: int, accept) -> np.ndarray:
+    """The first count uniform rows in [lo, hi) that accept keeps: accept(block)
+    returns a mask of the rows to keep, or one bool for all.  Each round
+    draws one block of uniform rows, which holds the values of a row-by-row
+    draw, and reaches past neither the count-th accepted nor the
+    DRAW_BUDGET-th rejected row, so accept sees the rows a row-by-row loop
+    would and the generator ends where that loop's would.  Raises
+    ValueError at the DRAW_BUDGET-th rejected row; accepted rows count
+    against no budget."""
+    rows = np.empty((0, np.size(lo)))
+    rejected = 0
+    while len(rows) < count:
+        m = min(count - len(rows), DRAW_BUDGET - rejected)
+        block = rng.uniform(lo, hi, size=(m, rows.shape[1]))
+        keep = np.broadcast_to(np.asarray(accept(block), bool), (m,))
+        rows = np.concatenate([rows, block[keep]])
+        rejected += m - int(np.count_nonzero(keep))
+        if rejected == DRAW_BUDGET:
+            raise ValueError("accept predicate rejected too many samples")
+    return rows
+
+
 def random_states(form: str, count: int, rng: np.random.Generator,
                   q_range: tuple = (-1.0, 1.0), t_range: tuple = (-1.0, 1.0), *,
                   accept) -> PhaseSpaceState:
@@ -213,29 +239,13 @@ def random_states(form: str, count: int, rng: np.random.Generator,
 
     p- is kept away from zero (front/extended) and x+ positive (extended) so
     the light-front charts and the inverse-square backgrounds stay regular.
-    accept(batch) restricts further (e.g. interior of the light cone): it
-    returns a mask of the candidates to keep, or one bool for all.  Each
-    round draws its candidates as the rows of one rng.uniform block whose
-    columns follow the order of one-state-at-a-time draws, so the sample is
-    that of drawing and accepting state by state.  No block reaches past
-    the count-th accepted or the 1000th rejected candidate, so accept sees
-    exactly the draws a state-by-state loop would, and the generator ends
-    where that loop's would.  Raises once it has rejected 1000 draws;
-    accepted draws count against no budget.
+    accept(batch) restricts further, as draw_rows' accept.  The columns of
+    draw_rows' rows follow the order of one-state-at-a-time draws, so the
+    sample is that of drawing and accepting state by state.
     """
     if form not in _BOXES:
         raise ValueError(f"no sampler for form {form!r}")
     named = {"q": q_range, "t": t_range}
     lo, hi = np.array([named.get(b, b) for b in _BOXES[form]], dtype=float).T
-    rows = np.empty((0, lo.size))
-    rejected = 0
-    while len(rows) < count:
-        m = min(count - len(rows), 1000 - rejected)
-        block = rng.uniform(lo, hi, size=(m, lo.size))
-        keep = np.broadcast_to(np.asarray(accept(_rows_state(form, block)), bool),
-                               (m,))
-        rows = np.concatenate([rows, block[keep]])
-        rejected += m - int(np.count_nonzero(keep))
-        if rejected == 1000:
-            raise ValueError("accept predicate rejected too many samples")
-    return _rows_state(form, rows)
+    return _rows_state(form, draw_rows(rng, lo, hi, count,
+                                       lambda block: accept(_rows_state(form, block))))

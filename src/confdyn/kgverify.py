@@ -108,12 +108,13 @@ def _stencil(x: FourVector, h: float, offsets) -> FourVector:
     return FourVector(*comps.reshape(4, -1))
 
 
-def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
-    """Raise DomainError at the first point of the batch x whose stencil of
-    half-width steps h leaves phi's domain, naming the first such stencil
-    point by axis, step and sign, or, unless bg is None, that touches a
-    switch surface of bg or whose stencil has a point on one or across one:
-    the error a loop over the points would meet first."""
+def _margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg) -> tuple:
+    """The masks a read's margin check raises from: (ys, outside, touches,
+    across, failing), ys the stencils of half-width steps h about the batch
+    x, outside and across (N, 8 steps) masks of the stencil points outside
+    phi's domain and on or across a switch surface of bg (none if bg is
+    None) from their x, touches the (N,) mask of the x on one, and failing
+    that of the x that fail any check."""
     offsets = _offsets(steps)
     ys = _stencil(x, h, offsets)
     shape = (len(x.t), 1 + len(offsets))
@@ -124,17 +125,38 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
         for _, fn in bg.events:
             v = fn(ys.t, ys.x, ys.y, ys.z).reshape(shape)
             across |= (v[:, 1:] == 0.0) | ((v[:, 1:] > 0.0) != (v[:, :1] > 0.0))
+    failing = outside.any(axis=1) | touches | across.any(axis=1)
+    return ys, outside, touches, across, failing
+
+
+def clear_points(phi: Wavefunction, bg, x: FourVector, h: float):
+    """The (N,) mask of the points of the batch x in phi's domain that a
+    read with bg at step h accepts (its 2 h margin stencil).  That stencil
+    holds the read at h/2's on the same axis segments, so on planar switch
+    surfaces and convex domains that read accepts them too."""
+    *_, failing = _margin(phi, x, h, 2, bg)
+    return phi.in_domain(x) & ~failing
+
+
+def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
+    """Raise DomainError at the first point of the batch x that _margin
+    finds failing, naming its first stencil point out of phi's domain (by
+    axis, step and sign), else the point on a switch surface of bg, else
+    its first stencil point on or across one: the error a loop over the
+    points would meet first."""
+    ys, outside, touches, across, failing = _margin(phi, x, h, steps, bg)
     # the first failing point, or point 0 when none fails
-    i = int((outside.any(axis=1) | touches | across.any(axis=1)).argmax())
+    i = int(failing.argmax())
+    width = 1 + outside.shape[1]
     if outside[i].any():
-        j = i * shape[1] + 1 + int(outside[i].argmax())
+        j = i * width + 1 + int(outside[i].argmax())
         raise DomainError(f"stencil point {_at(ys, j)} leaves the domain of "
                           f"{phi.label!r}")
     if touches[i]:
         raise DomainError(f"{_at(x, i)} touches a switch surface of background "
                           f"{bg.label!r}")
     if across[i].any():
-        j = i * shape[1] + 1 + int(across[i].argmax())
+        j = i * width + 1 + int(across[i].argmax())
         raise DomainError(f"stencil point {_at(ys, j)} of {_at(x, i)} lies on or "
                           f"across a switch surface of background {bg.label!r}")
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import confdyn
-from confdyn import backgrounds, cli, kgverify
+from confdyn import backgrounds, cli, integrability, kgverify
 from confdyn.cli import _get, _parse, main
 from confdyn.errors import ConfigError
 from oracles import gaussian_slope, quad_antiderivative
@@ -243,6 +243,38 @@ def test_certify_count_past_the_draw_budget(tmp_path):
     assert len(cert["independence"]["ranks"]) == 1001
 
 
+@pytest.mark.parametrize("form, label, code", [("front", "integrable", 0),
+                                               ("extended", "not certified", 1)])
+def test_certify_dilation_on_light_front_forms(tmp_path, capsys, form, label, code):
+    # the dilation rule (x.x > 0.1 inside the forward cone) fills the
+    # light-front boxes too, clear of the cone, where m^2 and the brackets
+    # would grow without bound: the largest stays far under --tol-abs 1e-9;
+    # the extended form's four degrees of freedom outnumber its 3 quantities
+    assert main(_args("certify", "dilation", tmp_path,
+                      "--set", f"certify.form={form}")) == code
+    assert capsys.readouterr().out.splitlines()[-1] == f"classification: {label}"
+    cert = json.loads((tmp_path / "certification.json").read_text())
+    assert cert["label"] == label and cert["rank"] == 3
+    assert np.max(np.abs(cert["involution"]["brackets"])) < 1e-12
+
+
+@pytest.mark.parametrize("csq", ["0.01", "0.2"])
+def test_certify_dilation_keeps_every_instant_draw_at_any_csq(tmp_path, capsys, csq):
+    # m^2 = csq/x.x scales with csq, but the instant box lies inside the
+    # light cone (x.x >= 2.76), so every draw is kept whatever csq is: the
+    # sample is the unfiltered draw's, as under the light-cone rule before
+    bg = backgrounds.dilation_mass(float(csq))
+    box = {"t_range": (1.8, 2.6), "q_range": (-0.4, 0.4)}
+    got = cli._certify_states(bg, "instant", 24, np.random.default_rng(7))
+    want = integrability.random_states("instant", 24, np.random.default_rng(7),
+                                       **box, accept=lambda st: True)
+    assert np.array_equal(got.time, want.time)
+    assert np.array_equal(got.q, want.q) and np.array_equal(got.p, want.p)
+    assert main(_args("certify", "dilation", tmp_path,
+                      "--set", f"background.csq={csq}")) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "classification: integrable"
+
+
 def test_certify_unexpected_label_fails(tmp_path):
     code = main(_args("certify", "spacelike", tmp_path,
                       "--set", "certify.expect=integrable"))
@@ -298,12 +330,35 @@ def test_gaussian_flat_and_negative_steepness(tmp_path, command, preset, out, k)
     assert (tmp_path / out).exists()
 
 
+_SWITCHED_Z = ["--set", "background.family=linear_z", "--set", "background.B=1"]
+
+
 def test_kg_draw_shortfall_exits_two(tmp_path, capsys):
-    # more stencil points than the draw budget finds inside the domain
-    assert main(_args("kg", "planewave", tmp_path, "--set", "kg.points=1001")) == 2
-    assert capsys.readouterr().err == ("configuration error: could not draw enough "
-                                       "in-domain sample points\n")
-    assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+    # kg.points is at most 1000, checked before any draw
+    out = tmp_path / "out"
+    assert main(_args("kg", "planewave", out, "--set", "kg.points=1001")) == 2
+    assert capsys.readouterr().err == ("configuration error: [kg] points: '1001' is "
+                                       "not an integer of at least 1 and at most 1000\n")
+    assert not out.exists() or list(out.iterdir()) == []
+    # at h = 0.6 every 2h stencil in the box z in (-1, 1) crosses z = 0, so
+    # the draw rejects 1000 points and the run writes nothing
+    assert main(_args("kg", "kgcontrol", out, *_SWITCHED_Z, "--set", "kg.h=0.6")) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: cannot draw 60 points whose 2h stencils stay in the "
+        "domain of 'offshell_control' and meet no switch surface of 'linear_z': "
+        "accept predicate rejected too many samples\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_kg_on_a_switched_field_draws_clear_of_the_surface(tmp_path, capsys, seed):
+    # the draw keeps the points whose stencils stay off z = 0, so the
+    # off-shell control reads its residuals and fails as a control should
+    assert main(_args("kg", "kgcontrol", tmp_path, *_SWITCHED_Z,
+                      "--seed", str(seed))) == 1
+    out, err = capsys.readouterr()
+    assert "domain error" not in err
+    assert out.startswith("offshell_control: 60 points") and out.endswith("-> FAIL\n")
 
 
 def test_kg_offshell_control_fails(tmp_path):
@@ -526,12 +581,12 @@ _COVARIANT_DILATION = ["run.form=covariant", "run.tstart=0", "run.tend=3",
     # the state's own time (initial.t, initial.xplus) must open the span
     ("simulate", "dilation", ["run.tstart=1"]),
     ("simulate", "fig2", ["run.tstart=1.2"]),
-    # a quantity set evaluated on a form it is not written for, or a form
-    # the certify sampler cannot fill
+    # a quantity set evaluated on a form it is not written for
     ("certify", "conformal", ["certify.form=front"]),
     ("certify", "planewave", ["certify.form=instant"]),
     ("certify", "spacelike", ["certify.form=extended"]),
-    ("certify", "dilation", ["certify.form=front"]),
+    # a dilation field without coupling (csq must be positive)
+    ("certify", "dilation", ["background.csq=0"]),
     # non-finite background numbers
     ("simulate", "dilation", ["background.csq=inf"]),
     ("simulate", "fig1", ["background.m0sq=nan"]),
@@ -1108,6 +1163,10 @@ def test_output_digests_smoke(tmp_path):
     assert tool.error_line("RuntimeWarning: overflow\n") == ""
     assert ("orbit", "fig2", "run.tend=50", ["--set", "run.tend=50"]) \
         in tool.runs(cli, ["fig2"])
+    # a run with settings follows every preset's own runs
+    assert tool.runs(cli, ["kgcontrol"])[-1] == (
+        "kg", "kgcontrol", "background.family=linear_z;background.B=1",
+        ["--set", "background.family=linear_z", "--set", "background.B=1"])
 
 
 def test_output_digests_against_itself(tmp_path, capsys, monkeypatch):
@@ -1203,18 +1262,18 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         outs[name] = out.splitlines()
-    assert len(want) == 74
+    assert len(want) == 76
     kept = [line for line in want if not _certify(line)]
-    assert len(kept) == 53 and {line.split()[0] for line in kept} \
+    assert len(kept) == 54 and {line.split()[0] for line in kept} \
         == {"simulate", "orbit", "kg"}
     masked = {}
     for name, (machine, *out) in outs.items():
         lines = [line for line in out if not line.startswith("masked ")]
         masked[name] = [line for line in out if line.startswith("masked ")]
-        assert len(lines) == 74 and len(masked[name]) == 15
+        assert len(lines) == 76 and len(masked[name]) == 16
         if machine == recorded:
             assert lines == want, name
-        # the 53 simulate, orbit and kg lines, whole
+        # the 54 simulate, orbit and kg lines, whole
         assert [line for line in lines if not _certify(line)] == kept, name
         # certify's exit code, stdout and stderr error line
         assert [line.split()[:6] for line in lines if _certify(line)] \

@@ -493,9 +493,10 @@ def _above(bg):
 
 
 def _inside_cone(st):
-    # certify's dilation predicate on one state
+    # certify's dilation rule on one state: inside the forward light cone
+    # and clear of it
     x = st.position()
-    return x.norm2() > 0.5 and x.t > 0
+    return x.norm2() > 0.1 and x.t > 0
 
 
 # a field that m^2 > 0.05 rejects on part of every box, raising RealityError
@@ -510,8 +511,8 @@ _PREDICATES = {"above": (backgrounds.linear_z(2.0, 0.3, switched=False), {}),
 def test_batch_sample_is_the_state_by_state_sample(form, predicate):
     # certify's sample is the loop's bit for bit, extended p+ on shell as
     # extended_state_on_shell puts it, and the generator ends where the
-    # loop leaves it; where the loop rejects 1000 draws (the light-cone
-    # predicate on light-front boxes) certify names the loop's text
+    # loop leaves it; where the loop rejects 1000 draws certify names the
+    # loop's text
     bg, box = _PREDICATES[predicate]
     accept = _above(bg) if predicate == "above" else _inside_cone
     for seed in range(1, 21):

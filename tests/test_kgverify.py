@@ -24,6 +24,7 @@ from confdyn.geometry import (
 )
 from confdyn.kgverify import (
     Wavefunction,
+    clear_points,
     eigen_defect,
     first_rows,
     kg_residual,
@@ -800,6 +801,29 @@ def test_batch_reports_the_crossing_a_loop_meets_first():
         with pytest.raises(DomainError) as err:
             _convergence(phi, bg, pts, 1e-3)
         assert str(err.value) == want
+
+
+def test_clear_points_are_those_both_reads_accept():
+    # kg's draw keeps a point where the mask holds: exactly the points in
+    # phi's domain that the read at h accepts alone, each of which the read
+    # at h/2 accepts too
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    phi = Wavefunction("cone", lambda x: np.exp(-1j * x.t), domain=lambda x: x.t > 0.0)
+    h = 1e-3
+    pts = [FourVector(t, 0.1, 0.2, z) for t in (-0.001, 0.0005, 0.0015, 0.0025, 0.5)
+           for z in (-0.003, -0.002, -0.0015, -0.0005, 0.0, 1e-13, 0.0015, 0.002, 0.0025)]
+    mask = clear_points(phi, bg, fourvector_batch(pts), h)
+
+    def reads(x, step):
+        try:
+            read_stencils(phi, bg, fourvector_batch([x]), step, 1)
+        except DomainError:
+            return False
+        return True
+
+    want = [x.t > 0.0 and reads(x, h) for x in pts]
+    assert mask.tolist() == want and 0 < sum(want) < len(pts)
+    assert all(reads(x, h / 2) for x, ok in zip(pts, want) if ok)
 
 
 def test_bessel_overflow_names_its_v():

@@ -24,8 +24,12 @@ The fig2 preset adds one orbit run per sweep override (its four kappa
 curves, the orbits the benchmark samples), whose line names the override,
 ``override_<i>``, in place of a format; orbit reads no [sweep], so each
 override's settings are passed as --set.  The fig2 preset also adds the
-orbit sampled past its asymptote, ``run.tend=50``, which exits 3.  Comparing two checkouts is one
-diff:
+orbit sampled past its asymptote, ``run.tend=50``, which exits 3.  After
+every preset's lines come the runs of SETTINGS_RUNS, paths that a preset
+reaches only with further settings (the front-form dilation certificate,
+the off-shell kg control on the switched linear field), each line naming
+its ``;``-separated settings in place of a format.  Comparing two
+checkouts is one diff:
 
     python tools/output_digests.py --src /path/to/a/src > a.txt
     python tools/output_digests.py --src /path/to/b/src > b.txt
@@ -73,6 +77,9 @@ SEED = 7
 CERTIFY_COUNT = 96          # the states of the benchmark's larger certificates
 ORBIT_SWEEPS = ("fig2",)    # presets whose sweep curves the benchmark samples as orbits
 ERROR_ORBITS = {"fig2": "run.tend=50"}   # presets' orbits sampled past the asymptote: exit 3
+# (command, preset, settings) of the runs a preset reaches only with settings
+SETTINGS_RUNS = (("certify", "dilation", "certify.form=front"),
+                 ("kg", "kgcontrol", "background.family=linear_z;background.B=1"))
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
@@ -140,7 +147,9 @@ def runs(cli, presets) -> list:
         if preset in ERROR_ORBITS:
             out.append(("orbit", preset, ERROR_ORBITS[preset],
                         ["--set", ERROR_ORBITS[preset]]))
-    return out
+    return out + [(command, preset, sets,
+                   [arg for s in sets.split(";") for arg in ("--set", s)])
+                  for command, preset, sets in SETTINGS_RUNS if preset in presets]
 
 
 def _argv(command: str, preset: str, extra: list, out: Path) -> list:
