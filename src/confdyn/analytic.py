@@ -70,12 +70,19 @@ class ClosedFormOrbit:
     def sample(self, ws):
         """Positions and momenta on a grid: arrays (N, 4) of upper-index
         coordinates and lower-index momenta.  A grid that fails raises the
-        error of its first point that fails alone."""
-        # a float product overflows to inf, and inf * 0 is nan, silently;
-        # so do the evaluators' arrays
-        with np.errstate(over="ignore", invalid="ignore"):
-            return first_error(self._evaluate,
-                               np.atleast_1d(np.asarray(ws, dtype=float)))
+        error of its first point that fails alone; a row that is not finite
+        fails its point (DomainError)."""
+        def rows(w):
+            xs, ps = self._evaluate(w)
+            bad = ~np.isfinite(np.column_stack([xs, ps])).all(axis=1)
+            if bad.any():
+                raise DomainError(f"the {self.family} orbit is not finite at "
+                                  f"{self.time_name} = {w[bad.argmax()]:g}")
+            return xs, ps
+        # a float product overflows to inf, a quotient by 0 is inf and inf *
+        # 0 is nan, silently, in the evaluators' arrays; rows reports them
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return first_error(rows, np.atleast_1d(np.asarray(ws, dtype=float)))
 
 
 def _columns(*cols) -> np.ndarray:

@@ -38,8 +38,8 @@ from pathlib import Path
 import numpy as np
 
 from . import backgrounds, conformal, integrability
-from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, covariant_state,
-                       evolve, extended_state, extended_state_on_shell,
+from .dynamics import (FORMS, EvolveOptions, PhaseSpaceState, check_flow,
+                       covariant_state, evolve, extended_state, extended_state_on_shell,
                        front_state, hamiltonian_front, instant_state, starts_at)
 from .errors import ConfigError, DomainError, RealityError, SingularityError
 from .geometry import FourVector, from_lightfront
@@ -445,6 +445,10 @@ def _setup_run(run_cfg) -> tuple:
     state = _initial_state(run_cfg, bg)
     span = _span(run_cfg, state)
     opts = _evolve_options(run_cfg)
+    try:
+        check_flow(state.form, opts.nonrelativistic)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     monitors = _quantity_set(run_cfg["monitor"]["set"], run_cfg["monitor"]["extra"],
                              bg, state.form)
     return (bg, state, span, opts) + monitors
@@ -592,18 +596,17 @@ def cmd_kg(cfg, seed: int) -> tuple:
         raise ConfigError(f"cannot draw {npts} points whose 2h stencils stay in the "
                           f"domain of {phi.label!r} and meet no switch surface of "
                           f"{bg.label!r}: {exc}") from None
-    # one read of phi at h and one at h/2 serve the residuals and, through
-    # their first 10 rows, the eigen-defects
-    x = chart(*drawn.T)
-    reads = [kgverify.read_stencils(phi, bg, x, s, 1) for s in (h, h / 2.0)]
-    rows = kgverify.residual_convergence(bg, *reads)
+    # one read of phi on {0, +-h/2, +-h} per axis serves the residuals and,
+    # through its first 10 rows, the eigen-defects, each at h and at h/2
+    read = kgverify.read_stencils(phi, bg, chart(*drawn.T), h / 2.0, 2)
+    rows = kgverify.residual_convergence(bg, read, h)
     ratios = [r[4] for r in rows]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
 
-    heads = [kgverify.first_rows(read, 10) for read in reads]
+    head = kgverify.first_rows(read, 10)
     defects = []
     for gen, Q, label in phi.params.get("eigen", []):
-        d1, d2 = (kgverify.eigen_defect(gen, Q, read) for read in heads)
+        d1, d2 = (kgverify.eigen_defect(gen, Q, head, s) for s in (h, h / 2.0))
         defects.append({"generator": label, "Q": float(Q),
                         "defect_h": float(d1), "defect_h2": float(d2)})
     summary = {"command": "kg", "solution": phi.label, "seed": seed,

@@ -420,11 +420,17 @@ def _rhs_covariant(bg):
     return rhs
 
 
+def check_flow(form: str, nonrel: bool) -> None:
+    """Raise ValueError for a nonrelativistic flow outside the instant form."""
+    if nonrel and form != "instant":
+        raise ValueError(f"the nonrelativistic flow applies to the instant form, "
+                         f"not {form!r}")
+
+
 def _make_rhs(form: str, bg, nonrel: bool):
+    check_flow(form, nonrel)
     if form == "instant":
         return _rhs_instant(bg, nonrel)
-    if nonrel:
-        raise ValueError("the nonrelativistic flow applies to the instant form")
     if form == "covariant":
         return _rhs_covariant(bg)
     return _rhs_lightfront(bg, form == "extended")

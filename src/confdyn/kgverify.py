@@ -17,9 +17,9 @@ eigenvalue.  Everything here is verified numerically:
 
 Points are batches: a FourVector with (N,) components, one point the batch
 of one.  A read (read_stencils) calls phi once, on the stencils of the N
-points at once; the stencils above are arithmetic on reads, and one read at
-h and one at h/2 serve residual_convergence and, through their first rows,
-eigen_defect.
+points at once, and holds no step; the stencils above are arithmetic on a
+read, at a step given to each.  One read on {0, +-h/2, +-h} per axis serves
+residual_convergence and, through its first rows, eigen_defect at h and h/2.
 
 Solution families: the plane-wave mode (phase integral of the dynamical
 mass over x+), the inverse-square conformal mode, and the dilation mode
@@ -132,8 +132,8 @@ def _margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg) -> tuple
 def clear_points(phi: Wavefunction, bg, x: FourVector, h: float):
     """The (N,) mask of the points of the batch x in phi's domain that a
     read with bg at step h accepts (its 2 h margin stencil).  That stencil
-    holds the read at h/2's on the same axis segments, so on planar switch
-    surfaces and convex domains that read accepts them too."""
+    holds the read at h/2 of two steps on the same axis segments, so on
+    planar switch surfaces and convex domains that read accepts them too."""
     *_, failing = _margin(phi, x, h, 2, bg)
     return phi.in_domain(x) & ~failing
 
@@ -163,7 +163,7 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
 
 def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
                   steps: int) -> tuple:
-    """One read of phi about the batch x: the plain tuple (x, h, phi(x),
+    """One read of phi about the batch x: the plain tuple (x, phi(x),
     {(mu, k h): phi(x + k h e_mu)}) for 0 < |k| <= steps, each value an
     (N,) array, from one call of phi.  First each stencil must stay in
     phi's domain; with bg, the wave operator's check, the margin is 2 h
@@ -173,34 +173,34 @@ def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
     _require_margin(phi, x, h, steps if bg is None else 2, bg)
     offsets = _offsets(steps)
     values = phi(_stencil(x, h, offsets)).reshape(len(x.t), 1 + len(offsets))
-    return x, h, values[:, 0], {(mu, k * h): values[:, j]
-                                for j, (mu, k) in enumerate(offsets, 1)}
+    return x, values[:, 0], {(mu, k * h): values[:, j]
+                             for j, (mu, k) in enumerate(offsets, 1)}
 
 
 def first_rows(read, n: int) -> tuple:
     """The read of the first n points of a read."""
-    x, h, f0, at = read
-    return (FourVector(x.t[:n], x.x[:n], x.y[:n], x.z[:n]), h, f0[:n],
+    x, f0, at = read
+    return (FourVector(x.t[:n], x.x[:n], x.y[:n], x.z[:n]), f0[:n],
             {key: values[:n] for key, values in at.items()})
 
 
-def _box(read, bg, order: int):
-    """((d^2 + m^2) phi, phi) from a read of half-width order/2 or more."""
-    x, h, f0, at = read
+def _box(read, m2, h: float, order: int):
+    """(d^2 + m^2) phi at step h from a read and its points' m^2."""
+    _, f0, at = read
     box = 0.0 + 0.0j
     for mu, sign in enumerate((1.0, -1.0, -1.0, -1.0)):
         box += sign * central_difference(lambda s: at[mu, s], h, 2, order, f0)
-    return box + bg.m2(x) * f0, f0
+    return box + m2 * f0
 
 
-def _symmetry(gen: conformal.ConformalGenerator, read):
-    """(L phi, phi) from a read."""
-    x, h, f0, at = read
+def _symmetry(gen: conformal.ConformalGenerator, read, h: float):
+    """L phi at step h from a read holding +-h."""
+    x, f0, at = read
     xi = gen.killing(x)
     out = 0.25 * gen.divergence(x) * f0
     for mu in range(4):
         out += xi[mu] * central_difference(lambda s: at[mu, s], h, 1, 2)
-    return out, f0
+    return out
 
 
 # tests and tests/oracles.py call it; order=4 is for the steep profiles of ROADMAP item 13
@@ -217,7 +217,7 @@ def kg_residual(phi: Wavefunction, bg, x: FourVector, h: float,
     """
     if order not in (2, 4):
         raise ValueError("order must be 2 or 4")
-    return _box(read_stencils(phi, bg, x, h, order // 2), bg, order)[0]
+    return _box(read_stencils(phi, bg, x, h, order // 2), bg.m2(x), h, order)
 
 
 # no command calls this; tests and tests/oracles.py do
@@ -227,14 +227,14 @@ def symmetry_apply(gen: conformal.ConformalGenerator, phi: Wavefunction, x: Four
     central differences from one read of phi on the 1 + 8 stencil points,
     the divergence in closed form; an (N,) array, per point of the batch
     x."""
-    return _symmetry(gen, read_stencils(phi, None, x, h, 1))[0]
+    return _symmetry(gen, read_stencils(phi, None, x, h, 1), h)
 
 
-def eigen_defect(gen: conformal.ConformalGenerator, Q: complex, read) -> float:
-    """max_x |L phi + i Q phi| / max_x |phi| over the points of a read; zero
-    (to O(h^2)) exactly when phi is an L eigenvector with eigenvalue Q.  A
-    NaN drops out of either maximum."""
-    Lphi, v = _symmetry(gen, read)
+def eigen_defect(gen: conformal.ConformalGenerator, Q: complex, read, h: float) -> float:
+    """max_x |L phi + i Q phi| / max_x |phi| over the points of a read
+    holding +-h, L phi at step h; zero (to O(h^2)) exactly when phi is an L
+    eigenvector with eigenvalue Q.  A NaN drops out of either maximum."""
+    Lphi, v = _symmetry(gen, read, h), read[1]
     num = np.fmax.reduce(_modulus(Lphi + 1j * Q * v), initial=0.0)
     return float(num / np.fmax.reduce(_modulus(v), initial=_EPS))
 
@@ -245,7 +245,7 @@ def phase_gradient(phi: Wavefunction, x: FourVector, h: float) -> np.ndarray:
     """d_mu S for phi = exp(-i S): the lower-index phase gradient, computed
     from the argument of phi(x+h)/phi(x-h), of shape (4, N) for the batch
     x.  Valid while |S| varies by less than pi across the stencil."""
-    at = read_stencils(phi, None, x, h, 1)[3]
+    at = read_stencils(phi, None, x, h, 1)[2]
     return np.array([-np.angle(at[mu, h] / at[mu, -h]) / (2.0 * h) for mu in range(4)])
 
 
@@ -337,12 +337,12 @@ def _bessel_i(a: float, y) -> np.ndarray:
     """The (2, N) rows I_a(y), I_{-a}(y) for the (N,) array y >= 0 and a real
     order a that is no integer: I_{+-a}(y) = (y/2)^{+-a} / Gamma(1 +- a)
     sum_k t_k, t_0 = 1 and t_k = t_{k-1} (y^2/4) / (k (k +- a)) (DLMF
-    10.25.2).  The terms are added in order over the whole batch until, at
-    every value whose sum S is finite, k > |a|, y^2/4 < k (k - |a|) and |t_k|
-    < 2^-54 |S|: from there on the terms shrink and each lies below half an
-    ulp of S, so no later term moves any sum and each value keeps the bits of
-    its batch of one.  An overflowing sum or power leaves inf (or NaN), for
-    the caller to report."""
+    10.25.2).  The terms are added in order over the whole batch until every
+    term is 0, or until, at every value whose sum S is finite, k > |a|, y^2/4
+    < k (k - |a|) and |t_k| < 2^-54 |S|: from there on the terms are 0 or
+    shrink below half an ulp of S, so no later term moves any sum and each
+    value keeps the bits of its batch of one.  An overflowing sum or power
+    leaves inf (or NaN), for the caller to report."""
     signed = np.array([[a], [-a]])
     t = np.ones((2, len(y)))
     s = t.copy()
@@ -354,8 +354,10 @@ def _bessel_i(a: float, y) -> np.ndarray:
             t *= q
             t /= k * (k + signed)
             s += t
-            # |t_k / S| is NaN or 0 where S is not finite
-            if (k > abs(a) and not (np.abs(t / s) >= 2.0 ** -54).any()
+            # a zero term keeps every later one 0; |t_k / S| is NaN or 0
+            # where S is not finite
+            if not t.any() or (
+                    k > abs(a) and not (np.abs(t / s) >= 2.0 ** -54).any()
                     and not ((q >= k * (k - abs(a))) & np.isfinite(s)).any()):
                 break
         halves = (0.5 * y).tolist()
@@ -388,8 +390,12 @@ def _bessel_pair(alpha: complex, y):
     import mpmath
     aa = mpmath.mpc(alpha)
     zs = [mpmath.mpc(0.0, -w) for w in y.tolist()]
-    return tuple(np.array([complex(fn(aa, w)) for w in zs])
-                 for fn in (mpmath.besselj, mpmath.bessely))
+    try:
+        return tuple(np.array([complex(fn(aa, w)) for w in zs])
+                     for fn in (mpmath.besselj, mpmath.bessely))
+    except (ArithmeticError, ValueError, mpmath.libmp.NoConvergence) as exc:
+        raise DomainError(f"mpmath cannot evaluate the Bessel pair of order "
+                          f"{alpha:g} ({type(exc).__name__})") from None
 
 
 def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
@@ -413,6 +419,8 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
     qc = float(q3)
     qnorm = float(np.hypot(q1, q2))
     alpha = complex(np.sqrt(complex(csq - qc * qc)))
+    if not np.isfinite(alpha):
+        raise ValueError(f"the order sqrt(csq - Q3^2) = {alpha} is not finite")
 
     def y_of(v):
         if qnorm == 0.0:
@@ -465,20 +473,21 @@ def offshell_control(p) -> Wavefunction:
 # convergence reporting
 # ---------------------------------------------------------------------------
 
-def residual_convergence(bg, read_h, read_h2):
-    """Normalized second-order KG residuals per point from reads of the same
-    points at h and h/2 (read_stencils with bg, one step), with their ratio.
+def residual_convergence(bg, read, h: float):
+    """Normalized second-order KG residuals per point at h and h/2 from one
+    read of the points at h/2 (read_stencils with bg, two steps: its +-h
+    keys are 2 (h/2), which is h), with their ratio; m^2 is read once.
 
     Returns a list of rows (index, h, |res(h)|, |res(h/2)|, ratio), residuals
     normalized by max(|phi(x)|, eps).  The expected ratio is 4 for a true
     solution and ~1 for an off-shell control."""
-    box, f0 = _box(read_h, bg, 2)
-    box2, _ = _box(read_h2, bg, 2)
+    m2, f0 = bg.m2(read[0]), read[1]
+    box, box2 = (_box(read, m2, s, 2) for s in (h, h / 2.0))
     scale = np.maximum(_modulus(f0), _EPS)
     r1 = _modulus(box) / scale
     r2 = _modulus(box2) / scale
     rows = zip(r1.tolist(), r2.tolist(), (r1 / np.maximum(r2, _EPS)).tolist())
-    return [(i, read_h[1], *row) for i, row in enumerate(rows)]
+    return [(i, h, *row) for i, row in enumerate(rows)]
 
 
 # perfbench/bench_trace.py wraps it as the span kgverify.write

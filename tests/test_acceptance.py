@@ -223,8 +223,7 @@ def test_criterion_07_kg_convergence_ratios():
     details = []
     for name, bg, phi, kind in _kg_cases():
         pts = fourvector_batch(_kg_points(rng, kind, 50))
-        rows = residual_convergence(bg, read_stencils(phi, bg, pts, 5e-3, 1),
-                                    read_stencils(phi, bg, pts, 5e-3 / 2, 1))
+        rows = residual_convergence(bg, read_stencils(phi, bg, pts, 5e-3 / 2, 2), 5e-3)
         ratios = np.array([r[4] for r in rows])
         good = np.all(np.abs(ratios - 4.0) <= 0.5)
         ok &= bool(good)
@@ -235,8 +234,8 @@ def test_criterion_07_kg_convergence_ratios():
     ctrl = kgverify.Wavefunction("offshell", lambda x: np.exp(
         -1j * (p[0] * x.t + p[1] * x.x + p[2] * x.y + p[3] * x.z)))
     pts = fourvector_batch(_kg_points(rng, "cartesian", 50))
-    rows = residual_convergence(ctrl_bg, read_stencils(ctrl, ctrl_bg, pts, 5e-3, 1),
-                                read_stencils(ctrl, ctrl_bg, pts, 5e-3 / 2, 1))
+    rows = residual_convergence(ctrl_bg, read_stencils(ctrl, ctrl_bg, pts, 5e-3 / 2, 2),
+                                5e-3)
     ctrl_ratios = np.array([r[4] for r in rows])
     ok &= bool(np.all(np.abs(ctrl_ratios - 4.0) > 0.5))
     details.append(f"control ratio ~{np.median(ctrl_ratios):.2f}")
@@ -262,12 +261,12 @@ def test_criterion_08_symmetry_eigenvalues():
     worst_ratio_gap = 0.0
     for name, bg, phi, kind in _kg_cases():
         pts = fourvector_batch(_kg_points(rng, kind, 8))
+        read = read_stencils(phi, None, pts, 5e-4, 2)
         for gen, Q in triples[name]:
-            d1 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 1e-3, 1))
-            d2 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 5e-4, 1))
+            d1, d2 = (eigen_defect(gen, Q, read, h) for h in (1e-3, 5e-4))
             ok &= d1 < 1e-4 and 2.5 < d1 / d2 < 6.0  # O(h^2) decay
             worst_ratio_gap = max(worst_ratio_gap, abs(d1 / d2 - 4.0))
-            ok &= eigen_defect(gen, Q + 0.5, read_stencils(phi, None, pts, 1e-3, 1)) > 0.1
+            ok &= eigen_defect(gen, Q + 0.5, read, 1e-3) > 0.1
     _verdict("criterion 8: each mode is an eigenvector of its three charges "
              "with O(h^2) defects; shifted eigenvalues are rejected", ok,
              f"worst decay-ratio gap {worst_ratio_gap:.2f}")

@@ -538,6 +538,16 @@ def test_sample_rows_equal_pointwise_reads(build, ws):
         assert np.all(p_w == p)
 
 
+def test_sample_refuses_the_first_row_that_is_not_finite():
+    # p- = 1e-300 squares to 0: the plane-wave orbit's x- is inf or nan at
+    # every x+, and the grid fails at its first value, not at exit 0
+    orbit = planewave_orbit(backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus"),
+                            front_state(0.0, 0.1, (0.2, -0.3), 1e-300, (0.1, -0.2)))
+    with pytest.raises(DomainError) as err:
+        orbit.sample(np.linspace(0.5, 6.0, 9))
+    assert str(err.value) == "the plane_wave orbit is not finite at xplus = 0.5"
+
+
 # ---------------------------------------------------------------------------
 # the Gaussian profile's integral in closed form
 # ---------------------------------------------------------------------------

@@ -524,6 +524,35 @@ def test_steep_gaussian_exits_three(tmp_path, capsys, command, preset, sets, err
     assert list(tmp_path.iterdir()) == []
 
 
+# inputs that a command refuses before writing anything: an infinite Bessel
+# order (Q3^2 overflows), an order mpmath cannot take, an order of 1.2e8
+# whose series stops once its terms are 0, orbits whose rows are not finite
+# (Q3^2 underflows; p0 = inf) and the nonrelativistic flow off the instant
+# form.  No exception escapes main and no file is written
+@pytest.mark.parametrize("command, preset, sets, err", [
+    ("kg", "dilation", ["kg.q3=1e200"], "configuration error: kg solution: the "
+     "order sqrt(csq - Q3^2) = infj is not finite"),
+    ("kg", "dilation", ["background.csq=1e300"], "runtime domain error: mpmath "
+     "cannot evaluate the Bessel pair of order 1e+150+0j (ZeroDivisionError)"),
+    ("kg", "dilation", ["background.csq=1.5e16"], "runtime domain error: Bessel "
+     "evaluation overflowed at v = 0.836287"),
+    ("orbit", "planewave", ["initial.pminus=1e-300"], "runtime domain error: the "
+     "plane_wave orbit is not finite at xplus = 0"),
+    ("orbit", "kgcontrol", ["initial.p=1e300,0,0", "run.tend=1"], "runtime domain "
+     "error: the timelike orbit is not finite at t = 0"),
+    ("simulate", "planewave", ["run.nonrelativistic=true"], "configuration error: "
+     "the nonrelativistic flow applies to the instant form, not 'extended'"),
+])
+def test_refused_input_exits_two_or_three_and_writes_nothing(tmp_path, capsys, command,
+                                                            preset, sets, err):
+    out = tmp_path / "out"
+    argv = _args(command, preset, out, *[a for s in sets for a in ("--set", s)])
+    with np.errstate(all="ignore"):
+        assert main(argv) == (2 if err.startswith("configuration") else 3)
+    assert capsys.readouterr().err == f"{err}\n"
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------

@@ -56,10 +56,10 @@ _GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 
 
 def _convergence(phi, bg, points, h):
-    """residual_convergence from phi's reads of the points at h and h/2."""
+    """residual_convergence at h and h/2 from phi's one read of the points
+    on {0, +-h/2, +-h}, as kg reads them."""
     x = fourvector_batch(points)
-    return residual_convergence(bg, read_stencils(phi, bg, x, h, 1),
-                                read_stencils(phi, bg, x, h / 2, 1))
+    return residual_convergence(bg, read_stencils(phi, bg, x, h / 2, 2), h)
 
 
 def _cartesian_points(rng, n, t_range=(-1.0, 1.0), r=1.0):
@@ -160,14 +160,13 @@ def test_planewave_eigen_defects():
     triples = [(conformal.translation_axis(1), q1),
                (conformal.translation_axis(2), q2),
                (conformal.translation_xminus(), qm)]
+    read = read_stencils(phi, None, pts, 5e-4, 2)
     for gen, Q in triples:
-        d1 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 1e-3, 1))
-        d2 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 5e-4, 1))
+        d1, d2 = (eigen_defect(gen, Q, read, h) for h in (1e-3, 5e-4))
         assert d1 < 1e-5
         assert d1 / d2 == pytest.approx(4.0, abs=1.0)  # O(h^2) decay
     # a wrong eigenvalue cannot be talked away by refining the stencil
-    bad = eigen_defect(conformal.translation_axis(1), q1 + 0.5,
-                       read_stencils(phi, None, pts, 1e-3, 1))
+    bad = eigen_defect(conformal.translation_axis(1), q1 + 0.5, read, 1e-3)
     assert bad > 0.1
 
 
@@ -196,12 +195,12 @@ def test_conformal_mode_eigen_defects():
     triples = [(conformal.special_conformal_lf(), q3),
                (conformal.null_rotation_t(1), q1),
                (conformal.null_rotation_t(2), q2)]
+    read = read_stencils(phi, None, pts, 5e-4, 2)
     for gen, Q in triples:
-        d1 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 1e-3, 1))
-        d2 = eigen_defect(gen, Q, read_stencils(phi, None, pts, 5e-4, 1))
+        d1, d2 = (eigen_defect(gen, Q, read, h) for h in (1e-3, 5e-4))
         assert d1 < 1e-4
         assert d1 / d2 == pytest.approx(4.0, abs=1.0)
-        assert eigen_defect(gen, Q + 0.5, read_stencils(phi, None, pts, 1e-3, 1)) > 0.1
+        assert eigen_defect(gen, Q + 0.5, read, 1e-3) > 0.1
 
 
 def test_conformal_mode_validation():
@@ -290,10 +289,9 @@ def test_dilation_eigen_defect():
     phi = make_dilation_solution((0.25, -0.15), 0.8, 1.0, 1.0, 0.0)
     rng = np.random.default_rng(49)
     pts = fourvector_batch(_cone_points(rng, 5))
-    d = eigen_defect(conformal.dilation(), 0.8, read_stencils(phi, None, pts, 1e-3, 1))
-    assert d < 1e-4
-    assert eigen_defect(conformal.dilation(), 1.3,
-                        read_stencils(phi, None, pts, 1e-3, 1)) > 0.1
+    read = read_stencils(phi, None, pts, 1e-3, 1)
+    assert eigen_defect(conformal.dilation(), 0.8, read, 1e-3) < 1e-4
+    assert eigen_defect(conformal.dilation(), 1.3, read, 1e-3) > 0.1
 
 
 def test_dilation_mode_validation():
@@ -304,6 +302,36 @@ def test_dilation_mode_validation():
     with pytest.raises(SingularityError):
         phi(spacelike)
     assert not phi.in_domain(spacelike)[0]
+
+
+def test_dilation_order_must_be_finite():
+    # Q3^2 overflows: csq - Q3^2 = -inf and the order sqrt(csq - Q3^2) is
+    # infinite, which no Bessel function takes
+    with pytest.raises(ValueError, match="is not finite"):
+        make_dilation_solution((0.25, -0.15), 1e200, 1.0, 1.0, 0.0)
+
+
+def test_bessel_pair_mpmath_cannot_evaluate_is_a_domain_error():
+    # the integer order 1e150 goes to mpmath, which divides by zero there
+    phi = make_dilation_solution((0.25, -0.15), 0.8, 1e300, 1.0, 0.0)
+    with pytest.raises(DomainError) as err:
+        phi(fourvector_batch([FourVector(2.0, 0.0, 0.0, 1.0)]))
+    assert str(err.value) == ("mpmath cannot evaluate the Bessel pair of order "
+                              "1e+150+0j (ZeroDivisionError)")
+
+
+def test_bessel_series_leaves_once_every_term_is_zero():
+    # at the order 1.2e8 every term is 0 after a few hundred, long before
+    # k > |a|: the series leaves there, its I_a underflowing to 0 and its
+    # I_-a overflowing for the caller to report
+    from confdyn import kgverify
+    big = kgverify._bessel_i(1.2e8 + 0.3, np.array([0.5, 2.0]))
+    assert big[0].tolist() == [0.0, 0.0] and np.isinf(big[1]).all()
+    # values whose terms vanish by k ~ 11 keep their bits beside one whose
+    # terms run on past k > |a| = 20.3
+    alone = kgverify._bessel_i(20.3, np.array([1e-14, 2e-14]))
+    beside = kgverify._bessel_i(20.3, np.array([1e-14, 2e-14, 5.0]))
+    assert np.isfinite(alone).all() and _same_bits(alone, beside[:, :2])
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +631,8 @@ def test_stencils_evaluate_phi_once_at_the_centre():
 def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
     from confdyn import kgverify
     from confdyn.cli import main
-    made, runs, calls = kgverify.make_planewave_solution, [], []
+    made, runs, calls, margins = kgverify.make_planewave_solution, [], [], []
+    real_margin = kgverify._margin
 
     def counted_mode(*args):
         mode = made(*args)
@@ -615,14 +644,22 @@ def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(kgverify, "make_planewave_solution", counted_mode)
     monkeypatch.setattr(Wavefunction, "__call__",
                         lambda self, x: calls.append(x) or real_call(self, x))
+    monkeypatch.setattr(kgverify, "_margin", lambda phi, x, h, steps, bg: margins.append(
+        (_rows(x), h, steps)) or real_margin(phi, x, h, steps, bg))
     assert main(["kg", "--preset", "planewave", "--out-dir", str(tmp_path)]) == 0
-    # one read of the 1 + 8 stencil points of all 60 points at h, one at h/2:
-    # one call each, no point twice in a call; the residuals and the 3
-    # generators' eigen-defects share them
-    assert [len(rows) for rows in runs] == [60 * 9] * 2
+    # one read of the 1 + 16 stencil points {0, +-h/2, +-h} of all 60 points:
+    # one call, no point twice; the residuals and the 3 generators'
+    # eigen-defects at h and h/2 share it
+    assert [len(rows) for rows in runs] == [60 * 17]
     assert len(calls) == len(runs)
-    for rows in runs:
-        assert len(np.unique(rows, axis=0)) == len(rows)
+    assert len(np.unique(runs[0], axis=0)) == len(runs[0])
+    # the draw checks each drawn point's 2 h margin once; the read checks
+    # the points it reads, +-h/2 and +-h, of the 60 points it keeps
+    *draws, (kept, half, steps) = margins
+    assert {(h, s) for _, h, s in draws} == {(2 * half, 2)} and steps == 2
+    drawn = np.concatenate([rows for rows, _, _ in draws])
+    assert len(np.unique(drawn, axis=0)) == len(drawn) and len(kept) == 60
+    assert set(map(tuple, kept)) <= set(map(tuple, drawn))
 
 
 def test_kgcontrol_job_evaluates_each_point_once(tmp_path, monkeypatch):
@@ -631,11 +668,10 @@ def test_kgcontrol_job_evaluates_each_point_once(tmp_path, monkeypatch):
     real_call = Wavefunction.__call__
     monkeypatch.setattr(Wavefunction, "__call__",
                         lambda self, x: calls.append(_rows(x)) or real_call(self, x))
-    # the control fails the ratio gate, after the same two reads
+    # the control fails the ratio gate, after the same one read
     assert main(["kg", "--preset", "kgcontrol", "--out-dir", str(tmp_path)]) == 1
-    assert [len(rows) for rows in calls] == [60 * 9] * 2
-    for rows in calls:
-        assert len(np.unique(rows, axis=0)) == len(rows)
+    assert [len(rows) for rows in calls] == [60 * 17]
+    assert len(np.unique(calls[0], axis=0)) == len(calls[0])
 
 
 @pytest.mark.parametrize("preset", ["planewave", "conformal", "dilation", "kgcontrol"])
@@ -654,10 +690,10 @@ def test_kg_draws_the_points_of_one_by_one_draws(tmp_path, monkeypatch, preset):
     for seed in range(1, 6):
         reads.clear()
         main(["kg", "--preset", preset, "--seed", str(seed), "--out-dir", str(tmp_path)])
-        (phi, x), (_, x2) = reads
+        (phi, x), = reads
         want = np.array([(p.t, p.x, p.y, p.z)
                          for p in kg_points_one_by_one(solution, phi, seed, 60)])
-        assert _same_bits(_rows(x), want) and _same_bits(_rows(x2), want)
+        assert _same_bits(_rows(x), want)
 
 
 def _modes():
@@ -680,8 +716,8 @@ def _modes():
 
 
 def test_first_rows_of_a_read_are_the_read_of_the_first_points():
-    # cmd_kg's eigen-defects take the first 10 rows of its 60-point reads:
-    # they must be what reads of those 10 points alone give, bit for bit,
+    # cmd_kg's eigen-defects take the first 10 rows of its 60-point read:
+    # they must be what a read of those 10 points alone gives, bit for bit,
     # whatever the batch length
     rng = np.random.default_rng(65)
     wave = backgrounds.plane_wave_sin2(1.0, 0.5, 1.0, "xplus")
@@ -692,19 +728,17 @@ def test_first_rows_of_a_read_are_the_read_of_the_first_points():
     for phi, _ in _modes():
         draw, bg_of = kinds[phi.label]
         pts, bg = draw(rng, 60), bg_of(phi)
-        whole = [read_stencils(phi, bg, fourvector_batch(pts), h, 1) for h in (_H, _H / 2)]
-        first = [read_stencils(phi, bg, fourvector_batch(pts[:10]), h, 1)
-                 for h in (_H, _H / 2)]
-        for read, part in zip(whole, first):
-            head = first_rows(read, 10)
-            assert _same_bits(_rows(head[0]), _rows(part[0])) and head[1] == part[1]
-            assert head[3].keys() == part[3].keys()
-            for got, want in zip([head[2], *head[3].values()],
-                                 [part[2], *part[3].values()]):
-                assert _same_bits(got.real, want.real) and _same_bits(got.imag, want.imag)
-            for gen, Q, _ in phi.params["eigen"]:
-                assert eigen_defect(gen, Q, head) == eigen_defect(gen, Q, part)
-        assert residual_convergence(bg, *whole)[:10] == residual_convergence(bg, *first)
+        whole = read_stencils(phi, bg, fourvector_batch(pts), _H / 2, 2)
+        part = read_stencils(phi, bg, fourvector_batch(pts[:10]), _H / 2, 2)
+        head = first_rows(whole, 10)
+        assert _same_bits(_rows(head[0]), _rows(part[0]))
+        assert head[2].keys() == part[2].keys()
+        for got, want in zip([head[1], *head[2].values()], [part[1], *part[2].values()]):
+            assert _same_bits(got.real, want.real) and _same_bits(got.imag, want.imag)
+        for gen, Q, _ in phi.params["eigen"]:
+            for h in (_H, _H / 2):
+                assert eigen_defect(gen, Q, head, h) == eigen_defect(gen, Q, part, h)
+        assert residual_convergence(bg, whole, _H)[:10] == residual_convergence(bg, part, _H)
 
 
 def test_batch_values_are_the_per_point_values():
@@ -739,8 +773,9 @@ def test_batch_margin_names_the_first_stencil_point_out():
     h = _H
     want = _first_margin_error(phi, pts, h, 2)
     assert "(t,x,y,z) = (0.0" in want
+    # kg's one read at 2 h reads the 2 h margin that kg_residual checks at h
     for run in (lambda: kg_residual(phi, _GAUSS, fourvector_batch(pts), h),
-                lambda: _convergence(phi, _GAUSS, pts, h)):
+                lambda: _convergence(phi, _GAUSS, pts, 2 * h)):
         with pytest.raises(DomainError) as err:
             run()
         assert str(err.value) == want
@@ -755,12 +790,13 @@ def test_batch_reports_the_point_a_loop_meets_first():
     phi = Wavefunction("cone", lambda x: np.exp(-1j * x.t), domain=lambda x: x.t > 0.0)
     pts = [FourVector(0.5, 0.0, 0.0, 0.3), FourVector(0.5, 0.1, 0.2, 0.0),
            FourVector(0.001, 0.0, 0.0, 0.3)]
+    # at 2e-3 the read's stencil is the 2 h margin of h = 1e-3
     with pytest.raises(DomainError) as err:
-        _convergence(phi, bg, pts, 1e-3)
+        _convergence(phi, bg, pts, 2e-3)
     assert str(err.value) == ("(t,x,y,z) = (0.5, 0.1, 0.2, 0) touches a switch "
                               "surface of background 'linear_z'")
     with pytest.raises(DomainError) as err:
-        _convergence(phi, bg, [pts[0], pts[2], pts[1]], 1e-3)
+        _convergence(phi, bg, [pts[0], pts[2], pts[1]], 2e-3)
     assert str(err.value) == _first_margin_error(phi, [pts[2]], 1e-3, 2)
 
 
@@ -778,14 +814,14 @@ def test_margin_stencil_on_or_across_a_switch_surface_is_refused():
             f"(0.5, 0.1, 0.2, {z:g}) lies on or across a switch surface of "
             "background 'linear_z'")
     x = fourvector_batch([FourVector(0.5, 0.1, 0.2, 3 * h)])
-    rows = residual_convergence(bg, read_stencils(phi, bg, x, h, 1),
-                                read_stencils(phi, bg, x, h / 2, 1))
+    rows = residual_convergence(bg, read_stencils(phi, bg, x, h / 2, 2), h)
     assert len(rows) == 1 and np.isfinite(rows[0][4])
 
 
 def test_batch_reports_the_crossing_a_loop_meets_first():
     # per point its stencil's domain, then its touch, then its stencil's
-    # crossing; over the batch, the first point that fails
+    # crossing; over the batch, the first point that fails (at 2e-3 the
+    # read's stencil is the 2 h margin of h = 1e-3)
     bg = backgrounds.linear_z(1.0, 1.0, switched=True)
     phi = Wavefunction("cone", lambda x: np.exp(-1j * x.t), domain=lambda x: x.t > 0.0)
     fine, touching = FourVector(0.5, 0.0, 0.0, 0.3), FourVector(0.5, 0.1, 0.2, 0.0)
@@ -799,14 +835,14 @@ def test_batch_reports_the_crossing_a_loop_meets_first():
                       ([fine, both, near], _first_margin_error(phi, [both], 1e-3, 2)),
                       ([near, both], crossing)):
         with pytest.raises(DomainError) as err:
-            _convergence(phi, bg, pts, 1e-3)
+            _convergence(phi, bg, pts, 2e-3)
         assert str(err.value) == want
 
 
 def test_clear_points_are_those_both_reads_accept():
     # kg's draw keeps a point where the mask holds: exactly the points in
-    # phi's domain that the read at h accepts alone, each of which the read
-    # at h/2 accepts too
+    # phi's domain that the read at h accepts alone, each of which kg's read
+    # at h/2 of two steps accepts too
     bg = backgrounds.linear_z(1.0, 1.0, switched=True)
     phi = Wavefunction("cone", lambda x: np.exp(-1j * x.t), domain=lambda x: x.t > 0.0)
     h = 1e-3
@@ -814,16 +850,16 @@ def test_clear_points_are_those_both_reads_accept():
            for z in (-0.003, -0.002, -0.0015, -0.0005, 0.0, 1e-13, 0.0015, 0.002, 0.0025)]
     mask = clear_points(phi, bg, fourvector_batch(pts), h)
 
-    def reads(x, step):
+    def reads(x, step, steps=1):
         try:
-            read_stencils(phi, bg, fourvector_batch([x]), step, 1)
+            read_stencils(phi, bg, fourvector_batch([x]), step, steps)
         except DomainError:
             return False
         return True
 
     want = [x.t > 0.0 and reads(x, h) for x in pts]
     assert mask.tolist() == want and 0 < sum(want) < len(pts)
-    assert all(reads(x, h / 2) for x, ok in zip(pts, want) if ok)
+    assert all(reads(x, h / 2, 2) for x, ok in zip(pts, want) if ok)
 
 
 def test_bessel_overflow_names_its_v():
