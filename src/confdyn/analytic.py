@@ -159,7 +159,14 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
         raise ValueError("initial data must be given at t = 0")
     x0 = init.q.copy()
     p = init.p.copy()
-    psq = contract(p, p)
+    # a momentum near the float limit overflows p.p, L and p.L to inf or nan
+    # silently here; sample reports the orbit that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        psq = contract(p, p)
+        # constant since x(t) - x(0) is parallel to p
+        L = np.array([x0[1] * p[2] - x0[2] * p[1], x0[2] * p[0] - x0[0] * p[2],
+                      x0[0] * p[1] - x0[1] * p[0]])
+        pL = contract(p, L)
 
     def Hval(s):
         rad = psq + m0sq + E(s)
@@ -176,10 +183,7 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
         rows = np.array(rows).reshape(-1, 8)
         return rows[:, :4], rows[:, 4:]
 
-    # constant since x(t) - x(0) is parallel to p
-    L = np.array([x0[1] * p[2] - x0[2] * p[1], x0[2] * p[0] - x0[0] * p[2],
-                  x0[0] * p[1] - x0[1] * p[0]])
-    consts = {"p": p, "L": L, "p.L": contract(p, L), "m0sq": m0sq}
+    consts = {"p": p, "L": L, "p.L": pL, "m0sq": m0sq}
     return ClosedFormOrbit("timelike", "t", (0.0, np.inf), consts, evaluate)
 
 

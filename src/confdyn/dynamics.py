@@ -37,7 +37,9 @@ poisson_bracket reads a table of one state.
 One stepping loop drives the embedded Runge-Kutta 5(4) pair of ode.RK45,
 locates switch surfaces and the p- = 0 guard on each step's dense output with
 ode.brentq, and restarts each segment on the far side of a C0 kink from an
-integrated state.
+integrated state.  A segment samples the output grid in one ode.dense_sample
+pass over the dense coefficients of the steps that span the grid's times,
+and a trajectory is the concatenation of its segments' arrays.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .errors import SingularityError
 from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
                        pair_rows, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
-from .ode import EPS, RK45, brentq
+from .ode import EPS, RK45, brentq, dense_sample
 
 
 @dataclass(frozen=True)
@@ -549,18 +551,21 @@ def _solver(rhs, t, y, t_bound, rtol, atol, form: Form) -> RK45:
 
 def _segment(solver, ev_fns, t_eval, form: Form):
     """Step a solver to its bound or to its first event, sampling the sorted
-    floats t_eval on each step's dense output, as solve_ivp does with
-    terminal events.
-    Returns (sampled times, list of sampled states, None or (event index,
-    event time)).  A failed step's error names the time and p- reached."""
+    floats t_eval on the dense output of the step that spans each, as
+    solve_ivp does with terminal events.  A step that holds samples keeps
+    its dense coefficients and its count of samples, and the segment's
+    samples come from one ode.dense_sample pass at its end.
+    Returns (sampled times, (m, n) array of sampled states, None or (event
+    index, event time)).  A failed step's error names the time and p-
+    reached."""
     g = [fn(solver.t, solver.y) for fn in ev_fns]
-    ys, i_eval, hit = [], 0, None
+    steps, counts, i_eval, hit = [], [], 0, None
     while hit is None and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise SingularityError(f"integration failed: {message} "
                                    f"({_where(form, solver.t, solver.y)})")
-        t, g_old, dense = solver.t, g, None
+        t, g_old = solver.t, g
         g = [fn(t, solver.y) for fn in ev_fns]
         active = [i for i, (a, b) in enumerate(zip(g_old, g))
                   if a <= 0 <= b or b <= 0 <= a]
@@ -572,10 +577,12 @@ def _segment(solver, ev_fns, t_eval, form: Form):
             hit = (i, t)
         if i_eval < len(t_eval) and t_eval[i_eval] <= t:
             j = bisect_right(t_eval, t, i_eval)
-            dense = dense or solver.dense_output()
-            ys.extend(map(dense, t_eval[i_eval:j]))
+            steps.append(solver.dense_step())
+            counts.append(j - i_eval)
             i_eval = j
-    return t_eval[:i_eval], ys, hit
+    times = np.array(t_eval[:i_eval])
+    ys = dense_sample(steps, counts, times) if steps else np.empty((0, solver.n))
+    return times, ys, hit
 
 
 def starts_at(state: PhaseSpaceState, t0: float) -> bool:
@@ -591,9 +598,12 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
     crossing, located by Brent's method on the dense output of the step that
     straddles it; that step is redone up to the crossing and the integration
     restarts on the far side from the redone step's end, so the integrated
-    state never steps across a C0 kink.  The samples between the straddling
-    step's start and the crossing still come from that step's dense output,
-    which spans the kink (ROADMAP item 2).
+    state never steps across a C0 kink.  Each grid time is sampled on the
+    dense output of the step that spans it, every segment's samples in one
+    array pass with the bits of the float dense output (ode.dense_sample).
+    The samples between the straddling step's start and the crossing still
+    come from that step's dense output, which spans the kink (ROADMAP item
+    2).
     A sign change of p- (front/extended) raises SingularityError; sampling
     m^2 < 0 raises RealityError from the background itself.
     """
@@ -610,7 +620,7 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
                                         opts.rtol, opts.atol)
 
     n = FORMS[state0.form].dof
-    traj = Trajectory(form=state0.form, times=np.asarray(times),
+    traj = Trajectory(form=state0.form, times=times,
                       q=ys[:, :n], p=ys[:, n:],
                       background=bg.label, events_log=elog, stats=stats,
                       nonrelativistic=opts.nonrelativistic)
@@ -623,7 +633,9 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     """The stepping loop: one RK45 solver per segment between switch-surface
     crossings.  At a crossing the straddling step is redone
     from its start with a solver bounded at the crossing time, and the next
-    segment starts from that integrated endpoint."""
+    segment starts from that integrated endpoint.  Returns (times, (N, 2n)
+    states, stats, event log), each array the one concatenation of the
+    rows the segments, restarts and crossings add."""
     t0, t1 = span
     span_len = t1 - t0
     nudge = 1e-12 * span_len
@@ -637,9 +649,9 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     ev_fns = [fn for _, fn in events]
     surface_fns = ev_fns[:len(bg.events)]   # the p- = 0 guard is no surface
 
-    times = [t0]
-    ys = [np.concatenate([state0.q, state0.p]).tolist()]
-    t, y = t0, ys[0]
+    tol = 1e-14 * max(1.0, span_len)   # a sample this close after the last is kept out
+    y = np.concatenate([state0.q, state0.p]).tolist()
+    times, ys, t = [np.array([t0])], [np.array([y])], t0   # no array is empty
     elog, nfev, segments = [], 0, 0
     while t < t1:
         # step off a switch surface so the event does not refire at the
@@ -655,8 +667,8 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
             y, t = y_off, t1 if last else t + nudge
             nfev += 4
             if last:
-                times.append(t)
-                ys.append(y)
+                times.append(np.array([t]))
+                ys.append(np.array([y]))
                 break
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = [t, *seg_grid.tolist()] if seg_grid.size else [t, t1]
@@ -667,9 +679,10 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
         if segments > MAX_SEGMENTS:
             raise SingularityError("too many event restarts; flow appears stuck "
                                    "on a switch surface")
-        keep = bisect_right(seg_t, times[-1] + 1e-14 * max(1.0, span_len))
-        times.extend(seg_t[keep:])
-        ys.extend(seg_y[keep:])
+        keep = np.searchsorted(seg_t, times[-1][-1] + tol, side="right")
+        if keep < seg_t.size:
+            times.append(seg_t[keep:])
+            ys.append(seg_y[keep:])
         if hit is None:
             break
         i, te = hit
@@ -682,14 +695,14 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
         _segment(redo, (), (), form)   # to te, with neither events nor samples
         nfev += redo.nfev
         elog.append((name, te))
-        if te > times[-1] + 1e-14 * max(1.0, span_len):
-            times.append(te)
-            ys.append(redo.y)
+        if te > times[-1][-1] + tol:
+            times.append(np.array([te]))
+            ys.append(np.array([redo.y]))
         t, y = te, redo.y
 
     stats = {"nfev": int(nfev), "segments": int(segments),
              "event_crossings": len(elog)}
-    return np.asarray(times), np.asarray(ys), stats, elog
+    return np.concatenate(times), np.concatenate(ys), stats, elog
 
 
 # ---------------------------------------------------------------------------

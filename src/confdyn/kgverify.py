@@ -424,19 +424,22 @@ def make_dilation_solution(qperp, q3: float, csq: float, c1: complex,
 
     def y_of(v):
         if qnorm == 0.0:
-            return c1 * v ** alpha + c2 * v ** (-alpha)
-        y = qnorm * v
-        tiny = (y > 0.0) & (y < sys.float_info.min)
-        if tiny.any():
-            raise DomainError(f"Bessel argument |Q_perp| v = {y[tiny.argmax()]:g} "
-                              f"is subnormal at v = {v[tiny.argmax()]:g}")
-        J, Y = _bessel_pair(alpha, y)
-        with np.errstate(invalid="ignore"):    # 0 * inf; reported below
-            out = c1 * J + c2 * Y
+            what = "power law c1 v^alpha + c2 v^-alpha"
+            with np.errstate(over="ignore", invalid="ignore"):   # reported below
+                out = c1 * v ** alpha + c2 * v ** (-alpha)
+        else:
+            what = "Bessel evaluation"
+            y = qnorm * v
+            tiny = (y > 0.0) & (y < sys.float_info.min)
+            if tiny.any():
+                raise DomainError(f"Bessel argument |Q_perp| v = {y[tiny.argmax()]:g} "
+                                  f"is subnormal at v = {v[tiny.argmax()]:g}")
+            J, Y = _bessel_pair(alpha, y)
+            with np.errstate(invalid="ignore"):    # 0 * inf; reported below
+                out = c1 * J + c2 * Y
         overflow = ~np.isfinite(out)
         if overflow.any():
-            raise DomainError("Bessel evaluation overflowed at "
-                              f"v = {v[overflow.argmax()]:g}")
+            raise DomainError(f"{what} overflowed at v = {v[overflow.argmax()]:g}")
         return out
 
     def ev(x: FourVector):

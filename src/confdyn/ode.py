@@ -9,6 +9,10 @@ RK45    scipy.integrate.RK45's step control (integrate/_ivp/rk.py, base.py,
         order, so a flow's bits depend on neither the BLAS kernel nor numpy's
         SIMD dispatch; J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6,
         19 (1980)
+dense_sample
+        the quartic dense output of a run of steps at many times in one
+        elementwise array pass, each sample in the bits of RK45.dense_output
+        at a float time
 brentq  the C routine behind scipy's brentq, with its NaN check;
         R. P. Brent, Algorithms for Minimization without Derivatives (1973)
 masked_newton
@@ -132,7 +136,8 @@ class RK45:
     solution and error estimate, the error norm, the dense output's
     coefficients and its powers of x) adds its terms left to right in
     stage order over the tableau's nonzero entries, in Python floats, so
-    its bits depend on no BLAS kernel or SIMD dispatch.
+    its bits depend on no BLAS kernel or SIMD dispatch.  dense_sample takes
+    the dense output's float operations elementwise on arrays.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -255,26 +260,34 @@ class RK45:
         self.f = f_new
         return True, None
 
-    def dense_output(self):
-        """y(t) over the last step, y_old + h (Q0 x + Q1 x^2 + Q2 x^3 +
-        Q3 x^4) at x = (t - t_old)/h, Q = K^T P: a list of n floats at a
-        float t; at an array of m times, the (n, m) array of those lists."""
+    def dense_step(self):
+        """(t_old, h, y_old, Q) of the last step, Q = K^T P: one tuple
+        (Q0, Q1, Q2, Q3) per component, each a sum over the stages added in
+        stage order.  dense_output and dense_sample read it."""
         if self.t_old is None or self.t == self.t_old:
             raise RuntimeError("Dense output is available after a successful "
                                "step was made.")
-        t_old, h, y_old, n = self.t_old, self.t - self.t_old, self.y_old, self.n
         k1, _, k3, k4, k5, k6, k7 = self.K
         Q = [(a,
               a * _P11 + c * _P31 + d * _P41 + e * _P51 + f * _P61 + g * _P71,
               a * _P12 + c * _P32 + d * _P42 + e * _P52 + f * _P62 + g * _P72,
               a * _P13 + c * _P33 + d * _P43 + e * _P53 + f * _P63 + g * _P73)
              for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
+        return self.t_old, self.t - self.t_old, self.y_old, Q
+
+    def dense_output(self):
+        """y(t) over the last step, y_old + h (Q0 x + Q1 x^2 + Q2 x^3 +
+        Q3 x^4) at x = (t - t_old)/h: a list of n floats at a float t, the
+        branch brentq calls; at an array of m times, the (n, m) array of one
+        dense_sample pass, each element in the bits of the float call."""
+        step = self.dense_step()
+        t_old, h, y_old, Q = step
 
         def dense(t):
             if not isinstance(t, float):
                 t = np.asarray(t, dtype=float)
                 if t.ndim:
-                    return np.array([dense(s) for s in t.tolist()]).reshape(-1, n).T
+                    return dense_sample([step], [t.size], t.ravel()).T
                 t = float(t)
             x = (t - t_old) / h
             # x, x^2, x^3, x^4: the products np.cumprod makes, in its order
@@ -284,6 +297,28 @@ class RK45:
             return [v + h * (((q0 * x + q1 * x2) + q2 * x3) + q3 * x4)
                     for v, (q0, q1, q2, q3) in zip(y_old, Q)]
         return dense
+
+
+def dense_sample(steps, counts, ts):
+    """The dense output of consecutive steps at m sorted times in one array
+    pass: step k, a (t_old, h, y_old, Q) of RK45.dense_step, serves the next
+    counts[k] of the times ts.  Returns the (m, n) array of the samples.
+
+    Each element takes dense_output's float operations in their order, x =
+    (t - t_old)/h, x^2 = x x, x^3 = x^2 x, x^4 = x^3 x, then y_old +
+    h (((Q0 x + Q1 x^2) + Q2 x^3) + Q3 x^4), elementwise.  Only +, -, * and
+    / enter numpy, each correctly rounded on every SIMD target, so every
+    sample has the bits of the float call at its time."""
+    t_old, h, y_old, Q = (np.repeat(np.array(col), counts, axis=0)
+                          for col in zip(*steps))
+    # Python floats overflow to inf and nan without a warning; so does this
+    with np.errstate(all="ignore"):
+        x = ((np.asarray(ts, dtype=float) - t_old) / h)[:, None]
+        x2 = x * x
+        x3 = x2 * x
+        x4 = x3 * x
+        return y_old + h[:, None] * (((Q[..., 0] * x + Q[..., 1] * x2)
+                                      + Q[..., 2] * x3) + Q[..., 3] * x4)
 
 
 def brentq(f, a, b, xtol, rtol):

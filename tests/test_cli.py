@@ -11,6 +11,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -527,8 +528,9 @@ def test_steep_gaussian_exits_three(tmp_path, capsys, command, preset, sets, err
 # inputs that a command refuses before writing anything: an infinite Bessel
 # order (Q3^2 overflows), an order mpmath cannot take, an order of 1.2e8
 # whose series stops once its terms are 0, orbits whose rows are not finite
-# (Q3^2 underflows; p0 = inf) and the nonrelativistic flow off the instant
-# form.  No exception escapes main and no file is written
+# (Q3^2 underflows; p0 = inf), the nonrelativistic flow off the instant
+# form and a power-law dilation mode (Q_perp = 0) whose v^alpha overflows.
+# No exception escapes main and no file is written
 @pytest.mark.parametrize("command, preset, sets, err", [
     ("kg", "dilation", ["kg.q3=1e200"], "configuration error: kg solution: the "
      "order sqrt(csq - Q3^2) = infj is not finite"),
@@ -542,6 +544,8 @@ def test_steep_gaussian_exits_three(tmp_path, capsys, command, preset, sets, err
      "error: the timelike orbit is not finite at t = 0"),
     ("simulate", "planewave", ["run.nonrelativistic=true"], "configuration error: "
      "the nonrelativistic flow applies to the instant form, not 'extended'"),
+    ("kg", "dilation", ["kg.qperp=0,0", "background.csq=1e8"], "runtime domain "
+     "error: power law c1 v^alpha + c2 v^-alpha overflowed at v = 0.836287"),
 ])
 def test_refused_input_exits_two_or_three_and_writes_nothing(tmp_path, capsys, command,
                                                             preset, sets, err):
@@ -551,6 +555,26 @@ def test_refused_input_exits_two_or_three_and_writes_nothing(tmp_path, capsys, c
         assert main(argv) == (2 if err.startswith("configuration") else 3)
     assert capsys.readouterr().err == f"{err}\n"
     assert list(out.iterdir()) == []
+
+
+# overflows that a command reports as its error line alone: the dilation
+# mode's power law at Q_perp = 0 and alpha = 1e4, and the timelike orbit's
+# constants p.p and p.L at p = 1e300, take no numpy warning on the way
+@pytest.mark.parametrize("command, preset, sets, err", [
+    ("kg", "dilation", ["kg.qperp=0,0", "background.csq=1e8"],
+     "power law c1 v^alpha + c2 v^-alpha overflowed at v = 0.836287"),
+    ("orbit", "kgcontrol", ["initial.p=1e300,0,0", "run.tend=1"],
+     "the timelike orbit is not finite at t = 0"),
+])
+def test_overflow_exits_three_with_its_error_line_alone(tmp_path, capsys, command,
+                                                       preset, sets, err):
+    argv = _args(command, preset, tmp_path, *[a for s in sets for a in ("--set", s)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"runtime domain error: {err}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1117,6 +1141,7 @@ def test_flat_gaussian_orbit_writes_nothing_to_stderr(tmp_path):
 
 _LAZY = """
 import sys
+import warnings
 import confdyn
 lazy = ("analytic", "cli", "kgverify")
 print(sorted(m for m in sys.modules if m.startswith("confdyn.") and m[8:] in lazy))

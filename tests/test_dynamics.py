@@ -1,5 +1,6 @@
 """Phase-space flows: Hamiltonians, brackets, integration, conversions."""
 
+import functools
 import json
 import warnings
 
@@ -443,6 +444,80 @@ def test_dense_output_takes_scipys_powers():
         assert np.array_equal(a(ts), b(ts))
         assert all(np.array_equal(a(t), b(t)) for t in ts)
         assert all(np.array_equal(a(t), b(t)) for t in ts.tolist())
+
+
+_SAMPLED_FLOWS = ("instant-fig1-switched", "front-fig2-switched", "extended-planewave")
+
+
+@functools.lru_cache(maxsize=None)
+def _accepted_steps(case):
+    """Every accepted step of an oracle flow, or of y' = 4 t^3 ("quartic",
+    whose dense output the x^4 term dominates), as (RK45.dense_step, its
+    RK45.dense_output, whether rejected attempts preceded it)."""
+    if case == "quartic":
+        rhs, t0, y0, t1 = (lambda t, y: [4.0 * t ** 3]), 0.0, [0.0], 1.0
+    else:
+        rhs, t0, y0, t1 = _oracle_flow(case)
+    solver = ode.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
+    steps = []
+    while solver.status == "running":
+        nfev = solver.nfev
+        solver.step()
+        steps.append((solver.dense_step(), solver.dense_output(),
+                      solver.nfev - nfev > 6))
+    return steps
+
+
+def _assert_sampled_as_floats(steps, fractions):
+    """dense_sample over the steps (dense_step, dense_output, ...), at
+    fractions[k] of step k's width past its start, equals the float dense
+    output at every sample, with ==."""
+    ts = [step[0] + f * step[1] for (step, *_), fs in zip(steps, fractions)
+          for f in fs]
+    rows = ode.dense_sample([step for step, *_ in steps], [len(fs) for fs in fractions],
+                            ts)
+    floats = [dense(step[0] + f * step[1])
+              for (step, dense, *_), fs in zip(steps, fractions) for f in fs]
+    assert rows.tolist() == floats
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=strategies.data())
+def test_dense_sample_equals_the_float_dense_output(data):
+    # one array pass over a segment's steps, as _segment makes it, gives
+    # every sample the bits of the float call brentq takes at its time
+    steps = _accepted_steps(data.draw(strategies.sampled_from((*_SAMPLED_FLOWS,
+                                                               "quartic"))))
+    picked = data.draw(strategies.lists(strategies.integers(0, len(steps) - 1),
+                                        min_size=1, max_size=6, unique=True))
+    fractions = [sorted(data.draw(strategies.lists(strategies.floats(0.0, 1.0),
+                                                   min_size=1, max_size=8)))
+                 for _ in picked]
+    _assert_sampled_as_floats([steps[i] for i in sorted(picked)], fractions)
+
+
+@pytest.mark.parametrize("case", _SAMPLED_FLOWS)
+def test_dense_sample_on_one_sample_and_after_rejections(case):
+    steps = _accepted_steps(case)
+    rejected = [s for s in steps if s[2]]
+    assert rejected
+    _assert_sampled_as_floats([steps[len(steps) // 2]], [[0.37]])
+    _assert_sampled_as_floats(rejected, [[0.0, 0.25, 0.5, 1.0]] * len(rejected))
+
+
+def test_dense_sample_on_the_step_across_fig1s_surface():
+    # the step that straddles z = 0, whose samples evolve keeps up to the
+    # crossing, sampled on both sides of it and at the crossing itself
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    st = instant_state(0.0, (0.0, 0.0, 0.01), (0.0, 0.0, -0.5))
+    solver = _straddling_step(_make_rhs("instant", bg, False), 0.0,
+                              np.concatenate([st.q, st.p]), 4.0, lambda t, y: y[2], 1e-10)
+    dense = solver.dense_output()
+    root = _ode_brentq(lambda s: dense(s)[2], solver.t_old, solver.t)
+    step = solver.dense_step()
+    x_root = (root - step[0]) / step[1]
+    _assert_sampled_as_floats([(step, dense)], [[0.0, 0.5 * x_root, x_root,
+                                                 0.5 + 0.5 * x_root, 1.0]])
 
 
 def test_rms_norm_equals_numpys():
