@@ -42,8 +42,9 @@ from typing import Callable
 
 import numpy as np
 
-from .conformal import planewave_extended_set
-from .dynamics import PhaseSpaceState, front_to_extended
+from .conformal import planewave_extended_set, spacelike_hidden_quantity
+from .dynamics import (PhaseSpaceState, front_to_extended, hamiltonian_instant,
+                       pplus_on_shell)
 from .errors import DomainError, RealityError
 from .geometry import FourVector, contract, from_lightfront
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
@@ -99,17 +100,20 @@ def _rows(x: FourVector, p: tuple) -> tuple:
 # spacelike: m^2 = m0^2 + B z
 # ---------------------------------------------------------------------------
 
-def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float) -> ClosedFormOrbit:
-    """Closed-form in-field orbit for m^2 = m0^2 + B z from entry data on the
-    interface: init must be an instant-form state at t = 0, z = 0.
+def spacelike_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
+    """Closed-form in-field orbit for m^2 = m0^2 + B z, B and m0^2 read from
+    the linear_z background bg, from entry data on the interface: init must
+    be an instant-form state at t = 0, z = 0.
 
-    With Q1 = p1, Q2 = p2, Q3 = 2 p1 p3 + B x, Q4 = 2 p2 p3 + B y and
-    Q5 = H, the orbit is
+    With Q1 = p1, Q2 = p2, the hidden charges Q3 = 2 p1 p3 + B x and
+    Q4 = 2 p2 p3 + B y (conformal.spacelike_hidden_quantity) and Q5 = H
+    (dynamics.hamiltonian_instant), each evaluated on init, the orbit is
 
         p3(t) = p3(0) + B t/(2 Q5),
         x(t) = (Q3 - 2 Q1 p3(t))/B,   y(t) = (Q4 - 2 Q2 p3(t))/B,
         z(t) = (Q5^2 - Q1^2 - Q2^2 - m0^2 - p3(t)^2)/B.
     """
+    B, m0sq = bg.params["B"], bg.params["m0sq"]
     if B == 0.0:
         raise ValueError("spacelike family needs B != 0")
     if init.form != "instant":
@@ -119,9 +123,8 @@ def spacelike_orbit(B: float, init: PhaseSpaceState, m0sq: float) -> ClosedFormO
 
     x0, y0 = init.q[0], init.q[1]
     p1, p2, p30 = init.p
-    q5 = float(np.sqrt(p1 * p1 + p2 * p2 + p30 * p30 + m0sq))
-    q3 = 2.0 * p1 * p30 + B * x0
-    q4 = 2.0 * p2 * p30 + B * y0
+    q3, q4 = (spacelike_hidden_quantity(i, B)(init, bg) for i in (3, 4))
+    q5 = hamiltonian_instant(init, bg)
     c = q5 * q5 - p1 * p1 - p2 * p2 - m0sq  # = p3(t)^2 + B z(t)
 
     def evaluate(t):
@@ -220,14 +223,13 @@ def planewave_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     rotation charges, x- from Q7."""
     q = planewave_quantities(init, bg)
     q1, q2, q3 = q["Q1"], q["Q2"], q["Q3"]
-    pp = q1 * q1 + q2 * q2
 
     def evaluate(xplus):
         x1 = (q["Q4"] - xplus * q1) / (2.0 * q3)
         x2 = (q["Q5"] - xplus * q2) / (2.0 * q3)
         xminus = planewave_xminus(bg, xplus, q)
         x = from_lightfront(xplus, xminus, x1, x2)
-        pplus = (pp + bg.m2(x)) / (4.0 * q3)
+        pplus = pplus_on_shell(q3, q1, q2, bg.m2(x))
         return _rows(x, (pplus + q3, q1, q2, pplus - q3))
 
     return ClosedFormOrbit("plane_wave", "xplus", (-np.inf, np.inf), dict(q),
@@ -277,7 +279,7 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
     pm0, p10, p20 = init.p
     u0 = xm0 - (x10 * x10 + x20 * x20) / xp0
     f_u0 = float(f(u0))
-    pplus0 = (p10 * p10 + p20 * p20 + f_u0 / (xp0 * xp0)) / (4.0 * pm0)
+    pplus0 = pplus_on_shell(pm0, p10, p20, f_u0 / (xp0 * xp0))
 
     q1 = 2.0 * pm0 * x10 + xp0 * p10
     q2 = 2.0 * pm0 * x20 + xp0 * p20
@@ -329,7 +331,7 @@ def conformal_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         pp1 = (q1 - 2.0 * pm * x1) / xp
         pp2 = (q2 - 2.0 * pm * x2) / xp
         xminus = u + (x1 * x1 + x2 * x2) / xp
-        pplus = (pp1 * pp1 + pp2 * pp2 + f_u / (xp * xp)) / (4.0 * pm)
+        pplus = pplus_on_shell(pm, pp1, pp2, f_u / (xp * xp))
         return _rows(from_lightfront(xp, xminus, x1, x2),
                      (pplus + pm, pp1, pp2, pplus - pm))
 

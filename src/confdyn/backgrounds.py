@@ -199,20 +199,42 @@ def plane_wave(profile: Callable[[float], float], dprofile: Callable[[float], fl
 def plane_wave_sin2(m0sq: float, amp: float, k: float,
                     argument: str) -> ScalarBackground:
     """Smooth oscillating profile m^2 = m0^2 (1 + amp sin^2(k w)) with an
-    exact antiderivative; amp > -1 keeps the field positive."""
+    exact antiderivative; amp > -1 keeps the field positive, and a finite
+    2 k keeps the argument 2 k w of m^2' finite at w = 0.  Where k w or
+    2 k w overflows at a w, the profile, its slope and its antiderivative
+    raise DomainError."""
     if amp <= -1.0:
         raise ValueError("amp must exceed -1 to keep m^2 positive")
+    if not math.isfinite(2.0 * k):
+        raise ValueError(f"k = {k:g} overflows 2 k in the sin^2 profile")
+
+    def overflow(w):
+        return DomainError(f"k = {k:g}, w = {w:g}: 2 k w is not finite in the "
+                           "sin^2 profile")
+
+    def sin(a, w):
+        # math.sin raises ValueError at an infinite argument
+        try:
+            return math.sin(a)
+        except ValueError:
+            raise overflow(w) from None
 
     def prof(w):
-        s = math.sin(k * w)
+        s = sin(k * w, w)
         return m0sq * (1.0 + amp * (s * s))
 
     def dprof(w):
-        return m0sq * amp * k * math.sin(2.0 * k * w)
+        return m0sq * amp * k * sin(2.0 * k * w, w)
 
     def anti(w):
-        # int_0^w m0^2 (1 + amp sin^2(k s)) ds
-        return m0sq * (w + amp * (0.5 * w - np.sin(2.0 * k * w) / (4.0 * k)))
+        # int_0^w m0^2 (1 + amp sin^2(k s)) ds, on a float or an array of w;
+        # an array's overflow to inf is reported here, not warned
+        with np.errstate(over="ignore"):
+            a = 2.0 * k * w
+        inf = np.isinf(a)
+        if inf.any():
+            raise overflow(np.asarray(w).flat[inf.argmax()])
+        return m0sq * (w + amp * (0.5 * w - np.sin(a) / (4.0 * k)))
 
     return plane_wave(prof, dprof, anti, argument=argument, label="plane_wave_sin2",
                       params={"profile": "sin2", "m0sq": m0sq, "amp": amp, "k": k})

@@ -637,8 +637,7 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
 
     # family -> (forms the closed form starts from, build)
     orbits = {
-        "linear_z": (("instant",), lambda: analytic.spacelike_orbit(
-            p["B"], state, p["m0sq"])),
+        "linear_z": (("instant",), lambda: analytic.spacelike_orbit(bg, state)),
         "constant": (("instant",), lambda: analytic.timelike_orbit(
             lambda t: 0.0, state, p["m0sq"])),
         "plane_wave": (("front", "extended"), lambda: analytic.planewave_orbit(

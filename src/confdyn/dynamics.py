@@ -53,8 +53,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import SingularityError
-from .geometry import (FourVector, contract, lower_index, momenta_from_lf,
-                       pair_rows, raise_index, scalar_or_array)
+from .geometry import (FourVector, contract, lf_momenta, lower_index,
+                       momenta_from_lf, pair_rows, raise_index, scalar_or_array)
 from .jsonio import write_csv, write_json
 from .ode import EPS, RK45, brentq, dense_sample
 
@@ -236,14 +236,20 @@ def hamiltonian_instant(state: PhaseSpaceState, bg):
     return scalar_or_array(np.sqrt(contract(state.p, state.p) + m2))
 
 
+def pplus_on_shell(pminus, p1, p2, m2):
+    """p+ on the mass shell, (p1 p1 + p2 p2 + m^2)/(4 p-): floats, or arrays
+    elementwise.  The one copy of the formula; the closed-form orbits read
+    it too."""
+    return (p1 * p1 + p2 * p2 + m2) / (4.0 * pminus)
+
+
 def hamiltonian_front(state: PhaseSpaceState, bg):
-    """p+ on shell = (p_perp.p_perp + m^2)/(4 p-), from the (p-, p1, p2) that
-    end p in the front and extended forms: the front form's H."""
+    """p+ on shell (pplus_on_shell), from the (p-, p1, p2) that end p in the
+    front and extended forms: the front form's H."""
     pminus, p1, p2 = state.p[-3:]
     if np.any(pminus == 0.0):
         raise SingularityError(f"{state.form} Hamiltonian undefined at p- = 0")
-    m2 = bg.m2(state.position())
-    return scalar_or_array((p1 * p1 + p2 * p2 + m2) / (4.0 * pminus))
+    return scalar_or_array(pplus_on_shell(pminus, p1, p2, bg.m2(state.position())))
 
 
 def hamiltonian_extended(state: PhaseSpaceState, bg):
@@ -734,8 +740,7 @@ def instant_to_front(state: PhaseSpaceState, bg) -> PhaseSpaceState:
         raise ValueError("expected an instant-form state")
     x = state.position()
     p4 = state.four_momentum(bg)
-    return front_state(x.xplus, x.xminus, [x.x, x.y], 0.5 * (p4[0] - p4[3]),
-                       p4[1:3])
+    return front_state(x.xplus, x.xminus, [x.x, x.y], lf_momenta(p4)[1], p4[1:3])
 
 
 def front_to_extended(state: PhaseSpaceState, bg, s: float = 0.0) -> PhaseSpaceState:

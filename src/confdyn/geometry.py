@@ -164,25 +164,18 @@ def from_lightfront(xplus: float, xminus: float, x1: float, x2: float) -> FourVe
     return FourVector(0.5 * (xplus + xminus), x1, x2, 0.5 * (xplus - xminus))
 
 
-# no command calls lf_momenta; tests use it, and the form round-trip property
-# tests will
-def lf_momenta(p_lower: np.ndarray) -> np.ndarray:
-    """Map lower-index Cartesian momenta (p0, p1, p2, p3) to
-    (p+, p-, p1, p2) with p+- = (p0 +- p3)/2."""
-    p = np.asarray(p_lower, dtype=float)
-    return np.array([0.5 * (p[0] + p[3]), 0.5 * (p[0] - p[3]), p[1], p[2]])
+def lf_momenta(v_lower: np.ndarray) -> np.ndarray:
+    """Map lower-index Cartesian components (v0, v1, v2, v3) to their
+    light-front ones (v+, v-, v1, v2) with v+- = (v0 +- v3)/2: momenta
+    (p0, p1, p2, p3) to (p+, p-, p1, p2), and a scalar's gradient to its
+    partials along (x+, x-, x1, x2) at fixed other coordinates."""
+    v = np.asarray(v_lower, dtype=float)
+    return np.array([0.5 * (v[0] + v[3]), 0.5 * (v[0] - v[3]), v[1], v[2]])
+
+
+lf_gradient = lf_momenta   # d/dx+- = (g0 +- g3)/2: the same map on a gradient
 
 
 def momenta_from_lf(pplus: float, pminus: float, p1: float, p2: float) -> np.ndarray:
     """Inverse of lf_momenta: (p0, p1, p2, p3) = (p+ + p-, p1, p2, p+ - p-)."""
     return np.array([pplus + pminus, p1, p2, pplus - pminus])
-
-
-def lf_gradient(grad_lower: np.ndarray) -> np.ndarray:
-    """Partials of a scalar with respect to (x+, x-, x1, x2) from its
-    Cartesian lower-index gradient (g0, g1, g2, g3).
-
-    d/dx+ = (g0 + g3)/2 and d/dx- = (g0 - g3)/2 at fixed other coordinates.
-    """
-    g = np.asarray(grad_lower, dtype=float)
-    return np.array([0.5 * (g[0] + g[3]), 0.5 * (g[0] - g[3]), g[1], g[2]])

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import FORMS, PhaseSpaceState, brackets, quantity_partials
+from .errors import DomainError
 # poisson_bracket stays importable from here; perfbench/bench_trace.py wraps it
 # under this name
 from .dynamics import poisson_bracket  # noqa: F401
@@ -30,11 +31,21 @@ def _partials_table(quantities: Sequence, states: PhaseSpaceState,
     """The stacked Jacobians J[state] of shape (N, K, 2n), whose rows are
     (dQ/dq, dQ/dp) per quantity, from one quantity_partials call on the
     batch state; ranks, brackets and the subset search all read this one
-    table."""
+    table.  Partials that are not finite raise DomainError, naming the
+    first state and its first quantity that has them."""
     if not np.size(states.time):
         raise ValueError("need at least one state")
-    parts = quantity_partials(quantities, states, bg)
-    return np.transpose([np.concatenate(qp) for qp in parts], (2, 0, 1))
+    # an inf or a nan that reaches the table is reported below, by state and
+    # quantity, in place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = quantity_partials(quantities, states, bg)
+    table = np.transpose([np.concatenate(qp) for qp in parts], (2, 0, 1))
+    bad = ~np.isfinite(table).all(axis=2)
+    if bad.any():
+        i, k = np.unravel_index(bad.argmax(), bad.shape)
+        raise DomainError(f"the partials of {quantities[k].label} are not "
+                          f"finite at sampled state {i}")
+    return table
 
 
 def _labels(quantities: Sequence) -> list:

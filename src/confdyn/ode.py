@@ -276,49 +276,41 @@ class RK45:
         return self.t_old, self.t - self.t_old, self.y_old, Q
 
     def dense_output(self):
-        """y(t) over the last step, y_old + h (Q0 x + Q1 x^2 + Q2 x^3 +
-        Q3 x^4) at x = (t - t_old)/h: a list of n floats at a float t, the
-        branch brentq calls; at an array of m times, the (n, m) array of one
-        dense_sample pass, each element in the bits of the float call."""
-        step = self.dense_step()
-        t_old, h, y_old, Q = step
+        """y(t) over the last step, _quartic at x = (t - t_old)/h: a list of
+        n floats at a float t, the call brentq makes; at an array of m
+        times, n arrays of m samples, each element in the bits of the float
+        call."""
+        t_old, h, y_old, Q = self.dense_step()
 
         def dense(t):
-            if not isinstance(t, float):
-                t = np.asarray(t, dtype=float)
-                if t.ndim:
-                    return dense_sample([step], [t.size], t.ravel()).T
-                t = float(t)
             x = (t - t_old) / h
-            # x, x^2, x^3, x^4: the products np.cumprod makes, in its order
-            x2 = x * x
-            x3 = x2 * x
-            x4 = x3 * x
-            return [v + h * (((q0 * x + q1 * x2) + q2 * x3) + q3 * x4)
-                    for v, (q0, q1, q2, q3) in zip(y_old, Q)]
+            return [_quartic(v, h, x, *q) for v, q in zip(y_old, Q)]
         return dense
+
+
+def _quartic(y_old, h, x, q0, q1, q2, q3):
+    """The dense output y_old + h (((Q0 x + Q1 x^2) + Q2 x^3) + Q3 x^4), with
+    x^2 = x x, x^3 = x^2 x and x^4 = x^3 x (the products np.cumprod makes,
+    in its order): on floats, or on arrays elementwise.  Only +, -, * and /
+    enter numpy, each correctly rounded on every SIMD target, so an array
+    element has the bits of the float call."""
+    x2 = x * x
+    x3 = x2 * x
+    x4 = x3 * x
+    return y_old + h * (((q0 * x + q1 * x2) + q2 * x3) + q3 * x4)
 
 
 def dense_sample(steps, counts, ts):
     """The dense output of consecutive steps at m sorted times in one array
     pass: step k, a (t_old, h, y_old, Q) of RK45.dense_step, serves the next
-    counts[k] of the times ts.  Returns the (m, n) array of the samples.
-
-    Each element takes dense_output's float operations in their order, x =
-    (t - t_old)/h, x^2 = x x, x^3 = x^2 x, x^4 = x^3 x, then y_old +
-    h (((Q0 x + Q1 x^2) + Q2 x^3) + Q3 x^4), elementwise.  Only +, -, * and
-    / enter numpy, each correctly rounded on every SIMD target, so every
-    sample has the bits of the float call at its time."""
+    counts[k] of the times ts.  Returns the (m, n) array of the samples,
+    each the _quartic of RK45.dense_output's float call at its time."""
     t_old, h, y_old, Q = (np.repeat(np.array(col), counts, axis=0)
                           for col in zip(*steps))
     # Python floats overflow to inf and nan without a warning; so does this
     with np.errstate(all="ignore"):
         x = ((np.asarray(ts, dtype=float) - t_old) / h)[:, None]
-        x2 = x * x
-        x3 = x2 * x
-        x4 = x3 * x
-        return y_old + h[:, None] * (((Q[..., 0] * x + Q[..., 1] * x2)
-                                      + Q[..., 2] * x3) + Q[..., 3] * x4)
+        return _quartic(y_old, h[:, None], x, *Q.transpose(2, 0, 1))
 
 
 def brentq(f, a, b, xtol, rtol):

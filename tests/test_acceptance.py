@@ -59,7 +59,7 @@ def _fig1_runs():
     runs = []
     for v in _ENTRY_SPEEDS:
         init = instant_state(0.0, (0.0, 0.0, 0.0), (0.0, 0.0, -v))
-        orb = spacelike_orbit(1.0, init, 1.0)
+        orb = spacelike_orbit(bg, init)
         traj = evolve(init, bg, (0.0, 1.05 * orb.constants["t_exit"]), _TIGHT,
                       monitors=conformal.spacelike_set(1.0))
         runs.append((v, orb, traj, bg))

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from confdyn import analytic, backgrounds, conformal
@@ -21,6 +22,7 @@ from confdyn.dynamics import (
     front_state,
     hamiltonian_instant,
     instant_state,
+    quantity_values,
 )
 from confdyn.errors import DomainError
 from oracles import (
@@ -44,6 +46,8 @@ from oracles import (
 _TIGHT = EvolveOptions(rtol=1e-12, atol=1e-12)
 # f(u) = exp(-u^2) with its erf antiderivative: the fig. 2 profile in k = L = 1 units
 _GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
+# fig. 1's field, m^2 = 1 + z switched on at z = 0
+_FIG1 = backgrounds.linear_z(1.0, 1.0, switched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +55,7 @@ _GAUSS = backgrounds.special_conformal_gaussian(1.0, 1.0, 1.0)
 # ---------------------------------------------------------------------------
 
 def test_spacelike_orbit_frozen_values():
-    orb = spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)), 1.0)
+    orb = spacelike_orbit(_FIG1, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)))
     c = orb.constants
     # 40-digit quadrature oracle
     assert c["Q5"] == pytest.approx(1.1180339887498948482, abs=1e-15)
@@ -69,9 +73,9 @@ def test_spacelike_orbit_frozen_values():
 
 
 def test_spacelike_orbit_matches_evolve():
-    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    bg = _FIG1
     init = instant_state(0.0, (0.3, -0.2, 0.0), (0.1, -0.2, -0.45))
-    orb = spacelike_orbit(1.0, init, 1.0)
+    orb = spacelike_orbit(bg, init)
     traj = evolve(init, bg, (0.0, 0.98 * orb.constants["t_exit"]), _TIGHT)
     xs, ps = orb.sample(traj.times)
     assert np.max(np.abs(xs[:, 1:] - traj.q)) < 1e-8
@@ -81,18 +85,43 @@ def test_spacelike_orbit_matches_evolve():
 
 
 def test_spacelike_orbit_no_bounce_without_entry():
-    orb = spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0), (0, 0, 0.3)), 1.0)
+    orb = spacelike_orbit(_FIG1, instant_state(0.0, (0, 0, 0), (0, 0, 0.3)))
     assert "t_exit" not in orb.constants
     assert orb.domain == (0.0, np.inf)
 
 
 def test_spacelike_orbit_validation():
     with pytest.raises(ValueError):
-        spacelike_orbit(0.0, instant_state(0.0, (0, 0, 0), (0, 0, -0.5)), 1.0)
+        spacelike_orbit(backgrounds.linear_z(0.0, 1.0, switched=True),
+                        instant_state(0.0, (0, 0, 0), (0, 0, -0.5)))
     with pytest.raises(ValueError):
-        spacelike_orbit(1.0, instant_state(0.0, (0, 0, 0.1), (0, 0, -0.5)), 1.0)
+        spacelike_orbit(_FIG1, instant_state(0.0, (0, 0, 0.1), (0, 0, -0.5)))
     with pytest.raises(ValueError):
-        spacelike_orbit(1.0, front_state(0.0, 0.0, (0, 0), 0.5, (0, 0)), 1.0)
+        spacelike_orbit(_FIG1, front_state(0.0, 0.0, (0, 0), 0.5, (0, 0)))
+
+
+_ZEROS = st.sampled_from((0.0, -0.0))
+_COMPONENTS = _ZEROS | st.floats(-2.0, 2.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(B=st.floats(0.05, 3.0), sign=st.sampled_from((1.0, -1.0)),
+       m0sq=st.floats(0.1, 2.0), switched=st.booleans(), t=_ZEROS, z=_ZEROS,
+       xy=st.tuples(_COMPONENTS, _COMPONENTS),
+       p=st.tuples(_COMPONENTS, _COMPONENTS, _COMPONENTS))
+def test_spacelike_orbit_constants_are_the_charges(B, sign, m0sq, switched, t, z,
+                                                   xy, p):
+    # the orbit's Q1-Q5 are spacelike_set(B)'s values on the entry: the
+    # hidden Q3, Q4 and the energy Q5 in their bits; the momenta Q1 = p1 and
+    # Q2 = p2 equal the generator charges, whose sum 0 H + p1 + ... may turn
+    # a -0.0 into 0.0
+    bg = backgrounds.linear_z(sign * B, m0sq, switched=switched)
+    init = instant_state(t, (*xy, z), p)
+    consts = spacelike_orbit(bg, init).constants
+    values = quantity_values(conformal.spacelike_set(sign * B), init, bg)
+    got = [consts[f"Q{i}"] for i in range(1, 6)]
+    assert got == values
+    assert [float(v).hex() for v in got[2:]] == [float(v).hex() for v in values[2:]]
 
 
 def test_spacelike_quantities_frozen_state():
@@ -437,11 +466,13 @@ def test_conformal_sample_is_the_per_point_oracle(state, ws):
 
 def test_spacelike_sample_is_the_per_point_oracle():
     rng = np.random.default_rng(38)
-    for _ in range(20):
+    for i in range(20):
         init = instant_state(0.0, (*rng.uniform(-1, 1, 2), 0.0), rng.uniform(-1, 1, 3))
         B, m0sq = rng.uniform(0.2, 2.0) * rng.choice((-1, 1)), rng.uniform(0.1, 2.0)
         ws = np.sort(rng.uniform(0.0, 5.0, 50))
-        xs, ps = spacelike_orbit(B, init, m0sq).sample(ws)
+        # every other field switched: the entry on z = 0 reads m0^2 on either
+        bg = backgrounds.linear_z(B, m0sq, switched=bool(i % 2))
+        xs, ps = spacelike_orbit(bg, init).sample(ws)
         rxs, rps = sample_points(spacelike_point(B, init, m0sq), ws)
         assert xs.tobytes() == rxs.tobytes() and ps.tobytes() == rps.tobytes()
 
@@ -512,8 +543,8 @@ def test_conformal_sample_raises_as_the_per_point_oracle(bg, state, ws, error):
 
 
 @pytest.mark.parametrize("build, ws", [
-    (lambda: spacelike_orbit(1.0, instant_state(0.0, (0.3, -0.2, 0.0),
-                                                (0.1, -0.2, -0.45)), 1.0),
+    (lambda: spacelike_orbit(_FIG1, instant_state(0.0, (0.3, -0.2, 0.0),
+                                                  (0.1, -0.2, -0.45))),
      np.linspace(0.0, 2.0, 9)),
     (lambda: timelike_orbit(lambda t: 0.5 * t,
                             instant_state(0.0, (0.5, -0.3, 0.2), (0.1, -0.2, -0.4)),

@@ -72,6 +72,26 @@ def test_plane_wave_sin2_values():
     assert g[1] == 0.0 and g[2] == 0.0                 # transverse independence
 
 
+def test_plane_wave_sin2_overflow_is_refused():
+    # a 2 k that overflows is refused; at k = 1e300, x+ = 1.5e8 keeps k w
+    # finite but overflows 2 k w: m^2's slope and the antiderivative raise
+    # DomainError naming k and w (on an array, the first such w)
+    with pytest.raises(ValueError, match="k = 1e\\+308 overflows 2 k"):
+        backgrounds.plane_wave_sin2(1.0, 0.5, 1e308, "xplus")
+    bg = backgrounds.plane_wave_sin2(1.0, 0.5, 1e300, "xplus")
+    assert bg.m2(FourVector(0.0, 0.0, 0.0, 0.0)) == 1.0
+    assert bg.m2_integral(0.0) == 0.0
+    err = "k = 1e+300, w = 1.5e+08: 2 k w is not finite in the sin^2 profile"
+    with pytest.raises(DomainError, match=re.escape(err)):
+        bg.grad_m2(FourVector(0.75e8, 0.0, 0.0, 0.75e8))
+    with pytest.raises(DomainError, match=re.escape(err)):
+        bg.m2_integral(1.5e8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(err)):
+            bg.m2_integral(np.array([0.0, 1.5e8, 2e8]))
+
+
 def test_plane_wave_antiderivative_matches_quad():
     bg = backgrounds.plane_wave_sin2(m0sq=1.3, amp=0.6, k=1.4, argument="xplus")
     for w in (0.5, 2.0, 7.0):

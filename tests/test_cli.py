@@ -529,7 +529,8 @@ def test_steep_gaussian_exits_three(tmp_path, capsys, command, preset, sets, err
 # order (Q3^2 overflows), an order mpmath cannot take, an order of 1.2e8
 # whose series stops once its terms are 0, orbits whose rows are not finite
 # (Q3^2 underflows; p0 = inf), the nonrelativistic flow off the instant
-# form and a power-law dilation mode (Q_perp = 0) whose v^alpha overflows.
+# form, a power-law dilation mode (Q_perp = 0) whose v^alpha overflows, and
+# a sin^2 wave whose 2 k overflows, refused when the background is built.
 # No exception escapes main and no file is written
 @pytest.mark.parametrize("command, preset, sets, err", [
     ("kg", "dilation", ["kg.q3=1e200"], "configuration error: kg solution: the "
@@ -546,6 +547,9 @@ def test_steep_gaussian_exits_three(tmp_path, capsys, command, preset, sets, err
      "the nonrelativistic flow applies to the instant form, not 'extended'"),
     ("kg", "dilation", ["kg.qperp=0,0", "background.csq=1e8"], "runtime domain "
      "error: power law c1 v^alpha + c2 v^-alpha overflowed at v = 0.836287"),
+    *[(command, "planewave", ["background.k=1e308"], "configuration error: bad "
+       "background: k = 1e+308 overflows 2 k in the sin^2 profile")
+      for command in ("kg", "certify", "simulate")],
 ])
 def test_refused_input_exits_two_or_three_and_writes_nothing(tmp_path, capsys, command,
                                                             preset, sets, err):
@@ -558,13 +562,19 @@ def test_refused_input_exits_two_or_three_and_writes_nothing(tmp_path, capsys, c
 
 
 # overflows that a command reports as its error line alone: the dilation
-# mode's power law at Q_perp = 0 and alpha = 1e4, and the timelike orbit's
-# constants p.p and p.L at p = 1e300, take no numpy warning on the way
+# mode's power law at Q_perp = 0 and alpha = 1e4, the timelike orbit's
+# constants p.p and p.L at p = 1e300, the sin^2 wave's 2 k w past x+ = 1e308
+# (w = t + z reaches inf) and certify's partials at amp = 1e308, named
+# before any SVD, take no numpy warning on the way
 @pytest.mark.parametrize("command, preset, sets, err", [
     ("kg", "dilation", ["kg.qperp=0,0", "background.csq=1e8"],
      "power law c1 v^alpha + c2 v^-alpha overflowed at v = 0.836287"),
     ("orbit", "kgcontrol", ["initial.p=1e300,0,0", "run.tend=1"],
      "the timelike orbit is not finite at t = 0"),
+    ("orbit", "planewave", ["run.tend=1e308"],
+     "k = 1, w = inf: 2 k w is not finite in the sin^2 profile"),
+    ("certify", "planewave", ["background.amp=1e308"],
+     "the partials of Q6 are not finite at sampled state 0"),
 ])
 def test_overflow_exits_three_with_its_error_line_alone(tmp_path, capsys, command,
                                                        preset, sets, err):
@@ -1316,18 +1326,18 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         outs[name] = out.splitlines()
-    assert len(want) == 76
+    assert len(want) == 78
     kept = [line for line in want if not _certify(line)]
-    assert len(kept) == 54 and {line.split()[0] for line in kept} \
+    assert len(kept) == 56 and {line.split()[0] for line in kept} \
         == {"simulate", "orbit", "kg"}
     masked = {}
     for name, (machine, *out) in outs.items():
         lines = [line for line in out if not line.startswith("masked ")]
         masked[name] = [line for line in out if line.startswith("masked ")]
-        assert len(lines) == 76 and len(masked[name]) == 16
+        assert len(lines) == 78 and len(masked[name]) == 16
         if machine == recorded:
             assert lines == want, name
-        # the 54 simulate, orbit and kg lines, whole
+        # the 56 simulate, orbit and kg lines, whole
         assert [line for line in lines if not _certify(line)] == kept, name
         # certify's exit code, stdout and stderr error line
         assert [line.split()[:6] for line in lines if _certify(line)] \

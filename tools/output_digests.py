@@ -27,8 +27,9 @@ override's settings are passed as --set.  The fig2 preset also adds the
 orbit sampled past its asymptote, ``run.tend=50``, which exits 3.  After
 every preset's lines come the runs of SETTINGS_RUNS, paths that a preset
 reaches only with further settings (the front-form dilation certificate,
-the off-shell kg control on the switched linear field), each line naming
-its ``;``-separated settings in place of a format.  Comparing two
+the off-shell kg control on the switched linear field, and the fig1 and
+fig2 orbits off the axis, whose transverse charges and p+ are not 0), each
+line naming its ``;``-separated settings in place of a format.  Comparing two
 checkouts is one diff:
 
     python tools/output_digests.py --src /path/to/a/src > a.txt
@@ -79,7 +80,10 @@ ORBIT_SWEEPS = ("fig2",)    # presets whose sweep curves the benchmark samples a
 ERROR_ORBITS = {"fig2": "run.tend=50"}   # presets' orbits sampled past the asymptote: exit 3
 # (command, preset, settings) of the runs a preset reaches only with settings
 SETTINGS_RUNS = (("certify", "dilation", "certify.form=front"),
-                 ("kg", "kgcontrol", "background.family=linear_z;background.B=1"))
+                 ("kg", "kgcontrol", "background.family=linear_z;background.B=1"),
+                 ("orbit", "fig1", "initial.x=0.3,-0.2,0;initial.p=0.1,-0.2,-0.45;"
+                  "background.B=0.7;background.m0sq=1.3;run.tend=3"),
+                 ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05"))
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
