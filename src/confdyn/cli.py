@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -620,6 +621,13 @@ def cmd_kg(cfg, seed: int) -> tuple:
                    f"{'PASS' if ok else 'FAIL'}"], ok
 
 
+def _json_float(v):
+    """v as a float, or None (JSON null) where it is not finite: strict JSON
+    has no Infinity or NaN."""
+    v = float(v)
+    return v if math.isfinite(v) else None
+
+
 def cmd_orbit(cfg, fmt: str) -> tuple:
     from . import analytic   # orbit only
     bg = _background(cfg)
@@ -662,8 +670,8 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
     if fmt == "json":
         file = ("orbit.json", write_json, {
             "family": orb.family, "time": orb.time_name,
-            "constants": {k: (list(map(float, np.atleast_1d(v)))
-                              if np.ndim(v) else float(v))
+            "constants": {k: (list(map(_json_float, np.atleast_1d(v)))
+                              if np.ndim(v) else _json_float(v))
                           for k, v in orb.constants.items()},
             "columns": columns, "samples": samples}, True)
     return [file], [f"{orb.family} closed-form orbit -> {file[0]}"], True
@@ -673,7 +681,10 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built at main's first call and kept: a
+    parse reads it and leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="confdyn",
         description="relativistic particle dynamics in scalar backgrounds: "

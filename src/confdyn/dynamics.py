@@ -555,7 +555,7 @@ def _solver(rhs, t, y, t_bound, rtol, atol, form: Form) -> RK45:
     return RK45(rhs, t, y, t_bound, rtol=rtol, atol=atol)
 
 
-def _segment(solver, ev_fns, t_eval, form: Form):
+def _segment(solver, ev_fns, t_eval, form: Form, resolution: float):
     """Step a solver to its bound or to its first event, sampling the sorted
     floats t_eval on the dense output of the step that spans each, as
     solve_ivp does with terminal events.  A step that holds samples keeps
@@ -563,14 +563,25 @@ def _segment(solver, ev_fns, t_eval, form: Form):
     samples come from one ode.dense_sample pass at its end.
     Returns (sampled times, (m, n) array of sampled states, None or (event
     index, event time)).  A failed step's error names the time and p-
-    reached."""
+    reached, as does a flow that stalls: a step that leaves the solver
+    running, is shorter than resolution, the flow's span times EPS, and is
+    no longer than the step before it.  RK45's own floor follows the
+    spacing of t, which is far finer near t = 0, so a flow whose steps stay
+    under the span's resolution would creep on without end; one whose
+    steps grow, as they do from a short first step, goes on."""
     g = [fn(solver.t, solver.y) for fn in ev_fns]
-    steps, counts, i_eval, hit = [], [], 0, None
+    steps, counts, i_eval, hit, h = [], [], 0, None, 0.0
     while hit is None and solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise SingularityError(f"integration failed: {message} "
                                    f"({_where(form, solver.t, solver.y)})")
+        h_old, h = h, solver.t - solver.t_old
+        if solver.status == "running" and h < resolution and h <= h_old:
+            raise SingularityError(
+                f"integration failed: the flow stalls at steps of {h:.3g}, below "
+                f"the span's float resolution {resolution:.3g} "
+                f"({_where(form, solver.t, solver.y)})")
         t, g_old = solver.t, g
         g = [fn(t, solver.y) for fn in ev_fns]
         active = [i for i, (a, b) in enumerate(zip(g_old, g))
@@ -646,6 +657,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     span_len = t1 - t0
     nudge = 1e-12 * span_len
     end = t1 - 1e-14 * span_len   # a flow that reaches end has reached t1
+    resolution = EPS * span_len   # a running solver's least step
 
     form = FORMS[state0.form]
     events = [(name, lambda t, y, _fn=fn: _fn(*form.coords(t, y)))
@@ -679,7 +691,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
         seg_grid = grid[(grid > t + 1e-14 * span_len) & (grid <= t1)]
         t_eval = [t, *seg_grid.tolist()] if seg_grid.size else [t, t1]
         solver = _solver(rhs, t, y, t1, rtol, atol, form)
-        seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval, form)
+        seg_t, seg_y, hit = _segment(solver, ev_fns, t_eval, form, resolution)
         nfev += solver.nfev
         segments += 1
         if segments > MAX_SEGMENTS:
@@ -698,7 +710,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
                 f"guard {name} crossed at parameter {te:g}; the flow left "
                 "its regular region")
         redo = _solver(rhs, solver.t_old, solver.y_old, te, rtol, atol, form)
-        _segment(redo, (), (), form)   # to te, with neither events nor samples
+        _segment(redo, (), (), form, resolution)   # to te, with neither events nor samples
         nfev += redo.nfev
         elog.append((name, te))
         if te > times[-1][-1] + tol:

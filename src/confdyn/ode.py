@@ -7,7 +7,8 @@ RK45    scipy.integrate.RK45's step control (integrate/_ivp/rk.py, base.py,
         real y0, a scalar atol > 0, no default rtol or atol and forward
         integration only; its sums of products add left to right in fixed
         order, so a flow's bits depend on neither the BLAS kernel nor numpy's
-        SIMD dispatch; J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6,
+        SIMD dispatch, and run in one straight-line kernel per state size
+        (_kernels); J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6,
         19 (1980)
 dense_sample
         the quartic dense output of a run of steps at many times in one
@@ -31,6 +32,7 @@ quad    scipy.integrate.quad at the package's one tolerance set, for the
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from warnings import warn
@@ -121,6 +123,94 @@ _P61, _P62, _P63 = (-282668133/205662961, 2019193451/616988883,
                     -1453857185/822651844)
 _P71, _P72, _P73 = (40617522/29380423, -110615467/29380423, 69997945/29380423)
 
+# One component i of each sum a step takes, in stage order over the nonzero
+# tableau entries; y is the step's start, a-f its stages k1-k6, z the
+# solution y_new and g the RHS there.  Stage s's input:
+_STAGE_INPUTS = (
+    "y{i} + (a{i} * {_A21!r}) * h",
+    "y{i} + (a{i} * {_A31!r} + b{i} * {_A32!r}) * h",
+    "y{i} + (a{i} * {_A41!r} + b{i} * {_A42!r} + c{i} * {_A43!r}) * h",
+    "y{i} + (a{i} * {_A51!r} + b{i} * {_A52!r} + c{i} * {_A53!r}"
+    " + d{i} * {_A54!r}) * h",
+    "y{i} + (a{i} * {_A61!r} + b{i} * {_A62!r} + c{i} * {_A63!r}"
+    " + d{i} * {_A64!r} + e{i} * {_A65!r}) * h")
+_SOLUTION = ("y{i} + h * (a{i} * {_B1!r} + c{i} * {_B3!r} + d{i} * {_B4!r}"
+             " + e{i} * {_B5!r} + f{i} * {_B6!r})")
+# the error estimate over its scale atol + max(|y|, |y_new|) rtol; y is
+# finite, so a NaN in y_new reaches it
+_ERROR = ("v = abs(y{i}); w = abs(z{i})\n"
+          "    r{i} = ((a{i} * {_E1!r} + c{i} * {_E3!r} + d{i} * {_E4!r}"
+          " + e{i} * {_E5!r} + f{i} * {_E6!r} + g{i} * {_E7!r}) * h"
+          " / (atol + (v if v > w else w) * rtol))")
+# Q = K^T P: stage 1 alone, then P's columns 1-3
+_DENSE = ("(a{i}, "
+          "a{i} * {_P11!r} + c{i} * {_P31!r} + d{i} * {_P41!r} + e{i} * {_P51!r}"
+          " + f{i} * {_P61!r} + g{i} * {_P71!r}, "
+          "a{i} * {_P12!r} + c{i} * {_P32!r} + d{i} * {_P42!r} + e{i} * {_P52!r}"
+          " + f{i} * {_P62!r} + g{i} * {_P72!r}, "
+          "a{i} * {_P13!r} + c{i} * {_P33!r} + d{i} * {_P43!r} + e{i} * {_P53!r}"
+          " + f{i} * {_P63!r} + g{i} * {_P73!r})")
+
+_STEP_SOURCE = """\
+def step(fun, t, h, y, k1, atol, rtol):
+    {y} = y
+    {a} = k1
+    k2 = fun(t + {_C2!r} * h, [{s2}])
+    {b} = k2
+    k3 = fun(t + {_C3!r} * h, [{s3}])
+    {c} = k3
+    k4 = fun(t + {_C4!r} * h, [{s4}])
+    {d} = k4
+    k5 = fun(t + {_C5!r} * h, [{s5}])
+    {e} = k5
+    k6 = fun(t + h, [{s6}])
+    {f} = k6
+    y_new = [{solution}]
+    {z} = y_new
+    f_new = fun(t + h, y_new)
+    {g} = f_new
+    {error}
+    return k2, k3, k4, k5, k6, y_new, f_new, math.sqrt({squares}) / {root_n!r}
+
+
+def dense(k1, k2, k3, k4, k5, k6, k7):
+    {a} = k1
+    {c} = k3
+    {d} = k4
+    {e} = k5
+    {f} = k6
+    {g} = k7
+    return [{dense}]
+"""
+
+
+@functools.cache
+def _kernels(n):
+    """(step, dense) for states of n components, compiled from
+    _STEP_SOURCE with every sum written out per component.
+
+    step(fun, t, h, y, k1, atol, rtol) takes one Dormand-Prince step of
+    size h from (t, y), whose RHS value is k1, and returns (k2, ..., k6,
+    y_new, f_new, error_norm); dense(*K) returns Q = K^T P as one tuple
+    (Q0, Q1, Q2, Q3) per component.  Each expression is a sum of
+    _STAGE_INPUTS, _SOLUTION, _ERROR or _DENSE at one component, its terms
+    in that order, so the floats are those of a loop over the components;
+    the squares of the error norm add left to right, as norm's do, without
+    norm's leading 0.0 +, which is exact (no square is -0.0)."""
+    # each tableau entry, a format field named as its global, enters as
+    # its literal, which reads back its bits
+    def each(expr, sep):
+        return sep.join(expr.format_map({**globals(), "i": i}) for i in range(n))
+    source = _STEP_SOURCE.format_map({
+        **globals(), **{letter: each(letter + "{i},", " ") for letter in "yabcdefgz"},
+        **{f"s{s}": each(expr, ", ") for s, expr in enumerate(_STAGE_INPUTS, start=2)},
+        "solution": each(_SOLUTION, ", "), "error": each(_ERROR, "\n    "),
+        "squares": each("r{i} * r{i}", " + "), "root_n": n ** 0.5,
+        "dense": each(_DENSE, ", ")})
+    namespace = {"math": math}
+    exec(compile(source, f"<RK45 step, n={n}>", "exec"), namespace)
+    return namespace["step"], namespace["dense"]
+
 
 class RK45:
     """Adaptive Dormand-Prince 5(4) stepper with a quartic dense output, on
@@ -132,12 +222,19 @@ class RK45:
     nfev counts calls of fun.  y, y_old and each stage of K are lists of
     floats; fun(t, y) takes such a list and returns a sequence of n floats.
 
-    Step control is scipy's.  Every sum of products (the stages, the
-    solution and error estimate, the error norm, the dense output's
-    coefficients and its powers of x) adds its terms left to right in
-    stage order over the tableau's nonzero entries, in Python floats, so
-    its bits depend on no BLAS kernel or SIMD dispatch.  dense_sample takes
-    the dense output's float operations elementwise on arrays.
+    Step control is scipy's.  A step evaluates the RHS at six stages:
+    stage 1 is the RHS at (t, y), and stage s at the time t + c_s h and the
+    state y + (sum_j a_sj k_j) h over the earlier stages k_j; the
+    solution, the error estimate and the dense coefficients Q = K^T P are
+    sums over the stages and f_new, the RHS at the solution.  Every sum of
+    products (the stages, the solution and error estimate, the error norm,
+    the dense output's coefficients and its powers of x) adds its terms
+    left to right in stage order over the tableau's nonzero entries, in
+    Python floats, so its bits depend on no BLAS kernel or SIMD dispatch.
+    The stage, solution, error and Q sums are written out once per
+    component in the straight-line kernels of _kernels(n), made when the
+    first solver of n components is; dense_sample takes the dense
+    output's float operations elementwise on arrays.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -166,6 +263,7 @@ class RK45:
             self.fun, self.t, self.y, t_bound, self.f,
             self.error_estimator_order, self.rtol, self.atol)
         self.K = None
+        self._step, self._dense = _kernels(self.n)
         self.error_exponent = -1 / (self.error_estimator_order + 1)
 
     def fun(self, t, y):
@@ -195,7 +293,7 @@ class RK45:
         y = self.y
         rtol = self.rtol
         atol = self.atol
-        fun, k1 = self._fun, self.f
+        fun, k1, step = self._fun, self.f, self._step
 
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
@@ -213,29 +311,10 @@ class RK45:
                 t_new = self.t_bound
             h = h_abs = t_new - t
 
-            # stage s reads y + (sum_j a_sj k_j) h; six calls of the RHS
-            # itself, counted at once
+            # six calls of the RHS itself, counted at once
             self.nfev += 6
-            k2 = fun(t + _C2 * h, [v + (a * _A21) * h for v, a in zip(y, k1)])
-            k3 = fun(t + _C3 * h, [v + (a * _A31 + b * _A32) * h
-                                   for v, a, b in zip(y, k1, k2)])
-            k4 = fun(t + _C4 * h, [v + (a * _A41 + b * _A42 + c * _A43) * h
-                                   for v, a, b, c in zip(y, k1, k2, k3)])
-            k5 = fun(t + _C5 * h, [v + (a * _A51 + b * _A52 + c * _A53 + d * _A54) * h
-                                   for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-            k6 = fun(t + h, [v + (a * _A61 + b * _A62 + c * _A63 + d * _A64
-                                  + e * _A65) * h
-                             for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-            y_new = [v + h * (a * _B1 + c * _B3 + d * _B4 + e * _B5 + f * _B6)
-                     for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
-            f_new = fun(t + h, y_new)
-            # the RMS of the error estimate over its scale atol + max(|y|,
-            # |y_new|) rtol; y is finite, so a NaN in y_new reaches it
-            error_norm = norm([
-                (a * _E1 + c * _E3 + d * _E4 + e * _E5 + f * _E6 + g * _E7) * h
-                / (atol + (v if v > w else w) * rtol)
-                for v, w, a, c, d, e, f, g in zip(map(abs, y), map(abs, y_new),
-                                                  k1, k3, k4, k5, k6, f_new)])
+            k2, k3, k4, k5, k6, y_new, f_new, error_norm = step(
+                fun, t, h, y, k1, atol, rtol)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -267,12 +346,7 @@ class RK45:
         if self.t_old is None or self.t == self.t_old:
             raise RuntimeError("Dense output is available after a successful "
                                "step was made.")
-        k1, _, k3, k4, k5, k6, k7 = self.K
-        Q = [(a,
-              a * _P11 + c * _P31 + d * _P41 + e * _P51 + f * _P61 + g * _P71,
-              a * _P12 + c * _P32 + d * _P42 + e * _P52 + f * _P62 + g * _P72,
-              a * _P13 + c * _P33 + d * _P43 + e * _P53 + f * _P63 + g * _P73)
-             for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
+        Q = self._dense(*self.K)
         return self.t_old, self.t - self.t_old, self.y_old, Q
 
     def dense_output(self):

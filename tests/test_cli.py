@@ -455,6 +455,22 @@ def test_orbit_deterministic_output(tmp_path, preset, extra):
     assert (a / names[0]).read_bytes() == (b / names[0]).read_bytes()
 
 
+def _refuse(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_orbit_json_writes_a_non_finite_constant_as_null(tmp_path):
+    # off the axis the fig2 orbit has transverse charges and no x+
+    # asymptote: the constant is inf, and strict JSON writes it as null
+    assert main(_args("orbit", "fig2", tmp_path, "--format", "json",
+                      "--set", "initial.xperp=0.2,-0.1",
+                      "--set", "initial.pperp=0.1,0.05")) == 0
+    doc = json.loads((tmp_path / "orbit.json").read_text(), parse_constant=_refuse)
+    assert doc["constants"]["xplus_asymptote"] is None
+    assert all(v is not None for k, v in doc["constants"].items()
+               if k != "xplus_asymptote")
+
+
 def test_orbit_past_asymptote_exits_three(tmp_path):
     # orbit samples the base p- = 0.4 orbit (it reads no [sweep]), whose
     # asymptote lies at x+ ~ 2.31; asking for 12 leaves the domain
@@ -590,6 +606,22 @@ def test_overflow_exits_three_with_its_error_line_alone(tmp_path, capsys, comman
 # ---------------------------------------------------------------------------
 # configuration plumbing
 # ---------------------------------------------------------------------------
+
+def test_main_calls_in_one_process_parse_their_own_flags(tmp_path, capsys):
+    # main builds its parser once; each call's --set list is its own
+    runs = {"a": ["--set", "run.samples=3"], "b": ["--set", "run.samples=5"], "c": []}
+    for name, sets in runs.items():
+        assert main(_args("orbit", "planewave", tmp_path / name, *sets)) == 0
+    rows = {name: len((tmp_path / name / "orbit.csv").read_text().splitlines()) - 1
+            for name in runs}
+    assert rows["a"] == 3 and rows["b"] == 5
+    assert rows["c"] == cli._parse(cli.preset_config("planewave"))["run"]["samples"]
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--preset", "planewave", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(_args("orbit", "planewave", tmp_path / "d")) == 0
+    assert cli.build_parser() is cli.build_parser()
+
 
 def test_unknown_preset_exits_two(tmp_path, capsys):
     assert main(_args("simulate", "fig3", tmp_path)) == 2
@@ -1078,11 +1110,11 @@ def test_negative_seed_exits_two(tmp_path, capsys, command, preset):
 # imports
 # ---------------------------------------------------------------------------
 
-def _python(*args, cwd):
+def _python(*args, cwd, timeout=300):
     """A fresh interpreter that imports confdyn from this checkout."""
     env = dict(os.environ, PYTHONPATH=str(Path(confdyn.__file__).parents[1]))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, cwd=cwd, env=env, timeout=300)
+                          text=True, cwd=cwd, env=env, timeout=timeout)
 
 
 # runs each group of (command, preset, --set list, exit code) in argv[1] and
@@ -1139,14 +1171,29 @@ def test_run_as_module_writes_nothing_to_stderr(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_unresolvable_flow_exits_three_and_writes_nothing(tmp_path):
+    # k = 1e200 puts the sin^2 wave's scale below any step the span can
+    # resolve: RK45's own floor, 10 ulp(t), shrinks with t near t = 0, so
+    # the flow would creep on for ever; the stepping loop refuses a step
+    # under EPS times the span that is no longer than the step before it
+    proc = _python("-m", "confdyn.cli", "simulate", "--preset", "planewave",
+                   "--set", "background.k=1e200", "--out-dir", "out",
+                   cwd=tmp_path, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("runtime domain error: integration failed: "
+                                  "the flow stalls at steps of ")
+    assert "below the span's float resolution 2.22e-15" in proc.stderr
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_flat_gaussian_orbit_writes_nothing_to_stderr(tmp_path):
     # k = 0 makes the weight integral diverge: no asymptote and no warning
     proc = _python("-m", "confdyn.cli", "orbit", "--preset", "fig2", "--set",
                    "background.k=0", "--format", "json", "--out-dir", str(tmp_path),
                    cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    doc = json.loads((tmp_path / "orbit.json").read_text())
-    assert doc["constants"]["xplus_asymptote"] == math.inf
+    doc = json.loads((tmp_path / "orbit.json").read_text(), parse_constant=_refuse)
+    assert doc["constants"]["xplus_asymptote"] is None
 
 
 _LAZY = """
@@ -1326,18 +1373,18 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         outs[name] = out.splitlines()
-    assert len(want) == 78
+    assert len(want) == 79
     kept = [line for line in want if not _certify(line)]
-    assert len(kept) == 56 and {line.split()[0] for line in kept} \
+    assert len(kept) == 57 and {line.split()[0] for line in kept} \
         == {"simulate", "orbit", "kg"}
     masked = {}
     for name, (machine, *out) in outs.items():
         lines = [line for line in out if not line.startswith("masked ")]
         masked[name] = [line for line in out if line.startswith("masked ")]
-        assert len(lines) == 78 and len(masked[name]) == 16
+        assert len(lines) == 79 and len(masked[name]) == 16
         if machine == recorded:
             assert lines == want, name
-        # the 56 simulate, orbit and kg lines, whole
+        # the 57 simulate, orbit and kg lines, whole
         assert [line for line in lines if not _certify(line)] == kept, name
         # certify's exit code, stdout and stderr error line
         assert [line.split()[:6] for line in lines if _certify(line)] \

@@ -2,7 +2,12 @@
 
 import functools
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,6 +375,24 @@ def test_start_near_the_pminus_guard_is_not_stepped_off():
     assert traj.stats == {"nfev": solver.nfev, "segments": 1, "event_crossings": 0}
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_long_free_flow_grows_its_steps_past_the_span_resolution(tol):
+    # the first steps of the free flow, ~4e-3 at tol = 1e-10 and ~1e-3 at
+    # 1e-13, lie below EPS * 5e13 ~ 1.1e-2; they grow tenfold a step, so the
+    # flow makes progress and runs as one plain RK45 solve
+    bg = backgrounds.constant(1.0)
+    st = front_state(0.0, 0.0, (0.0, 0.0), 0.4, (0.0, 0.0))
+    traj = evolve(st, bg, (0.0, 5e13), EvolveOptions(rtol=tol, atol=tol))
+    solver = ode.RK45(_make_rhs("front", bg, False), 0.0,
+                      np.concatenate([st.q, st.p]), 5e13, rtol=tol, atol=tol)
+    h_first = None
+    while solver.status == "running":
+        solver.step()
+        h_first = h_first or solver.t - solver.t_old
+    assert h_first < ode.EPS * 5e13
+    assert traj.stats == {"nfev": solver.nfev, "segments": 1, "event_crossings": 0}
+
+
 def _bump_rhs(t, y):
     # the step grows along the flat start and is rejected at the bump
     return np.array([1.0 / (1.0 + 1e4 * (t - 0.5) ** 2), -y[0]])
@@ -400,15 +423,16 @@ def _oracle_flow(case):
     return _bump_rhs, 0.0, np.array([0.0, 1.0]), 1.0
 
 
-@pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave",
-                                  "front-fig2-switched", "instant-fig1-switched", "bump"])
-def test_rk45_port_steps_as_scipy(case):
-    # scipy's step control, with its products taken as the same ordered sums
+def _assert_steps_as_scipy(rhs, t0, y0, t1, tol):
+    """Step RK45 and scipy's RK45, with scipy's products taken as the same
+    ordered sums, side by side from (t0, y0) to t1 at rtol = atol = tol:
+    every status, t, t_old, h_abs, nfev, y, dense Q = K^T P and dense
+    output value in equal bits.  Returns (our finished solver, its count of
+    accepted steps)."""
     import scipy.integrate
-    rhs, t0, y0, t1 = _oracle_flow(case)
-    ours = ode.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
+    ours = ode.RK45(rhs, t0, y0, t1, rtol=tol, atol=tol)
     with scipy_ordered_sums():
-        ref = scipy.integrate.RK45(rhs, t0, y0, t1, rtol=1e-10, atol=1e-10)
+        ref = scipy.integrate.RK45(rhs, t0, np.asarray(y0), t1, rtol=tol, atol=tol)
         assert (ours.h_abs, ours.nfev) == (ref.h_abs, ref.nfev)
         steps = 0
         while ref.status == "running":
@@ -416,16 +440,63 @@ def test_rk45_port_steps_as_scipy(case):
             steps += 1
             assert (ours.status, ours.t, ours.t_old, ours.h_abs, ours.nfev) == (
                 ref.status, ref.t, ref.t_old, ref.h_abs, ref.nfev)
-            assert np.array_equal(ours.y, ref.y)
+            assert np.array(ours.y).tobytes() == ref.y.tobytes()
+            assert np.array(ours.dense_step()[3]).tobytes() == ref.dense_output().Q.tobytes()
             a, b = ours.dense_output(), ref.dense_output()
             mid = ours.t_old + 0.37 * (ours.t - ours.t_old)
             ts = np.linspace(ours.t_old, ours.t, 5)
             assert np.array_equal(a(mid), b(mid))
             assert np.array_equal(a(float(mid)), b(mid))
             assert np.array_equal(a(ts), b(ts))
+    assert ours.status == "finished"
+    return ours, steps
+
+
+@pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave",
+                                  "front-fig2-switched", "instant-fig1-switched", "bump"])
+def test_rk45_port_steps_as_scipy(case):
+    ours, steps = _assert_steps_as_scipy(*_oracle_flow(case), 1e-10)
     if case == "bump":
         # two calls to start, six an accepted step: the rest are rejections
         assert ours.nfev > 2 + 6 * steps
+
+
+def _smooth_rhs(c, w, d):
+    """y_i' = c_i sin(w_i y_(i+1 mod n) + d_i t) - y_i / 2 on floats, with the
+    bits of each element whether y is a list of floats or an array."""
+    n = len(c)
+
+    def rhs(t, y):
+        return np.array([c[i] * math.sin(w[i] * y[(i + 1) % n] + d[i] * t) - 0.5 * y[i]
+                         for i in range(n)])
+    return rhs
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(data=strategies.data())
+def test_rk45_kernel_steps_as_scipy_at_every_state_size(n, data):
+    # the straight-line kernel of each state size takes scipy's steps
+    unit = strategies.floats(-1.0, 1.0)
+    c, w, d, y0 = (data.draw(strategies.lists(unit, min_size=n, max_size=n))
+                   for _ in range(4))
+    t1 = data.draw(strategies.floats(0.5, 4.0))
+    tol = data.draw(strategies.sampled_from((1e-6, 1e-10)))
+    _assert_steps_as_scipy(_smooth_rhs(c, [3.0 * v for v in w], d), 0.0, y0, t1, tol)
+
+
+def test_importing_the_cli_builds_no_kernel(tmp_path):
+    # the kernels are compiled by the first solver of each state size, never
+    # at import
+    code = ("import confdyn.cli\n"
+            "from confdyn import ode\n"
+            "print(ode._kernels.cache_info().currsize)\n"
+            "ode.RK45(lambda t, y: [-v for v in y], 0.0, [1.0, 2.0], 1.0, 1e-8, 1e-8)\n"
+            "print(ode._kernels.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ode.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.split()) == (0, ["0", "1"]), proc.stderr
 
 
 def test_dense_output_takes_scipys_powers():

@@ -28,9 +28,11 @@ orbit sampled past its asymptote, ``run.tend=50``, which exits 3.  After
 every preset's lines come the runs of SETTINGS_RUNS, paths that a preset
 reaches only with further settings (the front-form dilation certificate,
 the off-shell kg control on the switched linear field, and the fig1 and
-fig2 orbits off the axis, whose transverse charges and p+ are not 0), each
-line naming its ``;``-separated settings in place of a format.  Comparing two
-checkouts is one diff:
+fig2 orbits off the axis, whose transverse charges and p+ are not 0, the
+fig2 one also as JSON, whose x+ asymptote is not finite), each line naming
+its ``;``-separated settings, and a flag such as ``--format=json`` where
+the run takes one, in place of a format.  Comparing two checkouts is one
+diff:
 
     python tools/output_digests.py --src /path/to/a/src > a.txt
     python tools/output_digests.py --src /path/to/b/src > b.txt
@@ -83,7 +85,9 @@ SETTINGS_RUNS = (("certify", "dilation", "certify.form=front"),
                  ("kg", "kgcontrol", "background.family=linear_z;background.B=1"),
                  ("orbit", "fig1", "initial.x=0.3,-0.2,0;initial.p=0.1,-0.2,-0.45;"
                   "background.B=0.7;background.m0sq=1.3;run.tend=3"),
-                 ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05"))
+                 ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05"),
+                 ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05;"
+                  "--format=json"))
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
@@ -152,7 +156,8 @@ def runs(cli, presets) -> list:
             out.append(("orbit", preset, ERROR_ORBITS[preset],
                         ["--set", ERROR_ORBITS[preset]]))
     return out + [(command, preset, sets,
-                   [arg for s in sets.split(";") for arg in ("--set", s)])
+                   [arg for s in sets.split(";")
+                    for arg in ((s,) if s.startswith("--") else ("--set", s))])
                   for command, preset, sets in SETTINGS_RUNS if preset in presets]
 
 
