@@ -621,13 +621,6 @@ def cmd_kg(cfg, seed: int) -> tuple:
                    f"{'PASS' if ok else 'FAIL'}"], ok
 
 
-def _json_float(v):
-    """v as a float, or None (JSON null) where it is not finite: strict JSON
-    has no Infinity or NaN."""
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
 def cmd_orbit(cfg, fmt: str) -> tuple:
     from . import analytic   # orbit only
     bg = _background(cfg)
@@ -670,8 +663,7 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
     if fmt == "json":
         file = ("orbit.json", write_json, {
             "family": orb.family, "time": orb.time_name,
-            "constants": {k: (list(map(_json_float, np.atleast_1d(v)))
-                              if np.ndim(v) else _json_float(v))
+            "constants": {k: np.asarray(v, dtype=float).tolist()
                           for k, v in orb.constants.items()},
             "columns": columns, "samples": samples}, True)
     return [file], [f"{orb.family} closed-form orbit -> {file[0]}"], True

@@ -508,17 +508,19 @@ def monitor(traj: Trajectory, quantities: Sequence, bg):
     The values are quantity_values on the whole trajectory as one batch
     state (Trajectory.batch_state), so the generator charges share one
     position and on-shell four-momentum per trajectory; every quantity must
-    give one value per sample."""
+    give one value per sample.  A value that overflows is inf or NaN
+    without a warning, and its NaN drift fails the run's gate."""
     values = {}
     drifts = {}
     batch = traj.batch_state()
-    for quant, vals in zip(quantities, quantity_values(quantities, batch, bg)):
-        lab, vals = quant.label, np.asarray(vals, dtype=float)
-        if vals.shape != (len(traj),):
-            raise ValueError(f"quantity {lab!r} returned shape {vals.shape} "
-                             f"for a batch of {len(traj)} samples")
-        values[lab] = vals
-        drifts[lab] = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for quant, vals in zip(quantities, quantity_values(quantities, batch, bg)):
+            lab, vals = quant.label, np.asarray(vals, dtype=float)
+            if vals.shape != (len(traj),):
+                raise ValueError(f"quantity {lab!r} returned shape {vals.shape} "
+                                 f"for a batch of {len(traj)} samples")
+            values[lab] = vals
+            drifts[lab] = float(np.max(np.abs(vals - vals[0])) / max(1.0, abs(vals[0])))
     return values, drifts
 
 

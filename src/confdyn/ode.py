@@ -8,8 +8,9 @@ RK45    scipy.integrate.RK45's step control (integrate/_ivp/rk.py, base.py,
         integration only; its sums of products add left to right in fixed
         order, so a flow's bits depend on neither the BLAS kernel nor numpy's
         SIMD dispatch, and run in one straight-line kernel per state size
-        (_kernels); J. R. Dormand, P. J. Prince, J. Comput. Appl. Math. 6,
-        19 (1980)
+        (_kernels), generated from the tableau C, A, B, E and P, written
+        once in the layout of scipy's RK45; J. R. Dormand, P. J. Prince,
+        J. Comput. Appl. Math. 6, 19 (1980)
 dense_sample
         the quartic dense output of a run of steps at many times in one
         elementwise array pass, each sample in the bits of RK45.dense_output
@@ -97,73 +98,52 @@ def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-# The Dormand-Prince 5(4) tableau with Shampine's dense output, as scipy's
-# RK45 holds it (C, A, B, E, P); only its nonzero entries are named.
-_C2, _C3, _C4, _C5 = 1/5, 3/10, 4/5, 8/9
-_A21 = 1/5
-_A31, _A32 = 3/40, 9/40
-_A41, _A42, _A43 = 44/45, -56/15, 32/9
-_A51, _A52, _A53, _A54 = 19372/6561, -25360/2187, 64448/6561, -212/729
-_A61, _A62, _A63, _A64, _A65 = (9017/3168, -355/33, 46732/5247, 49/176,
-                                -5103/18656)
-_B1, _B3, _B4, _B5, _B6 = 35/384, 500/1113, 125/192, -2187/6784, 11/84
-_E1, _E3, _E4, _E5, _E6, _E7 = (-71/57600, 71/16695, -71/1920, 17253/339200,
-                                -22/525, 1/40)
-# P[s][j] for columns j = 1-3 (stage 2's row is 0; column 0 is stage 1
-# alone, with weight 1)
-_P11, _P12, _P13 = (-8048581381/2820520608, 8663915743/2820520608,
-                    -12715105075/11282082432)
-_P31, _P32, _P33 = (131558114200/32700410799, -68118460800/10900136933,
-                    87487479700/32700410799)
-_P41, _P42, _P43 = (-1754552775/470086768, 14199869525/1410260304,
-                    -10690763975/1880347072)
-_P51, _P52, _P53 = (127303824393/49829197408, -318862633887/49829197408,
-                    701980252875 / 199316789632)
-_P61, _P62, _P63 = (-282668133/205662961, 2019193451/616988883,
-                    -1453857185/822651844)
-_P71, _P72, _P73 = (40617522/29380423, -110615467/29380423, 69997945/29380423)
+# The Dormand-Prince 5(4) tableau with Shampine's dense output, laid out as
+# scipy's RK45 holds it: the stage times C, the stage weights A (row s over
+# the stages before s), the solution weights B, the error weights E (over
+# the six stages and f_new) and the dense weights P (a row per stage of E,
+# a column per power of x).
+C = (0.0, 1/5, 3/10, 4/5, 8/9, 1.0)
+A = ((),
+     (1/5,),
+     (3/40, 9/40),
+     (44/45, -56/15, 32/9),
+     (19372/6561, -25360/2187, 64448/6561, -212/729),
+     (9017/3168, -355/33, 46732/5247, 49/176, -5103/18656))
+B = (35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84)
+E = (-71/57600, 0.0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40)
+P = ((1.0, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432),
+     (0.0, 0.0, 0.0, 0.0),
+     (0.0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799),
+     (0.0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072),
+     (0.0, 127303824393/49829197408, -318862633887/49829197408,
+      701980252875 / 199316789632),
+     (0.0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844),
+     (0.0, 40617522/29380423, -110615467/29380423, 69997945/29380423))
 
-# One component i of each sum a step takes, in stage order over the nonzero
-# tableau entries; y is the step's start, a-f its stages k1-k6, z the
-# solution y_new and g the RHS there.  Stage s's input:
-_STAGE_INPUTS = (
-    "y{i} + (a{i} * {_A21!r}) * h",
-    "y{i} + (a{i} * {_A31!r} + b{i} * {_A32!r}) * h",
-    "y{i} + (a{i} * {_A41!r} + b{i} * {_A42!r} + c{i} * {_A43!r}) * h",
-    "y{i} + (a{i} * {_A51!r} + b{i} * {_A52!r} + c{i} * {_A53!r}"
-    " + d{i} * {_A54!r}) * h",
-    "y{i} + (a{i} * {_A61!r} + b{i} * {_A62!r} + c{i} * {_A63!r}"
-    " + d{i} * {_A64!r} + e{i} * {_A65!r}) * h")
-_SOLUTION = ("y{i} + h * (a{i} * {_B1!r} + c{i} * {_B3!r} + d{i} * {_B4!r}"
-             " + e{i} * {_B5!r} + f{i} * {_B6!r})")
-# the error estimate over its scale atol + max(|y|, |y_new|) rtol; y is
-# finite, so a NaN in y_new reaches it
-_ERROR = ("v = abs(y{i}); w = abs(z{i})\n"
-          "    r{i} = ((a{i} * {_E1!r} + c{i} * {_E3!r} + d{i} * {_E4!r}"
-          " + e{i} * {_E5!r} + f{i} * {_E6!r} + g{i} * {_E7!r}) * h"
-          " / (atol + (v if v > w else w) * rtol))")
-# Q = K^T P: stage 1 alone, then P's columns 1-3
-_DENSE = ("(a{i}, "
-          "a{i} * {_P11!r} + c{i} * {_P31!r} + d{i} * {_P41!r} + e{i} * {_P51!r}"
-          " + f{i} * {_P61!r} + g{i} * {_P71!r}, "
-          "a{i} * {_P12!r} + c{i} * {_P32!r} + d{i} * {_P42!r} + e{i} * {_P52!r}"
-          " + f{i} * {_P62!r} + g{i} * {_P72!r}, "
-          "a{i} * {_P13!r} + c{i} * {_P33!r} + d{i} * {_P43!r} + e{i} * {_P53!r}"
-          " + f{i} * {_P63!r} + g{i} * {_P73!r})")
+
+def _sum(weights):
+    """The sum over the stages a-g (k1-k6 and f_new) of weights, at one
+    component i of the kernels: its nonzero terms in stage order, each
+    weight as its float literal, which reads back its bits, and a weight of
+    1 as the stage alone."""
+    return " + ".join(f"{k}{{i}}" if w == 1 else f"{k}{{i}} * {w!r}"
+                      for k, w in zip("abcdefg", weights) if w)
+
 
 _STEP_SOURCE = """\
 def step(fun, t, h, y, k1, atol, rtol):
     {y} = y
     {a} = k1
-    k2 = fun(t + {_C2!r} * h, [{s2}])
+    k2 = fun({t2}, [{s2}])
     {b} = k2
-    k3 = fun(t + {_C3!r} * h, [{s3}])
+    k3 = fun({t3}, [{s3}])
     {c} = k3
-    k4 = fun(t + {_C4!r} * h, [{s4}])
+    k4 = fun({t4}, [{s4}])
     {d} = k4
-    k5 = fun(t + {_C5!r} * h, [{s5}])
+    k5 = fun({t5}, [{s5}])
     {e} = k5
-    k6 = fun(t + h, [{s6}])
+    k6 = fun({t6}, [{s6}])
     {f} = k6
     y_new = [{solution}]
     {z} = y_new
@@ -192,21 +172,27 @@ def _kernels(n):
     step(fun, t, h, y, k1, atol, rtol) takes one Dormand-Prince step of
     size h from (t, y), whose RHS value is k1, and returns (k2, ..., k6,
     y_new, f_new, error_norm); dense(*K) returns Q = K^T P as one tuple
-    (Q0, Q1, Q2, Q3) per component.  Each expression is a sum of
-    _STAGE_INPUTS, _SOLUTION, _ERROR or _DENSE at one component, its terms
-    in that order, so the floats are those of a loop over the components;
-    the squares of the error norm add left to right, as norm's do, without
-    norm's leading 0.0 +, which is exact (no square is -0.0)."""
-    # each tableau entry, a format field named as its global, enters as
-    # its literal, which reads back its bits
+    (Q0, Q1, Q2, Q3) per component.  In the source, y is the step's start,
+    a-f its stages k1-k6, z the solution y_new and g the RHS there.  Each
+    stage input, the solution, the error estimate (over its scale
+    atol + max(|y|, |y_new|) rtol; y is finite, so a NaN in y_new reaches
+    it) and each column of Q is the _sum of one row of A, of B, of E or of
+    one column of P at one component, so the floats are those of a loop
+    over the components; a stage's time is t + C[s] h.  The squares of the
+    error norm add left to right, as norm's do, without norm's leading
+    0.0 +, which is exact (no square is -0.0)."""
     def each(expr, sep):
-        return sep.join(expr.format_map({**globals(), "i": i}) for i in range(n))
-    source = _STEP_SOURCE.format_map({
-        **globals(), **{letter: each(letter + "{i},", " ") for letter in "yabcdefgz"},
-        **{f"s{s}": each(expr, ", ") for s, expr in enumerate(_STAGE_INPUTS, start=2)},
-        "solution": each(_SOLUTION, ", "), "error": each(_ERROR, "\n    "),
-        "squares": each("r{i} * r{i}", " + "), "root_n": n ** 0.5,
-        "dense": each(_DENSE, ", ")})
+        return sep.join(expr.format(i=i) for i in range(n))
+    fields = {letter: each(letter + "{i},", " ") for letter in "yabcdefgz"}
+    for s in range(1, len(C)):
+        fields[f"t{s + 1}"] = "t + h" if C[s] == 1 else f"t + {C[s]!r} * h"
+        fields[f"s{s + 1}"] = each(f"y{{i}} + ({_sum(A[s])}) * h", ", ")
+    source = _STEP_SOURCE.format(
+        **fields, solution=each(f"y{{i}} + h * ({_sum(B)})", ", "),
+        error=each(f"v = abs(y{{i}}); w = abs(z{{i}})\n    r{{i}} = (({_sum(E)}) * h"
+                   " / (atol + (v if v > w else w) * rtol))", "\n    "),
+        squares=each("r{i} * r{i}", " + "), root_n=n ** 0.5,
+        dense=each(f"({', '.join(map(_sum, zip(*P)))})", ", "))
     namespace = {"math": math}
     exec(compile(source, f"<RK45 step, n={n}>", "exec"), namespace)
     return namespace["step"], namespace["dense"]
@@ -231,10 +217,12 @@ class RK45:
     the dense output's coefficients and its powers of x) adds its terms
     left to right in stage order over the tableau's nonzero entries, in
     Python floats, so its bits depend on no BLAS kernel or SIMD dispatch.
-    The stage, solution, error and Q sums are written out once per
-    component in the straight-line kernels of _kernels(n), made when the
-    first solver of n components is; dense_sample takes the dense
-    output's float operations elementwise on arrays.
+    The stage, solution, error and Q sums are generated from the tableau
+    (C, A, B, E, P) and written out once per component in the
+    straight-line kernels of _kernels(n), made when the first solver of n
+    components is; step() runs the step control around them, and
+    dense_sample takes the dense output's float operations elementwise on
+    arrays.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -279,17 +267,6 @@ class RK45:
             self.status = "finished"
             return None
         t = self.t
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.t >= self.t_bound:
-                self.status = "finished"
-        return message
-
-    def _step_impl(self):
-        t = self.t
         y = self.y
         rtol = self.rtol
         atol = self.atol
@@ -305,7 +282,8 @@ class RK45:
         step_rejected = False
         while not step_accepted:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                self.status = "failed"
+                return self.TOO_SMALL_STEP
             t_new = t + h_abs
             if t_new > self.t_bound:
                 t_new = self.t_bound
@@ -337,7 +315,10 @@ class RK45:
         self.y = y_new
         self.h_abs = h_abs
         self.f = f_new
-        return True, None
+        self.t_old = t
+        if self.t >= self.t_bound:
+            self.status = "finished"
+        return None
 
     def dense_step(self):
         """(t_old, h, y_old, Q) of the last step, Q = K^T P: one tuple

@@ -94,14 +94,18 @@ def test_non_finite_gated_drift_fails_the_gate(monkeypatch, bad, first):
 
 def test_simulate_overflowing_planewave_fails_without_a_traceback(tmp_path, capsys):
     # at p- = 1e200 the squares of p- overflow to inf and Q7 is NaN along
-    # the run: the drift gate reports it, and no OverflowError escapes
-    with pytest.warns(RuntimeWarning):
+    # the run: the drift gate reports it, with no warning and no
+    # OverflowError, and summary.json, strict JSON, writes the drift as null
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(_args("simulate", "planewave", tmp_path,
                           "--set", "initial.pminus=1e200"))
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert capsys.readouterr().out == "run   0: max drift nan FAIL  -> run_000.csv\n"
-    (run,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
-    assert math.isnan(run["drifts"]["Q7"]) and run["pass"] is False
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_refuse)
+    (run,) = summary["runs"]
+    assert run["drifts"]["Q7"] is None and run["pass"] is False
 
 
 # fig. 1's head-on orbit leaves the field, crossing z = 0, at
@@ -1247,7 +1251,9 @@ def test_output_digests_smoke(tmp_path):
     assert [line[:4] for line in lines] == [
         [command, "planewave", fmt, "exit=0"]
         for command in ("simulate", "certify", "kg", "orbit")
-        for fmt in ("csv", "json")] + [["certify", "planewave", "count=96", "exit=0"]]
+        for fmt in ("csv", "json")] + [["certify", "planewave", "count=96", "exit=0"],
+                                        ["simulate", "planewave",
+                                         "initial.pminus=1e200;--format=json", "exit=1"]]
     # stderr names the BLAS core and numpy's dispatch the bytes came from
     (machine,) = proc.stderr.splitlines()
     targets = re.fullmatch(r"machine: openblas=\S+ numpy=(\S*)", machine).group(1)
@@ -1373,18 +1379,18 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         outs[name] = out.splitlines()
-    assert len(want) == 79
+    assert len(want) == 80
     kept = [line for line in want if not _certify(line)]
-    assert len(kept) == 57 and {line.split()[0] for line in kept} \
+    assert len(kept) == 58 and {line.split()[0] for line in kept} \
         == {"simulate", "orbit", "kg"}
     masked = {}
     for name, (machine, *out) in outs.items():
         lines = [line for line in out if not line.startswith("masked ")]
         masked[name] = [line for line in out if line.startswith("masked ")]
-        assert len(lines) == 79 and len(masked[name]) == 16
+        assert len(lines) == 80 and len(masked[name]) == 16
         if machine == recorded:
             assert lines == want, name
-        # the 57 simulate, orbit and kg lines, whole
+        # the 58 simulate, orbit and kg lines, whole
         assert [line for line in lines if not _certify(line)] == kept, name
         # certify's exit code, stdout and stderr error line
         assert [line.split()[:6] for line in lines if _certify(line)] \

@@ -461,6 +461,19 @@ def test_rk45_port_steps_as_scipy(case):
         assert ours.nfev > 2 + 6 * steps
 
 
+def test_rk45_tableau_is_scipys():
+    # C, A (each row padded with zeros to the 6 x 5 of scipy's), B, E and P,
+    # every entry in scipy's bits
+    import scipy.integrate
+    ref = scipy.integrate.RK45
+    A = [row + (0.0,) * (5 - len(row)) for row in ode.A]
+    for ours, theirs in ((ode.C, ref.C), (A, ref.A), (ode.B, ref.B), (ode.E, ref.E),
+                         (ode.P, ref.P)):
+        ours = np.array(ours, dtype=float)
+        assert ours.shape == theirs.shape
+        assert [v.tobytes() for v in ours.flat] == [v.tobytes() for v in theirs.flat]
+
+
 def _smooth_rhs(c, w, d):
     """y_i' = c_i sin(w_i y_(i+1 mod n) + d_i t) - y_i / 2 on floats, with the
     bits of each element whether y is a list of floats or an array."""

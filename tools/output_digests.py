@@ -29,7 +29,9 @@ every preset's lines come the runs of SETTINGS_RUNS, paths that a preset
 reaches only with further settings (the front-form dilation certificate,
 the off-shell kg control on the switched linear field, and the fig1 and
 fig2 orbits off the axis, whose transverse charges and p+ are not 0, the
-fig2 one also as JSON, whose x+ asymptote is not finite), each line naming
+fig2 one also as JSON, whose x+ asymptote is not finite, and the plane
+wave at p- = 1e200 as JSON, whose run overflows and writes its non-finite
+values as null), each line naming
 its ``;``-separated settings, and a flag such as ``--format=json`` where
 the run takes one, in place of a format.  Comparing two checkouts is one
 diff:
@@ -87,7 +89,8 @@ SETTINGS_RUNS = (("certify", "dilation", "certify.form=front"),
                   "background.B=0.7;background.m0sq=1.3;run.tend=3"),
                  ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05"),
                  ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05;"
-                  "--format=json"))
+                  "--format=json"),
+                 ("simulate", "planewave", "initial.pminus=1e200;--format=json"))
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
