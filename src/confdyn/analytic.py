@@ -44,7 +44,7 @@ import numpy as np
 
 from .conformal import planewave_extended_set, spacelike_hidden_quantity
 from .dynamics import (PhaseSpaceState, front_to_extended, hamiltonian_instant,
-                       pplus_on_shell)
+                       pplus_on_shell, starts_at)
 from .errors import DomainError, RealityError
 from .geometry import FourVector, contract, from_lightfront
 # brentq stays importable from here; perfbench/bench_trace.py wraps it
@@ -118,7 +118,7 @@ def spacelike_orbit(bg, init: PhaseSpaceState) -> ClosedFormOrbit:
         raise ValueError("spacelike family needs B != 0")
     if init.form != "instant":
         raise ValueError("entry data must be an instant-form state")
-    if abs(init.time) > 1e-12 or abs(init.q[2]) > 1e-12:
+    if not starts_at(init, 0.0) or abs(init.q[2]) > 1e-12:
         raise ValueError("entry data must sit on z = 0 at t = 0")
 
     x0, y0 = init.q[0], init.q[1]
@@ -158,7 +158,7 @@ def timelike_orbit(E: Callable[[float], float], init: PhaseSpaceState,
     constant and x(t) = x(0) - p int_0^t ds / sqrt(p.p + m0^2 + E(s))."""
     if init.form != "instant":
         raise ValueError("initial data must be an instant-form state")
-    if abs(init.time) > 1e-12:
+    if not starts_at(init, 0.0):
         raise ValueError("initial data must be given at t = 0")
     x0 = init.q.copy()
     p = init.p.copy()

@@ -502,9 +502,11 @@ def _m2_above(bg, x: FourVector) -> list:
 # own box, m^2 > 0.05).  The dilation field m^2 = csq/x.x has no scale but
 # csq, so it keeps positions by x.x at every csq: inside the forward light
 # cone, where it is real, and x.x > 0.1 clear of the cone, near which m^2
-# and the charges' brackets grow without bound.  Its instant box lies
-# inside (x.x >= 2.76), so every instant draw is kept.
-_CERTIFY_SAMPLES = {"dilation": ({"t_range": (1.8, 2.6), "q_range": (-0.4, 0.4)},
+# and the charges' brackets grow without bound.  Its instant box (t in
+# _DILATION_T, x, y, z in _DILATION_Q; kg's dilation box too) lies inside
+# (x.x >= 2.76), so every instant draw is kept.
+_DILATION_T, _DILATION_Q = (1.8, 2.6), (-0.4, 0.4)
+_CERTIFY_SAMPLES = {"dilation": ({"t_range": _DILATION_T, "q_range": _DILATION_Q},
                                  lambda bg, x: (x.norm2() > 0.1) & (x.t > 0))}
 
 
@@ -565,7 +567,7 @@ _KG_SOLUTIONS = {
                       kg["qperp"], kg["qminus"], _xplus_wave(bg, "the planewave mode"))},
     "conformal": {"box": ((0.7, -0.5, -0.4, -0.4), (1.6, 0.5, 0.4, 0.4), from_lightfront),
                   "qperp": [0.25, -0.15], "q3": 0.8, "mode": _conformal_mode},
-    "dilation": {"box": ((1.8, -0.4, -0.4, -0.4), (2.6, 0.4, 0.4, 0.4), FourVector),
+    "dilation": {"box": (*zip(_DILATION_T, *[_DILATION_Q] * 3), FourVector),
                  "qperp": [0.4, 0.1], "q3": 0.6, "c1": 1.0, "c2": 0.0,
                  "mode": lambda kgverify, kg, bg: kgverify.make_dilation_solution(
                      kg["qperp"], kg["q3"],

@@ -559,10 +559,9 @@ def _solver(rhs, t, y, t_bound, rtol, atol, form: Form) -> RK45:
 
 def _segment(solver, ev_fns, t_eval, form: Form, resolution: float):
     """Step a solver to its bound or to its first event, sampling the sorted
-    floats t_eval on the dense output of the step that spans each, as
-    solve_ivp does with terminal events.  A step that holds samples keeps
-    its dense coefficients and its count of samples, and the segment's
-    samples come from one ode.dense_sample pass at its end.
+    floats t_eval on the dense output of the step that spans each, in one
+    ode.dense_sample pass at the end; the step that hits an event spans the
+    kink and samples none (_integrate's redo of it does).
     Returns (sampled times, (m, n) array of sampled states, None or (event
     index, event time)).  A failed step's error names the time and p-
     reached, as does a flow that stalls: a step that leaves the solver
@@ -594,7 +593,7 @@ def _segment(solver, ev_fns, t_eval, form: Form, resolution: float):
                                solver.t, xtol=4 * EPS, rtol=4 * EPS), i)
                        for i in active)
             hit = (i, t)
-        if i_eval < len(t_eval) and t_eval[i_eval] <= t:
+        elif i_eval < len(t_eval) and t_eval[i_eval] <= t:
             j = bisect_right(t_eval, t, i_eval)
             steps.append(solver.dense_step())
             counts.append(j - i_eval)
@@ -619,10 +618,9 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
     restarts on the far side from the redone step's end, so the integrated
     state never steps across a C0 kink.  Each grid time is sampled on the
     dense output of the step that spans it, every segment's samples in one
-    array pass with the bits of the float dense output (ode.dense_sample).
-    The samples between the straddling step's start and the crossing still
-    come from that step's dense output, which spans the kink (ROADMAP item
-    2).
+    array pass with the bits of the float dense output (ode.dense_sample);
+    the times from the straddling step's start to the crossing are sampled
+    on the redone step, which ends at the kink.
     A sign change of p- (front/extended) raises SingularityError; sampling
     m^2 < 0 raises RealityError from the background itself.
     """
@@ -650,11 +648,10 @@ def evolve(state0: PhaseSpaceState, bg, span, opts: EvolveOptions,
 
 def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     """The stepping loop: one RK45 solver per segment between switch-surface
-    crossings.  At a crossing the straddling step is redone
-    from its start with a solver bounded at the crossing time, and the next
-    segment starts from that integrated endpoint.  Returns (times, (N, 2n)
-    states, stats, event log), each array the one concatenation of the
-    rows the segments, restarts and crossings add."""
+    crossings.  A crossing's straddling step is redone from its start to the
+    crossing, sampling the grid times it left, and the next segment starts
+    from its end.  Returns (times, (N, 2n) states, stats, event log), each
+    array the concatenation of the rows of segments, restarts and crossings."""
     t0, t1 = span
     span_len = t1 - t0
     nudge = 1e-12 * span_len
@@ -669,9 +666,16 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
     ev_fns = [fn for _, fn in events]
     surface_fns = ev_fns[:len(bg.events)]   # the p- = 0 guard is no surface
 
-    tol = 1e-14 * max(1.0, span_len)   # a sample this close after the last is kept out
+    tol = 1e-14 * max(1.0, span_len)
     y = np.concatenate([state0.q, state0.p]).tolist()
     times, ys, t = [np.array([t0])], [np.array([y])], t0   # no array is empty
+
+    def keep(new_t, new_y):   # the rows more than tol after the last kept row
+        k = np.searchsorted(new_t, times[-1][-1] + tol, side="right")
+        if k < new_t.size:
+            times.append(new_t[k:])
+            ys.append(new_y[k:])
+
     elog, nfev, segments = [], 0, 0
     while t < t1:
         # step off a switch surface so the event does not refire at the
@@ -699,10 +703,7 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
         if segments > MAX_SEGMENTS:
             raise SingularityError("too many event restarts; flow appears stuck "
                                    "on a switch surface")
-        keep = np.searchsorted(seg_t, times[-1][-1] + tol, side="right")
-        if keep < seg_t.size:
-            times.append(seg_t[keep:])
-            ys.append(seg_y[keep:])
+        keep(seg_t, seg_y)
         if hit is None:
             break
         i, te = hit
@@ -711,13 +712,14 @@ def _integrate(state0, bg, span, rhs, grid, rtol: float, atol: float):
             raise SingularityError(
                 f"guard {name} crossed at parameter {te:g}; the flow left "
                 "its regular region")
+        # the redo runs to te with no events and samples the times in
+        # (t_old, te] that the straddling step left
         redo = _solver(rhs, solver.t_old, solver.y_old, te, rtol, atol, form)
-        _segment(redo, (), (), form, resolution)   # to te, with neither events nor samples
+        left = t_eval[seg_t.size:bisect_right(t_eval, te)]
+        keep(*_segment(redo, (), left, form, resolution)[:2])
         nfev += redo.nfev
         elog.append((name, te))
-        if te > times[-1][-1] + tol:
-            times.append(np.array([te]))
-            ys.append(np.array([redo.y]))
+        keep(np.array([te]), np.array([redo.y]))
         t, y = te, redo.y
 
     stats = {"nfev": int(nfev), "segments": int(segments),

@@ -109,24 +109,25 @@ def _stencil(x: FourVector, h: float, offsets) -> FourVector:
 
 
 def _margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg) -> tuple:
-    """The masks a read's margin check raises from: (ys, outside, touches,
+    """The masks a read's margin check raises from: (ys, inside, touches,
     across, failing), ys the stencils of half-width steps h about the batch
-    x, outside and across (N, 8 steps) masks of the stencil points outside
-    phi's domain and on or across a switch surface of bg (none if bg is
-    None) from their x, touches the (N,) mask of the x on one, and failing
-    that of the x that fail any check."""
+    x, inside the (N, 1 + 8 steps) mask of their points in phi's domain
+    (column 0 the x themselves), across the (N, 8 steps) mask of the
+    neighbours on or across a switch surface of bg (none if bg is None)
+    from their x, touches the (N,) mask of the x on one, and failing that
+    of the x that fail a check on their neighbours or touch a surface."""
     offsets = _offsets(steps)
     ys = _stencil(x, h, offsets)
     shape = (len(x.t), 1 + len(offsets))
-    outside = ~phi.in_domain(ys).reshape(shape)[:, 1:]
-    touches, across = np.zeros(shape[0], dtype=bool), np.zeros_like(outside)
+    inside = phi.in_domain(ys).reshape(shape)
+    touches, across = np.zeros(shape[0], bool), np.zeros((shape[0], len(offsets)), bool)
     if bg is not None:
         touches = ~bg.smooth_at(x)
         for _, fn in bg.events:
             v = fn(ys.t, ys.x, ys.y, ys.z).reshape(shape)
             across |= (v[:, 1:] == 0.0) | ((v[:, 1:] > 0.0) != (v[:, :1] > 0.0))
-    failing = outside.any(axis=1) | touches | across.any(axis=1)
-    return ys, outside, touches, across, failing
+    failing = ~inside[:, 1:].all(axis=1) | touches | across.any(axis=1)
+    return ys, inside, touches, across, failing
 
 
 def clear_points(phi: Wavefunction, bg, x: FourVector, h: float):
@@ -134,22 +135,30 @@ def clear_points(phi: Wavefunction, bg, x: FourVector, h: float):
     read with bg at step h accepts (its 2 h margin stencil).  That stencil
     holds the read at h/2 of two steps on the same axis segments, so on
     planar switch surfaces and convex domains that read accepts them too."""
-    *_, failing = _margin(phi, x, h, 2, bg)
-    return phi.in_domain(x) & ~failing
+    _, inside, *_, failing = _margin(phi, x, h, 2, bg)
+    return inside[:, 0] & ~failing
 
 
-def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
-    """Raise DomainError at the first point of the batch x that _margin
-    finds failing, naming its first stencil point out of phi's domain (by
-    axis, step and sign), else the point on a switch surface of bg, else
-    its first stencil point on or across one: the error a loop over the
-    points would meet first."""
-    ys, outside, touches, across, failing = _margin(phi, x, h, steps, bg)
+def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
+                  steps: int) -> tuple:
+    """One read of phi about the batch x: the plain tuple (x, phi(x),
+    {(mu, k h): phi(x + k h e_mu)}) for 0 < |k| <= steps, each value an
+    (N,) array, from one call of phi.  First each margin stencil must stay
+    in phi's domain; with bg, the wave operator's check, the margin is 2 h
+    whatever steps is, and no x may touch a switch surface of bg nor any
+    point of its margin stencil reach one.  The first point that fails
+    raises DomainError naming its first stencil point out of phi's domain
+    (by axis, step and sign), else its touch, else its first stencil point
+    on or across a surface: the error a loop over the points would meet
+    first.  phi is read on the margin stencil itself where the read's steps
+    are the margin's.  Row i depends on point i alone (see first_rows)."""
+    margin = steps if bg is None else 2
+    ys, inside, touches, across, failing = _margin(phi, x, h, margin, bg)
     # the first failing point, or point 0 when none fails
     i = int(failing.argmax())
-    width = 1 + outside.shape[1]
-    if outside[i].any():
-        j = i * width + 1 + int(outside[i].argmax())
+    width = inside.shape[1]
+    if not inside[i, 1:].all():
+        j = i * width + 1 + int(inside[i, 1:].argmin())
         raise DomainError(f"stencil point {_at(ys, j)} leaves the domain of "
                           f"{phi.label!r}")
     if touches[i]:
@@ -159,20 +168,10 @@ def _require_margin(phi: Wavefunction, x: FourVector, h: float, steps: int, bg):
         j = i * width + 1 + int(across[i].argmax())
         raise DomainError(f"stencil point {_at(ys, j)} of {_at(x, i)} lies on or "
                           f"across a switch surface of background {bg.label!r}")
-
-
-def read_stencils(phi: Wavefunction, bg, x: FourVector, h: float,
-                  steps: int) -> tuple:
-    """One read of phi about the batch x: the plain tuple (x, phi(x),
-    {(mu, k h): phi(x + k h e_mu)}) for 0 < |k| <= steps, each value an
-    (N,) array, from one call of phi.  First each stencil must stay in
-    phi's domain; with bg, the wave operator's check, the margin is 2 h
-    whatever steps is, and no x may touch a switch surface of bg nor any
-    point of its margin stencil reach one.  Row i
-    depends on point i alone (see first_rows)."""
-    _require_margin(phi, x, h, steps if bg is None else 2, bg)
     offsets = _offsets(steps)
-    values = phi(_stencil(x, h, offsets)).reshape(len(x.t), 1 + len(offsets))
+    if steps != margin:
+        ys = _stencil(x, h, offsets)
+    values = phi(ys).reshape(len(x.t), 1 + len(offsets))
     return x, values[:, 0], {(mu, k * h): values[:, j]
                              for j, (mu, k) in enumerate(offsets, 1)}
 

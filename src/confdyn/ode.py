@@ -503,21 +503,14 @@ def masked_newton(f, fprime, x, fx, lo, hi, xtol, rtol):
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-_quadpack = None   # scipy.integrate's quad and IntegrationWarning, once quad has been called
-
-
 def quad(f, a, b):
     """int_a^b f(s) ds, a or b possibly infinite, by scipy.integrate.quad to
     within max(1e-12, 1e-12 |int|) on at most 200 subintervals.
 
     An integral QUADPACK judges divergent (its ier = 5) raises
     DomainError; its other failures warn, as scipy's quad does.
-    Caller: timelike_orbit."""
-    global _quadpack
-    if _quadpack is None:
-        from scipy.integrate import IntegrationWarning, quad as scipy_quad
-        _quadpack = scipy_quad, IntegrationWarning
-    scipy_quad, IntegrationWarning = _quadpack
+    Caller: timelike_orbit; scipy loads with the first call."""
+    from scipy.integrate import IntegrationWarning, quad as scipy_quad
     value, _, _, *message = scipy_quad(f, a, b, epsabs=1e-12, epsrel=1e-12,
                                        limit=200, full_output=1)
     if message:

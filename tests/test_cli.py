@@ -1379,18 +1379,18 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         outs[name] = out.splitlines()
-    assert len(want) == 80
+    assert len(want) == 83
     kept = [line for line in want if not _certify(line)]
-    assert len(kept) == 58 and {line.split()[0] for line in kept} \
+    assert len(kept) == 61 and {line.split()[0] for line in kept} \
         == {"simulate", "orbit", "kg"}
     masked = {}
     for name, (machine, *out) in outs.items():
         lines = [line for line in out if not line.startswith("masked ")]
         masked[name] = [line for line in out if line.startswith("masked ")]
-        assert len(lines) == 80 and len(masked[name]) == 16
+        assert len(lines) == 83 and len(masked[name]) == 16
         if machine == recorded:
             assert lines == want, name
-        # the 58 simulate, orbit and kg lines, whole
+        # the 61 simulate, orbit and kg lines, whole
         assert [line for line in lines if not _certify(line)] == kept, name
         # certify's exit code, stdout and stderr error line
         assert [line.split()[:6] for line in lines if _certify(line)] \

@@ -332,6 +332,55 @@ def test_bounce_exit_keeps_charges_past_the_kink():
     assert max(traj.drifts.values()) <= 1e-8
 
 
+# the fig1 start whose grid puts a sample 5.74e-8 before the exit through
+# z = 0: sampled on the step that straddles the kink, its Q5 was off by
+# 1.11e-8
+_STRADDLED = (0.0, 0.0, -0.5482573890107849)
+
+
+def _fig1_straddled(monkeypatch):
+    """The fig1 run from _STRADDLED, and the steps every solver took as
+    (solver, t_old, t, its float dense output)."""
+    steps, real_step = [], ode.RK45.step
+
+    def step(self):
+        message = real_step(self)
+        steps.append((self, self.t_old, self.t, self.dense_output()))
+        return message
+    monkeypatch.setattr(ode.RK45, "step", step)
+    bg = backgrounds.linear_z(1.0, 1.0, switched=True)
+    st = instant_state(0.0, (0.0, 0.0, 0.0), _STRADDLED)
+    return evolve(st, bg, (0.0, 4.0), EvolveOptions(samples=500)), bg, steps
+
+
+def test_sample_before_a_crossing_keeps_its_charge(monkeypatch):
+    traj, bg, _ = _fig1_straddled(monkeypatch)
+    (_, te), = traj.events_log
+    k = np.searchsorted(traj.times, te) - 1
+    assert te - traj.times[k] == pytest.approx(5.74e-8, rel=1e-3)
+    q5 = hamiltonian_instant(traj.batch_state(), bg)
+    assert abs(q5[k] - q5[0]) < 1e-8
+
+
+def test_samples_before_a_crossing_are_the_redone_steps(monkeypatch):
+    # every sample from the straddling step's start to the crossing is the
+    # dense output of the redo that ends at the crossing, bit for bit, and
+    # the row at the crossing is the redo's end
+    traj, _, steps = _fig1_straddled(monkeypatch)
+    rows = np.hstack([traj.q, traj.p])
+    (_, te), = traj.events_log
+    redo = [s for s in steps if s[0].t_bound == te]
+    t_old = redo[0][1]
+    inside = np.flatnonzero((traj.times > t_old) & (traj.times < te))
+    assert inside.size
+    for k in inside:
+        s = traj.times[k]
+        dense, = [d for _, a, b, d in redo if a < s <= b]
+        assert rows[k].tobytes() == np.array(dense(s)).tobytes()
+    k, = np.flatnonzero(traj.times == te)
+    assert rows[k].tolist() == redo[-1][0].y
+
+
 @pytest.mark.parametrize("case", ["instant-dilation", "extended-planewave"])
 def test_rk45_loop_takes_solve_ivp_steps(case):
     # without a crossing the loop reproduces solve_ivp's samples bit for bit,

@@ -662,6 +662,25 @@ def test_kg_job_evaluates_each_point_once(tmp_path, monkeypatch):
     assert set(map(tuple, kept)) <= set(map(tuple, drawn))
 
 
+def test_kg_job_builds_each_stencil_once(tmp_path, monkeypatch):
+    # the draw's 2 h margin stencil and the read's stencil at h/2 of two
+    # steps, whose domain mask and margin check serve the read's phi call:
+    # two stencils and two domain calls, the points' own mask read off the
+    # stencil's centre column
+    from confdyn import kgverify
+    from confdyn.cli import main
+    real_stencil, real_in_domain = kgverify._stencil, Wavefunction.in_domain
+    stencils, domains = [], []
+    monkeypatch.setattr(kgverify, "_stencil", lambda x, h, offsets: stencils.append(
+        (h, len(offsets))) or real_stencil(x, h, offsets))
+    monkeypatch.setattr(Wavefunction, "in_domain", lambda self, x: domains.append(
+        len(x.t)) or real_in_domain(self, x))
+    assert main(["kg", "--preset", "planewave", "--out-dir", str(tmp_path)]) == 0
+    (h, margin), (half, read) = stencils
+    assert h == 2 * half and margin == read == 16
+    assert domains == [60 * 17, 60 * 17]
+
+
 def test_kgcontrol_job_evaluates_each_point_once(tmp_path, monkeypatch):
     from confdyn.cli import main
     calls = []

@@ -31,7 +31,10 @@ the off-shell kg control on the switched linear field, and the fig1 and
 fig2 orbits off the axis, whose transverse charges and p+ are not 0, the
 fig2 one also as JSON, whose x+ asymptote is not finite, and the plane
 wave at p- = 1e200 as JSON, whose run overflows and writes its non-finite
-values as null), each line naming
+values as null, the covariant flow as the benchmark's covariant jobs run
+it, the non-relativistic instant flow through fig1's switch surface, and
+the fig1 start with a grid time 5.74e-8 before its exit crossing), each
+line naming
 its ``;``-separated settings, and a flag such as ``--format=json`` where
 the run takes one, in place of a format.  Comparing two checkouts is one
 diff:
@@ -90,7 +93,14 @@ SETTINGS_RUNS = (("certify", "dilation", "certify.form=front"),
                  ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05"),
                  ("orbit", "fig2", "initial.xperp=0.2,-0.1;initial.pperp=0.1,0.05;"
                   "--format=json"),
-                 ("simulate", "planewave", "initial.pminus=1e200;--format=json"))
+                 ("simulate", "planewave", "initial.pminus=1e200;--format=json"),
+                 ("simulate", "dilation", "run.form=covariant;run.tstart=0;run.tend=3;"
+                  "initial.x4=2,0.1,-0.1,0.3;initial.xdot=1.1,0.4,-0.2,0.1;monitor.extra="),
+                 ("simulate", "fig1", "initial.x=0.3,-0.2,0;sweep.count=1;"
+                  "sweep.override_0=initial.p=0.1,-0.2,-0.45;run.nonrelativistic=true;"
+                  "monitor.set=truncated;monitor.extra=Lz"),
+                 ("simulate", "fig1", "sweep.count=1;"
+                  "sweep.override_0=initial.p=0,0,-0.5482573890107849"))
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number
