@@ -450,8 +450,13 @@ def _setup_run(run_cfg) -> tuple:
         check_flow(state.form, opts.nonrelativistic)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    monitors = _quantity_set(run_cfg["monitor"]["set"], run_cfg["monitor"]["extra"],
-                             bg, state.form)
+    qset = run_cfg["monitor"]["set"]
+    monitors = _quantity_set(qset, run_cfg["monitor"]["extra"], bg, state.form)
+    # the other sets hold charges of the relativistic H, which the
+    # nonrelativistic flow does not conserve; extras are not gated
+    if opts.nonrelativistic and qset not in ("none", "truncated"):
+        raise ConfigError(f"the nonrelativistic flow conserves only quantity set "
+                          f"'none' or 'truncated', not {qset!r}")
     return (bg, state, span, opts) + monitors
 
 
@@ -660,14 +665,14 @@ def cmd_orbit(cfg, fmt: str) -> tuple:
     ws = np.linspace(w0, w1, cfg["run"]["samples"])
     xs, ps = orb.sample(ws)
     columns = [orb.time_name, "x0", "x1", "x2", "x3", "p0", "p1", "p2", "p3"]
-    samples = np.column_stack([ws, xs, ps]).tolist()
+    samples = np.column_stack([ws, xs, ps])
     file = ("orbit.csv", write_csv, columns, samples)
     if fmt == "json":
         file = ("orbit.json", write_json, {
             "family": orb.family, "time": orb.time_name,
             "constants": {k: np.asarray(v, dtype=float).tolist()
                           for k, v in orb.constants.items()},
-            "columns": columns, "samples": samples}, True)
+            "columns": columns, "samples": samples.tolist()}, True)
     return [file], [f"{orb.family} closed-form orbit -> {file[0]}"], True
 
 

@@ -361,19 +361,20 @@ def poisson_bracket(f, g, state: PhaseSpaceState, bg) -> float:
 # flows
 # ---------------------------------------------------------------------------
 # Each RHS takes y as a sequence of floats and returns a tuple of floats: it
-# unpacks y once, reads the field at the form's coordinates through
-# ScalarBackground.field_at, building no FourVector, and writes every sum of
-# products out left to right and every square as a product.  A denominator
-# that vanishes (p-, p-^2, H, m, m^2) is made a numpy scalar first, so that
-# dividing by it gives inf or nan with a RuntimeWarning, as numpy does, not
-# ZeroDivisionError.
+# unpacks y once, computes the form's (t, x, y, z) from it with the float
+# operations of its Form.coords, reads the field there through
+# ScalarBackground.field_at (the one m^2 < 0 check), building no FourVector,
+# and writes every sum of products out left to right and every square as a
+# product.  A denominator that vanishes (p-, p-^2, H, m, m^2) is made a
+# numpy scalar first, so that dividing by it gives inf or nan with a
+# RuntimeWarning, as numpy does, not ZeroDivisionError.
 
 def _rhs_instant(bg, nonrel: bool):
-    coords, field_at = FORMS["instant"].coords, bg.field_at
+    field_at = bg.field_at
 
     def rhs(t, y):
-        _, _, _, p1, p2, p3 = y
-        m2, (_, g1, g2, g3) = field_at(*coords(t, y))
+        x1, x2, x3, p1, p2, p3 = y
+        m2, (_, g1, g2, g3) = field_at(t, x1, x2, x3)
         pp = p1 * p1 + p2 * p2 + p3 * p3
         if nonrel:
             m = math.sqrt(m2)
@@ -394,12 +395,16 @@ def _rhs_lightfront(bg, extended: bool):
     as its time: it drops dx+/ds = 1 and the p+ equation, and both end their
     y with (p-, p1, p2).  The light-front partials of m^2 are
     d/dx+- = (g0 +- g3)/2 and d/dx1,2 = g1,2 (geometry.lf_gradient)."""
-    coords = FORMS["extended" if extended else "front"].coords
     field_at = bg.field_at
 
     def rhs(t, y):
-        pminus, p1, p2 = y[-3:]
-        m2, (g0, g1, g2, g3) = field_at(*coords(t, y))
+        if extended:
+            xplus, xminus, x1, x2, _, pminus, p1, p2 = y
+        else:
+            xminus, x1, x2, pminus, p1, p2 = y
+            xplus = t
+        m2, (g0, g1, g2, g3) = field_at(0.5 * (xplus + xminus), x1, x2,
+                                        0.5 * (xplus - xminus))
         pm2 = pminus * pminus
         if not pm2:
             pminus, pm2 = np.float64(pminus), np.float64(pm2)
@@ -413,11 +418,11 @@ def _rhs_lightfront(bg, extended: bool):
 
 
 def _rhs_covariant(bg):
-    coords, field_at = FORMS["covariant"].coords, bg.field_at
+    field_at = bg.field_at
 
     def rhs(tau, y):
-        _, _, _, _, u0, u1, u2, u3 = y
-        m2, (g0, g1, g2, g3) = field_at(*coords(tau, y))
+        x0, x1, x2, x3, u0, u1, u2, u3 = y
+        m2, (g0, g1, g2, g3) = field_at(x0, x1, x2, x3)
         ug = u0 * g0 + u1 * g1 + u2 * g2 + u3 * g3
         if not m2:
             m2 = np.float64(m2)
@@ -482,7 +487,7 @@ class Trajectory:
     def to_csv(self, path):
         tname, qn, pn = self.column_names()
         rows = np.column_stack([self.times, self.q, self.p, *self.quantities.values()])
-        write_csv(path, [tname, *qn, *pn, *self.quantities], rows.tolist())
+        write_csv(path, [tname, *qn, *pn, *self.quantities], rows)
 
     def to_json(self, path):
         tname, qn, pn = self.column_names()

@@ -31,7 +31,11 @@ computes another way:
   hands special_conformal_mass, and the Gaussian profile's slope, the f'
   a test that rebuilds the Gaussian profile hands it;
 * scipy's own RK45 and solve_ivp with their products taken as ordered
-  sums (scipy_ordered_sums), against ode.RK45 and the stepping loop.
+  sums (scipy_ordered_sums), against ode.RK45 and the stepping loop;
+* each flow's right-hand side reading the field at FORMS[form].coords(t, y),
+  against the flows that compute those coordinates inline;
+* the CSV writer that formats every number of every row, against
+  jsonio.write_csv, which formats each constant column once.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 from confdyn.conformal import (ConformalGenerator, ConservedQuantity,
                                symmetry_defect)
 from confdyn.analytic import planewave_quantities
-from confdyn.dynamics import PhaseSpaceState, front_state
+from confdyn.dynamics import FORMS, PhaseSpaceState, front_state
 from confdyn.errors import DomainError
 from confdyn.geometry import (METRIC, METRIC_DIAG, FourVector,
                               central_difference, contract, from_lightfront, lower_index,
@@ -634,3 +638,64 @@ def scipy_ordered_sums():
                                  (rk.RkDenseOutput, "_call_impl", call_impl)):
             stack.enter_context(mock.patch.object(owner, name, new))
         yield
+
+
+# ---------------------------------------------------------------------------
+# the flows through Form.coords, the CSV writer row by row
+# ---------------------------------------------------------------------------
+
+def rhs_through_coords(form: str, bg, nonrel: bool = False):
+    """The flow of form (the nonrelativistic instant flow where nonrel) as
+    dynamics writes it, with the field read at FORMS[form].coords(t, y)."""
+    coords, field_at = FORMS[form].coords, bg.field_at
+
+    def instant(t, y):
+        _, _, _, p1, p2, p3 = y
+        m2, (_, g1, g2, g3) = field_at(*coords(t, y))
+        pp = p1 * p1 + p2 * p2 + p3 * p3
+        if nonrel:
+            m = math.sqrt(m2)
+            if not m2:
+                m2, m = np.float64(m2), np.float64(m)
+            fac = (1.0 - pp / (2.0 * m2)) / (2.0 * m)
+            return (-p1 / m, -p2 / m, -p3 / m, g1 * fac, g2 * fac, g3 * fac)
+        H = math.sqrt(pp + m2)
+        if not H:
+            H = np.float64(H)
+        w = 2.0 * H
+        return (-p1 / H, -p2 / H, -p3 / H, g1 / w, g2 / w, g3 / w)
+
+    def lightfront(t, y):
+        pminus, p1, p2 = y[-3:]
+        m2, (g0, g1, g2, g3) = field_at(*coords(t, y))
+        pm2 = pminus * pminus
+        if not pm2:
+            pminus, pm2 = np.float64(pminus), np.float64(pm2)
+        w = 4.0 * pminus
+        flow = ((p1 * p1 + p2 * p2 + m2) / (4.0 * pm2), -p1 / (2.0 * pminus),
+                -p2 / (2.0 * pminus), 0.5 * (g0 - g3) / w, g1 / w, g2 / w)
+        if form == "extended":
+            return (1.0, *flow[:3], 0.5 * (g0 + g3) / w, *flow[3:])
+        return flow
+
+    def covariant(tau, y):
+        _, _, _, _, u0, u1, u2, u3 = y
+        m2, (g0, g1, g2, g3) = field_at(*coords(tau, y))
+        ug = u0 * g0 + u1 * g1 + u2 * g2 + u3 * g3
+        if not m2:
+            m2 = np.float64(m2)
+        w = 2.0 * m2
+        return (u0, u1, u2, u3, (g0 - u0 * ug) / w, (-g1 - u1 * ug) / w,
+                (-g2 - u2 * ug) / w, (-g3 - u3 * ug) / w)
+
+    return {"instant": instant, "front": lightfront, "extended": lightfront,
+            "covariant": covariant}[form]
+
+
+def write_csv_per_number(path, header, rows) -> None:
+    """The header line, then each row's numbers as %.17g, every number of
+    every row formatted by one % over them all in one tuple."""
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(row_fmt * len(rows) % tuple(itertools.chain.from_iterable(rows)))

@@ -581,6 +581,30 @@ def test_refused_input_exits_two_or_three_and_writes_nothing(tmp_path, capsys, c
     assert list(out.iterdir()) == []
 
 
+def test_nonrelativistic_run_gates_only_the_translations(tmp_path, capsys):
+    # the relativistic sets' charges drift under the nonrelativistic flow
+    # (fig1 failed all four runs, max drift 4.6e-4 to 1.2e-2), so a run that
+    # would gate them is refused before it runs; none and truncated, whose
+    # translations that flow conserves, stay, and extras are not gated
+    out = tmp_path / "out"
+    assert main(_args("simulate", "fig1", out, "--set", "run.nonrelativistic=true")) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: the nonrelativistic flow conserves only quantity set "
+        "'none' or 'truncated', not 'spacelike'\n")
+    assert list(out.iterdir()) == []
+    for qset in ("spacelike", "conformal_front", "dilation", "poincare", "none",
+                 "truncated"):
+        cfg = cli.apply_overrides(cli.preset_config("fig1"), [
+            "run.nonrelativistic=true", f"monitor.set={qset}", "monitor.extra=p3,BLz"])
+        for run_cfg in cli._sweep_configs(cfg):
+            if qset in ("none", "truncated"):
+                quantities, gated = cli._setup_run(run_cfg)[4:]
+                assert [q.label for q in quantities][len(gated):] == ["p3", "Lz"]
+            else:
+                with pytest.raises(ConfigError, match=f"not '{qset}'$"):
+                    cli._setup_run(run_cfg)
+
+
 # overflows that a command reports as its error line alone: the dilation
 # mode's power law at Q_perp = 0 and alpha = 1e4, the timelike orbit's
 # constants p.p and p.L at p = 1e300, the sin^2 wave's 2 k w past x+ = 1e308
@@ -1253,7 +1277,9 @@ def test_output_digests_smoke(tmp_path):
         for command in ("simulate", "certify", "kg", "orbit")
         for fmt in ("csv", "json")] + [["certify", "planewave", "count=96", "exit=0"],
                                         ["simulate", "planewave",
-                                         "initial.pminus=1e200;--format=json", "exit=1"]]
+                                         "initial.pminus=1e200;--format=json", "exit=1"],
+                                        ["simulate", "planewave", "initial.pminus=1e200",
+                                         "exit=1"]]
     # stderr names the BLAS core and numpy's dispatch the bytes came from
     (machine,) = proc.stderr.splitlines()
     targets = re.fullmatch(r"machine: openblas=\S+ numpy=(\S*)", machine).group(1)
@@ -1379,18 +1405,18 @@ def test_outputs_keep_their_bits_on_other_blas_kernels_and_dispatch(tmp_path):
         out, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
         outs[name] = out.splitlines()
-    assert len(want) == 83
+    assert len(want) == 85
     kept = [line for line in want if not _certify(line)]
-    assert len(kept) == 61 and {line.split()[0] for line in kept} \
+    assert len(kept) == 63 and {line.split()[0] for line in kept} \
         == {"simulate", "orbit", "kg"}
     masked = {}
     for name, (machine, *out) in outs.items():
         lines = [line for line in out if not line.startswith("masked ")]
         masked[name] = [line for line in out if line.startswith("masked ")]
-        assert len(lines) == 83 and len(masked[name]) == 16
+        assert len(lines) == 85 and len(masked[name]) == 16
         if machine == recorded:
             assert lines == want, name
-        # the 61 simulate, orbit and kg lines, whole
+        # the 63 simulate, orbit and kg lines, whole
         assert [line for line in lines if not _certify(line)] == kept, name
         # certify's exit code, stdout and stderr error line
         assert [line.split()[:6] for line in lines if _certify(line)] \

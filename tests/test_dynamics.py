@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies
+from hypothesis import assume, example, given, settings, strategies
 from hypothesis.extra.numpy import arrays
 
-from confdyn import backgrounds, conformal, ode
+from confdyn import backgrounds, cli, conformal, ode
 from confdyn.dynamics import (
     FORMS,
     EvolveOptions,
@@ -42,7 +42,7 @@ from confdyn.dynamics import (
 from confdyn.errors import RealityError, SingularityError
 from confdyn.geometry import FourVector, lf_gradient, lf_momenta, raise_index
 from oracles import (erf_orbit_entry_state, fd_partials, fd_quantity, newton_per_point,
-                     points, rms_norm, scipy_ordered_sums)
+                     points, rhs_through_coords, rms_norm, scipy_ordered_sums)
 
 
 def _random_instant_state(rng, bg):
@@ -1328,6 +1328,48 @@ def test_rhs_equals_two_call_expressions(form, nonrel, kind):
         assert got.shape == want.shape and np.array_equal(got, want)
         # signed zeros too: the output files print them
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# the preset families, one background each: linear_z switched at z = 0
+# (fig1), the conformal field switched at x+ = L = 1 (fig2), the plane wave,
+# the dilation field, the unswitched conformal field and the constant
+_PRESET_FIELDS = {name: cli._background(cli._parse(cli.preset_config(name)))
+                  for name in ("fig1", "fig2", "planewave", "dilation", "conformal",
+                               "kgcontrol")}
+_COORD = strategies.one_of(strategies.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                           strategies.floats(-3.0, 3.0))
+
+
+def _outcome(rhs, t, y):
+    """The bits and types of rhs(t, y), or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = rhs(t, y)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [type(v) for v in out], np.array(out, dtype=float).view(np.int64).tolist()
+
+
+# each flow reads a drawn time and the first 6 or 8 of eight drawn numbers
+# as its y; a point where m^2 < 0 or on a singular surface raises the same
+# error on both sides.  The examples put x+ on and before the switch of
+# fig2's field (x+ = L = 1) and z on and below fig1's (z = 0), in each form
+@pytest.mark.parametrize("form, nonrel", [("instant", False), ("instant", True),
+                                          ("front", False), ("extended", False),
+                                          ("covariant", False)])
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(preset=strategies.sampled_from(sorted(_PRESET_FIELDS)), t=_COORD,
+       v=strategies.lists(_COORD, min_size=8, max_size=8))
+@example(preset="fig2", t=1.0, v=[0.0, 0.1, 0.0, 0.6, 0.3, 0.4, 0.1, -0.2])
+@example(preset="fig2", t=0.4, v=[1.0, 0.0, 0.2, 0.0, 1.2, 0.4, 0.1, -0.2])
+@example(preset="fig2", t=0.9, v=[0.5, 0.1, 0.05, 0.2, 1.1, 0.4, 0.1, -0.2])
+@example(preset="fig1", t=0.3, v=[0.3, 0.3, 0.0, 0.0, 1.1, 0.5, 0.1, -0.2])
+@example(preset="fig1", t=0.3, v=[0.8, 1.0, -0.4, -0.2, 1.1, 0.5, 0.1, -0.2])
+def test_rhs_reads_the_field_at_the_forms_coords(form, nonrel, preset, t, v):
+    bg = _PRESET_FIELDS[preset]
+    y = v[:FORMS[form].dof * 2]
+    assert _outcome(_make_rhs(form, bg, nonrel), t, y) \
+        == _outcome(rhs_through_coords(form, bg, nonrel), t, y)
 
 
 def _hamiltonian_state(form, kind, v):

@@ -1,6 +1,7 @@
 """write_json against json.dump(indent=1) of the document with its
-non-finite floats as None, and write_csv against per-row formatting: the
-same bytes for any document."""
+non-finite floats as None, and write_csv against per-row formatting and
+against the writer that formats every number: the same bytes for any
+document."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from confdyn.jsonio import write_csv, write_json
+from oracles import write_csv_per_number
 
 # texts that look like the separators write_json rewrites, escapes and
 # non-ASCII, next to arbitrary ones
@@ -89,3 +91,44 @@ def test_write_csv_writes_the_per_row_bytes(tmp_path):
         row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
         assert (tmp_path / "a.csv").read_text() == (
             ",".join(header) + "\n" + "".join(row_fmt % tuple(r) for r in rows))
+
+
+# a column's kinds: constant at one of the special values (both zeros, NaN,
+# both infinities, the smallest subnormal), constant at a drawn float, 0.0
+# but for one -0.0, NaN in two payloads, the row index (kg's point column)
+# and drawn floats
+_SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+_OTHER_NAN = np.array([0x7FF8000000000001]).view(np.float64)[0]
+_COLUMN = st.one_of(st.sampled_from(_SPECIAL).map(lambda v: ("constant", v)),
+                    st.floats().map(lambda v: ("constant", v)),
+                    st.just(("one -0.0", None)), st.just(("nans", None)),
+                    st.just(("point", None)), st.just(("drawn", None)))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 12), kinds=st.lists(_COLUMN, min_size=1, max_size=7),
+       data=st.data())
+def test_write_csv_writes_the_bytes_of_every_number_formatted(tmp_path, n, kinds, data):
+    table = np.empty((n, len(kinds)))
+    for j, (kind, v) in enumerate(kinds):
+        if kind == "constant":
+            table[:, j] = v
+        elif kind == "one -0.0":
+            table[:, j] = 0.0
+            table[data.draw(st.integers(0, n - 1)), j] = -0.0
+        elif kind == "nans":
+            table[:, j] = np.nan
+            table[data.draw(st.integers(0, n - 1)), j] = _OTHER_NAN
+        elif kind == "point":
+            table[:, j] = np.arange(n)
+        else:
+            table[:, j] = data.draw(st.lists(st.floats(), min_size=n, max_size=n))
+    header = [f"c{j}" for j in range(len(kinds))]
+    # the rows as kgverify passes them: a point column holds ints
+    rows = [[i if kind == "point" else v for v, (kind, _) in zip(row, kinds)]
+            for i, row in enumerate(table.tolist())]
+    write_csv_per_number(tmp_path / "ref.csv", header, rows)
+    for table_or_rows in (table, rows):
+        write_csv(tmp_path / "ours.csv", header, table_or_rows)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -32,9 +32,11 @@ fig2 orbits off the axis, whose transverse charges and p+ are not 0, the
 fig2 one also as JSON, whose x+ asymptote is not finite, and the plane
 wave at p- = 1e200 as JSON, whose run overflows and writes its non-finite
 values as null, the covariant flow as the benchmark's covariant jobs run
-it, the non-relativistic instant flow through fig1's switch surface, and
-the fig1 start with a grid time 5.74e-8 before its exit crossing), each
-line naming
+it, the non-relativistic instant flow through fig1's switch surface, the
+fig1 start with a grid time 5.74e-8 before its exit crossing, the plane
+wave at p- = 1e200 as CSV, whose columns of one non-finite value each are
+formatted once, and the non-relativistic fig1 sweep, refused with exit 2
+because it would gate the relativistic spacelike set), each line naming
 its ``;``-separated settings, and a flag such as ``--format=json`` where
 the run takes one, in place of a format.  Comparing two checkouts is one
 diff:
@@ -100,7 +102,9 @@ SETTINGS_RUNS = (("certify", "dilation", "certify.form=front"),
                   "sweep.override_0=initial.p=0.1,-0.2,-0.45;run.nonrelativistic=true;"
                   "monitor.set=truncated;monitor.extra=Lz"),
                  ("simulate", "fig1", "sweep.count=1;"
-                  "sweep.override_0=initial.p=0,0,-0.5482573890107849"))
+                  "sweep.override_0=initial.p=0,0,-0.5482573890107849"),
+                 ("simulate", "planewave", "initial.pminus=1e200"),
+                 ("simulate", "fig1", "run.nonrelativistic=true"))
 
 # a number of a csv, json or stdout line; digits inside a name (Q1, run_0)
 # are no number

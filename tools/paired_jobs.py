@@ -13,7 +13,7 @@ as ``perfbench/run.py`` times it (``run_job``), the first job of a kind
 included, lazy imports and all, on both sides alike.
 
 It prints the total job time of each side and their ratio b/a, p50 and p90
-of the job times per side, the ratio b/a of summed time per job kind over
+of the job times per side with their ratios b/a, the ratio b/a of summed time per job kind over
 the jobs after the kind's first (n counts them all), the failed operations
 of each side and how many jobs wrote different bytes on the two sides.  The
 first job of a kind pays the lazy imports of its path, so a change that
@@ -117,7 +117,8 @@ def main(argv=None) -> int:
     print(f"total   a {total['a']:.4f} s   b {total['b']:.4f} s   "
           f"b/a {total['b'] / total['a']:.4f}")
     for name, stat in (("p50", statistics.median), ("p90", _p90)):
-        print(f"{name}     a {stat(walls['a']):.4f} s   b {stat(walls['b']):.4f} s")
+        a, b = stat(walls["a"]), stat(walls["b"])
+        print(f"{name}     a {a:.4f} s   b {b:.4f} s   b/a {b / a:.4f}")
     first, per_kind = {}, {}
     for kind, wa, wb in zip(kinds, walls["a"], walls["b"]):
         sums = per_kind.setdefault(kind, [0, 0.0, 0.0])
